@@ -11,9 +11,10 @@
 //	         [-analytic] [-sample-rate R] [-sample-size N] [-csv]
 //	         [-j N] [-decode-j N] [-cpuprofile FILE] <benchmark>
 //
-// ByWays sweeps default to the fused engine (one trace replay for all
-// sizes); -engine persize forces the historical one-machine-per-size
-// path — the curves are bit-identical either way. -j sets the sweep
+// Sweeps in either -mode default to the fused engine (one trace replay
+// advancing a group of sizes at once); -engine persize forces the
+// historical one-machine-per-size path, kept as the oracle — the
+// curves are bit-identical either way. -j sets the sweep
 // width (default: one per CPU): the per-size engine fans sizes out
 // across workers, and the fused engine shards its replica block so
 // each worker replays a contiguous slice of the size list against one
@@ -63,7 +64,7 @@ func main() {
 	save := flag.String("save", "", "write the captured trace to this file")
 	load := flag.String("load", "", "replay a trace file instead of capturing")
 	stream := flag.Bool("stream", false, "replay -load out of core: streamed decode in O(block) memory, never materialising the trace")
-	engine := flag.String("engine", "auto", "sweep engine: auto, fused (one replay, ByWays only), persize, analytic (sampled estimate)")
+	engine := flag.String("engine", "auto", "sweep engine: auto (= fused), fused (sizes share a replay), persize (one machine per size, the oracle), analytic (sampled estimate)")
 	noWarm := flag.Bool("nowarm", false, "measure the first replay cold (no warm-up pass)")
 	csv := flag.Bool("csv", false, "emit CSV")
 	stack := flag.Bool("stack", false, "also print the analytical stack-distance model's curve")

@@ -33,7 +33,7 @@ func main() {
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark override")
 	seed := flag.Uint64("seed", 0, "workload seed (0 = default)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for independent runs (1 = serial)")
-	engine := flag.String("engine", "auto", "reference-sweep engine: auto, fused, persize (curves identical)")
+	engine := flag.String("engine", "auto", "reference-sweep engine: auto (= fused), fused, persize (the oracle; curves identical)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 

@@ -21,11 +21,62 @@ type Replicas struct {
 	reps []Cache
 }
 
+// lineStore is the backing block a Replicas family is carved from: one
+// array per Cache line-state field, indexed by line or by set.
+type lineStore struct {
+	tags  []uint64
+	flags []uint8
+	owner []int32
+	stamp []uint64
+	meta  []uint64
+	free  []uint64
+	mru   []int32
+}
+
+// slots returns how many line slots and set slots a cache of this
+// geometry occupies in a lineStore.
+func (c Config) slots() (lines, sets int) {
+	sets = int(c.Sets())
+	return sets * c.Ways, sets
+}
+
+// fit makes the store hold at least lines line slots and sets set
+// slots, and leaves the first lines/sets entries of the arrays
+// Cache.init expects zeroed (flags, owner, stamp, meta, mru) zero: a
+// store that is already large enough is cleared in place, not
+// reallocated. tags and free are init's to fill.
+func (s *lineStore) fit(lines, sets int) {
+	if cap(s.tags) < lines {
+		s.tags = make([]uint64, lines)
+		s.flags = make([]uint8, lines)
+		s.owner = make([]int32, lines)
+		s.stamp = make([]uint64, lines)
+	} else {
+		clear(s.flags[:lines])
+		clear(s.owner[:lines])
+		clear(s.stamp[:lines])
+	}
+	if cap(s.meta) < sets {
+		s.meta = make([]uint64, sets)
+		s.free = make([]uint64, sets)
+		s.mru = make([]int32, sets)
+	} else {
+		clear(s.meta[:sets])
+		clear(s.mru[:sets])
+	}
+}
+
 // NewReplicas builds one cache per config over shared contiguous
 // backing arrays. All configs must agree on line size (the fused
 // engine decodes each address once and fans the line tag out to every
 // replica).
 func NewReplicas(cfgs []Config) (*Replicas, error) {
+	return newReplicas(cfgs, &lineStore{})
+}
+
+// newReplicas is NewReplicas over a caller-owned store, which a later
+// family may reuse once this one is dead.
+func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: replicas need at least one config")
 	}
@@ -37,25 +88,19 @@ func NewReplicas(cfgs []Config) (*Replicas, error) {
 		if cfg.LineSize != cfgs[0].LineSize {
 			return nil, fmt.Errorf("cache: replica %d line size %d != %d", i, cfg.LineSize, cfgs[0].LineSize)
 		}
-		lines += int(cfg.Sets()) * cfg.Ways
-		sets += int(cfg.Sets())
+		nl, ns := cfg.slots()
+		lines += nl
+		sets += ns
 	}
-	tags := make([]uint64, lines)
-	flags := make([]uint8, lines)
-	owner := make([]int32, lines)
-	stamp := make([]uint64, lines)
-	meta := make([]uint64, sets)
-	free := make([]uint64, sets)
-	mru := make([]int32, sets)
+	s.fit(lines, sets)
 	r := &Replicas{reps: make([]Cache, len(cfgs))}
 	lo, so := 0, 0
 	for i, cfg := range cfgs {
-		nl := int(cfg.Sets()) * cfg.Ways
-		ns := int(cfg.Sets())
+		nl, ns := cfg.slots()
 		r.reps[i].init(cfg,
-			tags[lo:lo+nl:lo+nl], flags[lo:lo+nl:lo+nl], owner[lo:lo+nl:lo+nl],
-			stamp[lo:lo+nl:lo+nl], meta[so:so+ns:so+ns], free[so:so+ns:so+ns],
-			mru[so:so+ns:so+ns])
+			s.tags[lo:lo+nl:lo+nl], s.flags[lo:lo+nl:lo+nl], s.owner[lo:lo+nl:lo+nl],
+			s.stamp[lo:lo+nl:lo+nl], s.meta[so:so+ns:so+ns], s.free[so:so+ns:so+ns],
+			s.mru[so:so+ns:so+ns])
 		lo += nl
 		so += ns
 	}
@@ -68,21 +113,22 @@ func (r *Replicas) Len() int { return len(r.reps) }
 // Rep returns replica k; the full Cache API applies to it.
 func (r *Replicas) Rep(k int) *Cache { return &r.reps[k] }
 
-// FusedHierarchy advances one single-core cache hierarchy per L3 size
-// under the same demand stream: per-replica private L1/L2, per-replica
-// L3, and per-replica prefetcher, each group held in one contiguous
-// Replicas block. Back-invalidations from a shrunk L3 differ by size,
-// so the private levels (and therefore the prefetcher training
+// FusedHierarchy advances one single-core cache hierarchy per L3
+// geometry under the same demand stream: per-replica private L1/L2,
+// per-replica L3, and per-replica prefetcher, each group held in one
+// contiguous Replicas block. Back-invalidations from a shrunk L3 differ
+// by size, so the private levels (and therefore the prefetcher training
 // streams) genuinely diverge across replicas and must all be
 // replicated; what is shared is the trace iteration and the address
-// decode, which Access performs once per call.
+// decode, which Access performs once per call. Replicas may differ in
+// L3 ways and in L3 sets alike — every set index is derived per replica
+// from the shared line tag — so both sweep geometries fuse.
 //
 // Access(k, addr, write) is step-for-step the same state evolution and
 // Outcome computation as Hierarchy.Access on a 1-core hierarchy with
 // replica k's L3 — the equivalence the fused sweep's bit-identical
 // guarantee rests on (see conformance.CheckSweepEquivalence).
 type FusedHierarchy struct {
-	cfg        HierarchyConfig
 	l1, l2, l3 *Replicas
 	pf         []prefetch.Prefetcher
 
@@ -91,26 +137,84 @@ type FusedHierarchy struct {
 	hasPF     bool
 }
 
+// FusedBacking is the line-state storage of a FusedHierarchy, held
+// apart from it so that hierarchies built one after another — the
+// replica groups of a serial sweep — reuse one allocation. Building a
+// hierarchy on a backing re-initialises the storage, so only the most
+// recently built hierarchy is valid.
+type FusedBacking struct {
+	l1, l2, l3 lineStore
+}
+
+// NewFusedBacking allocates a backing large enough for any one of the
+// given groups of L3 configs under cfg's L1/L2, so building each group
+// in turn allocates no line state. (A group that does not fit still
+// builds: the backing grows.)
+func NewFusedBacking(cfg HierarchyConfig, groups [][]Config) (*FusedBacking, error) {
+	var reps, lines, sets int
+	for _, g := range groups {
+		gl, gs := 0, 0
+		for _, l3 := range g {
+			rc := cfg
+			rc.Cores = 1
+			rc.L3 = l3
+			if err := rc.Validate(); err != nil {
+				return nil, err
+			}
+			nl, ns := l3.slots()
+			gl += nl
+			gs += ns
+		}
+		reps = max(reps, len(g))
+		lines = max(lines, gl)
+		sets = max(sets, gs)
+	}
+	b := &FusedBacking{}
+	if reps > 0 {
+		nl, ns := cfg.L1.slots()
+		b.l1.fit(reps*nl, reps*ns)
+		nl, ns = cfg.L2.slots()
+		b.l2.fit(reps*nl, reps*ns)
+		b.l3.fit(lines, sets)
+	}
+	return b, nil
+}
+
 // NewFusedHierarchy builds one hierarchy replica per entry of l3Ways:
 // cfg's L1/L2 are replicated unchanged, and cfg.L3 is way-shrunk to
 // l3Ways[k] with its size scaled proportionally (constant sets — the
 // ByWays sweep geometry). cfg.Cores is ignored; every replica is
 // single-core.
 func NewFusedHierarchy(cfg HierarchyConfig, l3Ways []int) (*FusedHierarchy, error) {
-	if len(l3Ways) == 0 {
+	waySize := cfg.L3.Size / int64(cfg.L3.Ways)
+	l3 := make([]Config, len(l3Ways))
+	for k, ways := range l3Ways {
+		l3[k] = cfg.L3
+		l3[k].Size = waySize * int64(ways)
+		l3[k].Ways = ways
+	}
+	return NewFusedHierarchyL3(cfg, l3, nil)
+}
+
+// NewFusedHierarchyL3 builds one hierarchy replica per L3 config:
+// cfg's L1/L2 are replicated unchanged under each l3[k] (cfg.L3 and
+// cfg.Cores are ignored; every replica is single-core). The line state
+// is carved from b, invalidating any hierarchy built on b before; a
+// nil b gives the hierarchy storage of its own.
+func NewFusedHierarchyL3(cfg HierarchyConfig, l3 []Config, b *FusedBacking) (*FusedHierarchy, error) {
+	if len(l3) == 0 {
 		return nil, fmt.Errorf("cache: fused hierarchy needs at least one L3 size")
 	}
+	if b == nil {
+		b = &FusedBacking{}
+	}
 	cfg.Cores = 1
-	waySize := cfg.L3.Size / int64(cfg.L3.Ways)
-	l1cfgs := make([]Config, len(l3Ways))
-	l2cfgs := make([]Config, len(l3Ways))
-	l3cfgs := make([]Config, len(l3Ways))
-	for k, ways := range l3Ways {
-		l3 := cfg.L3
-		l3.Size = waySize * int64(ways)
-		l3.Ways = ways
+	l1cfgs := make([]Config, len(l3))
+	l2cfgs := make([]Config, len(l3))
+	l3cfgs := make([]Config, len(l3))
+	for k := range l3 {
 		rc := cfg
-		rc.L3 = l3
+		rc.L3 = l3[k]
 		if err := rc.Validate(); err != nil {
 			return nil, err
 		}
@@ -120,25 +224,24 @@ func NewFusedHierarchy(cfg HierarchyConfig, l3Ways []int) (*FusedHierarchy, erro
 		l2cfgs[k] = cfg.L2
 		l2cfgs[k].Owners = 1
 		l2cfgs[k].Name = "L2.0"
-		l3cfgs[k] = l3
+		l3cfgs[k] = l3[k]
 		l3cfgs[k].Owners = 1
 		l3cfgs[k].Name = "L3"
 	}
 	f := &FusedHierarchy{
-		cfg:       cfg,
-		lineSize:  cfg.L3.LineSize,
-		lineShift: uint(bits.TrailingZeros64(uint64(cfg.L3.LineSize))),
+		lineSize:  cfg.L1.LineSize,
+		lineShift: uint(bits.TrailingZeros64(uint64(cfg.L1.LineSize))),
 		hasPF:     cfg.NewPrefetcher != nil,
-		pf:        make([]prefetch.Prefetcher, len(l3Ways)),
+		pf:        make([]prefetch.Prefetcher, len(l3)),
 	}
 	var err error
-	if f.l1, err = NewReplicas(l1cfgs); err != nil {
+	if f.l1, err = newReplicas(l1cfgs, &b.l1); err != nil {
 		return nil, err
 	}
-	if f.l2, err = NewReplicas(l2cfgs); err != nil {
+	if f.l2, err = newReplicas(l2cfgs, &b.l2); err != nil {
 		return nil, err
 	}
-	if f.l3, err = NewReplicas(l3cfgs); err != nil {
+	if f.l3, err = newReplicas(l3cfgs, &b.l3); err != nil {
 		return nil, err
 	}
 	for k := range f.pf {

@@ -1,0 +1,132 @@
+package cache
+
+import (
+	"reflect"
+	"testing"
+
+	"cachepirate/internal/stats"
+)
+
+// TestFusedBackingReuse pins the two halves of the backing-block
+// contract the serial fused sweep leans on. A backing sized for a set of
+// groups serves each group in turn without reallocating any array, and a
+// hierarchy built on used storage is indistinguishable from one built on
+// fresh storage: every array the first group dirtied (flags, stamps,
+// policy metadata, MRU hints) is back to its empty state.
+func TestFusedBackingReuse(t *testing.T) {
+	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
+		hcfg := HierarchyConfig{
+			L1: Config{Size: 1 << 10, Ways: 2, LineSize: 64, Policy: LRU},
+			L2: Config{Size: 4 << 10, Ways: 4, LineSize: 64, Policy: PseudoLRU},
+		}
+		l3 := func(size int64, ways int) Config {
+			return Config{Size: size, Ways: ways, LineSize: 64, Policy: policy}
+		}
+		// The first group has the most lines, the second the most sets
+		// and replicas: the backing must cover each maximum separately.
+		groups := [][]Config{
+			{l3(16<<10, 8), l3(12<<10, 8)},
+			{l3(2<<10, 2), l3(4<<10, 2), l3(6<<10, 2)},
+		}
+		b, err := NewFusedBacking(hcfg, groups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores := []*lineStore{&b.l1, &b.l2, &b.l3}
+		type block struct {
+			tags *uint64
+			meta *uint64
+		}
+		var before []block
+		for _, s := range stores {
+			before = append(before, block{&s.tags[:1][0], &s.meta[:1][0]})
+		}
+
+		rng := stats.NewRNG(11)
+		drive := func(f *FusedHierarchy, n int) []Outcome {
+			outs := make([]Outcome, 0, n*f.Replicas())
+			for i := 0; i < n; i++ {
+				addr := Addr(rng.Intn(40<<10)) &^ 63
+				write := rng.Intn(3) == 0
+				for k := 0; k < f.Replicas(); k++ {
+					outs = append(outs, f.Access(k, addr, write))
+				}
+			}
+			return outs
+		}
+
+		first, err := NewFusedHierarchyL3(hcfg, groups[0], b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(first, 4000)
+
+		reused, err := NewFusedHierarchyL3(hcfg, groups[1], b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, s := range stores {
+			if &s.tags[:1][0] != before[i].tags || &s.meta[:1][0] != before[i].meta {
+				t.Errorf("%v: level %d backing reallocated for the second group", policy, i+1)
+			}
+		}
+
+		fresh, err := NewFusedHierarchyL3(hcfg, groups[1], nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, pair := range [][2]*Replicas{{reused.l1, fresh.l1}, {reused.l2, fresh.l2}, {reused.l3, fresh.l3}} {
+			for k := range pair[1].reps {
+				g, w := &pair[0].reps[k], &pair[1].reps[k]
+				if !reflect.DeepEqual(g.tags, w.tags) || !reflect.DeepEqual(g.flags, w.flags) ||
+					!reflect.DeepEqual(g.owner, w.owner) || !reflect.DeepEqual(g.stamp, w.stamp) ||
+					!reflect.DeepEqual(g.meta, w.meta) || !reflect.DeepEqual(g.free, w.free) ||
+					!reflect.DeepEqual(g.mru, w.mru) {
+					t.Errorf("%v: level %d replica %d starts with stale line state on reused storage", policy, l+1, k)
+				}
+			}
+		}
+		rng = stats.NewRNG(23)
+		got := drive(reused, 4000)
+		rng = stats.NewRNG(23)
+		want := drive(fresh, 4000)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%v: access %d on reused storage = %+v, on fresh storage %+v", policy, i, got[i], want[i])
+			}
+		}
+		for k := 0; k < fresh.Replicas(); k++ {
+			if g, w := reused.L3(k).Stats(0), fresh.L3(k).Stats(0); g != w {
+				t.Errorf("%v: replica %d L3 stats on reused storage %+v, fresh %+v", policy, k, g, w)
+			}
+		}
+	}
+}
+
+// TestFusedBackingGrows: a backing too small for a group still builds
+// it (sizing is an optimisation, never a precondition).
+func TestFusedBackingGrows(t *testing.T) {
+	hcfg := HierarchyConfig{
+		L1: Config{Size: 1 << 10, Ways: 2, LineSize: 64, Policy: LRU},
+		L2: Config{Size: 4 << 10, Ways: 4, LineSize: 64, Policy: LRU},
+	}
+	small := []Config{{Size: 4 << 10, Ways: 4, LineSize: 64, Policy: LRU}}
+	big := []Config{
+		{Size: 16 << 10, Ways: 8, LineSize: 64, Policy: LRU},
+		{Size: 8 << 10, Ways: 8, LineSize: 64, Policy: LRU},
+	}
+	b, err := NewFusedBacking(hcfg, [][]Config{small})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFusedHierarchyL3(hcfg, big, b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out := f.Access(1, 0x1000, true); out.ServedBy != LevelMem {
+		t.Errorf("first access on a grown backing served by %v, want memory", out.ServedBy)
+	}
+	if _, err := NewFusedBacking(hcfg, [][]Config{{{Size: 1000, Ways: 3, LineSize: 64}}}); err == nil {
+		t.Error("backing accepted an invalid L3 geometry")
+	}
+}

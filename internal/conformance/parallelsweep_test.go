@@ -11,33 +11,44 @@ import (
 // TestParallelSweepEquivalenceMatrix is the multi-core replay gate:
 // every replacement policy, warm and cold, across shard widths (2 =
 // uneven split of the size list, 3, 4 = one size per shard at the
-// small matrix geometry) and decode widths. Each cell pins four curves
-// to bit-identity: serial fused (oracle), sharded in-memory, sharded
-// over the sync streaming Reader, sharded over the ParallelReader.
+// small matrix geometry) and decode widths, way-shrunk and (at widths
+// 2 and 3) set-shrunk. Each cell pins four curves to bit-identity:
+// serial fused (oracle), sharded in-memory, sharded over the sync
+// streaming Reader, sharded over the ParallelReader.
 func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 	tr := sweepTestTrace(4000)
 	policies := []cache.PolicyKind{cache.LRU, cache.PseudoLRU, cache.Nehalem, cache.Random}
 	for _, policy := range policies {
-		sizes := []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10} // power-of-two ways for PseudoLRU
-		for _, noWarm := range []bool{false, true} {
-			for _, shards := range []int{2, 3, 4} {
-				decode := 2
-				if shards == 4 {
-					decode = 4
+		for _, mode := range []simulate.SweepMode{simulate.ByWays, simulate.BySets} {
+			sizes := []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10} // power-of-two ways for PseudoLRU
+			widths := []int{2, 3, 4}
+			if mode == simulate.BySets {
+				sizes = []int64{4 << 10, 8 << 10, 12 << 10, 24 << 10, 32 << 10} // 24 and 48 sets: modulo indexing
+				widths = []int{2, 3}
+			}
+			for _, noWarm := range []bool{false, true} {
+				for _, shards := range widths {
+					decode := 2
+					if shards == 4 {
+						decode = 4
+					}
+					name := fmt.Sprintf("%v/noWarm=%v/shards=%d/decode=%d", policy, noWarm, shards, decode)
+					if mode == simulate.BySets {
+						name = fmt.Sprintf("%v/bysets/noWarm=%v/shards=%d/decode=%d", policy, noWarm, shards, decode)
+					}
+					t.Run(name, func(t *testing.T) {
+						cfg := simulate.Config{
+							Machine: sweepMachine(policy, false),
+							Sizes:   sizes,
+							Mode:    mode,
+							Engine:  simulate.EngineFused,
+							NoWarm:  noWarm,
+						}
+						if err := CheckParallelSweepEquivalence(cfg, tr, 256, shards, decode); err != nil {
+							t.Fatal(err)
+						}
+					})
 				}
-				name := fmt.Sprintf("%v/noWarm=%v/shards=%d/decode=%d", policy, noWarm, shards, decode)
-				t.Run(name, func(t *testing.T) {
-					cfg := simulate.Config{
-						Machine: sweepMachine(policy, false),
-						Sizes:   sizes,
-						Mode:    simulate.ByWays,
-						Engine:  simulate.EngineFused,
-						NoWarm:  noWarm,
-					}
-					if err := CheckParallelSweepEquivalence(cfg, tr, 256, shards, decode); err != nil {
-						t.Fatal(err)
-					}
-				})
 			}
 		}
 	}

@@ -11,11 +11,12 @@ import (
 
 // CheckSweepEquivalence runs cfg's sweep twice — once forced onto the
 // per-size oracle engine and once with cfg's own engine selection —
-// and verifies the two curves are bit-identical. For a ByWays config
-// this pits the fused single-replay engine against the historical
-// one-machine-per-size path; for BySets it pins the automatic fallback
-// to the oracle. The comparison is exact (Float64bits), because the
-// fused engine's contract is bit-identity, not tolerance.
+// and verifies the two curves are bit-identical. In either sweep mode
+// this pits the fused replica kernel (way-shrunk or set-shrunk
+// replicas, grouped at Workers 1, sharded above) against the
+// historical one-machine-per-size path, which nothing but an explicit
+// EnginePerSize reaches. The comparison is exact (Float64bits), because
+// the fused engine's contract is bit-identity, not tolerance.
 func CheckSweepEquivalence(cfg simulate.Config, tr *trace.Trace) error {
 	per := cfg
 	per.Engine = simulate.EnginePerSize

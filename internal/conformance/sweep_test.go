@@ -56,7 +56,8 @@ func TestSweepEquivalenceMatrix(t *testing.T) {
 				// Pseudo-LRU needs power-of-two ways.
 				sizes = []int64{4 << 10, 8 << 10, 16 << 10, 32 << 10}
 			case mode == simulate.BySets:
-				sizes = []int64{8 << 10, 16 << 10, 32 << 10}
+				// 24 KB is 48 sets: the modulo arm of the set index.
+				sizes = []int64{8 << 10, 16 << 10, 24 << 10, 32 << 10}
 			}
 			for _, noWarm := range []bool{false, true} {
 				for _, workers := range []int{1, 3} {
@@ -79,25 +80,33 @@ func TestSweepEquivalenceMatrix(t *testing.T) {
 	}
 }
 
-// TestSweepEquivalenceWithPrefetcher repeats the ByWays check with a
-// stream prefetcher attached: prefetch training happens per replica in
-// the fused engine (each size sees a different miss stream), which
-// this pins against per-size machines.
+// TestSweepEquivalenceWithPrefetcher repeats the check with a stream
+// prefetcher attached, in both sweep modes: prefetch training happens
+// per replica in the fused engine (each size sees a different miss
+// stream), which this pins against per-size machines.
 func TestSweepEquivalenceWithPrefetcher(t *testing.T) {
 	tr := sweepTestTrace(4000)
 	for _, policy := range []cache.PolicyKind{cache.Nehalem, cache.LRU} {
-		for _, workers := range []int{1, 3} {
-			name := fmt.Sprintf("%v/j%d", policy, workers)
-			t.Run(name, func(t *testing.T) {
-				cfg := simulate.Config{
-					Machine: sweepMachine(policy, true),
-					Mode:    simulate.ByWays,
-					Workers: workers,
+		for _, mode := range []simulate.SweepMode{simulate.ByWays, simulate.BySets} {
+			for _, workers := range []int{1, 3} {
+				name := fmt.Sprintf("%v/j%d", policy, workers)
+				var sizes []int64 // ByWays: one per way
+				if mode == simulate.BySets {
+					name = fmt.Sprintf("%v/bysets/j%d", policy, workers)
+					sizes = []int64{8 << 10, 24 << 10, 32 << 10}
 				}
-				if err := CheckSweepEquivalence(cfg, tr); err != nil {
-					t.Fatal(err)
-				}
-			})
+				t.Run(name, func(t *testing.T) {
+					cfg := simulate.Config{
+						Machine: sweepMachine(policy, true),
+						Sizes:   sizes,
+						Mode:    mode,
+						Workers: workers,
+					}
+					if err := CheckSweepEquivalence(cfg, tr); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
 		}
 	}
 }

@@ -49,9 +49,9 @@ type Options struct {
 	// reproduces the historical serial order exactly.
 	Workers int
 	// Engine selects the reference-sweep engine for experiments that
-	// run simulate.Sweep. The zero value (EngineAuto) picks per sweep
-	// mode; the curves are bit-identical across engines, so this only
-	// matters for forcing a path (benchmarking, debugging).
+	// run simulate.Sweep. The zero value (EngineAuto) is the fused
+	// engine; the curves are bit-identical across engines, so this only
+	// matters for forcing the per-size oracle (benchmarking, debugging).
 	Engine simulate.Engine
 }
 

@@ -118,22 +118,31 @@ func TestEndToEndServedCurvesBitIdentical(t *testing.T) {
 		})
 	}
 
-	// The served fused curve must also match a direct in-memory Sweep
+	// The served fused curves must also match a direct in-memory Sweep
 	// over the decoded upload — the engines' source-independence
-	// contract, exercised through the full HTTP + store path.
+	// contract, exercised through the full HTTP + store path, in both
+	// sweep modes (mode=sets with no engine named is the default, fused).
 	t.Run("fused matches in-memory sweep", func(t *testing.T) {
 		tr, err := trace.Read(bytes.NewReader(raw))
 		if err != nil {
 			t.Fatal(err)
 		}
-		spec := JobSpec{TraceHash: info.Hash, Engine: EngineFused, PolicyName: "nehalem", Policy: cache.Nehalem}
-		want, err := simulate.SweepContext(context.Background(), spec.simConfig(1), tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		served := fetch(fmt.Sprintf("trace=%s&engine=fused", info.Hash))
-		if err := conformance.CurvesIdentical(want, served); err != nil {
-			t.Errorf("served fused curve differs from simulate.Sweep on the raw upload: %v", err)
+		for _, tc := range []struct {
+			query string
+			mode  simulate.SweepMode
+		}{
+			{"engine=fused", simulate.ByWays},
+			{"mode=sets", simulate.BySets},
+		} {
+			spec := JobSpec{TraceHash: info.Hash, Engine: EngineFused, PolicyName: "nehalem", Policy: cache.Nehalem, Mode: tc.mode}
+			want, err := simulate.SweepContext(context.Background(), spec.simConfig(1), tr)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := fetch(fmt.Sprintf("trace=%s&%s", info.Hash, tc.query))
+			if err := conformance.CurvesIdentical(want, served); err != nil {
+				t.Errorf("served %s curve differs from simulate.Sweep on the raw upload: %v", tc.query, err)
+			}
 		}
 	})
 }

@@ -159,10 +159,6 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 			return j, badRequest("engine_mode_mismatch", "engine=mattson requires mode=ways")
 		}
 	}
-	if j.Engine == EngineFused && j.Mode != simulate.ByWays {
-		return j, badRequest("engine_mode_mismatch", "engine=fused requires mode=ways (use persize for set sweeps)")
-	}
-
 	var perr *apiError
 	j.Records, perr = intParam(q, "records", j.Records, 1, maxCaptureRecords)
 	if perr != nil {

@@ -117,7 +117,9 @@ func TestHandlerErrorTable(t *testing.T) {
 		{"curves: unknown mode", http.MethodGet, "/v1/curves?trace=" + hash + "&mode=diag", nil, 400, "unknown_mode"},
 		{"curves: unknown format", http.MethodGet, "/v1/curves?trace=" + hash + "&format=xml", nil, 400, "unknown_format"},
 		{"curves: mattson without lru", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=mattson", nil, 400, "engine_policy_mismatch"},
-		{"curves: fused by sets", http.MethodGet, "/v1/curves?trace=" + hash + "&mode=sets", nil, 400, "engine_mode_mismatch"},
+		{"curves: mattson by sets", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=mattson&policy=lru&mode=sets", nil, 400, "engine_mode_mismatch"},
+		// Not a failure: the default (fused) engine sweeps by sets too.
+		{"curves: fused by sets", http.MethodGet, "/v1/curves?trace=" + hash + "&mode=sets", nil, 200, ""},
 		{"curves: records not a number", http.MethodGet, "/v1/curves?workload=microrand&records=lots", nil, 400, "bad_param"},
 		{"curves: records out of range", http.MethodGet, "/v1/curves?workload=microrand&records=999999999", nil, 400, "bad_param"},
 		{"curves: bad seed", http.MethodGet, "/v1/curves?workload=microrand&seed=-3", nil, 400, "bad_param"},
@@ -132,6 +134,9 @@ func TestHandlerErrorTable(t *testing.T) {
 			rec := do(t, s, tc.method, tc.target, tc.body)
 			if rec.Code != tc.wantStatus {
 				t.Fatalf("status = %d, want %d (body %q)", rec.Code, tc.wantStatus, rec.Body.String())
+			}
+			if tc.wantStatus == 200 {
+				return
 			}
 			if code := decodeAPIError(t, rec); code != tc.wantCode {
 				t.Errorf("error code = %q, want %q", code, tc.wantCode)

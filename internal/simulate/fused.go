@@ -1,16 +1,24 @@
-// The fused sweep engine: every ByWays cache size from one trace
-// replay.
+// The fused sweep engine: every cache size of a sweep — ByWays or
+// BySets — from one trace replay per replica group.
 //
 // The per-size path replays the trace once per size — 16 full machine
-// replays for the default way sweep, each re-decoding the trace and
+// replays for the default sweep, each re-decoding the trace and
 // re-driving a scheduler, a bandwidth-server object pair and a cpu.Core
-// per size. Way-shrunk sizes share line size and set count, so the
-// fused engine iterates the trace once, decodes each record once, and
-// fans the access out to one hierarchy replica per size
-// (cache.FusedHierarchy): per-replica L1/L2/L3 state lives in
-// contiguous SoA blocks and the per-replica timing state (cycle clock,
-// bandwidth-server cursors, DRAM byte counters) lives in registers for
-// the duration of a record block.
+// per size. The fused engine iterates the trace, decodes each record
+// once, and fans the access out to one hierarchy replica per size
+// (cache.FusedHierarchy): replicas share only the line size, every set
+// index is derived per replica, so way-shrunk and set-shrunk sizes fuse
+// alike. Per-replica L1/L2/L3 state lives in contiguous SoA blocks and
+// the per-replica timing state (cycle clock, bandwidth-server cursors,
+// DRAM byte counters) lives in registers for the duration of a record
+// block.
+//
+// What the engine gains is the lean replayBlock loop, not the shared
+// decode (under 1% of a fused sweep), and what it pays is the
+// interleaved line state of every replica competing for the host's
+// cache. The serial sweep therefore replays the sizes in consecutive
+// replica groups of bounded line state (fusedGroupLines), re-opening
+// the source per group; the sharded sweep's shards already are groups.
 //
 // Bit-identity with the per-size path is load-bearing and rests on
 // three facts. First, a single-core machine's scheduler is trivial:
@@ -46,6 +54,14 @@ import (
 // per-replica timing-state spill/reload, small enough that a replica's
 // working lines stay cache-resident across its turn.
 const fusedBlock = 256
+
+// fusedGroupLines is the serial sweep's replica-group budget in L3
+// lines: consecutive sizes are replayed together while their summed L3
+// line count fits. Twice the Nehalem L3 (about 5.5 MB of line state)
+// splits the default 16 sizes into 5 groups; all 16 at once interleave
+// 23 MB of line state, which no host cache holds, and the sweep's speed
+// then follows whatever else shares the host's last-level cache.
+const fusedGroupLines = 1 << 18
 
 // repClock is one replica's timing state: the fields a per-size
 // machine keeps in cpu.Core, the two mem.Servers and the machine's
@@ -90,14 +106,21 @@ type fusedEngine struct {
 	base []counters.Sample
 }
 
-func newFusedEngine(cfg Config, ways []int) (*fusedEngine, error) {
-	fh, err := cache.NewFusedHierarchy(cache.HierarchyConfig{
+// hierarchyConfig is the replica template: cfg's private levels and
+// prefetcher (each replica brings its own L3).
+func hierarchyConfig(cfg Config) cache.HierarchyConfig {
+	return cache.HierarchyConfig{
 		Cores:         1,
 		L1:            cfg.Machine.L1,
 		L2:            cfg.Machine.L2,
-		L3:            cfg.Machine.L3,
 		NewPrefetcher: cfg.Machine.NewPrefetcher,
-	}, ways)
+	}
+}
+
+// newFusedEngine builds an engine with one replica per L3 config, its
+// line state carved from backing (nil: storage of its own).
+func newFusedEngine(cfg Config, l3 []cache.Config, backing *cache.FusedBacking) (*fusedEngine, error) {
+	fh, err := cache.NewFusedHierarchyL3(hierarchyConfig(cfg), l3, backing)
 	if err != nil {
 		return nil, err
 	}
@@ -117,9 +140,19 @@ func newFusedEngine(cfg Config, ways []int) (*fusedEngine, error) {
 		l3LineCyc:   float64(cfg.Machine.L3.LineSize) / cfg.Machine.L3Port.BytesPerCycle,
 		dramLineCyc: float64(cfg.Machine.L3.LineSize) / cfg.Machine.DRAM.BytesPerCycle,
 		warm:        cfg.WarmPasses,
-		clk:         make([]repClock, len(ways)),
-		base:        make([]counters.Sample, len(ways)),
+		clk:         make([]repClock, len(l3)),
+		base:        make([]counters.Sample, len(l3)),
 	}, nil
+}
+
+// replay opens a source, runs it through every replica and closes it.
+func (e *fusedEngine) replay(ctx context.Context, open func() (trace.BlockSource, error)) (err error) {
+	src, err := open()
+	if err != nil {
+		return err
+	}
+	defer closeSource(src, &err)
+	return e.run(ctx, src)
 }
 
 // run replays warm+1 passes of src through every replica, capturing
@@ -321,33 +354,51 @@ func (e *fusedEngine) sample(k int) counters.Sample {
 	}
 }
 
-// sweepFusedStream is the fused-engine SweepStream body: validate
-// every size up front with the per-size path's error shapes, then
-// replay. Workers == 1 runs the serial engine over all sizes; wider
+// points writes the measured-pass curve point of every replica to
+// pts, replica k under sizes[k].
+func (e *fusedEngine) points(pts []analysis.Point, sizes []int64) {
+	for k := range e.clk {
+		s := e.sample(k).Sub(e.base[k])
+		pts[k] = analysis.Point{
+			CacheBytes:   sizes[k],
+			CPI:          s.CPI(),
+			BandwidthGBs: s.BandwidthGBs(e.params.FreqHz),
+			FetchRatio:   s.FetchRatio(),
+			MissRatio:    s.MissRatio(),
+			Trusted:      true,
+			Samples:      1,
+		}
+	}
+}
+
+// l3Configs returns each machine's L3: the one thing a sweep's replicas
+// differ in.
+func l3Configs(mcfgs []machine.Config) []cache.Config {
+	l3 := make([]cache.Config, len(mcfgs))
+	for i, mcfg := range mcfgs {
+		l3[i] = mcfg.L3
+	}
+	return l3
+}
+
+// sweepFusedStream is the fused-engine SweepStream body over the
+// validated per-size machine configs. Workers == 1 runs the serial
+// engine over the sizes in replica groups (sweepFusedGrouped); wider
 // sweeps shard the replica block across workers (sweepFusedSharded)
 // behind a single decode of the trace. Replicas never interact and
-// every shard sees the same record order, so the shard width cannot
-// change any point (conformance.CheckParallelSweepEquivalence).
-func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
-	ways := make([]int, len(cfg.Sizes))
-	for i, size := range cfg.Sizes {
-		mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
-		if err != nil {
-			return nil, err
-		}
-		if err := mcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("simulate: size %d: %w", size, err)
-		}
-		ways[i] = mcfg.L3.Ways
-	}
+// every group or shard sees the same record order, so neither the
+// group budget nor the shard width can change any point
+// (conformance.CheckParallelSweepEquivalence).
+func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), mcfgs []machine.Config) (*analysis.Curve, error) {
+	l3 := l3Configs(mcfgs)
 	pool := runner.Pool{Workers: cfg.Workers}
 	shards := pool.EffectiveWorkers(len(cfg.Sizes))
 	var points []analysis.Point
 	var err error
 	if shards == 1 {
-		points, err = fusedPoints(ctx, cfg, open, cfg.Sizes, ways)
+		points, err = sweepFusedGrouped(ctx, cfg, open, l3, fusedGroupLines)
 	} else {
-		points, err = sweepFusedSharded(ctx, cfg, open, ways, shards)
+		points, err = sweepFusedSharded(ctx, cfg, open, l3, shards)
 	}
 	if err != nil {
 		return nil, err
@@ -375,20 +426,20 @@ type recBlock struct {
 
 // sweepFusedSharded is the multi-core fused sweep: the replica SoA
 // block is split into one contiguous shard per worker (a separate
-// fusedEngine over a contiguous ways subrange), the trace is decoded
-// once per pass, and every decoded block is broadcast to all shards
-// over a bounded fan-out (runner.StartFanout). Bit-identity with the
+// fusedEngine over a contiguous subrange of the sizes), the trace is
+// decoded once per pass, and every decoded block is broadcast to all
+// shards over a bounded fan-out (runner.StartFanout). Bit-identity with the
 // serial fused path holds because replicas never interact, each shard
 // replays the same record order the serial engine would feed it, and
 // the per-shard points are merged back in size order.
-func sweepFusedSharded(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), ways []int, shards int) (_ []analysis.Point, err error) {
+func sweepFusedSharded(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, shards int) (_ []analysis.Point, err error) {
 	engines := make([]*fusedEngine, shards)
 	offsets := make([]int, shards+1)
 	for c := 0; c < shards; c++ {
 		lo := c * len(cfg.Sizes) / shards
 		hi := (c + 1) * len(cfg.Sizes) / shards
 		offsets[c], offsets[c+1] = lo, hi
-		engines[c], err = newFusedEngine(cfg, ways[lo:hi])
+		engines[c], err = newFusedEngine(cfg, l3[lo:hi], nil)
 		if err != nil {
 			return nil, err
 		}
@@ -430,19 +481,7 @@ func sweepFusedSharded(ctx context.Context, cfg Config, open func() (trace.Block
 
 	points := make([]analysis.Point, len(cfg.Sizes))
 	for c, e := range engines {
-		for k := range e.clk {
-			i := offsets[c] + k
-			s := e.sample(k).Sub(e.base[k])
-			points[i] = analysis.Point{
-				CacheBytes:   cfg.Sizes[i],
-				CPI:          s.CPI(),
-				BandwidthGBs: s.BandwidthGBs(cfg.Machine.CPU.FreqHz),
-				FetchRatio:   s.FetchRatio(),
-				MissRatio:    s.MissRatio(),
-				Trusted:      true,
-				Samples:      1,
-			}
-		}
+		e.points(points[offsets[c]:offsets[c+1]], cfg.Sizes[offsets[c]:offsets[c+1]])
 	}
 	return points, nil
 }
@@ -503,33 +542,48 @@ func broadcastPass(ctx context.Context, engines []*fusedEngine, src trace.BlockS
 	return total, nil
 }
 
-// fusedPoints is the serial fused sweep: all sizes advance through
-// one replay of one source on the calling goroutine.
-func fusedPoints(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), sizes []int64, ways []int) (pts []analysis.Point, err error) {
-	e, err := newFusedEngine(cfg, ways)
-	if err != nil {
-		return nil, err
-	}
-	src, err := open()
-	if err != nil {
-		return nil, err
-	}
-	defer closeSource(src, &err)
-	if err := e.run(ctx, src); err != nil {
-		return nil, err
-	}
-	points := make([]analysis.Point, len(sizes))
-	for k, size := range sizes {
-		s := e.sample(k).Sub(e.base[k])
-		points[k] = analysis.Point{
-			CacheBytes:   size,
-			CPI:          s.CPI(),
-			BandwidthGBs: s.BandwidthGBs(cfg.Machine.CPU.FreqHz),
-			FetchRatio:   s.FetchRatio(),
-			MissRatio:    s.MissRatio(),
-			Trusted:      true,
-			Samples:      1,
+// replicaGroups splits l3 into consecutive groups whose summed L3 line
+// count fits budget. A replica larger than the budget gets a group of
+// its own.
+func replicaGroups(l3 []cache.Config, budget int) [][]cache.Config {
+	var groups [][]cache.Config
+	lo, lines := 0, 0
+	for k, c := range l3 {
+		n := int(c.Size / c.LineSize)
+		if k > lo && lines+n > budget {
+			groups = append(groups, l3[lo:k])
+			lo, lines = k, 0
 		}
+		lines += n
+	}
+	return append(groups, l3[lo:])
+}
+
+// sweepFusedGrouped is the serial fused sweep: the sizes advance
+// through the trace one replica group at a time on the calling
+// goroutine, each group a fresh engine over a freshly opened source.
+// Every group's line state is carved from one backing block, sized up
+// front for the largest group, so a sweep allocates the line state of
+// one group rather than of all sizes.
+func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, error) {
+	groups := replicaGroups(l3, budget)
+	backing, err := cache.NewFusedBacking(hierarchyConfig(cfg), groups)
+	if err != nil {
+		return nil, err
+	}
+	points := make([]analysis.Point, len(l3))
+	lo := 0
+	for _, group := range groups {
+		e, err := newFusedEngine(cfg, group, backing)
+		if err != nil {
+			return nil, err
+		}
+		if err := e.replay(ctx, open); err != nil {
+			return nil, err
+		}
+		hi := lo + len(group)
+		e.points(points[lo:hi], cfg.Sizes[lo:hi])
+		lo = hi
 	}
 	return points, nil
 }

@@ -1,9 +1,16 @@
 package simulate
 
 import (
+	"context"
+	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"cachepirate/internal/cache"
+	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
 )
 
@@ -26,15 +33,12 @@ func benchSweepSizes(policy cache.PolicyKind) []int64 {
 
 var benchPolicies = []cache.PolicyKind{cache.Nehalem, cache.LRU, cache.PseudoLRU, cache.Random}
 
-// BenchmarkSweepFused measures the fused single-replay engine on the
-// BenchmarkSweepSerial workload, per L3 policy.
-func BenchmarkSweepFused(b *testing.B) {
+// benchSweepEngine runs the BenchmarkSweepSerial workload on one
+// engine: per L3 policy by ways, and once by sets.
+func benchSweepEngine(b *testing.B, engine Engine) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
-	for _, policy := range benchPolicies {
-		b.Run(policy.String(), func(b *testing.B) {
-			cfg := benchSweepConfig(policy, EngineFused)
-			cfg.Sizes = benchSweepSizes(policy)
-			b.ResetTimer()
+	run := func(name string, cfg Config) {
+		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Sweep(cfg, tr); err != nil {
 					b.Fatal(err)
@@ -42,25 +46,23 @@ func BenchmarkSweepFused(b *testing.B) {
 			}
 		})
 	}
+	for _, policy := range benchPolicies {
+		cfg := benchSweepConfig(policy, engine)
+		cfg.Sizes = benchSweepSizes(policy)
+		run(policy.String(), cfg)
+	}
+	cfg := benchSweepConfig(cache.Nehalem, engine)
+	cfg.Mode = BySets
+	run("nehalem-bysets", cfg)
 }
 
+// BenchmarkSweepFused measures the fused engine on the
+// BenchmarkSweepSerial workload.
+func BenchmarkSweepFused(b *testing.B) { benchSweepEngine(b, EngineFused) }
+
 // BenchmarkSweepPerSize measures the historical one-machine-per-size
-// path on the same workload, per L3 policy.
-func BenchmarkSweepPerSize(b *testing.B) {
-	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
-	for _, policy := range benchPolicies {
-		b.Run(policy.String(), func(b *testing.B) {
-			cfg := benchSweepConfig(policy, EnginePerSize)
-			cfg.Sizes = benchSweepSizes(policy)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := Sweep(cfg, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
+// path on the same workload.
+func BenchmarkSweepPerSize(b *testing.B) { benchSweepEngine(b, EnginePerSize) }
 
 // TestFusedInnerLoopAllocFree pins the fused size-inner loop at zero
 // allocations per block: the loop runs ~millions of times per sweep,
@@ -68,15 +70,7 @@ func BenchmarkSweepPerSize(b *testing.B) {
 func TestFusedInnerLoopAllocFree(t *testing.T) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 2*fusedBlock)
 	cfg := Config{Machine: smallMachine(), Workers: 1}.withDefaults()
-	ways := make([]int, len(cfg.Sizes))
-	for i, size := range cfg.Sizes {
-		mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ways[i] = mcfg.L3.Ways
-	}
-	e, err := newFusedEngine(cfg, ways)
+	e, err := newFusedEngine(cfg, sweepL3(t, cfg), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,14 +89,155 @@ func TestFusedInnerLoopAllocFree(t *testing.T) {
 	}
 }
 
-// TestFusedEngineRequiresByWays pins the explicit-engine error: the
-// fused engine shares one decoded stream across sizes, which BySets
-// geometry cannot do.
-func TestFusedEngineRequiresByWays(t *testing.T) {
+// sweepL3 returns the L3 config of every size of a defaulted sweep
+// config, as sweepFusedStream derives them.
+func sweepL3(t *testing.T, cfg Config) []cache.Config {
+	t.Helper()
+	mcfgs, err := shrunkMachines(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l3Configs(mcfgs)
+}
+
+// groupLens returns the replica count of each group.
+func groupLens(groups [][]cache.Config) []int {
+	lens := make([]int, len(groups))
+	for g := range groups {
+		lens[g] = len(groups[g])
+	}
+	return lens
+}
+
+// TestReplicaGroups pins the grouping rule: consecutive replicas,
+// summed L3 lines within the budget, an oversized replica alone.
+func TestReplicaGroups(t *testing.T) {
+	cfg := Config{Machine: smallMachine()}.withDefaults() // 16 sizes of 64..1024 lines
+	l3 := sweepL3(t, cfg)
+	for _, tc := range []struct {
+		budget int
+		want   []int
+	}{
+		{1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+		{2048, []int{7, 3, 2, 2, 2}}, // twice the full L3: the production ratio
+		{1 << 30, []int{16}},
+	} {
+		if got := groupLens(replicaGroups(l3, tc.budget)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("replicaGroups(budget %d) has group sizes %v, want %v", tc.budget, got, tc.want)
+		}
+	}
+	nehalem := replicaGroups(sweepL3(t, Config{}.withDefaults()), fusedGroupLines)
+	if got, want := groupLens(nehalem), []int{7, 3, 2, 2, 2}; !reflect.DeepEqual(got, want) {
+		t.Errorf("default Nehalem sweep has group sizes %v, want %v", got, want)
+	}
+}
+
+// TestFusedGroupBoundaries pins that the group budget is a wall-clock
+// choice only: 1 replica per group, 2-3 per group and a single group
+// all produce the per-size oracle's curve bit for bit, in both sweep
+// modes, from an in-memory replayer and from a streamed file (each
+// group re-opens its source).
+func TestFusedGroupBoundaries(t *testing.T) {
+	tr := CaptureTrace(randFactory(96<<10), 1, 0, 6000)
+	path := filepath.Join(t.TempDir(), "t.cptr2")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteV2Frames(f, 512); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sources := []struct {
+		name string
+		open func() (trace.BlockSource, error)
+	}{
+		{"memory", func() (trace.BlockSource, error) { return trace.NewReplayer(tr, false), nil }},
+		{"file", func() (trace.BlockSource, error) { return trace.OpenFile(path, trace.ReaderOptions{}) }},
+	}
+	for _, mode := range []SweepMode{ByWays, BySets} {
+		// The 16 default sizes of 4..64 KB: 64..1024 lines, and set
+		// counts that are mostly not powers of two in BySets.
+		cfg := Config{Machine: smallMachine(), Mode: mode, Workers: 1}
+		oracle := cfg
+		oracle.Engine = EnginePerSize
+		want, err := Sweep(oracle, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg = cfg.withDefaults()
+		l3 := sweepL3(t, cfg)
+		for _, tc := range []struct{ budget, groups int }{{1, 16}, {2048, 5}, {1 << 30, 1}} {
+			if got := len(replicaGroups(l3, tc.budget)); got != tc.groups {
+				t.Fatalf("mode %d budget %d: %d groups, want %d", mode, tc.budget, got, tc.groups)
+			}
+			for _, src := range sources {
+				pts, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
+				if err != nil {
+					t.Fatalf("mode %d budget %d %s: %v", mode, tc.budget, src.name, err)
+				}
+				for i, pt := range pts {
+					if w := want.Points[i]; pt.CacheBytes != w.CacheBytes ||
+						math.Float64bits(pt.CPI) != math.Float64bits(w.CPI) ||
+						math.Float64bits(pt.BandwidthGBs) != math.Float64bits(w.BandwidthGBs) ||
+						math.Float64bits(pt.FetchRatio) != math.Float64bits(w.FetchRatio) ||
+						math.Float64bits(pt.MissRatio) != math.Float64bits(w.MissRatio) {
+						t.Errorf("mode %d budget %d %s: point %d = %+v, oracle %+v", mode, tc.budget, src.name, i, pt, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSweepInvalidSizeErrorParity pins that the fused engine rejects
+// an unsimulable size with the per-size oracle's error text, in both
+// modes: a size that is not a whole number of ways, and one the cache
+// geometry cannot express.
+func TestSweepInvalidSizeErrorParity(t *testing.T) {
 	tr := CaptureTrace(randFactory(32<<10), 1, 0, 100)
-	_, err := Sweep(Config{Machine: smallMachine(), Mode: BySets, Engine: EngineFused}, tr)
-	if err == nil {
-		t.Fatal("fused engine accepted a BySets sweep")
+	for _, tc := range []struct {
+		name string
+		mode SweepMode
+		size int64
+	}{
+		{"partial way", ByWays, 5000},
+		{"indivisible sets", BySets, 5000},
+	} {
+		cfg := Config{Machine: smallMachine(), Mode: tc.mode, Sizes: []int64{16 << 10, tc.size}, Workers: 1}
+		_, autoErr := Sweep(cfg, tr)
+		cfg.Engine = EnginePerSize
+		_, perErr := Sweep(cfg, tr)
+		if autoErr == nil || perErr == nil {
+			t.Fatalf("%s: invalid size accepted (auto %v, persize %v)", tc.name, autoErr, perErr)
+		}
+		if autoErr.Error() != perErr.Error() {
+			t.Errorf("%s: auto engine says %q, persize says %q", tc.name, autoErr, perErr)
+		}
+	}
+}
+
+// TestSerialSweepAllocatesOneGroup is the allocation gate on the
+// backing-block reuse: a default 16-size serial sweep of the Nehalem
+// machine holds 23 MB of line state in all, but only the largest
+// group's (about 6 MB) may be allocated — a regrown or per-group
+// backing shows up here as 12 or 28 MB.
+func TestSerialSweepAllocatesOneGroup(t *testing.T) {
+	tr := CaptureTrace(randFactory(64<<10), 1, 0, 2000)
+	cfg := Config{Workers: 1}
+	if _, err := Sweep(cfg, tr); err != nil { // warm lazily initialised state
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Sweep(cfg, tr); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 10<<20 {
+		t.Errorf("default serial sweep allocated %.1f MB, want under 10 MB", float64(got)/(1<<20))
 	}
 }
 

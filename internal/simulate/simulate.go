@@ -41,15 +41,16 @@ const (
 type Engine int
 
 const (
-	// EngineAuto picks the fused single-replay engine for ByWays
-	// sweeps and the per-size path for BySets (whose sizes disagree on
-	// set count, so they cannot share one decoded stream).
+	// EngineAuto is the fused engine, in both sweep modes.
 	EngineAuto Engine = iota
-	// EngineFused forces the fused engine (ByWays only).
+	// EngineFused names the fused engine explicitly (see fused.go):
+	// one hierarchy replica per size, way- or set-shrunk, advanced
+	// together through a shared decoded stream.
 	EngineFused
 	// EnginePerSize forces one full machine replay per size — the
-	// historical path, kept as the oracle the fused engine is checked
-	// against (conformance.CheckSweepEquivalence).
+	// historical path, kept only as the oracle the fused engine is
+	// checked against (conformance.CheckSweepEquivalence); nothing
+	// selects it automatically.
 	EnginePerSize
 	// EngineAnalytic predicts the curve from one SHARDS-sampled
 	// profiling pass (internal/analytic) instead of replaying: O(sample)
@@ -107,12 +108,14 @@ type Config struct {
 	// WarmPasses: 0 cannot express this: zero is the "use the default"
 	// value, so it is promoted to 1.)
 	NoWarm bool
-	// Workers bounds the sweep's parallelism. On the per-size engine
-	// each size gets its own fresh machine and trace replayer; on the
-	// fused engine the replica block is split into contiguous shards
-	// fed by one broadcast decode (DESIGN.md §16). Results are
-	// bit-identical at any width either way; <= 0 means one worker per
-	// CPU, 1 reproduces the historical serial order exactly.
+	// Workers bounds the sweep's parallelism. On the fused engine 1
+	// replays the sizes on the calling goroutine, in consecutive
+	// replica groups of bounded line state (DESIGN.md §11); wider
+	// sweeps split the replica block into contiguous shards fed by one
+	// broadcast decode (DESIGN.md §16), in either sweep mode. On the
+	// per-size engine each size gets its own fresh machine and trace
+	// replayer. Results are bit-identical at any width either way;
+	// <= 0 means one worker per CPU.
 	Workers int
 }
 
@@ -153,13 +156,32 @@ func shrink(mcfg machine.Config, mode SweepMode, size int64) (machine.Config, er
 	return mcfg, fmt.Errorf("simulate: unknown sweep mode %d", mode)
 }
 
+// shrunkMachines returns the machine config of every configured size,
+// or the error of the first size that the sweep mode cannot express or
+// no machine can be built at — up front and in one place, so every
+// engine rejects a bad size the same way before any replay starts.
+func shrunkMachines(cfg Config) ([]machine.Config, error) {
+	mcfgs := make([]machine.Config, len(cfg.Sizes))
+	for i, size := range cfg.Sizes {
+		mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
+		if err != nil {
+			return nil, err
+		}
+		if err := mcfg.Validate(); err != nil {
+			return nil, fmt.Errorf("simulate: size %d: %w", size, err)
+		}
+		mcfgs[i] = mcfg
+	}
+	return mcfgs, nil
+}
+
 // Sweep simulates tr at every configured size and returns the
 // reference curve: per size, WarmPasses replays warm the hierarchy,
-// then one replay is measured through the counters. ByWays sweeps
-// default to the fused engine — one trace replay advancing every size
-// simultaneously (see fused.go) — and BySets sweeps to one fresh
-// machine per size; both engines produce bit-identical curves at any
-// worker count, with points collected in size order.
+// then one replay is measured through the counters. Both sweep modes
+// default to the fused engine — one trace replay advancing a group of
+// sizes simultaneously (see fused.go); EnginePerSize, one fresh machine
+// per size, is the oracle. Both engines produce bit-identical curves at
+// any worker count, with points collected in size order.
 func Sweep(cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
 	return SweepContext(context.Background(), cfg, tr)
 }
@@ -182,9 +204,9 @@ func SweepContext(ctx context.Context, cfg Config, tr *trace.Trace) (*analysis.C
 
 // SweepStream is Sweep over any trace.BlockSource — the out-of-core
 // entry point, taking a factory rather than a source because every
-// concurrent consumer replays the trace independently: the per-size
-// engine opens one source per size and the fused engine one per
-// worker chunk. A file-backed sweep passes
+// consumer replays the trace independently: the per-size engine opens
+// one source per size, the serial fused engine one per replica group
+// and the sharded fused engine one in all. A file-backed sweep passes
 //
 //	func() (trace.BlockSource, error) { return trace.OpenFile(path, opts) }
 //
@@ -203,11 +225,12 @@ func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.Bloc
 	if cfg.Engine == EngineAnalytic {
 		return AnalyticCurveStreamContext(ctx, cfg, open)
 	}
-	if cfg.Engine == EngineFused && cfg.Mode != ByWays {
-		return nil, fmt.Errorf("simulate: fused engine requires the ByWays sweep mode")
+	mcfgs, err := shrunkMachines(cfg)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.Engine == EngineFused || (cfg.Engine == EngineAuto && cfg.Mode == ByWays) {
-		return sweepFusedStream(ctx, cfg, open)
+	if cfg.Engine != EnginePerSize {
+		return sweepFusedStream(ctx, cfg, open, mcfgs)
 	}
 	records, passInstrs, err := sourceStats(open)
 	if err != nil {
@@ -218,7 +241,7 @@ func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.Bloc
 	}
 	points, err := runner.Map(ctx, runner.Pool{Workers: cfg.Workers}, len(cfg.Sizes),
 		func(ctx context.Context, i int) (analysis.Point, error) {
-			return sweepPoint(ctx, cfg, open, cfg.Sizes[i], passInstrs)
+			return sweepPoint(ctx, cfg, open, mcfgs[i], passInstrs)
 		})
 	if err != nil {
 		return nil, err
@@ -270,19 +293,15 @@ func sourceStats(open func() (trace.BlockSource, error)) (records int64, passIns
 	return records, n, nil
 }
 
-// sweepPoint simulates one cache size on a fresh machine over its own
+// sweepPoint simulates one shrunk machine, fresh, over its own
 // independently opened source; concurrent sweep points share nothing.
 // The context cancels mid-replay via machine.RunInstructionsCtx — the
 // fix for slow jobs outliving their clients (the curve server's
 // per-job deadline reaches the innermost step loop through here).
-func sweepPoint(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), size int64, passInstrs uint64) (pt analysis.Point, err error) {
-	mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
-	if err != nil {
-		return analysis.Point{}, err
-	}
+func sweepPoint(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), mcfg machine.Config, passInstrs uint64) (pt analysis.Point, err error) {
 	m, err := machine.New(mcfg)
 	if err != nil {
-		return analysis.Point{}, fmt.Errorf("simulate: size %d: %w", size, err)
+		return analysis.Point{}, fmt.Errorf("simulate: size %d: %w", mcfg.L3.Size, err)
 	}
 	src, err := open()
 	if err != nil {
@@ -304,7 +323,7 @@ func sweepPoint(ctx context.Context, cfg Config, open func() (trace.BlockSource,
 	}
 	s := pmu.ReadInterval(0)
 	return analysis.Point{
-		CacheBytes:   size,
+		CacheBytes:   mcfg.L3.Size,
 		CPI:          s.CPI(),
 		BandwidthGBs: s.BandwidthGBs(mcfg.CPU.FreqHz),
 		FetchRatio:   s.FetchRatio(),
