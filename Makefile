@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-service bench-parallel bench-lint vet fmt experiments examples cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel check-inline bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-service bench-parallel bench-lint vet fmt experiments examples cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -30,10 +30,23 @@ bench:
 bench-quick:
 	$(GO) test -short -bench=. -benchmem ./...
 
-# Hot-path kernel benchmarks: the single-pass cache access kernel, the
-# machine step loop, the serial sweep, and the stack-distance analyzer.
+# Hot-path kernel benchmarks: the single-pass cache access kernel and
+# its set kernels (pseudo-LRU touch/victim, tag match), the machine step
+# loop, the serial sweep, and the stack-distance analyzer.
 bench-kernel:
-	$(GO) test -run XXX -bench 'Sweep|Machine|Analyze|CacheAccess|Hierarchy' -benchmem ./...
+	$(GO) test -run XXX -bench 'Sweep|Machine|Analyze|CacheAccess|Hierarchy|PLRUTouchVictim|FindWay' -benchmem ./...
+
+# Inlining guard: every hierarchy walk open-codes its policy dispatch on
+# the promise that these leaves inline into it (DESIGN.md §8, "Set
+# kernels"). An edit that pushes one over the compiler's budget turns it
+# into a call per level per record; fail here, not as benchmark drift.
+INLINE_LEAVES = setFor plruTouch nehalemTouch
+check-inline:
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/cache 2>&1); \
+	for f in $(INLINE_LEAVES); do \
+		echo "$$out" | grep -q "can inline (\*Cache)\.$$f with cost" || \
+			{ echo "check-inline: (*Cache).$$f no longer inlines:"; echo "$$out" | grep "(\*Cache)\.$$f:"; exit 1; }; \
+	done; echo "check-inline: $(INLINE_LEAVES) inline"
 
 # Fused vs per-size sweep, per L3 policy by ways and once by sets, on
 # the acceptance workload (60k records x 16 sizes). Numbers are recorded

@@ -162,6 +162,11 @@ type Cache struct {
 	meta []uint64
 	free []uint64 // per-set bitmask of empty ways (bit w = way w free)
 	mru  []int32  // per-set hint: way of the most recent hit or fill
+
+	// Pseudo-LRU kernels' tables for this way count (shared, see
+	// plruTouchTab); plruV is nil above plruVictimWays ways.
+	plruT *[64]plruMask
+	plruV *[1 << plruVictimWays]uint8
 }
 
 // New builds a cache from cfg.
@@ -202,6 +207,13 @@ func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, st
 		meta:     meta,
 		free:     free,
 		mru:      mru,
+	}
+	if cfg.Policy == PseudoLRU {
+		lg := bits.TrailingZeros(uint(cfg.Ways))
+		c.plruT = &plruTouchTab[lg]
+		if cfg.Ways <= plruVictimWays {
+			c.plruV = &plruVictimTab[lg]
+		}
 	}
 	for i := range c.tags {
 		c.tags[i] = invalidTag
@@ -249,15 +261,75 @@ func (c *Cache) lineAddr(tag uint64) Addr { return Addr(tag << c.shift) }
 // -1. The per-set MRU hint is tried first: repeat hits on the same line
 // (the overwhelmingly common case in loop-heavy traces) resolve with a
 // single compare. Tags are unique within a set, so the hint can never
-// find a different way than the scan would — and the full scan below
-// records at most one match, so dropping the early exit (whose
-// data-dependent branch mispredicts on nearly every scan hit) cannot
-// change the result.
+// find a different way than the scan would — and the scans below record
+// at most one match, so dropping the early exit (whose data-dependent
+// branch mispredicts on nearly every scan hit) cannot change the
+// result. The two set sizes the Table-I machine is made of — 8 ways
+// (L1/L2) and 16 (the full L3) — scan through a fixed-length array, so
+// the compares are straight-line code with no loop counter; the shrunk
+// L3s of a ways sweep and every other geometry take the loop.
 func (c *Cache) findWay(base int, si uint64, tag uint64) int {
 	if h := int(c.mru[si]); c.tags[base+h] == tag {
 		return h
 	}
-	t := c.tags[base : base+c.ways]
+	switch c.ways {
+	case 8:
+		return match8((*[8]uint64)(c.tags[base:base+8]), tag)
+	case 16:
+		return match16((*[16]uint64)(c.tags[base:base+16]), tag)
+	}
+	return matchN(c.tags[base:base+c.ways], tag)
+}
+
+// match8 is the tag scan of an 8-way set: way of the entry equal to
+// tag, or -1. Each compare is a conditional move, not a branch.
+//
+//lint:hotpath
+func match8(t *[8]uint64, tag uint64) int {
+	w := -1
+	if t[0] == tag {
+		w = 0
+	}
+	if t[1] == tag {
+		w = 1
+	}
+	if t[2] == tag {
+		w = 2
+	}
+	if t[3] == tag {
+		w = 3
+	}
+	if t[4] == tag {
+		w = 4
+	}
+	if t[5] == tag {
+		w = 5
+	}
+	if t[6] == tag {
+		w = 6
+	}
+	if t[7] == tag {
+		w = 7
+	}
+	return w
+}
+
+// match16 is the tag scan of a 16-way set: match8 on each half.
+//
+//lint:hotpath
+func match16(t *[16]uint64, tag uint64) int {
+	lo := match8((*[8]uint64)(t[:8]), tag)
+	hi := match8((*[8]uint64)(t[8:]), tag)
+	if hi >= 0 {
+		lo = hi + 8
+	}
+	return lo
+}
+
+// matchN is the tag scan of a set of any length.
+//
+//lint:hotpath
+func matchN(t []uint64, tag uint64) int {
 	w := -1
 	for i, tg := range t {
 		if tg == tag {
@@ -456,11 +528,13 @@ func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (vict
 		victim = bits.TrailingZeros64(fm)
 		c.free[si] = fm &^ (1 << uint(victim))
 	} else {
-		// victim() open-coded: victim and touch are over the inlining
-		// budget (their policy switches call the per-policy helpers),
-		// so the general methods cost a call each — here the dispatch
-		// runs inline and the per-policy leaves inline into it. The
-		// selections are operation-for-operation victim()'s arms.
+		// victim() open-coded: the dispatchers victim and touch are over
+		// the inlining budget (-m=2: cost 181 and 104 against 80) while
+		// every per-policy leaf is under it (plruVictim 53, nehalemVictim
+		// 21, plruTouch 27, nehalemTouch 44), so the general methods cost
+		// a call each — here the dispatch runs inline and the leaves
+		// inline into it. The selections are operation-for-operation
+		// victim()'s arms.
 		switch c.cfg.Policy {
 		case LRU:
 			st := c.stamp[base : base+c.ways]
@@ -719,8 +793,10 @@ func (c *Cache) touch(si uint64, base, w int) {
 
 // victim selects a way to evict from a full set. The fused engine's
 // private-fill path (fillPrivateAt) and FusedHierarchy.Access carry
-// open-coded copies of this dispatch — keep the bodies in sync; the
-// victim choice is the bit-identity contract.
+// open-coded copies of this dispatch (it is over the inlining budget,
+// see fillPrivateAt): the LRU and Random arms are written out there and
+// must match these, the PseudoLRU and Nehalem arms call the same leaves.
+// The victim choice is the bit-identity contract.
 func (c *Cache) victim(si uint64, base int) int {
 	switch c.cfg.Policy {
 	case LRU:
@@ -781,38 +857,79 @@ func (c *Cache) nehalemVictim(si uint64) int {
 // --- Tree pseudo-LRU ---
 
 // The tree is stored as bits of meta[set], node 1 is the root, node i
-// has children 2i and 2i+1; a 0 bit means "left subtree is older".
+// has children 2i and 2i+1; a 0 bit means "left subtree is older". Ways
+// are a power of two, so the leaf below which way w sits is node
+// ways+w, and its ancestors are that number shifted right.
+//
+// A touch rewrites the nodes on the touched way's root-to-leaf path and
+// nothing else, so it is one mask pair per way; a victim choice reads
+// the same bits back, so for small trees it is one byte lookup on the
+// whole tree word. Both tables depend on the way count alone and are
+// shared by every cache of that associativity: a replica group holds
+// dozens of caches, and private copies would crowd the line state out
+// of the host L1.
 
-func (c *Cache) plruTouch(si uint64, w int) {
-	tr := c.meta[si]
-	node := 1
-	lo, hi := 0, c.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if w < mid {
-			// Accessed left: point the bit right (away from w).
-			tr |= 1 << uint(node)
-			node, hi = 2*node, mid
-		} else {
-			tr &^= 1 << uint(node)
-			node, lo = 2*node+1, mid
+// plruMask is the touch of one way: the tree bits on its root-to-leaf
+// path (clr), and those of them that must end up 1 to point away from
+// it (set).
+type plruMask struct{ clr, set uint64 }
+
+// plruVictimWays is the largest associativity whose whole tree word
+// (bits 1..ways-1) indexes a byte table.
+const plruVictimWays = 8
+
+// plruTouchTab[log2 ways][way] and plruVictimTab[log2 ways][tree word]
+// cover every pseudo-LRU geometry Config.Validate admits: touch masks
+// for the seven power-of-two way counts up to 64, victim bytes for the
+// four up to plruVictimWays. Built once, read-only afterwards.
+var plruTouchTab, plruVictimTab = buildPLRUTables()
+
+func buildPLRUTables() (touch [7][64]plruMask, victim [4][1 << plruVictimWays]uint8) {
+	for lg := range touch {
+		ways := 1 << lg
+		for w := 0; w < ways; w++ {
+			m := &touch[lg][w]
+			for node := ways + w; node > 1; node >>= 1 {
+				parent := uint(node >> 1)
+				m.clr |= 1 << parent
+				if node&1 == 0 {
+					// w is under the left child: point the bit right.
+					m.set |= 1 << parent
+				}
+			}
 		}
 	}
-	c.meta[si] = tr
+	for lg := range victim {
+		for tr := range victim[lg] {
+			victim[lg][tr] = uint8(plruDescend(uint64(tr), 1<<lg))
+		}
+	}
+	return touch, victim
+}
+
+func (c *Cache) plruTouch(si uint64, w int) {
+	m := &c.plruT[w&63] // w < ways <= 64; the mask only drops the bounds check
+	c.meta[si] = c.meta[si]&^m.clr | m.set
 }
 
 func (c *Cache) plruVictim(si uint64) int {
 	tr := c.meta[si]
-	node := 1
-	lo, hi := 0, c.ways
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if tr&(1<<uint(node)) == 0 {
-			// Bit points left: the left subtree is older.
-			node, hi = 2*node, mid
-		} else {
-			node, lo = 2*node+1, mid
-		}
+	if c.plruV != nil {
+		return int(c.plruV[uint8(tr)])
 	}
-	return lo
+	return plruDescend(tr, c.ways)
+}
+
+// plruDescend follows the tree bits of tr from the root to the victim
+// leaf of a ways-way tree. Each step appends the node's bit to the node
+// number — 0 descends left, 1 right — and stops at leaf ways+victim:
+// nothing branches on the bit, and the trip count is fixed per cache.
+//
+//lint:hotpath
+func plruDescend(tr uint64, ways int) int {
+	node := 1
+	for node < ways {
+		node = 2*node + int(tr>>uint(node)&1)
+	}
+	return node - ways
 }

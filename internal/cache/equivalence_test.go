@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"cachepirate/internal/stats"
@@ -18,7 +19,10 @@ import (
 // equivConfigs returns the geometries the equivalence suite exercises
 // for a policy: a typical power-of-two-sets shape and (when the policy
 // allows non-power-of-two ways) a non-power-of-two-sets shape covering
-// the modulo indexing path and an odd associativity.
+// the modulo indexing path and an odd associativity. Pseudo-LRU instead
+// adds the associativities that pick its other kernels: 8 ways (the
+// last with a victim table, and the 8-entry tag scan), 16 (the tree
+// descent and the 16-entry scan; machine.GenericLRUConfig's L2) and 32.
 func equivConfigs(pol PolicyKind) []Config {
 	cfgs := []Config{
 		{Name: "equiv", Size: 16 << 10, Ways: 4, LineSize: 64, Policy: pol, Owners: 3},
@@ -26,6 +30,10 @@ func equivConfigs(pol PolicyKind) []Config {
 	if pol != PseudoLRU {
 		// 24 sets of 3 ways: modulo set indexing, odd associativity.
 		cfgs = append(cfgs, Config{Name: "equiv-odd", Size: 24 * 3 * 64, Ways: 3, LineSize: 64, Policy: pol, Owners: 3})
+	} else {
+		for _, ways := range []int{8, 16, 32} {
+			cfgs = append(cfgs, Config{Name: fmt.Sprintf("equiv-%dway", ways), Size: 16 << 10, Ways: ways, LineSize: 64, Policy: pol, Owners: 3})
+		}
 	}
 	return cfgs
 }

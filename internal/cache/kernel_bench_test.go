@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"cachepirate/internal/stats"
@@ -86,5 +87,64 @@ func BenchmarkHierarchyAccessResident(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(0, addrs[i%len(addrs)], false)
+	}
+}
+
+// kernelSink keeps the set-kernel benchmarks' results live.
+var kernelSink int
+
+// BenchmarkPLRUTouchVictim measures the pseudo-LRU set kernels alone —
+// one touch and one victim choice per iteration on a pseudo-random way,
+// across 64 sets so the metadata words stay resident — on the table
+// victim arm (8 ways, the L1/L2 geometry) and the descent arm (16).
+func BenchmarkPLRUTouchVictim(b *testing.B) {
+	for _, ways := range []int{8, 16} {
+		b.Run(fmt.Sprintf("%dway", ways), func(b *testing.B) {
+			c := MustNew(Config{Name: "b", Size: int64(64 * ways * 64), Ways: ways, LineSize: 64, Policy: PseudoLRU, Owners: 1})
+			rng := stats.NewRNG(7)
+			touched := make([]int, 4096)
+			for i := range touched {
+				touched[i] = rng.Intn(ways)
+			}
+			sum := 0
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				si := uint64(i) & 63
+				c.plruTouch(si, touched[i&4095])
+				sum += c.plruVictim(si)
+			}
+			kernelSink = sum
+		})
+	}
+}
+
+// BenchmarkFindWay measures the tag match per arm — the two
+// fixed-length scans and the generic loop (12 ways, a shrunk L3) — with
+// the MRU hint always right ("hint") and always wrong ("scan": the
+// probed way rotates, so the hint points at the previous one).
+func BenchmarkFindWay(b *testing.B) {
+	for _, ways := range []int{8, 16, 12} {
+		c := MustNew(Config{Name: "b", Size: int64(64 * ways * 64), Ways: ways, LineSize: 64, Policy: LRU, Owners: 1})
+		for si := uint64(0); si < 64; si++ {
+			for w := 0; w < ways; w++ {
+				c.Fill(Addr((uint64(w)*64+si)*64), 0, false, false)
+			}
+		}
+		run := func(name string, rotate int) {
+			b.Run(fmt.Sprintf("%dway/%s", ways, name), func(b *testing.B) {
+				sum := 0
+				for i := 0; i < b.N; i++ {
+					si := uint64(i) & 63
+					w := (i >> 6 * rotate) % ways
+					tag := uint64(w)*64 + si
+					got := c.findWay(int(si)*ways, si, tag)
+					c.mru[si] = int32(got)
+					sum += got
+				}
+				kernelSink = sum
+			})
+		}
+		run("hint", 0)
+		run("scan", 1)
 	}
 }

@@ -298,9 +298,10 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 
 	// L1 demand probe: demand()'s state evolution, stats elided. The
 	// replacement touches here and below open-code touch()'s policy
-	// dispatch: touch is over the inlining budget, so calling it costs
-	// a real call per level per record, while the dispatch written at
-	// the call site inlines its per-policy leaves.
+	// dispatch: the switch itself is over the inlining budget though
+	// every leaf is under it (costs at fillPrivateAt), so calling touch
+	// costs a real call per level per record, while the dispatch written
+	// at the call site inlines its per-policy leaves.
 	si1 := l1.setFor(tag)
 	base1 := int(si1) * l1.ways
 	if w := l1.findWay(base1, si1, tag); w >= 0 {

@@ -58,8 +58,17 @@ func main() {
 		}
 	}
 
+	// Pseudo-LRU at 8, 16 and 32 ways: the last victim-table geometry
+	// and the two tree-descent ones.
+	for i, geom := range []int{1, 3, 4} {
+		cfg, _ := conformance.DecodeKernel([]byte{byte(int(cache.PseudoLRU) | geom<<2)})
+		pat := conformance.Patterns()[(i+1)%len(conformance.Patterns())]
+		ops := conformance.GenOps(stats.NewRNG(uint64(300+i)), cfg, pat, 200)
+		writeSeed(kdir, fmt.Sprintf("seed-plru-%dway-%s", cfg.Ways, pat), conformance.EncodeKernel(cfg, ops))
+	}
+
 	// Hierarchy seeds: one generated multicore stream per shape.
-	for shape := 0; shape < 3; shape++ {
+	for shape := 0; shape < 4; shape++ {
 		cfg, _ := conformance.DecodeHierarchy([]byte{byte(shape)})
 		ops := conformance.GenHOps(stats.NewRNG(uint64(200+shape)), cfg, 200)
 		writeSeed(hdir, fmt.Sprintf("seed-shape%d", shape), conformance.EncodeHierarchy(shape, ops))

@@ -44,6 +44,15 @@ var hierarchyShapes = []cache.HierarchyConfig{
 		L2:    cache.Config{Name: "L2", Size: 1 << 10, Ways: 4, LineSize: 64, Policy: cache.Random, Owners: 1},
 		L3:    cache.Config{Name: "L3", Size: 8 << 10, Ways: 16, LineSize: 64, Policy: cache.Random, Owners: 2},
 	},
+	{
+		// Pseudo-LRU at every level, at the associativities the shapes
+		// above leave out: 8 ways (victim table, 8-entry tag scan), 16
+		// (tree descent, 16-entry scan) and 32.
+		Cores: 2,
+		L1:    cache.Config{Name: "L1", Size: 1 << 10, Ways: 8, LineSize: 64, Policy: cache.PseudoLRU, Owners: 1},
+		L2:    cache.Config{Name: "L2", Size: 2 << 10, Ways: 16, LineSize: 64, Policy: cache.PseudoLRU, Owners: 1},
+		L3:    cache.Config{Name: "L3", Size: 8 << 10, Ways: 32, LineSize: 64, Policy: cache.PseudoLRU, Owners: 2},
+	},
 }
 
 // HierarchyShape returns the i-th bounded hierarchy shape, with

@@ -62,12 +62,16 @@ const kernelOwners = 3
 // kernelGeometries are the bounded cache shapes fuzz- and
 // property-streams draw from: a typical power-of-two shape, a tiny
 // high-pressure shape, a non-power-of-two-sets/odd-ways shape (modulo
-// indexing path), and a single-set fully-associative shape.
+// indexing path), a single-set fully-associative shape, and a 32-way
+// shape. Between them the power-of-two ones give pseudo-LRU each of its
+// kernels: the victim table (4, 8 ways) and the tree descent (16, 32).
+// New shapes go at the end: a corpus file names its shape by index.
 var kernelGeometries = []cache.Config{
 	{Name: "k-16x4", Size: 4 << 10, Ways: 4, LineSize: 64},
 	{Name: "k-4x8", Size: 2 << 10, Ways: 8, LineSize: 64},
 	{Name: "k-24x3", Size: 24 * 3 * 64, Ways: 3, LineSize: 64},
 	{Name: "k-1x16", Size: 1 << 10, Ways: 16, LineSize: 64},
+	{Name: "k-2x32", Size: 4 << 10, Ways: 32, LineSize: 64},
 }
 
 // KernelConfigs returns the bounded geometries a policy can run

@@ -19,6 +19,14 @@ type Server struct {
 	cfg      ServerConfig
 	nextFree float64
 
+	// Service time of the most recent request size. Nearly every
+	// request is one cache line, so the divide runs once per run of
+	// equal sizes, not once per request; the cached quotient is the
+	// same IEEE division of the same operands, so schedules stay
+	// bit-identical.
+	lastSize    int64
+	lastService float64
+
 	// cumulative statistics
 	bytes    int64
 	requests int64
@@ -72,7 +80,11 @@ func (s *Server) Request(now float64, size int64) (done float64) {
 	if s.nextFree > start {
 		start = s.nextFree
 	}
-	service := float64(size) / s.cfg.BytesPerCycle
+	if size != s.lastSize {
+		s.lastSize = size
+		s.lastService = float64(size) / s.cfg.BytesPerCycle
+	}
+	service := s.lastService
 	s.queueCyc += start - now
 	s.busyCyc += service
 	s.nextFree = start + service

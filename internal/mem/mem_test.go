@@ -150,3 +150,44 @@ func TestCompletionMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestRequestBitEqualToDividingForm pins the cached service quotient:
+// completion times and statistics must be Float64bits-identical to
+// dividing size by capacity on every request, across runs of
+// line-sized requests, multi-line requests and switches between them,
+// at capacities whose quotients are inexact.
+func TestRequestBitEqualToDividingForm(t *testing.T) {
+	for _, bpc := range []float64{4.58, 29.96, 3, 8} {
+		cfg := ServerConfig{BytesPerCycle: bpc, BaseLatency: 180.25}
+		s := MustNewServer(cfg)
+		var nextFree, queue, busy float64
+		now := 0.0
+		for i := 0; i < 5000; i++ {
+			now += float64(i%7) * 1.375
+			size := int64(64)
+			switch i % 11 {
+			case 3:
+				size = 128
+			case 7, 8:
+				size = 64 * int64(1+i%5)
+			}
+			start := now
+			if nextFree > start {
+				start = nextFree
+			}
+			service := float64(size) / cfg.BytesPerCycle
+			queue += start - now
+			busy += service
+			nextFree = start + service
+			want := nextFree + cfg.BaseLatency
+
+			if got := s.Request(now, size); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("bpc %g request %d (size %d): done %v, dividing form %v", bpc, i, size, got, want)
+			}
+		}
+		st := s.Stats()
+		if math.Float64bits(st.QueueCycles) != math.Float64bits(queue) || math.Float64bits(st.BusyCycles) != math.Float64bits(busy) {
+			t.Errorf("bpc %g: stats %+v, dividing form queue %v busy %v", bpc, st, queue, busy)
+		}
+	}
+}
