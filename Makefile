@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel check-inline bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-service bench-parallel bench-lint vet fmt experiments examples cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel check-inline bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-lint vet fmt experiments examples cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -65,32 +65,14 @@ bench-analytic:
 	$(GO) test -run XXX -bench 'BenchmarkMattsonExact|BenchmarkAnalyticCurve|BenchmarkAnalyticStream' \
 		-benchtime 30x -count 5 -benchmem ./internal/simulate/
 
-# Curve-server saturation: self-host cmd/curved in-process, upload a
-# 600k-record workload, then hammer the warm cache with 8 clients for
-# 20s. Numbers land in BENCH_service.json; the serving floor is
-# >= 100 curves/sec with the cache enabled.
-bench-service:
-	$(GO) run ./cmd/curveload -records 600000 -clients 8 -duration 20s
-
-# Multi-core replay scaling table: parallel v2 frame decode and the
-# replica-sharded fused sweep at P = 1, 2, 4, 8, plus the composed
-# pipeline (sharded sweep over parallel decode). Numbers are recorded
-# in BENCH_parallel.json; the >= 2.5x sharded-sweep target applies on
-# a >= 4-core runner — a single-CPU host runs every worker on one
-# core, so speedup-vs-serial is ~1 by construction (see the host note
-# in the JSON, same caveat as BENCH_sweep.json).
-bench-parallel:
-	$(GO) test -run XXX -bench 'DecodeV2Parallel' -benchtime 2s -count 2 -benchmem ./internal/trace/
-	$(GO) test -run XXX -bench 'SweepFusedSharded' -benchtime 4x -count 2 ./internal/simulate/
-
 # Multi-core replay conformance under the race detector: the parallel
-# reader vs sync oracle, the runner pipeline primitives, and the
-# shard-width equivalence matrix.
+# reader vs sync oracle, the decode pipeline, and the sweep-width
+# equivalence matrix.
 test-parallel:
-	$(GO) test -race -run 'Parallel|Pipe|Fanout|FillRestart' \
+	$(GO) test -race -run 'Parallel|Pipe' \
 		./internal/trace/ ./internal/runner/ ./internal/conformance/
 
-# Streaming trace pipeline: v2 frame decode (sync, prefetch, sparse
+# Streaming trace pipeline: v2 frame decode (workload and sparse
 # corpus), the v1 baseline, whole-trace decode and the encoder.
 # Numbers are recorded in BENCH_trace.json; the v2 streaming decode
 # must hold >= 100M records/sec on the workload-shaped corpus.

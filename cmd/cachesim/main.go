@@ -16,19 +16,19 @@
 // historical one-machine-per-size path, kept as the oracle — the
 // curves are bit-identical either way. -j sets the sweep
 // width (default: one per CPU): the per-size engine fans sizes out
-// across workers, and the fused engine shards its replica block so
-// each worker replays a contiguous slice of the size list against one
-// shared decode of the trace. The curve is bit-identical at any width
-// (pinned by internal/conformance).
+// across workers, and the fused engine replays that many replica
+// groups at once, each over its own source. The curve is bit-identical
+// at any width (pinned by internal/conformance).
 //
-// -stream replays a -load file out of core: blocks are decoded (and
-// prefetched on a background pipeline) as the sweep consumes them, in
-// O(block) memory, so the trace can be far larger than RAM. The curve
-// is bit-identical to the in-memory path (pinned by
-// internal/conformance and the CI CSV diff). -decode-j widens the v2
-// frame decode itself: frames are checksum-verified and varint-decoded
-// by a worker pool and reassembled in order (0 = match -j; 1 = the
-// sync prefetch reader).
+// -stream replays a -load file out of core: blocks are decoded as the
+// sweep consumes them, in O(block) memory, so the trace can be far
+// larger than RAM. The curve is bit-identical to the in-memory path
+// (pinned by internal/conformance and the CI CSV diff). -decode-j
+// widens the v2 frame decode of each open source: frames are
+// checksum-verified and varint-decoded by a worker pool and
+// reassembled in order. The default 1 decodes on the sweep's own
+// goroutine — decode is ~5% of a replay, and every replica group opens
+// its own source, so -j N -decode-j M runs N×M decode workers.
 //
 // -analytic additionally prints the SHARDS-sampled analytic estimate
 // (internal/analytic): one sampled profiling pass instead of a replay
@@ -73,7 +73,7 @@ func main() {
 	sampleRate := flag.Float64("sample-rate", 0.01, "analytic SHARDS sampling rate in (0, 1]; 1.0 is exact")
 	sampleSize := flag.Int("sample-size", 0, "analytic fixed-size mode: cap tracked lines, rate adapts (overrides -sample-rate)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers across cache sizes (1 = serial)")
-	decodeWorkers := flag.Int("decode-j", 0, "parallel v2 frame-decode workers for -stream (0 = match -j, 1 = sync reader)")
+	decodeWorkers := flag.Int("decode-j", 1, "parallel v2 frame-decode workers per open source for -stream (1 = decode on the sweep's goroutine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	flag.Parse()
 
@@ -190,18 +190,14 @@ func main() {
 		Machine: mcfg, Mode: swMode, Engine: eng, NoWarm: *noWarm, Workers: *workers,
 		SampleRate: *sampleRate, SampleSize: *sampleSize,
 	}
-	decodeJ := *decodeWorkers
-	if decodeJ == 0 {
-		decodeJ = *workers
-	}
 	openSource := func() (trace.BlockSource, error) {
 		if *stream {
-			if decodeJ > 1 {
+			if *decodeWorkers > 1 {
 				// OpenFileParallel falls back to the sync reader for v1
 				// files, so -decode-j is safe on either format.
-				return trace.OpenFileParallel(*load, trace.ParallelReaderOptions{Workers: decodeJ})
+				return trace.OpenFileParallel(*load, trace.ParallelReaderOptions{Workers: *decodeWorkers})
 			}
-			return trace.OpenFile(*load, trace.ReaderOptions{Prefetch: 2})
+			return trace.OpenFile(*load, trace.ReaderOptions{})
 		}
 		return trace.NewReplayer(tr, false), nil
 	}

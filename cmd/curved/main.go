@@ -36,7 +36,7 @@ func main() {
 		storeDir   = flag.String("store", "curved-store", "trace store directory")
 		cacheBytes = flag.Int64("cache-bytes", 64<<20, "result cache budget in bytes (negative disables)")
 		workers    = flag.Int("workers", 0, "job queue workers (0 = GOMAXPROCS)")
-		sweepJ     = flag.Int("sweep-j", 1, "shard workers per fused-sweep job (1 = one job per queue slot; curves are identical at any width)")
+		sweepJ     = flag.Int("sweep-j", 1, "replica groups replayed at once per fused-sweep job (1 = one job per queue slot; curves are identical at any width)")
 		backlog    = flag.Int("backlog", 0, "queued jobs beyond running before 429 (0 = 4x workers)")
 		jobTimeout = flag.Duration("job-timeout", 120*time.Second, "per-job deadline")
 		maxUpload  = flag.Int64("max-upload", 256<<20, "largest accepted trace upload in bytes")

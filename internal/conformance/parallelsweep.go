@@ -9,16 +9,16 @@ import (
 )
 
 // CheckParallelSweepEquivalence extends the streamed-sweep gate over
-// the two parallel axes the multi-core replay adds: the shard width
-// (how many workers the fused engine's replica block is split across)
-// and the decode width (how many workers the trace.ParallelReader fans
-// v2 frames to). The serial in-memory fused sweep is the oracle; the
-// same config is then swept (a) sharded over in-memory blocks, (b)
-// sharded over a sync streaming Reader, and (c) sharded over a
-// ParallelReader at the given decode width — every curve must be
+// the two parallel axes of the multi-core replay: the sweep width (how
+// many replica groups the fused engine replays at once, which also
+// caps a group's replica count) and the decode width (how many workers
+// the trace.ParallelReader fans v2 frames to). The serial in-memory
+// fused sweep is the oracle; the same config is then swept wide (a)
+// over in-memory blocks, (b) over a sync streaming Reader, and (c) over
+// a ParallelReader at the given decode width — every curve must be
 // Float64bits-identical. Parallelism on either axis is a wall-clock
 // choice, never a results choice.
-func CheckParallelSweepEquivalence(cfg simulate.Config, tr *trace.Trace, frameRecords, shardWorkers, decodeWorkers int) error {
+func CheckParallelSweepEquivalence(cfg simulate.Config, tr *trace.Trace, frameRecords, sweepWorkers, decodeWorkers int) error {
 	serial := cfg
 	serial.Workers = 1
 	want, err := simulate.Sweep(serial, tr)
@@ -26,14 +26,14 @@ func CheckParallelSweepEquivalence(cfg simulate.Config, tr *trace.Trace, frameRe
 		return fmt.Errorf("conformance: serial fused sweep: %w", err)
 	}
 
-	sharded := cfg
-	sharded.Workers = shardWorkers
-	got, err := simulate.Sweep(sharded, tr)
+	wide := cfg
+	wide.Workers = sweepWorkers
+	got, err := simulate.Sweep(wide, tr)
 	if err != nil {
-		return fmt.Errorf("conformance: sharded sweep (j=%d): %w", shardWorkers, err)
+		return fmt.Errorf("conformance: wide sweep (j=%d): %w", sweepWorkers, err)
 	}
 	if err := CurvesIdentical(want, got); err != nil {
-		return fmt.Errorf("conformance: sharded sweep (j=%d) diverges from serial fused: %w", shardWorkers, err)
+		return fmt.Errorf("conformance: wide sweep (j=%d) diverges from serial fused: %w", sweepWorkers, err)
 	}
 
 	var buf bytes.Buffer
@@ -42,26 +42,26 @@ func CheckParallelSweepEquivalence(cfg simulate.Config, tr *trace.Trace, frameRe
 	}
 	data := buf.Bytes()
 
-	got, err = simulate.SweepStream(sharded, func() (trace.BlockSource, error) {
-		return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{Prefetch: 2})
+	got, err = simulate.SweepStream(wide, func() (trace.BlockSource, error) {
+		return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{})
 	})
 	if err != nil {
-		return fmt.Errorf("conformance: sharded streamed sweep (j=%d): %w", shardWorkers, err)
+		return fmt.Errorf("conformance: wide streamed sweep (j=%d): %w", sweepWorkers, err)
 	}
 	if err := CurvesIdentical(want, got); err != nil {
-		return fmt.Errorf("conformance: sharded streamed sweep (j=%d, frame %d) diverges from serial fused: %w", shardWorkers, frameRecords, err)
+		return fmt.Errorf("conformance: wide streamed sweep (j=%d, frame %d) diverges from serial fused: %w", sweepWorkers, frameRecords, err)
 	}
 
-	got, err = simulate.SweepStream(sharded, func() (trace.BlockSource, error) {
+	got, err = simulate.SweepStream(wide, func() (trace.BlockSource, error) {
 		return trace.NewParallelReader(bytes.NewReader(data),
 			trace.ParallelReaderOptions{Workers: decodeWorkers})
 	})
 	if err != nil {
-		return fmt.Errorf("conformance: sharded parallel-decode sweep (j=%d, decode=%d): %w", shardWorkers, decodeWorkers, err)
+		return fmt.Errorf("conformance: wide parallel-decode sweep (j=%d, decode=%d): %w", sweepWorkers, decodeWorkers, err)
 	}
 	if err := CurvesIdentical(want, got); err != nil {
-		return fmt.Errorf("conformance: sharded parallel-decode sweep (j=%d, decode=%d, frame %d) diverges from serial fused: %w",
-			shardWorkers, decodeWorkers, frameRecords, err)
+		return fmt.Errorf("conformance: wide parallel-decode sweep (j=%d, decode=%d, frame %d) diverges from serial fused: %w",
+			sweepWorkers, decodeWorkers, frameRecords, err)
 	}
 	return nil
 }

@@ -9,12 +9,12 @@ import (
 )
 
 // TestParallelSweepEquivalenceMatrix is the multi-core replay gate:
-// every replacement policy, warm and cold, across shard widths (2 =
-// uneven split of the size list, 3, 4 = one size per shard at the
-// small matrix geometry) and decode widths, way-shrunk and (at widths
-// 2 and 3) set-shrunk. Each cell pins four curves to bit-identity:
-// serial fused (oracle), sharded in-memory, sharded over the sync
-// streaming Reader, sharded over the ParallelReader.
+// every replacement policy, warm and cold, across sweep widths (2 =
+// two groups of two sizes, 3 = uneven groups, 4 = one size per group
+// at the small matrix geometry) and decode widths, way-shrunk and (at
+// widths 2 and 3) set-shrunk. Each cell pins four curves to
+// bit-identity: serial fused (oracle), wide in-memory, wide over the
+// sync streaming Reader, wide over the ParallelReader.
 func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 	tr := sweepTestTrace(4000)
 	policies := []cache.PolicyKind{cache.LRU, cache.PseudoLRU, cache.Nehalem, cache.Random}
@@ -55,8 +55,8 @@ func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 }
 
 // TestParallelSweepWithPrefetcher repeats one hot cell with a stream
-// prefetcher attached: per-replica prefetch training must shard
-// exactly like the cache state it rides on.
+// prefetcher attached: per-replica prefetch training must split into
+// groups exactly like the cache state it rides on.
 func TestParallelSweepWithPrefetcher(t *testing.T) {
 	tr := sweepTestTrace(4000)
 	cfg := simulate.Config{

@@ -10,7 +10,7 @@ import (
 
 // CheckStreamEquivalence encodes tr into the framed v2 format with the
 // given frame size, sweeps it through the out-of-core streaming path
-// (trace.Reader with prefetch, block budget = one frame), and verifies
+// (trace.Reader, block budget = one frame), and verifies
 // the curve is bit-identical to the in-memory sweep of the same
 // records. A small frameRecords against a large trace makes the
 // streamed replay cross many block boundaries — the acceptance shape
@@ -30,7 +30,7 @@ func CheckStreamEquivalence(cfg simulate.Config, tr *trace.Trace, frameRecords i
 	}
 	data := buf.Bytes()
 	got, err := simulate.SweepStream(cfg, func() (trace.BlockSource, error) {
-		return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{Prefetch: 2})
+		return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{})
 	})
 	if err != nil {
 		return fmt.Errorf("conformance: streamed sweep: %w", err)

@@ -13,7 +13,7 @@ import (
 // per-size oracle engine and once with cfg's own engine selection —
 // and verifies the two curves are bit-identical. In either sweep mode
 // this pits the fused replica kernel (way-shrunk or set-shrunk
-// replicas, grouped at Workers 1, sharded above) against the
+// replicas, in replica groups at any Workers) against the
 // historical one-machine-per-size path, which nothing but an explicit
 // EnginePerSize reaches. The comparison is exact (Float64bits), because
 // the fused engine's contract is bit-identity, not tolerance.

@@ -27,7 +27,7 @@ func TestAttachBlocksMatchesFromTrace(t *testing.T) {
 	ref.RunSteps(steps)
 
 	got := MustNew(cfg)
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{Prefetch: 2})
+	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,9 @@ import (
 // trace.ParallelReader: one sequential producer step (read) scans
 // units off a stream into pool buffers, a bounded worker pool runs the
 // expensive per-unit step (work) concurrently, and the consumer
-// receives the finished buffers strictly in read order. It is Fill
-// with the fill split into a serial half and a parallel half — the
-// same free-list pool, the same in-order sticky-error consumer
-// contract — so a Pipe-backed reader is observably identical to a
-// Fill-backed one, just faster when work dominates read.
+// receives the finished buffers strictly in read order, with in-order
+// sticky errors — so a Pipe-backed reader is observably identical to a
+// synchronous one, just faster when work dominates read.
 //
 // In-order delivery uses a slot ring instead of a reorder heap: result
 // slot seq%N (N = pool size) with capacity 1. At most N buffers exist,
@@ -154,7 +152,7 @@ func (p *Pipe[B]) worker(work func(B) error) {
 // Next returns the next finished buffer in read order, recycling the
 // previously returned one into the pool. At end of stream it returns
 // (zero, io.EOF); any read or work error is returned at its stream
-// position and is sticky — exactly Fill.Next's contract.
+// position and is sticky.
 func (p *Pipe[B]) Next() (B, error) {
 	var zero B
 	if p.finished != nil {

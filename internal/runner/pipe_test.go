@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"testing"
 	"time"
 )
@@ -137,195 +136,4 @@ func TestPipeStopMidStreamGauges(t *testing.T) {
 	if u := Util(); u.DecodeWorkers != 0 || u.DecodeQueued != 0 || u.DecodeInFlight != 0 {
 		t.Fatalf("gauges not quiescent after Stop: %+v", u)
 	}
-}
-
-func TestFanoutBroadcast(t *testing.T) {
-	for _, tc := range []struct{ nbufs, consumers, units int }{
-		{1, 1, 13},
-		{2, 3, 50},
-		{4, 4, 100},
-		{4, 2, 0},
-	} {
-		bufs := make([]*pipeUnit, tc.nbufs)
-		for i := range bufs {
-			bufs[i] = &pipeUnit{}
-		}
-		next := 0
-		fill := func(b *pipeUnit) error {
-			if next == tc.units {
-				return io.EOF
-			}
-			b.seq = next
-			next++
-			return nil
-		}
-		f := StartFanout(bufs, tc.consumers, fill)
-		got := make([][]int, tc.consumers)
-		var wg sync.WaitGroup
-		errs := make([]error, tc.consumers)
-		for c := 0; c < tc.consumers; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				for {
-					b, err := f.Next(c)
-					if err != nil {
-						if err != io.EOF {
-							errs[c] = err
-						}
-						return
-					}
-					got[c] = append(got[c], b.seq)
-					if c == 0 {
-						// Stagger one consumer so buffers are held at
-						// different depths across consumers.
-						time.Sleep(time.Duration(b.seq%3) * 100 * time.Microsecond)
-					}
-				}
-			}(c)
-		}
-		wg.Wait()
-		f.Stop()
-		for c := 0; c < tc.consumers; c++ {
-			if errs[c] != nil {
-				t.Fatalf("consumer %d: %v", c, errs[c])
-			}
-			if len(got[c]) != tc.units {
-				t.Fatalf("consumer %d saw %d units, want %d", c, len(got[c]), tc.units)
-			}
-			for i, s := range got[c] {
-				if s != i {
-					t.Fatalf("consumer %d unit %d = %d, want %d", c, i, s, i)
-				}
-			}
-		}
-		if u := Util(); u.ShardConsumers != 0 || u.ShardBlocksInFlight != 0 {
-			t.Fatalf("gauges not quiescent after Stop: %+v", u)
-		}
-	}
-}
-
-func TestFanoutErrorBroadcast(t *testing.T) {
-	bufs := []*pipeUnit{{}, {}, {}}
-	next := 0
-	boom := errors.New("fill boom")
-	fill := func(b *pipeUnit) error {
-		if next == 7 {
-			return boom
-		}
-		b.seq = next
-		next++
-		return nil
-	}
-	const consumers = 3
-	f := StartFanout(bufs, consumers, fill)
-	var wg sync.WaitGroup
-	counts := make([]int, consumers)
-	errs := make([]error, consumers)
-	for c := 0; c < consumers; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for {
-				_, err := f.Next(c)
-				if err != nil {
-					errs[c] = err
-					// Sticky.
-					if _, err2 := f.Next(c); err2 != err {
-						errs[c] = fmt.Errorf("not sticky: %v then %v", err, err2)
-					}
-					return
-				}
-				counts[c]++
-			}
-		}(c)
-	}
-	wg.Wait()
-	f.Stop()
-	for c := 0; c < consumers; c++ {
-		if errs[c] != boom {
-			t.Fatalf("consumer %d error = %v, want fill boom", c, errs[c])
-		}
-		if counts[c] != 7 {
-			t.Fatalf("consumer %d saw %d units before error, want 7", c, counts[c])
-		}
-	}
-}
-
-func TestFanoutAbandonedConsumerGauges(t *testing.T) {
-	bufs := []*pipeUnit{{}, {}, {}, {}}
-	fill := func(b *pipeUnit) error { return nil } // endless
-	f := StartFanout(bufs, 2, fill)
-	// Consumer 0 takes a few blocks and abandons; consumer 1 never
-	// shows up. Stop must still retire the in-flight gauge.
-	for i := 0; i < 3; i++ {
-		if _, err := f.Next(0); err != nil {
-			t.Fatalf("Next: %v", err)
-		}
-	}
-	f.Stop()
-	if u := Util(); u.ShardConsumers != 0 || u.ShardBlocksInFlight != 0 {
-		t.Fatalf("gauges not quiescent after Stop: %+v", u)
-	}
-}
-
-func TestFillRestart(t *testing.T) {
-	bufs := []*pipeUnit{{}, {}}
-	mkFill := func(units int) func(*pipeUnit) error {
-		next := 0
-		return func(b *pipeUnit) error {
-			if next == units {
-				return io.EOF
-			}
-			b.seq = next
-			next++
-			return nil
-		}
-	}
-	consume := func(f *Fill[*pipeUnit], want int) {
-		t.Helper()
-		for i := 0; i < want; i++ {
-			b, err := f.Next()
-			if err != nil {
-				t.Fatalf("Next %d: %v", i, err)
-			}
-			if b.seq != i {
-				t.Fatalf("unit %d = %d, want %d", i, b.seq, i)
-			}
-		}
-		if _, err := f.Next(); err != io.EOF {
-			t.Fatalf("want io.EOF, got %v", err)
-		}
-	}
-
-	f := StartFill(bufs, mkFill(9))
-	consume(f, 9)
-	f.Stop()
-
-	// Restart after a clean EOF pass.
-	f.Restart(mkFill(5))
-	consume(f, 5)
-	f.Stop()
-
-	// Restart after a mid-stream Stop (stop channel was closed).
-	f.Restart(mkFill(100))
-	if _, err := f.Next(); err != nil {
-		t.Fatalf("Next: %v", err)
-	}
-	f.Stop()
-	f.Restart(mkFill(4))
-	consume(f, 4)
-	f.Stop()
-}
-
-func TestFillRestartBeforeStopPanics(t *testing.T) {
-	bufs := []*pipeUnit{{}}
-	f := StartFill(bufs, func(b *pipeUnit) error { return nil })
-	defer f.Stop()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Restart before Stop did not panic")
-		}
-	}()
-	f.Restart(func(b *pipeUnit) error { return io.EOF })
 }

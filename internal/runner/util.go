@@ -2,20 +2,16 @@ package runner
 
 import "sync/atomic"
 
-// Utilization gauges for the two multi-core replay pools: the frame
-// decode pool (Pipe, trace.ParallelReader) and the shard broadcast
-// pool (Fanout, simulate's sharded fused sweep). They exist so a
-// serving process can report where saturation lives — cmd/curved
-// exposes them on /statsz and the load generator watches them move as
-// concurrency grows. Gauges are monotonically balanced (every Add has
-// a matching negative Add on every path, including teardown), so a
-// quiescent process always reads zero.
+// Utilization gauges for the frame decode pool (Pipe,
+// trace.ParallelReader). They exist so a serving process can report
+// where saturation lives — cmd/curved exposes them on /statsz. Gauges
+// are monotonically balanced (every Add has a matching negative Add on
+// every path, including teardown), so a quiescent process always reads
+// zero.
 var (
 	decodeWorkers  atomic.Int64 // live decode-pool workers across all Pipes
 	decodeQueued   atomic.Int64 // frames read but not yet picked up by a worker
 	decodeInFlight atomic.Int64 // frames being decoded right now
-	shardConsumers atomic.Int64 // live shard consumers across all Fanouts
-	shardInFlight  atomic.Int64 // broadcast blocks not yet released by every shard
 )
 
 // UtilStats is a snapshot of the pool gauges.
@@ -30,23 +26,13 @@ type UtilStats struct {
 	DecodeQueued int64 `json:"decode_queued"`
 	// DecodeInFlight is how many frames are being decoded right now.
 	DecodeInFlight int64 `json:"decode_in_flight"`
-	// ShardConsumers is how many shard consumers are live (across
-	// every active Fanout).
-	ShardConsumers int64 `json:"shard_consumers"`
-	// ShardBlocksInFlight is how many broadcast blocks have been
-	// filled but not yet released by every consuming shard: pinned at
-	// the fanout depth means the replay shards are the bottleneck,
-	// near zero means the producer (decode) is.
-	ShardBlocksInFlight int64 `json:"shard_blocks_in_flight"`
 }
 
 // Util returns the current pool utilization snapshot.
 func Util() UtilStats {
 	return UtilStats{
-		DecodeWorkers:       decodeWorkers.Load(),
-		DecodeQueued:        decodeQueued.Load(),
-		DecodeInFlight:      decodeInFlight.Load(),
-		ShardConsumers:      shardConsumers.Load(),
-		ShardBlocksInFlight: shardInFlight.Load(),
+		DecodeWorkers:  decodeWorkers.Load(),
+		DecodeQueued:   decodeQueued.Load(),
+		DecodeInFlight: decodeInFlight.Load(),
 	}
 }

@@ -192,7 +192,7 @@ func TestEndToEndWorkloadCapture(t *testing.T) {
 
 // TestSweepWorkersCurveIdentical: a server configured with a wide
 // per-job sweep (Config.SweepWorkers) must produce exactly the curve a
-// serial server produces — sharding the fused replica block is a
+// serial server produces — running replica groups side by side is a
 // latency knob, never a results knob. This is why SweepWorkers stays
 // out of JobSpec.Key: cached curves remain valid across width changes.
 func TestSweepWorkersCurveIdentical(t *testing.T) {

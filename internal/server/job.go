@@ -65,8 +65,8 @@ func (j JobSpec) Key() string {
 // simConfig maps the spec onto a sweep config. workers is the
 // server's per-job sweep width (Config.SweepWorkers): 1 keeps a curve
 // job to one queue slot, so server-level parallelism comes from
-// running many jobs; wider shards the fused replica block across that
-// many cores for latency, with a bit-identical curve either way. It is
+// running many jobs; wider replays that many replica groups at once
+// for latency, with a bit-identical curve either way. It is
 // deliberately NOT part of JobSpec.Key — parallelism never changes the
 // result, so cached curves stay valid across width changes.
 func (j JobSpec) simConfig(workers int) simulate.Config {

@@ -27,9 +27,9 @@ type Config struct {
 	CacheBytes int64
 	// Workers is the job-queue worker count (default GOMAXPROCS).
 	Workers int
-	// SweepWorkers is how many shard workers each fused-sweep job fans
-	// its replica block across (default 1: a job is one queue slot, and
-	// server throughput comes from running many jobs). Widen it on
+	// SweepWorkers is how many replica groups of one fused-sweep job
+	// replay at once (default 1: a job is one queue slot, and server
+	// throughput comes from running many jobs). Widen it on
 	// latency-sensitive deployments where a single big sweep should use
 	// several cores; the curve is bit-identical at any width.
 	SweepWorkers int
@@ -259,11 +259,11 @@ type Stats struct {
 	JobsServed   uint64     `json:"jobs_served"`
 	Deduped      uint64     `json:"flights_deduped"`
 	Traces       int        `json:"traces"`
-	// SweepWorkers is the configured fused-sweep shard width per job.
+	// SweepWorkers is how many replica groups of one job's fused sweep
+	// replay at once.
 	SweepWorkers int `json:"sweep_workers"`
-	// Runner reports the parallel-replay pools live: v2 frame-decode
-	// workers (queue depth, frames being decoded) and fused-sweep shard
-	// consumers (record blocks in flight). Quiescent servers read zero.
+	// Runner reports the v2 frame-decode pool live (workers, queue
+	// depth, frames being decoded). Quiescent servers read zero.
 	Runner runner.UtilStats `json:"runner"`
 	// WriteFailures counts responses whose body write failed after the
 	// status was committed (client disconnects, resets).

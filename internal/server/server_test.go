@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"cachepirate/internal/analysis"
+	"cachepirate/internal/runner"
 )
 
 // newTestServer builds a Server over a fresh store with a tiny stub
@@ -319,16 +320,14 @@ func TestHealthzAndStatsz(t *testing.T) {
 	if st.SweepWorkers != 1 {
 		t.Errorf("sweep_workers = %d, want the default 1", st.SweepWorkers)
 	}
-	// The replay pools are idle between requests, and their gauges
+	// The decode pool is idle between requests, and its gauges
 	// reconcile on teardown — a quiescent server must report zero.
-	if st.Runner.DecodeWorkers != 0 || st.Runner.DecodeQueued != 0 ||
-		st.Runner.DecodeInFlight != 0 || st.Runner.ShardConsumers != 0 ||
-		st.Runner.ShardBlocksInFlight != 0 {
+	if st.Runner != (runner.UtilStats{}) {
 		t.Errorf("runner gauges not quiescent: %+v", st.Runner)
 	}
 }
 
-// TestStatszSweepWorkers pins the configured shard width through to
+// TestStatszSweepWorkers pins the configured sweep width through to
 // the stats payload.
 func TestStatszSweepWorkers(t *testing.T) {
 	s, _ := newTestServer(t, Config{SweepWorkers: 3})

@@ -187,7 +187,7 @@ func (s *Store) Open(hash string) (*trace.Reader, error) {
 	if !ok {
 		return nil, fmt.Errorf("server: unknown trace %s", hash)
 	}
-	return trace.OpenFile(s.path(hash), trace.ReaderOptions{Prefetch: 2})
+	return trace.OpenFile(s.path(hash), trace.ReaderOptions{})
 }
 
 // List returns every stored trace, sorted by hash.

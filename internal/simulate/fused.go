@@ -14,11 +14,12 @@
 // block.
 //
 // What the engine gains is the lean replayBlock loop, not the shared
-// decode (under 1% of a fused sweep), and what it pays is the
-// interleaved line state of every replica competing for the host's
-// cache. The serial sweep therefore replays the sizes in consecutive
-// replica groups of bounded line state (fusedGroupLines), re-opening
-// the source per group; the sharded sweep's shards already are groups.
+// decode (5% of a fused sweep even decoded once per group), and what it
+// pays is the interleaved line state of every replica competing for
+// the host's cache. The sweep therefore replays the sizes in
+// consecutive replica groups of bounded line state (fusedGroupLines),
+// each over its own freshly opened source; Config.Workers is how many
+// groups replay at once.
 //
 // Bit-identity with the per-size path is load-bearing and rests on
 // three facts. First, a single-core machine's scheduler is trivial:
@@ -37,8 +38,8 @@ package simulate
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"io"
 
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/cache"
@@ -55,12 +56,12 @@ import (
 // working lines stay cache-resident across its turn.
 const fusedBlock = 256
 
-// fusedGroupLines is the serial sweep's replica-group budget in L3
-// lines: consecutive sizes are replayed together while their summed L3
-// line count fits. Twice the Nehalem L3 (about 5.5 MB of line state)
-// splits the default 16 sizes into 5 groups; all 16 at once interleave
-// 23 MB of line state, which no host cache holds, and the sweep's speed
-// then follows whatever else shares the host's last-level cache.
+// fusedGroupLines is the sweep's replica-group budget in L3 lines:
+// consecutive sizes are replayed together while their summed L3 line
+// count fits. Twice the Nehalem L3 (about 5.5 MB of line state) splits
+// the default 16 sizes into 5 groups; all 16 at once interleave 23 MB
+// of line state, which no host cache holds, and the sweep's speed then
+// follows whatever else shares the host's last-level cache.
 const fusedGroupLines = 1 << 18
 
 // repClock is one replica's timing state: the fields a per-size
@@ -201,9 +202,8 @@ func (e *fusedEngine) run(ctx context.Context, src trace.BlockSource) error {
 // re-chunking it to fusedBlock internally. Chunk boundaries cannot
 // affect results — replicas never interact and replayBlock's timing
 // recurrence is a pure fold over the record sequence — so any chunking
-// of the same record order (a streamed reader's frames, the sharded
-// sweep's broadcast blocks, an in-memory replayer's single block) is
-// bit-identical.
+// of the same record order (a streamed reader's frames, an in-memory
+// replayer's single block) is bit-identical.
 func (e *fusedEngine) replayAll(ctx context.Context, blk []trace.Record) error {
 	n := len(blk)
 	for lo := 0; lo < n; lo += fusedBlock {
@@ -382,24 +382,13 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 }
 
 // sweepFusedStream is the fused-engine SweepStream body over the
-// validated per-size machine configs. Workers == 1 runs the serial
-// engine over the sizes in replica groups (sweepFusedGrouped); wider
-// sweeps shard the replica block across workers (sweepFusedSharded)
-// behind a single decode of the trace. Replicas never interact and
-// every group or shard sees the same record order, so neither the
-// group budget nor the shard width can change any point
+// validated per-size machine configs: the sizes replay in replica
+// groups (sweepFusedGrouped), cfg.Workers of them at once. Replicas
+// never interact and every group sees the same record order, so neither
+// the group budget nor the width can change any point
 // (conformance.CheckParallelSweepEquivalence).
 func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), mcfgs []machine.Config) (*analysis.Curve, error) {
-	l3 := l3Configs(mcfgs)
-	pool := runner.Pool{Workers: cfg.Workers}
-	shards := pool.EffectiveWorkers(len(cfg.Sizes))
-	var points []analysis.Point
-	var err error
-	if shards == 1 {
-		points, err = sweepFusedGrouped(ctx, cfg, open, l3, fusedGroupLines)
-	} else {
-		points, err = sweepFusedSharded(ctx, cfg, open, l3, shards)
-	}
+	points, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
 	if err != nil {
 		return nil, err
 	}
@@ -408,149 +397,17 @@ func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockS
 	return curve, nil
 }
 
-// shardChunkRecords is how many records the sharded sweep's producer
-// copies into one broadcast block. Large enough that the copy
-// (~3 ns/record) and the fan-out hand-off amortise to noise next to
-// the >100 ns/record/replica replay, small enough that blocks pipeline
-// smoothly across shards.
-const shardChunkRecords = 1 << 14
-
-// recBlock is one broadcast unit: a pool-owned copy of a run of trace
-// records, stable while every shard replays it (a BlockSource's own
-// blocks are only valid until its next NextBlock call, so the
-// producer must copy out of them).
-type recBlock struct {
-	recs []trace.Record
-	n    int
-}
-
-// sweepFusedSharded is the multi-core fused sweep: the replica SoA
-// block is split into one contiguous shard per worker (a separate
-// fusedEngine over a contiguous subrange of the sizes), the trace is
-// decoded once per pass, and every decoded block is broadcast to all
-// shards over a bounded fan-out (runner.StartFanout). Bit-identity with the
-// serial fused path holds because replicas never interact, each shard
-// replays the same record order the serial engine would feed it, and
-// the per-shard points are merged back in size order.
-func sweepFusedSharded(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, shards int) (_ []analysis.Point, err error) {
-	engines := make([]*fusedEngine, shards)
-	offsets := make([]int, shards+1)
-	for c := 0; c < shards; c++ {
-		lo := c * len(cfg.Sizes) / shards
-		hi := (c + 1) * len(cfg.Sizes) / shards
-		offsets[c], offsets[c+1] = lo, hi
-		engines[c], err = newFusedEngine(cfg, l3[lo:hi], nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	src, err := open()
-	if err != nil {
-		return nil, err
-	}
-	defer closeSource(src, &err)
-
-	bufs := make([]*recBlock, shards+2)
-	for i := range bufs {
-		bufs[i] = &recBlock{recs: make([]trace.Record, shardChunkRecords)}
-	}
-	var total int64
-	warm := engines[0].warm
-	for pass := 0; pass <= warm; pass++ {
-		if err := src.Rewind(); err != nil {
-			return nil, err
-		}
-		if pass == warm {
-			for _, e := range engines {
-				for k := range e.base {
-					e.base[k] = e.sample(k)
-				}
-			}
-		}
-		passTotal, err := broadcastPass(ctx, engines, src, bufs, shards)
-		if err != nil {
-			return nil, err
-		}
-		if pass == 0 {
-			total = passTotal
-		}
-	}
-	if total == 0 {
-		return nil, fmt.Errorf("simulate: empty trace")
-	}
-
-	points := make([]analysis.Point, len(cfg.Sizes))
-	for c, e := range engines {
-		e.points(points[offsets[c]:offsets[c+1]], cfg.Sizes[offsets[c]:offsets[c+1]])
-	}
-	return points, nil
-}
-
-// broadcastPass streams one pass of src through every shard: the
-// fan-out's producer copies bounded runs of records out of the source
-// (decoding each block exactly once) and each shard consumer replays
-// every broadcast block against its own replicas. The pass total is
-// counted by the producer and safe to read after Stop joins it.
-func broadcastPass(ctx context.Context, engines []*fusedEngine, src trace.BlockSource, bufs []*recBlock, shards int) (int64, error) {
-	var cur []trace.Record // unconsumed tail of the source's current block
-	var total int64
-	fill := func(b *recBlock) error {
-		for len(cur) == 0 {
-			blk, err := src.NextBlock()
-			if err != nil {
-				return err
-			}
-			if len(blk) == 0 {
-				return io.EOF
-			}
-			cur = blk
-		}
-		n := len(cur)
-		if n > shardChunkRecords {
-			n = shardChunkRecords
-		}
-		copy(b.recs[:n], cur[:n])
-		b.n = n
-		cur = cur[n:]
-		total += int64(n)
-		return nil
-	}
-	f := runner.StartFanout(bufs, shards, fill)
-	err := runner.Run(ctx, runner.Pool{Workers: shards}, shards,
-		func(ctx context.Context, c int) error {
-			e := engines[c]
-			for {
-				b, ferr := f.Next(c)
-				if ferr == io.EOF {
-					return nil
-				}
-				if ferr != nil {
-					return ferr
-				}
-				if err := e.replayAll(ctx, b.recs[:b.n]); err != nil {
-					return err
-				}
-			}
-		})
-	// Stop only after Run has joined every consumer: the producer may
-	// be parked waiting for a free buffer, and Stop is what unblocks
-	// it for teardown.
-	f.Stop()
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
 // replicaGroups splits l3 into consecutive groups whose summed L3 line
-// count fits budget. A replica larger than the budget gets a group of
-// its own.
-func replicaGroups(l3 []cache.Config, budget int) [][]cache.Config {
+// count fits budget and whose replica count fits ceil(len(l3)/workers),
+// so a sweep small enough for one group still splits across workers. A
+// replica larger than the budget gets a group of its own.
+func replicaGroups(l3 []cache.Config, budget, workers int) [][]cache.Config {
+	maxReps := (len(l3) + workers - 1) / workers
 	var groups [][]cache.Config
 	lo, lines := 0, 0
 	for k, c := range l3 {
 		n := int(c.Size / c.LineSize)
-		if k > lo && lines+n > budget {
+		if k > lo && (lines+n > budget || k-lo == maxReps) {
 			groups = append(groups, l3[lo:k])
 			lo, lines = k, 0
 		}
@@ -559,31 +416,54 @@ func replicaGroups(l3 []cache.Config, budget int) [][]cache.Config {
 	return append(groups, l3[lo:])
 }
 
-// sweepFusedGrouped is the serial fused sweep: the sizes advance
-// through the trace one replica group at a time on the calling
-// goroutine, each group a fresh engine over a freshly opened source.
-// Every group's line state is carved from one backing block, sized up
-// front for the largest group, so a sweep allocates the line state of
-// one group rather than of all sizes.
+// sweepFusedGrouped is the fused sweep: the sizes advance through the
+// trace one replica group per worker at a time, each group a fresh
+// engine over a freshly opened source that it closes when done. A
+// group's line state is carved from one of cfg.Workers backing blocks,
+// each sized up front for the largest group, so a sweep allocates the
+// line state of the groups in flight rather than of all sizes.
 func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, error) {
-	groups := replicaGroups(l3, budget)
-	backing, err := cache.NewFusedBacking(hierarchyConfig(cfg), groups)
-	if err != nil {
-		return nil, err
-	}
-	points := make([]analysis.Point, len(l3))
-	lo := 0
-	for _, group := range groups {
-		e, err := newFusedEngine(cfg, group, backing)
+	pool := runner.Pool{Workers: cfg.Workers}
+	groups := replicaGroups(l3, budget, pool.EffectiveWorkers(len(l3)))
+	workers := pool.EffectiveWorkers(len(groups))
+	// Free list of backings: a group takes one for its replay and hands
+	// it back, so at most workers are ever held and the receive below
+	// never blocks.
+	backings := make(chan *cache.FusedBacking, workers)
+	for w := 0; w < workers; w++ {
+		b, err := cache.NewFusedBacking(hierarchyConfig(cfg), groups)
 		if err != nil {
 			return nil, err
 		}
-		if err := e.replay(ctx, open); err != nil {
-			return nil, err
+		backings <- b
+	}
+	first := make([]int, len(groups)) // index in l3 of each group's first replica
+	for g := 1; g < len(groups); g++ {
+		first[g] = first[g-1] + len(groups[g-1])
+	}
+	points := make([]analysis.Point, len(l3))
+	err := runner.Run(ctx, pool, len(groups), func(ctx context.Context, g int) error {
+		backing := <-backings
+		defer func() { backings <- backing }()
+		e, err := newFusedEngine(cfg, groups[g], backing)
+		if err != nil {
+			return err
 		}
-		hi := lo + len(group)
+		if err := e.replay(ctx, open); err != nil {
+			return err
+		}
+		lo, hi := first[g], first[g]+len(groups[g])
 		e.points(points[lo:hi], cfg.Sizes[lo:hi])
-		lo = hi
+		return nil
+	})
+	if err != nil {
+		// Every group replays the same trace, so which one failed is
+		// noise to the caller: drop runner's "task N" wrapper and the
+		// error reads the same at any width.
+		if cause := errors.Unwrap(err); cause != nil {
+			err = cause
+		}
+		return nil, err
 	}
 	return points, nil
 }

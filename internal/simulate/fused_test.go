@@ -110,33 +110,49 @@ func groupLens(groups [][]cache.Config) []int {
 }
 
 // TestReplicaGroups pins the grouping rule: consecutive replicas,
-// summed L3 lines within the budget, an oversized replica alone.
+// summed L3 lines within the budget and at most ceil(sizes/workers)
+// replicas, an oversized replica alone.
 func TestReplicaGroups(t *testing.T) {
 	cfg := Config{Machine: smallMachine()}.withDefaults() // 16 sizes of 64..1024 lines
 	l3 := sweepL3(t, cfg)
 	for _, tc := range []struct {
-		budget int
-		want   []int
+		budget, workers int
+		want            []int
 	}{
-		{1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
-		{2048, []int{7, 3, 2, 2, 2}}, // twice the full L3: the production ratio
-		{1 << 30, []int{16}},
+		{1, 1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}}, // every replica over budget
+		{2048, 1, []int{7, 3, 2, 2, 2}},                               // twice the full L3: the production ratio
+		{2048, 2, []int{7, 3, 2, 2, 2}},
+		{2048, 4, []int{4, 4, 3, 2, 2, 1}},
+		{1 << 30, 1, []int{16}},
+		{1 << 30, 2, []int{8, 8}}, // a sweep that fits one group still splits across workers
+		{1 << 30, 3, []int{6, 6, 4}},
+		{1 << 30, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
 	} {
-		if got := groupLens(replicaGroups(l3, tc.budget)); !reflect.DeepEqual(got, tc.want) {
-			t.Errorf("replicaGroups(budget %d) has group sizes %v, want %v", tc.budget, got, tc.want)
+		if got := groupLens(replicaGroups(l3, tc.budget, tc.workers)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("replicaGroups(budget %d, workers %d) has group sizes %v, want %v", tc.budget, tc.workers, got, tc.want)
 		}
 	}
-	nehalem := replicaGroups(sweepL3(t, Config{}.withDefaults()), fusedGroupLines)
-	if got, want := groupLens(nehalem), []int{7, 3, 2, 2, 2}; !reflect.DeepEqual(got, want) {
-		t.Errorf("default Nehalem sweep has group sizes %v, want %v", got, want)
+	nehalem := sweepL3(t, Config{}.withDefaults())
+	for _, tc := range []struct {
+		workers int
+		want    []int
+	}{
+		{1, []int{7, 3, 2, 2, 2}},
+		{2, []int{7, 3, 2, 2, 2}},
+		{4, []int{4, 4, 3, 2, 2, 1}},
+	} {
+		if got := groupLens(replicaGroups(nehalem, fusedGroupLines, tc.workers)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("default Nehalem sweep at %d workers has group sizes %v, want %v", tc.workers, got, tc.want)
+		}
 	}
 }
 
-// TestFusedGroupBoundaries pins that the group budget is a wall-clock
-// choice only: 1 replica per group, 2-3 per group and a single group
-// all produce the per-size oracle's curve bit for bit, in both sweep
-// modes, from an in-memory replayer and from a streamed file (each
-// group re-opens its source).
+// TestFusedGroupBoundaries pins that the group budget and the sweep
+// width are wall-clock choices only: 1 replica per group, 2-3 per group
+// and a single group, replayed 1, 2, 3 or 8 at a time, all produce the
+// per-size oracle's curve bit for bit, in both sweep modes, from an
+// in-memory replayer and from a streamed file (each group opens its own
+// source).
 func TestFusedGroupBoundaries(t *testing.T) {
 	tr := CaptureTrace(randFactory(96<<10), 1, 0, 6000)
 	path := filepath.Join(t.TempDir(), "t.cptr2")
@@ -170,21 +186,24 @@ func TestFusedGroupBoundaries(t *testing.T) {
 		cfg = cfg.withDefaults()
 		l3 := sweepL3(t, cfg)
 		for _, tc := range []struct{ budget, groups int }{{1, 16}, {2048, 5}, {1 << 30, 1}} {
-			if got := len(replicaGroups(l3, tc.budget)); got != tc.groups {
+			if got := len(replicaGroups(l3, tc.budget, 1)); got != tc.groups {
 				t.Fatalf("mode %d budget %d: %d groups, want %d", mode, tc.budget, got, tc.groups)
 			}
-			for _, src := range sources {
-				pts, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
-				if err != nil {
-					t.Fatalf("mode %d budget %d %s: %v", mode, tc.budget, src.name, err)
-				}
-				for i, pt := range pts {
-					if w := want.Points[i]; pt.CacheBytes != w.CacheBytes ||
-						math.Float64bits(pt.CPI) != math.Float64bits(w.CPI) ||
-						math.Float64bits(pt.BandwidthGBs) != math.Float64bits(w.BandwidthGBs) ||
-						math.Float64bits(pt.FetchRatio) != math.Float64bits(w.FetchRatio) ||
-						math.Float64bits(pt.MissRatio) != math.Float64bits(w.MissRatio) {
-						t.Errorf("mode %d budget %d %s: point %d = %+v, oracle %+v", mode, tc.budget, src.name, i, pt, w)
+			for _, workers := range []int{1, 2, 3, 8} {
+				cfg.Workers = workers
+				for _, src := range sources {
+					pts, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
+					if err != nil {
+						t.Fatalf("mode %d budget %d j=%d %s: %v", mode, tc.budget, workers, src.name, err)
+					}
+					for i, pt := range pts {
+						if w := want.Points[i]; pt.CacheBytes != w.CacheBytes ||
+							math.Float64bits(pt.CPI) != math.Float64bits(w.CPI) ||
+							math.Float64bits(pt.BandwidthGBs) != math.Float64bits(w.BandwidthGBs) ||
+							math.Float64bits(pt.FetchRatio) != math.Float64bits(w.FetchRatio) ||
+							math.Float64bits(pt.MissRatio) != math.Float64bits(w.MissRatio) {
+							t.Errorf("mode %d budget %d j=%d %s: point %d = %+v, oracle %+v", mode, tc.budget, workers, src.name, i, pt, w)
+						}
 					}
 				}
 			}
@@ -220,24 +239,27 @@ func TestSweepInvalidSizeErrorParity(t *testing.T) {
 }
 
 // TestSerialSweepAllocatesOneGroup is the allocation gate on the
-// backing-block reuse: a default 16-size serial sweep of the Nehalem
-// machine holds 23 MB of line state in all, but only the largest
-// group's (about 6 MB) may be allocated — a regrown or per-group
-// backing shows up here as 12 or 28 MB.
+// backing-block reuse: a default 16-size sweep of the Nehalem machine
+// holds 23 MB of line state in all, but only the largest group's (about
+// 6 MB) may be allocated per worker — a regrown or per-group backing
+// shows up here as 12 or 28 MB at one worker.
 func TestSerialSweepAllocatesOneGroup(t *testing.T) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 2000)
-	cfg := Config{Workers: 1}
-	if _, err := Sweep(cfg, tr); err != nil { // warm lazily initialised state
-		t.Fatal(err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := Sweep(cfg, tr); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > 10<<20 {
-		t.Errorf("default serial sweep allocated %.1f MB, want under 10 MB", float64(got)/(1<<20))
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Workers: workers}
+		if _, err := Sweep(cfg, tr); err != nil { // warm lazily initialised state
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Sweep(cfg, tr); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		bound := uint64(workers) * 10 << 20
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("default sweep at %d workers allocated %.1f MB, want under %d MB", workers, float64(got)/(1<<20), bound>>20)
+		}
 	}
 }
 

@@ -9,14 +9,14 @@ import (
 	"cachepirate/internal/trace"
 )
 
-// BenchmarkSweepFusedSharded is the multi-core replay scaling table
-// (BENCH_parallel.json): the streamed fused sweep on the
-// BenchmarkSweepSerial workload (60k records, 16 sizes) with the
-// replica block sharded across j workers fed by one broadcast decode.
-// j=1 is the serial fused engine; the curve is bit-identical at every
-// width (internal/conformance), so the only thing that may move is
-// wall-clock.
-func BenchmarkSweepFusedSharded(b *testing.B) {
+// BenchmarkSweepFusedWorkers is the multi-core replay scaling table:
+// the streamed fused sweep on the BenchmarkSweepSerial workload (60k
+// records, 16 sizes) with j replica groups replaying at once, each
+// decoding its own source. The curve is bit-identical at every width
+// (internal/conformance), so the only thing that may move is
+// wall-clock; compare j=1 ÷ j=N within one invocation, and expect
+// j > nproc to read slower than j = nproc (one decode per group).
+func BenchmarkSweepFusedWorkers(b *testing.B) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
 	var buf bytes.Buffer
 	if err := tr.WriteV2Frames(&buf, trace.DefaultFrameRecords); err != nil {
@@ -30,7 +30,7 @@ func BenchmarkSweepFusedSharded(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				_, err := SweepStream(cfg, func() (trace.BlockSource, error) {
-					return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{Prefetch: 2})
+					return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{})
 				})
 				if err != nil {
 					b.Fatal(err)
@@ -40,10 +40,10 @@ func BenchmarkSweepFusedSharded(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepFusedShardedParallelDecode composes both axes: the
-// sharded sweep reading through the parallel frame decoder, the full
-// cachesim -stream -j N -decode-j M pipeline.
-func BenchmarkSweepFusedShardedParallelDecode(b *testing.B) {
+// BenchmarkSweepFusedWorkersParallelDecode composes both axes: every
+// group reading through its own parallel frame decoder, the full
+// cachesim -stream -j N -decode-j N pipeline.
+func BenchmarkSweepFusedWorkersParallelDecode(b *testing.B) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
 	var buf bytes.Buffer
 	if err := tr.WriteV2Frames(&buf, trace.DefaultFrameRecords); err != nil {

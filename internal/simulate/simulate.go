@@ -108,14 +108,15 @@ type Config struct {
 	// WarmPasses: 0 cannot express this: zero is the "use the default"
 	// value, so it is promoted to 1.)
 	NoWarm bool
-	// Workers bounds the sweep's parallelism. On the fused engine 1
-	// replays the sizes on the calling goroutine, in consecutive
-	// replica groups of bounded line state (DESIGN.md §11); wider
-	// sweeps split the replica block into contiguous shards fed by one
-	// broadcast decode (DESIGN.md §16), in either sweep mode. On the
-	// per-size engine each size gets its own fresh machine and trace
-	// replayer. Results are bit-identical at any width either way;
-	// <= 0 means one worker per CPU.
+	// Workers bounds the sweep's parallelism. The fused engine replays
+	// the sizes in consecutive replica groups of bounded line state,
+	// each over its own source, and Workers is how many groups replay
+	// at once (1: one after another on the calling goroutine; a group
+	// holds at most ceil(sizes/Workers) replicas, so a small sweep
+	// still splits — DESIGN.md §11). On the per-size engine each size
+	// gets its own fresh machine and trace replayer. Results are
+	// bit-identical at any width either way; <= 0 means one worker per
+	// CPU.
 	Workers int
 }
 
@@ -205,8 +206,8 @@ func SweepContext(ctx context.Context, cfg Config, tr *trace.Trace) (*analysis.C
 // SweepStream is Sweep over any trace.BlockSource — the out-of-core
 // entry point, taking a factory rather than a source because every
 // consumer replays the trace independently: the per-size engine opens
-// one source per size, the serial fused engine one per replica group
-// and the sharded fused engine one in all. A file-backed sweep passes
+// one source per size and the fused engine one per replica group,
+// Config.Workers of them at a time. A file-backed sweep passes
 //
 //	func() (trace.BlockSource, error) { return trace.OpenFile(path, opts) }
 //

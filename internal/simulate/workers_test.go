@@ -1,14 +1,21 @@
 package simulate
 
 import (
+	"bytes"
+	"context"
+	"errors"
+	"io"
 	"reflect"
 	"runtime"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
+	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
 )
 
@@ -43,7 +50,7 @@ func TestSweepWorkersDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 2, 8} {
+	for _, workers := range []int{0, 2, 3, 8} {
 		cfg := base
 		cfg.Workers = workers
 		got, err := Sweep(cfg, tr)
@@ -52,6 +59,82 @@ func TestSweepWorkersDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(serial, got) {
 			t.Errorf("workers=%d sweep differs from serial:\n%+v\nvs\n%+v", workers, serial.Points, got.Points)
+		}
+	}
+}
+
+// countedSource counts the Close calls of the sources a sweep opens
+// and, once armed, fires trip when any of them has served its
+// tripAfter-th block.
+type countedSource struct {
+	trace.BlockSource
+	closed, blocks *atomic.Int64
+	tripAfter      int64
+	trip           func()
+}
+
+func (s countedSource) NextBlock() ([]trace.Record, error) {
+	if s.blocks.Add(1) == s.tripAfter {
+		s.trip()
+	}
+	return s.BlockSource.NextBlock()
+}
+
+func (s countedSource) Close() error {
+	s.closed.Add(1)
+	return nil
+}
+
+// TestFusedSweepErrorSameAtAnyWidth pins the error contract of the one
+// fused path: a torn trace and a mid-replay cancellation surface their
+// sentinel with the same text at Workers 1 and 2 — no "runner: task N"
+// group index — and every source a group opened is closed again, also
+// when it is a sibling group that failed.
+func TestFusedSweepErrorSameAtAnyWidth(t *testing.T) {
+	tr := CaptureTrace(randFactory(64<<10), 1, 0, 3000)
+	var buf bytes.Buffer
+	if err := tr.WriteV2Frames(&buf, 256); err != nil {
+		t.Fatal(err)
+	}
+	whole := buf.Bytes()
+	torn := whole[:len(whole)*3/5]
+	for _, tc := range []struct {
+		name      string
+		data      []byte
+		tripAfter int64 // cancel the context at this block; 0 = never
+		want      error
+	}{
+		{"torn trace", torn, 0, io.ErrUnexpectedEOF},
+		{"cancelled mid-replay", whole, 5, context.Canceled},
+	} {
+		var texts []string
+		for _, workers := range []int{1, 2} {
+			ctx, cancel := context.WithCancel(context.Background())
+			var opened, closed, blocks atomic.Int64
+			open := func() (trace.BlockSource, error) {
+				r, err := trace.NewReader(bytes.NewReader(tc.data), trace.ReaderOptions{})
+				if err != nil {
+					return nil, err
+				}
+				opened.Add(1)
+				return countedSource{BlockSource: r, closed: &closed, blocks: &blocks, tripAfter: tc.tripAfter, trip: cancel}, nil
+			}
+			// The default Nehalem sweep: 5 replica groups at either width.
+			_, err := SweepStreamContext(ctx, Config{Workers: workers}, open)
+			cancel()
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("%s, Workers %d: err = %v, want %v", tc.name, workers, err, tc.want)
+			}
+			if strings.Contains(err.Error(), "runner:") {
+				t.Errorf("%s, Workers %d: error names a runner task: %q", tc.name, workers, err)
+			}
+			if o, c := opened.Load(), closed.Load(); o == 0 || o != c {
+				t.Errorf("%s, Workers %d: %d sources opened, %d closed", tc.name, workers, o, c)
+			}
+			texts = append(texts, err.Error())
+		}
+		if texts[0] != texts[1] {
+			t.Errorf("%s: error reads %q at Workers 1, %q at Workers 2", tc.name, texts[0], texts[1])
 		}
 	}
 }

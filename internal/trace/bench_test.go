@@ -38,13 +38,13 @@ func reportRecords(b *testing.B, records int) {
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
 
-func benchmarkDecodeV2Trace(b *testing.B, tr *Trace, prefetch int) {
+func benchmarkDecodeV2Trace(b *testing.B, tr *Trace) {
 	var buf bytes.Buffer
 	if err := tr.WriteV2(&buf); err != nil {
 		b.Fatal(err)
 	}
 	data := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(data), ReaderOptions{Prefetch: prefetch})
+	r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -78,20 +78,16 @@ func benchmarkDecodeV2Trace(b *testing.B, tr *Trace, prefetch int) {
 }
 
 // BenchmarkDecodeV2 is the tentpole throughput figure: streaming
-// block decode of a workload-shaped trace, synchronous path.
-func BenchmarkDecodeV2(b *testing.B) { benchmarkDecodeV2Trace(b, workloadTrace(1<<20), 0) }
+// block decode of a workload-shaped trace.
+func BenchmarkDecodeV2(b *testing.B) { benchmarkDecodeV2Trace(b, workloadTrace(1<<20)) }
 
 // BenchmarkDecodeV2Sparse decodes the adversarial wide-jump corpus:
 // the varint kernel's worst case.
-func BenchmarkDecodeV2Sparse(b *testing.B) { benchmarkDecodeV2Trace(b, benchTrace(), 0) }
+func BenchmarkDecodeV2Sparse(b *testing.B) { benchmarkDecodeV2Trace(b, benchTrace()) }
 
-// BenchmarkDecodeV2Prefetch decodes through the background pipeline;
-// with a no-op consumer this measures pipeline overhead, not overlap.
-func BenchmarkDecodeV2Prefetch(b *testing.B) { benchmarkDecodeV2Trace(b, workloadTrace(1<<20), 2) }
-
-// BenchmarkDecodeV2Parallel is the decode-scaling axis of
-// BENCH_parallel.json: checksum verification + varint decode fanned
-// across j workers with in-order block reassembly. j=1 delegates to
+// BenchmarkDecodeV2Parallel is the decode-scaling axis: checksum
+// verification + varint decode fanned across j workers with in-order
+// block reassembly. j=1 delegates to
 // the sync Reader (the baseline the speedup is quoted against).
 func BenchmarkDecodeV2Parallel(b *testing.B) {
 	tr := workloadTrace(1 << 20)

@@ -342,8 +342,8 @@ func truncated(err error) error {
 }
 
 // blockBuf is one decode block: the raw frame payload and the decoded
-// records, both reused across frames (and rotated through the
-// prefetch pipeline) so steady-state decode never allocates.
+// records, both reused across frames so steady-state decode never
+// allocates.
 type blockBuf struct {
 	payload []byte
 	recs    []Record

@@ -27,9 +27,7 @@ import (
 // ParallelReaderOptions parameterises a ParallelReader.
 type ParallelReaderOptions struct {
 	// ReaderOptions apply to the fallback sync Reader (v1 streams and
-	// Workers == 1); BlockRecords also caps v1 block sizes there. The
-	// Prefetch knob is ignored on the parallel path — the decode pool
-	// subsumes it.
+	// Workers == 1); BlockRecords also caps v1 block sizes there.
 	ReaderOptions
 	// Workers is the decode-pool width. Values <= 0 mean
 	// runtime.GOMAXPROCS(0); 1 selects the sync Reader.
@@ -369,8 +367,7 @@ func (r *ParallelReader) NumInstructions() int64 {
 
 // Frames returns how many v2 frames have been delivered this pass (0
 // for v1 streams); diagnostic only. At an error it equals the sync
-// Reader's count at the same error (with Prefetch == 0): the frames
-// before the corrupt one.
+// Reader's count at the same error: the frames before the corrupt one.
 func (r *ParallelReader) Frames() int64 {
 	if r.inner != nil {
 		return r.inner.Frames()

@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"cachepirate/internal/runner"
 )
 
 // ReaderOptions parameterises a streaming Reader.
@@ -16,10 +14,6 @@ type ReaderOptions struct {
 	// BlockRecords caps the records per block on the v1 path (v2
 	// blocks are the stream's own frames). Default DefaultFrameRecords.
 	BlockRecords int
-	// Prefetch is how many blocks the background pipeline decodes
-	// ahead of the consumer (0 = decode synchronously in NextBlock,
-	// no goroutine). Clamped to 16.
-	Prefetch int
 }
 
 func (o ReaderOptions) blockRecords() int {
@@ -40,24 +34,13 @@ func (o ReaderOptions) blockRecords() int {
 // copying each payload.
 const readerBufBytes = 1 << 19
 
-func (o ReaderOptions) prefetch() int {
-	n := o.Prefetch
-	if n < 0 {
-		n = 0
-	}
-	if n > 16 {
-		n = 16
-	}
-	return n
-}
-
 // Reader streams a v1 or v2 trace from a seekable byte stream as
 // fixed-size record blocks in O(block) memory: the out-of-core
-// implementation of BlockSource. With Prefetch > 0 the next blocks
-// are decoded by a background pipeline (runner.StartFill) so decode
-// overlaps the consumer's replay; otherwise NextBlock decodes
-// synchronously. Steady-state decode reuses the same block buffers
-// and performs no allocation (gated by AllocsPerRun in reader_test.go).
+// implementation of BlockSource. NextBlock decodes on the caller's
+// goroutine: decode is a few percent of any replay, less than a
+// goroutine hand-off per block costs. Steady-state decode reuses one
+// block buffer and performs no allocation (gated by AllocsPerRun in
+// reader_test.go).
 //
 // A Reader is not safe for concurrent use; sweep engines open one
 // Reader per consumer (see simulate.SweepStream).
@@ -78,16 +61,11 @@ type Reader struct {
 	v1left uint64
 	v1line uint64
 
-	bufs       []*blockBuf
-	cur        int    // sync path: next buffer to decode into
-	passRecs   int64  // records surfaced this pass, checked against the header at EOF
-	passInstrs uint64 // instruction total surfaced this pass, ditto
-	fill       *runner.Fill[*blockBuf]
-	// fillFn is decodeInto bound once at construction: taking the
-	// method value per pass would allocate a closure on every Rewind.
-	fillFn func(*blockBuf) error
-	eof    bool
-	err    error
+	buf        blockBuf // the one block NextBlock decodes into and returns
+	passRecs   int64    // records surfaced this pass, checked against the header at EOF
+	passInstrs uint64   // instruction total surfaced this pass, ditto
+	eof        bool
+	err        error
 }
 
 // errHeaderMismatch reports a stream whose header-declared record
@@ -108,13 +86,6 @@ func NewReader(rs io.ReadSeeker, o ReaderOptions) (*Reader, error) {
 	if err := r.readHeader(); err != nil {
 		return nil, err
 	}
-	nbufs := o.prefetch() + 1
-	r.bufs = make([]*blockBuf, nbufs)
-	for i := range r.bufs {
-		r.bufs[i] = &blockBuf{}
-	}
-	r.fillFn = r.decodeInto
-	r.startFill()
 	return r, nil
 }
 
@@ -190,26 +161,8 @@ func (r *Reader) endOfPass() error {
 	return nil
 }
 
-// startFill launches the background decode pipeline when prefetch is
-// enabled; with Prefetch == 0 NextBlock decodes synchronously. After
-// the first pass the pipeline is restarted rather than rebuilt: the
-// channels and the Fill itself live as long as the Reader, so a
-// Rewind costs one goroutine, not a new pipeline (see
-// TestReaderRewindAllocs).
-func (r *Reader) startFill() {
-	if r.opts.prefetch() == 0 {
-		return
-	}
-	if r.fill != nil {
-		r.fill.Restart(r.fillFn)
-		return
-	}
-	r.fill = runner.StartFill(r.bufs, r.fillFn)
-}
-
 // decodeInto fills one block buffer from the stream, returning io.EOF
-// once the trace is exhausted. It is the fill callback on the
-// prefetch path and the direct decode step on the sync path.
+// once the trace is exhausted.
 //
 //lint:hotpath
 func (r *Reader) decodeInto(buf *blockBuf) error {
@@ -292,29 +245,7 @@ func (r *Reader) NextBlock() ([]Record, error) {
 	if r.eof {
 		return nil, nil
 	}
-	if r.fill != nil {
-		buf, err := r.fill.Next()
-		if err == io.EOF {
-			if err := r.endOfPass(); err != nil {
-				r.err = err
-				return nil, err
-			}
-			r.eof = true
-			return nil, nil
-		}
-		if err != nil {
-			r.err = err
-			return nil, err
-		}
-		r.passRecs += int64(buf.n)
-		r.passInstrs += buf.instrs
-		return buf.recs[:buf.n], nil
-	}
-	buf := r.bufs[r.cur]
-	r.cur++
-	if r.cur == len(r.bufs) {
-		r.cur = 0
-	}
+	buf := &r.buf
 	err := r.decodeInto(buf)
 	if err == io.EOF {
 		if err := r.endOfPass(); err != nil {
@@ -333,26 +264,15 @@ func (r *Reader) NextBlock() ([]Record, error) {
 	return buf.recs[:buf.n], nil
 }
 
-// Rewind restarts the stream for another pass: it stops any prefetch
-// pipeline, seeks back to the start, re-reads the header, and
-// restarts prefetch (reusing the stopped pipeline). Blocks from the
-// previous pass are invalidated.
+// Rewind restarts the stream for another pass: it seeks back to the
+// start and re-reads the header. Blocks from the previous pass are
+// invalidated.
 func (r *Reader) Rewind() error {
-	if r.fill != nil {
-		r.fill.Stop()
-	}
 	if _, err := r.rs.Seek(0, io.SeekStart); err != nil {
-		r.fill = nil
 		return err
 	}
 	r.br.Reset(r.rs)
-	r.cur = 0
-	if err := r.readHeader(); err != nil {
-		r.fill = nil
-		return err
-	}
-	r.startFill()
-	return nil
+	return r.readHeader()
 }
 
 // NumRecords implements BlockSource: the header-declared total (-1
@@ -368,13 +288,9 @@ func (r *Reader) NumInstructions() int64 { return r.hdrInstrs }
 // for v1 streams); diagnostic only.
 func (r *Reader) Frames() int64 { return r.fd.frames }
 
-// Close stops any prefetch pipeline and, when the Reader was built by
-// OpenFile, closes the underlying file.
+// Close closes the underlying file when the Reader was built by
+// OpenFile.
 func (r *Reader) Close() error {
-	if r.fill != nil {
-		r.fill.Stop()
-		r.fill = nil
-	}
 	if r.file != nil {
 		f := r.file
 		r.file = nil

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -44,29 +43,27 @@ func TestReaderMatchesRead(t *testing.T) {
 	}
 	for name, enc := range encoders {
 		data := enc()
-		for _, prefetch := range []int{0, 1, 3} {
-			t.Run(fmt.Sprintf("%s/prefetch=%d", name, prefetch), func(t *testing.T) {
-				r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 512, Prefetch: prefetch})
-				if err != nil {
-					t.Fatal(err)
+		t.Run(name, func(t *testing.T) {
+			r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 512})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := r.Close(); err != nil {
+					t.Error(err)
 				}
-				defer func() {
-					if err := r.Close(); err != nil {
-						t.Error(err)
-					}
-				}()
-				recordsEqual(t, tr.Records, drain(t, r))
-				// End of pass is sticky until Rewind.
-				if blk, err := r.NextBlock(); err != nil || blk != nil {
-					t.Fatalf("NextBlock after EOF = %v, %v", blk, err)
-				}
-				// A second pass must replay identically.
-				if err := r.Rewind(); err != nil {
-					t.Fatal(err)
-				}
-				recordsEqual(t, tr.Records, drain(t, r))
-			})
-		}
+			}()
+			recordsEqual(t, tr.Records, drain(t, r))
+			// End of pass is sticky until Rewind.
+			if blk, err := r.NextBlock(); err != nil || blk != nil {
+				t.Fatalf("NextBlock after EOF = %v, %v", blk, err)
+			}
+			// A second pass must replay identically.
+			if err := r.Rewind(); err != nil {
+				t.Fatal(err)
+			}
+			recordsEqual(t, tr.Records, drain(t, r))
+		})
 	}
 }
 
@@ -111,32 +108,30 @@ func TestReaderSurfacesCorruption(t *testing.T) {
 	}
 	data := append([]byte(nil), buf.Bytes()...)
 	data[len(data)/2] ^= 0xFF // corrupt a mid-stream frame
-	for _, prefetch := range []int{0, 2} {
-		r, err := NewReader(bytes.NewReader(data), ReaderOptions{Prefetch: prefetch})
+	r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sawErr := false
+	for {
+		blk, err := r.NextBlock()
 		if err != nil {
-			t.Fatal(err)
+			sawErr = true
+			break
 		}
-		sawErr := false
-		for {
-			blk, err := r.NextBlock()
-			if err != nil {
-				sawErr = true
-				break
-			}
-			if len(blk) == 0 {
-				break
-			}
+		if len(blk) == 0 {
+			break
 		}
-		if !sawErr {
-			t.Errorf("prefetch=%d: corrupt stream replayed without error", prefetch)
-		}
-		// The error is sticky.
-		if _, err := r.NextBlock(); err == nil {
-			t.Errorf("prefetch=%d: error not sticky", prefetch)
-		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if !sawErr {
+		t.Error("corrupt stream replayed without error")
+	}
+	// The error is sticky.
+	if _, err := r.NextBlock(); err == nil {
+		t.Error("error not sticky")
+	}
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -165,7 +160,7 @@ func TestOpenFile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r, err := OpenFile(path, ReaderOptions{Prefetch: 2})
+	r, err := OpenFile(path, ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +173,9 @@ func TestOpenFile(t *testing.T) {
 	}
 }
 
-// TestReaderSteadyStateAllocFree is the tentpole's 0-alloc gate: once
-// the block buffers have grown to the stream's frame size, NextBlock
-// must not allocate — on the synchronous path and, modulo the
-// pipeline's startup, on the prefetch path.
+// TestReaderSteadyStateAllocFree is the 0-alloc gate: once the block
+// buffer has grown to the stream's frame size, NextBlock must not
+// allocate.
 func TestReaderSteadyStateAllocFree(t *testing.T) {
 	tr := testTrace(8 * 1024)
 	var v2 bytes.Buffer
@@ -193,7 +187,7 @@ func TestReaderSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, data := range map[string][]byte{"v2": v2.Bytes(), "v1": v1.Bytes()} {
-		r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 256}) // sync path
+		r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 256})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -224,60 +218,17 @@ func TestReaderSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestReaderPrefetchSteadyStateAllocFree gates the prefetch path the
-// way TestReaderSteadyStateAllocFree gates the sync path: mid-pass,
-// with grown buffers, neither the consumer's NextBlock nor the
-// background fill goroutine may allocate (AllocsPerRun counts process-
-// wide mallocs, so the producer is covered too).
-func TestReaderPrefetchSteadyStateAllocFree(t *testing.T) {
-	tr := testTrace(16 * 1024)
-	var buf bytes.Buffer
-	if err := tr.WriteV2Frames(&buf, 256); err != nil { // 64 frames
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{Prefetch: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := r.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
-	if got := drain(t, r); len(got) != tr.Len() { // warm: grow all buffers
-		t.Fatalf("warm pass decoded %d records", len(got))
-	}
-	if err := r.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(16, func() {
-		blk, err := r.NextBlock()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(blk) == 0 {
-			t.Fatal("pass ended inside the measurement window")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state prefetch NextBlock allocates %v times; want 0", allocs)
-	}
-}
-
-// TestReaderRewindAllocs pins the satellite fix for the prefetch
-// hand-off overhead: Rewind now restarts the existing Fill pipeline
-// (runner.Fill.Restart) instead of rebuilding it, so a pass costs one
-// goroutine and one join channel — not four channels, a Fill struct
-// and a method-value closure. The bound is deliberately loose (the
-// goroutine spawn's bookkeeping varies by runtime version) but far
-// below the ~11 allocations of a rebuilt pipeline.
+// TestReaderRewindAllocs pins what a further pass costs: Rewind seeks
+// and re-reads the header into the Reader's existing buffers, so a
+// multi-pass replay (warm pass + measured pass per replica group)
+// allocates per Reader, not per pass.
 func TestReaderRewindAllocs(t *testing.T) {
 	tr := testTrace(2 * 1024)
 	var buf bytes.Buffer
 	if err := tr.WriteV2Frames(&buf, 256); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{Prefetch: 2})
+	r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,8 +254,8 @@ func TestReaderRewindAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 6 {
-		t.Errorf("Rewind + full pass allocates %v times; want <= 6 with a reused pipeline", allocs)
+	if allocs > 3 {
+		t.Errorf("Rewind + full pass allocates %v times; want <= 3 (the header scratch, nothing per block)", allocs)
 	}
 }
 

@@ -36,7 +36,7 @@ func TestFromBlocksMatchesFromTrace(t *testing.T) {
 	sources := map[string]trace.BlockSource{
 		"replayer": trace.NewReplayer(tr, false),
 	}
-	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{Prefetch: 1})
+	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
