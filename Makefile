@@ -52,6 +52,9 @@ check-inline:
 # the acceptance workload (60k records x 16 sizes). Numbers are recorded
 # in BENCH_fusedsweep.json; the fused engine must stay >= 2x by ways
 # (by sets it reads ~1.9x: most set indices are a modulo, not a mask).
+# The fits / overflows lines are the footprint probe on the Nehalem
+# machine: what a sweep costs when every size clones the largest, and
+# when none does (the probe then costs one extra group decode).
 bench-sweep:
 	$(GO) test -run XXX -bench 'BenchmarkSweepFused|BenchmarkSweepPerSize' \
 		-benchtime 4x -count 2 -benchmem ./internal/simulate/

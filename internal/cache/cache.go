@@ -184,13 +184,13 @@ func New(cfg Config) (*Cache, error) {
 	return c, nil
 }
 
-// init wires a validated config onto the given backing arrays (sized
-// nlines or nsets as the field requires) and resets them to the empty
-// state. New owns one cache's arrays; NewReplicas carves many caches
-// out of shared contiguous blocks, so both start bit-identical.
-func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64, mru []int32) {
+// geometry returns a cache holding cfg's derived geometry — set count,
+// index mask, way mask, line shift — and no line state. init builds on
+// it; ResidentFits uses one bare to index a geometry it never
+// materialises, so every set index in the package comes out of setFor.
+func geometry(cfg Config) Cache {
 	nsets := uint64(cfg.Sets())
-	*c = Cache{
+	return Cache{
 		cfg:      cfg,
 		ways:     cfg.Ways,
 		nsets:    nsets,
@@ -198,16 +198,24 @@ func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, st
 		setsPow2: nsets&(nsets-1) == 0,
 		fullMask: ^uint64(0) >> (64 - uint(cfg.Ways)),
 		shift:    uint(bits.TrailingZeros64(uint64(cfg.LineSize))),
-		rngState: rngSeed,
-		stats:    make([]OwnerStats, cfg.Owners),
-		tags:     tags,
-		flags:    flags,
-		owner:    owner,
-		stamp:    stamp,
-		meta:     meta,
-		free:     free,
-		mru:      mru,
 	}
+}
+
+// init wires a validated config onto the given backing arrays (sized
+// nlines or nsets as the field requires) and resets them to the empty
+// state. New owns one cache's arrays; NewReplicas carves many caches
+// out of shared contiguous blocks, so both start bit-identical.
+func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64, mru []int32) {
+	*c = geometry(cfg)
+	c.rngState = rngSeed
+	c.stats = make([]OwnerStats, cfg.Owners)
+	c.tags = tags
+	c.flags = flags
+	c.owner = owner
+	c.stamp = stamp
+	c.meta = meta
+	c.free = free
+	c.mru = mru
 	if cfg.Policy == PseudoLRU {
 		lg := bits.TrailingZeros(uint(cfg.Ways))
 		c.plruT = &plruTouchTab[lg]
@@ -735,6 +743,42 @@ func (c *Cache) ResidentLines(owner Owner) int {
 // ResidentBytes returns how many bytes owner currently holds.
 func (c *Cache) ResidentBytes(owner Owner) int64 {
 	return int64(c.ResidentLines(owner)) * c.cfg.LineSize
+}
+
+// ResidentFits reports whether a cache of geometry cand (validated,
+// any policy) could hold every line now resident in c at the same time:
+// whether cand maps at most cand.Ways of them to any one of its sets.
+// It is the fused sweep's footprint test. A cache that has never evicted
+// holds every line it was ever asked to fill, so when those lines fit
+// cand, a cand-shaped cache fed the same accesses always finds a free
+// way too and never evicts either — it hits and misses exactly where c
+// did. cand's set index comes from setFor on a bare geometry, the
+// mask-or-modulo rule every access uses. A cand with another line size
+// is never a fit (c's tags mean nothing to it). O(c's sets + resident
+// lines), one counter byte per cand set; not a hot path.
+func (c *Cache) ResidentFits(cand Config) bool {
+	if cand.LineSize != c.cfg.LineSize {
+		return false
+	}
+	g := geometry(cand)
+	held := make([]uint8, g.nsets) // Ways <= 64 (Validate)
+	for si, fm := range c.free {
+		if fm == c.fullMask {
+			continue // empty set
+		}
+		base := si * c.ways
+		for _, tag := range c.tags[base : base+c.ways] {
+			if tag == invalidTag {
+				continue
+			}
+			gi := g.setFor(tag)
+			if int(held[gi]) == g.ways {
+				return false
+			}
+			held[gi]++
+		}
+	}
+	return true
 }
 
 // LineInfo describes one valid line during a ForEachLine walk.

@@ -209,6 +209,63 @@ func TestResidentLinesPerOwner(t *testing.T) {
 	}
 }
 
+// TestResidentFits pins the footprint test geometrically: a candidate
+// fits when no one of its sets — indexed by mask or by modulo, as its
+// set count demands — is asked to seat more than Ways of the resident
+// lines, whatever the shape of the cache that holds them now.
+func TestResidentFits(t *testing.T) {
+	geom := func(sets, ways int) Config {
+		return Config{Name: "g", Size: int64(sets*ways) * 64, Ways: ways, LineSize: 64, Policy: LRU, Owners: 1}
+	}
+	for _, tc := range []struct {
+		name  string
+		probe Config
+		lines []int // line numbers filled into the probe
+		cand  Config
+		want  bool
+	}{
+		{"empty cache fits the smallest geometry", geom(16, 8), nil, geom(1, 1), true},
+		{"a set holding exactly Ways lines", geom(16, 8), []int{0, 4, 8, 12}, geom(4, 4), true},
+		{"a set asked for Ways+1 lines", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(4, 4), false},
+		{"Ways+1 lines, one more way", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(4, 5), true},
+		{"Ways+1 lines, twice the sets", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(8, 4), true},
+		{"multiples of 3 collide under a modulo index", geom(16, 8), []int{0, 3, 6, 9}, geom(3, 3), false},
+		{"multiples of 3 spread under a mask index", geom(16, 8), []int{0, 3, 6, 9}, geom(4, 1), true},
+		{"multiples of 4 collide under a mask index", geom(16, 8), []int{0, 4, 8}, geom(4, 2), false},
+		{"multiples of 4 spread under a modulo index", geom(16, 8), []int{0, 4, 8}, geom(3, 1), true},
+		{"more sets than the probe, lines spread", geom(4, 4), []int{0, 4, 8, 12}, geom(16, 1), true},
+		{"more sets than the probe, lines collide", geom(4, 4), []int{0, 4, 8, 12}, geom(8, 1), false},
+		{"the probe's own geometry", geom(4, 4), []int{0, 4, 8, 12, 1, 5}, geom(4, 4), true},
+	} {
+		c := MustNew(tc.probe)
+		for _, l := range tc.lines {
+			c.Fill(Addr(l*64), 0, false, false)
+		}
+		if ev := c.Stats(0).Evictions; ev != 0 {
+			t.Fatalf("%s: the probe evicted %d lines; the case is mis-built", tc.name, ev)
+		}
+		if got := c.ResidentFits(tc.cand); got != tc.want {
+			t.Errorf("%s: ResidentFits(%d sets x %d ways) = %v, want %v", tc.name, tc.cand.Sets(), tc.cand.Ways, got, tc.want)
+		}
+	}
+
+	// Only lines resident now count, and tags of another line size mean
+	// nothing to the candidate.
+	c := MustNew(geom(16, 8))
+	for _, l := range []int{0, 4, 8, 12, 16} {
+		c.Fill(Addr(l*64), 0, false, false)
+	}
+	c.Invalidate(Addr(8 * 64))
+	if !c.ResidentFits(geom(4, 4)) {
+		t.Error("an invalidated line still counts against the candidate's set")
+	}
+	wide := geom(16, 8)
+	wide.LineSize, wide.Size = 128, wide.Size*2
+	if c.ResidentFits(wide) {
+		t.Error("a candidate with another line size fits")
+	}
+}
+
 func TestPrefetchFillAccounting(t *testing.T) {
 	c := MustNew(smallCfg(4, LRU))
 	c.Fill(0x100, 0, true, false) // prefetch fill

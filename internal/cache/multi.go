@@ -269,9 +269,97 @@ func (f *FusedHierarchy) L2(k int) *Cache { return f.l2.Rep(k) }
 // LineSize returns the shared line size in bytes.
 func (f *FusedHierarchy) LineSize() int64 { return f.lineSize }
 
+// PackedOutcome is an Outcome in one machine word — the form the fused
+// sweep's record loop consumes. An Outcome is six fields and 40 bytes,
+// more than the compiler keeps in registers: returned by value it is
+// stored field by field and reloaded, once per record. The word holds
+// the served level, the prefetch-hit bit and two line counts, prefetch
+// fills and DRAM writebacks; the other Outcome fields follow from those,
+// because the walk uses the L3 port once for a demand access that
+// reaches the L3 and once per prefetch fill, and reads one DRAM line
+// for a demand miss and one per prefetch fill. Counts are in lines: all
+// levels of a fused hierarchy share one line size.
+//
+// A private-level hit that moved no data is the bare level, so the
+// record loop recognises the two common cases by comparing the whole
+// word with PackedL1Hit or PackedL2Hit.
+type PackedOutcome uint64
+
+const (
+	// PackedL1Hit and PackedL2Hit are the whole word of an access served
+	// by L1, and of one served by L2 whose L1 fill wrote nothing back to
+	// DRAM.
+	PackedL1Hit = PackedOutcome(LevelL1)
+	PackedL2Hit = PackedOutcome(LevelL2)
+
+	packLevelMask   PackedOutcome = 3      // bits 0-1: ServedBy
+	packPrefetchHit PackedOutcome = 1 << 2 // bit 2: PrefetchHit
+	// Bits 3-32 count prefetch fills and bits 33-63 DRAM writeback lines.
+	// One access adds at most one of each per prefetcher proposal plus
+	// three writebacks, so neither field can carry into its neighbour.
+	packPrefetchShift               = 3
+	packWriteShift                  = 33
+	packPrefetch      PackedOutcome = 1 << packPrefetchShift
+	packWriteLine     PackedOutcome = 1 << packWriteShift
+)
+
+// ServedBy returns the level that served the access.
+func (p PackedOutcome) ServedBy() Level { return Level(p & packLevelMask) }
+
+// PrefetchHit reports whether an L3 line a prefetcher brought in served
+// the access.
+func (p PackedOutcome) PrefetchHit() bool { return p&packPrefetchHit != 0 }
+
+// Prefetches returns how many lines the prefetcher fetched from memory.
+func (p PackedOutcome) Prefetches() int64 {
+	return int64(p>>packPrefetchShift) & (1<<(packWriteShift-packPrefetchShift) - 1)
+}
+
+// L3Uses returns the L3 port uses: the demand lookup, if the access
+// got that far, and one per prefetch fill.
+func (p PackedOutcome) L3Uses() int64 {
+	n := p.Prefetches()
+	if p.ServedBy() >= LevelL3 {
+		n++
+	}
+	return n
+}
+
+// ReadLines returns the lines read from DRAM: the demand line on an L3
+// miss and one per prefetch fill.
+func (p PackedOutcome) ReadLines() int64 {
+	n := p.Prefetches()
+	if p.ServedBy() == LevelMem {
+		n++
+	}
+	return n
+}
+
+// WriteLines returns the lines written back to DRAM.
+func (p PackedOutcome) WriteLines() int64 { return int64(p >> packWriteShift) }
+
+// Outcome expands the word for a hierarchy of the given line size.
+func (p PackedOutcome) Outcome(lineSize int64) Outcome {
+	return Outcome{
+		ServedBy:      p.ServedBy(),
+		PrefetchHit:   p.PrefetchHit(),
+		MemReadBytes:  p.ReadLines() * lineSize,
+		MemWriteBytes: p.WriteLines() * lineSize,
+		L3Accesses:    int(p.L3Uses()),
+		Prefetches:    int(p.Prefetches()),
+	}
+}
+
 // Access performs one demand access on hierarchy replica k and returns
-// its outcome. The address is decoded to a line tag once; per-level set
-// indices are one mask (or modulo) each off that tag.
+// its outcome: AccessPacked's word, expanded.
+func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
+	return f.AccessPacked(k, addr, write).Outcome(f.lineSize)
+}
+
+// AccessPacked performs one demand access on hierarchy replica k and
+// returns its outcome as one word. The address is decoded to a line tag
+// once; per-level set indices are one mask (or modulo) each off that
+// tag.
 //
 // The walk is Hierarchy.Access flattened into a single function: the
 // per-level demand probes, the L3 access-and-fill, the victim
@@ -288,12 +376,10 @@ func (f *FusedHierarchy) LineSize() int64 { return f.lineSize }
 // equivalence against per-size machines.
 //
 //lint:hotpath
-func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
-	var out Outcome
+func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcome {
 	l1 := &f.l1.reps[k]
 	l2 := &f.l2.reps[k]
 	l3 := &f.l3.reps[k]
-	lineSize := f.lineSize
 	tag := uint64(addr) >> f.lineShift
 
 	// L1 demand probe: demand()'s state evolution, stats elided. The
@@ -318,8 +404,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 			l1.nehalemTouch(si1, w)
 		}
 		l1.mru[si1] = int32(w)
-		out.ServedBy = LevelL1
-		return out
+		return PackedL1Hit
 	}
 
 	// L2 demand probe.
@@ -339,17 +424,16 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 			l2.nehalemTouch(si2, w)
 		}
 		l2.mru[si2] = int32(w)
-		out.ServedBy = LevelL2
-		out.MemWriteBytes += fillL1At(l1, l2, l3, si1, base1, tag, write, lineSize)
-		return out
+		return PackedL2Hit + fillL1At(l1, l2, l3, si1, base1, tag, write)
 	}
 
-	// The access reaches this replica's L3: one port use, and the
-	// replica's prefetcher observes the demand line stream here. This
-	// is accessFillTag specialised to the single owner: the stats
-	// pointer is hoisted once and the owner array (always zero in a
-	// replica) is neither read nor written.
-	out.L3Accesses++
+	// The access reaches this replica's L3 — one port use, which the
+	// served level (L3 or memory) implies — and the replica's prefetcher
+	// observes the demand line stream here. This is accessFillTag
+	// specialised to the single owner: the stats pointer is hoisted once
+	// and the owner array (always zero in a replica) is neither read nor
+	// written.
+	var out PackedOutcome
 	si3 := l3.setFor(tag)
 	base3 := int(si3) * l3.ways
 	st := &l3.stats[0]
@@ -366,7 +450,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 		if fl&flagPrefetch != 0 {
 			fl &^= flagPrefetch
 			st.PrefetchHits++
-			out.PrefetchHit = true
+			out |= packPrefetchHit
 		}
 		if write {
 			fl |= flagDirty
@@ -382,7 +466,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 			l3.nehalemTouch(si3, w3)
 		}
 		l3.mru[si3] = int32(w3)
-		out.ServedBy = LevelL3
+		out |= PackedOutcome(LevelL3)
 	} else {
 		// Miss: fillWay inline (demand fills install clean lines), with
 		// the victim's back-invalidation folded into the eviction arm —
@@ -390,8 +474,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 		// line's install commutes with the install.
 		st.Misses++
 		st.Fills++
-		out.ServedBy = LevelMem
-		out.MemReadBytes += lineSize
+		out |= PackedOutcome(LevelMem) // and with it the demand line's DRAM read
 		var victim int
 		if fm := l3.free[si3]; fm != 0 {
 			victim = bits.TrailingZeros64(fm)
@@ -436,7 +519,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 				vDirty = true
 			}
 			if vDirty {
-				out.MemWriteBytes += lineSize
+				out += packWriteLine
 			}
 		}
 		idx := base3 + victim
@@ -454,11 +537,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 		l3.mru[si3] = int32(victim)
 	}
 	if f.hasPF {
-		d := f.trainPrefetcher(k, tag, w3 < 0)
-		out.L3Accesses += d.L3Accesses
-		out.MemReadBytes += d.MemReadBytes
-		out.MemWriteBytes += d.MemWriteBytes
-		out.Prefetches += d.Prefetches
+		out += f.trainPrefetcher(k, tag, w3 < 0)
 	}
 
 	// Fill the private levels at the bases the probes computed. Both
@@ -507,7 +586,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 		if l2.flags[base2+v2]&flagDirty != 0 {
 			vt := l2.tags[base2+v2]
 			if !l3.markDirtyTag(l3.setFor(vt), vt) {
-				out.MemWriteBytes += lineSize
+				out += packWriteLine
 			}
 		}
 	}
@@ -559,7 +638,7 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 			vt := l1.tags[base1+v1]
 			if !l2.markDirtyTag(l2.setFor(vt), vt) {
 				if !l3.markDirtyTag(l3.setFor(vt), vt) {
-					out.MemWriteBytes += lineSize
+					out += packWriteLine
 				}
 			}
 		}
@@ -586,15 +665,15 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 
 // fillL1At installs the line into L1 at the probe-computed set base and
 // chases a dirty victim's writeback through L2, then L3, then memory —
-// Hierarchy.fillL1 on replica state. It returns the DRAM writeback
-// bytes (0 or the line size) rather than mutating an Outcome: keeping
-// Access free of address-taken locals lets its outcome live entirely
-// in registers.
-func fillL1At(l1, l2, l3 *Cache, si1 uint64, base1 int, tag uint64, write bool, lineSize int64) int64 {
+// Hierarchy.fillL1 on replica state. It returns the DRAM writeback as an
+// outcome delta (zero or one write line) rather than mutating the
+// caller's outcome: keeping AccessPacked free of address-taken locals
+// lets its outcome live in a register.
+func fillL1At(l1, l2, l3 *Cache, si1 uint64, base1 int, tag uint64, write bool) PackedOutcome {
 	if vt, wb := l1.fillPrivateAt(si1, base1, tag, write); wb {
 		if !l2.markDirtyTag(l2.setFor(vt), vt) {
 			if !l3.markDirtyTag(l3.setFor(vt), vt) {
-				return lineSize
+				return packWriteLine
 			}
 		}
 	}
@@ -604,30 +683,27 @@ func fillL1At(l1, l2, l3 *Cache, si1 uint64, base1 int, tag uint64, write bool, 
 // trainPrefetcher mirrors Hierarchy.trainPrefetcher for replica k: the
 // demand line feeds the replica's prefetcher, and proposals fill the
 // replica's L3 (a resident proposal is a no-op, exactly as in Fill).
-// The side effects are returned as an Outcome-shaped delta (ServedBy
-// and PrefetchHit unused) so the caller's outcome stays register
-// resident.
-func (f *FusedHierarchy) trainPrefetcher(k int, tag uint64, miss bool) Outcome {
-	var d Outcome
+// The side effects are returned as an outcome delta — prefetch fills
+// and the writebacks their evictions caused — so the caller's outcome
+// stays register resident.
+func (f *FusedHierarchy) trainPrefetcher(k int, tag uint64, miss bool) PackedOutcome {
+	var d PackedOutcome
 	l3 := &f.l3.reps[k]
 	for _, pl := range f.pf[k].Observe(tag, miss) {
 		r := l3.fillTag(l3.setFor(pl), pl, 0, true, false)
 		if r.Hit {
 			continue // already resident; nothing was disturbed
 		}
-		d.L3Accesses++
-		d.MemReadBytes += f.lineSize
-		d.Prefetches++
-		d.MemWriteBytes += f.backInvalidate(k, r.Evicted)
+		d += packPrefetch + f.backInvalidate(k, r.Evicted)
 	}
 	return d
 }
 
 // backInvalidate removes an evicted L3 victim from replica k's private
-// caches (inclusive L3), returning the DRAM writeback bytes the
-// eviction causes. Replicas are single-owner, so only the single-owner
-// arm of Hierarchy.backInvalidate is mirrored.
-func (f *FusedHierarchy) backInvalidate(k int, ev Evicted) int64 {
+// caches (inclusive L3), returning the DRAM writeback the eviction
+// causes (zero or one write line). Replicas are single-owner, so only
+// the single-owner arm of Hierarchy.backInvalidate is mirrored.
+func (f *FusedHierarchy) backInvalidate(k int, ev Evicted) PackedOutcome {
 	if !ev.Valid {
 		return 0
 	}
@@ -642,7 +718,7 @@ func (f *FusedHierarchy) backInvalidate(k int, ev Evicted) int64 {
 		dirty = true
 	}
 	if dirty {
-		return f.lineSize
+		return packWriteLine
 	}
 	return 0
 }

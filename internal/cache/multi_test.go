@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cachepirate/internal/prefetch"
 	"cachepirate/internal/stats"
 )
 
@@ -128,5 +129,58 @@ func TestFusedBackingGrows(t *testing.T) {
 	}
 	if _, err := NewFusedBacking(hcfg, [][]Config{{{Size: 1000, Ways: 3, LineSize: 64}}}); err == nil {
 		t.Error("backing accepted an invalid L3 geometry")
+	}
+}
+
+// TestFusedAccessOutcomeMatchesHierarchy pins the packed outcome's
+// decode: FusedHierarchy.Access — AccessPacked's word, expanded — must
+// return Hierarchy.Access's Outcome field for field on every access,
+// including the fields the word only implies (L3 port uses and DRAM
+// read bytes follow from the served level and the prefetch count), with
+// a prefetcher filling several lines per access and an L3 small enough
+// that writebacks reach DRAM.
+func TestFusedAccessOutcomeMatchesHierarchy(t *testing.T) {
+	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
+		hcfg := HierarchyConfig{
+			Cores: 1,
+			L1:    Config{Size: 1 << 10, Ways: 2, LineSize: 64, Policy: PseudoLRU},
+			L2:    Config{Size: 4 << 10, Ways: 4, LineSize: 64, Policy: PseudoLRU},
+			L3:    Config{Size: 16 << 10, Ways: 8, LineSize: 64, Policy: policy},
+			NewPrefetcher: func() prefetch.Prefetcher {
+				return prefetch.NewStream(prefetch.StreamConfig{Streams: 4, Degree: 3, Confirm: 2})
+			},
+		}
+		h, err := NewHierarchy(hcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := NewFusedHierarchyL3(hcfg, []Config{hcfg.L3}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := stats.NewRNG(5)
+		var prefetches, writebacks, prefetchHit bool
+		addr := Addr(0)
+		for i := 0; i < 40000; i++ {
+			// Sequential runs train the prefetcher; random jumps over
+			// three times the L3 keep every level evicting.
+			if rng.Intn(8) == 0 {
+				addr = Addr(rng.Intn(48<<10)) &^ 63
+			} else {
+				addr += 64
+			}
+			write := rng.Intn(3) == 0
+			want := h.Access(0, addr, write)
+			if got := f.Access(0, addr, write); got != want {
+				t.Fatalf("%v: access %d (%#x, write %v) = %+v, Hierarchy.Access %+v", policy, i, addr, write, got, want)
+			}
+			prefetches = prefetches || want.Prefetches > 1
+			writebacks = writebacks || want.MemWriteBytes > 64
+			prefetchHit = prefetchHit || want.PrefetchHit
+		}
+		if !prefetches || !writebacks || !prefetchHit {
+			t.Errorf("%v: stream never produced a multi-line prefetch (%v), a multi-line writeback (%v) or a prefetch hit (%v)",
+				policy, prefetches, writebacks, prefetchHit)
+		}
 	}
 }

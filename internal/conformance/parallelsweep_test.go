@@ -14,9 +14,13 @@ import (
 // at the small matrix geometry) and decode widths, way-shrunk and (at
 // widths 2 and 3) set-shrunk. Each cell pins four curves to
 // bit-identity: serial fused (oracle), wide in-memory, wide over the
-// sync streaming Reader, wide over the ParallelReader.
+// sync streaming Reader, wide over the ParallelReader — at each
+// footprint of sweepSpans, because how much a wide sweep clones depends
+// on which groups start before the footprint probe is done: the serial
+// sweep clones every fit, a wide one anything from none to all of them,
+// and the curves may not tell.
 func TestParallelSweepEquivalenceMatrix(t *testing.T) {
-	tr := sweepTestTrace(4000)
+	traces := spanTraces(4000)
 	policies := []cache.PolicyKind{cache.LRU, cache.PseudoLRU, cache.Nehalem, cache.Random}
 	for _, policy := range policies {
 		for _, mode := range []simulate.SweepMode{simulate.ByWays, simulate.BySets} {
@@ -44,8 +48,12 @@ func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 							Engine:  simulate.EngineFused,
 							NoWarm:  noWarm,
 						}
-						if err := CheckParallelSweepEquivalence(cfg, tr, 256, shards, decode); err != nil {
-							t.Fatal(err)
+						for i, sp := range sweepSpans {
+							t.Run(sp.name, func(t *testing.T) {
+								if err := CheckParallelSweepEquivalence(cfg, traces[i], 256, shards, decode); err != nil {
+									t.Fatal(err)
+								}
+							})
 						}
 					})
 				}

@@ -13,9 +13,10 @@ import (
 // the decode block budget is bit-identical to the in-memory path. The
 // 20k-record trace against 512-record frames puts ~40 frame
 // boundaries inside every pass, across both sweep engines, warm and
-// cold, serial and parallel.
+// cold, serial and parallel, at each footprint of sweepSpans (a fused
+// sweep that clones opens fewer streams, a proven group none).
 func TestStreamSweepParity(t *testing.T) {
-	tr := sweepTestTrace(20000)
+	traces := spanTraces(20000)
 	const frameRecords = 512 // block budget; trace is 40× larger
 	for _, engine := range []simulate.Engine{simulate.EngineFused, simulate.EnginePerSize} {
 		for _, noWarm := range []bool{false, true} {
@@ -29,8 +30,12 @@ func TestStreamSweepParity(t *testing.T) {
 						NoWarm:  noWarm,
 						Workers: workers,
 					}
-					if err := CheckStreamEquivalence(cfg, tr, frameRecords); err != nil {
-						t.Fatal(err)
+					for i, sp := range sweepSpans {
+						t.Run(sp.name, func(t *testing.T) {
+							if err := CheckStreamEquivalence(cfg, traces[i], frameRecords); err != nil {
+								t.Fatal(err)
+							}
+						})
 					}
 				})
 			}

@@ -14,6 +14,7 @@ import (
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/report"
 	"cachepirate/internal/runner"
+	"cachepirate/internal/simulate"
 	"cachepirate/internal/workload"
 )
 
@@ -265,6 +266,11 @@ type Stats struct {
 	// Runner reports the v2 frame-decode pool live (workers, queue
 	// depth, frames being decoded). Quiescent servers read zero.
 	Runner runner.UtilStats `json:"runner"`
+	// Sweep counts, over every fused sweep so far, the sizes replayed
+	// and the sizes that took the largest size's point because the
+	// trace cannot overflow them: why one miss costs a fraction of
+	// another. A cache hit moves neither.
+	Sweep simulate.ReplicaStats `json:"sweep"`
 	// WriteFailures counts responses whose body write failed after the
 	// status was committed (client disconnects, resets).
 	WriteFailures uint64 `json:"write_failures"`
@@ -285,6 +291,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Traces:        s.store.Len(),
 		SweepWorkers:  s.sweepWorkers,
 		Runner:        runner.Util(),
+		Sweep:         simulate.SweepReplicaStats(),
 		WriteFailures: s.writeFailures.Load(),
 	})
 }

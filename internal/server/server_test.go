@@ -13,6 +13,7 @@ import (
 
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/runner"
+	"cachepirate/internal/simulate"
 )
 
 // newTestServer builds a Server over a fresh store with a tiny stub
@@ -338,5 +339,39 @@ func TestStatszSweepWorkers(t *testing.T) {
 	}
 	if st.SweepWorkers != 3 {
 		t.Errorf("sweep_workers = %d, want 3", st.SweepWorkers)
+	}
+}
+
+// TestStatszSweepReplicas: a fused-curve miss moves both footprint-probe
+// counters on /statsz — the 2000-record trace overflows only the few
+// smallest of the 16 L3 sizes, so those and the probe replay and the
+// rest take the probe's point — and a hit on the same key moves neither.
+// The counters are process-wide, so the test reads deltas.
+func TestStatszSweepReplicas(t *testing.T) {
+	s, hash := newTestServer(t, Config{})
+	s.compute = s.computeDirect // newTestServer stubs the engines out
+	sweep := func() simulate.ReplicaStats {
+		t.Helper()
+		var st Stats
+		if err := json.Unmarshal(do(t, s, http.MethodGet, "/statsz", nil).Body.Bytes(), &st); err != nil {
+			t.Fatal(err)
+		}
+		return st.Sweep
+	}
+	get := func() {
+		t.Helper()
+		if rec := do(t, s, http.MethodGet, "/v1/curves?trace="+hash, nil); rec.Code != http.StatusOK {
+			t.Fatalf("GET /v1/curves: status %d (body %q)", rec.Code, rec.Body.String())
+		}
+	}
+	idle := sweep()
+	get()
+	miss := sweep()
+	if dr, dc := miss.ReplicasReplayed-idle.ReplicasReplayed, miss.ReplicasCloned-idle.ReplicasCloned; dr < 1 || dc < 1 || dr+dc != 16 {
+		t.Errorf("a miss moved the sweep counters by %d replayed / %d cloned, want some of each and 16 in all", dr, dc)
+	}
+	get()
+	if hit := sweep(); hit != miss {
+		t.Errorf("a cache hit moved the sweep counters: %+v -> %+v", miss, hit)
 	}
 }

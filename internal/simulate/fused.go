@@ -19,7 +19,9 @@
 // the host's cache. The sweep therefore replays the sizes in
 // consecutive replica groups of bounded line state (fusedGroupLines),
 // each over its own freshly opened source; Config.Workers is how many
-// groups replay at once.
+// groups replay at once. The largest size goes first, alone, as a
+// footprint probe: a size the trace provably cannot overflow takes the
+// probe's point instead of a replay (sweepFusedGrouped).
 //
 // Bit-identity with the per-size path is load-bearing and rests on
 // three facts. First, a single-core machine's scheduler is trivial:
@@ -31,8 +33,8 @@
 // (previous clock, bandwidth cursors, hierarchy outcome); replayBlock
 // reproduces stepCore's float64 operations in the same order, so the
 // sums round identically. Third, the hierarchy replicas start
-// bit-identical to fresh machines and cache.FusedHierarchy.Access is
-// step-for-step Hierarchy.Access. conformance.CheckSweepEquivalence
+// bit-identical to fresh machines and cache.FusedHierarchy.AccessPacked
+// is step-for-step Hierarchy.Access. conformance.CheckSweepEquivalence
 // pins all of this down against the retained per-size oracle.
 package simulate
 
@@ -40,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/cache"
@@ -59,9 +62,10 @@ const fusedBlock = 256
 // fusedGroupLines is the sweep's replica-group budget in L3 lines:
 // consecutive sizes are replayed together while their summed L3 line
 // count fits. Twice the Nehalem L3 (about 5.5 MB of line state) splits
-// the default 16 sizes into 5 groups; all 16 at once interleave 23 MB
-// of line state, which no host cache holds, and the sweep's speed then
-// follows whatever else shares the host's last-level cache.
+// the default 16 sizes into the probe and 5 groups; all 16 at once
+// interleave 23 MB of line state, which no host cache holds, and the
+// sweep's speed then follows whatever else shares the host's last-level
+// cache.
 const fusedGroupLines = 1 << 18
 
 // repClock is one replica's timing state: the fields a per-size
@@ -102,6 +106,16 @@ type fusedEngine struct {
 	l3LineCyc   float64 // float64(lineSize) / l3BPC
 	dramLineCyc float64 // float64(lineSize) / dramBPC
 
+	// Precomputed cycles of a record a private level serves: the
+	// BaseCPI + cpu.AccessCost sum cpu.Core.RetireAccess adds to the
+	// clock. For an L1 or L2 hit it depends on the core parameters and
+	// the MLP alone, so evaluating it once here is the very expression
+	// the per-size path evaluates per record, on the same operands —
+	// bit-equal, as for the line service times above — and keeps the
+	// L2Cost/mlp FDIV out of the record loop.
+	l1HitCyc float64
+	l2HitCyc float64
+
 	warm int
 	clk  []repClock
 	base []counters.Sample
@@ -140,6 +154,8 @@ func newFusedEngine(cfg Config, l3 []cache.Config, backing *cache.FusedBacking) 
 		chunkCycles: float64(machine.StepChunk) * cfg.Machine.CPU.BaseCPI,
 		l3LineCyc:   float64(cfg.Machine.L3.LineSize) / cfg.Machine.L3Port.BytesPerCycle,
 		dramLineCyc: float64(cfg.Machine.L3.LineSize) / cfg.Machine.DRAM.BytesPerCycle,
+		l1HitCyc:    cfg.Machine.CPU.BaseCPI + cpu.AccessCost(cfg.Machine.CPU, cache.Outcome{ServedBy: cache.LevelL1}, 0, 0, mlp),
+		l2HitCyc:    cfg.Machine.CPU.BaseCPI + cpu.AccessCost(cfg.Machine.CPU, cache.Outcome{ServedBy: cache.LevelL2}, 0, 0, mlp),
 		warm:        cfg.WarmPasses,
 		clk:         make([]repClock, len(l3)),
 		base:        make([]counters.Sample, len(l3)),
@@ -228,10 +244,13 @@ func (e *fusedEngine) replayAll(ctx context.Context, blk []trace.Record) error {
 
 // replayBlock advances replica k through one block of records. This is
 // the size-inner loop of the fused sweep: all timing state lives in
-// locals, and each record costs one FusedHierarchy.Access plus the
+// locals, and each record costs one FusedHierarchy.AccessPacked plus the
 // same float64 timing recurrence stepCore computes — term for term, in
 // stepCore's evaluation order, so the clocks agree bit for bit with a
-// per-size machine replay.
+// per-size machine replay. The outcome arrives as one word, so it stays
+// in a register, and a private-level hit that moved no data — most
+// records — is charged its precomputed cost without touching the
+// bandwidth servers, which such a record leaves alone in stepCore too.
 //
 //lint:hotpath
 func (e *fusedEngine) replayBlock(blk []trace.Record, k int) {
@@ -244,7 +263,7 @@ func (e *fusedEngine) replayBlock(blk []trace.Record, k int) {
 	memRead := t.memRead
 	memWrite := t.memWrite
 	// Hoist every engine field the loop reads: the compiler cannot
-	// prove the Access call leaves *e unchanged, so field reads inside
+	// prove the access call leaves *e unchanged, so field reads inside
 	// the loop would reload from memory every record.
 	fh := e.fh
 	params := e.params
@@ -257,6 +276,8 @@ func (e *fusedEngine) replayBlock(blk []trace.Record, k int) {
 	mlp := e.mlp
 	l3LineCyc := e.l3LineCyc
 	dramLineCyc := e.dramLineCyc
+	l1HitCyc := e.l1HitCyc
+	l2HitCyc := e.l2HitCyc
 
 	for _, rec := range blk {
 		// Leading instructions, chunked as stepCore retires them.
@@ -270,61 +291,70 @@ func (e *fusedEngine) replayBlock(blk []trace.Record, k int) {
 			instrs += uint64(n)
 			cycles += float64(n) * baseCPI
 		}
-		now := cycles
+		instrs++
+		memAccs++
 
-		out := fh.Access(k, cache.Addr(rec.Addr), rec.Write)
+		out := fh.AccessPacked(k, cache.Addr(rec.Addr), rec.Write)
+		if out == cache.PackedL1Hit {
+			cycles += l1HitCyc
+			continue
+		}
+		if out == cache.PackedL2Hit {
+			cycles += l2HitCyc
+			continue
+		}
+		now := cycles
 
 		// L3 port queueing (mem.Server.Request on the l3port server).
 		var l3Queue, memDelay float64
-		if out.L3Accesses > 0 {
+		if uses := out.L3Uses(); uses > 0 {
 			start := now
 			if l3Free > start {
 				l3Queue = l3Free - now
 				start = l3Free
 			}
-			if out.L3Accesses == 1 {
+			if uses == 1 {
 				l3Free = start + l3LineCyc
 			} else {
-				l3Free = start + float64(int64(out.L3Accesses)*lineSize)/l3BPC
+				l3Free = start + float64(uses*lineSize)/l3BPC
 			}
 		}
 		// DRAM read, then writeback — stepCore's request order.
-		if out.MemReadBytes > 0 {
+		if lines := out.ReadLines(); lines > 0 {
 			var backlog float64
 			start := now
 			if dramFree > start {
 				backlog = dramFree - now
 				start = dramFree
 			}
-			if out.MemReadBytes == lineSize {
+			if lines == 1 {
 				dramFree = start + dramLineCyc
 			} else {
-				dramFree = start + float64(out.MemReadBytes)/dramBPC
+				dramFree = start + float64(lines*lineSize)/dramBPC
 			}
-			if out.ServedBy == cache.LevelMem {
+			if out.ServedBy() == cache.LevelMem {
 				memDelay = dramFree + dramLat - now
 			} else {
 				memDelay = backlog
 			}
-			memRead += uint64(out.MemReadBytes)
+			memRead += uint64(lines * lineSize)
 		}
-		if out.MemWriteBytes > 0 {
+		if lines := out.WriteLines(); lines > 0 {
 			start := now
 			if dramFree > start {
 				start = dramFree
 			}
-			if out.MemWriteBytes == lineSize {
+			if lines == 1 {
 				dramFree = start + dramLineCyc
 			} else {
-				dramFree = start + float64(out.MemWriteBytes)/dramBPC
+				dramFree = start + float64(lines*lineSize)/dramBPC
 			}
-			memWrite += uint64(out.MemWriteBytes)
+			memWrite += uint64(lines * lineSize)
 		}
 
-		cost := cpu.AccessCost(params, out, memDelay, l3Queue, mlp)
-		cycles += baseCPI + cost
-		instrs++
-		memAccs++
+		// AccessCost reads the served level and the prefetch-hit bit only.
+		served := cache.Outcome{ServedBy: out.ServedBy(), PrefetchHit: out.PrefetchHit()}
+		cycles += baseCPI + cpu.AccessCost(params, served, memDelay, l3Queue, mlp)
 	}
 
 	t.cycles = cycles
@@ -354,20 +384,18 @@ func (e *fusedEngine) sample(k int) counters.Sample {
 	}
 }
 
-// points writes the measured-pass curve point of every replica to
-// pts, replica k under sizes[k].
-func (e *fusedEngine) points(pts []analysis.Point, sizes []int64) {
-	for k := range e.clk {
-		s := e.sample(k).Sub(e.base[k])
-		pts[k] = analysis.Point{
-			CacheBytes:   sizes[k],
-			CPI:          s.CPI(),
-			BandwidthGBs: s.BandwidthGBs(e.params.FreqHz),
-			FetchRatio:   s.FetchRatio(),
-			MissRatio:    s.MissRatio(),
-			Trusted:      true,
-			Samples:      1,
-		}
+// point returns replica k's measured-pass curve point, labelled with
+// the sweep size the replica stands for.
+func (e *fusedEngine) point(k int, size int64) analysis.Point {
+	s := e.sample(k).Sub(e.base[k])
+	return analysis.Point{
+		CacheBytes:   size,
+		CPI:          s.CPI(),
+		BandwidthGBs: s.BandwidthGBs(e.params.FreqHz),
+		FetchRatio:   s.FetchRatio(),
+		MissRatio:    s.MissRatio(),
+		Trusted:      true,
+		Samples:      1,
 	}
 }
 
@@ -388,7 +416,7 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 // the group budget nor the width can change any point
 // (conformance.CheckParallelSweepEquivalence).
 func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), mcfgs []machine.Config) (*analysis.Curve, error) {
-	points, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
+	points, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
 	if err != nil {
 		return nil, err
 	}
@@ -397,23 +425,75 @@ func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockS
 	return curve, nil
 }
 
-// replicaGroups splits l3 into consecutive groups whose summed L3 line
-// count fits budget and whose replica count fits ceil(len(l3)/workers),
-// so a sweep small enough for one group still splits across workers. A
-// replica larger than the budget gets a group of its own.
-func replicaGroups(l3 []cache.Config, budget, workers int) [][]cache.Config {
-	maxReps := (len(l3) + workers - 1) / workers
-	var groups [][]cache.Config
-	lo, lines := 0, 0
+// Sweep-wide counts of what the footprint probe saved, for a serving
+// process to report (cmd/curved exposes them on /statsz): a curve miss
+// that took a fraction of the usual time shows up as replicas cloned.
+var (
+	replicasReplayed atomic.Int64 // replicas advanced through a whole replay
+	replicasCloned   atomic.Int64 // replicas given the probe's point instead
+)
+
+// ReplicaStats counts, over every fused sweep of the process so far,
+// how each swept size got its point.
+type ReplicaStats struct {
+	// ReplicasReplayed is how many sizes were replayed record by record.
+	ReplicasReplayed int64 `json:"replicas_replayed"`
+	// ReplicasCloned is how many took the largest size's point because
+	// the trace provably cannot overflow them (see sweepFusedGrouped).
+	ReplicasCloned int64 `json:"replicas_cloned"`
+}
+
+// SweepReplicaStats returns the current counts.
+func SweepReplicaStats() ReplicaStats {
+	return ReplicaStats{
+		ReplicasReplayed: replicasReplayed.Load(),
+		ReplicasCloned:   replicasCloned.Load(),
+	}
+}
+
+// replicaGroups splits the replicas of a sweep, by index into l3, into
+// the groups that replay together. Group 0 is the footprint probe, the
+// largest size on its own. The others follow in sweep order, in
+// consecutive groups whose summed L3 line count fits budget and whose
+// replica count fits ceil(others/workers), so a sweep small enough for
+// one group still splits across workers. A replica larger than the
+// budget gets a group of its own.
+func replicaGroups(l3 []cache.Config, budget, workers int) [][]int {
+	probe := 0
 	for k, c := range l3 {
-		n := int(c.Size / c.LineSize)
-		if k > lo && (lines+n > budget || k-lo == maxReps) {
-			groups = append(groups, l3[lo:k])
-			lo, lines = k, 0
+		if c.Size > l3[probe].Size {
+			probe = k
 		}
+	}
+	groups := [][]int{{probe}}
+	maxReps := (len(l3) - 1 + workers - 1) / workers
+	var group []int
+	lines := 0
+	for k, c := range l3 {
+		if k == probe {
+			continue
+		}
+		n := int(c.Size / c.LineSize)
+		if len(group) > 0 && (lines+n > budget || len(group) == maxReps) {
+			groups = append(groups, group)
+			group, lines = nil, 0
+		}
+		group = append(group, k)
 		lines += n
 	}
-	return append(groups, l3[lo:])
+	if len(group) > 0 {
+		groups = append(groups, group)
+	}
+	return groups
+}
+
+// pick returns the L3 configs of the given replicas.
+func pick(l3 []cache.Config, reps []int) []cache.Config {
+	out := make([]cache.Config, len(reps))
+	for i, k := range reps {
+		out[i] = l3[k]
+	}
+	return out
 }
 
 // sweepFusedGrouped is the fused sweep: the sizes advance through the
@@ -422,40 +502,91 @@ func replicaGroups(l3 []cache.Config, budget, workers int) [][]cache.Config {
 // group's line state is carved from one of cfg.Workers backing blocks,
 // each sized up front for the largest group, so a sweep allocates the
 // line state of the groups in flight rather than of all sizes.
-func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, error) {
+//
+// The first group is the largest size alone, replayed as a footprint
+// probe. If its L3 finishes every pass without one eviction, it holds
+// every line the trace and its prefetcher ever filled, and any other
+// size whose geometry seats those lines at most Ways to a set
+// (cache.ResidentFits) never evicts either: no eviction means no
+// back-invalidation, so its private levels, its L3 demand stream and
+// its prefetcher evolve as the probe's did; the same lines are resident
+// at every step, so every lookup hits or misses alike; and no victim is
+// ever drawn, so replacement state — all that differs — is never read.
+// The same outcome stream through the same timing recurrence is the
+// same point, for any policy, geometry or warm-up, and such a size is
+// given the probe's point under its own CacheBytes instead of a replay.
+// A group checks which of its replicas are proven when it starts (at
+// Workers > 1 it may start before the probe is done, and then replays
+// them all), and a group with none left opens no source. When the probe
+// does evict, nothing is proven and every size replays.
+//
+// The second result is how many replicas were replayed; the rest were
+// cloned.
+func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, int, error) {
 	pool := runner.Pool{Workers: cfg.Workers}
 	groups := replicaGroups(l3, budget, pool.EffectiveWorkers(len(l3)))
+	groupL3 := make([][]cache.Config, len(groups))
+	for g, reps := range groups {
+		groupL3[g] = pick(l3, reps)
+	}
 	workers := pool.EffectiveWorkers(len(groups))
 	// Free list of backings: a group takes one for its replay and hands
 	// it back, so at most workers are ever held and the receive below
 	// never blocks.
 	backings := make(chan *cache.FusedBacking, workers)
 	for w := 0; w < workers; w++ {
-		b, err := cache.NewFusedBacking(hierarchyConfig(cfg), groups)
+		b, err := cache.NewFusedBacking(hierarchyConfig(cfg), groupL3)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		backings <- b
 	}
-	first := make([]int, len(groups)) // index in l3 of each group's first replica
-	for g := 1; g < len(groups); g++ {
-		first[g] = first[g-1] + len(groups[g-1])
-	}
 	points := make([]analysis.Point, len(l3))
+	probe := groups[0][0]
+	// Per replica, whether its point is the probe's: stored by group 0
+	// once, after points[probe], and only if the probe never evicted.
+	var proven atomic.Pointer[[]bool]
+	var replayed atomic.Int64
 	err := runner.Run(ctx, pool, len(groups), func(ctx context.Context, g int) error {
+		reps := groups[g]
+		if fits := proven.Load(); fits != nil {
+			reps = nil
+			for _, k := range groups[g] {
+				if (*fits)[k] {
+					points[k] = points[probe]
+					points[k].CacheBytes = cfg.Sizes[k]
+					continue
+				}
+				reps = append(reps, k)
+			}
+			if len(reps) == 0 {
+				return nil
+			}
+		}
 		backing := <-backings
 		defer func() { backings <- backing }()
-		e, err := newFusedEngine(cfg, groups[g], backing)
+		e, err := newFusedEngine(cfg, pick(l3, reps), backing)
 		if err != nil {
 			return err
 		}
 		if err := e.replay(ctx, open); err != nil {
 			return err
 		}
-		lo, hi := first[g], first[g]+len(groups[g])
-		e.points(points[lo:hi], cfg.Sizes[lo:hi])
+		replayed.Add(int64(len(reps)))
+		for i, k := range reps {
+			points[k] = e.point(i, cfg.Sizes[k])
+		}
+		if c := e.fh.L3(0); g == 0 && c.Stats(0).Evictions == 0 {
+			fits := make([]bool, len(l3))
+			for k := range l3 {
+				fits[k] = c.ResidentFits(l3[k])
+			}
+			proven.Store(&fits)
+		}
 		return nil
 	})
+	n := int(replayed.Load())
+	replicasReplayed.Add(int64(n))
 	if err != nil {
 		// Every group replays the same trace, so which one failed is
 		// noise to the caller: drop runner's "task N" wrapper and the
@@ -463,7 +594,8 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		if cause := errors.Unwrap(err); cause != nil {
 			err = cause
 		}
-		return nil, err
+		return nil, n, err
 	}
-	return points, nil
+	replicasCloned.Add(int64(len(l3) - n))
+	return points, n, nil
 }

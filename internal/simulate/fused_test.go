@@ -34,10 +34,14 @@ func benchSweepSizes(policy cache.PolicyKind) []int64 {
 var benchPolicies = []cache.PolicyKind{cache.Nehalem, cache.LRU, cache.PseudoLRU, cache.Random}
 
 // benchSweepEngine runs the BenchmarkSweepSerial workload on one
-// engine: per L3 policy by ways, and once by sets.
+// engine: per L3 policy by ways, and once by sets. Then the footprint
+// probe's two outcomes, on the default 16-size sweep of the Nehalem
+// machine over 200k random accesses: "fits" (256 KB, one line to every
+// other set: the fused engine replays the largest size and clones 15
+// points) and "overflows" (32 MB, 24 lines to a set: the probe evicts,
+// every size replays, and the probe has cost one group's decode).
 func benchSweepEngine(b *testing.B, engine Engine) {
-	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
-	run := func(name string, cfg Config) {
+	run := func(name string, cfg Config, tr *trace.Trace) {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := Sweep(cfg, tr); err != nil {
@@ -46,14 +50,21 @@ func benchSweepEngine(b *testing.B, engine Engine) {
 			}
 		})
 	}
+	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
 	for _, policy := range benchPolicies {
 		cfg := benchSweepConfig(policy, engine)
 		cfg.Sizes = benchSweepSizes(policy)
-		run(policy.String(), cfg)
+		run(policy.String(), cfg, tr)
 	}
 	cfg := benchSweepConfig(cache.Nehalem, engine)
 	cfg.Mode = BySets
-	run("nehalem-bysets", cfg)
+	run("nehalem-bysets", cfg, tr)
+	for _, tc := range []struct {
+		name string
+		span int64
+	}{{"fits", 256 << 10}, {"overflows", 32 << 20}} {
+		run(tc.name, Config{Workers: 1, Engine: engine}, CaptureTrace(randFactory(tc.span), 1, 0, 200_000))
+	}
 }
 
 // BenchmarkSweepFused measures the fused engine on the
@@ -101,7 +112,7 @@ func sweepL3(t *testing.T, cfg Config) []cache.Config {
 }
 
 // groupLens returns the replica count of each group.
-func groupLens(groups [][]cache.Config) []int {
+func groupLens(groups [][]int) []int {
 	lens := make([]int, len(groups))
 	for g := range groups {
 		lens[g] = len(groups[g])
@@ -109,9 +120,10 @@ func groupLens(groups [][]cache.Config) []int {
 	return lens
 }
 
-// TestReplicaGroups pins the grouping rule: consecutive replicas,
-// summed L3 lines within the budget and at most ceil(sizes/workers)
-// replicas, an oversized replica alone.
+// TestReplicaGroups pins the grouping rule: the largest size first and
+// alone (the footprint probe), then consecutive replicas, summed L3
+// lines within the budget and at most ceil(others/workers) replicas, an
+// oversized replica alone.
 func TestReplicaGroups(t *testing.T) {
 	cfg := Config{Machine: smallMachine()}.withDefaults() // 16 sizes of 64..1024 lines
 	l3 := sweepL3(t, cfg)
@@ -120,12 +132,12 @@ func TestReplicaGroups(t *testing.T) {
 		want            []int
 	}{
 		{1, 1, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}}, // every replica over budget
-		{2048, 1, []int{7, 3, 2, 2, 2}},                               // twice the full L3: the production ratio
-		{2048, 2, []int{7, 3, 2, 2, 2}},
-		{2048, 4, []int{4, 4, 3, 2, 2, 1}},
-		{1 << 30, 1, []int{16}},
-		{1 << 30, 2, []int{8, 8}}, // a sweep that fits one group still splits across workers
-		{1 << 30, 3, []int{6, 6, 4}},
+		{2048, 1, []int{1, 7, 3, 2, 2, 1}},                            // twice the full L3: the production ratio
+		{2048, 2, []int{1, 7, 3, 2, 2, 1}},
+		{2048, 4, []int{1, 4, 4, 3, 2, 2}},
+		{1 << 30, 1, []int{1, 15}},
+		{1 << 30, 2, []int{1, 8, 7}}, // a sweep that fits one group still splits across workers
+		{1 << 30, 3, []int{1, 5, 5, 5}},
 		{1 << 30, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
 	} {
 		if got := groupLens(replicaGroups(l3, tc.budget, tc.workers)); !reflect.DeepEqual(got, tc.want) {
@@ -137,19 +149,29 @@ func TestReplicaGroups(t *testing.T) {
 		workers int
 		want    []int
 	}{
-		{1, []int{7, 3, 2, 2, 2}},
-		{2, []int{7, 3, 2, 2, 2}},
-		{4, []int{4, 4, 3, 2, 2, 1}},
+		{1, []int{1, 7, 3, 2, 2, 1}},
+		{2, []int{1, 7, 3, 2, 2, 1}},
+		{4, []int{1, 4, 4, 3, 2, 2}},
 	} {
 		if got := groupLens(replicaGroups(nehalem, fusedGroupLines, tc.workers)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("default Nehalem sweep at %d workers has group sizes %v, want %v", tc.workers, got, tc.want)
 		}
 	}
+	// The probe is the largest size wherever it stands, the first of
+	// equals, and the others keep their sweep order around it.
+	cfg.Sizes = []int64{8 << 10, 64 << 10, 4 << 10, 64 << 10, 16 << 10}
+	want := [][]int{{1}, {0, 2}, {3, 4}}
+	if got := replicaGroups(sweepL3(t, cfg), 1<<30, 2); !reflect.DeepEqual(got, want) {
+		t.Errorf("unsorted sizes %v group as %v, want %v", cfg.Sizes, got, want)
+	}
+	if got := replicaGroups(l3[:1], 2048, 1); !reflect.DeepEqual(got, [][]int{{0}}) {
+		t.Errorf("a one-size sweep groups as %v, want the probe alone", got)
+	}
 }
 
 // TestFusedGroupBoundaries pins that the group budget and the sweep
 // width are wall-clock choices only: 1 replica per group, 2-3 per group
-// and a single group, replayed 1, 2, 3 or 8 at a time, all produce the
+// and one group beside the probe, replayed 1, 2, 3 or 8 at a time, all produce the
 // per-size oracle's curve bit for bit, in both sweep modes, from an
 // in-memory replayer and from a streamed file (each group opens its own
 // source).
@@ -185,14 +207,14 @@ func TestFusedGroupBoundaries(t *testing.T) {
 		}
 		cfg = cfg.withDefaults()
 		l3 := sweepL3(t, cfg)
-		for _, tc := range []struct{ budget, groups int }{{1, 16}, {2048, 5}, {1 << 30, 1}} {
+		for _, tc := range []struct{ budget, groups int }{{1, 16}, {2048, 6}, {1 << 30, 2}} {
 			if got := len(replicaGroups(l3, tc.budget, 1)); got != tc.groups {
 				t.Fatalf("mode %d budget %d: %d groups, want %d", mode, tc.budget, got, tc.groups)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg.Workers = workers
 				for _, src := range sources {
-					pts, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
+					pts, _, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
 					if err != nil {
 						t.Fatalf("mode %d budget %d j=%d %s: %v", mode, tc.budget, workers, src.name, err)
 					}

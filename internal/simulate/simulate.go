@@ -109,14 +109,14 @@ type Config struct {
 	// value, so it is promoted to 1.)
 	NoWarm bool
 	// Workers bounds the sweep's parallelism. The fused engine replays
-	// the sizes in consecutive replica groups of bounded line state,
-	// each over its own source, and Workers is how many groups replay
-	// at once (1: one after another on the calling goroutine; a group
-	// holds at most ceil(sizes/Workers) replicas, so a small sweep
-	// still splits — DESIGN.md §11). On the per-size engine each size
-	// gets its own fresh machine and trace replayer. Results are
-	// bit-identical at any width either way; <= 0 means one worker per
-	// CPU.
+	// the largest size on its own, then the others in consecutive
+	// replica groups of bounded line state, each over its own source,
+	// and Workers is how many groups replay at once (1: one after
+	// another on the calling goroutine; a group holds at most
+	// ceil(others/Workers) replicas, so a small sweep still splits —
+	// DESIGN.md §11). On the per-size engine each size gets its own
+	// fresh machine and trace replayer. Results are bit-identical at
+	// any width either way; <= 0 means one worker per CPU.
 	Workers int
 }
 
@@ -180,9 +180,11 @@ func shrunkMachines(cfg Config) ([]machine.Config, error) {
 // reference curve: per size, WarmPasses replays warm the hierarchy,
 // then one replay is measured through the counters. Both sweep modes
 // default to the fused engine — one trace replay advancing a group of
-// sizes simultaneously (see fused.go); EnginePerSize, one fresh machine
-// per size, is the oracle. Both engines produce bit-identical curves at
-// any worker count, with points collected in size order.
+// sizes simultaneously, and no replay at all for a size the trace
+// provably cannot overflow (see fused.go); EnginePerSize, one fresh
+// machine and one full replay per size, is the oracle. Both engines
+// produce bit-identical curves at any worker count, with points
+// collected in size order.
 func Sweep(cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
 	return SweepContext(context.Background(), cfg, tr)
 }

@@ -87,9 +87,12 @@ func (s countedSource) Close() error {
 
 // TestFusedSweepErrorSameAtAnyWidth pins the error contract of the one
 // fused path: a torn trace and a mid-replay cancellation surface their
-// sentinel with the same text at Workers 1 and 2 — no "runner: task N"
-// group index — and every source a group opened is closed again, also
-// when it is a sibling group that failed.
+// sentinel with the same text at Workers 1, 2 and 3 — no "runner: task
+// N" group index — and every source a group opened is closed again,
+// also when it is a sibling group that failed. The trace fits every
+// size of the sweep, so this is also the footprint probe's error path:
+// the probe replays the whole trace before anything is cloned, and a
+// trace it cannot finish proves nothing.
 func TestFusedSweepErrorSameAtAnyWidth(t *testing.T) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 3000)
 	var buf bytes.Buffer
@@ -108,7 +111,7 @@ func TestFusedSweepErrorSameAtAnyWidth(t *testing.T) {
 		{"cancelled mid-replay", whole, 5, context.Canceled},
 	} {
 		var texts []string
-		for _, workers := range []int{1, 2} {
+		for _, workers := range []int{1, 2, 3} {
 			ctx, cancel := context.WithCancel(context.Background())
 			var opened, closed, blocks atomic.Int64
 			open := func() (trace.BlockSource, error) {
@@ -119,7 +122,7 @@ func TestFusedSweepErrorSameAtAnyWidth(t *testing.T) {
 				opened.Add(1)
 				return countedSource{BlockSource: r, closed: &closed, blocks: &blocks, tripAfter: tc.tripAfter, trip: cancel}, nil
 			}
-			// The default Nehalem sweep: 5 replica groups at either width.
+			// The default Nehalem sweep: the probe and 5 more replica groups.
 			_, err := SweepStreamContext(ctx, Config{Workers: workers}, open)
 			cancel()
 			if !errors.Is(err, tc.want) {
@@ -133,8 +136,8 @@ func TestFusedSweepErrorSameAtAnyWidth(t *testing.T) {
 			}
 			texts = append(texts, err.Error())
 		}
-		if texts[0] != texts[1] {
-			t.Errorf("%s: error reads %q at Workers 1, %q at Workers 2", tc.name, texts[0], texts[1])
+		if texts[0] != texts[1] || texts[0] != texts[2] {
+			t.Errorf("%s: error reads %q at Workers 1, %q at 2, %q at 3", tc.name, texts[0], texts[1], texts[2])
 		}
 	}
 }
