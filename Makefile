@@ -31,22 +31,30 @@ bench-quick:
 	$(GO) test -short -bench=. -benchmem ./...
 
 # Hot-path kernel benchmarks: the single-pass cache access kernel and
-# its set kernels (pseudo-LRU touch/victim, tag match), the machine step
-# loop, the serial sweep, and the stack-distance analyzer.
+# its set kernels (pseudo-LRU touch/victim, tag match), the flattened
+# hierarchy walk (HierarchyAccess, ...Resident, ...Scan: its longest
+# path), the machine step loop alone and under the Pirate co-run's step
+# mix (MachineCoRun), the serial sweep, and the stack-distance analyzer.
 bench-kernel:
 	$(GO) test -run XXX -bench 'Sweep|Machine|Analyze|CacheAccess|Hierarchy|PLRUTouchVictim|FindWay' -benchmem ./...
 
 # Inlining guard: every hierarchy walk open-codes its policy dispatch on
 # the promise that these leaves inline into it (DESIGN.md §8, "Set
-# kernels"). An edit that pushes one over the compiler's budget turns it
-# into a call per level per record; fail here, not as benchmark drift.
-INLINE_LEAVES = setFor plruTouch nehalemTouch
+# kernels"), and the machine's step loop unpacks the walk's outcome word
+# through the PackedOutcome accessors. An edit that pushes one over the
+# compiler's budget turns it into a call per level per record; fail
+# here, not as benchmark drift. Names are as `-gcflags=-m=2` prints them.
+INLINE_LEAVES = '(*Cache).setFor' '(*Cache).plruTouch' '(*Cache).nehalemTouch' \
+	'(*Cache).plruVictim' '(*Cache).nehalemVictim' \
+	PackedOutcome.ServedBy PackedOutcome.PrefetchHit PackedOutcome.L3Uses \
+	PackedOutcome.ReadLines PackedOutcome.WriteLines
 check-inline:
-	@out=$$($(GO) build -gcflags=-m=2 ./internal/cache 2>&1); \
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/cache 2>&1); ok=; \
 	for f in $(INLINE_LEAVES); do \
-		echo "$$out" | grep -q "can inline (\*Cache)\.$$f with cost" || \
-			{ echo "check-inline: (*Cache).$$f no longer inlines:"; echo "$$out" | grep "(\*Cache)\.$$f:"; exit 1; }; \
-	done; echo "check-inline: $(INLINE_LEAVES) inline"
+		echo "$$out" | grep -qF "can inline $$f with cost" || \
+			{ echo "check-inline: $$f no longer inlines:"; echo "$$out" | grep -F " $$f:"; exit 1; }; \
+		ok="$$ok $$f"; \
+	done; echo "check-inline:$$ok inline"
 
 # Fused vs per-size sweep, per L3 policy by ways and once by sets, on
 # the acceptance workload (60k records x 16 sizes). Numbers are recorded
@@ -102,10 +110,13 @@ cover:
 # Fuzz every target for FUZZTIME each (seeded from the checked-in
 # corpora under testdata/fuzz/). Failing inputs land in testdata/fuzz/
 # and replay deterministically with `go run ./cmd/conformance replay`.
+# FuzzHierarchy's executions are differential replays (two hierarchy
+# implementations, two back-invalidation modes), so its input minimiser
+# is capped: the default 60s per find would swallow a short campaign.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzKernel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/conformance
-	$(GO) test -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/conformance
+	$(GO) test -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/conformance
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzSampledProfile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/stackdist
 

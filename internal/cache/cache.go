@@ -483,53 +483,16 @@ func (c *Cache) FillMissed(a Addr, owner Owner, prefetch, dirty bool) Result {
 	return c.fillWay(si, int(si)*c.ways, tag, owner, prefetch, dirty)
 }
 
-// fillMissedWB is the private-level fill path: FillMissed with owner 0
-// and no prefetch mark, returning only what the hierarchy's writeback
-// chain needs — the victim's line address when (and only when) a dirty
-// line was evicted. Private levels are single-owner and never hold
-// prefetch-marked lines, so the bookkeeping is identical to fillWay's;
-// skipping the Result keeps the per-miss fill chain cheap.
-func (c *Cache) fillMissedWB(a Addr, dirty bool) (victimLine Addr, wb bool) {
-	si, tag := c.index(a)
-	base := int(si) * c.ways
-	st := &c.stats[0]
-	st.Fills++
-	var victim int
-	if fm := c.free[si]; fm != 0 {
-		victim = bits.TrailingZeros64(fm)
-		c.free[si] = fm &^ (1 << uint(victim))
-	} else {
-		victim = c.victim(si, base)
-		vs := &c.stats[c.owner[base+victim]]
-		vs.Evictions++
-		if c.flags[base+victim]&flagDirty != 0 {
-			vs.Writebacks++
-			victimLine = c.lineAddr(c.tags[base+victim])
-			wb = true
-		}
-	}
-	idx := base + victim
-	c.tags[idx] = tag
-	if dirty {
-		c.flags[idx] = flagDirty
-	} else {
-		c.flags[idx] = 0
-	}
-	c.owner[idx] = 0
-	c.touch(si, base, victim)
-	c.mru[si] = int32(victim)
-	return victimLine, wb
-}
-
-// fillPrivateAt is fillMissedWB for the fused engine's private levels
-// (L1/L2): the caller supplies the set base its demand probe already
-// computed, the statistics writes are elided (private stats never feed
-// a sweep curve), and a dirty victim is reported as a line *tag* — all
-// fused levels share one line size, so the writeback chase re-derives
-// set indices from the tag without the address round trip. Owner bytes
-// stay zero: private caches are single-owner and fillMissedWB always
-// stores owner 0. The state evolution — victim choice, flags,
-// replacement touch, MRU hint — is exactly fillMissedWB's.
+// fillPrivateAt is the fused engine's private-level (L1/L2) fill:
+// FillMissed with owner 0 and no prefetch mark at the set base the
+// caller's demand probe already computed, with the statistics writes
+// elided (private stats never feed a sweep curve) and a dirty victim
+// reported as a line *tag* — all fused levels share one line size, so
+// the writeback chase re-derives set indices from the tag without the
+// address round trip. Owner bytes stay zero: private caches are
+// single-owner. The state evolution — victim choice, flags, replacement
+// touch, MRU hint — is exactly fillWay's; Hierarchy.AccessPacked carries
+// the same fill inline with the statistics kept.
 func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (victimTag uint64, wb bool) {
 	var victim int
 	if fm := c.free[si]; fm != 0 {

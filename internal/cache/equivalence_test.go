@@ -102,23 +102,13 @@ func runEquivalence(t *testing.T, cfg Config) {
 				t.Fatalf("op %d: Fill(%#x) hit diverged: ref %v, soa %v", op, a, rr.Hit, sr.Hit)
 			}
 			checkEv(op, "Fill", rr.Evicted, sr.Evicted)
-		case 7: // private-level deferred fill (FillMissed / fillMissedWB)
+		case 7: // deferred fill of a line observed absent
 			if soa.Probe(a) {
 				continue // contract: line must be absent
 			}
-			if owner == 0 && rng.Uint64n(2) == 0 {
-				rr := ref.Fill(a, 0, false, write)
-				v, wb := soa.fillMissedWB(a, write)
-				wantWB := rr.Evicted.Valid && rr.Evicted.Dirty
-				if wb != wantWB || (wb && v != rr.Evicted.LineAddr) {
-					t.Fatalf("op %d: fillMissedWB(%#x) diverged: ref %+v, soa (%#x,%v)",
-						op, a, rr.Evicted, v, wb)
-				}
-			} else {
-				rr := ref.Fill(a, owner, false, write)
-				sr := soa.FillMissed(a, owner, false, write)
-				checkEv(op, "FillMissed", rr.Evicted, sr.Evicted)
-			}
+			rr := ref.Fill(a, owner, false, write)
+			sr := soa.FillMissed(a, owner, false, write)
+			checkEv(op, "FillMissed", rr.Evicted, sr.Evicted)
 		case 8: // back-invalidation
 			re, rok := ref.Invalidate(a)
 			se, sok := soa.Invalidate(a)

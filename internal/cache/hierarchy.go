@@ -182,45 +182,279 @@ func (h *Hierarchy) Prefetcher(core int) prefetch.Prefetcher { return h.pf[core]
 // LineSize returns the hierarchy line size in bytes.
 func (h *Hierarchy) LineSize() int64 { return h.lineSize }
 
-// Access performs one demand access by core and returns its outcome.
+// Access performs one demand access by core and returns its outcome:
+// AccessPacked's word, expanded.
+func (h *Hierarchy) Access(core int, addr Addr, write bool) Outcome {
+	return h.AccessPacked(core, addr, write).Outcome(h.lineSize)
+}
+
+// AccessPacked performs one demand access by core and returns its
+// outcome as one word (see PackedOutcome; every level of a hierarchy
+// shares one line size, so line counts lose nothing). The address is
+// decoded to a line tag once; per-level set indices are one mask (or
+// modulo) each off that tag.
+//
+// The walk is one flattened body: the per-level demand probes, the L3
+// access-and-fill, and the private-level fills run inline on the set
+// bases the probes computed, with the replacement-policy dispatch
+// written out at each site so the per-policy leaves inline into it (the
+// general touch and victim dispatchers are over the inliner's budget;
+// DESIGN.md §8, `make check-inline`). Only the two policies the Table-I
+// machine is built from get an inline victim arm; LRU and Random go
+// through victim(), a call on a path that evicts.
+//
+// It is the owner-aware twin of FusedHierarchy.AccessPacked and
+// deliberately a separate body: this one keeps what a multicore machine
+// observes and the replica walk drops — every OwnerStats counter of the
+// private levels, the L3's counters per owner, the owner byte of every
+// L3 line, the victim's owner on eviction, and the back-invalidation of
+// every core once address spaces are shared. Each state transition is
+// operation for operation the Cache method it replaces (demand,
+// accessFillTag, fillWay, Invalidate), except that a private-level hit
+// does not test the prefetch flag: only the L3 is ever filled by a
+// prefetcher. conformance.ReplayHierarchy checks the walk step for step
+// against the helper-composed reference (outcome, every counter, every
+// line), core.TestProfileGolden pins the co-run built on it, and
+// TestFusedAccessOutcomeMatchesHierarchy holds the two bodies together.
 //
 //lint:hotpath
-func (h *Hierarchy) Access(core int, addr Addr, write bool) Outcome {
-	var out Outcome
-	owner := Owner(core)
+func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome {
+	l1 := h.l1[core]
+	l2 := h.l2[core]
+	tag := uint64(addr) >> h.lineShift
 
-	if hit, _ := h.l1[core].demand(addr, write, 0); hit {
-		out.ServedBy = LevelL1
-		return out
+	// L1 demand probe (demand and hit, inline).
+	st1 := &l1.stats[0]
+	st1.Accesses++
+	if write {
+		st1.Writes++
 	}
-
-	if hit, _ := h.l2[core].demand(addr, write, 0); hit {
-		out.ServedBy = LevelL2
-		h.fillL1(core, addr, write, &out)
-		return out
+	si1 := l1.setFor(tag)
+	base1 := int(si1) * l1.ways
+	if w := l1.findWay(base1, si1, tag); w >= 0 {
+		st1.Hits++
+		if write {
+			l1.flags[base1+w] |= flagDirty
+		}
+		switch l1.cfg.Policy {
+		case LRU:
+			l1.clock++
+			l1.stamp[base1+w] = l1.clock
+		case PseudoLRU:
+			l1.plruTouch(si1, w)
+		case Nehalem:
+			l1.nehalemTouch(si1, w)
+		}
+		l1.mru[si1] = int32(w)
+		return PackedL1Hit
 	}
+	st1.Misses++
 
-	// The access reaches the shared L3: one port use, and the per-core
-	// prefetcher observes the demand line stream here. AccessFill fuses
-	// the demand lookup with the miss fill, so the L3's set is scanned
-	// once whether the access hits or misses.
-	out.L3Accesses++
-	r3 := h.l3.AccessFill(addr, write, owner)
-	if r3.Hit {
-		out.ServedBy = LevelL3
-		out.PrefetchHit = r3.WasPrefetch
+	// L2 demand probe.
+	var out PackedOutcome
+	st2 := &l2.stats[0]
+	st2.Accesses++
+	if write {
+		st2.Writes++
+	}
+	si2 := l2.setFor(tag)
+	base2 := int(si2) * l2.ways
+	if w := l2.findWay(base2, si2, tag); w >= 0 {
+		st2.Hits++
+		if write {
+			l2.flags[base2+w] |= flagDirty
+		}
+		switch l2.cfg.Policy {
+		case LRU:
+			l2.clock++
+			l2.stamp[base2+w] = l2.clock
+		case PseudoLRU:
+			l2.plruTouch(si2, w)
+		case Nehalem:
+			l2.nehalemTouch(si2, w)
+		}
+		l2.mru[si2] = int32(w)
+		out = PackedL2Hit
 	} else {
-		out.ServedBy = LevelMem
-		out.MemReadBytes += h.lineSize
-		h.backInvalidate(r3.Evicted, &out)
-	}
-	if h.hasPF {
-		h.trainPrefetcher(core, addr, !r3.Hit, &out)
+		st2.Misses++
+
+		// The access reaches the shared L3 — one port use, which the
+		// served level (L3 or memory) implies — and core's prefetcher
+		// observes the demand line stream here. accessFillTag inline: the
+		// set is scanned once whether the access hits or misses.
+		l3 := h.l3
+		st3 := &l3.stats[core]
+		st3.Accesses++
+		if write {
+			st3.Writes++
+		}
+		si3 := l3.setFor(tag)
+		base3 := int(si3) * l3.ways
+		w3 := l3.findWay(base3, si3, tag)
+		if w3 >= 0 {
+			st3.Hits++
+			idx := base3 + w3
+			fl := l3.flags[idx]
+			if fl&flagPrefetch != 0 {
+				fl &^= flagPrefetch
+				st3.PrefetchHits++
+				out = packPrefetchHit
+			}
+			if write {
+				fl |= flagDirty
+			}
+			l3.flags[idx] = fl
+			switch l3.cfg.Policy {
+			case LRU:
+				l3.clock++
+				l3.stamp[idx] = l3.clock
+			case PseudoLRU:
+				l3.plruTouch(si3, w3)
+			case Nehalem:
+				l3.nehalemTouch(si3, w3)
+			}
+			l3.mru[si3] = int32(w3)
+			out |= PackedOutcome(LevelL3)
+		} else {
+			// Miss: fillWay inline (a demand fill installs a clean line).
+			// The victim's counters go to the owner that filled it, and
+			// its back-invalidation runs before the new line's install —
+			// it touches private-level state only, so the two commute.
+			st3.Misses++
+			st3.Fills++
+			out = PackedOutcome(LevelMem) // and with it the demand line's DRAM read
+			var victim int
+			if fm := l3.free[si3]; fm != 0 {
+				victim = bits.TrailingZeros64(fm)
+				l3.free[si3] = fm &^ (1 << uint(victim))
+			} else {
+				switch l3.cfg.Policy {
+				case PseudoLRU:
+					victim = l3.plruVictim(si3)
+				case Nehalem:
+					victim = l3.nehalemVictim(si3)
+				default:
+					victim = l3.victim(si3, base3)
+				}
+				idx := base3 + victim
+				vo := l3.owner[idx]
+				vs := &l3.stats[vo]
+				vs.Evictions++
+				vDirty := l3.flags[idx]&flagDirty != 0
+				if vDirty {
+					vs.Writebacks++
+				}
+				out += h.backInvalidate(l3.tags[idx], int(vo), vDirty)
+			}
+			idx := base3 + victim
+			l3.tags[idx] = tag
+			l3.flags[idx] = 0
+			l3.owner[idx] = int32(core)
+			switch l3.cfg.Policy {
+			case LRU:
+				l3.clock++
+				l3.stamp[idx] = l3.clock
+			case PseudoLRU:
+				l3.plruTouch(si3, victim)
+			case Nehalem:
+				l3.nehalemTouch(si3, victim)
+			}
+			l3.mru[si3] = int32(victim)
+		}
+		if h.hasPF {
+			out += h.trainPrefetcher(core, tag, w3 < 0)
+		}
+
+		// L2 fill at the base its probe computed. The line is known
+		// absent: the L2 missed above and nothing since adds L2 lines (L3
+		// fills and back-invalidations only remove them). A dirty victim
+		// writes back into the inclusive L3 or, if the L3 has dropped the
+		// line, to DRAM; the chase touches only the L3's flags, so running
+		// it before this level's install commutes.
+		st2.Fills++
+		var v2 int
+		if fm := l2.free[si2]; fm != 0 {
+			v2 = bits.TrailingZeros64(fm)
+			l2.free[si2] = fm &^ (1 << uint(v2))
+		} else {
+			switch l2.cfg.Policy {
+			case PseudoLRU:
+				v2 = l2.plruVictim(si2)
+			case Nehalem:
+				v2 = l2.nehalemVictim(si2)
+			default:
+				v2 = l2.victim(si2, base2)
+			}
+			st2.Evictions++
+			if l2.flags[base2+v2]&flagDirty != 0 {
+				st2.Writebacks++
+				vt := l2.tags[base2+v2]
+				if !l3.markDirtyTag(l3.setFor(vt), vt) {
+					out += packWriteLine
+				}
+			}
+		}
+		idx2 := base2 + v2
+		l2.tags[idx2] = tag
+		l2.flags[idx2] = 0
+		switch l2.cfg.Policy {
+		case LRU:
+			l2.clock++
+			l2.stamp[idx2] = l2.clock
+		case PseudoLRU:
+			l2.plruTouch(si2, v2)
+		case Nehalem:
+			l2.nehalemTouch(si2, v2)
+		}
+		l2.mru[si2] = int32(v2)
 	}
 
-	// Fill the private levels.
-	h.fillL2(core, addr, &out)
-	h.fillL1(core, addr, write, &out)
+	// L1 fill, after an L2 hit and after an L2 fill alike; a dirty
+	// victim's writeback chases L2, then L3, then DRAM. Private-level
+	// owner bytes are never written: they start zero, clearLine zeroes
+	// them, and the single owner is 0.
+	st1.Fills++
+	var v1 int
+	if fm := l1.free[si1]; fm != 0 {
+		v1 = bits.TrailingZeros64(fm)
+		l1.free[si1] = fm &^ (1 << uint(v1))
+	} else {
+		switch l1.cfg.Policy {
+		case PseudoLRU:
+			v1 = l1.plruVictim(si1)
+		case Nehalem:
+			v1 = l1.nehalemVictim(si1)
+		default:
+			v1 = l1.victim(si1, base1)
+		}
+		st1.Evictions++
+		if l1.flags[base1+v1]&flagDirty != 0 {
+			st1.Writebacks++
+			vt := l1.tags[base1+v1]
+			if !l2.markDirtyTag(l2.setFor(vt), vt) {
+				if l3 := h.l3; !l3.markDirtyTag(l3.setFor(vt), vt) {
+					out += packWriteLine
+				}
+			}
+		}
+	}
+	idx1 := base1 + v1
+	l1.tags[idx1] = tag
+	if write {
+		l1.flags[idx1] = flagDirty
+	} else {
+		l1.flags[idx1] = 0
+	}
+	switch l1.cfg.Policy {
+	case LRU:
+		l1.clock++
+		l1.stamp[idx1] = l1.clock
+	case PseudoLRU:
+		l1.plruTouch(si1, v1)
+	case Nehalem:
+		l1.nehalemTouch(si1, v1)
+	}
+	l1.mru[si1] = int32(v1)
 	return out
 }
 
@@ -262,114 +496,83 @@ func (h *Hierarchy) InvalidateRemoteCopies(core int, addr Addr) (invalidated int
 // the core — no level is filled, no prefetcher trains. The access
 // still costs DRAM bandwidth, which is exactly the profile the
 // Bandwidth Bandit needs.
-//
-//lint:hotpath
 func (h *Hierarchy) AccessNonTemporal(core int, addr Addr) Outcome {
-	var out Outcome
-	if hit, _ := h.l1[core].demand(addr, false, 0); hit {
-		out.ServedBy = LevelL1
-		return out
-	}
-	if hit, _ := h.l2[core].demand(addr, false, 0); hit {
-		out.ServedBy = LevelL2
-		return out
-	}
-	out.L3Accesses++
-	if hit, wasPref := h.l3.demand(addr, false, Owner(core)); hit {
-		out.ServedBy = LevelL3
-		out.PrefetchHit = wasPref
-		return out
-	}
-	out.ServedBy = LevelMem
-	out.MemReadBytes += h.lineSize
-	return out
+	return h.AccessNonTemporalPacked(core, addr).Outcome(h.lineSize)
 }
 
-// trainPrefetcher feeds the demand access into core's prefetcher and
-// performs any proposed prefetch fills into L3. Fill's residency check
-// doubles as the probe: on an already-resident line a prefetch-marked
-// Fill is a no-op (no counters, no replacement touch), exactly what the
-// old Probe-then-skip did, so each proposal costs one set scan.
-func (h *Hierarchy) trainPrefetcher(core int, addr Addr, miss bool, out *Outcome) {
-	lineAddr := uint64(addr) >> h.lineShift
-	for _, pl := range h.pf[core].Observe(lineAddr, miss) {
-		pa := Addr(pl << h.lineShift)
-		r := h.l3.Fill(pa, Owner(core), true, false)
+// AccessNonTemporalPacked is AccessNonTemporal with the outcome as one
+// word, the form the machine's step loop consumes.
+//
+//lint:hotpath
+func (h *Hierarchy) AccessNonTemporalPacked(core int, addr Addr) PackedOutcome {
+	if hit, _ := h.l1[core].demand(addr, false, 0); hit {
+		return PackedL1Hit
+	}
+	if hit, _ := h.l2[core].demand(addr, false, 0); hit {
+		return PackedL2Hit
+	}
+	if hit, wasPref := h.l3.demand(addr, false, Owner(core)); hit {
+		if wasPref {
+			return PackedOutcome(LevelL3) | packPrefetchHit
+		}
+		return PackedOutcome(LevelL3)
+	}
+	return PackedOutcome(LevelMem)
+}
+
+// trainPrefetcher feeds the demand line into core's prefetcher and
+// fills its proposals into the L3 on core's behalf. fillTag's residency
+// check doubles as the probe: on an already-resident line a
+// prefetch-marked fill is a no-op (no counters, no replacement touch),
+// so each proposal costs one set scan. The side effects come back as an
+// outcome delta — prefetch fills and the writebacks their evictions
+// caused — so the caller's outcome stays in a register.
+func (h *Hierarchy) trainPrefetcher(core int, tag uint64, miss bool) PackedOutcome {
+	var d PackedOutcome
+	l3 := h.l3
+	for _, pl := range h.pf[core].Observe(tag, miss) {
+		r := l3.fillTag(l3.setFor(pl), pl, Owner(core), true, false)
 		if r.Hit {
 			continue // already resident; nothing was disturbed
 		}
-		out.L3Accesses++
-		out.MemReadBytes += h.lineSize
-		out.Prefetches++
-		h.backInvalidate(r.Evicted, out)
+		d += packPrefetch
+		if ev := r.Evicted; ev.Valid {
+			d += h.backInvalidate(uint64(ev.LineAddr)>>h.lineShift, int(ev.Owner), ev.Dirty)
+		}
 	}
+	return d
 }
 
-// backInvalidate removes an evicted L3 victim from the private caches.
-// Inclusive L3: evicting a line removes it from the private caches
-// too. Dirty private copies must reach memory. Without shared address
-// spaces only the filling owner can hold a copy; with them every core
-// must be probed.
-func (h *Hierarchy) backInvalidate(ev Evicted, out *Outcome) {
-	if !ev.Valid {
-		return
-	}
-	dirty := ev.Dirty
+// backInvalidate removes an evicted L3 line — tag, filled by owner,
+// dirty or not in the L3 — from the private caches and returns the DRAM
+// writeback the eviction causes (zero or one write line). Inclusive L3:
+// evicting a line removes it from the private caches too, and a dirty
+// copy anywhere must reach memory. Without shared address spaces only
+// the owner that filled the line can hold a copy; with them every core
+// is probed.
+func (h *Hierarchy) backInvalidate(tag uint64, owner int, dirty bool) PackedOutcome {
+	lo, hi := owner, owner+1
 	if h.fullBackInval {
-		for c := 0; c < h.cfg.Cores; c++ {
-			if e, ok := h.l1[c].Invalidate(ev.LineAddr); ok && e.Dirty {
-				dirty = true
-			}
-			if e, ok := h.l2[c].Invalidate(ev.LineAddr); ok && e.Dirty {
-				dirty = true
-			}
-		}
-	} else {
-		vc := int(ev.Owner)
-		if e, ok := h.l1[vc].Invalidate(ev.LineAddr); ok && e.Dirty {
+		lo, hi = 0, len(h.l1)
+	}
+	for c := lo; c < hi; c++ {
+		l1, l2 := h.l1[c], h.l2[c]
+		if d, ok := l1.invalidatePrivate(l1.setFor(tag), tag); ok && d {
 			dirty = true
 		}
-		if e, ok := h.l2[vc].Invalidate(ev.LineAddr); ok && e.Dirty {
+		if d, ok := l2.invalidatePrivate(l2.setFor(tag), tag); ok && d {
 			dirty = true
 		}
 	}
 	if dirty {
-		out.MemWriteBytes += h.lineSize
+		return packWriteLine
 	}
+	return 0
 }
 
 // SetFullBackInvalidate switches L3 evictions to probe every core's
 // private caches (needed once any shared address space is attached).
 func (h *Hierarchy) SetFullBackInvalidate(on bool) { h.fullBackInval = on }
-
-// fillL2 installs a line into core's L2, handling the victim's
-// writeback into the (inclusive) L3. The line is known absent: the L2
-// missed earlier in this access and nothing between that miss and this
-// fill adds L2 lines (L3 fills and back-invalidations only remove
-// them), so FillMissed skips the residency re-scan.
-func (h *Hierarchy) fillL2(core int, addr Addr, out *Outcome) {
-	if v, wb := h.l2[core].fillMissedWB(addr, false); wb {
-		// Inclusive L3 normally still holds the line; if it was
-		// concurrently evicted the data must go straight to memory.
-		if !h.l3.MarkDirty(v) {
-			out.MemWriteBytes += h.lineSize
-		}
-	}
-}
-
-// fillL1 installs a line into core's L1, handling the victim's
-// writeback into L2 (or L3 if L2 no longer has it). As in fillL2, the
-// line is known absent since the L1 miss that started this access, so
-// the residency re-scan is skipped.
-func (h *Hierarchy) fillL1(core int, addr Addr, write bool, out *Outcome) {
-	if v, wb := h.l1[core].fillMissedWB(addr, write); wb {
-		if !h.l2[core].MarkDirty(v) {
-			if !h.l3.MarkDirty(v) {
-				out.MemWriteBytes += h.lineSize
-			}
-		}
-	}
-}
 
 // FlushCore empties core's private caches and invalidates its L3 lines,
 // modelling a context losing all cached state. Statistics are kept.

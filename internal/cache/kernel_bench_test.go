@@ -90,6 +90,35 @@ func BenchmarkHierarchyAccessResident(b *testing.B) {
 	}
 }
 
+// BenchmarkHierarchyAccessScan measures the walk's longest path alone,
+// the one a Pirate scanner takes on every access: a line-stride sweep
+// by core 1 of the four-core Nehalem geometry over 2 MB — far past its
+// L2, resident in the shared L3 — so each access misses L1 and L2, hits
+// the L3, and fills both private levels.
+func BenchmarkHierarchyAccessScan(b *testing.B) {
+	h := MustNewHierarchy(HierarchyConfig{
+		Cores: 4,
+		L1:    Config{Name: "L1", Size: 32 << 10, Ways: 8, LineSize: 64, Policy: PseudoLRU},
+		L2:    Config{Name: "L2", Size: 256 << 10, Ways: 8, LineSize: 64, Policy: PseudoLRU},
+		L3:    Config{Name: "L3", Size: 8 << 20, Ways: 16, LineSize: 64, Policy: Nehalem},
+	})
+	const span = 2 << 20
+	for a := Addr(0); a < span; a += 64 {
+		h.Access(1, a, false)
+	}
+	b.ResetTimer()
+	a := Addr(0)
+	for i := 0; i < b.N; i++ {
+		h.Access(1, a, false)
+		if a += 64; a == span {
+			a = 0
+		}
+	}
+	if st := h.L3().Stats(1); st.Misses != span/64 {
+		b.Fatalf("scan left the L3: %d misses, want the %d cold ones", st.Misses, span/64)
+	}
+}
+
 // kernelSink keeps the set-kernel benchmarks' results live.
 var kernelSink int
 

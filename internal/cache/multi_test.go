@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"errors"
 	"reflect"
+	"slices"
 	"testing"
 
 	"cachepirate/internal/prefetch"
@@ -138,7 +140,10 @@ func TestFusedBackingGrows(t *testing.T) {
 // including the fields the word only implies (L3 port uses and DRAM
 // read bytes follow from the served level and the prefetch count), with
 // a prefetcher filling several lines per access and an L3 small enough
-// that writebacks reach DRAM.
+// that writebacks reach DRAM. The two walks are separate flattened
+// bodies (DESIGN.md §8), so after the stream every level's complete
+// line and replacement state, and the L3's counters, must be equal too:
+// a drift that no outcome has shown yet still fails.
 func TestFusedAccessOutcomeMatchesHierarchy(t *testing.T) {
 	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
 		hcfg := HierarchyConfig{
@@ -182,5 +187,39 @@ func TestFusedAccessOutcomeMatchesHierarchy(t *testing.T) {
 			t.Errorf("%v: stream never produced a multi-line prefetch (%v), a multi-line writeback (%v) or a prefetch hit (%v)",
 				policy, prefetches, writebacks, prefetchHit)
 		}
+		for _, lv := range []struct {
+			name string
+			h, f *Cache
+		}{{"L1", h.L1(0), f.L1(0)}, {"L2", h.L2(0), f.L2(0)}, {"L3", h.L3(), f.L3(0)}} {
+			if err := sameState(lv.h, lv.f); err != nil {
+				t.Errorf("%v: %s after the stream: %v", policy, lv.name, err)
+			}
+		}
+		if g, w := f.L3(0).Stats(0), h.L3().Stats(0); g != w {
+			t.Errorf("%v: fused L3 stats %+v, Hierarchy %+v", policy, g, w)
+		}
 	}
+}
+
+// sameState reports the first difference between two caches' line and
+// replacement state: every array a walk writes except the MRU hints
+// (which steer the tag scan, never its result) and the statistics.
+func sameState(a, b *Cache) error {
+	switch {
+	case !slices.Equal(a.tags, b.tags):
+		return errors.New("tags differ")
+	case !slices.Equal(a.flags, b.flags):
+		return errors.New("dirty/prefetch flags differ")
+	case !slices.Equal(a.owner, b.owner):
+		return errors.New("owner bytes differ")
+	case !slices.Equal(a.stamp, b.stamp) || a.clock != b.clock:
+		return errors.New("LRU stamps differ")
+	case !slices.Equal(a.meta, b.meta):
+		return errors.New("replacement metadata differs")
+	case !slices.Equal(a.free, b.free):
+		return errors.New("free masks differ")
+	case a.rngState != b.rngState:
+		return errors.New("random-policy state differs")
+	}
+	return nil
 }

@@ -234,6 +234,24 @@ func (c *Reference) Invalidate(a Addr) (Evicted, bool) {
 	return Evicted{}, false
 }
 
+// ForEachLine calls fn for every valid line in set/way order, stopping
+// early if fn returns false (same contract as Cache.ForEachLine). Both
+// layouts fill the lowest-numbered empty way first and pick the same
+// victims, so a line sits in the same way of the same set in each.
+func (c *Reference) ForEachLine(fn func(LineInfo) bool) {
+	for si := range c.sets {
+		for w, ln := range c.sets[si].lines {
+			if !ln.valid {
+				continue
+			}
+			if !fn(LineInfo{Set: si, Way: w, LineAddr: c.lineAddr(ln.tag),
+				Owner: ln.owner, Dirty: ln.dirty, Prefetch: ln.prefetch}) {
+				return
+			}
+		}
+	}
+}
+
 // Flush invalidates every line, resetting contents but not statistics.
 // As in the SoA model's Flush, all replacement metadata clears; the
 // per-way invalidation path (Invalidate) instead leaves the pseudo-LRU

@@ -2,8 +2,10 @@
 // simulator: it generates randomized machine configurations and
 // access/fill/invalidate streams, replays them through the optimised
 // SoA cache kernel and the retained array-of-structs Reference oracle
-// (internal/cache/reference.go), and checks machine-wide invariants
-// that must hold for *any* operation stream:
+// (internal/cache/reference.go) — single caches op for op, and whole
+// multicore hierarchies walk for walk, cache.Hierarchy against the
+// helper-composed RefHierarchy built from Reference levels — and checks
+// machine-wide invariants that must hold for *any* operation stream:
 //
 //   - per-level, per-owner counter conservation (hits + misses ==
 //     accesses, prefetch subsets, evictions + resident <= fills);

@@ -2,6 +2,8 @@ package conformance
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"cachepirate/internal/cache"
@@ -52,6 +54,62 @@ func TestHierarchyConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestHierarchyInjectedDivergenceCaught is the hierarchy oracle's
+// self-test: one L3 fill the reference walk never sees must fail the
+// replay, at or after the injection point, in every shape and both
+// back-invalidation modes — and the same stream must pass without it.
+func TestHierarchyInjectedDivergenceCaught(t *testing.T) {
+	for i, cfg := range hierarchyShapes {
+		ops := GenHOps(stats.NewRNG(uint64(9+i)), cfg, 2_000)
+		for _, full := range []bool{true, false} {
+			h := HierarchyHarness{Cfg: cfg, FullBackInval: full, InjectAt: -1}
+			if err := h.Replay(ops); err != nil {
+				t.Fatalf("shape %d full %v: clean stream failed: %v", i, full, err)
+			}
+			h.InjectAt = 1_000
+			err := h.Replay(ops)
+			if err == nil {
+				t.Fatalf("shape %d full %v: injected divergence not caught", i, full)
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("op %d ", h.InjectAt)) {
+				t.Fatalf("shape %d full %v: divergence not reported on the injected op %d: %v", i, full, h.InjectAt, err)
+			}
+		}
+	}
+}
+
+// TestCompareLinesSeesEveryField: the line-state comparison must flag a
+// difference in any one of a line's owner, dirty bit, prefetch bit, tag
+// or presence, with everything else (and every counter) equal — the
+// divergences the per-op outcome and statistics checks cannot see.
+func TestCompareLinesSeesEveryField(t *testing.T) {
+	cfg := cache.Config{Name: "c", Size: 1 << 10, Ways: 4, LineSize: 64, Policy: cache.LRU, Owners: 2}
+	const a, b = cache.Addr(0x1000), cache.Addr(0x2040)
+	for _, tc := range []struct {
+		name    string
+		ref     func(*cache.Reference)
+		soa     func(*cache.Cache)
+		differs bool
+	}{
+		{"equal", func(r *cache.Reference) { r.Fill(b, 1, false, true) }, func(c *cache.Cache) { c.Fill(b, 1, false, true) }, false},
+		{"owner", func(r *cache.Reference) { r.Fill(b, 0, false, false) }, func(c *cache.Cache) { c.Fill(b, 1, false, false) }, true},
+		{"dirty", func(r *cache.Reference) { r.Fill(b, 0, false, false) }, func(c *cache.Cache) { c.Fill(b, 0, false, true) }, true},
+		{"prefetch", func(r *cache.Reference) { r.Fill(b, 0, true, false) }, func(c *cache.Cache) { c.Fill(b, 0, false, false) }, true},
+		{"tag", func(r *cache.Reference) { r.Fill(b, 0, false, false) }, func(c *cache.Cache) { c.Fill(b+0x400, 0, false, false) }, true},
+		{"missing", func(r *cache.Reference) { r.Fill(b, 0, false, false) }, func(*cache.Cache) {}, true},
+		{"extra", func(*cache.Reference) {}, func(c *cache.Cache) { c.Fill(b, 0, false, false) }, true},
+	} {
+		ref, soa := cache.MustNewReference(cfg), cache.MustNew(cfg)
+		ref.Fill(a, 0, false, false)
+		soa.Fill(a, 0, false, false)
+		tc.ref(ref)
+		tc.soa(soa)
+		if err := compareLines(ref, soa); (err != nil) != tc.differs {
+			t.Errorf("%s: compareLines = %v, want a difference: %v", tc.name, err, tc.differs)
+		}
 	}
 }
 

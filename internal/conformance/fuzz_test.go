@@ -20,9 +20,13 @@ func FuzzKernel(f *testing.F) {
 }
 
 // FuzzHierarchy does the same for full multicore hierarchies: arbitrary
-// bytes become a shape selection plus a multi-core demand stream, and
-// the hierarchy invariants (inclusivity, conservation, residency,
-// outcome sanity) must hold throughout.
+// bytes become a shape selection plus a multi-core stream of demand,
+// non-temporal and coherent-store ops, replayed through cache.Hierarchy
+// and the RefHierarchy oracle with L3 evictions back-invalidating every
+// core and then only the victim's owner. Outcomes and every counter must
+// agree after every op, every line periodically, and the hierarchy
+// invariants (inclusivity, conservation, residency, outcome sanity)
+// must hold throughout.
 func FuzzHierarchy(f *testing.F) {
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -68,8 +68,11 @@ func main() {
 	}
 
 	// Hierarchy seeds: one generated multicore stream per shape.
-	for shape := 0; shape < 4; shape++ {
-		cfg, _ := conformance.DecodeHierarchy([]byte{byte(shape)})
+	for shape := 0; ; shape++ {
+		cfg, ok := conformance.HierarchyShape(shape)
+		if !ok {
+			break
+		}
 		ops := conformance.GenHOps(stats.NewRNG(uint64(200+shape)), cfg, 200)
 		writeSeed(hdir, fmt.Sprintf("seed-shape%d", shape), conformance.EncodeHierarchy(shape, ops))
 	}

@@ -13,6 +13,10 @@ type CheckOptions struct {
 	// non-temporal accesses miss without filling, so streams containing
 	// them can legitimately have more L3 misses than fills.
 	AllowNonTemporal bool
+	// NonInclusive skips the inclusivity check: several cores caching
+	// one line while L3 evictions back-invalidate only the victim's
+	// owner legitimately leaves private copies the L3 has dropped.
+	NonInclusive bool
 }
 
 // CheckCache verifies the per-owner counter-conservation and residency
@@ -111,6 +115,9 @@ func CheckHierarchy(h *cache.Hierarchy, opts CheckOptions) error {
 		// Inclusivity: the shared L3 holds a superset of every private
 		// cache. Back-invalidation on L3 eviction is what maintains
 		// this; a missed back-invalidation shows up here.
+		if opts.NonInclusive {
+			continue
+		}
 		for _, priv := range []*cache.Cache{l1, l2} {
 			var broken *cache.LineInfo
 			priv.ForEachLine(func(li cache.LineInfo) bool {

@@ -216,6 +216,43 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err := bad.validate(); err == nil {
 		t.Error("oversized target cache accepted")
 	}
+
+	// Values no run can use must fail validation — and with it every
+	// entry point, before a machine is built — not surface after the
+	// Target warm-up (Threads) or as a curve of NaN points (Cycles).
+	for _, tc := range []struct {
+		name string
+		set  func(*Config)
+		ok   bool
+	}{
+		{"threads = pirate cores", func(c *Config) { c.Threads = 3 }, true},
+		{"threads > pirate cores", func(c *Config) { c.Threads = 9 }, false},
+		{"threads > listed pirate cores", func(c *Config) { c.PirateCores = []int{2}; c.Threads = 2 }, false},
+		{"negative threads", func(c *Config) { c.Threads = -1 }, false},
+		{"negative max threads", func(c *Config) { c.MaxThreads = -1 }, false},
+		{"negative cycles", func(c *Config) { c.Cycles = -1 }, false},
+	} {
+		c := Config{}
+		tc.set(&c)
+		if err := c.withDefaults().validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: validate = %v, want ok %v", tc.name, err, tc.ok)
+		}
+	}
+	// factory fails the test if a rejected config gets as far as building
+	// its Target.
+	factory := func(uint64) workload.Generator {
+		t.Error("generator built for a config that must be rejected")
+		return randTarget(32 << 10)(1)
+	}
+	for _, c := range []Config{{Threads: 9}, {Cycles: -1}} {
+		c.Machine = testMachine(4)
+		if curve, _, err := Profile(c, factory); err == nil {
+			t.Errorf("Profile(%+v) returned a curve (%d points), want an error", c, len(curve.Points))
+		}
+		if _, err := ProfileFixed(c, factory, 32<<10, 1); err == nil {
+			t.Errorf("ProfileFixed accepted Threads %d Cycles %d", c.Threads, c.Cycles)
+		}
+	}
 }
 
 func TestDetermineThreads(t *testing.T) {

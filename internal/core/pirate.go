@@ -221,6 +221,18 @@ func (p *Pirate) Resume() {
 // Target) until each has swept its working set the given number of
 // times, bringing the full footprint into the shared cache without
 // competition — the warm-up step of Fig. 5.
+//
+// It asks each thread in turn for passes more sweeps, and the machine
+// keeps every other runnable thread stepping meanwhile, so with T
+// active threads each sweeps about T*passes times, not passes: over
+// the 15 growth steps of a default two-thread Profile that is 4.13M
+// warm accesses where two passes per thread need 1.97M — 38% of the
+// run's host time, and simulated cycles that count towards the
+// profiling overhead MeasureOverhead reports. Warming all threads to a
+// common target instead would be cheaper and would change every
+// simulated statistic downstream of it (the curves, WallCycles, the
+// harness's pinned digests), so it is left for a change that may re-pin
+// them (ROADMAP open items); TestProfileGolden holds today's behaviour.
 func (p *Pirate) Warm(passes int) error {
 	if passes < 1 {
 		passes = 1

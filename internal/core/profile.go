@@ -152,6 +152,19 @@ func (c Config) validate() error {
 			return fmt.Errorf("core: size %d outside (0, L3=%d]", s, c.Machine.L3.Size)
 		}
 	}
+	// Checked here, before any machine step: a thread count the Pirate
+	// cannot field would otherwise surface only when SetWSS refuses it,
+	// after the whole initial Target warm-up, and a negative cycle count
+	// skips every measurement and averages nothing into NaN points.
+	if c.Threads < 0 || c.Threads > len(c.PirateCores) {
+		return fmt.Errorf("core: %d pirate threads outside [0, %d pirate cores] (0 = detect)", c.Threads, len(c.PirateCores))
+	}
+	if c.MaxThreads < 0 {
+		return fmt.Errorf("core: negative pirate thread cap %d", c.MaxThreads)
+	}
+	if c.Cycles < 0 {
+		return fmt.Errorf("core: negative measurement cycle count %d", c.Cycles)
+	}
 	return nil
 }
 

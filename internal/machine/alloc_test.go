@@ -57,6 +57,17 @@ func TestReplayAllocFree(t *testing.T) {
 			if avg != 0 {
 				t.Errorf("replay path allocates %.2f allocs/op, want 0", avg)
 			}
+
+			// The same replay with co-runners on two more cores: steps
+			// now interleave contexts, evict each other's L3 lines and
+			// queue at the port.
+			for c := 1; c <= 2; c++ {
+				m.MustAttach(c, workload.NewFromTrace("alloc", tr, 4, 0))
+			}
+			m.RunSteps(5000)
+			if avg := testing.AllocsPerRun(2000, func() { m.Step() }); avg != 0 {
+				t.Errorf("co-run replay allocates %.2f allocs/op, want 0", avg)
+			}
 		})
 	}
 }
@@ -112,7 +123,9 @@ func TestHotPathPrimitivesAllocFree(t *testing.T) {
 			h.Access(0, next(), false)
 		}
 		gate(t, "Hierarchy.Access", func() { h.Access(0, next(), rng.Uint64n(8) == 0) })
+		gate(t, "Hierarchy.AccessPacked", func() { h.AccessPacked(1, next(), rng.Uint64n(8) == 0) })
 		gate(t, "Hierarchy.AccessNonTemporal", func() { h.AccessNonTemporal(0, next()) })
+		gate(t, "Hierarchy.AccessNonTemporalPacked", func() { h.AccessNonTemporalPacked(1, next()) })
 	})
 
 	t.Run("machine", func(t *testing.T) {
@@ -123,6 +136,19 @@ func TestHotPathPrimitivesAllocFree(t *testing.T) {
 		m.RunSteps(5000) // warm: maps, server cursors
 		gate(t, "Machine.Step", func() { m.Step() })
 		gate(t, "Machine.RunCycles", func() { m.RunCycles(3) })
+	})
+
+	// The Pirate co-run's step: a live Target beside two line-stride
+	// scanners, so the scheduler's view, the packed walk's longest path
+	// (private misses, L3 hit, two fills) and the port server all run.
+	t.Run("corun", func(t *testing.T) {
+		m := MustNew(NehalemConfigNoPrefetch())
+		m.MustAttach(0, workload.MustByName("omnetpp").New(1))
+		for c := 1; c <= 2; c++ {
+			m.MustAttach(c, workload.NewSequential(workload.SequentialConfig{Name: "scanner", Span: 1 << 20, MLP: 5}))
+		}
+		m.RunSteps(100_000)
+		gate(t, "Machine.Step (co-run)", func() { m.Step() })
 	})
 
 	t.Run("trace", func(t *testing.T) {

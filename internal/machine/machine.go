@@ -18,6 +18,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"cachepirate/internal/cache"
 	"cachepirate/internal/counters"
@@ -70,6 +71,14 @@ type proc struct {
 	// private-cache copies (write-invalidate coherence).
 	shared bool
 
+	// Stall cycles of the three accesses that meet no queue — an L1 hit,
+	// an L2 hit, and an L3 hit (not of a prefetched line) that finds the
+	// port idle. Each depends on the core parameters and the context's
+	// MLP alone, so Attach evaluates cpu.AccessCost once with zero
+	// delays: the very expression stepCore would evaluate per access, on
+	// the same operands — bit-equal — without the divide by the MLP.
+	l1HitCost, l2HitCost, l3HitCost float64
+
 	// In-flight op state: ops with many leading instructions retire in
 	// scheduler-sized chunks (see StepChunk) so no core's clock jumps
 	// far past its peers in one step. Atomic jumps would let a lagging
@@ -99,6 +108,12 @@ type Machine struct {
 	procs  []*proc
 	now    float64 // global time: clock of the last core scheduled
 
+	// clock is the scheduler's view, one entry per core: the core's
+	// cycle clock while it is runnable, +Inf otherwise. selectCore scans
+	// this dense slice alone; publish keeps an entry current whenever a
+	// core's context or suspension changes, stepCore after every step.
+	clock []float64
+
 	// Per-core DRAM traffic, for the counter facade.
 	memRead  []uint64
 	memWrite []uint64
@@ -122,6 +137,7 @@ func New(cfg Config) (*Machine, error) {
 		dram:     mem.MustNewServer(cfg.DRAM),
 		l3port:   mem.MustNewServer(cfg.L3Port),
 		procs:    make([]*proc, cfg.Cores),
+		clock:    make([]float64, cfg.Cores),
 		memRead:  make([]uint64, cfg.Cores),
 		memWrite: make([]uint64, cfg.Cores),
 	}
@@ -131,6 +147,7 @@ func New(cfg Config) (*Machine, error) {
 			return nil, err
 		}
 		m.cores = append(m.cores, core)
+		m.publish(i)
 	}
 	return m, nil
 }
@@ -186,8 +203,15 @@ func (m *Machine) Attach(core int, gen workload.Generator) error {
 	if mlp < 1 {
 		mlp = 1
 	}
-	m.procs[core] = &proc{gen: gen, mlp: mlp, offset: uint64(core) << 44}
+	served := func(l cache.Level) float64 {
+		return cpu.AccessCost(m.cfg.CPU, cache.Outcome{ServedBy: l}, 0, 0, mlp)
+	}
+	m.procs[core] = &proc{
+		gen: gen, mlp: mlp, offset: uint64(core) << 44,
+		l1HitCost: served(cache.LevelL1), l2HitCost: served(cache.LevelL2), l3HitCost: served(cache.LevelL3),
+	}
 	m.cores[core].Resume(m.now)
+	m.publish(core)
 	return nil
 }
 
@@ -231,6 +255,7 @@ func (m *Machine) Detach(core int) {
 	if m.procs[core] != nil {
 		m.procs[core] = nil
 		m.hier.FlushCore(core)
+		m.publish(core)
 	}
 }
 
@@ -238,10 +263,16 @@ func (m *Machine) Detach(core int) {
 func (m *Machine) Attached(core int) bool { return m.procs[core] != nil }
 
 // Suspend halts core (its context keeps its cache contents).
-func (m *Machine) Suspend(core int) { m.cores[core].Suspend() }
+func (m *Machine) Suspend(core int) {
+	m.cores[core].Suspend()
+	m.publish(core)
+}
 
 // Resume lets core run again from the current global time.
-func (m *Machine) Resume(core int) { m.cores[core].Resume(m.now) }
+func (m *Machine) Resume(core int) {
+	m.cores[core].Resume(m.now)
+	m.publish(core)
+}
 
 // Suspended reports whether core is halted.
 func (m *Machine) Suspended(core int) bool { return m.cores[core].Suspended() }
@@ -251,17 +282,23 @@ func (m *Machine) runnable(core int) bool {
 	return m.procs[core] != nil && !m.cores[core].Suspended()
 }
 
-// selectCore returns the runnable core with the smallest cycle clock,
-// or -1 when nothing is runnable — the single scheduling rule shared by
-// Step and RunCycles.
+// publish refreshes core's entry of the scheduler's view.
+func (m *Machine) publish(core int) {
+	if m.runnable(core) {
+		m.clock[core] = m.cores[core].Cycles()
+	} else {
+		m.clock[core] = math.Inf(1)
+	}
+}
+
+// selectCore returns the runnable core with the smallest cycle clock
+// (the lowest-numbered of equals), or -1 when nothing is runnable — the
+// single scheduling rule shared by Step and RunCycles.
 func (m *Machine) selectCore() int {
-	sel := -1
-	for i := range m.cores {
-		if !m.runnable(i) {
-			continue
-		}
-		if sel < 0 || m.cores[i].Cycles() < m.cores[sel].Cycles() {
-			sel = i
+	sel, best := -1, math.Inf(1)
+	for i, c := range m.clock {
+		if c < best {
+			sel, best = i, c
 		}
 	}
 	return sel
@@ -280,7 +317,12 @@ func (m *Machine) Step() bool {
 	return true
 }
 
-// stepCore executes core's next op and charges its timing.
+// stepCore executes core's next op and charges its timing. The
+// hierarchy's outcome arrives as one word (cache.PackedOutcome): a
+// private-level hit that moved no data — the whole word equals
+// PackedL1Hit or PackedL2Hit — is charged its precomputed cost without
+// a look at the bandwidth servers, which such an access never uses;
+// every other word is unpacked into its port uses and DRAM lines.
 //
 //lint:hotpath
 func (m *Machine) stepCore(core int) {
@@ -298,6 +340,7 @@ func (m *Machine) stepCore(core int) {
 	if p.pendingIn > StepChunk {
 		c.RetireInstrs(StepChunk)
 		p.pendingIn -= StepChunk
+		m.clock[core] = c.Cycles()
 		return
 	}
 	if p.pendingIn > 0 {
@@ -307,44 +350,22 @@ func (m *Machine) stepCore(core int) {
 	p.hasPending = false
 	now := c.Cycles()
 	addr := cache.Addr(op.Addr + p.offset) // offset-adjusted address, computed once
-	var out cache.Outcome
+	var out cache.PackedOutcome
 	if op.NonTemporal {
-		out = m.hier.AccessNonTemporal(core, addr)
+		out = m.hier.AccessNonTemporalPacked(core, addr)
 	} else {
-		out = m.hier.Access(core, addr, op.Write)
+		out = m.hier.AccessPacked(core, addr, op.Write)
 	}
 
-	var l3Queue, memDelay float64
-	if out.L3Accesses > 0 {
-		// Queueing at the shared L3 port; the unloaded port service
-		// time is already folded into the CPU's L3Cost.
-		if free := m.l3port.NextFree(); free > now {
-			l3Queue = free - now
-		}
-		m.l3port.Request(now, int64(out.L3Accesses)*m.hier.LineSize())
+	var cost float64
+	switch out {
+	case cache.PackedL1Hit:
+		cost = p.l1HitCost
+	case cache.PackedL2Hit:
+		cost = p.l2HitCost
+	default:
+		cost = m.chargeShared(core, p, out, now)
 	}
-	if out.MemReadBytes > 0 {
-		// Queueing backlog before this request: the delay a prefetch
-		// hit sees when DRAM is saturated (the data is not ahead of
-		// demand any more).
-		var backlog float64
-		if free := m.dram.NextFree(); free > now {
-			backlog = free - now
-		}
-		done := m.dram.Request(now, out.MemReadBytes)
-		if out.ServedBy == cache.LevelMem {
-			memDelay = done - now
-		} else {
-			memDelay = backlog
-		}
-		m.memRead[core] += uint64(out.MemReadBytes)
-	}
-	if out.MemWriteBytes > 0 {
-		// Writebacks consume DRAM bandwidth but do not stall the core.
-		m.dram.Request(now, out.MemWriteBytes)
-		m.memWrite[core] += uint64(out.MemWriteBytes)
-	}
-	cost := cpu.AccessCost(m.cfg.CPU, out, memDelay, l3Queue, p.mlp)
 	if p.shared && op.Write && !op.NonTemporal {
 		// Write-invalidate coherence: evict sibling copies; finding
 		// any costs an upgrade round-trip through the shared L3.
@@ -358,6 +379,53 @@ func (m *Machine) stepCore(core int) {
 		}
 	}
 	c.RetireAccess(cost)
+	m.clock[core] = c.Cycles()
+}
+
+// chargeShared books an access that left the private levels, or wrote
+// a line back to DRAM from them, on the shared servers — the L3 port,
+// then the DRAM read, then the DRAM writeback, each only if the word
+// says the access reached it — and returns the stall cycles to charge.
+//
+//lint:hotpath
+func (m *Machine) chargeShared(core int, p *proc, out cache.PackedOutcome, now float64) float64 {
+	lineSize := m.hier.LineSize()
+	var l3Queue, memDelay float64
+	if uses := out.L3Uses(); uses > 0 {
+		// Queueing at the shared L3 port; the unloaded port service
+		// time is already folded into the CPU's L3Cost.
+		if free := m.l3port.NextFree(); free > now {
+			l3Queue = free - now
+		}
+		m.l3port.Request(now, uses*lineSize)
+	}
+	if lines := out.ReadLines(); lines > 0 {
+		// Queueing backlog before this request: the delay a prefetch
+		// hit sees when DRAM is saturated (the data is not ahead of
+		// demand any more).
+		var backlog float64
+		if free := m.dram.NextFree(); free > now {
+			backlog = free - now
+		}
+		done := m.dram.Request(now, lines*lineSize)
+		if out.ServedBy() == cache.LevelMem {
+			memDelay = done - now
+		} else {
+			memDelay = backlog
+		}
+		m.memRead[core] += uint64(lines * lineSize)
+	}
+	if lines := out.WriteLines(); lines > 0 {
+		// Writebacks consume DRAM bandwidth but do not stall the core.
+		m.dram.Request(now, lines*lineSize)
+		m.memWrite[core] += uint64(lines * lineSize)
+	}
+	if out == cache.PackedOutcome(cache.LevelL3) && l3Queue == 0 {
+		return p.l3HitCost
+	}
+	// AccessCost reads the served level and the prefetch-hit bit only.
+	served := cache.Outcome{ServedBy: out.ServedBy(), PrefetchHit: out.PrefetchHit()}
+	return cpu.AccessCost(m.cfg.CPU, served, memDelay, l3Queue, p.mlp)
 }
 
 // RunSteps executes up to n global steps, returning how many ran.
@@ -374,16 +442,7 @@ func (m *Machine) RunSteps(n int) int {
 // more instructions (co-runners make progress too). It returns an
 // error if core is not runnable.
 func (m *Machine) RunInstructions(core int, n uint64) error {
-	if !m.runnable(core) {
-		return fmt.Errorf("machine: core %d not runnable", core)
-	}
-	target := m.cores[core].Instructions() + n
-	for m.cores[core].Instructions() < target {
-		if !m.Step() {
-			return fmt.Errorf("machine: no runnable cores before core %d reached %d instructions", core, target)
-		}
-	}
-	return nil
+	return m.RunInstructionsCtx(context.Background(), core, n)
 }
 
 // cancelCheckSteps is how many machine steps RunInstructionsCtx
@@ -398,15 +457,15 @@ const cancelCheckSteps = 1024
 // with ctx's error once the context is done. A cancelled run leaves
 // the machine in a consistent mid-replay state (counters readable,
 // cores attached); it must simply not be trusted as a completed
-// measurement. With a background context the behaviour — and the
-// simulated state — is identical to RunInstructions.
+// measurement.
 func (m *Machine) RunInstructionsCtx(ctx context.Context, core int, n uint64) error {
 	if !m.runnable(core) {
 		return fmt.Errorf("machine: core %d not runnable", core)
 	}
-	target := m.cores[core].Instructions() + n
+	c := m.cores[core]
+	target := c.Instructions() + n
 	steps := 0
-	for m.cores[core].Instructions() < target {
+	for c.Instructions() < target {
 		if !m.Step() {
 			return fmt.Errorf("machine: no runnable cores before core %d reached %d instructions", core, target)
 		}
@@ -433,7 +492,7 @@ func (m *Machine) RunCycles(n float64) {
 	deadline := m.now + n
 	for {
 		sel := m.selectCore()
-		if sel < 0 || m.cores[sel].Cycles() >= deadline {
+		if sel < 0 || m.clock[sel] >= deadline {
 			return
 		}
 		m.stepCore(sel)

@@ -44,3 +44,31 @@ func BenchmarkRunCyclesOneRunnable(b *testing.B) {
 		m.RunCycles(64)
 	}
 }
+
+// BenchmarkMachineCoRun measures one machine step of the Pirate co-run,
+// the step mix of the harness's pirate_profile workload: the omnetpp
+// Target on core 0 and two line-stride scanners (one read per line, no
+// instructions between, MLP 5 — core.Scanner's pattern) on cores 1 and
+// 2, each holding 2 MB of the prefetch-less Nehalem L3. Once warm, most
+// steps are scanner accesses and every one takes the hierarchy walk's
+// longest path: L1 miss, L2 miss, L3 hit, L2 fill, L1 fill.
+func BenchmarkMachineCoRun(b *testing.B) {
+	const span = 2 << 20
+	m := MustNew(NehalemConfigNoPrefetch())
+	m.MustAttach(0, workload.MustByName("omnetpp").New(1))
+	for c := 1; c <= 2; c++ {
+		m.MustAttach(c, workload.NewSequential(workload.SequentialConfig{Name: "scanner", Span: span, MLP: 5}))
+	}
+	// Two sweeps per scanner with the Target halted, as Pirate.Warm does.
+	m.Suspend(0)
+	for c := 1; c <= 2; c++ {
+		if err := m.RunInstructions(c, 2*span/workload.LineSize); err != nil {
+			b.Fatal(err)
+		}
+	}
+	m.Resume(0)
+	b.ResetTimer()
+	if got := m.RunSteps(b.N); got != b.N {
+		b.Fatalf("ran %d of %d steps", got, b.N)
+	}
+}

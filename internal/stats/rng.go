@@ -1,6 +1,9 @@
 package stats
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a deterministic xorshift64* pseudo-random number generator.
 // It is the only randomness source in the repository: the machine model,
@@ -89,15 +92,27 @@ func mul64(a, b uint64) (hi, lo uint64) {
 // Zipf draws values in [0, n) following a Zipf-like distribution with
 // exponent s using inverse-CDF sampling over a precomputed table.
 // It models hot/cold access skew in the synthetic workloads.
+//
+// The sample for a uniform variate u is the smallest i with cdf[i] >= u.
+// A guide table (the cutpoint method) narrows the search: [0, 1) is cut
+// into K equal cells, K the power of two at or above n, and guide[k]
+// holds the sample for u = k/K. Samples never decrease as u grows, so a
+// variate in cell k has its sample in [guide[k], guide[k+1]] — on
+// average a line or two of the table where a search from scratch takes
+// log2(n) cache-missing steps — and the same search over that range
+// returns the same value. A variate is 53 random bits over 2^53, so its
+// cell is the top log2(K) of those bits, exactly.
 type Zipf struct {
-	cdf []float64
-	rng *RNG
+	cdf   []float64
+	guide []uint32
+	shift uint // 53 - log2(K): variate bits to cell index
+	rng   *RNG
 }
 
 // NewZipf builds a Zipf sampler over n items with exponent s (> 0).
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("stats: NewZipf with non-positive n")
+	if n <= 0 || uint64(n) > math.MaxUint32 {
+		panic("stats: NewZipf with n outside [1, 2^32)")
 	}
 	cdf := make([]float64, n)
 	sum := 0.0
@@ -108,13 +123,35 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cdf {
 		cdf[i] /= sum
 	}
-	return &Zipf{cdf: cdf, rng: rng}
+	lgK := uint(bits.Len(uint(n - 1)))
+	cells := 1 << lgK
+	guide := make([]uint32, cells+1)
+	i := 0
+	for k := range guide {
+		// k/cells is exact (a power-of-two divisor), and so the bound is.
+		u := float64(k) / float64(cells)
+		for i < n-1 && cdf[i] < u {
+			i++
+		}
+		guide[k] = uint32(i)
+	}
+	return &Zipf{cdf: cdf, guide: guide, shift: 53 - lgK, rng: rng}
 }
 
 // Next returns the next sample in [0, len(cdf)).
 func (z *Zipf) Next() int {
-	u := z.rng.Float64()
-	lo, hi := 0, len(z.cdf)-1
+	return z.sample(z.rng.Uint64() >> 11) // the 53 bits RNG.Float64 uses
+}
+
+// sample returns the sample for the uniform variate v / 2^53.
+func (z *Zipf) sample(v uint64) int {
+	k := v >> z.shift
+	return z.search(float64(v)/(1<<53), int(z.guide[k]), int(z.guide[k+1]))
+}
+
+// search returns the smallest i in [lo, hi] with cdf[i] >= u, or hi if
+// there is none below it; over [0, len(cdf)-1] that is u's sample.
+func (z *Zipf) search(u float64, lo, hi int) int {
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cdf[mid] < u {

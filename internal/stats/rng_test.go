@@ -141,6 +141,60 @@ func TestZipfSkew(t *testing.T) {
 	}
 }
 
+// TestZipfGuideTableSameSamples: the guide table only narrows the
+// search, so every variate must draw what the plain search over the
+// whole table draws — on a million random variates, on both neighbours
+// of every cell boundary (where a wrong bound would show first), and on
+// both neighbours of every CDF step — for table sizes below, at and
+// above a power of two, a single item, and flat to steep skews.
+func TestZipfGuideTableSameSamples(t *testing.T) {
+	for _, tc := range []struct {
+		n int
+		s float64
+	}{{1, 1}, {2, 0.5}, {3, 2}, {100, 1}, {1000, 0.01}, {4096, 0.6}, {4097, 0.8}, {16384, 0.8}, {65536, 0.5}, {50000, 3}} {
+		z := NewZipf(NewRNG(uint64(tc.n)), tc.n, tc.s)
+		check := func(v uint64) {
+			t.Helper()
+			if v >= 1<<53 {
+				return // not a variate
+			}
+			want := z.search(float64(v)/(1<<53), 0, tc.n-1)
+			if got := z.sample(v); got != want {
+				t.Fatalf("n=%d s=%g: variate %d/2^53 draws %d, plain search %d", tc.n, tc.s, v, got, want)
+			}
+		}
+		draws := 1_000_000
+		if testing.Short() {
+			draws = 100_000
+		}
+		rng := NewRNG(99)
+		for i := 0; i < draws; i++ {
+			check(rng.Uint64() >> 11)
+		}
+		for k := range z.guide {
+			edge := uint64(k) << z.shift
+			check(edge - 1) // wraps out of range at k = 0
+			check(edge)
+			check(edge + 1)
+		}
+		for _, c := range z.cdf {
+			step := uint64(c * (1 << 53))
+			check(step - 1)
+			check(step)
+			check(step + 1)
+		}
+		// Next must consume the generator exactly as before: one draw,
+		// its top 53 bits.
+		a, b := NewRNG(5), NewRNG(5)
+		za := NewZipf(a, tc.n, tc.s)
+		for i := 0; i < 1000; i++ {
+			if got, want := za.Next(), za.search(b.Float64(), 0, tc.n-1); got != want {
+				t.Fatalf("n=%d s=%g: draw %d = %d, plain search on Float64 %d", tc.n, tc.s, i, got, want)
+			}
+		}
+	}
+}
+
 func TestZipfPanicsOnBadN(t *testing.T) {
 	defer func() {
 		if recover() == nil {
