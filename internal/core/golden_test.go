@@ -58,6 +58,158 @@ func curveDigest(c *analysis.Curve, extra ...uint64) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
+// wordDigest hashes a word list: the pins that are not a bare curve.
+func wordDigest(words ...uint64) string {
+	h := sha256.New()
+	for _, v := range words {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func floatWords(fs []float64) []uint64 {
+	words := []uint64{uint64(len(fs))}
+	for _, f := range fs {
+		words = append(words, math.Float64bits(f))
+	}
+	return words
+}
+
+func boolWord(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// reportWords is every field of a Report, the thread-test CPI list
+// with its length so a truncated scan cannot alias a longer one.
+func reportWords(rep *Report) []uint64 {
+	words := append([]uint64{uint64(rep.ThreadsUsed)}, floatWords(rep.ThreadTestCPIs)...)
+	return append(words, rep.TargetInstructions, math.Float64bits(rep.WallCycles))
+}
+
+func multiReportWords(rep *MultiReport) []uint64 {
+	return append(reportWords(&rep.Report), floatWords(rep.RankCPIs)...)
+}
+
+// rigGoldenCases are the entry points TestProfileGolden's Nehalem
+// matrix does not reach — the timeline, the many-rank Targets, the
+// Table II sweeps and the thread-count test — each on the 64KB
+// testMachine, so all of them together cost well under a second and
+// -short keeps them. Every row returns the digest of everything its
+// entry point returns.
+var rigGoldenCases = []struct {
+	key string
+	run func() (string, error)
+}{
+	{"small/timeline", func() (string, error) {
+		cfg := smallGoldenConfig()
+		cfg.Threads = 2
+		cfg.AttachInstr = 30_000
+		return timelineDigest(cfg)
+	}},
+	// Three threads over 12, 8 and 4 stolen quanta: the naive byte split
+	// and the way-granular one hand out different spans.
+	{"small/timeline-naive", func() (string, error) {
+		cfg := smallGoldenConfig()
+		cfg.Threads = 3
+		cfg.NaiveSplit = true
+		return timelineDigest(cfg)
+	}},
+	{"small/multi", func() (string, error) {
+		cfg := smallGoldenConfig()
+		cfg.StealStep = 8 << 10 // a quantum for each thread of the test
+		// The many-rank entry points seed the ranks from the caller's Seed
+		// as given: zero stays zero (rank 1 gets 137), not defaulted to 1.
+		cfg.Seed = 0
+		curve, rep, err := ProfileMulti(cfg, []int{0, 1}, randTarget(48<<10))
+		if err != nil {
+			return "", err
+		}
+		return curveDigest(curve, multiReportWords(rep)...), nil
+	}},
+	{"small/parallel", func() (string, error) {
+		cfg := smallGoldenConfig()
+		cfg.StealStep = 8 << 10
+		curve, rep, err := ProfileParallel(cfg, []int{0, 1}, parallelRanks(2, 96<<10))
+		if err != nil {
+			return "", err
+		}
+		return curveDigest(curve, multiReportWords(rep)...), nil
+	}},
+	{"small/steal", func() (string, error) {
+		var words []uint64
+		cfg := testConfig(3)
+		cfg.StealStep = 8 << 10
+		for threads := 1; threads <= 2; threads++ {
+			res, err := MaxStealable(cfg, randTarget(32<<10), threads)
+			if err != nil {
+				return "", err
+			}
+			words = append(words, uint64(res.Threads), uint64(res.MaxWSS), uint64(len(res.ProbedWSS)))
+			for _, w := range res.ProbedWSS {
+				words = append(words, uint64(w))
+			}
+			words = append(words, floatWords(res.FetchRatios)...)
+		}
+		return wordDigest(words...), nil
+	}},
+	{"small/slowdown", func() (string, error) {
+		sd, err := TargetSlowdown(testConfig(3), randTarget(64<<10), 16<<10, 1, 2)
+		return wordDigest(math.Float64bits(sd)), err
+	}},
+	{"small/threads0/workers1", func() (string, error) { return threadsZeroDigest(1) }},
+	{"small/threads0/workers2", func() (string, error) { return threadsZeroDigest(2) }},
+	{"small/determine-threads-multi", func() (string, error) {
+		cfg := testConfig(4).withDefaults()
+		cfg.PirateCores = []int{2, 3}
+		cfg.StealStep = 8 << 10
+		threads, cpis, err := DetermineThreadsMulti(cfg, []int{0, 1}, randTarget(32<<10))
+		return wordDigest(append([]uint64{uint64(threads)}, floatWords(cpis)...)...), err
+	}},
+}
+
+// smallGoldenConfig is testConfig on four cores at every other size.
+func smallGoldenConfig() Config {
+	cfg := testConfig(4)
+	cfg.Sizes = []int64{16 << 10, 32 << 10, 48 << 10, 64 << 10}
+	return cfg
+}
+
+// timelineDigest covers every field of every ProfileTimeline sample,
+// in schedule order, and the run's Report.
+func timelineDigest(cfg Config) (string, error) {
+	tl, rep, err := ProfileTimeline(cfg, randTarget(48<<10))
+	if err != nil {
+		return "", err
+	}
+	var words []uint64
+	for _, s := range tl.Samples {
+		words = append(words, uint64(s.Cycle), uint64(s.CacheBytes), s.StartInstr,
+			math.Float64bits(s.CPI), math.Float64bits(s.BandwidthGBs), math.Float64bits(s.FetchRatio),
+			math.Float64bits(s.MissRatio), math.Float64bits(s.PirateFetchRatio), boolWord(s.Trusted))
+	}
+	return wordDigest(append(words, reportWords(rep)...)...), nil
+}
+
+// threadsZeroDigest is a Profile that runs the thread-count test
+// itself, three quanta of token so every candidate thread holds one.
+// The second thread slows this Target past the threshold, so the scan
+// stops there: at Workers 2 the third count is measured and dropped.
+func threadsZeroDigest(workers int) (string, error) {
+	cfg := smallGoldenConfig()
+	cfg.StealStep = 12 << 10
+	cfg.Workers = workers
+	curve, rep, err := Profile(cfg, randTarget(64<<10))
+	if err != nil {
+		return "", err
+	}
+	return curveDigest(curve, reportWords(rep)...), nil
+}
+
 // TestProfileGolden pins the method itself — the Pirate co-run on the
 // four-core Nehalem machine — to the bit, inside the module's own test
 // suite: the curve of Profile (with the run's Target instruction count
@@ -128,6 +280,13 @@ func TestProfileGolden(t *testing.T) {
 				pin(key+"/fixed", curveDigest(fixed))
 			}
 		}
+	}
+	for _, c := range rigGoldenCases {
+		digest, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.key, err)
+		}
+		pin(c.key, digest)
 	}
 	if *updateProfileGolden {
 		data, err := json.MarshalIndent(got, "", "  ")
