@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"cachepirate"
@@ -71,15 +72,11 @@ func main() {
 	var (
 		curve *cachepirate.Curve
 		rep   *cachepirate.Report
+		ov    cachepirate.OverheadReport
 		err   error
 	)
 	if *overhead {
-		var ov cachepirate.OverheadReport
 		curve, rep, ov, err = cachepirate.MeasureOverhead(cfg, spec.New)
-		if err == nil {
-			defer fmt.Printf("overhead: %.1f%% over running alone (%d target instructions)\n",
-				ov.Overhead()*100, ov.TargetInstructions)
-		}
 	} else {
 		curve, rep, err = cachepirate.Profile(cfg, spec.New)
 	}
@@ -89,28 +86,37 @@ func main() {
 	}
 	curve.Name = spec.Name
 
-	if *jsonOut {
+	// -json and -csv are read by programs: stdout carries the curve and
+	// nothing else, what the run has to say beside it goes to stderr.
+	info := io.Writer(os.Stdout)
+	if *jsonOut || *csv {
+		info = os.Stderr
+	}
+	t := report.CurveTable(spec.Name+" ("+spec.Paper+")", curve)
+	switch {
+	case *jsonOut:
 		if err := curve.WriteJSON(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		return
-	}
-	t := report.CurveTable(spec.Name+" ("+spec.Paper+")", curve)
-	if *csv {
+	case *csv:
 		fmt.Print(t.CSV())
-	} else {
+	default:
 		fmt.Print(t.String())
 		fmt.Println(report.CurveSparklines(curve))
 	}
 	if *plot != "" {
-		fmt.Print(report.CurvePlot(spec.Name+" — "+*plot+" vs cache (MB)", curve, *plot).String())
+		fmt.Fprint(info, report.CurvePlot(spec.Name+" — "+*plot+" vs cache (MB)", curve, *plot).String())
 	}
-	fmt.Printf("pirate threads: %d", rep.ThreadsUsed)
+	fmt.Fprintf(info, "pirate threads: %d", rep.ThreadsUsed)
 	if len(rep.ThreadTestCPIs) > 0 {
-		fmt.Printf(" (thread-test CPIs: %v)", rep.ThreadTestCPIs)
+		fmt.Fprintf(info, " (thread-test CPIs: %v)", rep.ThreadTestCPIs)
 	}
-	fmt.Println()
+	fmt.Fprintln(info)
+	if *overhead {
+		fmt.Fprintf(info, "overhead: %.1f%% over running alone (%d target instructions)\n",
+			ov.Overhead()*100, ov.TargetInstructions)
+	}
 }
 
 // profileAll sweeps the whole suite and prints one summary line per

@@ -42,6 +42,15 @@ func randTarget(span int64) GenFactory {
 	}
 }
 
+// mustNotBuild is a factory that fails the test when called: a config
+// that must be rejected got as far as building its Target.
+func mustNotBuild(t *testing.T) GenFactory {
+	return func(uint64) workload.Generator {
+		t.Error("generator built for a config that must be rejected")
+		return randTarget(32 << 10)(1)
+	}
+}
+
 func TestScannerStrideAndWrap(t *testing.T) {
 	s := NewScanner(0)
 	s.SetSpan(256)
@@ -238,12 +247,7 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 			t.Errorf("%s: validate = %v, want ok %v", tc.name, err, tc.ok)
 		}
 	}
-	// factory fails the test if a rejected config gets as far as building
-	// its Target.
-	factory := func(uint64) workload.Generator {
-		t.Error("generator built for a config that must be rejected")
-		return randTarget(32 << 10)(1)
-	}
+	factory := mustNotBuild(t)
 	for _, c := range []Config{{Threads: 9}, {Cycles: -1}} {
 		c.Machine = testMachine(4)
 		if curve, _, err := Profile(c, factory); err == nil {
@@ -426,16 +430,5 @@ func TestMeasureOverhead(t *testing.T) {
 	}
 	if ov.Overhead() > 3 {
 		t.Errorf("overhead %g implausibly high even for the scaled model", ov.Overhead())
-	}
-}
-
-func TestSortInt64Desc(t *testing.T) {
-	xs := []int64{3, 1, 4, 1, 5}
-	sortInt64Desc(xs)
-	want := []int64{5, 4, 3, 1, 1}
-	for i := range want {
-		if xs[i] != want[i] {
-			t.Fatalf("sorted = %v", xs)
-		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/runner"
 )
@@ -15,8 +14,8 @@ import (
 // (one Target execution per size, §II-C1) used as the reference when
 // validating dynamic adjustment (Table III).
 func ProfileFixed(cfg Config, newGen GenFactory, size int64, threads int) (analysis.Point, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, tgt, err := soloTarget(cfg, newGen)
+	if err != nil {
 		return analysis.Point{}, err
 	}
 	if size <= 0 || size > cfg.Machine.L3.Size {
@@ -25,54 +24,25 @@ func ProfileFixed(cfg Config, newGen GenFactory, size int64, threads int) (analy
 	if threads <= 0 {
 		threads = 1
 	}
-	m, err := machine.New(cfg.Machine)
+	r, err := newRig(cfg, tgt)
 	if err != nil {
 		return analysis.Point{}, err
 	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
+	if err := r.steal(cfg.Machine.L3.Size-size, threads); err != nil {
 		return analysis.Point{}, err
 	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
-	if err != nil {
+	if err := tgt.warm(r); err != nil {
 		return analysis.Point{}, err
 	}
-	if err := pirate.SetWSS(cfg.Machine.L3.Size-size, threads); err != nil {
-		return analysis.Point{}, err
-	}
-	if pirate.WSS() > 0 {
-		m.Suspend(cfg.TargetCore)
-		if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-			return analysis.Point{}, err
-		}
-		m.Resume(cfg.TargetCore)
-	}
-	pmu := counters.NewPMU(m)
-	if err := warmTarget(cfg, m, pmu); err != nil {
-		return analysis.Point{}, err
-	}
-	var p analysis.Point
-	p.CacheBytes = size
+	tl := &Timeline{}
 	for i := 0; i < cfg.Cycles; i++ {
-		pmu.MarkAll()
-		if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
+		s, err := r.measure(i, size)
+		if err != nil {
 			return analysis.Point{}, err
 		}
-		ts := pmu.ReadInterval(cfg.TargetCore)
-		p.CPI += ts.CPI()
-		p.BandwidthGBs += ts.BandwidthGBs(cfg.Machine.CPU.FreqHz)
-		p.FetchRatio += ts.FetchRatio()
-		p.MissRatio += ts.MissRatio()
-		p.PirateFetchRatio += pirateFetchRatio(pmu, pirate)
-		p.Samples++
+		tl.Samples = append(tl.Samples, s)
 	}
-	n := float64(p.Samples)
-	p.CPI /= n
-	p.BandwidthGBs /= n
-	p.FetchRatio /= n
-	p.MissRatio /= n
-	p.PirateFetchRatio /= n
-	p.Trusted = p.PirateFetchRatio <= cfg.FetchThreshold
-	return p, nil
+	return tl.Curve(cfg.FetchThreshold).Points[0], nil
 }
 
 // ProfileFixedCurve runs ProfileFixed for every configured size; this

@@ -34,31 +34,17 @@ type profileGolden struct {
 // curveDigest hashes every field of every point, floats by their bits,
 // followed by any extra words.
 func curveDigest(c *analysis.Curve, extra ...uint64) string {
-	h := sha256.New()
-	word := func(v uint64) {
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], v)
-		h.Write(b[:])
-	}
+	var words []uint64
 	for _, p := range c.Points {
-		word(uint64(p.CacheBytes))
-		for _, f := range []float64{p.CPI, p.BandwidthGBs, p.FetchRatio, p.MissRatio, p.PirateFetchRatio} {
-			word(math.Float64bits(f))
-		}
-		trusted := uint64(0)
-		if p.Trusted {
-			trusted = 1
-		}
-		word(trusted)
-		word(uint64(p.Samples))
+		words = append(words, uint64(p.CacheBytes),
+			math.Float64bits(p.CPI), math.Float64bits(p.BandwidthGBs), math.Float64bits(p.FetchRatio),
+			math.Float64bits(p.MissRatio), math.Float64bits(p.PirateFetchRatio),
+			boolWord(p.Trusted), uint64(p.Samples))
 	}
-	for _, v := range extra {
-		word(v)
-	}
-	return hex.EncodeToString(h.Sum(nil))
+	return wordDigest(append(words, extra...)...)
 }
 
-// wordDigest hashes a word list: the pins that are not a bare curve.
+// wordDigest hashes a word list, little-endian.
 func wordDigest(words ...uint64) string {
 	h := sha256.New()
 	for _, v := range words {

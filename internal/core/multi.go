@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/workload"
 )
@@ -23,15 +22,10 @@ import (
 // MultiReport extends Report with per-rank detail.
 type MultiReport struct {
 	Report
-	// RankCPIs are each rank's CPI at the full cache size, for
-	// balance diagnostics.
+	// RankCPIs are each rank's CPI over the run's last interval (the
+	// smallest size of the last cycle), for balance diagnostics.
 	RankCPIs []float64
 }
-
-// rankAttacher binds the Target's ranks to their cores on a fresh
-// machine; the harness calls it for the main run and again for every
-// thread-test machine.
-type rankAttacher func(m *machine.Machine) error
 
 // ProfileMulti captures a metric curve for a Target running one
 // private-address-space rank on each of targetCores ("share-nothing"
@@ -40,10 +34,11 @@ type rankAttacher func(m *machine.Machine) error
 // aggregate CPI is total cycles over total instructions, bandwidth and
 // event ratios sum over ranks.
 func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*analysis.Curve, *MultiReport, error) {
-	attach := func(m *machine.Machine) error {
-		return attachRanks(m, targetCores, newGen, cfg.Seed)
+	cfg, tgt, err := rankTarget(cfg, targetCores, attachRanks(targetCores, newGen, cfg.Seed))
+	if err != nil {
+		return nil, nil, err
 	}
-	return profileRanks(cfg, targetCores, attach)
+	return scheduleCurve(cfg, tgt, "pirate-multi")
 }
 
 // ProfileParallel captures a metric curve for a shared-memory
@@ -51,10 +46,13 @@ func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*analysis.C
 // single shared address space (e.g. workload.NewParallel), and the
 // ranks attach with machine.AttachShared so their writes generate
 // coherence traffic. Metrics aggregate across ranks as in ProfileMulti.
+// Like a GenFactory, newRanks must be safe for concurrent calls: the
+// thread-count test builds its machines from pool workers.
 func ProfileParallel(cfg Config, targetCores []int,
 	newRanks func(seed uint64) ([]workload.Generator, error)) (*analysis.Curve, *MultiReport, error) {
-	attach := func(m *machine.Machine) error {
-		gens, err := newRanks(cfg.Seed)
+	seed := cfg.Seed // as given, not defaulted: see attachRanks
+	cfg, tgt, err := rankTarget(cfg, targetCores, func(m *machine.Machine) error {
+		gens, err := newRanks(seed)
 		if err != nil {
 			return err
 		}
@@ -67,263 +65,36 @@ func ProfileParallel(cfg Config, targetCores []int,
 			}
 		}
 		return nil
-	}
-	return profileRanks(cfg, targetCores, attach)
-}
-
-// profileRanks is the shared measurement loop behind ProfileMulti and
-// ProfileParallel.
-func profileRanks(cfg Config, targetCores []int, attach rankAttacher) (*analysis.Curve, *MultiReport, error) {
-	if len(targetCores) == 0 {
-		return nil, nil, fmt.Errorf("core: no target cores")
-	}
-	cfg.TargetCore = targetCores[0]
-	// Default pirate cores: everything that is not a target rank.
-	if len(cfg.PirateCores) == 0 {
-		if cfg.Machine.Cores == 0 {
-			cfg.Machine = machine.NehalemConfig()
-		}
-		used := map[int]bool{}
-		for _, tc := range targetCores {
-			used[tc] = true
-		}
-		for i := 0; i < cfg.Machine.Cores; i++ {
-			if !used[i] {
-				cfg.PirateCores = append(cfg.PirateCores, i)
-			}
-		}
-	}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	for _, tc := range targetCores {
-		for _, pc := range cfg.PirateCores {
-			if tc == pc {
-				return nil, nil, fmt.Errorf("core: core %d is both target rank and pirate", tc)
-			}
-		}
-	}
-	if len(cfg.PirateCores) == 0 {
-		return nil, nil, fmt.Errorf("core: no cores left for the pirate")
-	}
-
-	rep := &MultiReport{}
-	rep.ThreadsUsed = cfg.Threads
-	if rep.ThreadsUsed == 0 {
-		t, cpis, err := determineThreadsRanks(cfg, targetCores, attach)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.ThreadsUsed, rep.ThreadTestCPIs = t, cpis
-	}
-
-	m, err := machine.New(cfg.Machine)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := attach(m); err != nil {
-		return nil, nil, err
-	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
-	if err != nil {
-		return nil, nil, err
-	}
-	pmu := counters.NewPMU(m)
-
-	if err := warmRanks(cfg, m, targetCores); err != nil {
-		return nil, nil, err
-	}
-
-	sizes := append([]int64(nil), cfg.Sizes...)
-	sortInt64Desc(sizes)
-	type acc struct {
-		cpi, bw, fetch, miss, pirateFR float64
-		n                              int
-	}
-	accs := make(map[int64]*acc, len(sizes))
-	for _, s := range sizes {
-		accs[s] = &acc{}
-	}
-	lastRankCPIs := make([]float64, len(targetCores))
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		for _, size := range sizes {
-			pwss := cfg.Machine.L3.Size - size
-			grew := pwss > pirate.WSS()
-			if err := pirate.SetWSS(pwss, rep.ThreadsUsed); err != nil {
-				return nil, nil, err
-			}
-			if pwss > 0 && grew {
-				suspendAll(m, targetCores)
-				if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-					return nil, nil, err
-				}
-				resumeAll(m, targetCores)
-				if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs/2); err != nil {
-					return nil, nil, err
-				}
-			} else {
-				pirate.Suspend()
-				if err := warmRanks(cfg, m, targetCores); err != nil {
-					return nil, nil, err
-				}
-				pirate.Resume()
-			}
-
-			pmu.MarkAll()
-			if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
-				return nil, nil, err
-			}
-			ts := aggregateSample(pmu, targetCores)
-			for i, tc := range targetCores {
-				lastRankCPIs[i] = pmu.ReadInterval(tc).CPI()
-			}
-			a := accs[size]
-			a.cpi += ts.CPI()
-			a.bw += ts.BandwidthGBs(cfg.Machine.CPU.FreqHz)
-			a.fetch += ts.FetchRatio()
-			a.miss += ts.MissRatio()
-			a.pirateFR += pirateFetchRatio(pmu, pirate)
-			a.n++
-		}
-	}
-
-	curve := &analysis.Curve{Name: "pirate-multi"}
-	for _, s := range sizes {
-		a := accs[s]
-		n := float64(a.n)
-		pfr := a.pirateFR / n
-		curve.Points = append(curve.Points, analysis.Point{
-			CacheBytes:       s,
-			CPI:              a.cpi / n,
-			BandwidthGBs:     a.bw / n,
-			FetchRatio:       a.fetch / n,
-			MissRatio:        a.miss / n,
-			PirateFetchRatio: pfr,
-			Trusted:          pfr <= cfg.FetchThreshold,
-			Samples:          a.n,
-		})
-	}
-	curve.Sort()
-	rep.RankCPIs = lastRankCPIs
-	rep.TargetInstructions = m.ReadCounters(cfg.TargetCore).Instructions
-	rep.WallCycles = m.Now()
-	return curve, rep, nil
+	return scheduleCurve(cfg, tgt, "pirate-multi")
 }
 
 // DetermineThreadsMulti is the §III-C safety test with a
 // multithreaded Target: the *aggregate* CPI across ranks decides
 // whether an extra pirate thread distorts the measurement.
 func DetermineThreadsMulti(cfg Config, targetCores []int, newGen GenFactory) (int, []float64, error) {
-	return determineThreadsRanks(cfg, targetCores, func(m *machine.Machine) error {
-		return attachRanks(m, targetCores, newGen, cfg.Seed)
-	})
-}
-
-// determineThreadsRanks is DetermineThreadsMulti over any attacher.
-func determineThreadsRanks(cfg Config, targetCores []int, attach rankAttacher) (int, []float64, error) {
-	tokenWSS := cfg.StealStep
-	if tokenWSS == 0 {
-		tokenWSS = cfg.Machine.L3.Size / 16
-	}
-	// The caller may have restricted PirateCores after defaulting.
-	if cfg.MaxThreads == 0 || cfg.MaxThreads > len(cfg.PirateCores) {
-		cfg.MaxThreads = len(cfg.PirateCores)
-	}
-	var cpis []float64
-	best := 1
-	for t := 1; t <= cfg.MaxThreads; t++ {
-		cpi, err := multiCPIWithPirate(cfg, targetCores, attach, tokenWSS, t)
-		if err != nil {
-			return 0, nil, err
-		}
-		cpis = append(cpis, cpi)
-		if t == 1 {
-			continue
-		}
-		if (cpi-cpis[0])/cpis[0] <= cfg.SlowdownThreshold {
-			best = t
-		} else {
-			break
-		}
-	}
-	return best, cpis, nil
-}
-
-func multiCPIWithPirate(cfg Config, targetCores []int, attach rankAttacher, pwss int64, threads int) (float64, error) {
-	m, err := machine.New(cfg.Machine)
+	cfg, tgt, err := rankTarget(cfg, targetCores, attachRanks(targetCores, newGen, cfg.Seed))
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	if err := attach(m); err != nil {
-		return 0, err
-	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
-	if err != nil {
-		return 0, err
-	}
-	if err := pirate.SetWSS(pwss, threads); err != nil {
-		return 0, err
-	}
-	suspendAll(m, targetCores)
-	if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-		return 0, err
-	}
-	resumeAll(m, targetCores)
-	if err := warmRanks(cfg, m, targetCores); err != nil {
-		return 0, err
-	}
-	pmu := counters.NewPMU(m)
-	pmu.MarkAll()
-	if err := m.RunInstructions(targetCores[0], cfg.IntervalInstrs); err != nil {
-		return 0, err
-	}
-	return aggregateSample(pmu, targetCores).CPI(), nil
+	return scanThreads(cfg, tgt)
 }
 
 // attachRanks attaches one workload instance per rank core, seeded per
-// rank so ranks are decorrelated.
-func attachRanks(m *machine.Machine, cores []int, newGen GenFactory, seed uint64) error {
-	for i, tc := range cores {
-		if err := m.Attach(tc, newGen(seed+uint64(i)*137)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// warmRanks warms each rank to the same instruction floor.
-func warmRanks(cfg Config, m *machine.Machine, cores []int) error {
-	target := m.ReadCounters(cores[0]).Instructions + cfg.TargetWarmupInstrs*3
-	for _, tc := range cores {
-		cur := m.ReadCounters(tc).Instructions
-		if cur < target {
-			if err := m.RunInstructions(tc, target-cur); err != nil {
+// rank so ranks are decorrelated. The seed is the caller's as given: a
+// zero Seed reaches the ranks as zero, where a one-core Target gets the
+// default 1 — defaulting it here would move every many-rank number
+// measured with the zero Config.
+func attachRanks(cores []int, newGen GenFactory, seed uint64) func(*machine.Machine) error {
+	return func(m *machine.Machine) error {
+		for i, tc := range cores {
+			if err := m.Attach(tc, newGen(seed+uint64(i)*137)); err != nil {
 				return err
 			}
 		}
+		return nil
 	}
-	return nil
-}
-
-func suspendAll(m *machine.Machine, cores []int) {
-	for _, c := range cores {
-		m.Suspend(c)
-	}
-}
-
-func resumeAll(m *machine.Machine, cores []int) {
-	for _, c := range cores {
-		m.Resume(c)
-	}
-}
-
-// aggregateSample sums the interval samples of the given cores.
-func aggregateSample(pmu *counters.PMU, cores []int) counters.Sample {
-	var sum counters.Sample
-	for _, c := range cores {
-		sum = sum.Add(pmu.ReadInterval(c))
-	}
-	return sum
 }

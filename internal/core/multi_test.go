@@ -1,8 +1,11 @@
 package core
 
 import (
+	"reflect"
+	"strings"
 	"testing"
 
+	"cachepirate/internal/analysis"
 	"cachepirate/internal/workload"
 )
 
@@ -72,7 +75,7 @@ func TestProfileMultiValidation(t *testing.T) {
 }
 
 func TestDetermineThreadsMulti(t *testing.T) {
-	cfg := testConfig(4).withDefaults()
+	cfg := testConfig(4)
 	cfg.PirateCores = []int{2, 3}
 	threads, cpis, err := DetermineThreadsMulti(cfg, []int{0, 1}, randTarget(32<<10))
 	if err != nil {
@@ -83,6 +86,60 @@ func TestDetermineThreadsMulti(t *testing.T) {
 	}
 	if len(cpis) == 0 || cpis[0] <= 0 {
 		t.Errorf("cpis = %v", cpis)
+	}
+
+	// Nothing but the machine given: the pirate defaults to the two
+	// non-rank cores and the test measures both thread counts, as
+	// ProfileMulti's own test does. It used to default nothing, measure
+	// nothing and answer (1, [], nil).
+	threads, cpis, err = DetermineThreadsMulti(Config{Machine: testMachine(4)}, []int{0, 1}, randTarget(32<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if threads < 1 || threads > 2 || len(cpis) == 0 || cpis[0] <= 0 {
+		t.Errorf("undefaulted config: threads = %d, cpis = %v", threads, cpis)
+	}
+
+	// A rank's core listed as a pirate core is refused up front, not
+	// after NewPirate has re-attached and suspended it.
+	cfg = testConfig(4)
+	cfg.PirateCores = []int{1, 2}
+	_, _, err = DetermineThreadsMulti(cfg, []int{0, 1}, mustNotBuild(t))
+	if err == nil || !strings.Contains(err.Error(), "core 1 is both target rank and pirate") {
+		t.Errorf("overlapping cores: err = %v", err)
+	}
+}
+
+// TestProfileMultiHonoursScheduleKnobs: AttachInstr and NaiveSplit are
+// properties of the dynamic schedule, so a many-rank Target gets them
+// like a one-core one (TestAttachInstrFastForwards' twin).
+func TestProfileMultiHonoursScheduleKnobs(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Threads = 2
+	cfg.Cycles = 1
+	// 54KB, 34KB and 14KB to steal: the way-granular split rounds each to
+	// whole 4KB quanta, the naive one hands out the bytes as asked.
+	cfg.Sizes = []int64{10 << 10, 30 << 10, 50 << 10}
+	run := func(cfg Config) (*analysis.Curve, *MultiReport) {
+		curve, rep, err := ProfileMulti(cfg, []int{0, 1}, randTarget(48<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return curve, rep
+	}
+	base, baseRep := run(cfg)
+
+	ff := cfg
+	ff.AttachInstr = 50_000
+	if _, rep := run(ff); rep.TargetInstructions < baseRep.TargetInstructions+50_000 {
+		t.Errorf("AttachInstr 50000 ignored: the run retired %d Target instructions, %d without it",
+			rep.TargetInstructions, baseRep.TargetInstructions)
+	}
+
+	naive := cfg
+	naive.NaiveSplit = true
+	if curve, _ := run(naive); reflect.DeepEqual(curve, base) {
+		t.Error("NaiveSplit ignored: naive and way-granular curves are identical")
 	}
 }
 
@@ -118,7 +175,7 @@ func TestProfileMultiBandwidthHungryRanksVeto(t *testing.T) {
 		return workload.NewSequential(workload.SequentialConfig{
 			Name: "s", Span: 48 << 10, NInstr: 1, MLP: 6})
 	}
-	cfg := testConfig(4).withDefaults()
+	cfg := testConfig(4)
 	cfg.PirateCores = []int{2, 3}
 	threads, _, err := DetermineThreadsMulti(cfg, []int{0, 1}, stream)
 	if err != nil {

@@ -232,7 +232,10 @@ func (p *Pirate) Resume() {
 // common target instead would be cheaper and would change every
 // simulated statistic downstream of it (the curves, WallCycles, the
 // harness's pinned digests), so it is left for a change that may re-pin
-// them (ROADMAP open items); TestProfileGolden holds today's behaviour.
+// them (ROADMAP item 2); TestProfileGolden holds today's behaviour. The
+// harness calls Warm from one place, rig.steal: that is where to warm
+// only the span a growth step added, or to end a warm-up on the
+// Pirate's fetch ratio instead of a pass count.
 func (p *Pirate) Warm(passes int) error {
 	if passes < 1 {
 		passes = 1

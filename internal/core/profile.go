@@ -1,14 +1,10 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/cache"
-	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
-	"cachepirate/internal/runner"
 	"cachepirate/internal/workload"
 )
 
@@ -64,7 +60,9 @@ type Config struct {
 	AttachInstr uint64
 	// NaiveSplit distributes the pirate working set as equal byte
 	// spans instead of whole way-size quanta; only the abl1 ablation
-	// enables it.
+	// enables it. Like AttachInstr it belongs to the dynamic schedule
+	// (Profile, ProfileTimeline, ProfileMulti, ProfileParallel); the
+	// thread-count test and the fixed-size runs do not read either.
 	NaiveSplit bool
 	// StealStep is the working-set granularity of the Table II
 	// MaxStealable sweep and the thread-test token (default: 1/16 of
@@ -73,14 +71,14 @@ type Config struct {
 	// Seed seeds the Target workload.
 	Seed uint64
 	// Workers bounds how many independent machine runs execute
-	// concurrently in the fan-out entry points (ProfileFixedCurve's
-	// per-size runs, DetermineThreads' per-thread-count runs). Each run
-	// builds a fresh machine and generator from the factory, so results
-	// are bit-identical at any width; <= 0 means one worker per CPU, 1
-	// reproduces the historical serial order exactly. The per-size loop
-	// inside a dynamic Profile/ProfileTimeline run is inherently serial
-	// — it is a single Target execution, the paper's whole point — and
-	// is not affected.
+	// concurrently in the fan-outs (ProfileFixedCurve's per-size runs,
+	// the thread-count test's per-count runs, for one-core and many-rank
+	// Targets alike). Each run builds a fresh machine and generators
+	// from the factory, so results are bit-identical at any width; <= 0
+	// means one worker per CPU, 1 reproduces the historical serial order
+	// exactly. The per-size loop inside a dynamic profile is inherently
+	// serial — it is a single Target execution, the paper's whole point
+	// — and is not affected.
 	Workers int
 }
 
@@ -152,6 +150,9 @@ func (c Config) validate() error {
 			return fmt.Errorf("core: size %d outside (0, L3=%d]", s, c.Machine.L3.Size)
 		}
 	}
+	if len(c.PirateCores) == 0 {
+		return fmt.Errorf("core: no cores left for the pirate")
+	}
 	// Checked here, before any machine step: a thread count the Pirate
 	// cannot field would otherwise surface only when SetWSS refuses it,
 	// after the whole initial Target warm-up, and a negative cycle count
@@ -187,288 +188,36 @@ type Report struct {
 // using dynamic working-set adjustment (Fig. 5). Within each
 // measurement cycle the Pirate's working set only grows (so each
 // change warms with the Pirate running alone briefly); between cycles
-// it collapses and the Target warms its reclaimed space.
+// it collapses and the Target warms its reclaimed space. The curve is
+// the schedule's intervals averaged per size across the cycles.
 //
 // The per-size loop shares the one live machine — a single Target
 // execution is the methodology — so it is inherently serial;
-// Config.Workers parallelises only the fresh-machine fan-out this
-// function calls (DetermineThreads). Use ProfileFixedCurve when you
-// want the per-size runs themselves fanned across cores.
+// Config.Workers parallelises only the thread-count scan run when no
+// count is fixed. Use ProfileFixedCurve when you want the per-size
+// runs themselves fanned across cores.
 func Profile(cfg Config, newGen GenFactory) (*analysis.Curve, *Report, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{ThreadsUsed: cfg.Threads}
-	if rep.ThreadsUsed == 0 {
-		t, cpis, err := DetermineThreads(cfg, newGen)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.ThreadsUsed, rep.ThreadTestCPIs = t, cpis
-	}
-
-	m, err := machine.New(cfg.Machine)
+	cfg, tgt, err := soloTarget(cfg, newGen)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
-		return nil, nil, err
-	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
+	curve, rep, err := scheduleCurve(cfg, tgt, "pirate")
 	if err != nil {
 		return nil, nil, err
 	}
-	pirate.SetNaiveSplit(cfg.NaiveSplit)
-	pmu := counters.NewPMU(m)
-
-	// Fast-forward: let the Target run alone to the attach point.
-	if cfg.AttachInstr > 0 {
-		if err := m.RunInstructions(cfg.TargetCore, cfg.AttachInstr); err != nil {
-			return nil, nil, err
-		}
-	}
-
-	// Initial Target warm-up with the full cache.
-	if err := warmTarget(cfg, m, pmu); err != nil {
-		return nil, nil, err
-	}
-
-	// Descending sizes: the Pirate grows within a cycle.
-	sizes := append([]int64(nil), cfg.Sizes...)
-	sortInt64Desc(sizes)
-
-	type acc struct {
-		cpi, bw, fetch, miss, pirateFR float64
-		n                              int
-	}
-	accs := make(map[int64]*acc, len(sizes))
-	for _, s := range sizes {
-		accs[s] = &acc{}
-	}
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		for _, size := range sizes {
-			pwss := cfg.Machine.L3.Size - size
-			grew := pwss > pirate.WSS()
-			if err := pirate.SetWSS(pwss, rep.ThreadsUsed); err != nil {
-				return nil, nil, err
-			}
-			if pwss > 0 && grew {
-				// Pirate warms its new space with the Target halted,
-				// then both run briefly so the Target re-converges to
-				// its steady state at the smaller size.
-				m.Suspend(cfg.TargetCore)
-				if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-					return nil, nil, err
-				}
-				m.Resume(cfg.TargetCore)
-				if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs/2); err != nil {
-					return nil, nil, err
-				}
-			} else {
-				// Target's cache grew: it runs alone to warm it,
-				// until its fetch ratio stabilises (otherwise the
-				// first measurement after a cycle wrap sees cold
-				// misses as capacity misses).
-				pirate.Suspend()
-				if err := warmTarget(cfg, m, pmu); err != nil {
-					return nil, nil, err
-				}
-				pirate.Resume()
-			}
-
-			pmu.MarkAll()
-			if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
-				return nil, nil, err
-			}
-			ts := pmu.ReadInterval(cfg.TargetCore)
-			a := accs[size]
-			a.cpi += ts.CPI()
-			a.bw += ts.BandwidthGBs(cfg.Machine.CPU.FreqHz)
-			a.fetch += ts.FetchRatio()
-			a.miss += ts.MissRatio()
-			a.pirateFR += pirateFetchRatio(pmu, pirate)
-			a.n++
-		}
-	}
-
-	curve := &analysis.Curve{Name: "pirate"}
-	for _, s := range sizes {
-		a := accs[s]
-		n := float64(a.n)
-		pfr := a.pirateFR / n
-		curve.Points = append(curve.Points, analysis.Point{
-			CacheBytes:       s,
-			CPI:              a.cpi / n,
-			BandwidthGBs:     a.bw / n,
-			FetchRatio:       a.fetch / n,
-			MissRatio:        a.miss / n,
-			PirateFetchRatio: pfr,
-			Trusted:          pfr <= cfg.FetchThreshold,
-			Samples:          a.n,
-		})
-	}
-	curve.Sort()
-	rep.TargetInstructions = m.ReadCounters(cfg.TargetCore).Instructions
-	rep.WallCycles = m.Now()
-	return curve, rep, nil
-}
-
-// warmTarget runs the Target in TargetWarmupInstrs chunks until both
-// its fetch ratio and its L3 occupancy stabilise (consecutive chunks
-// within 10% and 2% respectively), bounded at 12 chunks. Fetch-ratio
-// stability alone cannot distinguish steady-state capacity misses
-// from a steady *cold* scan (a 6MB sweep fetches at a constant rate
-// for its entire first pass); occupancy growth does — as long as the
-// Target's footprint is still filling in, keep warming.
-func warmTarget(cfg Config, m *machine.Machine, pmu *counters.PMU) error {
-	prevFR := -1.0
-	prevOcc := int64(-1)
-	l3 := m.Hierarchy().L3()
-	owner := cache.Owner(cfg.TargetCore)
-	for i := 0; i < 12; i++ {
-		pmu.Mark(cfg.TargetCore)
-		if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs); err != nil {
-			return err
-		}
-		fr := pmu.ReadInterval(cfg.TargetCore).FetchRatio()
-		occ := l3.ResidentBytes(owner)
-		if prevFR >= 0 {
-			d := fr - prevFR
-			if d < 0 {
-				d = -d
-			}
-			limit := 0.1 * fr
-			if 0.1*prevFR > limit {
-				limit = 0.1 * prevFR
-			}
-			frStable := d <= limit+0.001
-			occStable := occ <= prevOcc+prevOcc/50+4096
-			if frStable && occStable {
-				return nil
-			}
-		}
-		prevFR, prevOcc = fr, occ
-	}
-	return nil
-}
-
-// pirateFetchRatio aggregates the active pirate threads' interval
-// fetch ratio (total fetches / total accesses). A pirate stealing
-// nothing trivially has ratio 0.
-func pirateFetchRatio(pmu *counters.PMU, p *Pirate) float64 {
-	var sum counters.Sample
-	for _, c := range p.cores {
-		sum = sum.Add(pmu.ReadInterval(c))
-	}
-	return sum.FetchRatio()
+	return curve, &rep.Report, nil
 }
 
 // DetermineThreads implements the §III-C safe-thread-count test: the
 // Pirate steals a token 0.5MB, the Target's CPI is measured with 1, 2,
 // ... threads, and the highest count whose CPI stays within
-// SlowdownThreshold of the single-thread CPI wins. One thread is
-// always safe (two cores cannot saturate the L3 port).
-//
-// Each thread count runs on its own fresh machine, so with Workers !=
-// 1 the candidate CPIs are measured concurrently and the serial
-// early-break scan is replayed over them afterwards — the chosen count
-// and the reported CPI list (truncated at the break point) are
-// byte-identical to the serial path; the parallel path merely measures
-// some counts the serial path would have skipped.
+// SlowdownThreshold of the single-thread CPI wins. The chosen count and
+// the reported CPI list (truncated where the scan stopped) are the same
+// at any Config.Workers.
 func DetermineThreads(cfg Config, newGen GenFactory) (int, []float64, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return 0, nil, err
-	}
-	tokenWSS := cfg.StealStep
-
-	if (runner.Pool{Workers: cfg.Workers}).EffectiveWorkers(cfg.MaxThreads) == 1 {
-		// Serial: evaluate lazily with the historical early break, so
-		// -j 1 does exactly the work it always did.
-		var cpis []float64
-		best := 1
-		for t := 1; t <= cfg.MaxThreads; t++ {
-			cpi, err := targetCPIWithPirate(cfg, newGen, tokenWSS, t)
-			if err != nil {
-				return 0, nil, err
-			}
-			cpis = append(cpis, cpi)
-			if t == 1 {
-				continue
-			}
-			if (cpi-cpis[0])/cpis[0] <= cfg.SlowdownThreshold {
-				best = t
-			} else {
-				break
-			}
-		}
-		return best, cpis, nil
-	}
-	all, err := runner.Map(context.Background(), runner.Pool{Workers: cfg.Workers}, cfg.MaxThreads,
-		func(_ context.Context, i int) (float64, error) {
-			return targetCPIWithPirate(cfg, newGen, tokenWSS, i+1)
-		})
+	cfg, tgt, err := soloTarget(cfg, newGen)
 	if err != nil {
 		return 0, nil, err
 	}
-	// Replay the serial scan, including its truncation at the first
-	// over-threshold count, so the outputs match the serial path.
-	var cpis []float64
-	best := 1
-	for t := 1; t <= cfg.MaxThreads; t++ {
-		cpi := all[t-1]
-		cpis = append(cpis, cpi)
-		if t == 1 {
-			continue
-		}
-		if (cpi-cpis[0])/cpis[0] <= cfg.SlowdownThreshold {
-			best = t
-		} else {
-			break
-		}
-	}
-	return best, cpis, nil
-}
-
-// targetCPIWithPirate measures the Target's CPI on a fresh machine
-// while a pirate with the given working set and thread count co-runs.
-func targetCPIWithPirate(cfg Config, newGen GenFactory, pwss int64, threads int) (float64, error) {
-	m, err := machine.New(cfg.Machine)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
-		return 0, err
-	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
-	if err != nil {
-		return 0, err
-	}
-	if err := pirate.SetWSS(pwss, threads); err != nil {
-		return 0, err
-	}
-	m.Suspend(cfg.TargetCore)
-	if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-		return 0, err
-	}
-	m.Resume(cfg.TargetCore)
-	if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs); err != nil {
-		return 0, err
-	}
-	pmu := counters.NewPMU(m)
-	pmu.MarkAll()
-	if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
-		return 0, err
-	}
-	return pmu.ReadInterval(cfg.TargetCore).CPI(), nil
-}
-
-func sortInt64Desc(xs []int64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] > xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+	return scanThreads(cfg, tgt)
 }

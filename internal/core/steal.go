@@ -1,10 +1,5 @@
 package core
 
-import (
-	"cachepirate/internal/counters"
-	"cachepirate/internal/machine"
-)
-
 // StealResult reports how much cache the Pirate could hold against a
 // particular Target (§III-C / Table II).
 type StealResult struct {
@@ -24,52 +19,37 @@ type StealResult struct {
 // the Table II measurement: when the Pirate's fetch ratio is zero its
 // whole working set is resident; at 3% it holds 97-100% of it.
 func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
+	cfg, tgt, err := soloTarget(cfg, newGen)
+	if err != nil {
 		return StealResult{}, err
 	}
 	if threads <= 0 {
 		threads = 1
 	}
 	res := StealResult{Threads: threads}
-
-	m, err := machine.New(cfg.Machine)
+	r, err := newRig(cfg, tgt)
 	if err != nil {
 		return StealResult{}, err
 	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
-		return StealResult{}, err
-	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
-	if err != nil {
-		return StealResult{}, err
-	}
-	pmu := counters.NewPMU(m)
-
 	// Warm the Target once with the full cache.
-	if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs); err != nil {
+	if err := r.run(cfg.TargetWarmupInstrs); err != nil {
 		return StealResult{}, err
 	}
 
 	step := cfg.StealStep
 	for wss := step; wss < cfg.Machine.L3.Size; wss += step {
-		if err := pirate.SetWSS(wss, threads); err != nil {
+		if err := r.steal(wss, threads); err != nil {
 			return StealResult{}, err
 		}
-		m.Suspend(cfg.TargetCore)
-		if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-			return StealResult{}, err
-		}
-		m.Resume(cfg.TargetCore)
 		// Let contention settle, then measure the pirate.
-		if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs/2); err != nil {
+		if err := r.run(cfg.TargetWarmupInstrs / 2); err != nil {
 			return StealResult{}, err
 		}
-		pmu.MarkAll()
-		if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
+		s, err := r.measure(0, cfg.Machine.L3.Size-wss)
+		if err != nil {
 			return StealResult{}, err
 		}
-		fr := pirateFetchRatio(pmu, pirate)
+		fr := s.PirateFetchRatio
 		res.ProbedWSS = append(res.ProbedWSS, wss)
 		res.FetchRatios = append(res.FetchRatios, fr)
 		if fr <= cfg.FetchThreshold {
@@ -89,15 +69,15 @@ func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, erro
 // wss bytes using t1 and then t2 threads, returning
 // (cpi2-cpi1)/cpi1 — the Table II rightmost column.
 func TargetSlowdown(cfg Config, newGen GenFactory, wss int64, t1, t2 int) (float64, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return 0, err
-	}
-	cpi1, err := targetCPIWithPirate(cfg, newGen, wss, t1)
+	cfg, tgt, err := soloTarget(cfg, newGen)
 	if err != nil {
 		return 0, err
 	}
-	cpi2, err := targetCPIWithPirate(cfg, newGen, wss, t2)
+	cpi1, err := pirateCPI(cfg, tgt, wss, t1)
+	if err != nil {
+		return 0, err
+	}
+	cpi2, err := pirateCPI(cfg, tgt, wss, t2)
 	if err != nil {
 		return 0, err
 	}

@@ -4,8 +4,6 @@ import (
 	"sort"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/counters"
-	"cachepirate/internal/machine"
 )
 
 // This file adds phase-resolved profiling. §II-C1 requires that "the
@@ -130,98 +128,17 @@ func (tl *Timeline) PhaseSpread() []SpreadPoint {
 	return out
 }
 
-// ProfileTimeline is Profile with per-interval recording: same
-// schedule (descending sizes per cycle, warm-ups on growth), but every
-// measurement is kept with its position in the Target's execution.
-// Like Profile, the per-size schedule shares the one live machine and
-// stays serial; Config.Workers accelerates the DetermineThreads
-// fan-out it performs when no thread count is fixed.
+// ProfileTimeline is Profile with per-interval recording: the same
+// schedule on the same rig, with every measurement kept with its
+// position in the Target's execution instead of averaged.
 func ProfileTimeline(cfg Config, newGen GenFactory) (*Timeline, *Report, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, nil, err
-	}
-	rep := &Report{ThreadsUsed: cfg.Threads}
-	if rep.ThreadsUsed == 0 {
-		t, cpis, err := DetermineThreads(cfg, newGen)
-		if err != nil {
-			return nil, nil, err
-		}
-		rep.ThreadsUsed, rep.ThreadTestCPIs = t, cpis
-	}
-
-	m, err := machine.New(cfg.Machine)
+	cfg, tgt, err := soloTarget(cfg, newGen)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
-		return nil, nil, err
-	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
+	tl, rep, err := schedule(cfg, tgt)
 	if err != nil {
 		return nil, nil, err
 	}
-	pirate.SetNaiveSplit(cfg.NaiveSplit)
-	pmu := counters.NewPMU(m)
-
-	if cfg.AttachInstr > 0 {
-		if err := m.RunInstructions(cfg.TargetCore, cfg.AttachInstr); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := warmTarget(cfg, m, pmu); err != nil {
-		return nil, nil, err
-	}
-
-	sizes := append([]int64(nil), cfg.Sizes...)
-	sortInt64Desc(sizes)
-	tl := &Timeline{}
-
-	for cycle := 0; cycle < cfg.Cycles; cycle++ {
-		for _, size := range sizes {
-			pwss := cfg.Machine.L3.Size - size
-			grew := pwss > pirate.WSS()
-			if err := pirate.SetWSS(pwss, rep.ThreadsUsed); err != nil {
-				return nil, nil, err
-			}
-			if pwss > 0 && grew {
-				m.Suspend(cfg.TargetCore)
-				if err := pirate.Warm(cfg.PirateWarmPasses); err != nil {
-					return nil, nil, err
-				}
-				m.Resume(cfg.TargetCore)
-				if err := m.RunInstructions(cfg.TargetCore, cfg.TargetWarmupInstrs/2); err != nil {
-					return nil, nil, err
-				}
-			} else {
-				pirate.Suspend()
-				if err := warmTarget(cfg, m, pmu); err != nil {
-					return nil, nil, err
-				}
-				pirate.Resume()
-			}
-
-			start := m.ReadCounters(cfg.TargetCore).Instructions
-			pmu.MarkAll()
-			if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
-				return nil, nil, err
-			}
-			ts := pmu.ReadInterval(cfg.TargetCore)
-			pfr := pirateFetchRatio(pmu, pirate)
-			tl.Samples = append(tl.Samples, TimelineSample{
-				Cycle:            cycle,
-				CacheBytes:       size,
-				StartInstr:       start,
-				CPI:              ts.CPI(),
-				BandwidthGBs:     ts.BandwidthGBs(cfg.Machine.CPU.FreqHz),
-				FetchRatio:       ts.FetchRatio(),
-				MissRatio:        ts.MissRatio(),
-				PirateFetchRatio: pfr,
-				Trusted:          pfr <= cfg.FetchThreshold,
-			})
-		}
-	}
-	rep.TargetInstructions = m.ReadCounters(cfg.TargetCore).Instructions
-	rep.WallCycles = m.Now()
-	return tl, rep, nil
+	return tl, &rep.Report, nil
 }

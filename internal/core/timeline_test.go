@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"cachepirate/internal/workload"
@@ -37,32 +38,39 @@ func TestProfileTimelineRecordsEverySample(t *testing.T) {
 	}
 }
 
+// TestTimelineCurveMatchesProfile: Profile is the schedule's timeline
+// averaged, so every field of every point equals Timeline.Curve's by
+// bits, and the two runs report the same. A size listed twice is
+// measured twice a cycle and still comes out as one point.
 func TestTimelineCurveMatchesProfile(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Threads = 1
-	tl, _, err := ProfileTimeline(cfg, randTarget(48<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromTL := tl.Curve(cfg.FetchThreshold)
-	direct, _, err := Profile(cfg, randTarget(48<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromTL.Points) != len(direct.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(fromTL.Points), len(direct.Points))
-	}
-	for i := range direct.Points {
-		a, b := fromTL.Points[i], direct.Points[i]
-		if a.CacheBytes != b.CacheBytes {
-			t.Fatalf("size mismatch at %d", i)
+	for _, tc := range []struct {
+		name   string
+		sizes  []int64
+		points int
+	}{
+		{"default sizes", testConfig(2).Sizes, 8},
+		{"repeated size", []int64{16 << 10, 32 << 10, 32 << 10, 64 << 10}, 3},
+	} {
+		cfg := testConfig(2)
+		cfg.Threads = 1
+		cfg.Sizes = tc.sizes
+		tl, tlRep, err := ProfileTimeline(cfg, randTarget(48<<10))
+		if err != nil {
+			t.Fatal(err)
 		}
-		d := a.CPI - b.CPI
-		if d < 0 {
-			d = -d
+		fromTL := tl.Curve(cfg.withDefaults().FetchThreshold)
+		direct, rep, err := Profile(cfg, randTarget(48<<10))
+		if err != nil {
+			t.Fatal(err)
 		}
-		if d > 1e-9 {
-			t.Errorf("size %d: timeline CPI %g != profile CPI %g", a.CacheBytes, a.CPI, b.CPI)
+		if len(direct.Points) != tc.points {
+			t.Errorf("%s: Profile returned %d points, want %d", tc.name, len(direct.Points), tc.points)
+		}
+		if curveDigest(direct) != curveDigest(fromTL) {
+			t.Errorf("%s: Profile's curve differs from the timeline's:\n%+v\nvs\n%+v", tc.name, direct.Points, fromTL.Points)
+		}
+		if !reflect.DeepEqual(rep, tlRep) {
+			t.Errorf("%s: reports differ: %+v vs %+v", tc.name, rep, tlRep)
 		}
 	}
 }
