@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel check-inline bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-lint vet fmt experiments examples cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel check-inline bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-lint vet fmt experiments cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -22,11 +22,12 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# Regenerate every paper table/figure as benchmarks (full scale; long).
+# Every micro-benchmark (the paper's tables and figures are
+# `make experiments`).
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Quick-scale benchmark sweep.
+# The same with -short.
 bench-quick:
 	$(GO) test -short -bench=. -benchmem ./...
 
@@ -94,15 +95,6 @@ bench-trace:
 # Print every paper table/figure plus extensions and ablations.
 experiments:
 	$(GO) run ./cmd/experiments all
-
-# Smoke-run every example.
-examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/throughput-scaling
-	$(GO) run ./examples/simulator-validation
-	$(GO) run ./examples/prefetch-study
-	$(GO) run ./examples/bandwidth-bandit
-	$(GO) run ./examples/multithreaded-target
 
 cover:
 	$(GO) test -cover ./...

@@ -1,128 +1,17 @@
-// Benchmarks that regenerate every table and figure of the paper's
-// evaluation (see DESIGN.md §5 for the experiment index and
-// EXPERIMENTS.md for paper-vs-measured values).
+// Micro-benchmarks of the simulation substrate: the machine's step
+// loop alone and under a four-context co-run, and raw generator
+// throughput. The paper's tables and figures are printed by
+// cmd/experiments, not regenerated here.
 //
-// Each benchmark runs its experiment once per b.N iteration and
-// reports the experiment's own scale factors as custom metrics. Run a
-// single experiment with e.g.:
-//
-//	go test -bench BenchmarkFig1 -benchtime 1x
-//
-// The full sweep (go test -bench . -benchtime 1x) takes several
-// minutes at full scale; -short switches to the quick configuration.
+//	go test -run XXX -bench Machine -benchtime 1x
 package cachepirate_test
 
 import (
 	"testing"
 
-	"cachepirate/internal/experiments"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/workload"
 )
-
-// benchOpts picks full or quick scale depending on -short.
-func benchOpts() experiments.Options {
-	return experiments.Options{Quick: testing.Short()}
-}
-
-// runExperiment executes the named experiment b.N times, failing the
-// benchmark on error and printing nothing (results go to
-// cmd/experiments and EXPERIMENTS.md; the bench measures cost and
-// guards against regressions).
-func runExperiment(b *testing.B, id string) {
-	b.Helper()
-	r, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("unknown experiment %q", id)
-	}
-	for i := 0; i < b.N; i++ {
-		res, err := r.Run(benchOpts())
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if len(res.Tables) == 0 {
-			b.Fatalf("%s produced no output", id)
-		}
-	}
-}
-
-// BenchmarkFig1_OmnetScaling regenerates Figure 1: OMNeT++'s CPI curve
-// and the measured/ideal/predicted throughput-scaling comparison.
-func BenchmarkFig1_OmnetScaling(b *testing.B) { runExperiment(b, "fig1") }
-
-// BenchmarkFig2_LBMScaling regenerates Figure 2: LBM's flat CPI,
-// rising bandwidth demand, and the bandwidth-limited 4-instance case.
-func BenchmarkFig2_LBMScaling(b *testing.B) { runExperiment(b, "fig2") }
-
-// BenchmarkFig4_MicroValidation regenerates Figure 4: random and
-// sequential micro benchmarks against LRU and Nehalem reference
-// simulators.
-func BenchmarkFig4_MicroValidation(b *testing.B) { runExperiment(b, "fig4") }
-
-// BenchmarkFig6_FetchRatioCurves regenerates Figure 6: pirate vs
-// reference fetch-ratio curves across the suite with 3%-threshold
-// trust regions.
-func BenchmarkFig6_FetchRatioCurves(b *testing.B) { runExperiment(b, "fig6") }
-
-// BenchmarkFig7_FetchRatioErrors regenerates Figure 7: per-benchmark
-// absolute/relative fetch-ratio errors plus the suite aggregate.
-func BenchmarkFig7_FetchRatioErrors(b *testing.B) { runExperiment(b, "fig7") }
-
-// BenchmarkFig8_MetricCurves regenerates Figure 8: CPI, bandwidth,
-// fetch- and miss-ratio curves with prefetching enabled.
-func BenchmarkFig8_MetricCurves(b *testing.B) { runExperiment(b, "fig8") }
-
-// BenchmarkFig9_LBMNoPrefetch regenerates Figure 9: LBM with hardware
-// prefetching disabled.
-func BenchmarkFig9_LBMNoPrefetch(b *testing.B) { runExperiment(b, "fig9") }
-
-// BenchmarkTable2_HardestToStealFrom regenerates Table II: cache
-// stolen with one and two pirate threads and the induced slowdown for
-// the applications that fight hardest.
-func BenchmarkTable2_HardestToStealFrom(b *testing.B) { runExperiment(b, "tab2") }
-
-// BenchmarkTable3_IntervalSweep regenerates Table III: overhead and
-// CPI error for three measurement-interval sizes.
-func BenchmarkTable3_IntervalSweep(b *testing.B) { runExperiment(b, "tab3") }
-
-// BenchmarkRelatedWork_XuStressor regenerates the footnote-5
-// comparison: the uncontrolled stressor's CPI distortion vs the
-// Pirate's.
-func BenchmarkRelatedWork_XuStressor(b *testing.B) { runExperiment(b, "fn5") }
-
-// BenchmarkExt1_BandwidthBandit runs the §VI future-work extension:
-// Target metrics as a function of available off-chip bandwidth.
-func BenchmarkExt1_BandwidthBandit(b *testing.B) { runExperiment(b, "ext1") }
-
-// BenchmarkExt2_ReferenceMethods compares the pirate, trace-simulator
-// and stack-distance reference curves on the micro benchmarks.
-func BenchmarkExt2_ReferenceMethods(b *testing.B) { runExperiment(b, "ext2") }
-
-// BenchmarkExt3_Portability runs the harness on two different machine
-// models.
-func BenchmarkExt3_Portability(b *testing.B) { runExperiment(b, "ext3") }
-
-// BenchmarkExt4_PairPrediction predicts and verifies heterogeneous
-// pair co-run CPIs from pirate curves.
-func BenchmarkExt4_PairPrediction(b *testing.B) { runExperiment(b, "ext4") }
-
-// BenchmarkExt5_PhaseResolved runs the phase-resolved profiling
-// extension (per-size CPI spread across measurement cycles).
-func BenchmarkExt5_PhaseResolved(b *testing.B) { runExperiment(b, "ext5") }
-
-// BenchmarkAbl1_WayQuantum runs the way-granular vs naive pirate span
-// distribution ablation.
-func BenchmarkAbl1_WayQuantum(b *testing.B) { runExperiment(b, "abl1") }
-
-// BenchmarkAbl2_WarmupPolicy runs the adaptive vs truncated warm-up
-// ablation.
-func BenchmarkAbl2_WarmupPolicy(b *testing.B) { runExperiment(b, "abl2") }
-
-// BenchmarkAbl3_ThreadCount runs the pirate-thread-count distortion
-// ablation.
-func BenchmarkAbl3_ThreadCount(b *testing.B) { runExperiment(b, "abl3") }
-
-// --- micro benchmarks of the substrate itself ---
 
 // BenchmarkMachineStep measures the simulator's per-op cost with a
 // single streaming context on the full Nehalem model.

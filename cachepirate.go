@@ -30,8 +30,9 @@
 //	// curve.Points: CPI / GB/s / fetch ratio / miss ratio per cache size
 //	// rep.ThreadsUsed: pirate threads chosen by the §III-C safety test
 //
-// See examples/ for runnable programs and cmd/experiments for the
-// harness that regenerates every table and figure in the paper.
+// ExampleProfile and ExampleProfileParallel are runnable examples;
+// cmd/pirate profiles one benchmark from the command line, and
+// cmd/experiments regenerates every table and figure in the paper.
 package cachepirate
 
 import (

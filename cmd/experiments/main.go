@@ -1,20 +1,23 @@
-// Command experiments regenerates the paper's tables and figures on
-// the simulated machine and prints them as text tables.
+// Command experiments regenerates the paper's tables and figures, the
+// extensions, the ablations and the suite characterisation on the
+// simulated machine and prints them as text tables.
 //
 // Usage:
 //
 //	experiments [-quick] [-interval N] [-cycles N] [-trace N]
 //	            [-benchmarks a,b,c] [-seed N] [-j N]
-//	            [-engine auto|fused|persize]
-//	            [all|fig1|fig2|fig4|fig6|fig7|fig8|fig9|tab2|tab3|fn5 ...]
+//	            [all|fig1|fig2|fig4|...|suite ...]
 //
-// With no experiment arguments it runs everything in paper order.
-// Experiments and their per-benchmark runs fan out across -j workers
-// (default: one per CPU); -j 1 reproduces the serial order exactly,
-// and results are bit-identical at any width.
+// With no experiment arguments it runs everything in paper order; -list
+// names every ID. -benchmarks replaces each experiment's default
+// benchmark list. Experiments and their per-benchmark runs fan out
+// across -j workers (default: one per CPU); -j 1 reproduces the serial
+// order exactly, and results are bit-identical at any width. An unknown
+// experiment or benchmark exits 2 before anything runs.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -22,7 +25,6 @@ import (
 	"strings"
 
 	"cachepirate/internal/experiments"
-	"cachepirate/internal/simulate"
 )
 
 func main() {
@@ -33,7 +35,6 @@ func main() {
 	benchmarks := flag.String("benchmarks", "", "comma-separated benchmark override")
 	seed := flag.Uint64("seed", 0, "workload seed (0 = default)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers for independent runs (1 = serial)")
-	engine := flag.String("engine", "auto", "reference-sweep engine: auto (= fused), fused, persize (the oracle; curves identical)")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -44,19 +45,6 @@ func main() {
 		return
 	}
 
-	var eng simulate.Engine
-	switch *engine {
-	case "auto":
-		eng = simulate.EngineAuto
-	case "fused":
-		eng = simulate.EngineFused
-	case "persize":
-		eng = simulate.EnginePerSize
-	default:
-		fmt.Fprintf(os.Stderr, "unknown engine %q\n", *engine)
-		os.Exit(2)
-	}
-
 	opts := experiments.Options{
 		Quick:          *quick,
 		IntervalInstrs: *interval,
@@ -64,7 +52,6 @@ func main() {
 		TraceRecords:   *traceRecs,
 		Seed:           *seed,
 		Workers:        *workers,
-		Engine:         eng,
 	}
 	if *benchmarks != "" {
 		opts.Benchmarks = strings.Split(*benchmarks, ",")
@@ -74,15 +61,12 @@ func main() {
 	if len(ids) == 1 && ids[0] == "all" {
 		ids = nil
 	}
-	for _, id := range ids {
-		if _, ok := experiments.ByID(id); !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q (use -list)\n", id)
-			os.Exit(2)
-		}
-	}
 	results, err := experiments.RunAll(opts, ids)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
+		if errors.Is(err, experiments.ErrUnknown) {
+			os.Exit(2)
+		}
 		os.Exit(1)
 	}
 	for _, res := range results {

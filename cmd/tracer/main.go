@@ -93,7 +93,7 @@ func record(args []string) {
 	}
 	spec, ok := workload.ByName(fs.Arg(0))
 	if !ok {
-		fmt.Fprintf(os.Stderr, "tracer: unknown benchmark %q (see cmd/suite for the registry)\n", fs.Arg(0))
+		fmt.Fprintf(os.Stderr, "tracer: unknown benchmark %q (cmd/pirate -list names them)\n", fs.Arg(0))
 		os.Exit(2)
 	}
 

@@ -1,8 +1,8 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation on the simulated machine. Each experiment returns
-// a Result holding text tables (internal/report) plus free-form notes;
-// cmd/experiments prints them and bench_test.go wraps them as
-// testing.B benchmarks.
+// paper's evaluation on the simulated machine, plus the extensions,
+// ablations and the suite characterisation. Each experiment returns a
+// Result holding text tables (internal/report) plus free-form notes;
+// cmd/experiments is the one command that prints them.
 //
 // The per-experiment index lives in DESIGN.md §5; EXPERIMENTS.md
 // records paper-vs-measured values.
@@ -10,6 +10,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -17,7 +18,6 @@ import (
 	"cachepirate/internal/machine"
 	"cachepirate/internal/report"
 	"cachepirate/internal/runner"
-	"cachepirate/internal/simulate"
 	"cachepirate/internal/workload"
 )
 
@@ -48,11 +48,6 @@ type Options struct {
 	// workload on its own machine; <= 0 means one worker per CPU, 1
 	// reproduces the historical serial order exactly.
 	Workers int
-	// Engine selects the reference-sweep engine for experiments that
-	// run simulate.Sweep. The zero value (EngineAuto) is the fused
-	// engine; the curves are bit-identical across engines, so this only
-	// matters for forcing the per-size oracle (benchmarking, debugging).
-	Engine simulate.Engine
 }
 
 func (o Options) withDefaults() Options {
@@ -128,6 +123,24 @@ func forEachBench[T any](o Options, benches []string, body func(bench string) (T
 		})
 }
 
+// eachBench is forEachBench for runners that render each benchmark on
+// its own: body fills a part per benchmark, and the parts' tables and
+// notes are appended to res in list order.
+func eachBench(o Options, res *Result, benches []string, body func(bench string, part *Result) error) error {
+	parts, err := forEachBench(o, benches, func(bench string) (*Result, error) {
+		part := &Result{}
+		return part, body(bench, part)
+	})
+	if err != nil {
+		return err
+	}
+	for _, p := range parts {
+		res.Tables = append(res.Tables, p.Tables...)
+		res.Notes = append(res.Notes, p.Notes...)
+	}
+	return nil
+}
+
 // Result is one experiment's output.
 type Result struct {
 	ID     string
@@ -186,15 +199,21 @@ func All() []Runner {
 		{"abl1", "ablation: way-granular vs naive pirate span distribution", Abl1WayQuantum},
 		{"abl2", "ablation: adaptive vs truncated target warm-up", Abl2WarmupPolicy},
 		{"abl3", "ablation: pirate thread count vs target distortion", Abl3ThreadCount},
+		{"suite", "suite characterisation: solo ground truth at 1-16 L3 ways + stack-distance knees", SuiteCharacterisation},
 	}
 }
 
+// ErrUnknown is wrapped by RunAll's errors for an experiment ID or a
+// benchmark name it does not know.
+var ErrUnknown = errors.New("experiments: unknown")
+
 // RunAll executes the named experiments (every experiment, in paper
 // order, when ids is empty) and returns their results in request
-// order. Experiments fan out across the option's worker pool — they
-// are fully independent apart from the fig6/fig7 shared-computation
-// memo, which deduplicates concurrent callers — and the first failure
-// cancels experiments that have not started yet.
+// order. Experiment IDs and Options.Benchmarks are checked before
+// anything runs. Experiments fan out across the option's worker pool —
+// they are fully independent apart from the fig6/fig7
+// shared-computation memo, which deduplicates concurrent callers — and
+// the first failure cancels experiments that have not started yet.
 func RunAll(opts Options, ids []string) ([]*Result, error) {
 	if len(ids) == 0 {
 		for _, r := range All() {
@@ -205,9 +224,14 @@ func RunAll(opts Options, ids []string) ([]*Result, error) {
 	for i, id := range ids {
 		r, ok := ByID(id)
 		if !ok {
-			return nil, fmt.Errorf("experiments: unknown experiment %q", id)
+			return nil, fmt.Errorf("%w experiment %q", ErrUnknown, id)
 		}
 		rs[i] = r
+	}
+	for _, name := range opts.Benchmarks {
+		if _, ok := workload.ByName(name); !ok {
+			return nil, fmt.Errorf("%w benchmark %q", ErrUnknown, name)
+		}
 	}
 	return runner.Map(context.Background(), opts.pool(), len(rs),
 		func(_ context.Context, i int) (*Result, error) {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -47,10 +48,13 @@ func TestAllRunnersHaveUniqueIDs(t *testing.T) {
 			t.Errorf("runner %q incomplete", r.ID)
 		}
 	}
-	for _, id := range []string{"fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9", "tab2", "tab3", "fn5"} {
+	for _, id := range []string{"fig1", "fig2", "fig4", "fig6", "fig7", "fig8", "fig9", "tab2", "tab3", "fn5", "suite"} {
 		if !seen[id] {
 			t.Errorf("missing experiment %q", id)
 		}
+	}
+	if all := All(); all[len(all)-1].ID != "suite" {
+		t.Errorf("last runner = %q, want suite", all[len(all)-1].ID)
 	}
 	if _, ok := ByID("fig1"); !ok {
 		t.Error("ByID failed for fig1")
@@ -62,7 +66,7 @@ func TestAllRunnersHaveUniqueIDs(t *testing.T) {
 
 func TestMeasureThroughputValidation(t *testing.T) {
 	mcfg := machine.NehalemConfig()
-	if _, _, err := MeasureThroughput(mcfg, factory("povray"), 1, 9, 10, 10); err == nil {
+	if _, _, err := measureThroughput(mcfg, factory("povray"), 1, 9, 10, 10); err == nil {
 		t.Error("too many instances accepted")
 	}
 }
@@ -73,7 +77,7 @@ func TestThroughputSeriesMonotoneForComputeBound(t *testing.T) {
 	}
 	// A compute-bound workload barely shares anything: throughput must
 	// scale almost linearly.
-	thr, _, err := ThroughputSeries(machine.NehalemConfig(), factory("povray"), 1, 4, 150_000, 100_000)
+	thr, _, err := throughputSeries(machine.NehalemConfig(), factory("povray"), 1, 4, 150_000, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,43 +121,81 @@ func TestQuickExperimentsRun(t *testing.T) {
 	}
 }
 
-// TestExperimentWorkersDeterminism runs one full experiment serially
-// and pooled and demands byte-identical rendered output — the
-// user-facing form of the bit-reproducibility guarantee.
+// TestExperimentWorkersDeterminism runs full experiments serially and
+// pooled and demands byte-identical rendered output — the user-facing
+// form of the bit-reproducibility guarantee.
 func TestExperimentWorkersDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are seconds-scale; skipped in -short mode")
 	}
-	r, ok := ByID("fig8")
-	if !ok {
-		t.Fatal("fig8 runner missing")
+	for _, id := range []string{"fig8", "suite"} {
+		t.Run(id, func(t *testing.T) {
+			r, ok := ByID(id)
+			if !ok {
+				t.Fatalf("%s runner missing", id)
+			}
+			serialOpts := quickOpts()
+			serialOpts.Workers = 1
+			serial, err := r.Run(serialOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			parOpts := quickOpts()
+			parOpts.Workers = 4
+			par, err := r.Run(parOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if serial.String() != par.String() {
+				t.Errorf("%s output differs between -j 1 and -j 4:\n--- serial ---\n%s\n--- parallel ---\n%s",
+					id, serial, par)
+			}
+		})
 	}
-	serialOpts := quickOpts()
-	serialOpts.Workers = 1
-	serial, err := r.Run(serialOpts)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestBenchmarksOverride: every runner with a default benchmark list
+// honours Options.Benchmarks — fig1, fig2, fig9 and fn5 used to
+// profile their fixed benchmark whatever the list said.
+func TestBenchmarksOverride(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiments are seconds-scale; skipped in -short mode")
 	}
-	parOpts := quickOpts()
-	parOpts.Workers = 4
-	par, err := r.Run(parOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.String() != par.String() {
-		t.Errorf("fig8 output differs between -j 1 and -j 4:\n--- serial ---\n%s\n--- parallel ---\n%s",
-			serial, par)
+	opts := quickOpts()
+	opts.Benchmarks = []string{"povray"}
+	for _, id := range []string{"fig1", "fig2", "fig9", "fn5"} {
+		t.Run(id, func(t *testing.T) {
+			r, _ := ByID(id)
+			res, err := r.Run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if title := res.Tables[0].Title; !strings.Contains(title, "povray") {
+				t.Errorf("first table %q does not name povray", title)
+			}
+		})
 	}
 }
 
 // TestRunAllOrderAndErrors: RunAll must return results in request
 // order regardless of worker count, and reject nothing silently.
 func TestRunAllOrderAndErrors(t *testing.T) {
+	opts := quickOpts()
+	opts.Workers = 4
+	// Bad input is rejected before anything runs, so these cases cost
+	// nothing and run under -short too.
+	if _, err := RunAll(opts, []string{"nope"}); !errors.Is(err, ErrUnknown) {
+		t.Errorf("RunAll(unknown experiment) = %v, want ErrUnknown", err)
+	}
+	bad := opts
+	bad.Benchmarks = []string{"nope"}
+	_, err := RunAll(bad, []string{"fig8"})
+	if want := `experiments: unknown benchmark "nope"`; err == nil || err.Error() != want {
+		t.Errorf("RunAll(unknown benchmark) = %v, want %s", err, want)
+	}
 	if testing.Short() {
 		t.Skip("experiments are seconds-scale; skipped in -short mode")
 	}
-	opts := quickOpts()
-	opts.Workers = 4
 	ids := []string{"fig2", "fig1"}
 	results, err := RunAll(opts, ids)
 	if err != nil {
@@ -165,8 +207,5 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 			got[i] = r.ID
 		}
 		t.Errorf("RunAll order = %v, want [fig2 fig1]", got)
-	}
-	if _, err := RunAll(opts, []string{"nope"}); err == nil {
-		t.Error("RunAll accepted an unknown experiment id")
 	}
 }

@@ -49,7 +49,7 @@ func Ext3Portability(opts Options) (*Result, error) {
 			tr := simulate.CaptureTrace(factory(bench), opts.Seed, 0, opts.TraceRecords)
 			ref, err := simulate.Sweep(simulate.Config{
 				Machine: mc.cfg, Sizes: sizes, Mode: simulate.BySets, WarmPasses: 2,
-				Workers: opts.Workers, Engine: opts.Engine,
+				Workers: opts.Workers,
 			}, tr)
 			if err != nil {
 				return nil, err

@@ -8,55 +8,61 @@ import (
 )
 
 // scalingExperiment is the shared §I-A machinery behind Fig. 1 and
-// Fig. 2: profile the benchmark with the Pirate, predict scaling from
-// the curve, and compare against measured co-run throughput.
+// Fig. 2: for each benchmark (bench unless Options.Benchmarks says
+// otherwise), profile it with the Pirate, predict scaling from the
+// curve, and compare against measured co-run throughput.
 func scalingExperiment(id, title, bench string, opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	mcfg := machine.NehalemConfig()
 	res := &Result{ID: id, Title: title}
+	err := eachBench(opts, res, opts.benchList(bench), func(bench string, part *Result) error {
+		// 1. Capture the CPI/BW curve with Cache Pirating.
+		cfg := opts.profileConfig(mcfg)
+		curve, rep, err := core.Profile(cfg, factory(bench))
+		if err != nil {
+			return err
+		}
+		curve.Name = bench
+		part.Add(report.CurveTable(bench+" — pirate-captured curve", curve))
+		part.Notef("%s: pirate threads used: %d", bench, rep.ThreadsUsed)
 
-	// 1. Capture the CPI/BW curve with Cache Pirating.
-	cfg := opts.profileConfig(mcfg)
-	curve, rep, err := core.Profile(cfg, factory(bench))
+		// 2. Measure real co-run throughput for 1..4 instances. The warm-up
+		// must cover the benchmarks' slow-circulating working-set tails or
+		// solo and co-run runs both measure cold misses and scaling looks
+		// deceptively ideal.
+		maxBW := mcfg.DRAM.BytesPerCycle * mcfg.CPU.FreqHz / 1e9
+		thr, aggBW, err := throughputSeries(mcfg, factory(bench), opts.Seed, mcfg.Cores,
+			10*opts.IntervalInstrs, 2*opts.IntervalInstrs)
+		if err != nil {
+			return err
+		}
+
+		// 3. Predict scaling from the curve (equal cache shares + the
+		// bandwidth cap).
+		preds, err := analysis.PredictScalingSeries(curve, mcfg.Cores, mcfg.L3.Size, maxBW)
+		if err != nil {
+			return err
+		}
+
+		t := report.NewTable(bench+" — throughput scaling (normalised to 1 instance)",
+			"instances", "measured", "ideal", "predicted", "required BW", "measured BW", "BW-limited")
+		for i, p := range preds {
+			t.Add(
+				report.F(float64(p.Instances), 0),
+				report.F(thr[i], 2),
+				report.F(float64(p.Instances), 0),
+				report.F(p.PredictedThroughput, 2),
+				report.GBs(p.RequiredBandwidthGBs),
+				report.GBs(aggBW[i]),
+				boolStr(p.BandwidthLimited),
+			)
+		}
+		part.Add(t)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	curve.Name = bench
-	res.Add(report.CurveTable(title+" — pirate-captured curve ("+bench+")", curve))
-	res.Notef("pirate threads used: %d", rep.ThreadsUsed)
-
-	// 2. Measure real co-run throughput for 1..4 instances. The warm-up
-	// must cover the benchmarks' slow-circulating working-set tails or
-	// solo and co-run runs both measure cold misses and scaling looks
-	// deceptively ideal.
-	maxBW := mcfg.DRAM.BytesPerCycle * mcfg.CPU.FreqHz / 1e9
-	thr, aggBW, err := ThroughputSeries(mcfg, factory(bench), opts.Seed, mcfg.Cores,
-		10*opts.IntervalInstrs, 2*opts.IntervalInstrs)
-	if err != nil {
-		return nil, err
-	}
-
-	// 3. Predict scaling from the curve (equal cache shares + the
-	// bandwidth cap).
-	preds, err := analysis.PredictScalingSeries(curve, mcfg.Cores, mcfg.L3.Size, maxBW)
-	if err != nil {
-		return nil, err
-	}
-
-	t := report.NewTable("throughput scaling (normalised to 1 instance)",
-		"instances", "measured", "ideal", "predicted", "required BW", "measured BW", "BW-limited")
-	for i, p := range preds {
-		t.Add(
-			report.F(float64(p.Instances), 0),
-			report.F(thr[i], 2),
-			report.F(float64(p.Instances), 0),
-			report.F(p.PredictedThroughput, 2),
-			report.GBs(p.RequiredBandwidthGBs),
-			report.GBs(aggBW[i]),
-			boolStr(p.BandwidthLimited),
-		)
-	}
-	res.Add(t)
 	return res, nil
 }
 

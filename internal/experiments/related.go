@@ -20,56 +20,62 @@ func RelatedWorkXu(opts Options) (*Result, error) {
 	res := &Result{ID: "fn5", Title: "related-work baselines vs the Pirate"}
 	mcfg := machine.NehalemConfig()
 	steal := int64(4 << 20)
-	newGen := factory("microseq")
+	err := eachBench(opts, res, opts.benchList("microseq"), func(bench string, part *Result) error {
+		newGen := factory(bench)
 
-	// Xu-style stressor going after 4MB.
-	xu, err := stress.XuCoRun(mcfg, newGen, opts.Seed, steal,
-		opts.IntervalInstrs*2, opts.IntervalInstrs/4)
-	if err != nil {
-		return nil, err
-	}
-
-	// The Pirate stealing the same 4MB, with its bandwidth discipline.
-	cfg := opts.profileConfig(mcfg)
-	cfg.Threads = 1
-	pt, err := core.ProfileFixed(cfg, newGen, mcfg.L3.Size-steal, 1)
-	if err != nil {
-		return nil, err
-	}
-
-	// Base vector: one sensitivity number, no curve.
-	bv, err := stress.BaseVectorSensitivity(mcfg, newGen, opts.Seed, opts.IntervalInstrs*2)
-	if err != nil {
-		return nil, err
-	}
-
-	// Ground truth: the Target alone on a machine whose L3 really is
-	// 4MB. The honest distortion of each stealing method is its CPI
-	// relative to this, not relative to the full-cache baseline (less
-	// cache is *supposed* to be slower).
-	truth, err := trueSmallCacheCPI(opts, newGen, mcfg.L3.Size-steal)
-	if err != nil {
-		return nil, err
-	}
-
-	vsTruth := func(cpi float64) string {
-		if truth == 0 {
-			return "-"
+		// Xu-style stressor going after 4MB.
+		xu, err := stress.XuCoRun(mcfg, newGen, opts.Seed, steal,
+			opts.IntervalInstrs*2, opts.IntervalInstrs/4)
+		if err != nil {
+			return err
 		}
-		return report.Pct(cpi/truth-1, 1)
+
+		// The Pirate stealing the same 4MB, with its bandwidth discipline.
+		cfg := opts.profileConfig(mcfg)
+		cfg.Threads = 1
+		pt, err := core.ProfileFixed(cfg, newGen, mcfg.L3.Size-steal, 1)
+		if err != nil {
+			return err
+		}
+
+		// Base vector: one sensitivity number, no curve.
+		bv, err := stress.BaseVectorSensitivity(mcfg, newGen, opts.Seed, opts.IntervalInstrs*2)
+		if err != nil {
+			return err
+		}
+
+		// Ground truth: the Target alone on a machine whose L3 really is
+		// 4MB. The honest distortion of each stealing method is its CPI
+		// relative to this, not relative to the full-cache baseline (less
+		// cache is *supposed* to be slower).
+		truth, err := trueSmallCacheCPI(opts, newGen, mcfg.L3.Size-steal)
+		if err != nil {
+			return err
+		}
+
+		vsTruth := func(cpi float64) string {
+			if truth == 0 {
+				return "-"
+			}
+			return report.Pct(cpi/truth-1, 1)
+		}
+		t := report.NewTable("stealing 4MB from "+bench,
+			"method", "target CPI", "vs true 4MB cache", "method BW", "controlled size?")
+		t.Add("alone, full 8MB", report.F(xu.BaselineCPI, 3), "-", "-", "-")
+		t.Add("alone, true 4MB cache", report.F(truth, 3), "0.0%", "-", "(ground truth)")
+		t.Add("Cache Pirate", report.F(pt.CPI, 3), vsTruth(pt.CPI),
+			"pirateFR "+report.Pct(pt.PirateFetchRatio, 2), "yes (4.0MB)")
+		t.Add("Xu et al. stressor", report.F(xu.TargetCPI, 3), vsTruth(xu.TargetCPI),
+			report.GBs(xu.StressorBandwidthGBs),
+			"no (avg "+report.MB(xu.AvgStolenBytes)+")")
+		t.Add("base vector (D&F)", report.F(bv.CoRunCPI, 3), vsTruth(bv.CoRunCPI),
+			"-", "no (single number)")
+		part.Add(t)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	t := report.NewTable("stealing 4MB from the sequential micro benchmark",
-		"method", "target CPI", "vs true 4MB cache", "method BW", "controlled size?")
-	t.Add("alone, full 8MB", report.F(xu.BaselineCPI, 3), "-", "-", "-")
-	t.Add("alone, true 4MB cache", report.F(truth, 3), "0.0%", "-", "(ground truth)")
-	t.Add("Cache Pirate", report.F(pt.CPI, 3), vsTruth(pt.CPI),
-		"pirateFR "+report.Pct(pt.PirateFetchRatio, 2), "yes (4.0MB)")
-	t.Add("Xu et al. stressor", report.F(xu.TargetCPI, 3), vsTruth(xu.TargetCPI),
-		report.GBs(xu.StressorBandwidthGBs),
-		"no (avg "+report.MB(xu.AvgStolenBytes)+")")
-	t.Add("base vector (D&F)", report.F(bv.CoRunCPI, 3), vsTruth(bv.CoRunCPI),
-		"-", "no (single number)")
-	res.Add(t)
 	res.Notef("paper footnote 5: the stress application inflated measured CPI by 37%% at a 4MB steal;")
 	res.Notef("note the stressor also failed to hold the requested 4MB (its occupancy is an after-the-fact average)")
 	return res, nil

@@ -52,26 +52,42 @@ func Fig8MetricCurves(opts Options) (*Result, error) {
 func Fig9LBMNoPrefetch(opts Options) (*Result, error) {
 	opts = opts.withDefaults()
 	res := &Result{ID: "fig9", Title: "LBM with hardware prefetching disabled"}
-
-	on, _, err := core.Profile(opts.profileConfig(machine.NehalemConfig()), factory("lbm"))
+	err := eachBench(opts, res, opts.benchList("lbm"), func(bench string, part *Result) error {
+		on, _, err := core.Profile(opts.profileConfig(machine.NehalemConfig()), factory(bench))
+		if err != nil {
+			return err
+		}
+		off, _, err := core.Profile(opts.profileConfig(machine.NehalemConfigNoPrefetch()), factory(bench))
+		if err != nil {
+			return err
+		}
+		t := report.NewTable(bench+": prefetching on vs off",
+			"cache", "CPI on", "CPI off", "BW on", "BW off", "fetch on", "miss on", "fetch off", "miss off")
+		// small is the first size of at least 1MB: 0.5MB can be untrusted.
+		small := len(off.Points) - 1
+		for i, p := range off.Points {
+			q := on.Points[i]
+			t.Add(report.MB(p.CacheBytes),
+				report.F(q.CPI, 3), report.F(p.CPI, 3),
+				report.GBs(q.BandwidthGBs), report.GBs(p.BandwidthGBs),
+				report.Pct(q.FetchRatio, 2), report.Pct(q.MissRatio, 2),
+				report.Pct(p.FetchRatio, 2), report.Pct(p.MissRatio, 2))
+			if p.CacheBytes >= 1<<20 && i < small {
+				small = i
+			}
+		}
+		part.Add(t)
+		rise := func(c *analysis.Curve) float64 {
+			return c.Points[small].CPI/c.Points[len(c.Points)-1].CPI - 1
+		}
+		part.Notef("%s: CPI rise from %s to %s: %s with prefetching, %s without", bench,
+			report.MB(off.Points[len(off.Points)-1].CacheBytes), report.MB(off.Points[small].CacheBytes),
+			report.Pct(rise(on), 1), report.Pct(rise(off), 1))
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	off, _, err := core.Profile(opts.profileConfig(machine.NehalemConfigNoPrefetch()), factory("lbm"))
-	if err != nil {
-		return nil, err
-	}
-	t := report.NewTable("lbm: prefetching on vs off",
-		"cache", "CPI on", "CPI off", "BW on", "BW off", "fetch on", "miss on", "fetch off", "miss off")
-	for i, p := range off.Points {
-		q := on.Points[i]
-		t.Add(report.MB(p.CacheBytes),
-			report.F(q.CPI, 3), report.F(p.CPI, 3),
-			report.GBs(q.BandwidthGBs), report.GBs(p.BandwidthGBs),
-			report.Pct(q.FetchRatio, 2), report.Pct(q.MissRatio, 2),
-			report.Pct(p.FetchRatio, 2), report.Pct(p.MissRatio, 2))
-	}
-	res.Add(t)
 	res.Notef("with prefetching off, fetch ratio equals miss ratio by definition")
 	return res, nil
 }

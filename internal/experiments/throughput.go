@@ -8,12 +8,12 @@ import (
 	"cachepirate/internal/machine"
 )
 
-// MeasureThroughput co-runs n identical instances of the workload (one
+// measureThroughput co-runs n identical instances of the workload (one
 // per core, disjoint address spaces) and returns their aggregate
 // throughput: the sum of per-instance IPCs over a common measurement
 // window. Divide by the n=1 value to normalise as the paper's
 // Fig. 1(a)/2(a) do.
-func MeasureThroughput(mcfg machine.Config, newGen core.GenFactory, seed uint64,
+func measureThroughput(mcfg machine.Config, newGen core.GenFactory, seed uint64,
 	n int, warmInstrs, measureInstrs uint64) (float64, []counters.Sample, error) {
 	if n < 1 || n > mcfg.Cores {
 		return 0, nil, fmt.Errorf("experiments: %d instances on %d cores", n, mcfg.Cores)
@@ -54,14 +54,14 @@ func MeasureThroughput(mcfg machine.Config, newGen core.GenFactory, seed uint64,
 	return agg, samples, nil
 }
 
-// ThroughputSeries measures aggregate throughput for 1..maxN instances
+// throughputSeries measures aggregate throughput for 1..maxN instances
 // and returns values normalised to the single-instance result, plus
 // the per-run aggregate off-chip bandwidth in GB/s.
-func ThroughputSeries(mcfg machine.Config, newGen core.GenFactory, seed uint64,
+func throughputSeries(mcfg machine.Config, newGen core.GenFactory, seed uint64,
 	maxN int, warmInstrs, measureInstrs uint64) (thr []float64, aggBW []float64, err error) {
 	var solo float64
 	for n := 1; n <= maxN; n++ {
-		agg, samples, err := MeasureThroughput(mcfg, newGen, seed, n, warmInstrs, measureInstrs)
+		agg, samples, err := measureThroughput(mcfg, newGen, seed, n, warmInstrs, measureInstrs)
 		if err != nil {
 			return nil, nil, err
 		}

@@ -32,7 +32,6 @@ func referenceCurves(opts Options, bench string, baselineFR float64,
 			Mode:       simulate.BySets,
 			WarmPasses: 2,
 			Workers:    opts.Workers,
-			Engine:     opts.Engine,
 		}, tr)
 		if err != nil {
 			return nil, err
