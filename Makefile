@@ -77,12 +77,11 @@ bench-analytic:
 	$(GO) test -run XXX -bench 'BenchmarkMattsonExact|BenchmarkAnalyticCurve|BenchmarkAnalyticStream' \
 		-benchtime 30x -count 5 -benchmem ./internal/simulate/
 
-# Multi-core replay conformance under the race detector: the parallel
-# reader vs sync oracle, the decode pipeline, and the sweep-width
-# equivalence matrix.
+# Multi-core replay conformance under the race detector: the
+# decode-ahead reader's lifecycle and parity suites, the sweep-width
+# equivalence matrix, and the streamed sweeps.
 test-parallel:
-	$(GO) test -race -run 'Parallel|Pipe' \
-		./internal/trace/ ./internal/runner/ ./internal/conformance/
+	$(GO) test -race ./internal/trace/ ./internal/conformance/ ./internal/simulate/
 
 # Streaming trace pipeline: v2 frame decode (workload and sparse
 # corpus), the v1 baseline, whole-trace decode and the encoder.

@@ -9,7 +9,7 @@
 //	         [-mode ways|sets] [-engine auto|fused|persize|analytic]
 //	         [-nowarm] [-seed N] [-save FILE] [-load FILE] [-stream]
 //	         [-analytic] [-sample-rate R] [-sample-size N] [-csv]
-//	         [-j N] [-decode-j N] [-cpuprofile FILE] <benchmark>
+//	         [-j N] [-cpuprofile FILE] <benchmark>
 //
 // Sweeps in either -mode default to the fused engine (one trace replay
 // advancing a group of sizes at once); -engine persize forces the
@@ -23,12 +23,9 @@
 // -stream replays a -load file out of core: blocks are decoded as the
 // sweep consumes them, in O(block) memory, so the trace can be far
 // larger than RAM. The curve is bit-identical to the in-memory path
-// (pinned by internal/conformance and the CI CSV diff). -decode-j
-// widens the v2 frame decode of each open source: frames are
-// checksum-verified and varint-decoded by a worker pool and
-// reassembled in order. The default 1 decodes on the sweep's own
-// goroutine — decode is ~5% of a replay, and every replica group opens
-// its own source, so -j N -decode-j M runs N×M decode workers.
+// (pinned by internal/conformance and the CI CSV diff). Each open
+// source of a v2 file decodes one frame ahead on its own goroutine
+// (trace.Reader), so -j N runs N decode goroutines beside N replays.
 //
 // -analytic additionally prints the SHARDS-sampled analytic estimate
 // (internal/analytic): one sampled profiling pass instead of a replay
@@ -73,7 +70,6 @@ func main() {
 	sampleRate := flag.Float64("sample-rate", 0.01, "analytic SHARDS sampling rate in (0, 1]; 1.0 is exact")
 	sampleSize := flag.Int("sample-size", 0, "analytic fixed-size mode: cap tracked lines, rate adapts (overrides -sample-rate)")
 	workers := flag.Int("j", runtime.GOMAXPROCS(0), "parallel workers across cache sizes (1 = serial)")
-	decodeWorkers := flag.Int("decode-j", 1, "parallel v2 frame-decode workers per open source for -stream (1 = decode on the sweep's goroutine)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	flag.Parse()
 
@@ -192,11 +188,6 @@ func main() {
 	}
 	openSource := func() (trace.BlockSource, error) {
 		if *stream {
-			if *decodeWorkers > 1 {
-				// OpenFileParallel falls back to the sync reader for v1
-				// files, so -decode-j is safe on either format.
-				return trace.OpenFileParallel(*load, trace.ParallelReaderOptions{Workers: *decodeWorkers})
-			}
 			return trace.OpenFile(*load, trace.ReaderOptions{})
 		}
 		return trace.NewReplayer(tr, false), nil

@@ -8,18 +8,17 @@
 // Usage:
 //
 //	tracer record  [-records N] [-skip N] [-seed N] [-frame N] -o FILE <benchmark>
-//	tracer info    [-check] [-j N] [-footprint] [-sample-size N] FILE
+//	tracer info    [-check] [-footprint] [-sample-size N] FILE
 //	tracer convert -to v1|v2 [-frame N] -o FILE SRC
 //	tracer compact [-frame N] -o FILE SRC
 //
 // record captures without materialising the trace: each record goes
 // from the workload generator into the current frame, and the file
 // header's record/instruction totals are patched on Close. info skims
-// frame headers (cheap) and reports whether the file supports parallel
-// decode (v2 frames are delta-independent, so a worker pool can decode
-// them concurrently; v1 is one flat delta chain and cannot); -check
-// re-decodes every frame and verifies the rolling checksum chain, and
-// -j widens the check across that decode pool. -footprint runs one
+// frame headers (cheap) and reports whether a reader of the file
+// decodes ahead (v2 frames do, one frame ahead on a second goroutine;
+// v1 is one flat delta chain read inline); -check re-decodes every
+// frame and verifies the rolling checksum chain. -footprint runs one
 // SHARDS-sampled profiling pass (internal/analytic, fixed-size mode:
 // O(sample-size) memory however large the file) and reports the
 // estimated footprint and working-set sizes. convert streams SRC
@@ -128,12 +127,10 @@ func record(args []string) {
 
 // info prints a trace file's vitals from a frame-header skim; -check
 // additionally replays every frame through the streaming decoder,
-// verifying varint structure and the rolling checksum chain (-j N
-// fans the decode across a worker pool).
+// verifying varint structure and the rolling checksum chain.
 func info(args []string) {
 	fs := flag.NewFlagSet("tracer info", flag.ExitOnError)
 	check := fs.Bool("check", false, "fully decode and verify frame checksums")
-	checkWorkers := fs.Int("j", 1, "-check decode workers (>1 uses the parallel frame decoder)")
 	footprint := fs.Bool("footprint", false, "one sampled pass: estimate footprint and working-set sizes")
 	sampleSize := fs.Int("sample-size", 8192, "-footprint sample cap in lines (memory bound)")
 	fs.Parse(args)
@@ -166,27 +163,19 @@ func info(args []string) {
 	if st.Bytes >= 0 {
 		fmt.Printf("  bytes:         %d (%.2f bytes/record)\n", st.Bytes, st.BytesPerRecord())
 	}
-	// v2 frames restart the address delta chain, so a worker pool can
-	// decode them independently; v1 is one flat chain end to end.
+	// A v2 reader decodes one frame ahead on a second goroutine; v1
+	// is one flat delta chain read inline.
 	if st.Version >= 2 {
-		fmt.Printf("  parallel:      yes (delta-independent frames; decodable by a worker pool)\n")
+		fmt.Printf("  parallel:      yes (framed; decoded one frame ahead on a second core)\n")
 	} else {
-		fmt.Printf("  parallel:      no (flat delta chain; convert -to v2 to enable parallel decode)\n")
+		fmt.Printf("  parallel:      no (flat delta chain; convert -to v2 to decode ahead)\n")
 	}
 
 	if *check {
 		if _, err := f.Seek(0, io.SeekStart); err != nil {
 			fatal(err)
 		}
-		var r interface {
-			trace.BlockSource
-			Close() error
-		}
-		if *checkWorkers > 1 {
-			r, err = trace.NewParallelReader(f, trace.ParallelReaderOptions{Workers: *checkWorkers})
-		} else {
-			r, err = trace.NewReader(f, trace.ReaderOptions{})
-		}
+		r, err := trace.NewReader(f, trace.ReaderOptions{})
 		if err != nil {
 			fatal(err)
 		}

@@ -157,9 +157,9 @@ func TestConvertInPlace(t *testing.T) {
 	sameRecords(t, tr, readFile(t, path), "in-place v2->v1")
 }
 
-// TestInfoParallelLine pins the frame-independence report: v2 traces
-// advertise parallel decode, v1 traces do not, and -check -j verifies
-// through the parallel decoder.
+// TestInfoParallelLine pins the decode-ahead report: v2 traces
+// advertise it, v1 traces do not, and -check verifies a v2 file
+// through the decode-ahead Reader.
 func TestInfoParallelLine(t *testing.T) {
 	dir := t.TempDir()
 	tr := cliTestTrace(1500)
@@ -175,12 +175,12 @@ func TestInfoParallelLine(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	out := tracer(t, "info", "-check", "-j", "4", v2)
+	out := tracer(t, "info", "-check", v2)
 	if !strings.Contains(out, "parallel:      yes") {
 		t.Errorf("v2 info missing parallel-decode line:\n%s", out)
 	}
 	if !strings.Contains(out, "check:         OK — 1500 records") {
-		t.Errorf("parallel -check did not verify:\n%s", out)
+		t.Errorf("-check did not verify:\n%s", out)
 	}
 
 	v1 := filepath.Join(dir, "t.v1")

@@ -12,8 +12,7 @@
 // an impossible sentinel tag marking empty ways), packed per-line flag
 // bytes, and dense replacement metadata, so the tag-match loop — the
 // innermost loop of every simulation — is a tight scan over one
-// cache-friendly array. A per-set MRU-way hint short-circuits the scan
-// for the common repeat-hit case. The layout is an implementation
+// cache-friendly array. The layout is an implementation
 // detail: every operation is bit-identical to the reference
 // array-of-structs model (see equivalence_test.go).
 package cache
@@ -161,7 +160,6 @@ type Cache struct {
 	// instead of O(ways) scans.
 	meta []uint64
 	free []uint64 // per-set bitmask of empty ways (bit w = way w free)
-	mru  []int32  // per-set hint: way of the most recent hit or fill
 
 	// Pseudo-LRU kernels' tables for this way count (shared, see
 	// plruTouchTab); plruV is nil above plruVictimWays ways.
@@ -179,8 +177,7 @@ func New(cfg Config) (*Cache, error) {
 	c := &Cache{}
 	c.init(cfg,
 		make([]uint64, nlines), make([]uint8, nlines), make([]int32, nlines),
-		make([]uint64, nlines), make([]uint64, nsets), make([]uint64, nsets),
-		make([]int32, nsets))
+		make([]uint64, nlines), make([]uint64, nsets), make([]uint64, nsets))
 	return c, nil
 }
 
@@ -205,7 +202,7 @@ func geometry(cfg Config) Cache {
 // nlines or nsets as the field requires) and resets them to the empty
 // state. New owns one cache's arrays; NewReplicas carves many caches
 // out of shared contiguous blocks, so both start bit-identical.
-func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64, mru []int32) {
+func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64) {
 	*c = geometry(cfg)
 	c.rngState = rngSeed
 	c.stats = make([]OwnerStats, cfg.Owners)
@@ -215,7 +212,6 @@ func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, st
 	c.stamp = stamp
 	c.meta = meta
 	c.free = free
-	c.mru = mru
 	if cfg.Policy == PseudoLRU {
 		lg := bits.TrailingZeros(uint(cfg.Ways))
 		c.plruT = &plruTouchTab[lg]
@@ -266,20 +262,16 @@ func (c *Cache) setFor(lineAddr uint64) uint64 {
 func (c *Cache) lineAddr(tag uint64) Addr { return Addr(tag << c.shift) }
 
 // findWay returns the way holding tag in the set starting at base, or
-// -1. The per-set MRU hint is tried first: repeat hits on the same line
-// (the overwhelmingly common case in loop-heavy traces) resolve with a
-// single compare. Tags are unique within a set, so the hint can never
-// find a different way than the scan would — and the scans below record
-// at most one match, so dropping the early exit (whose data-dependent
+// -1. Every probe is one scan; a per-set hint of the last way hit
+// would add a dependent load ahead of it and cost more than the scan it
+// saves. Tags are unique within a set, so the scans below record at
+// most one match, and dropping the early exit (whose data-dependent
 // branch mispredicts on nearly every scan hit) cannot change the
 // result. The two set sizes the Table-I machine is made of — 8 ways
 // (L1/L2) and 16 (the full L3) — scan through a fixed-length array, so
 // the compares are straight-line code with no loop counter; the shrunk
 // L3s of a ways sweep and every other geometry take the loop.
-func (c *Cache) findWay(base int, si uint64, tag uint64) int {
-	if h := int(c.mru[si]); c.tags[base+h] == tag {
-		return h
-	}
+func (c *Cache) findWay(base int, tag uint64) int {
 	switch c.ways {
 	case 8:
 		return match8((*[8]uint64)(c.tags[base:base+8]), tag)
@@ -369,7 +361,7 @@ func (c *Cache) demand(a Addr, write bool, owner Owner) (hit, wasPref bool) {
 		st.Writes++
 	}
 	base := int(si) * c.ways
-	w := c.findWay(base, si, tag)
+	w := c.findWay(base, tag)
 	if w < 0 {
 		st.Misses++
 		return false, false
@@ -393,7 +385,6 @@ func (c *Cache) hit(si uint64, base, w int, write bool, st *OwnerStats) (wasPref
 	}
 	c.flags[idx] = f
 	c.touch(si, base, w)
-	c.mru[si] = int32(w)
 	return wasPref
 }
 
@@ -422,7 +413,7 @@ func (c *Cache) accessFillTag(si, tag uint64, write bool, owner Owner) Result {
 		st.Writes++
 	}
 	base := int(si) * c.ways
-	if w := c.findWay(base, si, tag); w >= 0 {
+	if w := c.findWay(base, tag); w >= 0 {
 		return Result{Hit: true, WasPrefetch: c.hit(si, base, w, write, st)}
 	}
 	st.Misses++
@@ -435,7 +426,7 @@ func (c *Cache) accessFillTag(si, tag uint64, write bool, owner Owner) Result {
 //lint:hotpath
 func (c *Cache) Probe(a Addr) bool {
 	si, tag := c.index(a)
-	return c.findWay(int(si)*c.ways, si, tag) >= 0
+	return c.findWay(int(si)*c.ways, tag) >= 0
 }
 
 // Fill inserts the line holding a on behalf of owner, evicting a victim
@@ -455,7 +446,7 @@ func (c *Cache) fillTag(si, tag uint64, owner Owner, prefetch, dirty bool) Resul
 	base := int(si) * c.ways
 
 	// Already resident (e.g. a racing prefetch): refresh and return.
-	if w := c.findWay(base, si, tag); w >= 0 {
+	if w := c.findWay(base, tag); w >= 0 {
 		idx := base + w
 		if dirty {
 			c.flags[idx] |= flagDirty
@@ -463,7 +454,6 @@ func (c *Cache) fillTag(si, tag uint64, owner Owner, prefetch, dirty bool) Resul
 		if !prefetch {
 			c.flags[idx] &^= flagPrefetch
 			c.touch(si, base, w)
-			c.mru[si] = int32(w)
 		}
 		return Result{Hit: true}
 	}
@@ -491,7 +481,7 @@ func (c *Cache) FillMissed(a Addr, owner Owner, prefetch, dirty bool) Result {
 // the writeback chase re-derives set indices from the tag without the
 // address round trip. Owner bytes stay zero: private caches are
 // single-owner. The state evolution — victim choice, flags, replacement
-// touch, MRU hint — is exactly fillWay's; Hierarchy.AccessPacked carries
+// touch — is exactly fillWay's; Hierarchy.AccessPacked carries
 // the same fill inline with the statistics kept.
 func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (victimTag uint64, wb bool) {
 	var victim int
@@ -550,7 +540,6 @@ func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (vict
 	case Nehalem:
 		c.nehalemTouch(si, victim)
 	}
-	c.mru[si] = int32(victim)
 	return victimTag, wb
 }
 
@@ -559,7 +548,7 @@ func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (vict
 // identical state transition.
 func (c *Cache) invalidatePrivate(si, tag uint64) (dirty, found bool) {
 	base := int(si) * c.ways
-	w := c.findWay(base, si, tag)
+	w := c.findWay(base, tag)
 	if w < 0 {
 		return false, false
 	}
@@ -571,7 +560,7 @@ func (c *Cache) invalidatePrivate(si, tag uint64) (dirty, found bool) {
 // markDirtyTag is MarkDirty after address decode.
 func (c *Cache) markDirtyTag(si, tag uint64) bool {
 	base := int(si) * c.ways
-	if w := c.findWay(base, si, tag); w >= 0 {
+	if w := c.findWay(base, tag); w >= 0 {
 		c.flags[base+w] |= flagDirty
 		return true
 	}
@@ -623,7 +612,6 @@ func (c *Cache) fillWay(si uint64, base int, tag uint64, owner Owner, prefetch, 
 	c.flags[idx] = f
 	c.owner[idx] = int32(owner)
 	c.touch(si, base, victim)
-	c.mru[si] = int32(victim)
 	return res
 }
 
@@ -641,7 +629,7 @@ func (c *Cache) MarkDirty(a Addr) bool {
 func (c *Cache) Invalidate(a Addr) (Evicted, bool) {
 	si, tag := c.index(a)
 	base := int(si) * c.ways
-	w := c.findWay(base, si, tag)
+	w := c.findWay(base, tag)
 	if w < 0 {
 		return Evicted{}, false
 	}
@@ -685,7 +673,6 @@ func (c *Cache) Flush() {
 	for i := range c.meta {
 		c.meta[i] = 0
 		c.free[i] = c.fullMask
-		c.mru[i] = 0
 	}
 }
 

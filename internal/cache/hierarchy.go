@@ -231,7 +231,7 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 	}
 	si1 := l1.setFor(tag)
 	base1 := int(si1) * l1.ways
-	if w := l1.findWay(base1, si1, tag); w >= 0 {
+	if w := l1.findWay(base1, tag); w >= 0 {
 		st1.Hits++
 		if write {
 			l1.flags[base1+w] |= flagDirty
@@ -245,7 +245,6 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 		case Nehalem:
 			l1.nehalemTouch(si1, w)
 		}
-		l1.mru[si1] = int32(w)
 		return PackedL1Hit
 	}
 	st1.Misses++
@@ -259,7 +258,7 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 	}
 	si2 := l2.setFor(tag)
 	base2 := int(si2) * l2.ways
-	if w := l2.findWay(base2, si2, tag); w >= 0 {
+	if w := l2.findWay(base2, tag); w >= 0 {
 		st2.Hits++
 		if write {
 			l2.flags[base2+w] |= flagDirty
@@ -273,7 +272,6 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 		case Nehalem:
 			l2.nehalemTouch(si2, w)
 		}
-		l2.mru[si2] = int32(w)
 		out = PackedL2Hit
 	} else {
 		st2.Misses++
@@ -290,7 +288,7 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 		}
 		si3 := l3.setFor(tag)
 		base3 := int(si3) * l3.ways
-		w3 := l3.findWay(base3, si3, tag)
+		w3 := l3.findWay(base3, tag)
 		if w3 >= 0 {
 			st3.Hits++
 			idx := base3 + w3
@@ -313,7 +311,6 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 			case Nehalem:
 				l3.nehalemTouch(si3, w3)
 			}
-			l3.mru[si3] = int32(w3)
 			out |= PackedOutcome(LevelL3)
 		} else {
 			// Miss: fillWay inline (a demand fill installs a clean line).
@@ -359,7 +356,6 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 			case Nehalem:
 				l3.nehalemTouch(si3, victim)
 			}
-			l3.mru[si3] = int32(victim)
 		}
 		if h.hasPF {
 			out += h.trainPrefetcher(core, tag, w3 < 0)
@@ -406,7 +402,6 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 		case Nehalem:
 			l2.nehalemTouch(si2, v2)
 		}
-		l2.mru[si2] = int32(v2)
 	}
 
 	// L1 fill, after an L2 hit and after an L2 fill alike; a dirty
@@ -454,7 +449,6 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 	case Nehalem:
 		l1.nehalemTouch(si1, v1)
 	}
-	l1.mru[si1] = int32(v1)
 	return out
 }
 

@@ -72,7 +72,7 @@ func BenchmarkHierarchyAccess(b *testing.B) {
 
 // BenchmarkHierarchyAccessResident is the all-hits variant: the working
 // set fits in the L2, so after warm-up the L1/L2 hit path dominates —
-// the common case the MRU-way hint targets.
+// the common case of a loop-heavy trace.
 func BenchmarkHierarchyAccessResident(b *testing.B) {
 	h := MustNewHierarchy(HierarchyConfig{
 		Cores: 1,
@@ -149,8 +149,7 @@ func BenchmarkPLRUTouchVictim(b *testing.B) {
 
 // BenchmarkFindWay measures the tag match per arm — the two
 // fixed-length scans and the generic loop (12 ways, a shrunk L3) — with
-// the MRU hint always right ("hint") and always wrong ("scan": the
-// probed way rotates, so the hint points at the previous one).
+// the probed way rotating through the set.
 func BenchmarkFindWay(b *testing.B) {
 	for _, ways := range []int{8, 16, 12} {
 		c := MustNew(Config{Name: "b", Size: int64(64 * ways * 64), Ways: ways, LineSize: 64, Policy: LRU, Owners: 1})
@@ -159,21 +158,15 @@ func BenchmarkFindWay(b *testing.B) {
 				c.Fill(Addr((uint64(w)*64+si)*64), 0, false, false)
 			}
 		}
-		run := func(name string, rotate int) {
-			b.Run(fmt.Sprintf("%dway/%s", ways, name), func(b *testing.B) {
-				sum := 0
-				for i := 0; i < b.N; i++ {
-					si := uint64(i) & 63
-					w := (i >> 6 * rotate) % ways
-					tag := uint64(w)*64 + si
-					got := c.findWay(int(si)*ways, si, tag)
-					c.mru[si] = int32(got)
-					sum += got
-				}
-				kernelSink = sum
-			})
-		}
-		run("hint", 0)
-		run("scan", 1)
+		b.Run(fmt.Sprintf("%dway", ways), func(b *testing.B) {
+			sum := 0
+			for i := 0; i < b.N; i++ {
+				si := uint64(i) & 63
+				w := (i >> 6) % ways
+				tag := uint64(w)*64 + si
+				sum += c.findWay(int(si)*ways, tag)
+			}
+			kernelSink = sum
+		})
 	}
 }

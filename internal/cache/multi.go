@@ -30,7 +30,6 @@ type lineStore struct {
 	stamp []uint64
 	meta  []uint64
 	free  []uint64
-	mru   []int32
 }
 
 // slots returns how many line slots and set slots a cache of this
@@ -42,7 +41,7 @@ func (c Config) slots() (lines, sets int) {
 
 // fit makes the store hold at least lines line slots and sets set
 // slots, and leaves the first lines/sets entries of the arrays
-// Cache.init expects zeroed (flags, owner, stamp, meta, mru) zero: a
+// Cache.init expects zeroed (flags, owner, stamp, meta) zero: a
 // store that is already large enough is cleared in place, not
 // reallocated. tags and free are init's to fill.
 func (s *lineStore) fit(lines, sets int) {
@@ -59,10 +58,8 @@ func (s *lineStore) fit(lines, sets int) {
 	if cap(s.meta) < sets {
 		s.meta = make([]uint64, sets)
 		s.free = make([]uint64, sets)
-		s.mru = make([]int32, sets)
 	} else {
 		clear(s.meta[:sets])
-		clear(s.mru[:sets])
 	}
 }
 
@@ -99,8 +96,7 @@ func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 		nl, ns := cfg.slots()
 		r.reps[i].init(cfg,
 			s.tags[lo:lo+nl:lo+nl], s.flags[lo:lo+nl:lo+nl], s.owner[lo:lo+nl:lo+nl],
-			s.stamp[lo:lo+nl:lo+nl], s.meta[so:so+ns:so+ns], s.free[so:so+ns:so+ns],
-			s.mru[so:so+ns:so+ns])
+			s.stamp[lo:lo+nl:lo+nl], s.meta[so:so+ns:so+ns], s.free[so:so+ns:so+ns])
 		lo += nl
 		so += ns
 	}
@@ -390,7 +386,7 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 	// at the call site inlines its per-policy leaves.
 	si1 := l1.setFor(tag)
 	base1 := int(si1) * l1.ways
-	if w := l1.findWay(base1, si1, tag); w >= 0 {
+	if w := l1.findWay(base1, tag); w >= 0 {
 		if write {
 			l1.flags[base1+w] |= flagDirty
 		}
@@ -403,14 +399,13 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		case Nehalem:
 			l1.nehalemTouch(si1, w)
 		}
-		l1.mru[si1] = int32(w)
 		return PackedL1Hit
 	}
 
 	// L2 demand probe.
 	si2 := l2.setFor(tag)
 	base2 := int(si2) * l2.ways
-	if w := l2.findWay(base2, si2, tag); w >= 0 {
+	if w := l2.findWay(base2, tag); w >= 0 {
 		if write {
 			l2.flags[base2+w] |= flagDirty
 		}
@@ -423,7 +418,6 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		case Nehalem:
 			l2.nehalemTouch(si2, w)
 		}
-		l2.mru[si2] = int32(w)
 		return PackedL2Hit + fillL1At(l1, l2, l3, si1, base1, tag, write)
 	}
 
@@ -441,7 +435,7 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 	if write {
 		st.Writes++
 	}
-	w3 := l3.findWay(base3, si3, tag)
+	w3 := l3.findWay(base3, tag)
 	if w3 >= 0 {
 		// hit() inline.
 		st.Hits++
@@ -465,7 +459,6 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		case Nehalem:
 			l3.nehalemTouch(si3, w3)
 		}
-		l3.mru[si3] = int32(w3)
 		out |= PackedOutcome(LevelL3)
 	} else {
 		// Miss: fillWay inline (demand fills install clean lines), with
@@ -534,7 +527,6 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		case Nehalem:
 			l3.nehalemTouch(si3, victim)
 		}
-		l3.mru[si3] = int32(victim)
 	}
 	if f.hasPF {
 		out += f.trainPrefetcher(k, tag, w3 < 0)
@@ -602,7 +594,6 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 	case Nehalem:
 		l2.nehalemTouch(si2, v2)
 	}
-	l2.mru[si2] = int32(v2)
 
 	// L1 fill; a dirty victim's writeback chases L2, then L3, then DRAM.
 	var v1 int
@@ -659,7 +650,6 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 	case Nehalem:
 		l1.nehalemTouch(si1, v1)
 	}
-	l1.mru[si1] = int32(v1)
 	return out
 }
 

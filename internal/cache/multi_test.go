@@ -15,7 +15,7 @@ import (
 // groups serves each group in turn without reallocating any array, and a
 // hierarchy built on used storage is indistinguishable from one built on
 // fresh storage: every array the first group dirtied (flags, stamps,
-// policy metadata, MRU hints) is back to its empty state.
+// policy metadata) is back to its empty state.
 func TestFusedBackingReuse(t *testing.T) {
 	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
 		hcfg := HierarchyConfig{
@@ -83,8 +83,7 @@ func TestFusedBackingReuse(t *testing.T) {
 				g, w := &pair[0].reps[k], &pair[1].reps[k]
 				if !reflect.DeepEqual(g.tags, w.tags) || !reflect.DeepEqual(g.flags, w.flags) ||
 					!reflect.DeepEqual(g.owner, w.owner) || !reflect.DeepEqual(g.stamp, w.stamp) ||
-					!reflect.DeepEqual(g.meta, w.meta) || !reflect.DeepEqual(g.free, w.free) ||
-					!reflect.DeepEqual(g.mru, w.mru) {
+					!reflect.DeepEqual(g.meta, w.meta) || !reflect.DeepEqual(g.free, w.free) {
 					t.Errorf("%v: level %d replica %d starts with stale line state on reused storage", policy, l+1, k)
 				}
 			}
@@ -202,8 +201,7 @@ func TestFusedAccessOutcomeMatchesHierarchy(t *testing.T) {
 }
 
 // sameState reports the first difference between two caches' line and
-// replacement state: every array a walk writes except the MRU hints
-// (which steer the tag scan, never its result) and the statistics.
+// replacement state: every array a walk writes except the statistics.
 func sameState(a, b *Cache) error {
 	switch {
 	case !slices.Equal(a.tags, b.tags):

@@ -11,7 +11,7 @@ package cache
 //
 // The implementation deliberately stays naive: it scans line structs
 // instead of a dense tag array, re-finds the set on every Fill, and
-// keeps no MRU hint or free mask. Slowness is a feature here — the
+// keeps no free mask. Slowness is a feature here — the
 // value of the oracle is that it shares no optimisation (and therefore
 // no optimisation bug) with the SoA kernel.
 type Reference struct {

@@ -96,8 +96,7 @@ func firstMatch(t []uint64, tag uint64) int {
 // TestFindWayArms drives findWay for every associativity over the
 // middle set of a three-set cache whose neighbours hold the probed tags
 // too, so an arm that scans past its set is caught: a match at each
-// position, a miss, a half-empty set (invalidTag entries), and every MRU
-// hint — right, stale, and pointing at a cleared way.
+// position, a miss, and a half-empty set (invalidTag entries).
 func TestFindWayArms(t *testing.T) {
 	for ways := 1; ways <= 64; ways++ {
 		t.Run(fmt.Sprint(ways), func(t *testing.T) {
@@ -109,11 +108,8 @@ func TestFindWayArms(t *testing.T) {
 			check := func(what string, tag uint64) {
 				t.Helper()
 				want := firstMatch(set, tag)
-				for h := 0; h < ways; h++ {
-					c.mru[si] = int32(h)
-					if got := c.findWay(base, si, tag); got != want {
-						t.Fatalf("%s: findWay(%#x) with hint %d = %d, first-match scan %d", what, tag, h, got, want)
-					}
+				if got := c.findWay(base, tag); got != want {
+					t.Fatalf("%s: findWay(%#x) = %d, first-match scan %d", what, tag, got, want)
 				}
 				if got := matchN(set, tag); got != want {
 					t.Fatalf("%s: matchN(%#x) = %d, first-match scan %d", what, tag, got, want)

@@ -11,10 +11,9 @@ import (
 // TestParallelSweepEquivalenceMatrix is the multi-core replay gate:
 // every replacement policy, warm and cold, across sweep widths (2 =
 // two groups of two sizes, 3 = uneven groups, 4 = one size per group
-// at the small matrix geometry) and decode widths, way-shrunk and (at
-// widths 2 and 3) set-shrunk. Each cell pins four curves to
-// bit-identity: serial fused (oracle), wide in-memory, wide over the
-// sync streaming Reader, wide over the ParallelReader — at each
+// at the small matrix geometry), way-shrunk and (at widths 2 and 3)
+// set-shrunk. Each cell pins three curves to bit-identity: serial
+// fused (oracle), wide in-memory, wide over the streaming Reader — at each
 // footprint of sweepSpans, because how much a wide sweep clones depends
 // on which groups start before the footprint probe is done: the serial
 // sweep clones every fit, a wide one anything from none to all of them,
@@ -32,13 +31,9 @@ func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 			}
 			for _, noWarm := range []bool{false, true} {
 				for _, shards := range widths {
-					decode := 2
-					if shards == 4 {
-						decode = 4
-					}
-					name := fmt.Sprintf("%v/noWarm=%v/shards=%d/decode=%d", policy, noWarm, shards, decode)
+					name := fmt.Sprintf("%v/noWarm=%v/shards=%d", policy, noWarm, shards)
 					if mode == simulate.BySets {
-						name = fmt.Sprintf("%v/bysets/noWarm=%v/shards=%d/decode=%d", policy, noWarm, shards, decode)
+						name = fmt.Sprintf("%v/bysets/noWarm=%v/shards=%d", policy, noWarm, shards)
 					}
 					t.Run(name, func(t *testing.T) {
 						cfg := simulate.Config{
@@ -50,7 +45,7 @@ func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 						}
 						for i, sp := range sweepSpans {
 							t.Run(sp.name, func(t *testing.T) {
-								if err := CheckParallelSweepEquivalence(cfg, traces[i], 256, shards, decode); err != nil {
+								if err := CheckParallelSweepEquivalence(cfg, traces[i], 256, shards); err != nil {
 									t.Fatal(err)
 								}
 							})
@@ -72,7 +67,7 @@ func TestParallelSweepWithPrefetcher(t *testing.T) {
 		Mode:    simulate.ByWays,
 		Engine:  simulate.EngineFused,
 	}
-	if err := CheckParallelSweepEquivalence(cfg, tr, 512, 3, 2); err != nil {
+	if err := CheckParallelSweepEquivalence(cfg, tr, 512, 3); err != nil {
 		t.Fatal(err)
 	}
 }

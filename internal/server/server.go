@@ -263,9 +263,6 @@ type Stats struct {
 	// SweepWorkers is how many replica groups of one job's fused sweep
 	// replay at once.
 	SweepWorkers int `json:"sweep_workers"`
-	// Runner reports the v2 frame-decode pool live (workers, queue
-	// depth, frames being decoded). Quiescent servers read zero.
-	Runner runner.UtilStats `json:"runner"`
 	// Sweep counts, over every fused sweep so far, the sizes replayed
 	// and the sizes that took the largest size's point because the
 	// trace cannot overflow them: why one miss costs a fraction of
@@ -290,7 +287,6 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Deduped:       s.flights.Deduped(),
 		Traces:        s.store.Len(),
 		SweepWorkers:  s.sweepWorkers,
-		Runner:        runner.Util(),
 		Sweep:         simulate.SweepReplicaStats(),
 		WriteFailures: s.writeFailures.Load(),
 	})

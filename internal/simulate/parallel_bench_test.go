@@ -39,31 +39,3 @@ func BenchmarkSweepFusedWorkers(b *testing.B) {
 		})
 	}
 }
-
-// BenchmarkSweepFusedWorkersParallelDecode composes both axes: every
-// group reading through its own parallel frame decoder, the full
-// cachesim -stream -j N -decode-j N pipeline.
-func BenchmarkSweepFusedWorkersParallelDecode(b *testing.B) {
-	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
-	var buf bytes.Buffer
-	if err := tr.WriteV2Frames(&buf, trace.DefaultFrameRecords); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, workers := range []int{2, 4} {
-		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
-			cfg := benchSweepConfig(cache.Nehalem, EngineFused)
-			cfg.Workers = workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_, err := SweepStream(cfg, func() (trace.BlockSource, error) {
-					return trace.NewParallelReader(bytes.NewReader(data),
-						trace.ParallelReaderOptions{Workers: workers})
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

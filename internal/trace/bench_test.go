@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -84,54 +83,6 @@ func BenchmarkDecodeV2(b *testing.B) { benchmarkDecodeV2Trace(b, workloadTrace(1
 // BenchmarkDecodeV2Sparse decodes the adversarial wide-jump corpus:
 // the varint kernel's worst case.
 func BenchmarkDecodeV2Sparse(b *testing.B) { benchmarkDecodeV2Trace(b, benchTrace()) }
-
-// BenchmarkDecodeV2Parallel is the decode-scaling axis: checksum
-// verification + varint decode fanned across j workers with in-order
-// block reassembly. j=1 delegates to
-// the sync Reader (the baseline the speedup is quoted against).
-func BenchmarkDecodeV2Parallel(b *testing.B) {
-	tr := workloadTrace(1 << 20)
-	var buf bytes.Buffer
-	if err := tr.WriteV2(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("j=%d", workers), func(b *testing.B) {
-			r, err := NewParallelReader(bytes.NewReader(data), ParallelReaderOptions{Workers: workers})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer func() {
-				if err := r.Close(); err != nil {
-					b.Fatal(err)
-				}
-			}()
-			b.SetBytes(int64(len(data)))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				var n int
-				for {
-					blk, err := r.NextBlock()
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(blk) == 0 {
-						break
-					}
-					n += len(blk)
-				}
-				if n != tr.Len() {
-					b.Fatalf("decoded %d of %d records", n, tr.Len())
-				}
-				if err := r.Rewind(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			reportRecords(b, tr.Len())
-		})
-	}
-}
 
 // BenchmarkDecodeV2InMemory measures the whole-trace Read path over
 // the framed format (allocation included).

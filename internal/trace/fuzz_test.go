@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
@@ -44,9 +45,9 @@ func fuzzSeedsV2(fatal func(error)) [][]byte {
 
 // FuzzRead asserts the decoders never panic or over-allocate on
 // arbitrary input — they must either parse or return an error — and
-// that the two decode paths agree: the streaming Reader must accept
-// exactly the streams the in-memory Read accepts, with identical
-// records. Run with `go test -fuzz FuzzRead ./internal/trace` for a
+// that the decode paths agree: the streaming Reader, decoding ahead
+// and inline, must accept exactly the streams the in-memory Read
+// accepts, with identical records. Run with `go test -fuzz FuzzRead ./internal/trace` for a
 // live campaign; the seed corpus runs as a normal test.
 func FuzzRead(f *testing.F) {
 	var buf bytes.Buffer
@@ -64,61 +65,26 @@ func FuzzRead(f *testing.F) {
 		tr, err := Read(bytes.NewReader(data))
 
 		// Cross-check oracle: stream the same bytes through the
-		// out-of-core Reader in small blocks.
-		var streamed []Record
-		r, serr := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 4})
-		if serr == nil {
-			for {
-				blk, berr := r.NextBlock()
-				if berr != nil {
-					serr = berr
-					break
-				}
-				if len(blk) == 0 {
-					break
-				}
-				streamed = append(streamed, blk...)
-			}
-			if cerr := r.Close(); cerr != nil {
-				t.Fatalf("Reader.Close: %v", cerr)
-			}
+		// out-of-core Reader in small blocks, once decoding ahead on
+		// its goroutine and once inline under GOMAXPROCS(1). Both must
+		// surface the same records, fail with the same error, and stop
+		// at the same frame.
+		streamed, sframes, serr := streamAll(t, data)
+		prev := runtime.GOMAXPROCS(1)
+		inline, iframes, ierr := streamAll(t, data)
+		runtime.GOMAXPROCS(prev)
+		if (serr == nil) != (ierr == nil) || serr != nil && serr.Error() != ierr.Error() {
+			t.Fatalf("decode paths disagree: ahead err = %v, inline err = %v", serr, ierr)
 		}
-		// Second oracle: the parallel decode pool must accept exactly
-		// the same streams with the same records AND fail with the
-		// same error as the sync Reader — small Depth stresses the
-		// slot ring, Workers 2 exercises out-of-order completion.
-		var parallel []Record
-		pr, perr := NewParallelReader(bytes.NewReader(data),
-			ParallelReaderOptions{ReaderOptions: ReaderOptions{BlockRecords: 4}, Workers: 2, Depth: 3})
-		if perr == nil {
-			for {
-				blk, berr := pr.NextBlock()
-				if berr != nil {
-					perr = berr
-					break
-				}
-				if len(blk) == 0 {
-					break
-				}
-				parallel = append(parallel, blk...)
-			}
-			if cerr := pr.Close(); cerr != nil {
-				t.Fatalf("ParallelReader.Close: %v", cerr)
-			}
+		if sframes != iframes {
+			t.Fatalf("decode paths stop at different frames: ahead %d, inline %d", sframes, iframes)
 		}
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("readers disagree: sync err = %v, parallel err = %v", serr, perr)
+		if len(inline) != len(streamed) {
+			t.Fatalf("inline decoded %d records, ahead %d (err %v)", len(inline), len(streamed), serr)
 		}
-		if serr != nil && perr.Error() != serr.Error() {
-			t.Fatalf("reader errors differ: sync %q, parallel %q", serr, perr)
-		}
-		// Records must agree up to the failure point too.
-		if len(parallel) != len(streamed) {
-			t.Fatalf("parallel decoded %d records, sync %d (sync err %v)", len(parallel), len(streamed), serr)
-		}
-		for i := range parallel {
-			if parallel[i] != streamed[i] {
-				t.Fatalf("record %d: parallel %+v, sync %+v", i, parallel[i], streamed[i])
+		for i := range inline {
+			if inline[i] != streamed[i] {
+				t.Fatalf("record %d: inline %+v, ahead %+v", i, inline[i], streamed[i])
 			}
 		}
 
@@ -161,4 +127,31 @@ func FuzzRead(f *testing.F) {
 			t.Fatalf("v2 round trip changed length %d -> %d", tr.Len(), tr2.Len())
 		}
 	})
+}
+
+// streamAll drains data through a Reader in 4-record blocks and
+// returns the records surfaced, Frames when the pass ended, and the
+// error that ended it (nil at a clean end).
+func streamAll(t *testing.T, data []byte) ([]Record, int64, error) {
+	r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 4})
+	if err != nil {
+		return nil, 0, err
+	}
+	var recs []Record
+	for {
+		blk, berr := r.NextBlock()
+		if berr != nil {
+			err = berr
+			break
+		}
+		if len(blk) == 0 {
+			break
+		}
+		recs = append(recs, blk...)
+	}
+	frames := r.Frames()
+	if cerr := r.Close(); cerr != nil {
+		t.Fatalf("Reader.Close: %v", cerr)
+	}
+	return recs, frames, err
 }

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
+	"sync"
 )
 
 // ReaderOptions parameterises a streaming Reader.
@@ -36,14 +38,18 @@ const readerBufBytes = 1 << 19
 
 // Reader streams a v1 or v2 trace from a seekable byte stream as
 // fixed-size record blocks in O(block) memory: the out-of-core
-// implementation of BlockSource. NextBlock decodes on the caller's
-// goroutine: decode is a few percent of any replay, less than a
-// goroutine hand-off per block costs. Steady-state decode reuses one
-// block buffer and performs no allocation (gated by AllocsPerRun in
-// reader_test.go).
+// implementation of BlockSource. On a v2 stream with GOMAXPROCS > 1,
+// a pass decodes one frame ahead on a background goroutine (see
+// decodeAhead): decode is ~40% of a Mattson replay, so it is worth a
+// second core. v1 streams and GOMAXPROCS == 1 decode inline on the
+// caller's goroutine. Either way it is the same frameDecoder in the
+// same order, so blocks, errors, Frames and header cross-checks do not
+// depend on the path. Steady-state decode reuses two block buffers and
+// performs no allocation (gated by AllocsPerRun in reader_test.go).
 //
 // A Reader is not safe for concurrent use; sweep engines open one
-// Reader per consumer (see simulate.SweepStream).
+// Reader per consumer (see simulate.SweepStream). Close joins the
+// decode goroutine, so a Reader abandoned mid-pass must be closed.
 type Reader struct {
 	rs   io.ReadSeeker
 	br   *bufio.Reader
@@ -61,11 +67,33 @@ type Reader struct {
 	v1left uint64
 	v1line uint64
 
-	buf        blockBuf // the one block NextBlock decodes into and returns
-	passRecs   int64    // records surfaced this pass, checked against the header at EOF
-	passInstrs uint64   // instruction total surfaced this pass, ditto
+	// bufs are the block buffers: inline decode uses bufs[0] only;
+	// decode-ahead fills one while the caller reads the other.
+	bufs [2]blockBuf
+
+	// Decode-ahead state. free carries empty buffers (and, from stop,
+	// a nil quit request) to the goroutine, out carries decoded
+	// buffers back in stream order; both are sized so no send ever
+	// blocks. held is the buffer the caller was last handed.
+	inline  bool // decode on the caller's goroutine this pass
+	running bool
+	free    chan *blockBuf
+	out     chan decoded
+	wg      sync.WaitGroup
+	held    *blockBuf
+
+	frames     int64  // v2 frames surfaced this pass
+	passRecs   int64  // records surfaced this pass, checked against the header at EOF
+	passInstrs uint64 // instruction total surfaced this pass, ditto
 	eof        bool
 	err        error
+}
+
+// decoded is one decode-ahead result: a filled buffer, or the error
+// (io.EOF included) that ended the pass.
+type decoded struct {
+	buf *blockBuf
+	err error
 }
 
 // errHeaderMismatch reports a stream whose header-declared record
@@ -107,6 +135,20 @@ func OpenFile(path string, o ReaderOptions) (*Reader, error) {
 	return r, nil
 }
 
+// ParallelReaderOptions is the option set of OpenFileParallel.
+type ParallelReaderOptions struct {
+	// Workers is ignored: a Reader decodes one frame ahead on one
+	// goroutine, and more decoders do not keep a consumer busier.
+	Workers int
+}
+
+// OpenFileParallel is OpenFile under the name the benchmark harness
+// (bench/stages.go) still calls; it ignores o.Workers. It goes when
+// the harness stops calling it.
+func OpenFileParallel(path string, o ParallelReaderOptions) (*Reader, error) {
+	return OpenFile(path, ReaderOptions{})
+}
+
 // readHeader consumes the magic and format header and resets the
 // per-pass decode state. The stream must be positioned at offset 0.
 func (r *Reader) readHeader() error {
@@ -139,8 +181,10 @@ func (r *Reader) readHeader() error {
 	default:
 		return errors.New("trace: bad magic")
 	}
+	r.inline = r.version == 1 || runtime.GOMAXPROCS(0) == 1
 	r.eof = false
 	r.err = nil
+	r.frames = 0
 	r.passRecs = 0
 	r.passInstrs = 0
 	return nil
@@ -245,8 +289,7 @@ func (r *Reader) NextBlock() ([]Record, error) {
 	if r.eof {
 		return nil, nil
 	}
-	buf := &r.buf
-	err := r.decodeInto(buf)
+	buf, err := r.nextBuf()
 	if err == io.EOF {
 		if err := r.endOfPass(); err != nil {
 			r.err = err
@@ -259,15 +302,97 @@ func (r *Reader) NextBlock() ([]Record, error) {
 		r.err = err
 		return nil, err
 	}
+	if r.version == 2 {
+		r.frames++
+	}
 	r.passRecs += int64(buf.n)
 	r.passInstrs += buf.instrs
 	return buf.recs[:buf.n], nil
 }
 
-// Rewind restarts the stream for another pass: it seeks back to the
-// start and re-reads the header. Blocks from the previous pass are
-// invalidated.
+// nextBuf yields the pass's next decoded buffer: decoded in place on
+// the inline path, or taken from the goroutine, which is started on
+// the pass's first block and handed back the caller's previous buffer.
+//
+//lint:hotpath
+func (r *Reader) nextBuf() (*blockBuf, error) {
+	if r.inline {
+		buf := &r.bufs[0]
+		return buf, r.decodeInto(buf)
+	}
+	if !r.running {
+		r.start()
+	}
+	if r.held != nil {
+		r.free <- r.held
+		r.held = nil
+	}
+	d := <-r.out
+	if d.err != nil {
+		r.stop()
+		return nil, d.err
+	}
+	r.held = d.buf
+	return d.buf, nil
+}
+
+// start launches the pass's decode goroutine with both buffers free.
+func (r *Reader) start() {
+	if r.free == nil {
+		//lint:ignore hotalloc the channels are made once per Reader, on its first decode-ahead pass, and reused by every later one
+		r.free = make(chan *blockBuf, len(r.bufs)+1)
+		//lint:ignore hotalloc the channels are made once per Reader, on its first decode-ahead pass, and reused by every later one
+		r.out = make(chan decoded, len(r.bufs))
+	}
+	for i := range r.bufs {
+		r.free <- &r.bufs[i]
+	}
+	r.running = true
+	r.wg.Add(1)
+	go r.decodeAhead()
+}
+
+// decodeAhead is the decode goroutine: it fills each free buffer with
+// the next frame and exits at the first error or end of stream, or on
+// stop's nil request. It is the only user of r.fd and r.br while it
+// runs, and every buffer in flight is one the caller does not hold.
+func (r *Reader) decodeAhead() {
+	defer r.wg.Done()
+	for buf := range r.free {
+		if buf == nil {
+			return
+		}
+		_, err := r.fd.next(buf)
+		r.out <- decoded{buf: buf, err: err}
+		if err != nil {
+			return
+		}
+	}
+}
+
+// stop joins the decode goroutine, whether it is mid-pass or already
+// gone, and empties both channels for the next start.
+func (r *Reader) stop() {
+	if !r.running {
+		return
+	}
+	r.free <- nil
+	r.wg.Wait()
+	r.running = false
+	r.held = nil
+	for len(r.free) > 0 {
+		<-r.free
+	}
+	for len(r.out) > 0 {
+		<-r.out
+	}
+}
+
+// Rewind restarts the stream for another pass: it joins any decode
+// goroutine, seeks back to the start and re-reads the header. Blocks
+// from the previous pass are invalidated.
 func (r *Reader) Rewind() error {
+	r.stop()
 	if _, err := r.rs.Seek(0, io.SeekStart); err != nil {
 		return err
 	}
@@ -284,13 +409,15 @@ func (r *Reader) NumRecords() int64 { return r.hdrRecords }
 // unpatched v2 headers.
 func (r *Reader) NumInstructions() int64 { return r.hdrInstrs }
 
-// Frames returns how many v2 frames have been decoded this pass (0
-// for v1 streams); diagnostic only.
-func (r *Reader) Frames() int64 { return r.fd.frames }
+// Frames returns how many v2 frames this pass has surfaced (0 for v1
+// streams); at an error, the frames before the failing one.
+// Diagnostic only.
+func (r *Reader) Frames() int64 { return r.frames }
 
-// Close closes the underlying file when the Reader was built by
-// OpenFile.
+// Close joins any decode goroutine and closes the underlying file
+// when the Reader was built by OpenFile.
 func (r *Reader) Close() error {
+	r.stop()
 	if r.file != nil {
 		f := r.file
 		r.file = nil

@@ -2,9 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 )
 
 // drain replays one full pass through src, appending every record.
@@ -170,6 +176,120 @@ func TestOpenFile(t *testing.T) {
 	recordsEqual(t, tr.Records, drain(t, r))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// payloadOffsets returns where each frame's payload starts in a
+// well-formed v2 stream.
+func payloadOffsets(data []byte) []int {
+	var payloads []int
+	off := headerSize2
+	for {
+		count, n := binary.Uvarint(data[off:])
+		if count == 0 {
+			return payloads
+		}
+		plen, m := binary.Uvarint(data[off+n:])
+		payloads = append(payloads, off+n+m+8)
+		off += n + m + 8 + int(plen)
+	}
+}
+
+// waitGoroutines polls until runtime.NumGoroutine is back at base: a
+// joined goroutine may still be unwinding when Close returns.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReaderLifecycle drives the Reader through every way a pass ends,
+// with decode-ahead on (GOMAXPROCS 2) and off (GOMAXPROCS 1). Each
+// case pins the error and Frames() where the pass stopped, that the
+// error is sticky, and that Close leaves no goroutine behind. Run it
+// under -race: the decode goroutine and the caller share the Reader.
+func TestReaderLifecycle(t *testing.T) {
+	const frameRecs = 64
+	tr := testTrace(40 * frameRecs)
+	var buf bytes.Buffer
+	if err := tr.WriteV2Frames(&buf, frameRecs); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	payloads := payloadOffsets(valid)
+	nframes := int64(len(payloads))
+	const k = 7 // the damaged frame
+
+	corrupt := append([]byte(nil), valid...)
+	corrupt[payloads[k]-1] ^= 0x01 // stored checksum of frame k
+	cases := []struct {
+		name       string
+		data       []byte
+		stopAfter  int  // blocks read before stopping early; -1 reads to the end
+		rewind     bool // stop early with Rewind, then read a full pass
+		wantErr    error
+		wantFrames int64
+		wantRecs   int
+	}{
+		{name: "full pass", data: valid, stopAfter: -1, wantFrames: nframes, wantRecs: tr.Len()},
+		{name: "rewind mid-pass", data: valid, stopAfter: 3, rewind: true, wantFrames: nframes, wantRecs: tr.Len()},
+		{name: "close mid-pass", data: valid, stopAfter: 3, wantFrames: 3, wantRecs: 3 * frameRecs},
+		{name: "corrupt checksum", data: corrupt, stopAfter: -1, wantErr: errFrameChecksum, wantFrames: k, wantRecs: k * frameRecs},
+		{name: "truncated payload", data: valid[:payloads[k]+5], stopAfter: -1, wantErr: io.ErrUnexpectedEOF, wantFrames: k, wantRecs: k * frameRecs},
+		{name: "trailing bytes", data: append(append([]byte(nil), valid...), 0), stopAfter: -1, wantErr: errTrailing, wantFrames: nframes, wantRecs: tr.Len()},
+	}
+	for _, procs := range []int{1, 2} {
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("%s/procs=%d", tc.name, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				base := runtime.NumGoroutine()
+				r, err := NewReader(bytes.NewReader(tc.data), ReaderOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				read := func(limit int) (int, error) {
+					n := 0
+					for blocks := 0; limit < 0 || blocks < limit; blocks++ {
+						blk, err := r.NextBlock()
+						if err != nil || len(blk) == 0 {
+							return n, err
+						}
+						n += len(blk)
+					}
+					return n, nil
+				}
+				n, err := read(tc.stopAfter)
+				if tc.stopAfter >= 0 && r.running != (procs > 1) {
+					t.Fatalf("decode goroutine running mid-pass = %v at GOMAXPROCS %d", r.running, procs)
+				}
+				if tc.rewind {
+					if err := r.Rewind(); err != nil {
+						t.Fatal(err)
+					}
+					n, err = read(-1)
+				}
+				if !errors.Is(err, tc.wantErr) {
+					t.Fatalf("pass ended with %v, want %v", err, tc.wantErr)
+				}
+				if n != tc.wantRecs || r.Frames() != tc.wantFrames {
+					t.Fatalf("stopped after %d records, %d frames; want %d, %d", n, r.Frames(), tc.wantRecs, tc.wantFrames)
+				}
+				if tc.wantErr != nil {
+					if _, again := r.NextBlock(); again != err || r.Frames() != tc.wantFrames {
+						t.Fatalf("error not sticky: %v, %d frames", again, r.Frames())
+					}
+				}
+				if err := r.Close(); err != nil {
+					t.Fatal(err)
+				}
+				waitGoroutines(t, base)
+			})
+		}
 	}
 }
 
