@@ -2,19 +2,15 @@
 // reuse-distance profile (internal/stackdist) without replaying the
 // trace per size: one streamed pass over the records — O(sample)
 // time, O(1) memory — yields a Profile, and every curve point is then
-// a histogram walk or a Che root-find. This is the ROADMAP "analytic
-// fast paths" subsystem; conformance.CheckAnalyticEquivalence pins its
-// curves against the exact Mattson pass and the fused replica engine.
+// a histogram walk. This is the ROADMAP "analytic fast paths"
+// subsystem (simulate.EngineAnalytic); conformance.CheckAnalyticEquivalence
+// pins its curves against the exact Mattson pass and the fused replica
+// engine.
 //
-// Two models are offered per capacity:
-//
-//   - Threshold (Mattson): an access hits a C-line fully-associative
-//     LRU cache iff its sampled stack distance is < C. Exact at rate
-//     1.0 (bit-identical to simulate.StackModelCurve), unbiased under
-//     sampling.
-//   - Che (che.go): the characteristic-time approximation driven by
-//     the sampled per-line popularity — the IRM view, useful when only
-//     popularity (not reuse order) is trusted.
+// The model is the threshold (Mattson) model: an access hits a C-line
+// fully-associative LRU cache iff its sampled stack distance is < C.
+// It is exact at rate 1.0 (bit-identical to simulate.StackModelCurve)
+// and unbiased under sampling.
 //
 // Set associativity is corrected with the standard Poisson argument:
 // the d distinct lines of a reuse interval spread binomially over S
@@ -26,22 +22,16 @@ import (
 	"fmt"
 	"math"
 
+	"cachepirate/internal/analysis"
 	"cachepirate/internal/stackdist"
 	"cachepirate/internal/trace"
 )
 
 // Profile is the analytic model input: the rescaled reuse-distance
-// histogram plus the sampled per-line popularity, snapshotted from one
-// profiling pass.
+// histogram, snapshotted from one profiling pass.
 type Profile struct {
 	// Hist is the rescaled sampled reuse-distance histogram.
 	Hist *stackdist.SampledHistogram
-	// PDF holds per-access reference probabilities of the tracked
-	// lines (sample only); Scale ~ 1/rate extrapolates sample sums to
-	// the population, as consumed by the Che functions.
-	PDF []float64
-	// Scale is the population scale for PDF sums.
-	Scale float64
 	// LineBytes is the line size the profile was collected at.
 	LineBytes int64
 
@@ -71,8 +61,7 @@ func (pr *Profile) nonzero() ([]int32, []float64) {
 
 // NewProfile snapshots a profiler's accumulated state into a Profile.
 func NewProfile(p *stackdist.SampledProfiler) *Profile {
-	pdf, scale := p.LinePDF()
-	return &Profile{Hist: p.Histogram(), PDF: pdf, Scale: scale, LineBytes: 64}
+	return &Profile{Hist: p.Histogram(), LineBytes: 64}
 }
 
 // ProfileTrace profiles an in-memory trace in one pass.
@@ -103,20 +92,6 @@ func ProfileSource(src trace.BlockSource, cfg stackdist.SampledConfig) (*Profile
 // simulate.StackModelCurve).
 func (pr *Profile) MissRatio(capacityBytes int64) float64 {
 	return pr.Hist.MissRatio(capacityBytes / pr.LineBytes)
-}
-
-// CheMissRatio is the Che-model (simplified characteristic time) miss
-// ratio of a fully-associative cache of capacityBytes. Cold-start
-// misses are added on top of the steady-state IRM prediction so the
-// two models are comparable on finite traces.
-func (pr *Profile) CheMissRatio(capacityBytes int64) float64 {
-	if pr.Hist.Total <= 0 {
-		return 0
-	}
-	hit := CheHitRatioSimplified(pr.PDF, pr.Scale, float64(capacityBytes/pr.LineBytes))
-	cold := pr.Hist.Cold / pr.Hist.Total
-	mr := (1-cold)*(1-hit) + cold
-	return math.Min(1, mr)
 }
 
 // MissRatioSetAssoc corrects the threshold model for set associativity
@@ -210,8 +185,6 @@ type PointEstimate struct {
 // per-size miss-ratio estimates plus the sampling metadata needed to
 // state error bars.
 type CurveEstimate struct {
-	// Model is "threshold" or "che".
-	Model string
 	// Points are the estimates, sorted by CacheBytes ascending by
 	// construction (callers pass sorted grids).
 	Points []PointEstimate
@@ -223,29 +196,10 @@ type CurveEstimate struct {
 
 // Estimate evaluates the threshold model over a size grid.
 func (pr *Profile) Estimate(grid []Geometry) (*CurveEstimate, error) {
-	return pr.estimate(grid, "threshold", func(g Geometry) float64 {
-		if g.Sets > 0 {
-			return pr.MissRatioSetAssoc(g.Sets, g.Ways)
-		}
-		return pr.MissRatio(g.CacheBytes)
-	})
-}
-
-// EstimateChe evaluates the Che model over a size grid (the
-// set-associative correction does not apply to the IRM view; Sets is
-// ignored).
-func (pr *Profile) EstimateChe(grid []Geometry) (*CurveEstimate, error) {
-	return pr.estimate(grid, "che", func(g Geometry) float64 {
-		return pr.CheMissRatio(g.CacheBytes)
-	})
-}
-
-func (pr *Profile) estimate(grid []Geometry, model string, eval func(Geometry) float64) (*CurveEstimate, error) {
 	if len(grid) == 0 {
 		return nil, fmt.Errorf("analytic: empty size grid")
 	}
 	est := &CurveEstimate{
-		Model:   model,
 		Points:  make([]PointEstimate, 0, len(grid)),
 		Rate:    pr.Hist.Rate,
 		Sampled: pr.Hist.Sampled,
@@ -255,7 +209,12 @@ func (pr *Profile) estimate(grid []Geometry, model string, eval func(Geometry) f
 		if g.CacheBytes <= 0 {
 			return nil, fmt.Errorf("analytic: non-positive cache size %d", g.CacheBytes)
 		}
-		mr := eval(g)
+		var mr float64
+		if g.Sets > 0 {
+			mr = pr.MissRatioSetAssoc(g.Sets, g.Ways)
+		} else {
+			mr = pr.MissRatio(g.CacheBytes)
+		}
 		est.Points = append(est.Points, PointEstimate{
 			CacheBytes: g.CacheBytes,
 			MissRatio:  mr,
@@ -263,4 +222,23 @@ func (pr *Profile) estimate(grid []Geometry, model string, eval func(Geometry) f
 		})
 	}
 	return est, nil
+}
+
+// Curve shapes the estimate as an analysis.Curve named "analytic",
+// points in size order. The model has no prefetcher, so fetches equal
+// misses, and no timing, so CPI and bandwidth stay zero; the error
+// bars stay behind in the estimate.
+func (est *CurveEstimate) Curve() *analysis.Curve {
+	curve := &analysis.Curve{Name: "analytic"}
+	for _, p := range est.Points {
+		curve.Points = append(curve.Points, analysis.Point{
+			CacheBytes: p.CacheBytes,
+			FetchRatio: p.MissRatio,
+			MissRatio:  p.MissRatio,
+			Trusted:    true,
+			Samples:    1,
+		})
+	}
+	curve.Sort()
+	return curve
 }

@@ -65,9 +65,6 @@ func TestProfileSourceMatchesTrace(t *testing.T) {
 			t.Errorf("size %d: in-memory %v != streamed %v", size, a.MissRatio(size), b.MissRatio(size))
 		}
 	}
-	if len(a.PDF) != len(b.PDF) {
-		t.Fatalf("pdf lengths differ: %d vs %d", len(a.PDF), len(b.PDF))
-	}
 }
 
 // TestSetAssocCorrection: the Poisson-corrected threshold model must
@@ -98,25 +95,22 @@ func TestSetAssocCorrection(t *testing.T) {
 	}
 }
 
-// TestCheMissRatioTracksThreshold: on the mixed workload the Che model
-// agrees with the threshold model to within a coarse bound — the two
-// derive from different assumptions (IRM vs measured reuse order), so
-// only rough agreement is expected, but gross divergence means a bug.
-func TestCheMissRatioTracksThreshold(t *testing.T) {
-	tr := mixTrace(40000)
-	pr, err := ProfileTrace(tr, stackdist.SampledConfig{Rate: 1, MaxDistance: 4096})
-	if err != nil {
-		t.Fatal(err)
+// TestPoissonCDF checks the recurrence against direct evaluation.
+func TestPoissonCDF(t *testing.T) {
+	if got := poissonCDF(0, 3); got != 1 {
+		t.Errorf("lambda 0: %v, want 1", got)
 	}
-	for _, size := range []int64{8 << 10, 32 << 10, 96 << 10} {
-		th := pr.MissRatio(size)
-		che := pr.CheMissRatio(size)
-		if che < 0 || che > 1 {
-			t.Fatalf("size %d: Che miss ratio %v out of [0,1]", size, che)
-		}
-		if math.Abs(th-che) > 0.25 {
-			t.Errorf("size %d: threshold %v vs Che %v diverge", size, th, che)
-		}
+	if got := poissonCDF(2, -1); got != 0 {
+		t.Errorf("k=-1: %v, want 0", got)
+	}
+	// P[Poisson(1.5) <= 2] = e^-1.5 (1 + 1.5 + 1.125)
+	want := math.Exp(-1.5) * (1 + 1.5 + 1.125)
+	if got := poissonCDF(1.5, 2); math.Abs(got-want) > 1e-12 {
+		t.Errorf("P[Pois(1.5)<=2] = %v, want %v", got, want)
+	}
+	// Large lambda with small k underflows gracefully toward 0.
+	if got := poissonCDF(700, 1); got < 0 || got > 1e-100 {
+		t.Errorf("deep-tail CDF %v", got)
 	}
 }
 
@@ -137,7 +131,7 @@ func TestEstimateShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if est.Model != "threshold" || len(est.Points) != len(grid) {
+	if len(est.Points) != len(grid) {
 		t.Fatalf("estimate shape: %+v", est)
 	}
 	if est.Records != 30000 || est.Sampled == 0 || est.Rate <= 0 {
@@ -151,12 +145,14 @@ func TestEstimateShape(t *testing.T) {
 			t.Errorf("point %d out of range: %+v", i, p)
 		}
 	}
-	che, err := pr.EstimateChe(grid)
-	if err != nil {
-		t.Fatal(err)
+	curve := est.Curve()
+	if curve.Name != "analytic" || len(curve.Points) != len(grid) {
+		t.Fatalf("curve shape: %+v", curve)
 	}
-	if che.Model != "che" || len(che.Points) != len(grid) {
-		t.Fatalf("che estimate shape: %+v", che)
+	for i, p := range curve.Points {
+		if p.CacheBytes != est.Points[i].CacheBytes || p.MissRatio != est.Points[i].MissRatio || p.FetchRatio != p.MissRatio {
+			t.Errorf("curve point %d = %+v, estimate %+v", i, p, est.Points[i])
+		}
 	}
 
 	if _, err := pr.Estimate(nil); err == nil {

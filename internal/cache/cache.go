@@ -64,6 +64,16 @@ func (p PolicyKind) String() string {
 	return fmt.Sprintf("policy(%d)", int(p))
 }
 
+// ParsePolicy is the inverse of PolicyKind.String.
+func ParsePolicy(name string) (PolicyKind, error) {
+	for p := LRU; p <= Random; p++ {
+		if p.String() == name {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown policy %q (want nehalem, lru, plru or random)", name)
+}
+
 // Config describes one cache level.
 type Config struct {
 	Name     string     // for diagnostics, e.g. "L3"

@@ -64,7 +64,9 @@ func CheckAnalyticEquivalence(cfg simulate.Config, tr *trace.Trace, b AnalyticBo
 	if err != nil {
 		return fmt.Errorf("conformance: stack model: %w", err)
 	}
-	mattson, err := simulate.MattsonLRUCurve(cfg, tr)
+	mattsonCfg := cfg
+	mattsonCfg.Engine = simulate.EngineMattson
+	mattson, err := simulate.Sweep(mattsonCfg, tr)
 	if err != nil {
 		return fmt.Errorf("conformance: mattson: %w", err)
 	}
@@ -86,11 +88,11 @@ func CheckAnalyticEquivalence(cfg simulate.Config, tr *trace.Trace, b AnalyticBo
 	smplCfg := cfg
 	smplCfg.Engine = simulate.EngineAnalytic
 	smplCfg.SampleRate = b.Rate
-	inmem, err := simulate.AnalyticCurve(smplCfg, tr)
+	inmem, err := simulate.Sweep(smplCfg, tr)
 	if err != nil {
 		return fmt.Errorf("conformance: analytic in-memory: %w", err)
 	}
-	streamed, err := simulate.AnalyticCurveStream(smplCfg, func() (trace.BlockSource, error) {
+	streamed, err := simulate.SweepStream(smplCfg, func() (trace.BlockSource, error) {
 		return trace.NewReplayer(tr, false), nil
 	})
 	if err != nil {
@@ -116,7 +118,7 @@ func CheckAnalyticEquivalence(cfg simulate.Config, tr *trace.Trace, b AnalyticBo
 	// (4) Set-associativity correction against the exact Mattson pass.
 	corrCfg := cfg
 	corrCfg.Engine = simulate.EngineAnalytic
-	corrected, err := simulate.AnalyticCurve(corrCfg, tr)
+	corrected, err := simulate.Sweep(corrCfg, tr)
 	if err != nil {
 		return fmt.Errorf("conformance: analytic corrected curve: %w", err)
 	}

@@ -78,14 +78,14 @@ func TestAnalyticGoldenCurves(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			tr := corpusTrace(t, name, 50000)
 			cfg := simulate.Config{Machine: analyticMachine(), Workers: 1, Engine: simulate.EngineAnalytic}
-			curve, err := simulate.AnalyticCurve(cfg, tr)
+			curve, err := simulate.Sweep(cfg, tr)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// The rate-1.0 analytic curve must also agree with the exact
 			// Mattson pass within the documented model bound before it is
 			// allowed to become a golden.
-			mattson, err := simulate.MattsonLRUCurve(simulate.Config{Machine: analyticMachine()}, tr)
+			mattson, err := simulate.Sweep(simulate.Config{Machine: analyticMachine(), Engine: simulate.EngineMattson}, tr)
 			if err != nil {
 				t.Fatal(err)
 			}

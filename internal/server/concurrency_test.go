@@ -94,7 +94,7 @@ func TestConcurrentDistinctKeys(t *testing.T) {
 		Compute: func(ctx context.Context, spec JobSpec) (*analysis.Curve, error) {
 			computes.Add(1)
 			c := stubCurve()
-			c.Name = spec.Engine
+			c.Name = spec.Engine.String()
 			return c, nil
 		},
 	})

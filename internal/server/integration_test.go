@@ -19,9 +19,10 @@ import (
 
 // TestEndToEndServedCurvesBitIdentical is the acceptance-criteria
 // test: start the real server in-process (production compute, real
-// engines), upload a generated trace over HTTP, fetch fused and
-// analytic curves, and require them bit-identical to calling the
-// engines directly on the same stored trace.
+// engines), upload a generated trace over HTTP, fetch a curve from
+// every engine, and require each bit-identical to a direct
+// simulate.SweepStreamContext call with the same Engine on the same
+// stored trace.
 func TestEndToEndServedCurvesBitIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full engine replays; skipped in -short")
@@ -81,12 +82,13 @@ func TestEndToEndServedCurvesBitIdentical(t *testing.T) {
 		return curve
 	}
 
-	// Direct engine runs use the server's own dispatch over the same
-	// stored object — the same config construction path the HTTP layer
-	// takes, minus HTTP, queue and cache.
+	// Direct engine runs are one simulate.SweepStreamContext call over
+	// the same stored object, minus HTTP, queue, cache and the server's
+	// own dispatch.
 	direct := func(spec JobSpec) *analysis.Curve {
 		t.Helper()
-		curve, err := srv.computeDirect(context.Background(), spec)
+		open := func() (trace.BlockSource, error) { return store.Open(spec.TraceHash) }
+		curve, err := simulate.SweepStreamContext(context.Background(), spec.simConfig(1), open)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -99,9 +101,13 @@ func TestEndToEndServedCurvesBitIdentical(t *testing.T) {
 		spec  JobSpec
 	}{
 		{"fused", fmt.Sprintf("trace=%s&engine=fused", info.Hash),
-			JobSpec{TraceHash: info.Hash, Engine: EngineFused, PolicyName: "nehalem", Policy: cache.Nehalem}},
+			JobSpec{TraceHash: info.Hash, Engine: simulate.EngineFused, Policy: cache.Nehalem}},
+		{"persize", fmt.Sprintf("trace=%s&engine=persize", info.Hash),
+			JobSpec{TraceHash: info.Hash, Engine: simulate.EnginePerSize, Policy: cache.Nehalem}},
+		{"mattson", fmt.Sprintf("trace=%s&engine=mattson&policy=lru", info.Hash),
+			JobSpec{TraceHash: info.Hash, Engine: simulate.EngineMattson, Policy: cache.LRU}},
 		{"analytic", fmt.Sprintf("trace=%s&engine=analytic", info.Hash),
-			JobSpec{TraceHash: info.Hash, Engine: EngineAnalytic, PolicyName: "nehalem", Policy: cache.Nehalem}},
+			JobSpec{TraceHash: info.Hash, Engine: simulate.EngineAnalytic, Policy: cache.Nehalem}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			served := fetch(tc.query)
@@ -134,8 +140,8 @@ func TestEndToEndServedCurvesBitIdentical(t *testing.T) {
 			{"engine=fused", simulate.ByWays},
 			{"mode=sets", simulate.BySets},
 		} {
-			spec := JobSpec{TraceHash: info.Hash, Engine: EngineFused, PolicyName: "nehalem", Policy: cache.Nehalem, Mode: tc.mode}
-			want, err := simulate.SweepContext(context.Background(), spec.simConfig(1), tr)
+			spec := JobSpec{TraceHash: info.Hash, Engine: simulate.EngineFused, Policy: cache.Nehalem, Mode: tc.mode}
+			want, err := simulate.Sweep(spec.simConfig(1), tr)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,9 +185,9 @@ func TestEndToEndWorkloadCapture(t *testing.T) {
 	}
 	hash := store.List()[0].Hash
 
-	spec := JobSpec{TraceHash: hash, Engine: EngineAnalytic, PolicyName: "nehalem", Policy: cache.Nehalem}
+	spec := JobSpec{TraceHash: hash, Engine: simulate.EngineAnalytic, Policy: cache.Nehalem}
 	open := func() (trace.BlockSource, error) { return store.Open(hash) }
-	want, err := simulate.AnalyticCurveStreamContext(context.Background(), spec.simConfig(1), open)
+	want, err := simulate.SweepStreamContext(context.Background(), spec.simConfig(1), open)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +214,7 @@ func TestSweepWorkersCurveIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := JobSpec{TraceHash: info.Hash, Engine: EngineFused, PolicyName: "nehalem", Policy: cache.Nehalem}
+	spec := JobSpec{TraceHash: info.Hash, Engine: simulate.EngineFused, Policy: cache.Nehalem}
 
 	curves := make(map[int]*analysis.Curve)
 	for _, workers := range []int{1, 3} {

@@ -15,27 +15,24 @@ import (
 	"cachepirate/internal/workload"
 )
 
-// Engine names the server accepts. "fused" and "persize" are the
-// bit-identical full-machine replay engines; "mattson" is the exact
-// single-pass LRU stack curve of the bare L3; "analytic" is the
-// SHARDS-sampled Che/threshold estimate. The names map onto
-// internal/simulate's engines — the server adds no maths of its own.
-const (
-	EngineFused    = "fused"
-	EnginePerSize  = "persize"
-	EngineMattson  = "mattson"
-	EngineAnalytic = "analytic"
-)
-
 // maxCaptureRecords bounds server-side workload captures; bigger
 // workloads should be traced offline (cmd/tracer) and uploaded.
 const maxCaptureRecords = 8_000_000
 
+// defaultPolicy is the L3 policy of a request that names none.
+const defaultPolicy = cache.Nehalem
+
 // JobSpec is one curve request, fully resolved and validated: either
 // a stored trace (TraceHash) or a server-side workload capture
-// (Workload/Records/Seed/Skip), plus the engine and model knobs. Its
-// Key is the result-cache and singleflight identity, so every field
-// that can change the curve must be part of it.
+// (Workload/Records/Seed/Skip), plus the engine and model knobs. The
+// engines are internal/simulate's, by their String names: "fused" and
+// "persize" are the bit-identical full-machine replay engines,
+// "mattson" is the exact single-pass LRU stack curve of the bare L3,
+// and "analytic" is the SHARDS-sampled threshold-model estimate — the
+// server adds no maths of its own. Its Key is the result-cache and
+// singleflight identity, so every field that can change the curve
+// must be part of it, and parseJobSpec resets every field the engine
+// ignores so that one curve has one key.
 type JobSpec struct {
 	TraceHash string
 	Workload  string
@@ -43,9 +40,8 @@ type JobSpec struct {
 	Seed      uint64
 	Skip      int
 
-	Engine     string
+	Engine     simulate.Engine
 	Policy     cache.PolicyKind
-	PolicyName string
 	Mode       simulate.SweepMode
 	NoWarm     bool
 	SampleRate float64
@@ -59,7 +55,7 @@ func (j JobSpec) Key() string {
 		src = fmt.Sprintf("w:%s:%d:%d:%d", j.Workload, j.Records, j.Seed, j.Skip)
 	}
 	return fmt.Sprintf("%s|%s|%s|%d|%t|%g|%d",
-		src, j.Engine, j.PolicyName, j.Mode, j.NoWarm, j.SampleRate, j.SampleSize)
+		src, j.Engine, j.Policy, j.Mode, j.NoWarm, j.SampleRate, j.SampleSize)
 }
 
 // simConfig maps the spec onto a sweep config. workers is the
@@ -70,17 +66,10 @@ func (j JobSpec) Key() string {
 // deliberately NOT part of JobSpec.Key — parallelism never changes the
 // result, so cached curves stay valid across width changes.
 func (j JobSpec) simConfig(workers int) simulate.Config {
-	eng := simulate.EngineFused
-	switch j.Engine {
-	case EnginePerSize:
-		eng = simulate.EnginePerSize
-	case EngineAnalytic:
-		eng = simulate.EngineAnalytic
-	}
 	return simulate.Config{
 		Machine:    machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), j.Policy),
 		Mode:       j.Mode,
-		Engine:     eng,
+		Engine:     j.Engine,
 		NoWarm:     j.NoWarm,
 		SampleRate: j.SampleRate,
 		SampleSize: j.SampleSize,
@@ -93,11 +82,9 @@ func (j JobSpec) simConfig(workers int) simulate.Config {
 // status code and machine-readable error code.
 func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 	j := JobSpec{
-		Engine:     EngineFused,
-		PolicyName: "nehalem",
-		Policy:     cache.Nehalem,
-		Records:    400_000,
-		Seed:       1,
+		Policy:  defaultPolicy,
+		Records: 400_000,
+		Seed:    1,
 	}
 
 	traceHash := q.Get("trace")
@@ -119,40 +106,24 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 		j.Workload = wl
 	}
 
+	var err error
 	if v := q.Get("engine"); v != "" {
-		switch v {
-		case EngineFused, EnginePerSize, EngineMattson, EngineAnalytic:
-			j.Engine = v
-		default:
-			return j, badRequest("unknown_engine", fmt.Sprintf("unknown engine %q (want fused, persize, mattson or analytic)", v))
+		if j.Engine, err = simulate.ParseEngine(v); err != nil {
+			return j, badRequest("unknown_engine", err.Error())
 		}
 	}
 	if v := q.Get("policy"); v != "" {
-		switch v {
-		case "nehalem":
-			j.Policy, j.PolicyName = cache.Nehalem, v
-		case "lru":
-			j.Policy, j.PolicyName = cache.LRU, v
-		case "plru":
-			j.Policy, j.PolicyName = cache.PseudoLRU, v
-		case "random":
-			j.Policy, j.PolicyName = cache.Random, v
-		default:
-			return j, badRequest("unknown_policy", fmt.Sprintf("unknown policy %q (want nehalem, lru, plru or random)", v))
+		if j.Policy, err = cache.ParsePolicy(v); err != nil {
+			return j, badRequest("unknown_policy", err.Error())
 		}
 	}
 	if v := q.Get("mode"); v != "" {
-		switch v {
-		case "ways":
-			j.Mode = simulate.ByWays
-		case "sets":
-			j.Mode = simulate.BySets
-		default:
-			return j, badRequest("unknown_mode", fmt.Sprintf("unknown mode %q (want ways or sets)", v))
+		if j.Mode, err = simulate.ParseMode(v); err != nil {
+			return j, badRequest("unknown_mode", err.Error())
 		}
 	}
-	if j.Engine == EngineMattson {
-		if j.PolicyName != "lru" {
+	if j.Engine == simulate.EngineMattson {
+		if j.Policy != cache.LRU {
 			return j, badRequest("engine_policy_mismatch", "engine=mattson requires policy=lru (stack inclusion)")
 		}
 		if j.Mode != simulate.ByWays {
@@ -193,6 +164,17 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 	if perr != nil {
 		return j, perr
 	}
+	// One curve, one key: reset what the engine ignores, so that a knob
+	// with no effect cannot make a cached curve recompute.
+	if j.Engine != simulate.EngineAnalytic {
+		j.SampleRate, j.SampleSize = 0, 0 // SHARDS knobs
+	}
+	if j.Engine == simulate.EngineMattson || j.Engine == simulate.EngineAnalytic {
+		j.NoWarm = false // single-pass profilers have no warm-up replay
+	}
+	if j.Engine == simulate.EngineAnalytic {
+		j.Policy = defaultPolicy // its grid reads sets and ways only
+	}
 	return j, nil
 }
 
@@ -227,15 +209,7 @@ func (s *Server) computeDirect(ctx context.Context, spec JobSpec) (*analysis.Cur
 		hash = info.Hash
 	}
 	open := func() (trace.BlockSource, error) { return s.store.Open(hash) }
-	cfg := spec.simConfig(s.sweepWorkers)
-	switch spec.Engine {
-	case EngineMattson:
-		return simulate.MattsonLRUCurveStreamContext(ctx, cfg, open)
-	case EngineAnalytic:
-		return simulate.AnalyticCurveStreamContext(ctx, cfg, open)
-	default:
-		return simulate.SweepStreamContext(ctx, cfg, open)
-	}
+	return simulate.SweepStreamContext(ctx, spec.simConfig(s.sweepWorkers), open)
 }
 
 // captureWorkload captures the spec's synthetic workload, encodes it

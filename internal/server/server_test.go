@@ -243,6 +243,52 @@ func TestCurveEndpointServesAndCaches(t *testing.T) {
 	}
 }
 
+// TestCurveKeyIgnoresUnusedKnobs: a knob the requested engine ignores
+// must not fork the cache key — one row per ignored field, each a
+// cache hit on the curve the plain request computed — while a knob the
+// engine reads still does.
+func TestCurveKeyIgnoresUnusedKnobs(t *testing.T) {
+	for _, tc := range []struct {
+		base, knob string
+		computes   int
+	}{
+		{"engine=fused", "sample_rate=0.5", 1},
+		{"engine=fused", "sample_size=100", 1},
+		{"engine=persize", "sample_rate=0.5", 1},
+		{"engine=persize", "sample_size=100", 1},
+		{"engine=mattson&policy=lru", "sample_rate=0.5", 1},
+		{"engine=mattson&policy=lru", "sample_size=100", 1},
+		{"engine=mattson&policy=lru", "nowarm=true", 1},
+		{"engine=analytic", "nowarm=true", 1},
+		{"engine=analytic", "policy=lru", 1},
+		{"engine=analytic", "policy=plru", 1},
+		// Knobs the engine reads stay in the key.
+		{"engine=fused", "nowarm=true", 2},
+		{"engine=fused", "policy=lru", 2},
+		{"engine=analytic", "sample_rate=0.5", 2},
+		{"engine=analytic", "sample_size=100", 2},
+		{"engine=analytic", "mode=sets", 2},
+	} {
+		t.Run(tc.base+"&"+tc.knob, func(t *testing.T) {
+			var calls int
+			s, hash := newTestServer(t, Config{
+				Compute: func(ctx context.Context, spec JobSpec) (*analysis.Curve, error) {
+					calls++
+					return stubCurve(), nil
+				},
+			})
+			for _, q := range []string{tc.base, tc.base + "&" + tc.knob} {
+				if rec := do(t, s, http.MethodGet, "/v1/curves?trace="+hash+"&"+q, nil); rec.Code != http.StatusOK {
+					t.Fatalf("%s: status %d (body %q)", q, rec.Code, rec.Body.String())
+				}
+			}
+			if calls != tc.computes {
+				t.Errorf("compute ran %d times, want %d", calls, tc.computes)
+			}
+		})
+	}
+}
+
 func TestCurveCSVFormat(t *testing.T) {
 	s, hash := newTestServer(t, Config{})
 	rec := do(t, s, http.MethodGet, "/v1/curves?trace="+hash+"&format=csv", nil)

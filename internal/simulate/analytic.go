@@ -25,24 +25,20 @@ const analyticDepthFactor = 8
 // drops ways; BySets the converse), so the analytic curve answers the
 // same question the reference sweep does.
 func analyticGrid(cfg Config) ([]analytic.Geometry, int, error) {
-	grid := make([]analytic.Geometry, len(cfg.Sizes))
+	mcfgs, err := shrunkMachines(cfg)
+	if err != nil {
+		return nil, 0, err
+	}
+	grid := make([]analytic.Geometry, len(mcfgs))
 	maxLines := 0
-	for i, size := range cfg.Sizes {
-		mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := mcfg.Validate(); err != nil {
-			return nil, 0, fmt.Errorf("simulate: size %d: %w", size, err)
-		}
+	for i, mcfg := range mcfgs {
+		size := cfg.Sizes[i]
 		grid[i] = analytic.Geometry{
 			CacheBytes: size,
 			Sets:       int(mcfg.L3.Sets()),
 			Ways:       mcfg.L3.Ways,
 		}
-		if lines := int(size / cfg.Machine.L3.LineSize); lines > maxLines {
-			maxLines = lines
-		}
+		maxLines = max(maxLines, int(size/cfg.Machine.L3.LineSize))
 	}
 	return grid, maxLines, nil
 }
@@ -69,21 +65,14 @@ func analyticSampleConfig(cfg Config, maxLines int) stackdist.SampledConfig {
 	}
 }
 
-// AnalyticEstimate predicts the sweep's miss-ratio curve analytically:
+// AnalyticEstimate is the EngineAnalytic body, with the sampling
+// metadata and per-point error bars the analysis.Curve shape drops:
 // one SHARDS-sampled profiling pass over the stream (O(sample) time,
-// O(1) memory — no replay per size, no trace materialised), then a
-// set-associativity-corrected threshold-model evaluation per size,
-// with per-point sampling error bars. This is the full-information
-// form; AnalyticCurve/AnalyticCurveStream adapt it to the
-// analysis.Curve shape the rest of the pipeline consumes.
-func AnalyticEstimate(cfg Config, open func() (trace.BlockSource, error)) (*analytic.CurveEstimate, error) {
-	return AnalyticEstimateContext(context.Background(), cfg, open)
-}
-
-// AnalyticEstimateContext is AnalyticEstimate under a context: the
-// profiling pass polls ctx at block granularity and aborts with its
-// error once the context is done.
-func AnalyticEstimateContext(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (est *analytic.CurveEstimate, err error) {
+// O(1) memory — no replay per size, no trace materialised), polling
+// ctx at block granularity, then a set-associativity-corrected
+// threshold-model evaluation per size. SweepStreamContext with
+// EngineAnalytic returns exactly its Curve(); cfg.Engine is ignored.
+func AnalyticEstimate(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (est *analytic.CurveEstimate, err error) {
 	cfg = cfg.withDefaults()
 	grid, maxLines, err := analyticGrid(cfg)
 	if err != nil {
@@ -104,84 +93,9 @@ func AnalyticEstimateContext(ctx context.Context, cfg Config, open func() (trace
 	return prof.Estimate(grid)
 }
 
-// AnalyticCurveStream is AnalyticEstimate shaped as an analysis.Curve
-// (name "analytic"; no prefetcher in the model, so fetches equal
-// misses and CPI/bandwidth stay zero). Error bars survive in the
-// CurveEstimate — use AnalyticEstimate when they matter.
+// AnalyticCurveStream is SweepStream with EngineAnalytic. Kept only
+// because the benchmark harness under bench/ calls it.
 func AnalyticCurveStream(cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
-	return AnalyticCurveStreamContext(context.Background(), cfg, open)
-}
-
-// AnalyticCurveStreamContext is AnalyticCurveStream under a context
-// (see AnalyticEstimateContext for the cancellation contract).
-func AnalyticCurveStreamContext(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
-	est, err := AnalyticEstimateContext(ctx, cfg, open)
-	if err != nil {
-		return nil, err
-	}
-	curve := &analysis.Curve{Name: "analytic"}
-	for _, p := range est.Points {
-		curve.Points = append(curve.Points, analysis.Point{
-			CacheBytes: p.CacheBytes,
-			FetchRatio: p.MissRatio,
-			MissRatio:  p.MissRatio,
-			Trusted:    true,
-			Samples:    1,
-		})
-	}
-	curve.Sort()
-	return curve, nil
-}
-
-// AnalyticCurve is AnalyticCurveStream over an in-memory trace.
-func AnalyticCurve(cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
-	if tr.Len() == 0 {
-		return nil, fmt.Errorf("simulate: empty trace")
-	}
-	return AnalyticCurveStream(cfg, func() (trace.BlockSource, error) {
-		return trace.NewReplayer(tr, false), nil
-	})
-}
-
-// MattsonLRUCurveStream is MattsonLRUCurve over any trace.BlockSource:
-// the exact per-set Mattson pass runs block-at-a-time through a pooled
-// profiler (stackdist.SetAssocProfiler), so multi-GB traces stream
-// through in O(sets*ways) memory. Same restrictions as the in-memory
-// form: LRU policy, ByWays mode.
-func MattsonLRUCurveStream(cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
-	return MattsonLRUCurveStreamContext(context.Background(), cfg, open)
-}
-
-// MattsonLRUCurveStreamContext is MattsonLRUCurveStream under a
-// context: the profiling pass polls ctx at block granularity and
-// aborts with its error once the context is done.
-func MattsonLRUCurveStreamContext(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (curve *analysis.Curve, err error) {
-	cfg = cfg.withDefaults()
-	ways, sets, lineShift, err := mattsonGeometry(cfg)
-	if err != nil {
-		return nil, err
-	}
-	maxWays := 0
-	for _, w := range ways {
-		if w > maxWays {
-			maxWays = w
-		}
-	}
-	p, err := stackdist.NewSetAssocProfiler(sets, maxWays, lineShift)
-	if err != nil {
-		return nil, err
-	}
-	src, err := open()
-	if err != nil {
-		return nil, err
-	}
-	defer closeSource(src, &err)
-	if err := p.FeedSource(withContext(ctx, src)); err != nil {
-		return nil, err
-	}
-	h := p.Histogram()
-	if h.Total == 0 {
-		return nil, fmt.Errorf("simulate: empty trace")
-	}
-	return mattsonCurve(cfg, h, ways)
+	cfg.Engine = EngineAnalytic
+	return SweepStream(cfg, open)
 }

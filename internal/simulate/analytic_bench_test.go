@@ -27,10 +27,10 @@ func BenchmarkMattsonExact(b *testing.B) {
 	for _, n := range benchAnalyticLengths {
 		b.Run(fmt.Sprintf("n%d", n), func(b *testing.B) {
 			tr := benchAnalyticTrace(n)
-			cfg := lruSweepConfig(EngineAuto)
+			cfg := lruSweepConfig(EngineMattson)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := MattsonLRUCurve(cfg, tr); err != nil {
+				if _, err := Sweep(cfg, tr); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -65,7 +65,7 @@ func BenchmarkAnalyticCurve(b *testing.B) {
 				cfg.SampleSize = m.size
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := AnalyticCurve(cfg, tr); err != nil {
+					if _, err := Sweep(cfg, tr); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -85,10 +85,7 @@ func BenchmarkAnalyticStream(b *testing.B) {
 	cfg.SampleRate = 0.01
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, err := AnalyticCurveStream(cfg, func() (trace.BlockSource, error) {
-			return trace.NewReplayer(tr, false), nil
-		})
-		if err != nil {
+		if _, err := SweepStream(cfg, replayer(tr)); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,11 @@
 package simulate
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"cachepirate/internal/analysis"
 	"cachepirate/internal/cache"
 	"cachepirate/internal/trace"
 )
@@ -16,30 +18,55 @@ func lruSweepConfig(engine Engine) Config {
 	return Config{Machine: mcfg, Workers: 1, Engine: engine}
 }
 
-// TestMattsonStreamMatchesInMemory: the streamed Mattson pass is the
-// same pass — bit-identical curve.
-func TestMattsonStreamMatchesInMemory(t *testing.T) {
-	tr := CaptureTrace(randFactory(64<<10), 1, 0, 40000)
-	cfg := lruSweepConfig(EngineAuto)
-	want, err := MattsonLRUCurve(cfg, tr)
-	if err != nil {
-		t.Fatal(err)
+// replayer opens tr in memory, once per call.
+func replayer(tr *trace.Trace) func() (trace.BlockSource, error) {
+	return func() (trace.BlockSource, error) { return trace.NewReplayer(tr, false), nil }
+}
+
+// sameMissCurve fails unless got has want's name, sizes and miss and
+// fetch ratios, bit for bit — all the single-pass engines produce.
+func sameMissCurve(t *testing.T, what string, got, want *analysis.Curve) {
+	t.Helper()
+	if got.Name != want.Name || len(got.Points) != len(want.Points) {
+		t.Fatalf("%s: curve %q with %d points, want %q with %d", what, got.Name, len(got.Points), want.Name, len(want.Points))
 	}
-	got, err := MattsonLRUCurveStream(cfg, func() (trace.BlockSource, error) {
-		return trace.NewReplayer(tr, false), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Points) != len(want.Points) {
-		t.Fatalf("point counts differ: %d vs %d", len(got.Points), len(want.Points))
-	}
-	for i := range want.Points {
-		if math.Float64bits(got.Points[i].MissRatio) != math.Float64bits(want.Points[i].MissRatio) {
-			t.Errorf("size %d: streamed %v != in-memory %v",
-				want.Points[i].CacheBytes, got.Points[i].MissRatio, want.Points[i].MissRatio)
+	for i, w := range want.Points {
+		g := got.Points[i]
+		if g.CacheBytes != w.CacheBytes ||
+			math.Float64bits(g.MissRatio) != math.Float64bits(w.MissRatio) ||
+			math.Float64bits(g.FetchRatio) != math.Float64bits(w.FetchRatio) {
+			t.Errorf("%s: point %d = %+v, want %+v", what, i, g, w)
 		}
 	}
+}
+
+// TestMattsonStreamMatchesInMemory: the streamed Mattson pass is the
+// same pass — bit-identical curve — and the MattsonLRUCurve wrappers
+// are the EngineMattson dispatch whatever engine their config names.
+func TestMattsonStreamMatchesInMemory(t *testing.T) {
+	tr := CaptureTrace(randFactory(64<<10), 1, 0, 40000)
+	want, err := Sweep(lruSweepConfig(EngineMattson), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Name != "mattson" {
+		t.Fatalf("EngineMattson curve named %q", want.Name)
+	}
+	got, err := SweepStream(lruSweepConfig(EngineMattson), replayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMissCurve(t, "streamed", got, want)
+	wrapped, err := MattsonLRUCurve(lruSweepConfig(EngineFused), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMissCurve(t, "MattsonLRUCurve", wrapped, want)
+	wrapped, err = MattsonLRUCurveStream(lruSweepConfig(EngineFused), replayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMissCurve(t, "MattsonLRUCurveStream", wrapped, want)
 }
 
 // TestAnalyticCurveTracksMattson: at rate 1.0 the analytic engine runs
@@ -54,12 +81,11 @@ func TestMattsonStreamMatchesInMemory(t *testing.T) {
 // conformance with a wider bound.
 func TestAnalyticCurveTracksMattson(t *testing.T) {
 	tr := CaptureTrace(randFactory(96<<10), 1, 0, 60000)
-	cfg := lruSweepConfig(EngineAnalytic)
-	exact, err := MattsonLRUCurve(lruSweepConfig(EngineAuto), tr)
+	exact, err := Sweep(lruSweepConfig(EngineMattson), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := AnalyticCurve(cfg, tr)
+	got, err := Sweep(lruSweepConfig(EngineAnalytic), tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +101,9 @@ func TestAnalyticCurveTracksMattson(t *testing.T) {
 	}
 }
 
-// TestSweepDispatchesAnalytic: Engine selection through the ordinary
-// Sweep entry point routes to the analytic estimator, in-memory and
-// streamed alike, and both paths agree bit for bit.
+// TestSweepDispatchesAnalytic: EngineAnalytic through the ordinary
+// Sweep entry point, in-memory and streamed, the AnalyticCurveStream
+// wrapper and AnalyticEstimate's Curve all agree bit for bit.
 func TestSweepDispatchesAnalytic(t *testing.T) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 30000)
 	cfg := lruSweepConfig(EngineAnalytic)
@@ -89,18 +115,23 @@ func TestSweepDispatchesAnalytic(t *testing.T) {
 	if inmem.Name != "analytic" {
 		t.Fatalf("sweep with EngineAnalytic produced curve %q", inmem.Name)
 	}
-	streamed, err := SweepStream(cfg, func() (trace.BlockSource, error) {
-		return trace.NewReplayer(tr, false), nil
-	})
+	streamed, err := SweepStream(cfg, replayer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range inmem.Points {
-		if math.Float64bits(inmem.Points[i].MissRatio) != math.Float64bits(streamed.Points[i].MissRatio) {
-			t.Errorf("size %d: in-memory %v != streamed %v",
-				inmem.Points[i].CacheBytes, inmem.Points[i].MissRatio, streamed.Points[i].MissRatio)
-		}
+	sameMissCurve(t, "streamed", streamed, inmem)
+	fused := cfg
+	fused.Engine = EngineFused
+	wrapped, err := AnalyticCurveStream(fused, replayer(tr))
+	if err != nil {
+		t.Fatal(err)
 	}
+	sameMissCurve(t, "AnalyticCurveStream", wrapped, inmem)
+	est, err := AnalyticEstimate(context.Background(), cfg, replayer(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMissCurve(t, "AnalyticEstimate", est.Curve(), inmem)
 }
 
 // TestAnalyticEstimateMetadata: the estimate form carries the sampling
@@ -109,9 +140,7 @@ func TestAnalyticEstimateMetadata(t *testing.T) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 30000)
 	cfg := lruSweepConfig(EngineAnalytic)
 	cfg.SampleSize = 200
-	est, err := AnalyticEstimate(cfg, func() (trace.BlockSource, error) {
-		return trace.NewReplayer(tr, false), nil
-	})
+	est, err := AnalyticEstimate(context.Background(), cfg, replayer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +163,10 @@ func TestAnalyticEstimateMetadata(t *testing.T) {
 // TestAnalyticEmptyTrace: empty inputs error like every other engine.
 func TestAnalyticEmptyTrace(t *testing.T) {
 	cfg := lruSweepConfig(EngineAnalytic)
-	if _, err := AnalyticCurve(cfg, &trace.Trace{}); err == nil {
+	if _, err := Sweep(cfg, &trace.Trace{}); err == nil {
 		t.Error("empty trace accepted")
+	}
+	if _, err := SweepStream(cfg, replayer(&trace.Trace{})); err == nil {
+		t.Error("empty stream accepted")
 	}
 }

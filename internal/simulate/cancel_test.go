@@ -47,9 +47,9 @@ func TestSweepContextCancelledUpFront(t *testing.T) {
 	cancel()
 	for _, eng := range []Engine{EngineFused, EnginePerSize, EngineAnalytic} {
 		cfg := Config{Engine: eng, Workers: 1}
-		_, err := SweepContext(ctx, cfg, tr)
+		_, err := SweepStreamContext(ctx, cfg, replayer(tr))
 		if !errors.Is(err, context.Canceled) {
-			t.Errorf("engine %v: SweepContext with cancelled ctx = %v, want context.Canceled", eng, err)
+			t.Errorf("engine %v: SweepStreamContext with cancelled ctx = %v, want context.Canceled", eng, err)
 		}
 	}
 }
@@ -80,13 +80,16 @@ func TestMattsonAnalyticContextCancel(t *testing.T) {
 	tr := cancelTrace(t, 30_000)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	open := func() (trace.BlockSource, error) { return trace.NewReplayer(tr, false), nil }
+	open := replayer(tr)
 	cfg := Config{Machine: machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), cache.LRU)}
-	if _, err := MattsonLRUCurveStreamContext(ctx, cfg, open); !errors.Is(err, context.Canceled) {
-		t.Errorf("MattsonLRUCurveStreamContext = %v, want context.Canceled", err)
+	for _, eng := range []Engine{EngineMattson, EngineAnalytic} {
+		cfg.Engine = eng
+		if _, err := SweepStreamContext(ctx, cfg, open); !errors.Is(err, context.Canceled) {
+			t.Errorf("engine %v: SweepStreamContext = %v, want context.Canceled", eng, err)
+		}
 	}
-	if _, err := AnalyticCurveStreamContext(ctx, Config{}, open); !errors.Is(err, context.Canceled) {
-		t.Errorf("AnalyticCurveStreamContext = %v, want context.Canceled", err)
+	if _, err := AnalyticEstimate(ctx, cfg, open); !errors.Is(err, context.Canceled) {
+		t.Errorf("AnalyticEstimate = %v, want context.Canceled", err)
 	}
 }
 

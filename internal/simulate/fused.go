@@ -409,13 +409,16 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 	return l3
 }
 
-// sweepFusedStream is the fused-engine SweepStream body over the
-// validated per-size machine configs: the sizes replay in replica
-// groups (sweepFusedGrouped), cfg.Workers of them at once. Replicas
-// never interact and every group sees the same record order, so neither
-// the group budget nor the width can change any point
+// sweepFusedStream is the EngineFused body: the sizes replay in
+// replica groups (sweepFusedGrouped), cfg.Workers of them at once.
+// Replicas never interact and every group sees the same record order,
+// so neither the group budget nor the width can change any point
 // (conformance.CheckParallelSweepEquivalence).
-func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), mcfgs []machine.Config) (*analysis.Curve, error) {
+func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
+	mcfgs, err := shrunkMachines(cfg)
+	if err != nil {
+		return nil, err
+	}
 	points, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
 	if err != nil {
 		return nil, err

@@ -233,29 +233,37 @@ func TestFusedGroupBoundaries(t *testing.T) {
 	}
 }
 
-// TestSweepInvalidSizeErrorParity pins that the fused engine rejects
-// an unsimulable size with the per-size oracle's error text, in both
+// TestSweepInvalidSizeErrorParity pins that every engine rejects an
+// unsimulable size with the per-size oracle's error text, in both
 // modes: a size that is not a whole number of ways, and one the cache
-// geometry cannot express.
+// geometry cannot express. The Mattson engine takes ByWays only. The
+// L3 is LRU so that the Mattson engine reaches its size check at all;
+// the policy plays no part in either size error.
 func TestSweepInvalidSizeErrorParity(t *testing.T) {
 	tr := CaptureTrace(randFactory(32<<10), 1, 0, 100)
 	for _, tc := range []struct {
-		name string
-		mode SweepMode
-		size int64
+		name    string
+		mode    SweepMode
+		size    int64
+		engines []Engine
 	}{
-		{"partial way", ByWays, 5000},
-		{"indivisible sets", BySets, 5000},
+		{"partial way", ByWays, 5000, []Engine{EngineFused, EngineMattson, EngineAnalytic}},
+		{"indivisible sets", BySets, 5000, []Engine{EngineFused, EngineAnalytic}},
 	} {
-		cfg := Config{Machine: smallMachine(), Mode: tc.mode, Sizes: []int64{16 << 10, tc.size}, Workers: 1}
-		_, autoErr := Sweep(cfg, tr)
-		cfg.Engine = EnginePerSize
+		cfg := lruSweepConfig(EnginePerSize)
+		cfg.Mode, cfg.Sizes = tc.mode, []int64{16 << 10, tc.size}
 		_, perErr := Sweep(cfg, tr)
-		if autoErr == nil || perErr == nil {
-			t.Fatalf("%s: invalid size accepted (auto %v, persize %v)", tc.name, autoErr, perErr)
+		if perErr == nil {
+			t.Fatalf("%s: invalid size accepted by persize", tc.name)
 		}
-		if autoErr.Error() != perErr.Error() {
-			t.Errorf("%s: auto engine says %q, persize says %q", tc.name, autoErr, perErr)
+		for _, eng := range tc.engines {
+			cfg.Engine = eng
+			_, err := Sweep(cfg, tr)
+			if err == nil {
+				t.Errorf("%s: invalid size accepted by %v", tc.name, eng)
+			} else if err.Error() != perErr.Error() {
+				t.Errorf("%s: %v engine says %q, persize says %q", tc.name, eng, err, perErr)
+			}
 		}
 	}
 }

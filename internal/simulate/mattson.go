@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -10,8 +11,8 @@ import (
 	"cachepirate/internal/trace"
 )
 
-// mattsonGeometry validates the sweep config for the Mattson fast path
-// and returns the per-size way counts plus the shared L3 geometry.
+// mattsonGeometry validates the sweep config for EngineMattson and
+// returns the per-size way counts plus the shared L3 geometry.
 func mattsonGeometry(cfg Config) (ways []int, sets int, lineShift uint, err error) {
 	if cfg.Machine.L3.Policy != cache.LRU {
 		return nil, 0, 0, fmt.Errorf("simulate: Mattson fast path requires the LRU policy (stack inclusion), have %v", cfg.Machine.L3.Policy)
@@ -19,15 +20,12 @@ func mattsonGeometry(cfg Config) (ways []int, sets int, lineShift uint, err erro
 	if cfg.Mode != ByWays {
 		return nil, 0, 0, fmt.Errorf("simulate: Mattson fast path requires the ByWays sweep mode")
 	}
-	ways = make([]int, len(cfg.Sizes))
-	for i, size := range cfg.Sizes {
-		mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if err := mcfg.Validate(); err != nil {
-			return nil, 0, 0, fmt.Errorf("simulate: size %d: %w", size, err)
-		}
+	mcfgs, err := shrunkMachines(cfg)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	ways = make([]int, len(mcfgs))
+	for i, mcfg := range mcfgs {
 		ways[i] = mcfg.L3.Ways
 	}
 	sets = int(cfg.Machine.L3.Sets())
@@ -35,10 +33,49 @@ func mattsonGeometry(cfg Config) (ways []int, sets int, lineShift uint, err erro
 	return ways, sets, lineShift, nil
 }
 
-// mattsonCurve reads the per-size miss ratios out of the depth
-// histogram (stack inclusion: depth < ways hits).
-func mattsonCurve(cfg Config, h *stackdist.SetAssocHistogram, ways []int) (*analysis.Curve, error) {
-	curve := &analysis.Curve{Name: "mattson"}
+// mattsonStream is the EngineMattson body: the exact single-pass curve
+// for LRU ByWays sweeps of the L3 in isolation. One replay of the line
+// stream through per-set recency stacks (stackdist.SetAssocProfiler,
+// block at a time, O(sets*ways) memory) yields, by stack inclusion,
+// the exact hit/miss curve of every way count at once — the same L3
+// demand behaviour the fused engine's replicas compute by brute force,
+// without the per-replica state.
+//
+// Scope: the stream feeds the L3 directly — no private L1/L2
+// filtering, no prefetcher, no timing — so the curve carries miss and
+// fetch ratios only (CPI and bandwidth stay zero). A full-machine
+// curve cannot take this shortcut even for LRU: each replica's L3
+// back-invalidates different victims into its private levels, so the
+// L3 demand streams themselves diverge across sizes; that is exactly
+// what the fused replicas exist to track. The stackdist tests pin the
+// histogram hit-for-hit against the cache.Replicas kernel. Stack
+// inclusion does not hold for the nehalem, plru or random policies.
+func mattsonStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (curve *analysis.Curve, err error) {
+	ways, sets, lineShift, err := mattsonGeometry(cfg)
+	if err != nil {
+		return nil, err
+	}
+	maxWays := 0
+	for _, w := range ways {
+		maxWays = max(maxWays, w)
+	}
+	p, err := stackdist.NewSetAssocProfiler(sets, maxWays, lineShift)
+	if err != nil {
+		return nil, err
+	}
+	src, err := open()
+	if err != nil {
+		return nil, err
+	}
+	defer closeSource(src, &err)
+	if err := p.FeedSource(withContext(ctx, src)); err != nil {
+		return nil, err
+	}
+	h := p.Histogram()
+	if h.Total == 0 {
+		return nil, fmt.Errorf("simulate: empty trace")
+	}
+	curve = &analysis.Curve{Name: "mattson"}
 	for i, size := range cfg.Sizes {
 		mr, err := h.MissRatio(ways[i])
 		if err != nil {
@@ -57,31 +94,16 @@ func mattsonCurve(cfg Config, h *stackdist.SetAssocHistogram, ways []int) (*anal
 	return curve, nil
 }
 
-// MattsonLRUCurve is the exact single-pass fast path for LRU ByWays
-// sweeps of the L3 in isolation: one replay of tr's line stream
-// through per-set recency stacks (stackdist.SetAssocLRU) yields, by
-// stack inclusion, the exact hit/miss curve of every way count at
-// once — the same L3 demand behaviour the fused engine's replicas
-// compute by brute force, without the per-replica state.
-//
-// Scope: the stream feeds the L3 directly — no private L1/L2
-// filtering, no prefetcher, no timing — so the curve carries miss and
-// fetch ratios only (CPI and bandwidth stay zero). A full-machine
-// curve cannot take this shortcut even for LRU: each replica's L3
-// back-invalidates different victims into its private levels, so the
-// L3 demand streams themselves diverge across sizes; that is exactly
-// what the fused replicas exist to track. The stackdist tests pin this
-// function's histogram hit-for-hit against the cache.Replicas kernel.
-//
-// The machine config supplies the L3 geometry (sets, line size); the
-// policy must be LRU — stack inclusion does not hold for the nehalem,
-// plru or random policies. MattsonLRUCurveStream is the same pass over
-// a streamed source.
+// MattsonLRUCurve is Sweep with EngineMattson. Kept only because the
+// benchmark harness under bench/ calls it.
 func MattsonLRUCurve(cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
-	if tr.Len() == 0 {
-		return nil, fmt.Errorf("simulate: empty trace")
-	}
-	return MattsonLRUCurveStream(cfg, func() (trace.BlockSource, error) {
-		return trace.NewReplayer(tr, false), nil
-	})
+	cfg.Engine = EngineMattson
+	return Sweep(cfg, tr)
+}
+
+// MattsonLRUCurveStream is SweepStream with EngineMattson. Kept only
+// because the benchmark harness under bench/ calls it.
+func MattsonLRUCurveStream(cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
+	cfg.Engine = EngineMattson
+	return SweepStream(cfg, open)
 }

@@ -16,7 +16,7 @@ func TestMattsonLRUCurve(t *testing.T) {
 	mcfg := smallMachine()
 	mcfg.L3.Policy = cache.LRU
 
-	c, err := MattsonLRUCurve(Config{Machine: mcfg}, tr)
+	c, err := Sweep(Config{Machine: mcfg, Engine: EngineMattson}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,13 +33,13 @@ func TestMattsonLRUCurve(t *testing.T) {
 		}
 	}
 
-	if _, err := MattsonLRUCurve(Config{Machine: smallMachine()}, tr); err == nil {
+	if _, err := Sweep(Config{Machine: smallMachine(), Engine: EngineMattson}, tr); err == nil {
 		t.Error("non-LRU policy accepted")
 	}
-	if _, err := MattsonLRUCurve(Config{Machine: mcfg, Mode: BySets}, tr); err == nil {
+	if _, err := Sweep(Config{Machine: mcfg, Mode: BySets, Engine: EngineMattson}, tr); err == nil {
 		t.Error("BySets accepted")
 	}
-	if _, err := MattsonLRUCurve(Config{Machine: mcfg}, &trace.Trace{}); err == nil {
+	if _, err := Sweep(Config{Machine: mcfg, Engine: EngineMattson}, &trace.Trace{}); err == nil {
 		t.Error("empty trace accepted")
 	}
 }

@@ -37,21 +37,48 @@ const (
 	BySets
 )
 
-// Engine selects how Sweep advances the sizes of a sweep.
+// String returns the mode name: "ways" or "sets".
+func (m SweepMode) String() string {
+	switch m {
+	case ByWays:
+		return "ways"
+	case BySets:
+		return "sets"
+	}
+	return fmt.Sprintf("mode(%d)", int(m))
+}
+
+// ParseMode is the inverse of SweepMode.String.
+func ParseMode(name string) (SweepMode, error) {
+	for m := ByWays; m <= BySets; m++ {
+		if m.String() == name {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (want ways or sets)", name)
+}
+
+// Engine selects which engine draws the curve of a sweep. It is the
+// one engine switch: every curve, exact or estimated, is a
+// SweepStreamContext call with Config.Engine set.
 type Engine int
 
 const (
-	// EngineAuto is the fused engine, in both sweep modes.
-	EngineAuto Engine = iota
-	// EngineFused names the fused engine explicitly (see fused.go):
-	// one hierarchy replica per size, way- or set-shrunk, advanced
-	// together through a shared decoded stream.
-	EngineFused
+	// EngineFused (the default) replays the trace through one hierarchy
+	// replica per size, way- or set-shrunk, advanced together through a
+	// shared decoded stream (see fused.go).
+	EngineFused Engine = iota
 	// EnginePerSize forces one full machine replay per size — the
 	// historical path, kept only as the oracle the fused engine is
 	// checked against (conformance.CheckSweepEquivalence); nothing
-	// selects it automatically.
+	// selects it automatically. Bit-identical to EngineFused.
 	EnginePerSize
+	// EngineMattson is the exact single-pass curve of the bare L3: one
+	// replay of the line stream through per-set recency stacks yields,
+	// by stack inclusion, the hit/miss curve of every way count at once
+	// (see mattson.go). LRU policy and ByWays mode only; miss and fetch
+	// ratios only (no private levels, no prefetcher, no timing).
+	EngineMattson
 	// EngineAnalytic predicts the curve from one SHARDS-sampled
 	// profiling pass (internal/analytic) instead of replaying: O(sample)
 	// time for any number of sizes, O(1) memory on streamed traces.
@@ -65,16 +92,26 @@ const (
 // String returns the engine name.
 func (e Engine) String() string {
 	switch e {
-	case EngineAuto:
-		return "auto"
 	case EngineFused:
 		return "fused"
 	case EnginePerSize:
 		return "persize"
+	case EngineMattson:
+		return "mattson"
 	case EngineAnalytic:
 		return "analytic"
 	}
 	return fmt.Sprintf("engine(%d)", int(e))
+}
+
+// ParseEngine is the inverse of Engine.String.
+func ParseEngine(name string) (Engine, error) {
+	for e := EngineFused; e <= EngineAnalytic; e++ {
+		if e.String() == name {
+			return e, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown engine %q (want fused, persize, mattson or analytic)", name)
 }
 
 // Config parameterises a reference sweep.
@@ -86,10 +123,11 @@ type Config struct {
 	Sizes []int64
 	// Mode selects ways- or sets-based shrinking (default ByWays).
 	Mode SweepMode
-	// Engine selects the sweep engine (default EngineAuto). The
-	// simulating engines (auto, fused, persize) produce bit-identical
-	// curves — the choice only trades speed; EngineAnalytic trades
-	// accuracy too (sampled estimate, see internal/analytic).
+	// Engine selects the engine (default EngineFused). The simulating
+	// engines (fused, persize) produce bit-identical curves — the choice
+	// only trades speed; EngineMattson models the bare L3 alone, and
+	// EngineAnalytic trades accuracy too (sampled estimate, see
+	// internal/analytic).
 	Engine Engine
 	// SampleRate is the EngineAnalytic SHARDS sampling rate in (0, 1];
 	// 0 with SampleSize 0 means 1.0 (exact). Ignored by other engines.
@@ -176,64 +214,72 @@ func shrunkMachines(cfg Config) ([]machine.Config, error) {
 	return mcfgs, nil
 }
 
-// Sweep simulates tr at every configured size and returns the
-// reference curve: per size, WarmPasses replays warm the hierarchy,
-// then one replay is measured through the counters. Both sweep modes
-// default to the fused engine — one trace replay advancing a group of
-// sizes simultaneously, and no replay at all for a size the trace
-// provably cannot overflow (see fused.go); EnginePerSize, one fresh
-// machine and one full replay per size, is the oracle. Both engines
-// produce bit-identical curves at any worker count, with points
-// collected in size order.
-func Sweep(cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
-	return SweepContext(context.Background(), cfg, tr)
-}
-
-// SweepContext is Sweep with cooperative cancellation: once ctx is
-// done, in-flight replays abandon their machines at the next
-// cancellation point (machine.RunInstructionsCtx on the per-size path,
-// a per-chunk poll on the fused path, a per-block poll on the
-// analytic path) and the sweep returns ctx's error. A sweep run under
-// a live context produces bit-identical curves to Sweep — the context
-// is only ever read, never woven into simulated state.
-func SweepContext(ctx context.Context, cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
-	if tr.Len() == 0 {
-		return nil, fmt.Errorf("simulate: empty trace")
-	}
-	return SweepStreamContext(ctx, cfg, func() (trace.BlockSource, error) {
-		return trace.NewReplayer(tr, false), nil
-	})
-}
-
-// SweepStream is Sweep over any trace.BlockSource — the out-of-core
-// entry point, taking a factory rather than a source because every
-// consumer replays the trace independently: the per-size engine opens
-// one source per size and the fused engine one per replica group,
-// Config.Workers of them at a time. A file-backed sweep passes
+// SweepStreamContext draws the curve of the trace open yields with
+// the engine cfg.Engine names, at every configured size: the one door
+// every curve goes through. The simulating engines warm the hierarchy
+// with WarmPasses replays per size, then measure one replay through
+// the counters; fused and per-size curves are bit-identical at any
+// worker count, with points in size order.
+//
+// It takes a source factory because every consumer replays the trace
+// independently: the per-size engine opens one source per size and the
+// fused engine one per replica group, Config.Workers at a time. A
+// file-backed sweep passes
 //
 //	func() (trace.BlockSource, error) { return trace.OpenFile(path, opts) }
 //
 // and multi-GB traces stream through in O(block) memory. Sources that
-// implement io.Closer are closed when their consumer finishes. The
-// curves are bit-identical to Sweep over the same records held in
-// memory (pinned by conformance.CheckStreamEquivalence).
+// implement io.Closer are closed when their consumer finishes. Curves
+// are bit-identical to the same records held in memory
+// (conformance.CheckStreamEquivalence).
+//
+// Once ctx is done, in-flight replays stop at the next cancellation
+// point (machine.RunInstructionsCtx per size, a per-chunk poll when
+// fused, a per-block poll for Mattson and analytic) and the sweep
+// returns ctx's error. The context is only read, never woven into
+// simulated state, so a live context gives bit-identical curves.
+func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
+	cfg = cfg.withDefaults()
+	switch cfg.Engine {
+	case EngineFused:
+		return sweepFusedStream(ctx, cfg, open)
+	case EnginePerSize:
+		return sweepPerSizeStream(ctx, cfg, open)
+	case EngineMattson:
+		return mattsonStream(ctx, cfg, open)
+	case EngineAnalytic:
+		est, err := AnalyticEstimate(ctx, cfg, open)
+		if err != nil {
+			return nil, err
+		}
+		return est.Curve(), nil
+	}
+	return nil, fmt.Errorf("simulate: unknown engine %v", cfg.Engine)
+}
+
+// Sweep is SweepStreamContext over an in-memory trace, with no
+// deadline.
+func Sweep(cfg Config, tr *trace.Trace) (*analysis.Curve, error) {
+	if tr.Len() == 0 {
+		return nil, fmt.Errorf("simulate: empty trace")
+	}
+	return SweepStream(cfg, func() (trace.BlockSource, error) {
+		return trace.NewReplayer(tr, false), nil
+	})
+}
+
+// SweepStream is SweepStreamContext with no deadline. Kept for the
+// callers that have no context: the benchmark harness under bench/.
 func SweepStream(cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
 	return SweepStreamContext(context.Background(), cfg, open)
 }
 
-// SweepStreamContext is SweepStream under a context (see SweepContext
-// for the cancellation contract).
-func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Engine == EngineAnalytic {
-		return AnalyticCurveStreamContext(ctx, cfg, open)
-	}
+// sweepPerSizeStream is the EnginePerSize body: one fresh machine and
+// one full replay per size, runner.Map'ed over cfg.Workers.
+func sweepPerSizeStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
 	mcfgs, err := shrunkMachines(cfg)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Engine != EnginePerSize {
-		return sweepFusedStream(ctx, cfg, open, mcfgs)
 	}
 	records, passInstrs, err := sourceStats(open)
 	if err != nil {

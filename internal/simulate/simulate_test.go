@@ -96,6 +96,51 @@ func TestSweepEmptyTrace(t *testing.T) {
 	}
 }
 
+// TestParseNamesRoundTrip: ParseEngine, ParseMode and cache.ParsePolicy
+// invert the String methods on every value and reject unknown names —
+// the one name table cmd/cachesim and the curve server both parse with.
+func TestParseNamesRoundTrip(t *testing.T) {
+	for _, e := range []Engine{EngineFused, EnginePerSize, EngineMattson, EngineAnalytic} {
+		if got, err := ParseEngine(e.String()); err != nil || got != e {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v", e.String(), got, err, e)
+		}
+	}
+	for _, m := range []SweepMode{ByWays, BySets} {
+		if got, err := ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+		}
+	}
+	for _, p := range []cache.PolicyKind{cache.LRU, cache.PseudoLRU, cache.Nehalem, cache.Random} {
+		if got, err := cache.ParsePolicy(p.String()); err != nil || got != p {
+			t.Errorf("ParsePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	for _, name := range []string{"", "auto", "Fused", "engine(9)"} {
+		if _, err := ParseEngine(name); err == nil {
+			t.Errorf("ParseEngine(%q) accepted", name)
+		}
+	}
+	for _, name := range []string{"", "diag", "Ways", "mode(2)"} {
+		if _, err := ParseMode(name); err == nil {
+			t.Errorf("ParseMode(%q) accepted", name)
+		}
+	}
+	for _, name := range []string{"", "fifo", "LRU", "policy(4)"} {
+		if _, err := cache.ParsePolicy(name); err == nil {
+			t.Errorf("ParsePolicy(%q) accepted", name)
+		}
+	}
+}
+
+// TestSweepUnknownEngine: an Engine value outside the enum is an error,
+// not a silent fallback to the fused engine.
+func TestSweepUnknownEngine(t *testing.T) {
+	tr := CaptureTrace(randFactory(32<<10), 1, 0, 100)
+	if _, err := Sweep(Config{Machine: smallMachine(), Engine: Engine(9)}, tr); err == nil {
+		t.Error("Engine(9) accepted")
+	}
+}
+
 func TestSweepDefaultSizesAreWays(t *testing.T) {
 	cfg := Config{Machine: smallMachine()}.withDefaults()
 	if len(cfg.Sizes) != 16 {

@@ -169,7 +169,7 @@ func (p *SampledProfiler) Live() int { return p.live }
 // TrackedBytes reports the size of the profiler's variable state (tree
 // pool + hash table + heap), the quantity fixed-size mode bounds.
 func (p *SampledProfiler) TrackedBytes() int {
-	return len(p.tree.nodes)*32 + len(p.table.keys)*12 + len(p.heapHash)*8
+	return len(p.tree.nodes)*treeNodeBytes + len(p.table.keys)*12 + len(p.heapHash)*8
 }
 
 // Feed consumes a block of records, growing pooled state between
@@ -277,7 +277,6 @@ func (p *SampledProfiler) sampleOne(line, h uint64) bool {
 			}
 		}
 	}
-	p.tree.nodes[idx].count++
 	p.sampled++
 	p.total += w
 	return true
@@ -367,27 +366,6 @@ func (p *SampledProfiler) Histogram() *SampledHistogram {
 	}
 	copy(h.Counts, p.counts)
 	return h
-}
-
-// LinePDF returns the per-line access probability estimates of the
-// currently tracked lines (count_i / records, in pool order — a
-// deterministic order) and the population scale 1/rate: the spatial
-// sample covers a rate-fraction of all lines, so population sums over
-// the full line space are estimated as scale times the sample sum.
-// This is the popularity profile the Che model consumes
-// (internal/analytic). Lines evicted by rate adaptation no longer
-// contribute — fixed-size profiles approximate the popularity tail.
-func (p *SampledProfiler) LinePDF() (pdf []float64, scale float64) {
-	if p.records == 0 {
-		return nil, 1
-	}
-	inv := 1 / float64(p.records)
-	for i := range p.tree.nodes {
-		if c := p.tree.nodes[i].count; c > 0 {
-			pdf = append(pdf, float64(c)*inv)
-		}
-	}
-	return pdf, p.invRate
 }
 
 // Reset clears all accumulated state, keeping the pooled capacity, so

@@ -3,6 +3,7 @@ package stackdist
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
@@ -157,6 +158,15 @@ func TestSampledEstimatesExact(t *testing.T) {
 	got.Adjust()
 	if math.Abs(got.Total-float64(got.Records)) > 1e-6 {
 		t.Errorf("adjusted total %v, want %d", got.Total, got.Records)
+	}
+}
+
+// TestTreeNodeBytes pins the per-node charge of TrackedBytes to the
+// node's real size, so the O(cap) bound TestSampledFixedSizeBounds
+// reads through TrackedBytes cannot drift from memory actually held.
+func TestTreeNodeBytes(t *testing.T) {
+	if got := unsafe.Sizeof(treeNode{}); got != treeNodeBytes {
+		t.Errorf("treeNode is %d bytes, TrackedBytes charges %d", got, treeNodeBytes)
 	}
 }
 

@@ -26,15 +26,17 @@ const nilNode = int32(-1)
 
 // treeNode is one sampled line. size is the subtree size (for rank
 // queries); line and hash identify the sampled line for the table and
-// the eviction heap; count accumulates the line's accesses while it
-// stays sampled (the Che model's popularity estimate).
+// the eviction heap.
 type treeNode struct {
 	left, right, parent int32
 	size                uint32
 	line                uint64
 	hash                uint32
-	count               uint64
 }
+
+// treeNodeBytes is what SampledProfiler.TrackedBytes charges per pooled
+// node: unsafe.Sizeof(treeNode{}), which TestTreeNodeBytes pins.
+const treeNodeBytes = 32
 
 // newReuseTree builds a tree with capacity pooled nodes, all free.
 func newReuseTree(capacity int) *reuseTree {
@@ -70,7 +72,6 @@ func (t *reuseTree) alloc(line uint64, hash uint32) int32 {
 	n.size = 1
 	n.line = line
 	n.hash = hash
-	n.count = 0
 	return idx
 }
 
@@ -79,7 +80,6 @@ func (t *reuseTree) alloc(line uint64, hash uint32) int32 {
 //lint:hotpath
 func (t *reuseTree) release(idx int32) {
 	n := &t.nodes[idx]
-	n.count = 0
 	n.line = 0
 	n.left = t.free
 	t.free = idx
