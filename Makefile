@@ -79,9 +79,11 @@ bench-analytic:
 
 # Multi-core replay conformance under the race detector: the
 # decode-ahead reader's lifecycle and parity suites, the sweep-width
-# equivalence matrix, and the streamed sweeps.
+# equivalence matrix, and the streamed sweeps; then the concurrent
+# sweeps that share the pooled line-state backings, ten times over.
 test-parallel:
 	$(GO) test -race ./internal/trace/ ./internal/conformance/ ./internal/simulate/
+	$(GO) test -race -count 10 -run 'ConcurrentSweeps' ./internal/simulate/
 
 # Streaming trace pipeline: v2 frame decode (workload and sparse
 # corpus), the v1 baseline, whole-trace decode and the encoder.

@@ -163,7 +163,7 @@ type Cache struct {
 	tags  []uint64 // line tag per way; invalidTag marks an empty way
 	flags []uint8  // dirty/prefetch bits per way
 	owner []int32  // context that filled each way
-	stamp []uint64 // LRU timestamps per way (LRU policy only)
+	stamp []uint64 // LRU timestamps per way (LRU policy only; nil otherwise)
 	// meta is one word of per-set replacement metadata: the pseudo-LRU
 	// tree bits (PseudoLRU) or the accessed-bit mask (Nehalem) — one
 	// bit per way, so touch and victim selection are O(1) bit ops
@@ -184,16 +184,20 @@ func New(cfg Config) (*Cache, error) {
 	}
 	nsets := uint64(cfg.Sets())
 	nlines := int(nsets) * cfg.Ways
+	var stamp []uint64
+	if cfg.Policy == LRU {
+		stamp = make([]uint64, nlines)
+	}
 	c := &Cache{}
 	c.init(cfg,
 		make([]uint64, nlines), make([]uint8, nlines), make([]int32, nlines),
-		make([]uint64, nlines), make([]uint64, nsets), make([]uint64, nsets))
+		stamp, make([]uint64, nsets), make([]uint64, nsets))
 	return c, nil
 }
 
 // geometry returns a cache holding cfg's derived geometry — set count,
 // index mask, way mask, line shift — and no line state. init builds on
-// it; ResidentFits uses one bare to index a geometry it never
+// it; peakSetLoad uses one bare to index a geometry it never
 // materialises, so every set index in the package comes out of setFor.
 func geometry(cfg Config) Cache {
 	nsets := uint64(cfg.Sets())
@@ -209,9 +213,10 @@ func geometry(cfg Config) Cache {
 }
 
 // init wires a validated config onto the given backing arrays (sized
-// nlines or nsets as the field requires) and resets them to the empty
-// state. New owns one cache's arrays; NewReplicas carves many caches
-// out of shared contiguous blocks, so both start bit-identical.
+// nlines or nsets as the field requires; stamp is nil unless the policy
+// is LRU) and resets them to the empty state. New owns one cache's
+// arrays; NewReplicas carves many caches out of shared contiguous
+// blocks, so both start bit-identical.
 func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64) {
 	*c = geometry(cfg)
 	c.rngState = rngSeed
@@ -656,18 +661,20 @@ func (c *Cache) Invalidate(a Addr) (Evicted, bool) {
 	return ev, true
 }
 
-// clearLine empties way w of set si: tag sentinel, flags, owner, stamp,
-// free-mask bit, and (for Nehalem) the way's accessed bit. The
-// pseudo-LRU tree is deliberately left alone, as in the reference
-// model.
+// clearLine empties way w of set si: tag sentinel, flags, owner,
+// free-mask bit, and the way's replacement state — its stamp (LRU) or
+// its accessed bit (Nehalem). The pseudo-LRU tree is deliberately left
+// alone, as in the reference model.
 func (c *Cache) clearLine(si uint64, base, w int) {
 	idx := base + w
 	c.tags[idx] = invalidTag
 	c.flags[idx] = 0
 	c.owner[idx] = 0
-	c.stamp[idx] = 0
 	c.free[si] |= 1 << uint(w)
-	if c.cfg.Policy == Nehalem {
+	switch c.cfg.Policy {
+	case LRU:
+		c.stamp[idx] = 0
+	case Nehalem:
 		c.meta[si] &^= 1 << uint(w)
 	}
 }
@@ -676,12 +683,12 @@ func (c *Cache) clearLine(si uint64, base, w int) {
 func (c *Cache) Flush() {
 	for i := range c.tags {
 		c.tags[i] = invalidTag
-		c.flags[i] = 0
-		c.owner[i] = 0
-		c.stamp[i] = 0
 	}
-	for i := range c.meta {
-		c.meta[i] = 0
+	clear(c.flags)
+	clear(c.owner)
+	clear(c.stamp) // nil unless LRU
+	clear(c.meta)
+	for i := range c.free {
 		c.free[i] = c.fullMask
 	}
 }
@@ -705,23 +712,52 @@ func (c *Cache) ResidentBytes(owner Owner) int64 {
 	return int64(c.ResidentLines(owner)) * c.cfg.LineSize
 }
 
-// ResidentFits reports whether a cache of geometry cand (validated,
-// any policy) could hold every line now resident in c at the same time:
-// whether cand maps at most cand.Ways of them to any one of its sets.
-// It is the fused sweep's footprint test. A cache that has never evicted
-// holds every line it was ever asked to fill, so when those lines fit
-// cand, a cand-shaped cache fed the same accesses always finds a free
-// way too and never evicts either — it hits and misses exactly where c
-// did. cand's set index comes from setFor on a bare geometry, the
-// mask-or-modulo rule every access uses. A cand with another line size
-// is never a fit (c's tags mean nothing to it). O(c's sets + resident
-// lines), one counter byte per cand set; not a hot path.
-func (c *Cache) ResidentFits(cand Config) bool {
-	if cand.LineSize != c.cfg.LineSize {
-		return false
+// FootprintFits is the fused sweep's footprint test: fits[k] reports
+// whether a cache of geometry cands[k] (validated, any policy) could
+// hold every line now resident in c at the same time. A cache that has
+// never evicted holds every line it was ever asked to fill, so when
+// those lines fit a candidate, a candidate-shaped cache fed the same
+// accesses always finds a free way too and never evicts either — it
+// hits and misses exactly where c did. A candidate fits iff it has c's
+// line size (c's tags mean nothing to another) and seats at most its
+// Ways of the lines in its fullest set (peakSetLoad). That load depends
+// on the candidate's set count alone, so it is computed once per
+// distinct set count: one scan for every size of a ByWays sweep.
+func (c *Cache) FootprintFits(cands []Config) []bool {
+	fits := make([]bool, len(cands))
+	peak := make(map[int64]int, 1)
+	for k, cand := range cands {
+		if cand.LineSize != c.cfg.LineSize {
+			continue
+		}
+		p, ok := peak[cand.Sets()]
+		if !ok {
+			p = c.peakSetLoad(cand)
+			peak[cand.Sets()] = p
+		}
+		fits[k] = p <= cand.Ways
 	}
-	g := geometry(cand)
-	held := make([]uint8, g.nsets) // Ways <= 64 (Validate)
+	return fits
+}
+
+// peakSetLoad returns the most lines now resident in c that geometry g
+// (c's line size, any ways) maps to one of its sets. g's set index
+// comes from setFor on a bare geometry, the mask-or-modulo rule every
+// access uses. Under c's own set count every line stays in its set, so
+// the load is the fullest set's occupancy; any other set count takes
+// one pass over the resident lines. The counters are int32, not bytes:
+// a full 8192-set 16-way cache seen through 512 sets puts 256 lines in
+// every set.
+func (c *Cache) peakSetLoad(g Config) int {
+	peak := 0
+	if uint64(g.Sets()) == c.nsets {
+		for _, fm := range c.free {
+			peak = max(peak, bits.OnesCount64(c.fullMask&^fm))
+		}
+		return peak
+	}
+	gc := geometry(g)
+	load := make([]int32, gc.nsets)
 	for si, fm := range c.free {
 		if fm == c.fullMask {
 			continue // empty set
@@ -731,14 +767,12 @@ func (c *Cache) ResidentFits(cand Config) bool {
 			if tag == invalidTag {
 				continue
 			}
-			gi := g.setFor(tag)
-			if int(held[gi]) == g.ways {
-				return false
-			}
-			held[gi]++
+			gi := gc.setFor(tag)
+			load[gi]++
+			peak = max(peak, int(load[gi]))
 		}
 	}
-	return true
+	return peak
 }
 
 // LineInfo describes one valid line during a ForEachLine walk.

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,11 +210,12 @@ func TestResidentLinesPerOwner(t *testing.T) {
 	}
 }
 
-// TestResidentFits pins the footprint test geometrically: a candidate
-// fits when no one of its sets — indexed by mask or by modulo, as its
-// set count demands — is asked to seat more than Ways of the resident
-// lines, whatever the shape of the cache that holds them now.
-func TestResidentFits(t *testing.T) {
+// TestPeakSetLoad pins the footprint test geometrically: a candidate's
+// count is the most resident lines one of its sets — indexed by mask or
+// by modulo, as its set count demands — is asked to seat, whatever the
+// shape of the cache that holds them now, and the candidate fits when
+// that count is at most its Ways.
+func TestPeakSetLoad(t *testing.T) {
 	geom := func(sets, ways int) Config {
 		return Config{Name: "g", Size: int64(sets*ways) * 64, Ways: ways, LineSize: 64, Policy: LRU, Owners: 1}
 	}
@@ -222,20 +224,22 @@ func TestResidentFits(t *testing.T) {
 		probe Config
 		lines []int // line numbers filled into the probe
 		cand  Config
-		want  bool
+		load  int
+		fits  bool
 	}{
-		{"empty cache fits the smallest geometry", geom(16, 8), nil, geom(1, 1), true},
-		{"a set holding exactly Ways lines", geom(16, 8), []int{0, 4, 8, 12}, geom(4, 4), true},
-		{"a set asked for Ways+1 lines", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(4, 4), false},
-		{"Ways+1 lines, one more way", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(4, 5), true},
-		{"Ways+1 lines, twice the sets", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(8, 4), true},
-		{"multiples of 3 collide under a modulo index", geom(16, 8), []int{0, 3, 6, 9}, geom(3, 3), false},
-		{"multiples of 3 spread under a mask index", geom(16, 8), []int{0, 3, 6, 9}, geom(4, 1), true},
-		{"multiples of 4 collide under a mask index", geom(16, 8), []int{0, 4, 8}, geom(4, 2), false},
-		{"multiples of 4 spread under a modulo index", geom(16, 8), []int{0, 4, 8}, geom(3, 1), true},
-		{"more sets than the probe, lines spread", geom(4, 4), []int{0, 4, 8, 12}, geom(16, 1), true},
-		{"more sets than the probe, lines collide", geom(4, 4), []int{0, 4, 8, 12}, geom(8, 1), false},
-		{"the probe's own geometry", geom(4, 4), []int{0, 4, 8, 12, 1, 5}, geom(4, 4), true},
+		{"empty cache fits the smallest geometry", geom(16, 8), nil, geom(1, 1), 0, true},
+		{"a set holding exactly Ways lines", geom(16, 8), []int{0, 4, 8, 12}, geom(4, 4), 4, true},
+		{"a set asked for Ways+1 lines", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(4, 4), 5, false},
+		{"Ways+1 lines, one more way", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(4, 5), 5, true},
+		{"Ways+1 lines, twice the sets", geom(16, 8), []int{0, 4, 8, 12, 16}, geom(8, 4), 3, true},
+		{"multiples of 3 collide under a modulo index", geom(16, 8), []int{0, 3, 6, 9}, geom(3, 3), 4, false},
+		{"multiples of 3 spread under a mask index", geom(16, 8), []int{0, 3, 6, 9}, geom(4, 1), 1, true},
+		{"multiples of 4 collide under a mask index", geom(16, 8), []int{0, 4, 8}, geom(4, 2), 3, false},
+		{"multiples of 4 spread under a modulo index", geom(16, 8), []int{0, 4, 8}, geom(3, 1), 1, true},
+		{"more sets than the probe, lines spread", geom(4, 4), []int{0, 4, 8, 12}, geom(16, 1), 1, true},
+		{"more sets than the probe, lines collide", geom(4, 4), []int{0, 4, 8, 12}, geom(8, 1), 2, false},
+		{"the probe's own geometry", geom(4, 4), []int{0, 4, 8, 12, 1, 5}, geom(4, 4), 4, true},
+		{"the probe's own set count, fewer ways", geom(4, 4), []int{0, 4, 8, 12, 1, 5}, geom(4, 3), 4, false},
 	} {
 		c := MustNew(tc.probe)
 		for _, l := range tc.lines {
@@ -244,8 +248,11 @@ func TestResidentFits(t *testing.T) {
 		if ev := c.Stats(0).Evictions; ev != 0 {
 			t.Fatalf("%s: the probe evicted %d lines; the case is mis-built", tc.name, ev)
 		}
-		if got := c.ResidentFits(tc.cand); got != tc.want {
-			t.Errorf("%s: ResidentFits(%d sets x %d ways) = %v, want %v", tc.name, tc.cand.Sets(), tc.cand.Ways, got, tc.want)
+		if got := c.peakSetLoad(tc.cand); got != tc.load {
+			t.Errorf("%s: peakSetLoad(%d sets) = %d, want %d", tc.name, tc.cand.Sets(), got, tc.load)
+		}
+		if got := c.FootprintFits([]Config{tc.cand})[0]; got != tc.fits {
+			t.Errorf("%s: FootprintFits(%d sets x %d ways) = %v, want %v", tc.name, tc.cand.Sets(), tc.cand.Ways, got, tc.fits)
 		}
 	}
 
@@ -256,13 +263,64 @@ func TestResidentFits(t *testing.T) {
 		c.Fill(Addr(l*64), 0, false, false)
 	}
 	c.Invalidate(Addr(8 * 64))
-	if !c.ResidentFits(geom(4, 4)) {
-		t.Error("an invalidated line still counts against the candidate's set")
+	if got := c.peakSetLoad(geom(4, 4)); got != 4 {
+		t.Errorf("after an invalidation peakSetLoad(4 sets) = %d, want 4", got)
 	}
 	wide := geom(16, 8)
 	wide.LineSize, wide.Size = 128, wide.Size*2
-	if c.ResidentFits(wide) {
-		t.Error("a candidate with another line size fits")
+	if got := c.FootprintFits([]Config{geom(4, 4), wide, geom(4, 3)}); !slices.Equal(got, []bool{true, false, false}) {
+		t.Errorf("FootprintFits(4x4, 16x8 of 128 B lines, 4x3) = %v, want [true false false]", got)
+	}
+
+	// A full 8192-set 16-way probe seen through 512 sets puts 256 lines
+	// in every set: a byte counter would wrap to 0 and call it a fit.
+	full := MustNew(Config{Size: 8 << 20, Ways: 16, LineSize: 64, Policy: Nehalem, Owners: 1})
+	for l := 0; l < 8192*16; l++ {
+		full.Fill(Addr(l*64), 0, false, false)
+	}
+	narrow := Config{Size: 512 * 16 * 64, Ways: 16, LineSize: 64, Policy: Nehalem, Owners: 1}
+	if got := full.peakSetLoad(narrow); got != 256 {
+		t.Errorf("full 8192x16 probe through 512 sets: peakSetLoad = %d, want 256", got)
+	}
+	if full.FootprintFits([]Config{narrow})[0] {
+		t.Error("256 lines to a set fit a 16-way cache")
+	}
+}
+
+// TestStampsOnlyUnderLRU pins where LRU stamps live: a cache or replica
+// under any other policy holds none, an LRU one holds one per line, and
+// Invalidate and Flush work on both.
+func TestStampsOnlyUnderLRU(t *testing.T) {
+	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
+		cfg := smallCfg(4, policy)
+		r, err := NewReplicas([]Config{cfg, cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Cache{MustNew(cfg), r.Rep(0), r.Rep(1)} {
+			want := 0
+			if policy == LRU {
+				want = len(c.tags)
+			}
+			if len(c.stamp) != want {
+				t.Errorf("%v: %d stamps for %d lines, want %d", policy, len(c.stamp), len(c.tags), want)
+			}
+			for i := 0; i < 4*len(c.tags); i++ {
+				c.Fill(Addr(i*64), 0, false, i%3 == 0)
+			}
+			if _, ok := c.Invalidate(Addr((4*len(c.tags) - 1) * 64)); !ok {
+				t.Fatalf("%v: the last line filled is not resident", policy)
+			}
+			c.Flush()
+			if n := c.ResidentLines(0); n != 0 {
+				t.Errorf("%v: %d lines survive Flush", policy, n)
+			}
+			for _, s := range c.stamp {
+				if s != 0 {
+					t.Fatalf("%v: a stamp survives Flush", policy)
+				}
+			}
+		}
 	}
 }
 

@@ -22,7 +22,8 @@ type Replicas struct {
 }
 
 // lineStore is the backing block a Replicas family is carved from: one
-// array per Cache line-state field, indexed by line or by set.
+// array per Cache line-state field, indexed by line or by set. stamp
+// holds the lines of the LRU replicas only.
 type lineStore struct {
 	tags  []uint64
 	flags []uint8
@@ -39,28 +40,33 @@ func (c Config) slots() (lines, sets int) {
 	return sets * c.Ways, sets
 }
 
-// fit makes the store hold at least lines line slots and sets set
-// slots, and leaves the first lines/sets entries of the arrays
-// Cache.init expects zeroed (flags, owner, stamp, meta) zero: a
-// store that is already large enough is cleared in place, not
-// reallocated. tags and free are init's to fill.
-func (s *lineStore) fit(lines, sets int) {
-	if cap(s.tags) < lines {
+// grow makes the store hold at least lines line slots, stamps stamp
+// slots and sets set slots: an array too small is replaced by one of
+// exactly the size asked, its contents dropped; the others are kept.
+func (s *lineStore) grow(lines, stamps, sets int) {
+	if len(s.tags) < lines {
 		s.tags = make([]uint64, lines)
 		s.flags = make([]uint8, lines)
 		s.owner = make([]int32, lines)
-		s.stamp = make([]uint64, lines)
-	} else {
-		clear(s.flags[:lines])
-		clear(s.owner[:lines])
-		clear(s.stamp[:lines])
 	}
-	if cap(s.meta) < sets {
+	if len(s.stamp) < stamps {
+		s.stamp = make([]uint64, stamps)
+	}
+	if len(s.meta) < sets {
 		s.meta = make([]uint64, sets)
 		s.free = make([]uint64, sets)
-	} else {
-		clear(s.meta[:sets])
 	}
+}
+
+// fit grows the store as grow does and zeroes the first entries of the
+// arrays Cache.init expects zeroed (flags, owner, stamp, meta). tags
+// and free are init's to fill.
+func (s *lineStore) fit(lines, stamps, sets int) {
+	s.grow(lines, stamps, sets)
+	clear(s.flags[:lines])
+	clear(s.owner[:lines])
+	clear(s.stamp[:stamps])
+	clear(s.meta[:sets])
 }
 
 // NewReplicas builds one cache per config over shared contiguous
@@ -77,7 +83,7 @@ func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: replicas need at least one config")
 	}
-	lines, sets := 0, 0
+	lines, stamps, sets := 0, 0, 0
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -88,15 +94,23 @@ func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 		nl, ns := cfg.slots()
 		lines += nl
 		sets += ns
+		if cfg.Policy == LRU {
+			stamps += nl
+		}
 	}
-	s.fit(lines, sets)
+	s.fit(lines, stamps, sets)
 	r := &Replicas{reps: make([]Cache, len(cfgs))}
-	lo, so := 0, 0
+	lo, to, so := 0, 0, 0
 	for i, cfg := range cfgs {
 		nl, ns := cfg.slots()
+		var stamp []uint64
+		if cfg.Policy == LRU {
+			stamp = s.stamp[to : to+nl : to+nl]
+			to += nl
+		}
 		r.reps[i].init(cfg,
 			s.tags[lo:lo+nl:lo+nl], s.flags[lo:lo+nl:lo+nl], s.owner[lo:lo+nl:lo+nl],
-			s.stamp[lo:lo+nl:lo+nl], s.meta[so:so+ns:so+ns], s.free[so:so+ns:so+ns])
+			stamp, s.meta[so:so+ns:so+ns], s.free[so:so+ns:so+ns])
 		lo += nl
 		so += ns
 	}
@@ -135,45 +149,23 @@ type FusedHierarchy struct {
 
 // FusedBacking is the line-state storage of a FusedHierarchy, held
 // apart from it so that hierarchies built one after another — the
-// replica groups of a serial sweep — reuse one allocation. Building a
-// hierarchy on a backing re-initialises the storage, so only the most
-// recently built hierarchy is valid.
+// replica groups of a sweep, and the sweeps of a process — reuse one
+// allocation. The zero value is empty; each hierarchy built on it grows
+// it to what that hierarchy needs, so a backing ends up the size of the
+// largest hierarchy built on it, and one that is large enough is
+// cleared in place. Building a hierarchy on a backing re-initialises
+// the storage, so only the most recently built hierarchy is valid.
 type FusedBacking struct {
 	l1, l2, l3 lineStore
 }
 
-// NewFusedBacking allocates a backing large enough for any one of the
-// given groups of L3 configs under cfg's L1/L2, so building each group
-// in turn allocates no line state. (A group that does not fit still
-// builds: the backing grows.)
-func NewFusedBacking(cfg HierarchyConfig, groups [][]Config) (*FusedBacking, error) {
-	var reps, lines, sets int
-	for _, g := range groups {
-		gl, gs := 0, 0
-		for _, l3 := range g {
-			rc := cfg
-			rc.Cores = 1
-			rc.L3 = l3
-			if err := rc.Validate(); err != nil {
-				return nil, err
-			}
-			nl, ns := l3.slots()
-			gl += nl
-			gs += ns
-		}
-		reps = max(reps, len(g))
-		lines = max(lines, gl)
-		sets = max(sets, gs)
+// Cover grows b, where it is smaller, to o's size, so that any
+// hierarchy built on o so far builds on b without allocating. b's
+// contents are not kept: the next hierarchy built on b clears them.
+func (b *FusedBacking) Cover(o *FusedBacking) {
+	for _, p := range [][2]*lineStore{{&b.l1, &o.l1}, {&b.l2, &o.l2}, {&b.l3, &o.l3}} {
+		p[0].grow(len(p[1].tags), len(p[1].stamp), len(p[1].meta))
 	}
-	b := &FusedBacking{}
-	if reps > 0 {
-		nl, ns := cfg.L1.slots()
-		b.l1.fit(reps*nl, reps*ns)
-		nl, ns = cfg.L2.slots()
-		b.l2.fit(reps*nl, reps*ns)
-		b.l3.fit(lines, sets)
-	}
-	return b, nil
 }
 
 // NewFusedHierarchy builds one hierarchy replica per entry of l3Ways:

@@ -11,102 +11,123 @@ import (
 )
 
 // TestFusedBackingReuse pins the two halves of the backing-block
-// contract the serial fused sweep leans on. A backing sized for a set of
-// groups serves each group in turn without reallocating any array, and a
-// hierarchy built on used storage is indistinguishable from one built on
-// fresh storage: every array the first group dirtied (flags, stamps,
-// policy metadata) is back to its empty state.
+// contract the fused sweep leans on. A backing grown by the families
+// built on it serves any of them again without reallocating any array,
+// and a hierarchy built on used storage is indistinguishable from one
+// built on fresh storage: every array an earlier family dirtied (flags,
+// stamps, policy metadata) is back to its empty state, in the arrays a
+// family of another shape reads too. Each row builds its two families
+// on one backing, starting empty, in the order first, second, first,
+// second; the second build grows the backing to cover both, so the
+// last two must reallocate nothing.
 func TestFusedBackingReuse(t *testing.T) {
+	priv := func(l1, l2 PolicyKind) HierarchyConfig {
+		return HierarchyConfig{
+			L1: Config{Size: 1 << 10, Ways: 2, LineSize: 64, Policy: l1},
+			L2: Config{Size: 4 << 10, Ways: 4, LineSize: 64, Policy: l2},
+		}
+	}
+	l3 := func(policy PolicyKind, size int64, ways int) Config {
+		return Config{Size: size, Ways: ways, LineSize: 64, Policy: policy}
+	}
+	type family struct {
+		hcfg HierarchyConfig
+		l3   []Config
+	}
+	// big has the most lines, wide the most sets and replicas: the
+	// backing must cover each maximum separately.
+	big := func(policy PolicyKind) []Config {
+		return []Config{l3(policy, 16<<10, 8), l3(policy, 12<<10, 8)}
+	}
+	wide := func(policy PolicyKind) []Config {
+		return []Config{l3(policy, 2<<10, 2), l3(policy, 4<<10, 2), l3(policy, 6<<10, 2)}
+	}
+	type row struct {
+		name          string
+		first, second family
+	}
+	var rows []row
 	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
-		hcfg := HierarchyConfig{
-			L1: Config{Size: 1 << 10, Ways: 2, LineSize: 64, Policy: LRU},
-			L2: Config{Size: 4 << 10, Ways: 4, LineSize: 64, Policy: PseudoLRU},
-		}
-		l3 := func(size int64, ways int) Config {
-			return Config{Size: size, Ways: ways, LineSize: 64, Policy: policy}
-		}
-		// The first group has the most lines, the second the most sets
-		// and replicas: the backing must cover each maximum separately.
-		groups := [][]Config{
-			{l3(16<<10, 8), l3(12<<10, 8)},
-			{l3(2<<10, 2), l3(4<<10, 2), l3(6<<10, 2)},
-		}
-		b, err := NewFusedBacking(hcfg, groups)
-		if err != nil {
-			t.Fatal(err)
-		}
-		stores := []*lineStore{&b.l1, &b.l2, &b.l3}
-		type block struct {
-			tags *uint64
-			meta *uint64
-		}
-		var before []block
-		for _, s := range stores {
-			before = append(before, block{&s.tags[:1][0], &s.meta[:1][0]})
-		}
+		rows = append(rows, row{policy.String(),
+			family{priv(LRU, PseudoLRU), big(policy)}, family{priv(LRU, PseudoLRU), wide(policy)}})
+	}
+	rows = append(rows,
+		// No stamps anywhere, then stamps at every level: they must
+		// appear, and start zeroed when the backing comes round again.
+		row{"non-LRU then LRU",
+			family{priv(PseudoLRU, PseudoLRU), big(Nehalem)}, family{priv(LRU, LRU), wide(LRU)}},
+		row{"LRU then non-LRU",
+			family{priv(LRU, LRU), big(LRU)}, family{priv(PseudoLRU, Nehalem), wide(Random)}},
+		// Constant sets, then constant ways with modulo-indexed set counts.
+		row{"by ways then by sets",
+			family{priv(LRU, PseudoLRU), []Config{l3(LRU, 16<<10, 8), l3(LRU, 14<<10, 7), l3(LRU, 8<<10, 4), l3(LRU, 2<<10, 1)}},
+			family{priv(LRU, PseudoLRU), []Config{l3(LRU, 16<<10, 8), l3(LRU, 12<<10, 8), l3(LRU, 8<<10, 8), l3(LRU, 6<<10, 8)}}},
+	)
 
-		rng := stats.NewRNG(11)
-		drive := func(f *FusedHierarchy, n int) []Outcome {
-			outs := make([]Outcome, 0, n*f.Replicas())
-			for i := 0; i < n; i++ {
-				addr := Addr(rng.Intn(40<<10)) &^ 63
-				write := rng.Intn(3) == 0
-				for k := 0; k < f.Replicas(); k++ {
-					outs = append(outs, f.Access(k, addr, write))
+	drive := func(f *FusedHierarchy, seed uint64) []Outcome {
+		rng := stats.NewRNG(seed)
+		outs := make([]Outcome, 0, 4000*f.Replicas())
+		for i := 0; i < 4000; i++ {
+			addr := Addr(rng.Intn(40<<10)) &^ 63
+			write := rng.Intn(3) == 0
+			for k := 0; k < f.Replicas(); k++ {
+				outs = append(outs, f.Access(k, addr, write))
+			}
+		}
+		return outs
+	}
+	levels := func(f *FusedHierarchy) []*Replicas { return []*Replicas{f.l1, f.l2, f.l3} }
+
+	for _, r := range rows {
+		b := &FusedBacking{}
+		var grown []uintptr
+		for step, fam := range []family{r.first, r.second, r.first, r.second} {
+			reused, err := NewFusedHierarchyL3(fam.hcfg, fam.l3, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch {
+			case step == 1:
+				grown = backingHeads(b)
+			case step > 1 && !slices.Equal(backingHeads(b), grown):
+				t.Errorf("%s: step %d reallocated a backing that already held both families", r.name, step)
+			}
+			fresh, err := NewFusedHierarchyL3(fam.hcfg, fam.l3, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for l, g := range levels(reused) {
+				for k := range g.reps {
+					if err := sameState(&g.reps[k], &levels(fresh)[l].reps[k]); err != nil {
+						t.Errorf("%s: step %d level %d replica %d starts with stale line state on reused storage: %v", r.name, step, l+1, k, err)
+					}
 				}
 			}
-			return outs
-		}
-
-		first, err := NewFusedHierarchyL3(hcfg, groups[0], b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		drive(first, 4000)
-
-		reused, err := NewFusedHierarchyL3(hcfg, groups[1], b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, s := range stores {
-			if &s.tags[:1][0] != before[i].tags || &s.meta[:1][0] != before[i].meta {
-				t.Errorf("%v: level %d backing reallocated for the second group", policy, i+1)
-			}
-		}
-
-		fresh, err := NewFusedHierarchyL3(hcfg, groups[1], nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for l, pair := range [][2]*Replicas{{reused.l1, fresh.l1}, {reused.l2, fresh.l2}, {reused.l3, fresh.l3}} {
-			for k := range pair[1].reps {
-				g, w := &pair[0].reps[k], &pair[1].reps[k]
-				if !reflect.DeepEqual(g.tags, w.tags) || !reflect.DeepEqual(g.flags, w.flags) ||
-					!reflect.DeepEqual(g.owner, w.owner) || !reflect.DeepEqual(g.stamp, w.stamp) ||
-					!reflect.DeepEqual(g.meta, w.meta) || !reflect.DeepEqual(g.free, w.free) {
-					t.Errorf("%v: level %d replica %d starts with stale line state on reused storage", policy, l+1, k)
+			seed := uint64(11 + step)
+			got, want := drive(reused, seed), drive(fresh, seed)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s: step %d access %d on reused storage = %+v, on fresh storage %+v", r.name, step, i, got[i], want[i])
 				}
 			}
-		}
-		rng = stats.NewRNG(23)
-		got := drive(reused, 4000)
-		rng = stats.NewRNG(23)
-		want := drive(fresh, 4000)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%v: access %d on reused storage = %+v, on fresh storage %+v", policy, i, got[i], want[i])
+			for l, g := range levels(reused) {
+				for k := range g.reps {
+					if err := sameState(&g.reps[k], &levels(fresh)[l].reps[k]); err != nil {
+						t.Errorf("%s: step %d level %d replica %d after the stream: %v", r.name, step, l+1, k, err)
+					}
+				}
 			}
-		}
-		for k := 0; k < fresh.Replicas(); k++ {
-			if g, w := reused.L3(k).Stats(0), fresh.L3(k).Stats(0); g != w {
-				t.Errorf("%v: replica %d L3 stats on reused storage %+v, fresh %+v", policy, k, g, w)
+			for k := 0; k < fresh.Replicas(); k++ {
+				if g, w := reused.L3(k).Stats(0), fresh.L3(k).Stats(0); g != w {
+					t.Errorf("%s: step %d replica %d L3 stats on reused storage %+v, fresh %+v", r.name, step, k, g, w)
+				}
 			}
 		}
 	}
 }
 
-// TestFusedBackingGrows: a backing too small for a group still builds
-// it (sizing is an optimisation, never a precondition).
+// TestFusedBackingGrows: an empty or too small backing still builds any
+// valid family (it grows), and an invalid L3 geometry is rejected.
 func TestFusedBackingGrows(t *testing.T) {
 	hcfg := HierarchyConfig{
 		L1: Config{Size: 1 << 10, Ways: 2, LineSize: 64, Policy: LRU},
@@ -117,8 +138,8 @@ func TestFusedBackingGrows(t *testing.T) {
 		{Size: 16 << 10, Ways: 8, LineSize: 64, Policy: LRU},
 		{Size: 8 << 10, Ways: 8, LineSize: 64, Policy: LRU},
 	}
-	b, err := NewFusedBacking(hcfg, [][]Config{small})
-	if err != nil {
+	b := &FusedBacking{}
+	if _, err := NewFusedHierarchyL3(hcfg, small, b); err != nil {
 		t.Fatal(err)
 	}
 	f, err := NewFusedHierarchyL3(hcfg, big, b)
@@ -128,9 +149,35 @@ func TestFusedBackingGrows(t *testing.T) {
 	if out := f.Access(1, 0x1000, true); out.ServedBy != LevelMem {
 		t.Errorf("first access on a grown backing served by %v, want memory", out.ServedBy)
 	}
-	if _, err := NewFusedBacking(hcfg, [][]Config{{{Size: 1000, Ways: 3, LineSize: 64}}}); err == nil {
+	if _, err := NewFusedHierarchyL3(hcfg, []Config{{Size: 1000, Ways: 3, LineSize: 64}}, b); err == nil {
 		t.Error("backing accepted an invalid L3 geometry")
 	}
+
+	// A backing covering b holds what was built on b: building those
+	// families on it again replaces no array.
+	c := &FusedBacking{}
+	c.Cover(b)
+	for _, l3 := range [][]Config{small, big} {
+		before := backingHeads(c)
+		if _, err := NewFusedHierarchyL3(hcfg, l3, c); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(backingHeads(c), before) {
+			t.Errorf("a backing covering b reallocated for a %d-replica family built on b", len(l3))
+		}
+	}
+}
+
+// backingHeads returns the address of every array of b, for telling a
+// reused array from a reallocated one.
+func backingHeads(b *FusedBacking) []uintptr {
+	var h []uintptr
+	for _, s := range []*lineStore{&b.l1, &b.l2, &b.l3} {
+		for _, a := range []any{s.tags, s.flags, s.owner, s.stamp, s.meta, s.free} {
+			h = append(h, reflect.ValueOf(a).Pointer())
+		}
+	}
+	return h
 }
 
 // TestFusedAccessOutcomeMatchesHierarchy pins the packed outcome's

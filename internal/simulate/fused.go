@@ -42,6 +42,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"cachepirate/internal/analysis"
@@ -61,11 +62,11 @@ const fusedBlock = 256
 
 // fusedGroupLines is the sweep's replica-group budget in L3 lines:
 // consecutive sizes are replayed together while their summed L3 line
-// count fits. Twice the Nehalem L3 (about 5.5 MB of line state) splits
-// the default 16 sizes into the probe and 5 groups; all 16 at once
-// interleave 23 MB of line state, which no host cache holds, and the
-// sweep's speed then follows whatever else shares the host's last-level
-// cache.
+// count fits. Twice the Nehalem L3 (about 3.4 MB of line state at 13 B
+// a line) splits the default 16 sizes into the probe and 5 groups; all
+// 16 at once interleave 14 MB of line state, which no host cache holds,
+// and the sweep's speed then follows whatever else shares the host's
+// last-level cache.
 const fusedGroupLines = 1 << 18
 
 // repClock is one replica's timing state: the fields a per-size
@@ -490,6 +491,13 @@ func replicaGroups(l3 []cache.Config, budget, workers int) [][]int {
 	return groups
 }
 
+// backingPool holds the line-state blocks of fused sweeps between
+// sweeps. A miss on the curve server replays the probe and a few
+// smaller sizes of a short trace, and allocating, zeroing and first
+// touching a fresh block sized for the largest group took about an
+// eighth of such a miss's CPU time.
+var backingPool = sync.Pool{New: func() any { return new(cache.FusedBacking) }}
+
 // pick returns the L3 configs of the given replicas.
 func pick(l3 []cache.Config, reps []int) []cache.Config {
 	out := make([]cache.Config, len(reps))
@@ -502,15 +510,15 @@ func pick(l3 []cache.Config, reps []int) []cache.Config {
 // sweepFusedGrouped is the fused sweep: the sizes advance through the
 // trace one replica group per worker at a time, each group a fresh
 // engine over a freshly opened source that it closes when done. A
-// group's line state is carved from one of cfg.Workers backing blocks,
-// each sized up front for the largest group, so a sweep allocates the
-// line state of the groups in flight rather than of all sizes.
+// group's line state is carved from one of cfg.Workers backing blocks
+// taken from backingPool and grown to the largest group replayed on
+// any of them, so a warmed process allocates no line state per sweep.
 //
 // The first group is the largest size alone, replayed as a footprint
 // probe. If its L3 finishes every pass without one eviction, it holds
 // every line the trace and its prefetcher ever filled, and any other
 // size whose geometry seats those lines at most Ways to a set
-// (cache.ResidentFits) never evicts either: no eviction means no
+// (cache.FootprintFits) never evicts either: no eviction means no
 // back-invalidation, so its private levels, its L3 demand stream and
 // its prefetcher evolve as the probe's did; the same lines are resident
 // at every step, so every lookup hits or misses alike; and no victim is
@@ -528,22 +536,32 @@ func pick(l3 []cache.Config, reps []int) []cache.Config {
 func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, int, error) {
 	pool := runner.Pool{Workers: cfg.Workers}
 	groups := replicaGroups(l3, budget, pool.EffectiveWorkers(len(l3)))
-	groupL3 := make([][]cache.Config, len(groups))
-	for g, reps := range groups {
-		groupL3[g] = pick(l3, reps)
-	}
 	workers := pool.EffectiveWorkers(len(groups))
 	// Free list of backings: a group takes one for its replay and hands
 	// it back, so at most workers are ever held and the receive below
-	// never blocks.
+	// never blocks. They go back to backingPool only once runner.Run has
+	// joined every task, so no two sweeps ever share one. Which group
+	// replays on which backing is the scheduler's choice, so each is
+	// first grown to cover the others: a sweep of a shape the process has
+	// run before then allocates no line state, whatever lands where.
 	backings := make(chan *cache.FusedBacking, workers)
 	for w := 0; w < workers; w++ {
-		b, err := cache.NewFusedBacking(hierarchyConfig(cfg), groupL3)
-		if err != nil {
-			return nil, 0, err
-		}
-		backings <- b
+		backings <- backingPool.Get().(*cache.FusedBacking)
 	}
+	defer func() {
+		held := make([]*cache.FusedBacking, workers)
+		for w := range held {
+			held[w] = <-backings
+		}
+		for _, b := range held {
+			for _, o := range held {
+				b.Cover(o)
+			}
+		}
+		for _, b := range held {
+			backingPool.Put(b)
+		}
+	}()
 	points := make([]analysis.Point, len(l3))
 	probe := groups[0][0]
 	// Per replica, whether its point is the probe's: stored by group 0
@@ -580,10 +598,7 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 			points[k] = e.point(i, cfg.Sizes[k])
 		}
 		if c := e.fh.L3(0); g == 0 && c.Stats(0).Evictions == 0 {
-			fits := make([]bool, len(l3))
-			for k := range l3 {
-				fits[k] = c.ResidentFits(l3[k])
-			}
+			fits := c.FootprintFits(l3)
 			proven.Store(&fits)
 		}
 		return nil

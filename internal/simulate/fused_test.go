@@ -7,8 +7,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 
+	"cachepirate/internal/analysis"
 	"cachepirate/internal/cache"
 	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
@@ -219,11 +221,7 @@ func TestFusedGroupBoundaries(t *testing.T) {
 						t.Fatalf("mode %d budget %d j=%d %s: %v", mode, tc.budget, workers, src.name, err)
 					}
 					for i, pt := range pts {
-						if w := want.Points[i]; pt.CacheBytes != w.CacheBytes ||
-							math.Float64bits(pt.CPI) != math.Float64bits(w.CPI) ||
-							math.Float64bits(pt.BandwidthGBs) != math.Float64bits(w.BandwidthGBs) ||
-							math.Float64bits(pt.FetchRatio) != math.Float64bits(w.FetchRatio) ||
-							math.Float64bits(pt.MissRatio) != math.Float64bits(w.MissRatio) {
+						if w := want.Points[i]; !samePointBits(pt, w) {
 							t.Errorf("mode %d budget %d j=%d %s: point %d = %+v, oracle %+v", mode, tc.budget, workers, src.name, i, pt, w)
 						}
 					}
@@ -268,16 +266,26 @@ func TestSweepInvalidSizeErrorParity(t *testing.T) {
 	}
 }
 
+// raceDetector is set by race_test.go in -race builds.
+var raceDetector bool
+
 // TestSerialSweepAllocatesOneGroup is the allocation gate on the
 // backing-block reuse: a default 16-size sweep of the Nehalem machine
-// holds 23 MB of line state in all, but only the largest group's (about
-// 6 MB) may be allocated per worker — a regrown or per-group backing
-// shows up here as 12 or 28 MB at one worker.
+// holds 14 MB of line state in all, and a sweep after a warm-up sweep
+// of the same shape must allocate none of it — the backings come from
+// the pool, already grown. A per-sweep or per-group backing shows up
+// here as megabytes. The test runs on one P: sync.Pool keeps one item
+// per P that no other P can take, so a goroutine that moved P between
+// the two sweeps could miss a pooled backing and allocate one.
 func TestSerialSweepAllocatesOneGroup(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 2000)
 	for _, workers := range []int{1, 2} {
 		cfg := Config{Workers: workers}
-		if _, err := Sweep(cfg, tr); err != nil { // warm lazily initialised state
+		if _, err := Sweep(cfg, tr); err != nil { // warm the pool and lazily initialised state
 			t.Fatal(err)
 		}
 		var before, after runtime.MemStats
@@ -286,11 +294,75 @@ func TestSerialSweepAllocatesOneGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
-		bound := uint64(workers) * 10 << 20
+		const bound = 1 << 20
 		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
-			t.Errorf("default sweep at %d workers allocated %.1f MB, want under %d MB", workers, float64(got)/(1<<20), bound>>20)
+			t.Errorf("warmed default sweep at %d workers allocated %.2f MB, want under 1 MB", workers, float64(got)/(1<<20))
 		}
 	}
+}
+
+// TestConcurrentSweepsSharePool runs sweeps of every L3 policy, both
+// modes and widths 1 to 3 side by side, twice over, so the fused
+// engine's pooled backings pass between sweeps of every shape while
+// other sweeps are running: each curve must equal, bit for bit, the
+// same sweep run alone at Workers 1. One trace fits the larger sizes and
+// one overflows them all, so probes both clone and fail.
+func TestConcurrentSweepsSharePool(t *testing.T) {
+	traces := []*trace.Trace{
+		CaptureTrace(randFactory(40<<10), 1, 0, 4000),
+		CaptureTrace(randFactory(96<<10), 2, 0, 4000),
+	}
+	type job struct {
+		cfg  Config
+		open func() (trace.BlockSource, error)
+		want *analysis.Curve
+	}
+	var jobs []job
+	for i, policy := range benchPolicies {
+		for _, mode := range []SweepMode{ByWays, BySets} {
+			mcfg := smallMachine()
+			mcfg.L3.Policy = policy
+			tr := traces[(i+int(mode))%2]
+			cfg := Config{Machine: mcfg, Mode: mode, Sizes: benchSweepSizes(policy), Workers: 1}
+			open := func() (trace.BlockSource, error) { return trace.NewReplayer(tr, false), nil }
+			want, err := SweepStreamContext(context.Background(), cfg, open)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Workers = 1 + (i+2*int(mode))%3
+			jobs = append(jobs, job{cfg, open, want})
+		}
+	}
+	var wg sync.WaitGroup
+	for round := 0; round < 2; round++ {
+		for _, j := range jobs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := SweepStreamContext(context.Background(), j.cfg, j.open)
+				if err != nil {
+					t.Errorf("%v %v j=%d: %v", j.cfg.Machine.L3.Policy, j.cfg.Mode, j.cfg.Workers, err)
+					return
+				}
+				for i, w := range j.want.Points {
+					if !samePointBits(got.Points[i], w) {
+						t.Errorf("%v %v j=%d: point %d = %+v beside other sweeps, %+v alone", j.cfg.Machine.L3.Policy, j.cfg.Mode, j.cfg.Workers, i, got.Points[i], w)
+					}
+				}
+			}()
+		}
+	}
+	wg.Wait()
+}
+
+// samePointBits reports whether two points carry the same size and the
+// same float64 bits in every metric.
+func samePointBits(a, b analysis.Point) bool {
+	return a.CacheBytes == b.CacheBytes &&
+		math.Float64bits(a.CPI) == math.Float64bits(b.CPI) &&
+		math.Float64bits(a.BandwidthGBs) == math.Float64bits(b.BandwidthGBs) &&
+		math.Float64bits(a.FetchRatio) == math.Float64bits(b.FetchRatio) &&
+		math.Float64bits(a.MissRatio) == math.Float64bits(b.MissRatio)
 }
 
 // TestNoWarmMeasuresColdCache pins the WarmPasses fix: NoWarm must
