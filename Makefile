@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel check-inline bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-lint vet fmt experiments cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel check-inline check-fma bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-lint vet fmt experiments cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -56,6 +56,20 @@ check-inline:
 			{ echo "check-inline: $$f no longer inlines:"; echo "$$out" | grep -F " $$f:"; exit 1; }; \
 		ok="$$ok $$f"; \
 	done; echo "check-inline:$$ok inline"
+
+# Fused multiply-add guard: the Go spec lets the compiler fuse x*y + z
+# into one instruction that rounds once instead of twice, which changes
+# result bits. amd64 never fuses, so every pinned digest and curve was
+# taken without it; these targets do fuse, so every such site rounds
+# the product explicitly with float64(...). Cross-compiling is offline
+# (no download), and the build cache replays the -S listing.
+FMA_ARCHES = arm64 ppc64le s390x riscv64
+check-fma:
+	@for a in $(FMA_ARCHES); do \
+		out=$$(GOARCH=$$a $(GO) build -gcflags=-S ./internal/... 2>&1) || { echo "$$out"; exit 1; }; \
+		fused=$$(echo "$$out" | grep -E '[[:space:]]F(N)?M(ADD|SUB)'); \
+		[ -z "$$fused" ] || { echo "check-fma: fused multiply-add on $$a:"; echo "$$fused"; exit 1; }; \
+	done; echo "check-fma: no fused multiply-add on $(FMA_ARCHES)"
 
 # Fused vs per-size sweep, per L3 policy by ways and once by sets, on
 # the acceptance workload (60k records x 16 sizes). Numbers are recorded

@@ -33,7 +33,7 @@
 // engine consumes them, in O(block) memory, so the trace can be far
 // larger than RAM. The curve is bit-identical to the in-memory path
 // (pinned by internal/conformance and the CI CSV diff). Each open
-// source of a v2 file decodes one frame ahead on its own goroutine
+// source of a v2 file decodes up to three frames ahead on its own goroutine
 // (trace.Reader), so -j N runs N decode goroutines beside N replays.
 package main
 

@@ -16,7 +16,7 @@
 // from the workload generator into the current frame, and the file
 // header's record/instruction totals are patched on Close. info skims
 // frame headers (cheap) and reports whether a reader of the file
-// decodes ahead (v2 frames do, one frame ahead on a second goroutine;
+// decodes ahead (v2 frames do, up to three frames ahead on a second goroutine;
 // v1 is one flat delta chain read inline); -check re-decodes every
 // frame and verifies the rolling checksum chain. -footprint runs one
 // SHARDS-sampled profiling pass (internal/analytic, fixed-size mode:
@@ -163,10 +163,10 @@ func info(args []string) {
 	if st.Bytes >= 0 {
 		fmt.Printf("  bytes:         %d (%.2f bytes/record)\n", st.Bytes, st.BytesPerRecord())
 	}
-	// A v2 reader decodes one frame ahead on a second goroutine; v1
+	// A v2 reader decodes up to three frames ahead on a second goroutine; v1
 	// is one flat delta chain read inline.
 	if st.Version >= 2 {
-		fmt.Printf("  parallel:      yes (framed; decoded one frame ahead on a second core)\n")
+		fmt.Printf("  parallel:      yes (framed; decoded ahead on a second core)\n")
 	} else {
 		fmt.Printf("  parallel:      no (flat delta chain; convert -to v2 to decode ahead)\n")
 	}

@@ -34,29 +34,6 @@ type Profile struct {
 	Hist *stackdist.SampledHistogram
 	// LineBytes is the line size the profile was collected at.
 	LineBytes int64
-
-	// nzd/nzc cache the nonzero histogram buckets (ascending distance)
-	// so curve evaluation walks the sample, not the full depth: sampled
-	// profiles populate a handful of the MaxDistance buckets, and the
-	// Poisson correction visits them once per geometry.
-	nzd []int32
-	nzc []float64
-}
-
-// nonzero returns the cached sparse histogram, building it on first
-// use. The ascending order matches the dense walk, so sparse sums are
-// bit-identical to summing the full bucket array.
-func (pr *Profile) nonzero() ([]int32, []float64) {
-	if pr.nzd == nil {
-		pr.nzd = make([]int32, 0, 16)
-		for d, c := range pr.Hist.Counts {
-			if c > 0 {
-				pr.nzd = append(pr.nzd, int32(d))
-				pr.nzc = append(pr.nzc, c)
-			}
-		}
-	}
-	return pr.nzd, pr.nzc
 }
 
 // NewProfile snapshots a profiler's accumulated state into a Profile.
@@ -98,16 +75,17 @@ func (pr *Profile) MissRatio(capacityBytes int64) float64 {
 // (sets sets of ways ways): each histogram bucket's hit probability is
 // P[Poisson(d/sets) < ways]. At sets = 1 with capacity ways lines the
 // fully-associative behaviour is NOT recovered (the Poisson argument
-// models many sets); callers use it for real geometries.
+// models many sets); callers use it for real geometries. The walk
+// visits the histogram's sparse buckets only, once per geometry.
 func (pr *Profile) MissRatioSetAssoc(sets, ways int) float64 {
 	h := pr.Hist
 	if h.Total <= 0 {
 		return 0
 	}
-	nzd, nzc := pr.nonzero()
 	var hits float64
-	for j, d := range nzd {
-		hits += nzc[j] * poissonCDF(float64(d)/float64(sets), ways-1)
+	for _, b := range h.Buckets {
+		// Rounded before the add, so no target fuses it into one FMA.
+		hits += float64(b.Mass * poissonCDF(float64(b.Dist)/float64(sets), ways-1))
 	}
 	return 1 - hits/h.Total
 }
@@ -124,7 +102,7 @@ func poissonCDF(lambda float64, k int) float64 {
 	term := math.Exp(-lambda)
 	sum := term
 	for i := 1; i <= k; i++ {
-		term *= lambda / float64(i)
+		term = float64(term * (lambda / float64(i))) // rounded: no FMA into sum
 		sum += term
 	}
 	return math.Min(1, sum)

@@ -13,7 +13,7 @@ import (
 // the fused engine replays at once, which also caps a group's replica
 // count. The serial in-memory fused sweep is the oracle; the same
 // config is then swept wide (a) over in-memory blocks and (b) over
-// streaming Readers, each group's decoding one frame ahead on its own
+// streaming Readers, each group's decoding ahead on its own
 // goroutine — every curve must be Float64bits-identical. Width is a
 // wall-clock choice, never a results choice.
 func CheckParallelSweepEquivalence(cfg simulate.Config, tr *trace.Trace, frameRecords, sweepWorkers int) error {

@@ -165,7 +165,7 @@ func (c *Core) Resume(now float64) {
 // RetireInstrs advances the clock for n non-memory instructions.
 func (c *Core) RetireInstrs(n uint64) {
 	c.instrs += n
-	c.cycles += float64(n) * c.params.BaseCPI
+	c.cycles += float64(float64(n) * c.params.BaseCPI) // rounded: no FMA
 }
 
 // RetireAccess advances the clock for one memory access (counted as one

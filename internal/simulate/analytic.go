@@ -17,7 +17,8 @@ import (
 // (P[Poisson(d/S) < W] decays around d ~ S*W, not at it), so the
 // histogram tracks distances to 8x the largest size before folding
 // into overflow, where the residual hit probability is < 1e-3 even at
-// one way.
+// one way. The histogram is sparse, so the depth costs no memory up
+// front.
 const analyticDepthFactor = 8
 
 // analyticGrid maps the sweep's size grid to analytic geometries: the

@@ -290,7 +290,7 @@ func (e *fusedEngine) replayBlock(blk []trace.Record, k int) {
 		}
 		if n > 0 {
 			instrs += uint64(n)
-			cycles += float64(n) * baseCPI
+			cycles += float64(float64(n) * baseCPI) // rounded: no FMA
 		}
 		instrs++
 		memAccs++

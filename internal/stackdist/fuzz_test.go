@@ -19,6 +19,8 @@ import (
 //     = total;
 //   - after Adjust, the rescaled total never exceeds the true record
 //     count;
+//   - the sparse histogram equals a dense accumulator (denseShards)
+//     bit for bit, in every mode;
 //   - at rate 1.0 the profile degenerates to the exact Mattson
 //     histogram bit for bit.
 //
@@ -55,6 +57,9 @@ func FuzzSampledProfile(f *testing.F) {
 		if h.Records != uint64(tr.Len()) {
 			t.Fatalf("records %d, trace has %d", h.Records, tr.Len())
 		}
+		ref := newDenseShards(cfg)
+		ref.feed(tr.Records)
+		assertMatchesDense(t, h, ref)
 
 		h.Adjust()
 		checkSampledInvariants(t, h)
@@ -67,9 +72,10 @@ func FuzzSampledProfile(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			counts := dense(h)
 			for d := range exact.Counts {
-				if h.Counts[d] != float64(exact.Counts[d]) {
-					t.Fatalf("rate-1.0 counts[%d] = %v, exact %d", d, h.Counts[d], exact.Counts[d])
+				if counts[d] != float64(exact.Counts[d]) {
+					t.Fatalf("rate-1.0 counts[%d] = %v, exact %d", d, counts[d], exact.Counts[d])
 				}
 			}
 			if h.Overflow != float64(exact.Overflow) || h.Cold != float64(exact.Cold) {
@@ -84,11 +90,14 @@ func FuzzSampledProfile(f *testing.F) {
 func checkSampledInvariants(t *testing.T, h *SampledHistogram) {
 	t.Helper()
 	var sum float64
-	for d, c := range h.Counts {
-		if c < 0 || math.IsNaN(c) {
-			t.Fatalf("counts[%d] = %v", d, c)
+	for i, b := range h.Buckets {
+		if b.Mass < 0 || math.IsNaN(b.Mass) {
+			t.Fatalf("bucket %+v has negative mass", b)
 		}
-		sum += c
+		if b.Dist < 0 || b.Dist >= int64(h.MaxDistance) || (i > 0 && b.Dist <= h.Buckets[i-1].Dist) {
+			t.Fatalf("bucket %d at distance %d: not ascending within [0, %d)", i, b.Dist, h.MaxDistance)
+		}
+		sum += b.Mass
 	}
 	if h.Overflow < 0 || h.Cold < 0 || h.Total < 0 {
 		t.Fatalf("negative mass: overflow %v cold %v total %v", h.Overflow, h.Cold, h.Total)

@@ -20,8 +20,10 @@
 package stackdist
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"cachepirate/internal/trace"
 )
@@ -53,21 +55,33 @@ type SampledConfig struct {
 	LineShift uint
 }
 
+// Bucket is one non-empty distance of a SampledHistogram.
+type Bucket struct {
+	// Dist is the (rescaled) stack distance in lines.
+	Dist int64
+	// Mass estimates the number of accesses at distance Dist.
+	Mass float64
+}
+
 // SampledHistogram is the rescaled reuse-distance distribution a
-// SampledProfiler produces. Counts are float64: each sampled access
-// contributes the inverse sampling rate in effect when it was
-// measured, so bucket values estimate true access counts. At rate 1.0
-// every weight is exactly 1 and the histogram equals the exact Analyze
-// histogram value for value.
+// SampledProfiler produces, kept sparse: a sampled profile puts mass
+// on a few hundred of its MaxDistance distances. Masses are float64:
+// each sampled access contributes the inverse sampling rate in effect
+// when it was measured, so bucket values estimate true access counts.
+// At rate 1.0 every weight is exactly 1 and the histogram equals the
+// exact Analyze histogram value for value.
 type SampledHistogram struct {
-	// Counts[d] estimates the number of accesses with stack distance d.
-	Counts []float64
-	// Overflow estimates finite distances >= len(Counts).
+	// Buckets are the distances that received mass, ascending.
+	// Every distance below MaxDistance that is not listed has none.
+	Buckets []Bucket
+	// MaxDistance is the tracked depth, SampledConfig.MaxDistance.
+	MaxDistance int
+	// Overflow estimates finite distances >= MaxDistance.
 	Overflow float64
 	// Cold estimates first-touch accesses — equivalently, the number
 	// of distinct lines (the footprint estimator).
 	Cold float64
-	// Total is the rescaled access total (Counts + Overflow + Cold mass).
+	// Total is the rescaled access total (Buckets + Overflow + Cold mass).
 	Total float64
 	// Sampled is the raw number of accesses that passed the filter.
 	Sampled uint64
@@ -79,8 +93,9 @@ type SampledHistogram struct {
 
 // SampledProfiler computes a SampledHistogram incrementally from
 // record blocks. The steady-state feed path allocates nothing; state
-// grows only between bounded feed runs (fixed-rate mode) or never
-// (fixed-size mode, which pre-sizes everything from MaxSampled).
+// grows only between bounded feed runs. Fixed-size mode pre-sizes the
+// tracked-line state from MaxSampled, so there only the distance table
+// grows, and it never holds more than MaxDistance entries.
 type SampledProfiler struct {
 	cfg       SampledConfig
 	hashSeed  uint64
@@ -99,7 +114,7 @@ type SampledProfiler struct {
 	heapIdx  []int32
 	heapLen  int
 
-	counts   []float64
+	mass     massTable // per-distance mass, distances < MaxDistance
 	overflow float64
 	cold     float64
 	total    float64
@@ -113,6 +128,12 @@ type SampledProfiler struct {
 // zeroing) is part of every analytic curve's latency — full-rate
 // profiles just pay a handful of non-hot doublings instead.
 const initialPoolSize = 1 << 8
+
+// initialMassSlots seeds the distance table. An R=0.01 profile of a
+// 4M-record trace fills under a thousand distances, so the table
+// doubles a few times at most; a full-rate profile doubles further,
+// outside the hot loop, like the node pool.
+const initialMassSlots = 1 << 8
 
 // NewSampledProfiler validates cfg and builds a profiler.
 func NewSampledProfiler(cfg SampledConfig) (*SampledProfiler, error) {
@@ -135,8 +156,8 @@ func NewSampledProfiler(cfg SampledConfig) (*SampledProfiler, error) {
 		cfg:       cfg,
 		hashSeed:  cfg.Seed * 0x9E3779B97F4A7C15,
 		lineShift: cfg.LineShift,
-		counts:    make([]float64, cfg.MaxDistance),
 	}
+	p.mass.init(initialMassSlots)
 	p.threshold = uint64(math.Round(cfg.Rate * sampleModulus))
 	if p.threshold == 0 {
 		p.threshold = 1
@@ -179,13 +200,17 @@ func (p *SampledProfiler) Feed(blk []trace.Record) {
 		n := p.feedBounded(blk)
 		blk = blk[n:]
 		if len(blk) > 0 {
-			// The hot run stopped early: the node pool or the table is
-			// at capacity. Double the starved resource and continue.
+			// The hot run stopped early: the node pool, the line table
+			// or the distance table is at capacity. Double the starved
+			// resource and continue.
 			if p.tree.free == nilNode {
 				p.tree.grow(len(p.tree.nodes))
 			}
 			if p.table.nearFull() {
 				p.table.grow()
+			}
+			if p.mass.nearFull() {
+				p.mass.grow()
 			}
 		}
 	}
@@ -243,20 +268,24 @@ func (p *SampledProfiler) feedBounded(blk []trace.Record) int {
 // sampleOne records one access that passed the spatial filter: a
 // splay-tree distance query for tracked lines, or a tracked-set
 // insertion (plus fixed-size rate adaptation) for new ones. Returns
-// false — consuming nothing — when the insertion needs the caller to
-// grow pooled state first. Deliberately kept out of feedBounded so the
-// filter loop stays register-lean; at product sampling rates this runs
-// for a tiny fraction of records.
+// false — consuming nothing — when the access needs the caller to grow
+// pooled state first: the node pool or line table for an insertion,
+// the distance table for a distance that may be new. Deliberately kept
+// out of feedBounded so the filter loop stays register-lean; at product
+// sampling rates this runs for a tiny fraction of records.
 //
 //lint:hotpath
 func (p *SampledProfiler) sampleOne(line, h uint64) bool {
 	w := p.invRate
 	idx, ok := p.table.get(line, h)
 	if ok {
+		if p.mass.nearFull() {
+			return false
+		}
 		rank := p.tree.touch(idx)
 		d := int64(float64(rank) * w)
-		if d < int64(len(p.counts)) {
-			p.counts[d] += w
+		if d < int64(p.cfg.MaxDistance) {
+			p.mass.add(d, w)
 		} else {
 			p.overflow += w
 		}
@@ -355,17 +384,16 @@ func (p *SampledProfiler) heapPop() int32 {
 
 // Histogram snapshots the profile accumulated so far.
 func (p *SampledProfiler) Histogram() *SampledHistogram {
-	h := &SampledHistogram{
-		Counts:   make([]float64, len(p.counts)),
-		Overflow: p.overflow,
-		Cold:     p.cold,
-		Total:    p.total,
-		Sampled:  p.sampled,
-		Records:  p.records,
-		Rate:     p.Rate(),
+	return &SampledHistogram{
+		Buckets:     p.mass.buckets(),
+		MaxDistance: p.cfg.MaxDistance,
+		Overflow:    p.overflow,
+		Cold:        p.cold,
+		Total:       p.total,
+		Sampled:     p.sampled,
+		Records:     p.records,
+		Rate:        p.Rate(),
 	}
-	copy(h.Counts, p.counts)
-	return h
 }
 
 // Reset clears all accumulated state, keeping the pooled capacity, so
@@ -375,9 +403,7 @@ func (p *SampledProfiler) Reset() {
 	p.table.clear()
 	p.live = 0
 	p.heapLen = 0
-	for i := range p.counts {
-		p.counts[i] = 0
-	}
+	p.mass.clear()
 	p.overflow, p.cold, p.total = 0, 0, 0
 	p.sampled, p.records = 0, 0
 	p.threshold = uint64(math.Round(p.cfg.Rate * sampleModulus))
@@ -400,31 +426,35 @@ func SampledAnalyze(tr *trace.Trace, cfg SampledConfig) (*SampledHistogram, erro
 // Adjust applies the SHARDS_adj total correction in place: sampling
 // noise makes the rescaled total drift from the true record count, and
 // the drift concentrates at small distances, so the difference is
-// folded into the first bucket (clamped at zero; a rare large
+// folded into the distance-0 bucket (clamped at zero; a rare large
 // overshoot falls back to proportional rescaling). After Adjust, Total
 // equals Records. At rate 1.0 the histogram is exact and Adjust is a
 // no-op.
 func (h *SampledHistogram) Adjust() {
 	want := float64(h.Records)
 	diff := want - h.Total
+	has0 := len(h.Buckets) > 0 && h.Buckets[0].Dist == 0
 	if diff >= 0 {
-		if len(h.Counts) > 0 {
-			h.Counts[0] += diff
-		} else {
+		switch {
+		case has0:
+			h.Buckets[0].Mass += diff
+		case h.MaxDistance > 0:
+			h.Buckets = slices.Insert(h.Buckets, 0, Bucket{Dist: 0, Mass: diff})
+		default:
 			h.Overflow += diff
 		}
 		h.Total = want
 		return
 	}
-	if len(h.Counts) > 0 && h.Counts[0] >= -diff {
-		h.Counts[0] += diff
+	if has0 && h.Buckets[0].Mass >= -diff {
+		h.Buckets[0].Mass += diff
 		h.Total = want
 		return
 	}
 	if h.Total > 0 {
 		f := want / h.Total
-		for i := range h.Counts {
-			h.Counts[i] *= f
+		for i := range h.Buckets {
+			h.Buckets[i].Mass *= f
 		}
 		h.Overflow *= f
 		h.Cold *= f
@@ -433,7 +463,9 @@ func (h *SampledHistogram) Adjust() {
 }
 
 // MissRatio returns the estimated miss ratio of a fully-associative
-// LRU cache of capacityLines lines, mirroring Histogram.MissRatio.
+// LRU cache of capacityLines lines, mirroring Histogram.MissRatio. The
+// hits are summed in ascending distance, as a dense walk would, so
+// skipping the empty distances changes no bit.
 func (h *SampledHistogram) MissRatio(capacityLines int64) float64 {
 	if h.Total <= 0 {
 		return 0
@@ -442,12 +474,11 @@ func (h *SampledHistogram) MissRatio(capacityLines int64) float64 {
 		return 1
 	}
 	var hits float64
-	limit := capacityLines
-	if limit > int64(len(h.Counts)) {
-		limit = int64(len(h.Counts))
-	}
-	for d := int64(0); d < limit; d++ {
-		hits += h.Counts[d]
+	for _, b := range h.Buckets {
+		if b.Dist >= capacityLines {
+			break
+		}
+		hits += b.Mass
 	}
 	return 1 - hits/h.Total
 }
@@ -474,21 +505,24 @@ func (h *SampledHistogram) Percentile(p float64) (int64, error) {
 		return 0, fmt.Errorf("stackdist: percentile %g out of [0,1]", p)
 	}
 	var finite float64
-	for _, c := range h.Counts {
-		finite += c
+	for _, b := range h.Buckets {
+		finite += b.Mass
 	}
 	if finite <= 0 {
 		return 0, fmt.Errorf("stackdist: no finite distances tracked")
 	}
 	target := p * finite
+	if target <= 0 {
+		return 0, nil // distance 0 already holds a zero share
+	}
 	var acc float64
-	for d, c := range h.Counts {
-		acc += c
+	for _, b := range h.Buckets {
+		acc += b.Mass
 		if acc >= target {
-			return int64(d), nil
+			return b.Dist, nil
 		}
 	}
-	return int64(len(h.Counts) - 1), nil
+	return int64(h.MaxDistance - 1), nil
 }
 
 // mix64 is the profiler's line hash: xorshift-multiply-xorshift-
@@ -642,4 +676,88 @@ func (t *lineTable) del(line uint64, h uint64) {
 		t.vals[i] = t.vals[j]
 		i = j
 	}
+}
+
+// emptyDist marks a free massTable slot; distances are never negative.
+const emptyDist = -1
+
+// massTable accumulates the histogram's mass per distance:
+// open-addressed linear probing over parallel key/mass slices,
+// power-of-two capacity, no deletion. It replaces a MaxDistance-long
+// dense array, of which a sampled profile fills a few hundred entries.
+// Like lineTable it grows only between hot runs, and each distance's
+// mass is summed in stream order, exactly as a dense bucket would be.
+type massTable struct {
+	dists []int64 // emptyDist = free slot
+	mass  []float64
+	mask  uint64
+	live  int
+}
+
+// init sizes the table (capacity must be a power of two).
+func (t *massTable) init(capacity int) {
+	t.dists = make([]int64, capacity)
+	t.mass = make([]float64, capacity)
+	t.mask = uint64(capacity - 1)
+	t.clear()
+}
+
+// clear empties the table in place.
+func (t *massTable) clear() {
+	for i := range t.dists {
+		t.dists[i] = emptyDist
+	}
+	t.live = 0
+}
+
+// nearFull reports whether a new distance should wait for growth
+// (load factor 3/4).
+//
+//lint:hotpath
+func (t *massTable) nearFull() bool {
+	return uint64(t.live)*4 >= (t.mask+1)*3
+}
+
+// grow doubles the table and reinserts every entry. Non-hot.
+func (t *massTable) grow() {
+	oldDists, oldMass := t.dists, t.mass
+	t.init(2 * len(oldDists))
+	for i, d := range oldDists {
+		if d != emptyDist {
+			t.add(d, oldMass[i])
+		}
+	}
+}
+
+// add credits w to distance d; the caller guarantees room (nearFull
+// checked before the hot run continues).
+//
+//lint:hotpath
+func (t *massTable) add(d int64, w float64) {
+	i := mix64(uint64(d)) & t.mask
+	for {
+		switch t.dists[i] {
+		case d:
+			t.mass[i] += w
+			return
+		case emptyDist:
+			t.dists[i] = d
+			t.mass[i] = w
+			t.live++
+			return
+		}
+		i = (i + 1) & t.mask
+	}
+}
+
+// buckets returns the table's entries in ascending distance.
+func (t *massTable) buckets() []Bucket {
+	out := make([]Bucket, 0, t.live)
+	for i, d := range t.dists {
+		if d != emptyDist {
+			out = append(out, Bucket{Dist: d, Mass: t.mass[i]})
+		}
+	}
+	slices.SortFunc(out, func(a, b Bucket) int { return cmp.Compare(a.Dist, b.Dist) })
+	return out
 }

@@ -14,12 +14,13 @@ import (
 // integers).
 func exactEqual(t *testing.T, got *SampledHistogram, want *Histogram) {
 	t.Helper()
-	if len(got.Counts) != len(want.Counts) {
-		t.Fatalf("depth %d != %d", len(got.Counts), len(want.Counts))
+	if got.MaxDistance != len(want.Counts) {
+		t.Fatalf("depth %d != %d", got.MaxDistance, len(want.Counts))
 	}
+	counts := dense(got)
 	for d := range want.Counts {
-		if got.Counts[d] != float64(want.Counts[d]) {
-			t.Fatalf("distance %d: sampled %v, exact %d", d, got.Counts[d], want.Counts[d])
+		if counts[d] != float64(want.Counts[d]) {
+			t.Fatalf("distance %d: sampled %v, exact %d", d, counts[d], want.Counts[d])
 		}
 	}
 	if got.Overflow != float64(want.Overflow) {
@@ -92,8 +93,8 @@ func TestSampledSingleRepeatedAddress(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Cold != 1 || h.Counts[0] != n-1 || h.Overflow != 0 {
-		t.Fatalf("single-line profile wrong: cold %v counts[0] %v overflow %v", h.Cold, h.Counts[0], h.Overflow)
+	if h.Cold != 1 || dense(h)[0] != n-1 || h.Overflow != 0 {
+		t.Fatalf("single-line profile wrong: cold %v buckets %v overflow %v", h.Cold, h.Buckets, h.Overflow)
 	}
 	if mr := h.MissRatio(1); math.Abs(mr-1.0/n) > 1e-12 {
 		t.Errorf("1-line cache miss ratio %v, want %v", mr, 1.0/n)
@@ -271,9 +272,13 @@ func assertSampledIdentical(t *testing.T, got, want *SampledHistogram) {
 		math.Float64bits(got.Rate) != math.Float64bits(want.Rate) {
 		t.Fatalf("aggregates differ: %+v vs %+v", got, want)
 	}
-	for d := range want.Counts {
-		if math.Float64bits(got.Counts[d]) != math.Float64bits(want.Counts[d]) {
-			t.Fatalf("counts[%d] %v != %v", d, got.Counts[d], want.Counts[d])
+	if got.MaxDistance != want.MaxDistance || len(got.Buckets) != len(want.Buckets) {
+		t.Fatalf("shape differs: depth %d/%d, %d/%d buckets",
+			got.MaxDistance, want.MaxDistance, len(got.Buckets), len(want.Buckets))
+	}
+	for i, b := range want.Buckets {
+		if got.Buckets[i].Dist != b.Dist || math.Float64bits(got.Buckets[i].Mass) != math.Float64bits(b.Mass) {
+			t.Fatalf("bucket %d %+v != %+v", i, got.Buckets[i], b)
 		}
 	}
 }

@@ -40,9 +40,10 @@ type SetAssocProfiler struct {
 	pow2      bool
 	mask      uint64
 	// stacks[set*maxWays : (set+1)*maxWays] is set's recency stack,
-	// most recent first; depth[set] is how much of it is live.
+	// most recent first. A slot no line has reached yet holds the
+	// set's emptyTag, which no access to that set can carry: a scan
+	// needs no live depth, and st[0] == tag alone proves a depth-0 hit.
 	stacks []uint64
-	depth  []int32
 	depths []uint64
 	absent uint64
 	total  uint64
@@ -51,7 +52,9 @@ type SetAssocProfiler struct {
 // NewSetAssocProfiler pre-sizes a profiler for the given geometry. The
 // set mapping mirrors cache.Cache exactly: the line tag is
 // addr >> lineShift, and the set index is a mask for power-of-two set
-// counts, a modulo otherwise.
+// counts, a modulo otherwise. One set with byte-sized lines is
+// rejected: every 64-bit word is then a possible tag, and the stacks
+// need one that is not (emptyTag).
 func NewSetAssocProfiler(sets, maxWays int, lineShift uint) (*SetAssocProfiler, error) {
 	if sets <= 0 {
 		return nil, fmt.Errorf("stackdist: non-positive set count %d", sets)
@@ -59,54 +62,81 @@ func NewSetAssocProfiler(sets, maxWays int, lineShift uint) (*SetAssocProfiler, 
 	if maxWays <= 0 {
 		return nil, fmt.Errorf("stackdist: non-positive way count %d", maxWays)
 	}
-	return &SetAssocProfiler{
+	if sets == 1 && lineShift == 0 {
+		return nil, fmt.Errorf("stackdist: one set of 1-byte lines leaves no tag free to mark an empty stack slot")
+	}
+	p := &SetAssocProfiler{
 		sets:      sets,
 		maxWays:   maxWays,
 		lineShift: lineShift,
 		pow2:      sets&(sets-1) == 0,
 		mask:      uint64(sets - 1),
 		stacks:    make([]uint64, sets*maxWays),
-		depth:     make([]int32, sets),
 		depths:    make([]uint64, maxWays),
-	}, nil
+	}
+	p.Reset()
+	return p, nil
+}
+
+// emptyTag is the tag an unreached slot of set's stack holds. Tags are
+// addr >> lineShift, so with a non-zero shift the all-ones word is out
+// of range; with byte lines, a tag of the next set maps elsewhere.
+func (p *SetAssocProfiler) emptyTag(set int) uint64 {
+	if p.lineShift > 0 {
+		return ^uint64(0)
+	}
+	return uint64((set + 1) % p.sets)
 }
 
 // Feed replays a block of records through the per-set recency stacks.
-// This is the exact-Mattson hot loop: a tag scan over at most maxWays
-// entries plus one stack rotation per record, with zero allocations.
+// This is the exact-Mattson hot loop, with zero allocations. A record
+// whose line is already its set's most recent (depth 0: 55% of the
+// records or more on 29 of the 31 suite workloads) costs one compare.
+// Any other record
+// moves its line to the front in one pass that shifts each slot down
+// until it meets the line's old slot (a hit at that depth) or the
+// bottom (a miss: the least recent line drops out). The depth-0, miss
+// and record counters are kept in locals and added once per block.
 //
 //lint:hotpath
 func (p *SetAssocProfiler) Feed(blk []trace.Record) {
 	maxWays := p.maxWays
+	stacks, depths := p.stacks, p.depths
+	shift, mask, sets, pow2 := p.lineShift, p.mask, uint64(p.sets), p.pow2
+	var mru, absent uint64
 	for i := range blk {
-		tag := blk[i].Addr >> p.lineShift
-		si := tag % uint64(p.sets)
-		if p.pow2 {
-			si = tag & p.mask
+		tag := blk[i].Addr >> shift
+		var si uint64
+		if pow2 {
+			si = tag & mask
+		} else {
+			si = tag % sets
 		}
-		st := p.stacks[int(si)*maxWays : int(si)*maxWays+maxWays]
-		n := int(p.depth[si])
-		p.total++
-		found := -1
-		for d := 0; d < n; d++ {
-			if st[d] == tag {
-				found = d
+		st := stacks[int(si)*maxWays : int(si)*maxWays+maxWays]
+		if st[0] == tag {
+			mru++
+			continue
+		}
+		prev := st[0]
+		st[0] = tag
+		d := 1
+		for ; d < len(st); d++ {
+			cur := st[d]
+			st[d] = prev
+			if cur == tag {
 				break
 			}
+			prev = cur
 		}
-		if found >= 0 {
-			p.depths[found]++
-			copy(st[1:found+1], st[:found])
+		if d < len(st) {
+			depths[d]++
 		} else {
-			p.absent++
-			if n < maxWays {
-				p.depth[si] = int32(n + 1)
-				n++
-			}
-			copy(st[1:n], st[:n-1])
+			absent++
 		}
-		st[0] = tag
 	}
+	depths[0] += mru
+	p.absent += absent
+	p.total += uint64(len(blk))
 }
 
 // FeedSource drains a BlockSource through Feed — the out-of-core exact
@@ -137,15 +167,19 @@ func (p *SetAssocProfiler) Histogram() *SetAssocHistogram {
 	return h
 }
 
-// Reset clears the stacks and counters in place, keeping the pooled
-// backing arrays, so one profiler serves many traces.
+// Reset empties the stacks and clears the counters in place, keeping
+// the pooled backing arrays, so one profiler serves many traces. Every
+// slot gets its set's emptyTag back: a stale most-recent tag left from
+// the previous trace would count as a depth-0 hit.
 func (p *SetAssocProfiler) Reset() {
-	for i := range p.depth {
-		p.depth[i] = 0
+	for set := 0; set < p.sets; set++ {
+		empty := p.emptyTag(set)
+		st := p.stacks[set*p.maxWays : (set+1)*p.maxWays]
+		for i := range st {
+			st[i] = empty
+		}
 	}
-	for i := range p.depths {
-		p.depths[i] = 0
-	}
+	clear(p.depths)
 	p.absent, p.total = 0, 0
 }
 

@@ -140,7 +140,7 @@ func (h *Histogram) Percentile(p float64) (int64, error) {
 	if finite == 0 {
 		return 0, fmt.Errorf("stackdist: no finite distances tracked")
 	}
-	target := uint64(p * float64(finite))
+	target := uint64(float64(p * float64(finite))) // rounded: no FMA into the conversion
 	var acc uint64
 	for d, c := range h.Counts {
 		acc += c

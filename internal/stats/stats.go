@@ -35,7 +35,7 @@ func (a *Accumulator) Add(x float64) {
 	a.n++
 	d := x - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (x - a.mean)
+	a.m2 += float64(d * (x - a.mean)) // rounded: no FMA
 }
 
 // N returns the number of observations added so far.
@@ -117,14 +117,14 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	if len(s) == 1 {
 		return s[0], nil
 	}
-	rank := p / 100 * float64(len(s)-1)
+	rank := float64(p / 100 * float64(len(s)-1)) // rounded: no FMA into frac
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
 		return s[lo], nil
 	}
 	frac := rank - float64(lo)
-	return s[lo]*(1-frac) + s[hi]*frac, nil
+	return float64(s[lo]*(1-frac)) + float64(s[hi]*frac), nil // rounded: no FMA
 }
 
 // Lerp linearly interpolates y at x given the sample points (x0,y0) and
@@ -134,7 +134,7 @@ func Lerp(x0, y0, x1, y1, x float64) float64 {
 		return y0
 	}
 	t := (x - x0) / (x1 - x0)
-	return y0 + t*(y1-y0)
+	return y0 + float64(t*(y1-y0)) // rounded: no FMA
 }
 
 // InterpAt evaluates the piecewise-linear function through the points

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"testing"
+	"time"
 )
 
 // drainAll replays a full pass, returning the records and the error
@@ -242,4 +243,129 @@ func TestDecodeAheadCorruptChecksumField(t *testing.T) {
 	}
 	recordsEqual(t, tr.Records[:2*128], ahead.recs)
 	recordsEqual(t, inline.recs, ahead.recs)
+}
+
+// blockPass is what one Reader pass surfaced, block by block.
+type blockPass struct {
+	blocks [][]Record
+	frames int64
+	err    error
+	ahead  int // most decoded buffers seen waiting for the consumer
+}
+
+// readBlocks drains one pass under GOMAXPROCS(procs), keeping each
+// block's records and calling work after each block.
+func readBlocks(t *testing.T, data []byte, procs int, work func()) blockPass {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res blockPass
+	for {
+		blk, err := r.NextBlock()
+		if err != nil || len(blk) == 0 {
+			res.err = err
+			break
+		}
+		res.blocks = append(res.blocks, append([]Record(nil), blk...))
+		work()
+		if !r.inline {
+			res.ahead = max(res.ahead, len(r.out))
+		}
+	}
+	res.frames = r.Frames()
+	if err := r.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// TestReaderPipelineConsumerSpeeds runs decode-ahead under a consumer
+// slower than decode (the decoder fills every spare buffer and parks)
+// and one faster (the consumer waits on every frame). Both must surface
+// the same blocks, Frames and error as inline decode at GOMAXPROCS 1,
+// on a clean stream and on streams that fail mid-pass.
+func TestReaderPipelineConsumerSpeeds(t *testing.T) {
+	const frameRecs = 64
+	tr := testTrace(48 * frameRecs)
+	var buf bytes.Buffer
+	if err := tr.WriteV2Frames(&buf, frameRecs); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	payloads := payloadOffsets(valid)
+	corrupt := append([]byte(nil), valid...)
+	corrupt[payloads[20]-1] ^= 0x01 // stored checksum of frame 20
+	streams := map[string][]byte{
+		"clean":     valid,
+		"corrupt":   corrupt,
+		"truncated": valid[:payloads[30]+9],
+	}
+	consumers := map[string]func(){
+		"slow": func() { time.Sleep(200 * time.Microsecond) },
+		"fast": func() {},
+	}
+	for sname, data := range streams {
+		want := readBlocks(t, data, 1, func() {})
+		for cname, work := range consumers {
+			t.Run(sname+"/"+cname, func(t *testing.T) {
+				got := readBlocks(t, data, 2, work)
+				if got.err != want.err || got.frames != want.frames || len(got.blocks) != len(want.blocks) {
+					t.Fatalf("pass ended with %v after %d frames, %d blocks; inline %v, %d, %d",
+						got.err, got.frames, len(got.blocks), want.err, want.frames, len(want.blocks))
+				}
+				for i := range want.blocks {
+					recordsEqual(t, want.blocks[i], got.blocks[i])
+				}
+				if cname == "slow" && sname == "clean" && got.ahead != 3 {
+					t.Errorf("slow consumer saw at most %d frames decoded ahead, want 3", got.ahead)
+				}
+			})
+		}
+	}
+}
+
+// TestReaderStopsWithBuffersInFlight calls Close, and Rewind, once the
+// decoder has filled every buffer the consumer does not hold. Each must
+// join the decode goroutine (the goroutine count returns to its
+// baseline), and a pass after the Rewind must replay the whole trace.
+func TestReaderStopsWithBuffersInFlight(t *testing.T) {
+	tr := testTrace(64 * 64)
+	var buf bytes.Buffer
+	if err := tr.WriteV2Frames(&buf, 64); err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, rewind := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rewind=%v", rewind), func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if blk, err := r.NextBlock(); err != nil || len(blk) == 0 {
+				t.Fatalf("first block: %d records, %v", len(blk), err)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for len(r.out) < len(r.bufs)-1 {
+				if time.Now().After(deadline) {
+					t.Fatalf("decoder filled %d of %d spare buffers", len(r.out), len(r.bufs)-1)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			if rewind {
+				if err := r.Rewind(); err != nil {
+					t.Fatal(err)
+				}
+				waitGoroutines(t, base)
+				recordsEqual(t, tr.Records, drain(t, r))
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+			waitGoroutines(t, base)
+		})
+	}
 }

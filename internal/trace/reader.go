@@ -39,13 +39,18 @@ const readerBufBytes = 1 << 19
 // Reader streams a v1 or v2 trace from a seekable byte stream as
 // fixed-size record blocks in O(block) memory: the out-of-core
 // implementation of BlockSource. On a v2 stream with GOMAXPROCS > 1,
-// a pass decodes one frame ahead on a background goroutine (see
-// decodeAhead): decode is ~40% of a Mattson replay, so it is worth a
-// second core. v1 streams and GOMAXPROCS == 1 decode inline on the
-// caller's goroutine. Either way it is the same frameDecoder in the
-// same order, so blocks, errors, Frames and header cross-checks do not
-// depend on the path. Steady-state decode reuses two block buffers and
-// performs no allocation (gated by AllocsPerRun in reader_test.go).
+// a pass decodes up to three frames ahead on one background goroutine
+// (see decodeAhead). The Mattson and SHARDS passes consume a frame
+// about as fast as it decodes, and a decoder only one frame ahead of
+// such a consumer parks on every frame and the consumer waits out a
+// goroutine wake-up each time (~60 µs a frame on a 2-vCPU host,
+// DESIGN.md §12); three frames of slack let the decoder run through
+// the consumer's jitter instead. v1 streams and
+// GOMAXPROCS == 1 decode inline on the caller's goroutine. Either way
+// it is the same frameDecoder in the same order, so blocks, errors,
+// Frames and header cross-checks do not depend on the path.
+// Steady-state decode reuses the block buffers and performs no
+// allocation (gated by AllocsPerRun in reader_test.go).
 //
 // A Reader is not safe for concurrent use; sweep engines open one
 // Reader per consumer (see simulate.SweepStream). Close joins the
@@ -68,8 +73,8 @@ type Reader struct {
 	v1line uint64
 
 	// bufs are the block buffers: inline decode uses bufs[0] only;
-	// decode-ahead fills one while the caller reads the other.
-	bufs [2]blockBuf
+	// decode-ahead fills the other three while the caller reads one.
+	bufs [4]blockBuf
 
 	// Decode-ahead state. free carries empty buffers (and, from stop,
 	// a nil quit request) to the goroutine, out carries decoded
@@ -137,8 +142,8 @@ func OpenFile(path string, o ReaderOptions) (*Reader, error) {
 
 // ParallelReaderOptions is the option set of OpenFileParallel.
 type ParallelReaderOptions struct {
-	// Workers is ignored: a Reader decodes one frame ahead on one
-	// goroutine, and more decoders do not keep a consumer busier.
+	// Workers is ignored: a Reader decodes ahead on one goroutine,
+	// and more decoders do not keep a consumer busier.
 	Workers int
 }
 
@@ -336,7 +341,7 @@ func (r *Reader) nextBuf() (*blockBuf, error) {
 	return d.buf, nil
 }
 
-// start launches the pass's decode goroutine with both buffers free.
+// start launches the pass's decode goroutine with every buffer free.
 func (r *Reader) start() {
 	if r.free == nil {
 		//lint:ignore hotalloc the channels are made once per Reader, on its first decode-ahead pass, and reused by every later one

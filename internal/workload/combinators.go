@@ -48,7 +48,7 @@ func NewMix(name string, seed uint64, comps ...Component) *Mix {
 		acc += c.Weight / total
 		m.cdf = append(m.cdf, acc)
 		m.gens = append(m.gens, c.Gen)
-		m.mlp += c.Weight / total * c.Gen.MLP()
+		m.mlp += float64(c.Weight / total * c.Gen.MLP()) // rounded: no FMA
 		m.wss += c.Gen.WorkingSet()
 	}
 	return m
@@ -120,7 +120,7 @@ func NewPhased(name string, phases ...Phase) *Phased {
 		}
 	}
 	for _, ph := range phases {
-		p.mlp += float64(ph.Instrs) / total * ph.Gen.MLP()
+		p.mlp += float64(float64(ph.Instrs) / total * ph.Gen.MLP()) // rounded: no FMA
 	}
 	p.left = phases[0].Instrs
 	return p
