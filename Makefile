@@ -100,11 +100,11 @@ test-parallel:
 	$(GO) test -race -count 10 -run 'ConcurrentSweeps' ./internal/simulate/
 
 # Streaming trace pipeline: v2 frame decode (workload and sparse
-# corpus), the v1 baseline, whole-trace decode and the encoder.
-# Numbers are recorded in BENCH_trace.json; the v2 streaming decode
-# must hold >= 100M records/sec on the workload-shaped corpus.
+# corpus), whole-trace decode and the encoder. Numbers are recorded
+# in BENCH_trace.json; the v2 streaming decode must hold >= 100M
+# records/sec on the workload-shaped corpus.
 bench-trace:
-	$(GO) test -run XXX -bench 'DecodeV2|DecodeV1|EncodeV2' \
+	$(GO) test -run XXX -bench 'DecodeV2|EncodeV2' \
 		-benchtime 2s -count 3 -benchmem ./internal/trace/
 
 # Print every paper table/figure plus extensions and ablations.

@@ -33,7 +33,7 @@
 // engine consumes them, in O(block) memory, so the trace can be far
 // larger than RAM. The curve is bit-identical to the in-memory path
 // (pinned by internal/conformance and the CI CSV diff). Each open
-// source of a v2 file decodes up to three frames ahead on its own goroutine
+// source decodes up to three frames ahead on its own goroutine
 // (trace.Reader), so -j N runs N decode goroutines beside N replays.
 package main
 
@@ -155,10 +155,12 @@ func main() {
 		if err != nil {
 			exit(1, err)
 		}
-		if err := tr.Write(f); err != nil {
+		if err := tr.WriteV2(f); err != nil {
 			exit(1, err)
 		}
-		f.Close()
+		if err := f.Close(); err != nil {
+			exit(1, err)
+		}
 		fmt.Fprintf(os.Stderr, "trace saved to %s (%d records)\n", *save, tr.Len())
 	}
 

@@ -166,7 +166,7 @@ func replayOne(target, path string, data []byte) bool {
 			return true
 		}
 		var out bytes.Buffer
-		if err := tr.Write(&out); err != nil {
+		if err := tr.WriteV2(&out); err != nil {
 			fmt.Printf("%s: FAIL: re-encode: %v\n", path, err)
 			break
 		}

@@ -1,33 +1,26 @@
 // Command tracer manages address-trace files for the out-of-core
 // pipeline: it captures suite benchmarks straight to disk through the
-// streaming v2 encoder (O(frame) memory, no in-memory trace), inspects
-// and integrity-checks existing files, and converts between the flat
-// v1 format and the framed, checksummed v2 format that cachesim
-// -stream and the curve tooling replay out of core.
+// streaming encoder (O(frame) memory, no in-memory trace), inspects
+// and integrity-checks existing files, and re-frames them.
 //
 // Usage:
 //
 //	tracer record  [-records N] [-skip N] [-seed N] [-frame N] -o FILE <benchmark>
 //	tracer info    [-check] [-footprint] [-sample-size N] FILE
-//	tracer convert -to v1|v2 [-frame N] -o FILE SRC
 //	tracer compact [-frame N] -o FILE SRC
 //
 // record captures without materialising the trace: each record goes
 // from the workload generator into the current frame, and the file
 // header's record/instruction totals are patched on Close. info skims
-// frame headers (cheap) and reports whether a reader of the file
-// decodes ahead (v2 frames do, up to three frames ahead on a second goroutine;
-// v1 is one flat delta chain read inline); -check re-decodes every
-// frame and verifies the rolling checksum chain. -footprint runs one
-// SHARDS-sampled profiling pass (internal/analytic, fixed-size mode:
-// O(sample-size) memory however large the file) and reports the
-// estimated footprint and working-set sizes. convert streams SRC
-// (either version) into the requested format; compact is convert -to
-// v2, useful to re-frame a v2 file or upgrade a v1 capture. When -o
-// names SRC itself the rewrite goes through a temp file in the same
-// directory and renames over the original, so an interrupted convert
-// never corrupts it. All conversion paths run in O(frame) memory, so
-// multi-GB traces are fine.
+// frame headers (cheap); -check re-decodes every frame and verifies
+// the rolling checksum chain. -footprint runs one SHARDS-sampled
+// profiling pass (internal/analytic, fixed-size mode: O(sample-size)
+// memory however large the file) and reports the estimated footprint
+// and working-set sizes. compact re-encodes SRC at the given frame
+// size in O(frame) memory, so multi-GB traces are fine. When -o names
+// SRC itself the rewrite goes through a temp file in the same
+// directory and renames over the original, so an interrupted compact
+// never corrupts it.
 package main
 
 import (
@@ -46,8 +39,7 @@ import (
 func usage() {
 	fmt.Fprint(os.Stderr, `usage:
   tracer record  [-records N] [-skip N] [-seed N] [-frame N] -o FILE <benchmark>
-  tracer info    [-check] [-j N] [-footprint] [-sample-size N] FILE
-  tracer convert -to v1|v2 [-frame N] -o FILE SRC
+  tracer info    [-check] [-footprint] [-sample-size N] FILE
   tracer compact [-frame N] -o FILE SRC
 `)
 	os.Exit(2)
@@ -67,10 +59,8 @@ func main() {
 		record(os.Args[2:])
 	case "info":
 		info(os.Args[2:])
-	case "convert":
-		convert(os.Args[2:], "")
 	case "compact":
-		convert(os.Args[2:], "v2")
+		compact(os.Args[2:])
 	default:
 		usage()
 	}
@@ -148,12 +138,10 @@ func info(args []string) {
 		fatal(fmt.Errorf("%s: %w", path, err))
 	}
 
-	fmt.Printf("%s: trace v%d\n", path, st.Version)
+	fmt.Printf("%s: trace\n", path)
 	fmt.Printf("  records:       %d\n", st.Records)
 	if st.Instructions >= 0 {
 		fmt.Printf("  instructions:  %d\n", st.Instructions)
-	} else if st.HeaderInstructions >= 0 {
-		fmt.Printf("  instructions:  %d (from header)\n", st.HeaderInstructions)
 	} else {
 		fmt.Printf("  instructions:  unknown (unpatched header; run -check to count)\n")
 	}
@@ -162,13 +150,6 @@ func info(args []string) {
 	}
 	if st.Bytes >= 0 {
 		fmt.Printf("  bytes:         %d (%.2f bytes/record)\n", st.Bytes, st.BytesPerRecord())
-	}
-	// A v2 reader decodes up to three frames ahead on a second goroutine; v1
-	// is one flat delta chain read inline.
-	if st.Version >= 2 {
-		fmt.Printf("  parallel:      yes (framed; decoded ahead on a second core)\n")
-	} else {
-		fmt.Printf("  parallel:      no (flat delta chain; convert -to v2 to decode ahead)\n")
 	}
 
 	if *check {
@@ -240,18 +221,13 @@ func sizeString(b float64) string {
 	return fmt.Sprintf("%.0fB", b)
 }
 
-// convert streams SRC into the requested format. forceTo pins the
-// target version (compact = convert -to v2).
-func convert(args []string, forceTo string) {
-	fs := flag.NewFlagSet("tracer convert", flag.ExitOnError)
-	to := fs.String("to", forceTo, "target format: v1 or v2")
-	frame := fs.Int("frame", trace.DefaultFrameRecords, "records per v2 frame")
+// compact re-encodes SRC frame by frame at the requested frame size.
+func compact(args []string) {
+	fs := flag.NewFlagSet("tracer compact", flag.ExitOnError)
+	frame := fs.Int("frame", trace.DefaultFrameRecords, "records per frame")
 	out := fs.String("o", "", "output trace file (required)")
 	fs.Parse(args)
-	if forceTo != "" {
-		*to = forceTo
-	}
-	if *out == "" || fs.NArg() != 1 || (*to != "v1" && *to != "v2") {
+	if *out == "" || fs.NArg() != 1 {
 		usage()
 	}
 	src, dst := fs.Arg(0), *out
@@ -269,41 +245,15 @@ func convert(args []string, forceTo string) {
 	if err != nil {
 		fatal(err)
 	}
-
-	var recs, instrs int64
-	switch *to {
-	case "v2":
-		w, err := trace.NewWriter(f, trace.WriterOptions{FrameRecords: *frame})
-		if err != nil {
-			fatal(err)
-		}
-		if err := copyBlocks(w.Append, in); err != nil {
-			fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-		recs, instrs = int64(w.Records()), int64(w.Instructions())
-	case "v1":
-		// The v1 header leads with the record count, so an unpatched v2
-		// source (header totals unknown) needs a counting pre-pass.
-		n := in.NumRecords()
-		if n < 0 {
-			if n, err = countRecords(in); err != nil {
-				fatal(err)
-			}
-			if err := in.Rewind(); err != nil {
-				fatal(err)
-			}
-		}
-		w := trace.NewV1Writer(f, n)
-		if err := copyBlocks(w.Append, in); err != nil {
-			fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			fatal(err)
-		}
-		recs, instrs = w.Records(), w.Instructions()
+	w, err := trace.NewWriter(f, trace.WriterOptions{FrameRecords: *frame})
+	if err != nil {
+		fatal(err)
+	}
+	if err := copyBlocks(w.Append, in); err != nil {
+		fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		fatal(err)
 	}
 	if err := f.Close(); err != nil {
 		fatal(err)
@@ -311,18 +261,18 @@ func convert(args []string, forceTo string) {
 	if err := finish(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("%s: wrote %s (%d records, %d instructions)\n", dst, *to, recs, instrs)
+	fmt.Printf("%s: wrote %d records, %d instructions\n", dst, w.Records(), w.Instructions())
 }
 
-// createOutput opens the convert destination. When dst names the
-// source file itself (an in-place upgrade), os.Create would truncate
+// createOutput opens the compact destination. When dst names the
+// source file itself (an in-place rewrite), os.Create would truncate
 // the trace while the reader is still draining it, so the rewrite goes
 // to a temp file in dst's directory and the returned finish renames it
-// over the original — atomic on POSIX, so an interrupted convert
+// over the original — atomic on POSIX, so an interrupted compact
 // leaves the source intact.
 func createOutput(src, dst string) (*os.File, func() error, error) {
 	if sameFile(src, dst) {
-		tmp, err := os.CreateTemp(filepath.Dir(dst), ".tracer-convert-*")
+		tmp, err := os.CreateTemp(filepath.Dir(dst), ".tracer-compact-*")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -364,20 +314,5 @@ func copyBlocks(append func(trace.Record) error, src trace.BlockSource) error {
 				return err
 			}
 		}
-	}
-}
-
-// countRecords replays src once just to count it.
-func countRecords(src trace.BlockSource) (int64, error) {
-	var n int64
-	for {
-		blk, err := src.NextBlock()
-		if err != nil {
-			return 0, err
-		}
-		if len(blk) == 0 {
-			return n, nil
-		}
-		n += int64(len(blk))
 	}
 }

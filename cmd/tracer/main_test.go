@@ -1,9 +1,11 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -22,17 +24,55 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// tracer runs one CLI invocation in a subprocess and returns combined
-// output, failing the test on a non-zero exit.
-func tracer(t *testing.T, args ...string) string {
-	t.Helper()
+// run runs one CLI invocation in a subprocess and returns its combined
+// output and exit error.
+func run(args ...string) (string, error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "TRACER_UNDER_TEST=1")
 	out, err := cmd.CombinedOutput()
+	return string(out), err
+}
+
+// tracer runs one CLI invocation and returns its combined output,
+// failing the test on a non-zero exit.
+func tracer(t *testing.T, args ...string) string {
+	t.Helper()
+	out, err := run(args...)
 	if err != nil {
 		t.Fatalf("tracer %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
-	return string(out)
+	return out
+}
+
+// writeTrace writes tr to path as a v2 file of frameRecords-record
+// frames.
+func writeTrace(t *testing.T, path string, tr *trace.Trace, frameRecords int) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteV2Frames(f, frameRecords); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// frames returns how many frames the trace file at path holds.
+func frames(t *testing.T, path string) int64 {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	st, err := trace.Stat(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Frames
 }
 
 // cliTestTrace builds a small deterministic trace with enough address
@@ -54,7 +94,7 @@ func cliTestTrace(n int) *trace.Trace {
 	return tr
 }
 
-// readFile decodes a trace file of either version into memory.
+// readFile decodes a trace file into memory.
 func readFile(t *testing.T, path string) *trace.Trace {
 	t.Helper()
 	f, err := os.Open(path)
@@ -81,64 +121,36 @@ func sameRecords(t *testing.T, want, got *trace.Trace, what string) {
 	}
 }
 
-// TestConvertRoundTrip drives the CLI through v1 -> v2 -> v1 and
-// checks the records survive both directions bit-for-bit.
-func TestConvertRoundTrip(t *testing.T) {
+// TestCompactRoundTrip re-frames a file into a new one: the records
+// must survive bit-for-bit, in the requested frames.
+func TestCompactRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	tr := cliTestTrace(3000)
-	v1 := filepath.Join(dir, "t.v1")
-	f, err := os.Create(v1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	src := filepath.Join(dir, "t.cptr2")
+	writeTrace(t, src, tr, 64)
 
-	v2 := filepath.Join(dir, "t.v2")
-	tracer(t, "convert", "-to", "v2", "-frame", "256", "-o", v2, v1)
-	sameRecords(t, tr, readFile(t, v2), "v1->v2")
-
-	back := filepath.Join(dir, "back.v1")
-	tracer(t, "convert", "-to", "v1", "-o", back, v2)
-	sameRecords(t, tr, readFile(t, back), "v2->v1")
+	dst := filepath.Join(dir, "t256.cptr2")
+	tracer(t, "compact", "-frame", "256", "-o", dst, src)
+	sameRecords(t, tr, readFile(t, dst), "compact")
+	if got, want := frames(t, dst), int64((3000+255)/256); got != want {
+		t.Errorf("compact wrote %d frames, want %d", got, want)
+	}
 }
 
-// TestConvertInPlace re-frames a v2 file onto itself: the temp-file +
+// TestCompactInPlace re-frames a file onto itself: the temp-file +
 // rename path must leave a valid, identical trace and no temp debris.
-func TestConvertInPlace(t *testing.T) {
+func TestCompactInPlace(t *testing.T) {
 	dir := t.TempDir()
 	tr := cliTestTrace(2000)
 	path := filepath.Join(dir, "t.cptr2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteV2Frames(f, 64); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeTrace(t, path, tr, 64)
 
 	tracer(t, "compact", "-frame", "512", "-o", path, path)
 	sameRecords(t, tr, readFile(t, path), "in-place compact")
 
 	// Re-framed as asked, and the temp file was renamed away.
-	st, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	info, err := trace.Stat(st)
-	st.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Frames != (2000+511)/512 {
-		t.Errorf("in-place compact left %d frames, want %d", info.Frames, (2000+511)/512)
+	if got, want := frames(t, path), int64((2000+511)/512); got != want {
+		t.Errorf("in-place compact left %d frames, want %d", got, want)
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -148,54 +160,61 @@ func TestConvertInPlace(t *testing.T) {
 		for _, e := range ents {
 			t.Logf("left behind: %s", e.Name())
 		}
-		t.Errorf("dir holds %d entries after in-place convert, want 1", len(ents))
+		t.Errorf("dir holds %d entries after in-place compact, want 1", len(ents))
 	}
-
-	// An in-place v2 -> v1 downgrade exercises the counting pre-pass
-	// plus the rename on the same invocation.
-	tracer(t, "convert", "-to", "v1", "-o", path, path)
-	sameRecords(t, tr, readFile(t, path), "in-place v2->v1")
 }
 
-// TestInfoParallelLine pins the decode-ahead report: v2 traces
-// advertise it, v1 traces do not, and -check verifies a v2 file
-// through the decode-ahead Reader.
-func TestInfoParallelLine(t *testing.T) {
+// TestInfoCheck pins info's report: -check verifies a file through the
+// decode-ahead Reader, and a file in the retired v1 format is refused
+// with an error exit, not a panic.
+func TestInfoCheck(t *testing.T) {
 	dir := t.TempDir()
 	tr := cliTestTrace(1500)
-
-	v2 := filepath.Join(dir, "t.cptr2")
-	f, err := os.Create(v2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteV2Frames(f, 128); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out := tracer(t, "info", "-check", v2)
-	if !strings.Contains(out, "parallel:      yes") {
-		t.Errorf("v2 info missing parallel-decode line:\n%s", out)
-	}
-	if !strings.Contains(out, "check:         OK — 1500 records") {
-		t.Errorf("-check did not verify:\n%s", out)
+	path := filepath.Join(dir, "t.cptr2")
+	writeTrace(t, path, tr, 128)
+	out := tracer(t, "info", "-check", path)
+	for _, want := range []string{
+		"frames:        12 (~125 records/frame)",
+		"check:         OK — 1500 records",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("info -check output lacks %q:\n%s", want, out)
+		}
 	}
 
-	v1 := filepath.Join(dir, "t.v1")
-	f, err = os.Create(v1)
-	if err != nil {
+	v1 := filepath.Join(dir, "t.cptr1")
+	if err := os.WriteFile(v1, []byte("CPTR1\n\x01\x02\x02\x01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.Write(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	out = tracer(t, "info", v1)
-	if !strings.Contains(out, "parallel:      no") {
-		t.Errorf("v1 info missing parallel-decode line:\n%s", out)
+	out, err := run("info", v1)
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(out, "tracer: ") || strings.Contains(out, "panic") {
+		t.Errorf("info on a v1 file: %v\n%s", err, out)
 	}
 }
+
+// TestUsageFlagsDefined checks every -flag the usage text names against
+// the flags its subcommand defines, as `tracer <sub> -h` prints them.
+func TestUsageFlagsDefined(t *testing.T) {
+	usage, _ := run() // no subcommand: usage, exit 2
+	lines := 0
+	for _, line := range strings.Split(usage, "\n") {
+		fields := strings.Fields(line)
+		if len(fields) < 2 || fields[0] != "tracer" {
+			continue
+		}
+		lines++
+		help, _ := run(fields[1], "-h")
+		for _, name := range usageFlag.FindAllStringSubmatch(line, -1) {
+			if !strings.Contains(help, "\n  -"+name[1]+" ") && !strings.Contains(help, "\n  -"+name[1]+"\n") {
+				t.Errorf("usage %q names -%s, which tracer %s does not define:\n%s", line, name[1], fields[1], help)
+			}
+		}
+	}
+	if lines != 3 {
+		t.Errorf("usage lists %d subcommands, want 3:\n%s", lines, usage)
+	}
+}
+
+// usageFlag matches a -flag token in a usage line.
+var usageFlag = regexp.MustCompile(`(?:^|[\s\[])-([a-z][a-z-]*)`)

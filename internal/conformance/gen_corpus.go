@@ -1,9 +1,9 @@
 //go:build ignore
 
 // Corpus generator: writes the checked-in fuzz seed corpora under
-// internal/conformance/testdata/fuzz/ and internal/trace/testdata/fuzz/
-// in `go test fuzz v1` format. Regenerate after changing the stream
-// codecs:
+// internal/conformance/testdata/fuzz/, internal/trace/testdata/fuzz/
+// and internal/stackdist/testdata/fuzz/ in `go test fuzz v1` format.
+// Regenerate after changing the stream codecs:
 //
 //	go run internal/conformance/gen_corpus.go
 package main
@@ -38,7 +38,6 @@ func writeSeed(dir, name string, data []byte) {
 func main() {
 	kdir := filepath.Join("internal", "conformance", "testdata", "fuzz", "FuzzKernel")
 	hdir := filepath.Join("internal", "conformance", "testdata", "fuzz", "FuzzHierarchy")
-	tdir := filepath.Join("internal", "trace", "testdata", "fuzz", "FuzzRead")
 
 	// Kernel seeds: one generated stream per policy, cycling geometry
 	// and pattern so the corpus starts with coverage of every decode
@@ -77,42 +76,86 @@ func main() {
 		writeSeed(hdir, fmt.Sprintf("seed-shape%d", shape), conformance.EncodeHierarchy(shape, ops))
 	}
 
-	// Trace seeds: a round-trippable encoded trace plus malformed
-	// variants that must be rejected without panicking.
+	// Trace seeds, written alike for the decoder (FuzzRead) and the
+	// profiler (FuzzSampledProfile): a valid framed stream plus each
+	// rejection path — truncated mid-frame, corrupted payload
+	// (checksum), header totals disagreeing with the frames, trailing
+	// garbage past the terminator, a bare magic, two malformed payloads
+	// behind valid checksums, and a stream in the retired v1 format.
+	// TestCorpusHoldsSeeds pins them to fuzzSeeds in
+	// internal/trace/fuzz_test.go.
 	tr := &trace.Trace{Records: []trace.Record{
 		{NInstr: 3, Addr: 0x1240, Write: true},
 		{Addr: 64},
 		{NInstr: 1, Addr: 0x40_0000},
 	}}
 	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
+	if err := tr.WriteV2Frames(&buf, 2); err != nil {
 		log.Fatal(err)
 	}
-	writeSeed(tdir, "seed-valid", buf.Bytes())
-	writeSeed(tdir, "seed-header-only", []byte("CPTR1\n"))
-	writeSeed(tdir, "seed-overlong-varint", []byte("CPTR1\n\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
-	writeSeed(tdir, "seed-truncated", buf.Bytes()[:buf.Len()-2])
-	writeSeed(tdir, "seed-v1-trailing", append(append([]byte(nil), buf.Bytes()...), 0xCC))
-
-	// v2 seeds: a valid framed stream plus each rejection path —
-	// truncated mid-frame, corrupted payload (checksum), header totals
-	// disagreeing with the frames, trailing garbage past the
-	// terminator, and a bare header. Mirrors fuzzSeedsV2 in
-	// internal/trace/fuzz_test.go.
-	var buf2 bytes.Buffer
-	if err := tr.WriteV2Frames(&buf2, 2); err != nil {
-		log.Fatal(err)
-	}
-	v2 := buf2.Bytes()
-	writeSeed(tdir, "seed-v2-valid", v2)
-	writeSeed(tdir, "seed-v2-frame-truncated", v2[:len(v2)-3])
+	v2 := buf.Bytes()
 	corrupt := append([]byte(nil), v2...)
 	corrupt[len(corrupt)-2] ^= 0x40
-	writeSeed(tdir, "seed-v2-corrupt-checksum", corrupt)
 	mismatch := append([]byte(nil), v2...)
 	n := binary.LittleEndian.Uint64(mismatch[6:14])
 	binary.LittleEndian.PutUint64(mismatch[6:14], n+1)
-	writeSeed(tdir, "seed-v2-count-mismatch", mismatch)
-	writeSeed(tdir, "seed-v2-trailing", append(append([]byte(nil), v2...), 0xCC))
-	writeSeed(tdir, "seed-v2-header-only", []byte("CPTR2\n"))
+	overlong := append(bytes.Repeat([]byte{0xff}, 10), make([]byte, 11)...)
+	seeds := []struct {
+		name string
+		data []byte
+	}{
+		{"seed-v2-valid", v2},
+		{"seed-v2-frame-truncated", v2[:len(v2)-3]},
+		{"seed-v2-corrupt-checksum", corrupt},
+		{"seed-v2-count-mismatch", mismatch},
+		{"seed-v2-trailing", append(append([]byte(nil), v2...), 0xCC)},
+		{"seed-v2-header-only", []byte("CPTR2\n")},
+		{"seed-v2-overlong-varint", badFrameStream(overlong)},
+		{"seed-v2-offset-range", badFrameStream([]byte{2, 2, 64})},
+		{"seed-v1-rejected", []byte("CPTR1\n\x03\a\x92\x01\x00\x00\x8f\x01\x00\x02\xfe\xff\a\x00")},
+	}
+	for _, dir := range []string{
+		filepath.Join("internal", "trace", "testdata", "fuzz", "FuzzRead"),
+		filepath.Join("internal", "stackdist", "testdata", "fuzz", "FuzzSampledProfile"),
+	} {
+		for _, seed := range seeds {
+			writeSeed(dir, seed.name, seed.data)
+		}
+	}
+}
+
+// badFrameStream is a stream of one valid one-record frame, then a
+// one-record frame carrying payload under a correctly chained checksum,
+// then the terminator; the header totals are unknown.
+func badFrameStream(payload []byte) []byte {
+	b := []byte("CPTR2\n")
+	b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
+	b = binary.LittleEndian.AppendUint64(b, ^uint64(0))
+	good := []byte{6, 0x92, 0x01, 0} // {NInstr: 3, Addr: 0x1240}
+	var chk uint64
+	for _, p := range [][]byte{good, payload} {
+		chk = frameChecksum(chk, p)
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = binary.LittleEndian.AppendUint64(b, chk)
+		b = append(b, p...)
+	}
+	return append(b, 0)
+}
+
+// frameChecksum is internal/trace's chained frame checksum (FNV-1a
+// over little-endian 8-byte words, length mixed into the seed).
+func frameChecksum(seed uint64, p []byte) uint64 {
+	h := seed ^ (14695981039346656037 + uint64(len(p)))
+	for ; len(p) >= 8; p = p[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(p)) * 1099511628211
+	}
+	if len(p) > 0 {
+		var tail uint64
+		for i := range p {
+			tail |= uint64(p[i]) << (8 * uint(i))
+		}
+		h = (h ^ tail) * 1099511628211
+	}
+	return h
 }

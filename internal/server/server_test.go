@@ -107,6 +107,7 @@ func TestHandlerErrorTable(t *testing.T) {
 		{"upload: malformed body", http.MethodPost, "/v1/traces", strings.NewReader("not a trace"), 400, "invalid_trace"},
 		{"upload: empty body", http.MethodPost, "/v1/traces", strings.NewReader(""), 400, "invalid_trace"},
 		{"upload: truncated v2 stream", http.MethodPost, "/v1/traces", bytes.NewReader(raw[:len(raw)/2]), 400, "invalid_trace"},
+		{"upload: v1 stream", http.MethodPost, "/v1/traces", strings.NewReader(v1Trace), 400, "invalid_trace"},
 
 		// Curve request validation.
 		{"curves: no source", http.MethodGet, "/v1/curves", nil, 400, "missing_source"},

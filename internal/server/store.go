@@ -27,8 +27,8 @@ import (
 // TraceInfo describes one stored trace.
 type TraceInfo struct {
 	// Hash is the hex SHA-256 of the stored bytes — the trace's
-	// content address. v1 and v2 encodings of the same records are
-	// distinct objects (different bytes, different hashes).
+	// content address. Two framings of the same records are distinct
+	// objects (different bytes, different hashes).
 	Hash string `json:"hash"`
 	// Bytes is the encoded size on disk.
 	Bytes int64 `json:"bytes"`
@@ -67,8 +67,9 @@ func NewStore(dir string) (*Store, error) {
 		hash := e.Name()[:len(e.Name())-len(".trace")]
 		info, err := validateTraceFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			// A torn write from a crashed process: skip it rather than
-			// refuse to start. Re-uploading replaces it.
+			// A torn write from a crashed process, or an object in the
+			// retired v1 format: skip it rather than refuse to start.
+			// Re-uploading replaces it.
 			continue
 		}
 		info.Hash = hash
@@ -134,10 +135,10 @@ func (s *Store) Put(r io.Reader) (TraceInfo, error) {
 	return info, nil
 }
 
-// validateTraceFile fully decodes path as a v1/v2 trace stream in
-// O(block) memory, returning its record and instruction totals. Any
-// corruption the formats can detect (bad magic, truncated stream,
-// frame checksum, header total mismatch) fails here.
+// validateTraceFile fully decodes path as a trace stream in O(block)
+// memory, returning its record and instruction totals. Any corruption
+// the format can detect (bad magic — the retired v1 format's included —
+// truncated stream, frame checksum, header total mismatch) fails here.
 func validateTraceFile(path string) (info TraceInfo, err error) {
 	r, err := trace.OpenFile(path, trace.ReaderOptions{})
 	if err != nil {

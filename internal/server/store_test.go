@@ -25,6 +25,11 @@ func testTraceBytes(t *testing.T, name string, seed uint64, n int) ([]byte, *tra
 	return buf.Bytes(), tr
 }
 
+// v1Trace is a valid stream in the retired flat v1 format (magic
+// CPTR1): one record. The store must refuse it, on upload and on
+// reopen.
+const v1Trace = "CPTR1\n\x01\x02\x02\x01"
+
 func TestStorePutGetRoundTrip(t *testing.T) {
 	store, err := NewStore(t.TempDir())
 	if err != nil {
@@ -116,6 +121,7 @@ func TestStoreRejectsCorruptUploads(t *testing.T) {
 		"truncated":    raw[:len(raw)/2],
 		"bit-flipped":  flipped,
 		"magic-munged": append([]byte("XPTR2"), raw[5:]...),
+		"v1":           []byte(v1Trace),
 	}
 	for name, body := range cases {
 		if _, err := store.Put(bytes.NewReader(body)); err == nil {
@@ -152,6 +158,11 @@ func TestStoreReindexesOnReopen(t *testing.T) {
 	if err := os.WriteFile(torn, raw[:len(raw)/3], 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// So must an object a v1-era process stored.
+	old := filepath.Join(dir, strings.Repeat("cd", 32)+".trace")
+	if err := os.WriteFile(old, []byte(v1Trace), 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	reopened, err := NewStore(dir)
 	if err != nil {
@@ -165,6 +176,6 @@ func TestStoreReindexesOnReopen(t *testing.T) {
 		t.Errorf("reopened info = %+v, want %+v", got, info)
 	}
 	if reopened.Len() != 1 {
-		t.Errorf("reopened store holds %d traces, want 1 (torn file skipped)", reopened.Len())
+		t.Errorf("reopened store holds %d traces, want 1 (torn and v1 files skipped)", reopened.Len())
 	}
 }

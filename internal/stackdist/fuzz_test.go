@@ -24,8 +24,9 @@ import (
 //   - at rate 1.0 the profile degenerates to the exact Mattson
 //     histogram bit for bit.
 //
-// The seed corpus is copied from the trace decoder's FuzzRead corpus
-// (testdata/fuzz/FuzzSampledProfile), so the profiler sees the same
+// The seed corpus (testdata/fuzz/FuzzSampledProfile) is the trace
+// decoder's FuzzRead corpus, written into both by
+// internal/conformance/gen_corpus.go, so the profiler sees the same
 // adversarial framings the decoder is hardened against. The sampling
 // configuration is derived from a byte sum of the input, so the fuzzer
 // explores rate, fixed-size, and exact modes as it mutates.

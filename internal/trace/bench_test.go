@@ -107,48 +107,6 @@ func BenchmarkDecodeV2InMemory(b *testing.B) {
 	reportRecords(b, tr.Len())
 }
 
-// BenchmarkDecodeV1 is the baseline the v2 kernel is measured against:
-// the flat stdlib-varint v1 stream through the same block interface.
-func BenchmarkDecodeV1(b *testing.B) {
-	tr := benchTrace()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
-	r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer func() {
-		if err := r.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}()
-	b.SetBytes(int64(len(data)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n int
-		for {
-			blk, err := r.NextBlock()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(blk) == 0 {
-				break
-			}
-			n += len(blk)
-		}
-		if n != tr.Len() {
-			b.Fatalf("decoded %d of %d records", n, tr.Len())
-		}
-		if err := r.Rewind(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportRecords(b, tr.Len())
-}
-
 // BenchmarkEncodeV2 measures the streaming encoder (capture-time
 // cost).
 func BenchmarkEncodeV2(b *testing.B) {

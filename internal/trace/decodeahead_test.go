@@ -111,29 +111,25 @@ func TestDecodeAheadMatchesInline(t *testing.T) {
 	}
 }
 
-// TestReaderDecodesInline pins when no goroutine is started: a v1
-// stream at any GOMAXPROCS, and a v2 stream at GOMAXPROCS 1. Each must
-// still replay the trace, and again after a Rewind.
+// TestReaderDecodesInline pins when no goroutine is started: at
+// GOMAXPROCS 1, whether or not the header totals are known. Each
+// stream must still replay the trace, and again after a Rewind.
 func TestReaderDecodesInline(t *testing.T) {
 	tr := testTrace(5000)
-	var v1, v2 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteV2(&v2); err != nil {
+	var patched bytes.Buffer
+	if err := tr.WriteV2Frames(&patched, 512); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		name          string
-		data          []byte
-		procs         int
-		instrs, frame int64
+		name            string
+		data            []byte
+		records, instrs int64
 	}{
-		{"v1", v1.Bytes(), 2, -1, 0},
-		{"v2/procs=1", v2.Bytes(), 1, int64(tr.Instructions()), -1},
+		{"patched", patched.Bytes(), 5000, int64(tr.Instructions())},
+		{"unpatched", unpatchedStream(t, tr, 512), -1, -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			r, err := NewReader(bytes.NewReader(tc.data), ReaderOptions{})
 			if err != nil {
 				t.Fatal(err)
@@ -141,7 +137,7 @@ func TestReaderDecodesInline(t *testing.T) {
 			if !r.inline {
 				t.Fatal("reader chose decode-ahead")
 			}
-			if r.NumRecords() != 5000 || r.NumInstructions() != tc.instrs {
+			if r.NumRecords() != tc.records || r.NumInstructions() != tc.instrs {
 				t.Fatalf("totals = %d, %d", r.NumRecords(), r.NumInstructions())
 			}
 			for pass := 0; pass < 2; pass++ {
@@ -149,8 +145,8 @@ func TestReaderDecodesInline(t *testing.T) {
 				if r.running {
 					t.Fatal("inline reader started a decode goroutine")
 				}
-				if tc.frame >= 0 && r.Frames() != tc.frame {
-					t.Fatalf("frames = %d, want %d", r.Frames(), tc.frame)
+				if r.Frames() != (5000+511)/512 {
+					t.Fatalf("frames = %d, want %d", r.Frames(), (5000+511)/512)
 				}
 				if err := r.Rewind(); err != nil {
 					t.Fatal(err)

@@ -12,9 +12,9 @@
 //	    uvarint payload length (bytes)
 //	    u64le   rolling checksum over the payload, chained from the
 //	            previous frame's checksum (frame 0 seeds with zero)
-//	    payload: per record, the v1 triple — NInstr<<1|write uvarint,
+//	    payload: per record, the triple NInstr<<1|write uvarint,
 //	            zig-zag line-delta uvarint, line offset (one byte,
-//	            0..63) — with the delta chain restarting at line 0 on
+//	            0..63), with the delta chain restarting at line 0 on
 //	            every frame boundary, so frames decode independently
 //	terminator: uvarint 0, then EOF
 //
@@ -99,8 +99,7 @@ func frameChecksum(seed uint64, p []byte) uint64 {
 }
 
 // appendRecord appends one record's head/delta/offset triple to dst
-// and returns the new line cursor. Shared by the v1 and v2 encoders:
-// the two formats differ only in framing, never in record encoding.
+// and returns the new line cursor.
 func appendRecord(dst []byte, prevLine uint64, r Record) ([]byte, uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	head := uint64(r.NInstr) << 1
@@ -314,9 +313,17 @@ func (t *Trace) WriteV2Frames(w io.Writer, frameRecords int) error {
 	return appendErr
 }
 
-// readHeader2 reads the two fixed-width header counts after the
-// magic; -1 means the recorder could not patch them.
+// readHeader2 reads the magic and the two fixed-width header counts;
+// -1 means the recorder could not patch them. Any other magic, the
+// retired flat v1 format's included, is an error.
 func readHeader2(br *bufio.Reader) (records, instrs int64, err error) {
+	head := make([]byte, len(magic2))
+	if _, err := io.ReadFull(br, head); err != nil {
+		return 0, 0, fmt.Errorf("trace: reading magic: %w", err)
+	}
+	if string(head) != magic2 {
+		return 0, 0, errors.New("trace: bad magic")
+	}
 	var hdr [16]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return 0, 0, fmt.Errorf("trace: reading v2 header: %w", truncated(err))
@@ -640,13 +647,10 @@ func decodeRecords(p []byte, out []Record) (uint64, error) {
 
 // Stats summarises a trace stream without decoding it into memory.
 type Stats struct {
-	Version            int   // 1 or 2
-	Records            int64 // scanned record total
-	Instructions       int64 // -1 when a v2 skim cannot know it
-	Frames             int64 // 0 for v1
-	HeaderRecords      int64 // v2 declared total, -1 when unknown / v1
-	HeaderInstructions int64 // v2 declared total, -1 when unknown / v1
-	Bytes              int64 // stream size, -1 when the reader has no length
+	Records      int64 // frame record total
+	Instructions int64 // header-declared total, -1 when the recorder could not patch it
+	Frames       int64
+	Bytes        int64 // stream size, -1 when the reader has no length
 }
 
 // BytesPerRecord returns the encoded density, or 0 when unknown.
@@ -657,42 +661,18 @@ func (s Stats) BytesPerRecord() float64 {
 	return float64(s.Bytes) / float64(s.Records)
 }
 
-// Stat skims a trace stream: for v2 it walks the frame headers and
-// skips the payloads (no checksum verification — that is Reader's
-// job, see cmd/tracer info -check); for v1 it must decode, so the
-// instruction total comes out known. The header-vs-frame record
-// totals are cross-checked.
+// Stat skims a trace stream: it walks the frame headers and skips the
+// payloads (no checksum verification — that is Reader's job, see
+// cmd/tracer info -check). The header's record total is cross-checked
+// against the frames'.
 func Stat(rs io.ReadSeeker) (Stats, error) {
-	st := Stats{Instructions: -1, HeaderRecords: -1, HeaderInstructions: -1}
-	st.Bytes = streamBytes(rs)
+	st := Stats{Bytes: streamBytes(rs)}
 	br := bufio.NewReaderSize(rs, 1<<16)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return st, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	switch string(head) {
-	case magic:
-		st.Version = 1
-		if _, err := rs.Seek(0, io.SeekStart); err != nil {
-			return st, err
-		}
-		t, err := Read(rs)
-		if err != nil {
-			return st, err
-		}
-		st.Records = int64(t.Len())
-		st.Instructions = int64(t.Instructions())
-		return st, nil
-	case magic2:
-	default:
-		return st, errors.New("trace: bad magic")
-	}
-	st.Version = 2
-	var err error
-	st.HeaderRecords, st.HeaderInstructions, err = readHeader2(br)
+	hdrRecords, hdrInstrs, err := readHeader2(br)
 	if err != nil {
 		return st, err
 	}
+	st.Instructions = hdrInstrs
 	for {
 		count64, err := binary.ReadUvarint(br)
 		if err != nil {
@@ -717,9 +697,8 @@ func Stat(rs io.ReadSeeker) (Stats, error) {
 		st.Records += int64(count64)
 		st.Frames++
 	}
-	if st.HeaderRecords >= 0 && st.HeaderRecords != st.Records {
-		return st, fmt.Errorf("trace: header declares %d records, frames hold %d", st.HeaderRecords, st.Records)
+	if hdrRecords >= 0 && hdrRecords != st.Records {
+		return st, fmt.Errorf("trace: header declares %d records, frames hold %d", hdrRecords, st.Records)
 	}
-	st.Instructions = st.HeaderInstructions
 	return st, nil
 }

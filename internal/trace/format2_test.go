@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,6 +25,27 @@ func testTrace(n int) *Trace {
 		}
 	}
 	return tr
+}
+
+// unpatchedStream encodes tr through the incremental Writer into a
+// bytes.Buffer, which the Writer cannot seek back into: both header
+// totals stay unknown.
+func unpatchedStream(t *testing.T, tr *Trace, frameRecords int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, WriterOptions{FrameRecords: frameRecords})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range tr.Records {
+		if err := w.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func recordsEqual(t *testing.T, want, got []Record) {
@@ -104,28 +124,17 @@ func TestV2FrameRoundTripProperty(t *testing.T) {
 
 func TestV2WriterStreamingMatchesWriteV2(t *testing.T) {
 	tr := testTrace(5000)
-	var whole, streamed bytes.Buffer
+	var whole bytes.Buffer
 	if err := tr.WriteV2(&whole); err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWriter(&streamed, WriterOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range tr.Records {
-		if err := w.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// bytes.Buffer is not random-access, so the incremental writer's
-	// header stays unknown; past the header the streams must agree.
-	if !bytes.Equal(whole.Bytes()[headerSize2:], streamed.Bytes()[headerSize2:]) {
+	// The incremental writer's header stays unknown; past the header
+	// the streams must agree.
+	streamed := unpatchedStream(t, tr, 0)
+	if !bytes.Equal(whole.Bytes()[headerSize2:], streamed[headerSize2:]) {
 		t.Error("incremental writer body differs from WriteV2")
 	}
-	got, err := Read(bytes.NewReader(streamed.Bytes()))
+	got, err := Read(bytes.NewReader(streamed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,82 +264,69 @@ func TestStat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Version != 2 || st.Records != 1000 || st.Frames != 4 {
-		t.Errorf("v2 stat = %+v", st)
+	if st.Records != 1000 || st.Frames != 4 || st.Bytes != int64(v2.Len()) {
+		t.Errorf("stat = %+v", st)
 	}
 	if st.Instructions != int64(tr.Instructions()) {
-		t.Errorf("v2 stat instructions = %d, want %d", st.Instructions, tr.Instructions())
+		t.Errorf("stat instructions = %d, want %d", st.Instructions, tr.Instructions())
 	}
 	if st.BytesPerRecord() <= 0 {
-		t.Errorf("v2 bytes/record = %v", st.BytesPerRecord())
+		t.Errorf("bytes/record = %v", st.BytesPerRecord())
 	}
 
-	var v1 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
+	// An unpatched header leaves the instruction total unknown, and a
+	// header whose record total disagrees with the frames fails.
+	b := append([]byte(nil), v2.Bytes()...)
+	binary.LittleEndian.PutUint64(b[len(magic2)+8:], unknownCount)
+	if st, err := Stat(bytes.NewReader(b)); err != nil || st.Instructions != -1 || st.Records != 1000 {
+		t.Errorf("unpatched stat = %+v, %v", st, err)
 	}
-	st, err = Stat(bytes.NewReader(v1.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Version != 1 || st.Records != 1000 || st.Instructions != int64(tr.Instructions()) {
-		t.Errorf("v1 stat = %+v", st)
+	binary.LittleEndian.PutUint64(b[len(magic2):], 999)
+	if _, err := Stat(bytes.NewReader(b)); err == nil {
+		t.Error("stat accepted a header declaring 999 of 1000 records")
 	}
 }
 
 func TestInstructionsCachedAtDecode(t *testing.T) {
 	tr := testTrace(100)
 	want := tr.Instructions()
-	for _, enc := range []func(io.Writer) error{tr.Write, tr.WriteV2} {
-		var buf bytes.Buffer
-		if err := enc(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// The decode path must seed the cache; mutating Records
-		// afterwards must not change the reported total.
-		got.Records[0].NInstr += 1000
-		if got.Instructions() != want {
-			t.Errorf("Instructions not cached at decode: %d != %d", got.Instructions(), want)
-		}
+	var buf bytes.Buffer
+	if err := tr.WriteV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The decode path must seed the cache; mutating Records afterwards
+	// must not change the reported total.
+	got.Records[0].NInstr += 1000
+	if got.Instructions() != want {
+		t.Errorf("Instructions not cached at decode: %d != %d", got.Instructions(), want)
 	}
 }
 
 func TestReadPreSizesFromHeader(t *testing.T) {
 	tr := testTrace(10000)
-	for name, enc := range map[string]func(io.Writer) error{"v1": tr.Write, "v2": tr.WriteV2} {
-		var buf bytes.Buffer
-		if err := enc(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := Read(bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		// An exactly pre-sized decode never reallocates: capacity is
-		// the declared count, not an append growth curve's power of two.
-		if cap(got.Records) != len(got.Records) {
-			t.Errorf("%s: decoded capacity %d for %d records; want exact pre-size", name, cap(got.Records), len(got.Records))
-		}
+	var buf bytes.Buffer
+	if err := tr.WriteV2(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An exactly pre-sized decode never reallocates: capacity is the
+	// declared count, not an append growth curve's power of two.
+	if cap(got.Records) != len(got.Records) {
+		t.Errorf("decoded capacity %d for %d records; want exact pre-size", cap(got.Records), len(got.Records))
 	}
 }
 
-// TestReadClampsHostileHeaderCount feeds headers declaring astronomical
-// record counts over tiny streams: the decode must fail by running out
-// of input, not by attempting the declared allocation.
+// TestReadClampsHostileHeaderCount feeds a header declaring an
+// astronomical record count over a tiny stream: the decode must fail
+// by running out of input, not by attempting the declared allocation.
 func TestReadClampsHostileHeaderCount(t *testing.T) {
-	var v1 bytes.Buffer
-	v1.WriteString(magic)
-	var tmp [binary.MaxVarintLen64]byte
-	v1.Write(tmp[:binary.PutUvarint(tmp[:], 1<<31)])
-	v1.Write([]byte{2, 2, 1}) // one record, then truncation
-	if _, err := Read(bytes.NewReader(v1.Bytes())); err == nil {
-		t.Error("v1 truncated stream with huge declared count accepted")
-	}
-
 	var v2 bytes.Buffer
 	v2.WriteString(magic2)
 	var hdr [16]byte

@@ -3,11 +3,16 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// fuzzSeedTrace is the tiny trace both seed encoders share.
+// fuzzSeedTrace is the tiny trace the seed streams encode.
 func fuzzSeedTrace() *Trace {
 	return &Trace{Records: []Record{
 		{NInstr: 3, Addr: 0x1240, Write: true},
@@ -16,19 +21,32 @@ func fuzzSeedTrace() *Trace {
 	}}
 }
 
-// fuzzSeedsV2 builds the v2 seed corpus: a valid framed stream plus
-// the malformed variants the decoder must reject without panicking —
+// fuzzSeed is one FuzzRead seed, named as gen_corpus.go writes it
+// under testdata/fuzz/FuzzRead.
+type fuzzSeed struct {
+	name string
+	data []byte
+}
+
+// v1Seed is a valid stream in the retired flat v1 format (magic CPTR1,
+// a record count, then one global delta chain): every decoder must
+// refuse it with an error.
+const v1Seed = "CPTR1\n\x03\a\x92\x01\x00\x00\x8f\x01\x00\x02\xfe\xff\a\x00"
+
+// fuzzSeeds builds the seed corpus: a valid framed stream plus the
+// malformed variants the decoders must reject without panicking —
 // truncated frames, a corrupted checksum, a header whose record total
-// disagrees with the frames, and trailing garbage past the
-// terminator. Shared with gen_corpus.go's checked-in corpus.
-func fuzzSeedsV2(fatal func(error)) [][]byte {
+// disagrees with the frames, trailing garbage past the terminator, a
+// bare magic, a v1 stream, and two payloads that are malformed behind
+// a valid checksum (an overlong varint, an offset byte of 64), which a
+// byte-flipping fuzzer cannot reach because the checksum fails first.
+// gen_corpus.go writes the same bytes into the checked-in corpus.
+func fuzzSeeds(fatal func(error)) []fuzzSeed {
 	var buf bytes.Buffer
 	if err := fuzzSeedTrace().WriteV2Frames(&buf, 2); err != nil {
 		fatal(err)
 	}
 	valid := buf.Bytes()
-
-	truncated := valid[:len(valid)-3] // cuts into the last frame
 
 	corrupt := append([]byte(nil), valid...)
 	corrupt[len(corrupt)-2] ^= 0x40 // flips a payload bit in the last frame
@@ -38,9 +56,91 @@ func fuzzSeedsV2(fatal func(error)) [][]byte {
 	n := binary.LittleEndian.Uint64(mismatch[6:14])
 	binary.LittleEndian.PutUint64(mismatch[6:14], n+1)
 
-	trailing := append(append([]byte(nil), valid...), 0xCC)
+	// Ten continuation bytes overflow a uvarint; the frame is long
+	// enough for decodeRecords' fast region.
+	overlong := append(bytes.Repeat([]byte{0xff}, 10), make([]byte, 11)...)
 
-	return [][]byte{valid, truncated, corrupt, mismatch, trailing, []byte("CPTR2\n")}
+	return []fuzzSeed{
+		{"seed-v2-valid", valid},
+		{"seed-v2-frame-truncated", valid[:len(valid)-3]}, // cuts into the last frame
+		{"seed-v2-corrupt-checksum", corrupt},
+		{"seed-v2-count-mismatch", mismatch},
+		{"seed-v2-trailing", append(append([]byte(nil), valid...), 0xCC)},
+		{"seed-v2-header-only", []byte(magic2)},
+		{"seed-v2-overlong-varint", badFrameStream(overlong)},
+		{"seed-v2-offset-range", badFrameStream([]byte{2, 2, 64})},
+		{"seed-v1-rejected", []byte(v1Seed)},
+	}
+}
+
+// badFrameStream is a stream of one valid one-record frame, then a
+// one-record frame carrying payload under a correctly chained checksum,
+// then the terminator; the header totals are unknown.
+func badFrameStream(payload []byte) []byte {
+	b := []byte(magic2)
+	b = binary.LittleEndian.AppendUint64(b, unknownCount)
+	b = binary.LittleEndian.AppendUint64(b, unknownCount)
+	good, _ := appendRecord(nil, 0, Record{NInstr: 3, Addr: 0x1240})
+	var chk uint64
+	for _, p := range [][]byte{good, payload} {
+		chk = frameChecksum(chk, p)
+		b = binary.AppendUvarint(b, 1)
+		b = binary.AppendUvarint(b, uint64(len(p)))
+		b = binary.LittleEndian.AppendUint64(b, chk)
+		b = append(b, p...)
+	}
+	return append(b, 0)
+}
+
+// TestCorpusHoldsSeeds pins the checked-in FuzzRead corpus to
+// fuzzSeeds; regenerate it with `go run internal/conformance/gen_corpus.go`
+// after changing either.
+func TestCorpusHoldsSeeds(t *testing.T) {
+	for _, seed := range fuzzSeeds(func(err error) { t.Fatal(err) }) {
+		got, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRead", seed.name))
+		if err != nil {
+			t.Error(err)
+			continue
+		}
+		if want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed.data)) + ")\n"; string(got) != want {
+			t.Errorf("corpus file %s differs from fuzzSeeds", seed.name)
+		}
+	}
+}
+
+// TestPayloadErrorsBehindValidChecksum runs the two seeds whose bad
+// frame passes its checksum: Read, the inline Reader and the
+// decode-ahead Reader must each fail with the payload's own sentinel,
+// after surfacing the one good frame before it.
+func TestPayloadErrorsBehindValidChecksum(t *testing.T) {
+	seeds := make(map[string][]byte)
+	for _, seed := range fuzzSeeds(func(err error) { t.Fatal(err) }) {
+		seeds[seed.name] = seed.data
+	}
+	for _, tc := range []struct {
+		seed string
+		want error
+	}{
+		{"seed-v2-overlong-varint", errVarint},
+		{"seed-v2-offset-range", errOffsetRange},
+	} {
+		t.Run(tc.seed, func(t *testing.T) {
+			data := seeds[tc.seed]
+			if _, err := Read(bytes.NewReader(data)); !errors.Is(err, tc.want) || !strings.HasPrefix(err.Error(), "trace: frame 1: ") {
+				t.Errorf("Read: %v, want %v at frame 1", err, tc.want)
+			}
+			for _, procs := range []int{1, 2} {
+				res := readPass(t, data, procs)
+				if res.openErr != nil || res.inline != (procs == 1) {
+					t.Fatalf("GOMAXPROCS %d: open %v, inline %v", procs, res.openErr, res.inline)
+				}
+				if !errors.Is(res.err, tc.want) || res.frames != 1 || len(res.recs) != 1 {
+					t.Errorf("GOMAXPROCS %d: pass ended with %v after %d frames, %d records; want %v after 1, 1",
+						procs, res.err, res.frames, len(res.recs), tc.want)
+				}
+			}
+		})
+	}
 }
 
 // FuzzRead asserts the decoders never panic or over-allocate on
@@ -50,22 +150,15 @@ func fuzzSeedsV2(fatal func(error)) [][]byte {
 // accepts, with identical records. Run with `go test -fuzz FuzzRead ./internal/trace` for a
 // live campaign; the seed corpus runs as a normal test.
 func FuzzRead(f *testing.F) {
-	var buf bytes.Buffer
-	if err := fuzzSeedTrace().Write(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte("CPTR1\n"))
-	f.Add([]byte("CPTR1\n\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"))
 	f.Add([]byte{})
-	for _, seed := range fuzzSeedsV2(func(err error) { f.Fatal(err) }) {
-		f.Add(seed)
+	for _, seed := range fuzzSeeds(func(err error) { f.Fatal(err) }) {
+		f.Add(seed.data)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))
 
 		// Cross-check oracle: stream the same bytes through the
-		// out-of-core Reader in small blocks, once decoding ahead on
+		// out-of-core Reader frame by frame, once decoding ahead on
 		// its goroutine and once inline under GOMAXPROCS(1). Both must
 		// surface the same records, fail with the same error, and stop
 		// at the same frame.
@@ -103,18 +196,7 @@ func FuzzRead(f *testing.F) {
 			}
 		}
 
-		// Parsed traces must round-trip through both encoders.
-		var v1 bytes.Buffer
-		if err := tr.Write(&v1); err != nil {
-			t.Fatalf("v1 re-encode of parsed trace failed: %v", err)
-		}
-		tr1, err := Read(&v1)
-		if err != nil {
-			t.Fatalf("v1 re-decode failed: %v", err)
-		}
-		if tr1.Len() != tr.Len() {
-			t.Fatalf("v1 round trip changed length %d -> %d", tr.Len(), tr1.Len())
-		}
+		// Parsed traces must round-trip through the encoder.
 		var v2 bytes.Buffer
 		if err := tr.WriteV2(&v2); err != nil {
 			t.Fatalf("v2 re-encode of parsed trace failed: %v", err)
@@ -129,11 +211,11 @@ func FuzzRead(f *testing.F) {
 	})
 }
 
-// streamAll drains data through a Reader in 4-record blocks and
-// returns the records surfaced, Frames when the pass ended, and the
-// error that ended it (nil at a clean end).
+// streamAll drains data through a Reader and returns the records
+// surfaced, Frames when the pass ended, and the error that ended it
+// (nil at a clean end).
 func streamAll(t *testing.T, data []byte) ([]Record, int64, error) {
-	r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 4})
+	r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
 	if err != nil {
 		return nil, 0, err
 	}

@@ -2,53 +2,32 @@ package trace
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sync"
 )
 
-// ReaderOptions parameterises a streaming Reader.
-type ReaderOptions struct {
-	// BlockRecords caps the records per block on the v1 path (v2
-	// blocks are the stream's own frames). Default DefaultFrameRecords.
-	BlockRecords int
-}
-
-func (o ReaderOptions) blockRecords() int {
-	n := o.BlockRecords
-	if n <= 0 {
-		n = DefaultFrameRecords
-	}
-	if n > MaxFrameRecords {
-		n = MaxFrameRecords
-	}
-	return n
-}
-
 // readerBufBytes sizes the bufio window. It is chosen so a
-// default-framed v2 stream (DefaultFrameRecords records at the
+// default-framed stream (DefaultFrameRecords records at the
 // worst-case maxRecordBytes each) always fits, letting frameDecoder
 // checksum and decode straight out of the buffered bytes instead of
 // copying each payload.
 const readerBufBytes = 1 << 19
 
-// Reader streams a v1 or v2 trace from a seekable byte stream as
-// fixed-size record blocks in O(block) memory: the out-of-core
-// implementation of BlockSource. On a v2 stream with GOMAXPROCS > 1,
-// a pass decodes up to three frames ahead on one background goroutine
-// (see decodeAhead). The Mattson and SHARDS passes consume a frame
-// about as fast as it decodes, and a decoder only one frame ahead of
-// such a consumer parks on every frame and the consumer waits out a
-// goroutine wake-up each time (~60 µs a frame on a 2-vCPU host,
-// DESIGN.md §12); three frames of slack let the decoder run through
-// the consumer's jitter instead. v1 streams and
-// GOMAXPROCS == 1 decode inline on the caller's goroutine. Either way
-// it is the same frameDecoder in the same order, so blocks, errors,
-// Frames and header cross-checks do not depend on the path.
+// Reader streams a trace from a seekable byte stream frame by frame
+// in O(block) memory: the out-of-core implementation of BlockSource.
+// With GOMAXPROCS > 1, a pass decodes up to three frames ahead on one
+// background goroutine (see decodeAhead). The Mattson and SHARDS
+// passes consume a frame about as fast as it decodes, and a decoder
+// only one frame ahead of such a consumer parks on every frame and the
+// consumer waits out a goroutine wake-up each time (~60 µs a frame on
+// a 2-vCPU host, DESIGN.md §12); three frames of slack let the decoder
+// run through the consumer's jitter instead. With GOMAXPROCS == 1 it
+// decodes inline on the caller's goroutine. Either way it is the same
+// frameDecoder in the same order, so blocks, errors, Frames and header
+// cross-checks do not depend on the path.
 // Steady-state decode reuses the block buffers and performs no
 // allocation (gated by AllocsPerRun in reader_test.go).
 //
@@ -58,19 +37,11 @@ const readerBufBytes = 1 << 19
 type Reader struct {
 	rs   io.ReadSeeker
 	br   *bufio.Reader
-	opts ReaderOptions
 	file *os.File // set by OpenFile; closed by Close
 
-	version    int
 	hdrRecords int64
 	hdrInstrs  int64
-
-	// v2 decode state.
-	fd frameDecoder
-
-	// v1 decode state: records remaining and the delta-chain cursor.
-	v1left uint64
-	v1line uint64
+	fd         frameDecoder
 
 	// bufs are the block buffers: inline decode uses bufs[0] only;
 	// decode-ahead fills the other three while the caller reads one.
@@ -87,7 +58,7 @@ type Reader struct {
 	wg      sync.WaitGroup
 	held    *blockBuf
 
-	frames     int64  // v2 frames surfaced this pass
+	frames     int64  // frames surfaced this pass
 	passRecs   int64  // records surfaced this pass, checked against the header at EOF
 	passInstrs uint64 // instruction total surfaced this pass, ditto
 	eof        bool
@@ -109,13 +80,7 @@ var errHeaderMismatch = errors.New("trace: header record count disagrees with st
 // NewReader opens a streaming reader over rs, which must be
 // positioned at the start of a trace stream.
 func NewReader(rs io.ReadSeeker, o ReaderOptions) (*Reader, error) {
-	r := &Reader{
-		rs:         rs,
-		br:         bufio.NewReaderSize(rs, readerBufBytes),
-		opts:       o,
-		hdrRecords: -1,
-		hdrInstrs:  -1,
-	}
+	r := &Reader{rs: rs, br: bufio.NewReaderSize(rs, readerBufBytes)}
 	if err := r.readHeader(); err != nil {
 		return nil, err
 	}
@@ -140,6 +105,12 @@ func OpenFile(path string, o ReaderOptions) (*Reader, error) {
 	return r, nil
 }
 
+// ReaderOptions, ParallelReaderOptions and OpenFileParallel survive
+// only because the benchmark harness (bench/) still passes and calls
+// them; all three go when it stops. ReaderOptions is empty: a Reader's
+// blocks are the stream's own frames.
+type ReaderOptions struct{}
+
 // ParallelReaderOptions is the option set of OpenFileParallel.
 type ParallelReaderOptions struct {
 	// Workers is ignored: a Reader decodes ahead on one goroutine,
@@ -157,36 +128,13 @@ func OpenFileParallel(path string, o ParallelReaderOptions) (*Reader, error) {
 // readHeader consumes the magic and format header and resets the
 // per-pass decode state. The stream must be positioned at offset 0.
 func (r *Reader) readHeader() error {
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(r.br, head); err != nil {
-		return fmt.Errorf("trace: reading magic: %w", err)
+	var err error
+	r.hdrRecords, r.hdrInstrs, err = readHeader2(r.br)
+	if err != nil {
+		return err
 	}
-	switch string(head) {
-	case magic:
-		r.version = 1
-		n, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return fmt.Errorf("trace: reading count: %w", truncated(err))
-		}
-		const maxRecords = 1 << 32
-		if n > maxRecords {
-			return fmt.Errorf("trace: unreasonable record count %d", n)
-		}
-		r.hdrRecords = int64(n)
-		r.v1left = n
-		r.v1line = 0
-	case magic2:
-		r.version = 2
-		var err error
-		r.hdrRecords, r.hdrInstrs, err = readHeader2(r.br)
-		if err != nil {
-			return err
-		}
-		r.fd = frameDecoder{br: r.br}
-	default:
-		return errors.New("trace: bad magic")
-	}
-	r.inline = r.version == 1 || runtime.GOMAXPROCS(0) == 1
+	r.fd = frameDecoder{br: r.br}
+	r.inline = runtime.GOMAXPROCS(0) == 1
 	r.eof = false
 	r.err = nil
 	r.frames = 0
@@ -207,78 +155,6 @@ func (r *Reader) endOfPass() error {
 	if r.hdrInstrs >= 0 && r.passInstrs != uint64(r.hdrInstrs) {
 		return errHeaderMismatch
 	}
-	return nil
-}
-
-// decodeInto fills one block buffer from the stream, returning io.EOF
-// once the trace is exhausted.
-//
-//lint:hotpath
-func (r *Reader) decodeInto(buf *blockBuf) error {
-	if r.version == 2 {
-		_, err := r.fd.next(buf)
-		return err
-	}
-	return r.v1next(buf)
-}
-
-// v1next decodes up to BlockRecords v1 records into buf; io.EOF once
-// the header-declared count is consumed. A clean-EOF check runs after
-// the last record so trailing bytes fail like a v2 terminator would.
-//
-//lint:hotpath
-func (r *Reader) v1next(buf *blockBuf) error {
-	if r.v1left == 0 {
-		if _, err := r.br.ReadByte(); err == nil {
-			return errTrailing
-		} else if err != io.EOF {
-			return err
-		}
-		return io.EOF
-	}
-	want := uint64(r.opts.blockRecords())
-	if r.v1left < want {
-		want = r.v1left
-	}
-	n := int(want)
-	if cap(buf.recs) < n {
-		//lint:ignore hotalloc block buffers grow to the block budget once and are reused for every later block
-		buf.recs = make([]Record, n)
-	}
-	recs := buf.recs[:n]
-	line := r.v1line
-	var instrs uint64
-	for i := 0; i < n; i++ {
-		//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
-		h, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return truncated(err)
-		}
-		//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
-		zd, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return truncated(err)
-		}
-		//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
-		off, err := binary.ReadUvarint(r.br)
-		if err != nil {
-			return truncated(err)
-		}
-		if off > 63 {
-			return errOffsetRange
-		}
-		line = uint64(int64(line) + unzigzag(zd))
-		instrs += h >> 1
-		recs[i] = Record{
-			NInstr: uint32(h >> 1),
-			Addr:   line<<6 | off,
-			Write:  h&1 == 1,
-		}
-	}
-	r.v1line = line
-	r.v1left -= want
-	buf.n = n
-	buf.instrs = instrs + uint64(n)
 	return nil
 }
 
@@ -307,9 +183,7 @@ func (r *Reader) NextBlock() ([]Record, error) {
 		r.err = err
 		return nil, err
 	}
-	if r.version == 2 {
-		r.frames++
-	}
+	r.frames++
 	r.passRecs += int64(buf.n)
 	r.passInstrs += buf.instrs
 	return buf.recs[:buf.n], nil
@@ -323,7 +197,8 @@ func (r *Reader) NextBlock() ([]Record, error) {
 func (r *Reader) nextBuf() (*blockBuf, error) {
 	if r.inline {
 		buf := &r.bufs[0]
-		return buf, r.decodeInto(buf)
+		_, err := r.fd.next(buf)
+		return buf, err
 	}
 	if !r.running {
 		r.start()
@@ -406,16 +281,15 @@ func (r *Reader) Rewind() error {
 }
 
 // NumRecords implements BlockSource: the header-declared total (-1
-// when a v2 recorder could not patch it).
+// when the recorder could not patch it).
 func (r *Reader) NumRecords() int64 { return r.hdrRecords }
 
-// NumInstructions implements BlockSource: v2's header-declared total,
-// -1 for v1 streams (their header has no instruction count) and for
-// unpatched v2 headers.
+// NumInstructions implements BlockSource: the header-declared total
+// (-1 when the recorder could not patch it).
 func (r *Reader) NumInstructions() int64 { return r.hdrInstrs }
 
-// Frames returns how many v2 frames this pass has surfaced (0 for v1
-// streams); at an error, the frames before the failing one.
+// Frames returns how many frames this pass has surfaced; at an error,
+// the frames before the failing one.
 // Diagnostic only.
 func (r *Reader) Frames() int64 { return r.frames }
 

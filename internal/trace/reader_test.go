@@ -31,26 +31,14 @@ func drain(t *testing.T, src BlockSource) []Record {
 
 func TestReaderMatchesRead(t *testing.T) {
 	tr := testTrace(10000)
-	encoders := map[string]func() []byte{
-		"v1": func() []byte {
-			var buf bytes.Buffer
-			if err := tr.Write(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		},
-		"v2": func() []byte {
-			var buf bytes.Buffer
-			if err := tr.WriteV2Frames(&buf, 512); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		},
-	}
-	for name, enc := range encoders {
-		data := enc()
-		t.Run(name, func(t *testing.T) {
-			r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 512})
+	for _, frameRecords := range []int{512, DefaultFrameRecords} {
+		var buf bytes.Buffer
+		if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
+			t.Fatal(err)
+		}
+		data := buf.Bytes()
+		t.Run(fmt.Sprintf("frames=%d", frameRecords), func(t *testing.T) {
+			r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -84,23 +72,21 @@ func TestReaderHeaderTotals(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r.NumRecords() != 777 || r.NumInstructions() != int64(tr.Instructions()) {
-		t.Errorf("v2 totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
+		t.Errorf("totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
 	}
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	var v1 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	r, err = NewReader(bytes.NewReader(v1.Bytes()), ReaderOptions{})
+	// Unknown totals read as -1, and the stream still replays in full.
+	r, err = NewReader(bytes.NewReader(unpatchedStream(t, tr, 0)), ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumRecords() != 777 || r.NumInstructions() != -1 {
-		t.Errorf("v1 totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
+	if r.NumRecords() != -1 || r.NumInstructions() != -1 {
+		t.Errorf("unpatched totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
 	}
+	recordsEqual(t, tr.Records, drain(t, r))
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -298,16 +284,13 @@ func TestReaderLifecycle(t *testing.T) {
 // allocate.
 func TestReaderSteadyStateAllocFree(t *testing.T) {
 	tr := testTrace(8 * 1024)
-	var v2 bytes.Buffer
-	if err := tr.WriteV2Frames(&v2, 256); err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := tr.Write(&v1); err != nil {
-		t.Fatal(err)
-	}
-	for name, data := range map[string][]byte{"v2": v2.Bytes(), "v1": v1.Bytes()} {
-		r, err := NewReader(bytes.NewReader(data), ReaderOptions{BlockRecords: 256})
+	for _, frameRecords := range []int{256, 4096} {
+		var buf bytes.Buffer
+		if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
+			t.Fatal(err)
+		}
+		name := fmt.Sprintf("frames=%d", frameRecords)
+		r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,22 +1,20 @@
 // Package trace provides the address-trace substrate the paper's
-// reference methodology needs (§III-B1): compact binary trace formats,
-// capture from any record source with start/stop markers (standing in
-// for Pin's "attach at instruction address"), and replay — either
-// wholly in memory or streamed out-of-core in fixed-size record blocks
-// (see format2.go and reader.go).
+// reference methodology needs (§III-B1): one compact binary trace
+// format, capture from any record source with start/stop markers
+// (standing in for Pin's "attach at instruction address"), and replay —
+// either wholly in memory or streamed out-of-core in fixed-size record
+// blocks (see format2.go and reader.go).
 //
-// The v1 encoding is a flat varint stream: per record, the instruction
-// gap since the previous record, the zig-zag delta of the line-granular
-// address, and a read/write flag folded into the low bit of the gap.
-// The v2 encoding (format2.go) frames the same per-record triples into
-// checksummed blocks so multi-GB traces can be decoded block-at-a-time
-// in O(block) memory.
+// Each record is a varint triple: the instruction gap since the
+// previous record with a read/write flag folded into its low bit, the
+// zig-zag delta of the line-granular address, and the offset within
+// the line. The format (format2.go, magic CPTR2) frames these triples
+// into checksummed blocks so multi-GB traces can be decoded
+// block-at-a-time in O(block) memory.
 package trace
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -88,131 +86,49 @@ func Capture(src Source, n int) *Trace {
 	return t
 }
 
-const magic = "CPTR1\n"
-
-// minRecordBytes is the smallest possible encoding of one record in
-// either format (three fields, at least one byte each); decoders use
-// it to bound pre-allocation by what a stream could physically hold.
+// minRecordBytes is the smallest possible encoding of one record
+// (three fields, at least one byte each); decoders use it to bound
+// pre-allocation by what a stream could physically hold.
 const minRecordBytes = 3
 
-// Write encodes the trace in the flat v1 format.
-func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
-		return err
-	}
-	var buf [binary.MaxVarintLen64]byte
-	writeUvarint := func(v uint64) error {
-		n := binary.PutUvarint(buf[:], v)
-		_, err := bw.Write(buf[:n])
-		return err
-	}
-	if err := writeUvarint(uint64(len(t.Records))); err != nil {
-		return err
-	}
-	var prevLine uint64
-	var scratch []byte
-	for _, r := range t.Records {
-		scratch, prevLine = appendRecord(scratch[:0], prevLine, r)
-		if _, err := bw.Write(scratch); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// V1Writer streams records into the flat v1 format in O(1) memory.
-// Unlike the v2 Writer it cannot patch its header afterwards — the v1
-// header leads with the record count — so the count must be known up
-// front, and Close errors if the appended total differs. cmd/tracer
-// uses it for v2→v1 conversion (counting pre-pass when the source
-// header is unpatched).
-type V1Writer struct {
-	bw       *bufio.Writer
-	declared int64
-	prevLine uint64
-	scratch  []byte
-	records  int64
-	instrs   uint64
-	err      error
-}
-
-// NewV1Writer starts a v1 stream declaring exactly count records.
-func NewV1Writer(w io.Writer, count int64) *V1Writer {
-	vw := &V1Writer{bw: bufio.NewWriter(w), declared: count}
-	if _, err := vw.bw.WriteString(magic); err != nil {
-		vw.err = err
-		return vw
-	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(count))
-	if _, err := vw.bw.Write(buf[:n]); err != nil {
-		vw.err = err
-	}
-	return vw
-}
-
-// Append encodes one record.
-func (w *V1Writer) Append(r Record) error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.records >= w.declared {
-		w.err = fmt.Errorf("trace: v1 writer declared %d records, got more", w.declared)
-		return w.err
-	}
-	w.scratch, w.prevLine = appendRecord(w.scratch[:0], w.prevLine, r)
-	if _, err := w.bw.Write(w.scratch); err != nil {
-		w.err = err
-		return err
-	}
-	w.records++
-	w.instrs += uint64(r.NInstr) + 1
-	return nil
-}
-
-// Close flushes the stream after checking the declared count was met.
-// It does not close the underlying writer.
-func (w *V1Writer) Close() error {
-	if w.err != nil {
-		return w.err
-	}
-	if w.records != w.declared {
-		w.err = fmt.Errorf("trace: v1 writer declared %d records, wrote %d", w.declared, w.records)
-		return w.err
-	}
-	if err := w.bw.Flush(); err != nil {
-		w.err = err
-		return err
-	}
-	w.err = errors.New("trace: writer closed")
-	return nil
-}
-
-// Records returns how many records have been appended.
-func (w *V1Writer) Records() int64 { return w.records }
-
-// Instructions returns the instruction total of the appended records.
-func (w *V1Writer) Instructions() int64 { return int64(w.instrs) }
-
-// Read decodes a trace written by Write (v1) or WriteV2/Writer (v2)
-// into memory, dispatching on the magic. The record slice is pre-sized
-// from the header's record count, clamped by what the stream could
-// physically hold so a corrupt count cannot force a huge allocation.
+// Read decodes a trace written by WriteV2 or Writer into memory. The
+// record slice is pre-sized from the header's record count, clamped by
+// what the stream could physically hold so a corrupt count cannot
+// force a huge allocation.
 func Read(r io.Reader) (*Trace, error) {
 	hint := streamBytes(r)
 	br := bufio.NewReader(r)
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("trace: reading magic: %w", err)
+	hdrRecords, hdrInstrs, err := readHeader2(br)
+	if err != nil {
+		return nil, err
 	}
-	switch string(head) {
-	case magic:
-		return readV1(br, hint)
-	case magic2:
-		return readV2(br, hint)
+	capHint := uint64(fallbackCapRecords)
+	if hdrRecords >= 0 {
+		capHint = uint64(hdrRecords)
 	}
-	return nil, errors.New("trace: bad magic")
+	t := &Trace{Records: make([]Record, 0, recordCap(capHint, hint))}
+	fd := frameDecoder{br: br}
+	var buf blockBuf
+	var instrs uint64
+	for {
+		n, err := fd.next(&buf)
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, fmt.Errorf("trace: frame %d: %w", fd.frames, err)
+		}
+		instrs += buf.instrs
+		t.Records = append(t.Records, buf.recs[:n]...)
+	}
+	if hdrRecords >= 0 && int64(len(t.Records)) != hdrRecords {
+		return nil, fmt.Errorf("trace: header declares %d records, stream holds %d", hdrRecords, len(t.Records))
+	}
+	if hdrInstrs >= 0 && uint64(hdrInstrs) != instrs {
+		return nil, fmt.Errorf("trace: header declares %d instructions, stream holds %d", hdrInstrs, instrs)
+	}
+	t.setInstructions(instrs)
+	return t, nil
 }
 
 // streamBytes returns the total bytes remaining in r, or -1 when the
@@ -256,92 +172,6 @@ func recordCap(declared uint64, hint int64) int {
 		limit = fallbackCapRecords
 	}
 	return int(limit)
-}
-
-// readV1 decodes the flat v1 record stream after the magic.
-func readV1(br *bufio.Reader, hint int64) (*Trace, error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, fmt.Errorf("trace: reading count: %w", err)
-	}
-	const maxRecords = 1 << 32
-	if n > maxRecords {
-		return nil, fmt.Errorf("trace: unreasonable record count %d", n)
-	}
-	t := &Trace{Records: make([]Record, 0, recordCap(n, hint))}
-	var prevLine uint64
-	var instrs uint64
-	for i := uint64(0); i < n; i++ {
-		h, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d head: %w", i, err)
-		}
-		zd, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d delta: %w", i, err)
-		}
-		off, err := binary.ReadUvarint(br)
-		if err != nil {
-			return nil, fmt.Errorf("trace: record %d offset: %w", i, err)
-		}
-		if off > 63 {
-			return nil, fmt.Errorf("trace: record %d offset %d out of range", i, off)
-		}
-		line := uint64(int64(prevLine) + unzigzag(zd))
-		prevLine = line
-		rec := Record{
-			NInstr: uint32(h >> 1),
-			Addr:   line<<6 | off,
-			Write:  h&1 == 1,
-		}
-		instrs += uint64(rec.NInstr) + 1
-		t.Records = append(t.Records, rec)
-	}
-	// The count header bounds the stream exactly: trailing bytes mean
-	// a truncated write or corruption, same as a v2 terminator.
-	if _, err := br.ReadByte(); err == nil {
-		return nil, errTrailing
-	} else if err != io.EOF {
-		return nil, err
-	}
-	t.setInstructions(instrs)
-	return t, nil
-}
-
-// readV2 decodes a framed v2 stream after the magic, reusing the
-// frame decoder the streaming Reader is built on.
-func readV2(br *bufio.Reader, hint int64) (*Trace, error) {
-	hdrRecords, hdrInstrs, err := readHeader2(br)
-	if err != nil {
-		return nil, err
-	}
-	capHint := uint64(fallbackCapRecords)
-	if hdrRecords >= 0 {
-		capHint = uint64(hdrRecords)
-	}
-	t := &Trace{Records: make([]Record, 0, recordCap(capHint, hint))}
-	fd := frameDecoder{br: br}
-	var buf blockBuf
-	var instrs uint64
-	for {
-		n, err := fd.next(&buf)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("trace: frame %d: %w", fd.frames, err)
-		}
-		instrs += buf.instrs
-		t.Records = append(t.Records, buf.recs[:n]...)
-	}
-	if hdrRecords >= 0 && int64(len(t.Records)) != hdrRecords {
-		return nil, fmt.Errorf("trace: header declares %d records, stream holds %d", hdrRecords, len(t.Records))
-	}
-	if hdrInstrs >= 0 && uint64(hdrInstrs) != instrs {
-		return nil, fmt.Errorf("trace: header declares %d instructions, stream holds %d", hdrInstrs, instrs)
-	}
-	t.setInstructions(instrs)
-	return t, nil
 }
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
