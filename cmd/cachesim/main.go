@@ -7,7 +7,7 @@
 //
 //	cachesim [-records N] [-skip N] [-policy nehalem|lru|plru|random]
 //	         [-mode ways|sets] [-engine fused|persize|mattson|analytic]
-//	         [-nowarm] [-seed N] [-save FILE] [-load FILE] [-stream]
+//	         [-nowarm] [-seed N] [-save FILE] [-load FILE]
 //	         [-sample-rate R] [-sample-size N] [-stack] [-csv]
 //	         [-j N] [-cpuprofile FILE] <benchmark>
 //
@@ -29,12 +29,15 @@
 // instead (fixed-size mode, starting at rate 1.0 and adapting down
 // unless -sample-rate is also given).
 //
-// -stream replays a -load file out of core: blocks are decoded as the
+// -load replays a trace file out of core: blocks are decoded as the
 // engine consumes them, in O(block) memory, so the trace can be far
-// larger than RAM. The curve is bit-identical to the in-memory path
-// (pinned by internal/conformance and the CI CSV diff). Each open
-// source decodes up to three frames ahead on its own goroutine
-// (trace.Reader), so -j N runs N decode goroutines beside N replays.
+// larger than RAM. The curve is bit-identical to replaying the same
+// records from memory (pinned by internal/conformance and the CI CSV
+// diff). Each consumer opens the file once and decodes up to three
+// frames ahead on its own goroutine (trace.Reader), so -j N runs N
+// decode goroutines beside N replays. Only -stack reads a -load file
+// into memory. -save writes a capture; to re-frame a file, use
+// `tracer compact`.
 package main
 
 import (
@@ -68,7 +71,6 @@ func main() {
 	seed := flag.Uint64("seed", 1, "workload seed")
 	save := flag.String("save", "", "write the captured trace to this file")
 	load := flag.String("load", "", "replay a trace file instead of capturing")
-	stream := flag.Bool("stream", false, "replay -load out of core: streamed decode in O(block) memory, never materialising the trace")
 	engine := flag.String("engine", "fused", "engine that draws the curve: fused (sizes share a replay), persize (one machine per size, the oracle), mattson (exact single pass over the bare L3; lru, ways only), analytic (sampled estimate, error bars on stderr)")
 	noWarm := flag.Bool("nowarm", false, "measure the first replay cold (no warm-up pass)")
 	csv := flag.Bool("csv", false, "emit CSV")
@@ -115,29 +117,28 @@ func main() {
 		})
 	}
 
-	if *stream {
-		if *load == "" {
-			exit(2, "-stream requires -load FILE")
-		}
-		if *stack || *save != "" {
-			exit(2, "-stream is incompatible with -stack and -save (they need the trace in memory)")
-		}
+	if *records < 1 || *skip < 0 {
+		exit(2, fmt.Sprintf("-records must be at least 1 and -skip at least 0 (got %d and %d)", *records, *skip))
+	}
+	if *load != "" && *save != "" {
+		exit(2, "-save writes a capture; to re-frame a -load file use: tracer compact [-frame N] -o FILE SRC")
 	}
 
 	var tr *trace.Trace
 	name := *load
-	if *stream {
-		// Out of core: the engine opens one Reader per consumer below;
-		// the trace is never materialised here.
-	} else if *load != "" {
-		f, err := os.Open(*load)
-		if err != nil {
-			exit(1, err)
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-		if err != nil {
-			exit(1, err)
+	if *load != "" {
+		// Out of core: the engine opens one Reader per consumer below.
+		// Only the stack model needs the records in memory.
+		if *stack {
+			f, err := os.Open(*load)
+			if err != nil {
+				exit(1, err)
+			}
+			tr, err = trace.Read(f)
+			f.Close()
+			if err != nil {
+				exit(1, err)
+			}
 		}
 	} else {
 		if flag.NArg() != 1 {
@@ -170,7 +171,7 @@ func main() {
 		SampleRate: rate, SampleSize: *sampleSize,
 	}
 	openSource := func() (trace.BlockSource, error) {
-		if *stream {
+		if *load != "" {
 			return trace.OpenFile(*load, trace.ReaderOptions{})
 		}
 		return trace.NewReplayer(tr, false), nil

@@ -80,6 +80,10 @@ func record(args []string) {
 	if *out == "" || fs.NArg() != 1 {
 		usage()
 	}
+	if *records < 1 || *skip < 0 {
+		fmt.Fprintf(os.Stderr, "tracer: -records must be at least 1 and -skip at least 0 (got %d and %d)\n", *records, *skip)
+		os.Exit(2)
+	}
 	spec, ok := workload.ByName(fs.Arg(0))
 	if !ok {
 		fmt.Fprintf(os.Stderr, "tracer: unknown benchmark %q (cmd/pirate -list names them)\n", fs.Arg(0))

@@ -193,6 +193,28 @@ func TestInfoCheck(t *testing.T) {
 	}
 }
 
+// TestRecordRejectsBadCounts pins that record refuses a capture it
+// cannot make — no records, or a negative skip — with a usage exit
+// before creating the output file.
+func TestRecordRejectsBadCounts(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{
+		{"-records", "-5"},
+		{"-records", "0"},
+		{"-skip", "-1"},
+	} {
+		path := filepath.Join(dir, "t.cptr2")
+		out, err := run(append(append([]string{"record"}, args...), "-o", path, "microrand")...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "tracer: -records must be at least 1") {
+			t.Errorf("record %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("record %s left an output file (stat: %v)", strings.Join(args, " "), err)
+		}
+	}
+}
+
 // TestUsageFlagsDefined checks every -flag the usage text names against
 // the flags its subcommand defines, as `tracer <sub> -h` prints them.
 func TestUsageFlagsDefined(t *testing.T) {

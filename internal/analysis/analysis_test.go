@@ -24,17 +24,11 @@ func mkCurve() *Curve {
 	return c
 }
 
-func TestCurveSortAndMax(t *testing.T) {
+func TestCurveSort(t *testing.T) {
 	c := &Curve{Points: []Point{{CacheBytes: 3}, {CacheBytes: 1}, {CacheBytes: 2}}}
 	c.Sort()
 	if c.Points[0].CacheBytes != 1 || c.Points[2].CacheBytes != 3 {
 		t.Errorf("sort failed: %+v", c.Points)
-	}
-	if c.MaxCache() != 3 {
-		t.Errorf("MaxCache = %d", c.MaxCache())
-	}
-	if (&Curve{}).MaxCache() != 0 {
-		t.Error("empty MaxCache should be 0")
 	}
 }
 

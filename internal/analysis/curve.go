@@ -60,14 +60,6 @@ func (c *Curve) Trusted() []Point {
 	return out
 }
 
-// MaxCache returns the largest measured cache size, or 0 when empty.
-func (c *Curve) MaxCache() int64 {
-	if len(c.Points) == 0 {
-		return 0
-	}
-	return c.Points[len(c.Points)-1].CacheBytes
-}
-
 // metric extracts one metric from a point.
 type metric func(Point) float64
 

@@ -41,16 +41,6 @@ func NewProfile(p *stackdist.SampledProfiler) *Profile {
 	return &Profile{Hist: p.Histogram(), LineBytes: 64}
 }
 
-// ProfileTrace profiles an in-memory trace in one pass.
-func ProfileTrace(tr *trace.Trace, cfg stackdist.SampledConfig) (*Profile, error) {
-	p, err := stackdist.NewSampledProfiler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.Feed(tr.Records)
-	return NewProfile(p), nil
-}
-
 // ProfileSource profiles a streamed trace in one pass — the out-of-core
 // entry point: O(sample) memory however long the stream runs.
 func ProfileSource(src trace.BlockSource, cfg stackdist.SampledConfig) (*Profile, error) {

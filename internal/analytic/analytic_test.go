@@ -30,7 +30,7 @@ func mixTrace(n int) *trace.Trace {
 // match stackdist.Analyze bit for bit at every size.
 func TestProfileThresholdExactAtRateOne(t *testing.T) {
 	tr := mixTrace(40000)
-	pr, err := ProfileTrace(tr, stackdist.SampledConfig{Rate: 1, MaxDistance: 4096})
+	pr, err := ProfileSource(trace.NewReplayer(tr, false), stackdist.SampledConfig{Rate: 1, MaxDistance: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestProfileThresholdExactAtRateOne(t *testing.T) {
 func TestProfileSourceMatchesTrace(t *testing.T) {
 	tr := mixTrace(20000)
 	cfg := stackdist.SampledConfig{Rate: 0.25, MaxDistance: 2048, Seed: 3}
-	a, err := ProfileTrace(tr, cfg)
+	a, err := ProfileSource(trace.NewReplayer(tr, false), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,11 +75,13 @@ func TestSetAssocCorrection(t *testing.T) {
 		maxWays = 16
 	)
 	tr := mixTrace(60000)
-	exact, err := stackdist.SetAssocLRU(tr, sets, maxWays, 6)
+	sa, err := stackdist.NewSetAssocProfiler(sets, maxWays, 6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pr, err := ProfileTrace(tr, stackdist.SampledConfig{Rate: 1, MaxDistance: sets * maxWays * 4})
+	sa.Feed(tr.Records)
+	exact := sa.Histogram()
+	pr, err := ProfileSource(trace.NewReplayer(tr, false), stackdist.SampledConfig{Rate: 1, MaxDistance: sets * maxWays * 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +120,7 @@ func TestPoissonCDF(t *testing.T) {
 // monotone sizes, error bars in [0, 1], and the sampling metadata.
 func TestEstimateShape(t *testing.T) {
 	tr := mixTrace(30000)
-	pr, err := ProfileTrace(tr, stackdist.SampledConfig{Rate: 0.5, MaxDistance: 4096, Seed: 9})
+	pr, err := ProfileSource(trace.NewReplayer(tr, false), stackdist.SampledConfig{Rate: 0.5, MaxDistance: 4096, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +172,7 @@ func TestEstimateShape(t *testing.T) {
 // bounded by the sum) and a positive working set.
 func TestFootprintWorkingSet(t *testing.T) {
 	tr := mixTrace(60000)
-	pr, err := ProfileTrace(tr, stackdist.SampledConfig{Rate: 1, MaxDistance: 4096})
+	pr, err := ProfileSource(trace.NewReplayer(tr, false), stackdist.SampledConfig{Rate: 1, MaxDistance: 4096})
 	if err != nil {
 		t.Fatal(err)
 	}

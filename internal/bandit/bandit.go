@@ -47,9 +47,6 @@ func NewStreamer(base uint64, span int64) *Streamer {
 // SetPace changes the instruction gap between accesses.
 func (s *Streamer) SetPace(pace uint32) { s.pace = pace }
 
-// Pace returns the current instruction gap.
-func (s *Streamer) Pace() uint32 { return s.pace }
-
 // Next returns the next op: one line-granular read per pace
 // instructions.
 func (s *Streamer) Next() workload.Op {

@@ -37,9 +37,6 @@ func TestStreamerPacing(t *testing.T) {
 	if op := s.Next(); op.NInstr != 7 {
 		t.Errorf("paced op NInstr = %d", op.NInstr)
 	}
-	if s.Pace() != 7 {
-		t.Errorf("Pace() = %d", s.Pace())
-	}
 }
 
 func TestStreamerWrapsAndDefaultSpan(t *testing.T) {

@@ -215,7 +215,7 @@ func geometry(cfg Config) Cache {
 // init wires a validated config onto the given backing arrays (sized
 // nlines or nsets as the field requires; stamp is nil unless the policy
 // is LRU) and resets them to the empty state. New owns one cache's
-// arrays; NewReplicas carves many caches out of shared contiguous
+// arrays; newReplicas carves many caches out of shared contiguous
 // blocks, so both start bit-identical.
 func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64) {
 	*c = geometry(cfg)

@@ -293,7 +293,7 @@ func TestPeakSetLoad(t *testing.T) {
 func TestStampsOnlyUnderLRU(t *testing.T) {
 	for _, policy := range []PolicyKind{LRU, Nehalem, PseudoLRU, Random} {
 		cfg := smallCfg(4, policy)
-		r, err := NewReplicas([]Config{cfg, cfg})
+		r, err := newReplicas([]Config{cfg, cfg}, &lineStore{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,30 +356,12 @@ func TestFillAlreadyResident(t *testing.T) {
 	}
 }
 
-func TestStatsSubAdd(t *testing.T) {
+func TestStatsAdd(t *testing.T) {
 	a := OwnerStats{Accesses: 10, Hits: 7, Misses: 3, Fills: 4, Writes: 2}
 	b := OwnerStats{Accesses: 4, Hits: 3, Misses: 1, Fills: 1, Writes: 1}
-	d := a.Sub(b)
-	if d.Accesses != 6 || d.Hits != 4 || d.Misses != 2 || d.Fills != 3 || d.Writes != 1 {
-		t.Errorf("Sub wrong: %+v", d)
-	}
-	s := b.Add(d)
-	if s != a {
-		t.Errorf("Add(Sub) not identity: %+v != %+v", s, a)
-	}
-}
-
-func TestRatios(t *testing.T) {
-	s := OwnerStats{Accesses: 200, Misses: 10, Fills: 30}
-	if got := s.MissRatio(); got != 0.05 {
-		t.Errorf("MissRatio = %g, want 0.05", got)
-	}
-	if got := s.FetchRatio(); got != 0.15 {
-		t.Errorf("FetchRatio = %g, want 0.15", got)
-	}
-	var z OwnerStats
-	if z.MissRatio() != 0 || z.FetchRatio() != 0 {
-		t.Error("idle ratios should be 0")
+	d := OwnerStats{Accesses: 6, Hits: 4, Misses: 2, Fills: 3, Writes: 1}
+	if s := b.Add(d); s != a {
+		t.Errorf("Add wrong: %+v != %+v", s, a)
 	}
 }
 

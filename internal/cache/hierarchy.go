@@ -176,9 +176,6 @@ func (h *Hierarchy) L1(core int) *Cache { return h.l1[core] }
 // L2 returns core's private L2.
 func (h *Hierarchy) L2(core int) *Cache { return h.l2[core] }
 
-// Prefetcher returns core's L3 prefetcher.
-func (h *Hierarchy) Prefetcher(core int) prefetch.Prefetcher { return h.pf[core] }
-
 // LineSize returns the hierarchy line size in bytes.
 func (h *Hierarchy) LineSize() int64 { return h.lineSize }
 

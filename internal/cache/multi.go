@@ -69,16 +69,10 @@ func (s *lineStore) fit(lines, stamps, sets int) {
 	clear(s.meta[:sets])
 }
 
-// NewReplicas builds one cache per config over shared contiguous
-// backing arrays. All configs must agree on line size (the fused
-// engine decodes each address once and fans the line tag out to every
-// replica).
-func NewReplicas(cfgs []Config) (*Replicas, error) {
-	return newReplicas(cfgs, &lineStore{})
-}
-
-// newReplicas is NewReplicas over a caller-owned store, which a later
-// family may reuse once this one is dead.
+// newReplicas builds one cache per config over the shared contiguous
+// backing arrays of s, which a later family may reuse once this one is
+// dead. All configs must agree on line size (the fused engine decodes
+// each address once and fans the line tag out to every replica).
 func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: replicas need at least one config")
@@ -116,9 +110,6 @@ func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 	}
 	return r, nil
 }
-
-// Len returns the replica count.
-func (r *Replicas) Len() int { return len(r.reps) }
 
 // Rep returns replica k; the full Cache API applies to it.
 func (r *Replicas) Rep(k int) *Cache { return &r.reps[k] }
@@ -242,20 +233,8 @@ func NewFusedHierarchyL3(cfg HierarchyConfig, l3 []Config, b *FusedBacking) (*Fu
 	return f, nil
 }
 
-// Replicas returns the number of hierarchy replicas.
-func (f *FusedHierarchy) Replicas() int { return f.l3.Len() }
-
 // L3 returns replica k's last-level cache (counter reads, assertions).
 func (f *FusedHierarchy) L3(k int) *Cache { return f.l3.Rep(k) }
-
-// L1 returns replica k's private L1.
-func (f *FusedHierarchy) L1(k int) *Cache { return f.l1.Rep(k) }
-
-// L2 returns replica k's private L2.
-func (f *FusedHierarchy) L2(k int) *Cache { return f.l2.Rep(k) }
-
-// LineSize returns the shared line size in bytes.
-func (f *FusedHierarchy) LineSize() int64 { return f.lineSize }
 
 // PackedOutcome is an Outcome in one machine word — the form the fused
 // sweep's record loop consumes. An Outcome is six fields and 40 bytes,

@@ -66,11 +66,11 @@ func TestFusedBackingReuse(t *testing.T) {
 
 	drive := func(f *FusedHierarchy, seed uint64) []Outcome {
 		rng := stats.NewRNG(seed)
-		outs := make([]Outcome, 0, 4000*f.Replicas())
+		outs := make([]Outcome, 0, 4000*len(f.l3.reps))
 		for i := 0; i < 4000; i++ {
 			addr := Addr(rng.Intn(40<<10)) &^ 63
 			write := rng.Intn(3) == 0
-			for k := 0; k < f.Replicas(); k++ {
+			for k := 0; k < len(f.l3.reps); k++ {
 				outs = append(outs, f.Access(k, addr, write))
 			}
 		}
@@ -117,7 +117,7 @@ func TestFusedBackingReuse(t *testing.T) {
 					}
 				}
 			}
-			for k := 0; k < fresh.Replicas(); k++ {
+			for k := 0; k < len(fresh.l3.reps); k++ {
 				if g, w := reused.L3(k).Stats(0), fresh.L3(k).Stats(0); g != w {
 					t.Errorf("%s: step %d replica %d L3 stats on reused storage %+v, fresh %+v", r.name, step, k, g, w)
 				}
@@ -236,7 +236,7 @@ func TestFusedAccessOutcomeMatchesHierarchy(t *testing.T) {
 		for _, lv := range []struct {
 			name string
 			h, f *Cache
-		}{{"L1", h.L1(0), f.L1(0)}, {"L2", h.L2(0), f.L2(0)}, {"L3", h.L3(), f.L3(0)}} {
+		}{{"L1", h.L1(0), f.l1.Rep(0)}, {"L2", h.L2(0), f.l2.Rep(0)}, {"L3", h.L3(), f.L3(0)}} {
 			if err := sameState(lv.h, lv.f); err != nil {
 				t.Errorf("%v: %s after the stream: %v", policy, lv.name, err)
 			}

@@ -76,9 +76,6 @@ func MustNewReference(cfg Config) *Reference {
 	return c
 }
 
-// Config returns the reference cache's configuration.
-func (c *Reference) Config() Config { return c.cfg }
-
 // Stats returns owner's cumulative counters.
 func (c *Reference) Stats(owner Owner) OwnerStats { return c.stats[owner] }
 

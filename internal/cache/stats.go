@@ -21,38 +21,6 @@ type OwnerStats struct {
 // behalf of this owner (demand fills + prefetch fills).
 func (s OwnerStats) Fetches() uint64 { return s.Fills }
 
-// MissRatio returns demand misses per demand access, or 0 when idle.
-func (s OwnerStats) MissRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
-// FetchRatio returns fetches per demand access, or 0 when idle.
-func (s OwnerStats) FetchRatio() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Fetches()) / float64(s.Accesses)
-}
-
-// Sub returns s - prev field-wise; used to compute interval deltas from
-// cumulative counters, the way the harness samples the simulated PMU.
-func (s OwnerStats) Sub(prev OwnerStats) OwnerStats {
-	return OwnerStats{
-		Accesses:      s.Accesses - prev.Accesses,
-		Writes:        s.Writes - prev.Writes,
-		Hits:          s.Hits - prev.Hits,
-		Misses:        s.Misses - prev.Misses,
-		Fills:         s.Fills - prev.Fills,
-		PrefetchFills: s.PrefetchFills - prev.PrefetchFills,
-		PrefetchHits:  s.PrefetchHits - prev.PrefetchHits,
-		Evictions:     s.Evictions - prev.Evictions,
-		Writebacks:    s.Writebacks - prev.Writebacks,
-	}
-}
-
 // Add returns s + other field-wise.
 func (s OwnerStats) Add(other OwnerStats) OwnerStats {
 	return OwnerStats{

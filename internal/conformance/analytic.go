@@ -155,12 +155,14 @@ func analyticFAMissRatios(tr *trace.Trace, sizes []int64, rate float64) ([]float
 			maxLines = lines
 		}
 	}
-	prof, err := analytic.ProfileTrace(tr, stackdist.SampledConfig{
+	p, err := stackdist.NewSampledProfiler(stackdist.SampledConfig{
 		Rate: rate, MaxDistance: maxLines, Seed: 1,
 	})
 	if err != nil {
 		return nil, err
 	}
+	p.Feed(tr.Records)
+	prof := analytic.NewProfile(p)
 	out := make([]float64, len(sizes))
 	for i, s := range sizes {
 		out[i] = prof.MissRatio(s)

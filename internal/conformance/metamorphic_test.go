@@ -257,7 +257,8 @@ func coRunMissRatio(t *testing.T, cfg machine.Config, stealWays int) float64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetWSS(int64(stealWays)*p.Quantum(), 3); err != nil {
+	wayBytes := cfg.L3.Size / int64(cfg.L3.Ways) // the Pirate's quantum
+	if err := p.SetWSS(int64(stealWays)*wayBytes, 3); err != nil {
 		t.Fatal(err)
 	}
 	// Fig. 5 sequence: pirate warms its footprint with the target

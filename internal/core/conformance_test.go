@@ -19,7 +19,7 @@ func TestPirateCoRunCountersConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetWSS(8*p.Quantum(), 3); err != nil {
+	if err := p.SetWSS(8*p.quantum, 3); err != nil {
 		t.Fatal(err)
 	}
 	m.Suspend(0)
@@ -45,7 +45,7 @@ func TestPirateCoRunCountersConserved(t *testing.T) {
 
 	// Growing the pirate and flushing a core must leave a consistent
 	// state too.
-	if err := p.SetWSS(12*p.Quantum(), 3); err != nil {
+	if err := p.SetWSS(12*p.quantum, 3); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Warm(1); err != nil {

@@ -123,7 +123,7 @@ func TestPirateSetWSSDistribution(t *testing.T) {
 	if err := p.SetWSS(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range p.Cores() {
+	for _, c := range p.cores {
 		if !m.Suspended(c) {
 			t.Errorf("core %d still running with zero WSS", c)
 		}

@@ -19,7 +19,7 @@ func TestPirateSpanInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	quantum := p.Quantum()
+	quantum := p.quantum
 	f := func(rawBytes uint32, rawThreads uint8) bool {
 		bytes := int64(rawBytes) % (64 << 10)
 		threads := 1 + int(rawThreads)%3

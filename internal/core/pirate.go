@@ -97,7 +97,7 @@ type Pirate struct {
 	scanners []*Scanner
 	threads  int
 	wss      int64
-	quantum  int64
+	quantum  int64 // span granularity: the L3 way size, so every set loses whole ways
 	naive    bool
 }
 
@@ -125,18 +125,8 @@ func NewPirate(m *machine.Machine, cores []int) (*Pirate, error) {
 	return p, nil
 }
 
-// Cores returns the pirate's cores.
-func (p *Pirate) Cores() []int { return p.cores }
-
 // WSS returns the total working set currently stolen.
 func (p *Pirate) WSS() int64 { return p.wss }
-
-// Threads returns the active thread count.
-func (p *Pirate) Threads() int { return p.threads }
-
-// Quantum returns the span granularity: the L3 way size. Working sets
-// round to whole quanta so every set loses the same number of ways.
-func (p *Pirate) Quantum() int64 { return p.quantum }
 
 // SetNaiveSplit switches SetWSS to a plain equal byte split across
 // threads instead of way-granular quanta. Only the abl1 ablation uses

@@ -32,14 +32,14 @@ func TestPirateAccessors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Quantum = L3 size / ways = 64KB/16 = 4KB on the test machine.
-	if got := p.Quantum(); got != 4<<10 {
+	if got := p.quantum; got != 4<<10 {
 		t.Errorf("Quantum = %d, want 4096", got)
 	}
 	if err := p.SetWSS(16<<10, 2); err != nil {
 		t.Fatal(err)
 	}
-	if p.Threads() != 2 {
-		t.Errorf("Threads = %d", p.Threads())
+	if p.threads != 2 {
+		t.Errorf("Threads = %d", p.threads)
 	}
 	if p.WSS() != 16<<10 {
 		t.Errorf("WSS = %d", p.WSS())

@@ -116,9 +116,6 @@ func NewPMU(src Source) *PMU {
 	return &PMU{src: src, base: make([]Sample, src.Cores())}
 }
 
-// Read returns core's cumulative counts (ignores baselines).
-func (p *PMU) Read(core int) Sample { return p.src.ReadCounters(core) }
-
 // Mark sets core's baseline to the current counts.
 func (p *PMU) Mark(core int) { p.base[core] = p.src.ReadCounters(core) }
 

@@ -106,7 +106,6 @@ func AccessCost(p Params, out cache.Outcome, memDelay, l3Queue, mlp float64) flo
 
 // Core tracks one hardware context's instruction and cycle clocks.
 type Core struct {
-	id     int
 	params Params
 
 	cycles    float64
@@ -115,28 +114,22 @@ type Core struct {
 	suspended bool
 }
 
-// NewCore builds a core with the given id and timing parameters.
-func NewCore(id int, p Params) (*Core, error) {
+// NewCore builds a core with the given timing parameters.
+func NewCore(p Params) (*Core, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Core{id: id, params: p}, nil
+	return &Core{params: p}, nil
 }
 
 // MustNewCore is NewCore but panics on error.
-func MustNewCore(id int, p Params) *Core {
-	c, err := NewCore(id, p)
+func MustNewCore(p Params) *Core {
+	c, err := NewCore(p)
 	if err != nil {
 		panic(err)
 	}
 	return c
 }
-
-// ID returns the core's index.
-func (c *Core) ID() int { return c.id }
-
-// Params returns the core's timing parameters.
-func (c *Core) Params() Params { return c.params }
 
 // Cycles returns the core's cycle clock.
 func (c *Core) Cycles() float64 { return c.cycles }
@@ -174,27 +167,4 @@ func (c *Core) RetireAccess(cost float64) {
 	c.instrs++
 	c.memAccs++
 	c.cycles += c.params.BaseCPI + cost
-}
-
-// AdvanceTo moves the cycle clock forward to at least cycle (used for
-// warm-up idling); it never moves it backwards.
-func (c *Core) AdvanceTo(cycle float64) {
-	if c.cycles < cycle {
-		c.cycles = cycle
-	}
-}
-
-// CPI returns cycles per instruction since the last ResetClocks, or 0
-// before any instruction retires.
-func (c *Core) CPI() float64 {
-	if c.instrs == 0 {
-		return 0
-	}
-	return c.cycles / float64(c.instrs)
-}
-
-// ResetClocks zeroes the instruction and cycle counters (for interval
-// measurement) without changing suspension state.
-func (c *Core) ResetClocks() {
-	c.cycles, c.instrs, c.memAccs = 0, 0, 0
 }

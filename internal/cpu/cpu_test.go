@@ -70,10 +70,7 @@ func TestAccessCostMLPReducesOnlyBeyondL1(t *testing.T) {
 }
 
 func TestCoreRetirement(t *testing.T) {
-	c := MustNewCore(3, testParams())
-	if c.ID() != 3 {
-		t.Errorf("ID = %d", c.ID())
-	}
+	c := MustNewCore(testParams())
 	c.RetireInstrs(100)
 	if c.Instructions() != 100 || c.Cycles() != 50 {
 		t.Errorf("after 100 instrs: %d instrs, %g cycles", c.Instructions(), c.Cycles())
@@ -86,21 +83,10 @@ func TestCoreRetirement(t *testing.T) {
 	if math.Abs(c.Cycles()-wantCycles) > 1e-12 {
 		t.Errorf("cycles = %g, want %g", c.Cycles(), wantCycles)
 	}
-	wantCPI := wantCycles / 101
-	if math.Abs(c.CPI()-wantCPI) > 1e-12 {
-		t.Errorf("CPI = %g, want %g", c.CPI(), wantCPI)
-	}
-}
-
-func TestCPIZeroBeforeRetire(t *testing.T) {
-	c := MustNewCore(0, testParams())
-	if c.CPI() != 0 {
-		t.Errorf("CPI before any instruction = %g", c.CPI())
-	}
 }
 
 func TestSuspendResume(t *testing.T) {
-	c := MustNewCore(0, testParams())
+	c := MustNewCore(testParams())
 	c.RetireInstrs(10) // 5 cycles
 	c.Suspend()
 	if !c.Suspended() {
@@ -121,33 +107,8 @@ func TestSuspendResume(t *testing.T) {
 	}
 }
 
-func TestAdvanceTo(t *testing.T) {
-	c := MustNewCore(0, testParams())
-	c.AdvanceTo(100)
-	if c.Cycles() != 100 {
-		t.Errorf("AdvanceTo: %g", c.Cycles())
-	}
-	c.AdvanceTo(50)
-	if c.Cycles() != 100 {
-		t.Error("AdvanceTo moved clock backwards")
-	}
-	if c.Instructions() != 0 {
-		t.Error("AdvanceTo should not retire instructions")
-	}
-}
-
-func TestResetClocks(t *testing.T) {
-	c := MustNewCore(0, testParams())
-	c.RetireInstrs(7)
-	c.RetireAccess(3)
-	c.ResetClocks()
-	if c.Cycles() != 0 || c.Instructions() != 0 || c.MemAccesses() != 0 {
-		t.Error("ResetClocks left residue")
-	}
-}
-
 func TestNewCoreRejectsBadParams(t *testing.T) {
-	if _, err := NewCore(0, Params{}); err == nil {
+	if _, err := NewCore(Params{}); err == nil {
 		t.Error("NewCore accepted zero params")
 	}
 }

@@ -81,15 +81,6 @@ type suppressKey struct {
 
 var ignoreRE = regexp.MustCompile(`^//lint:ignore\s+(\S+)\s+\S`)
 
-// Run executes one analyzer over one target and returns its surviving
-// (non-suppressed) diagnostics in file/line order. The target gets a
-// private single-target Program; drivers with many targets build one
-// shared Program and use RunProgram so cross-package edges resolve.
-func Run(t Target, a *Analyzer) ([]Diagnostic, error) {
-	prog := NewProgram([]Target{t})
-	return RunProgram(prog, &prog.Targets[0], a)
-}
-
 // RunProgram executes one analyzer over one target of a loaded
 // program. Suppression comments are honored program-wide, because a
 // cross-package analyzer may report at positions outside the current

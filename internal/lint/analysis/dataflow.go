@@ -19,19 +19,6 @@ func (s FactSet) Clone() FactSet {
 	return out
 }
 
-// Equal reports whether two sets hold the same facts.
-func (s FactSet) Equal(o FactSet) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for k := range s {
-		if !o[k] {
-			return false
-		}
-	}
-	return true
-}
-
 // intersect removes facts from s that o lacks.
 func (s FactSet) intersect(o FactSet) {
 	for k := range s {

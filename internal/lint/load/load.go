@@ -29,7 +29,6 @@ import (
 type listPackage struct {
 	ImportPath   string
 	Dir          string
-	Name         string
 	GoFiles      []string
 	TestGoFiles  []string
 	XTestGoFiles []string

@@ -26,7 +26,7 @@ func randomTrace(n int, span uint64) *trace.Trace {
 
 // TestReplayAllocFree pins the allocation-free replay contract: once a
 // machine is attached to a looping trace generator, the entire per-op
-// path — FromTrace.Next, trace replay, stepCore, every cache level's
+// path — FromBlocks.Next over a Replayer, stepCore, every cache level's
 // probe/fill, and the bandwidth servers — must not allocate. A single
 // allocation per op would dominate the sweep's runtime and gate the
 // parallel workers on the allocator.
@@ -48,7 +48,7 @@ func TestReplayAllocFree(t *testing.T) {
 			// Working set spills the L3 so misses, evictions and
 			// back-invalidations all run, not just the L1 hit path.
 			tr := randomTrace(20_000, 2*uint64(cfg.L3.Size))
-			m.MustAttach(0, workload.NewFromTrace("alloc", tr, 1, 0))
+			m.MustAttach(0, workload.NewFromBlocks("alloc", trace.NewReplayer(tr, false), 1, 0))
 			m.RunSteps(5000) // warm: maps, prefetch state, server cursors
 
 			avg := testing.AllocsPerRun(2000, func() {
@@ -62,7 +62,7 @@ func TestReplayAllocFree(t *testing.T) {
 			// now interleave contexts, evict each other's L3 lines and
 			// queue at the port.
 			for c := 1; c <= 2; c++ {
-				m.MustAttach(c, workload.NewFromTrace("alloc", tr, 4, 0))
+				m.MustAttach(c, workload.NewFromBlocks("alloc", trace.NewReplayer(tr, false), 4, 0))
 			}
 			m.RunSteps(5000)
 			if avg := testing.AllocsPerRun(2000, func() { m.Step() }); avg != 0 {
@@ -73,14 +73,15 @@ func TestReplayAllocFree(t *testing.T) {
 }
 
 // TestGeneratorNextAllocFree pins the generator side alone: replaying a
-// trace through FromTrace must not allocate per op.
+// trace through FromBlocks over a Replayer (wrapping every 4096 ops)
+// must not allocate per op.
 func TestGeneratorNextAllocFree(t *testing.T) {
-	gen := workload.NewFromTrace("alloc", randomTrace(4096, 1<<20), 1, 0)
+	gen := workload.NewFromBlocks("alloc", trace.NewReplayer(randomTrace(4096, 1<<20), false), 1, 0)
 	avg := testing.AllocsPerRun(5000, func() {
 		gen.Next()
 	})
 	if avg != 0 {
-		t.Errorf("FromTrace.Next allocates %.2f allocs/op, want 0", avg)
+		t.Errorf("FromBlocks.Next allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
@@ -132,7 +133,7 @@ func TestHotPathPrimitivesAllocFree(t *testing.T) {
 		cfg := NehalemConfigNoPrefetch()
 		m := MustNew(cfg)
 		tr := randomTrace(20_000, 2*uint64(cfg.L3.Size))
-		m.MustAttach(0, workload.NewFromTrace("alloc", tr, 1, 0))
+		m.MustAttach(0, workload.NewFromBlocks("alloc", trace.NewReplayer(tr, false), 1, 0))
 		m.RunSteps(5000) // warm: maps, server cursors
 		gate(t, "Machine.Step", func() { m.Step() })
 		gate(t, "Machine.RunCycles", func() { m.RunCycles(3) })
@@ -151,22 +152,9 @@ func TestHotPathPrimitivesAllocFree(t *testing.T) {
 		gate(t, "Machine.Step (co-run)", func() { m.Step() })
 	})
 
-	t.Run("trace", func(t *testing.T) {
-		rep := trace.NewReplayer(randomTrace(4096, 1<<20), true)
-		gate(t, "Replayer.NextRecord", func() { rep.NextRecord() })
-	})
-
 	t.Run("prefetch", func(t *testing.T) {
 		st := prefetch.NewStream(prefetch.StreamConfig{})
 		var a uint64
 		gate(t, "Stream.Observe", func() { st.Observe(a, true); a++ })
-
-		// Train within one 4KB region so the gated loop exercises hits,
-		// stride confirmation and emission without inserting new table
-		// entries (entry installation is covered by the first Observe).
-		sd := prefetch.NewStride(prefetch.StrideConfig{})
-		sd.Observe(0, true)
-		var i uint64
-		gate(t, "Stride.Observe", func() { sd.Observe((i%30)*2, true); i++ })
 	})
 }

@@ -142,7 +142,7 @@ func New(cfg Config) (*Machine, error) {
 		memWrite: make([]uint64, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
-		core, err := cpu.NewCore(i, cfg.CPU)
+		core, err := cpu.NewCore(cfg.CPU)
 		if err != nil {
 			return nil, err
 		}
@@ -170,15 +170,6 @@ func (m *Machine) Cores() int { return m.cfg.Cores }
 // Hierarchy exposes the cache hierarchy (reference simulation and
 // white-box tests; the measurement harness must use counters only).
 func (m *Machine) Hierarchy() *cache.Hierarchy { return m.hier }
-
-// DRAM exposes the memory controller.
-func (m *Machine) DRAM() *mem.Server { return m.dram }
-
-// L3Port exposes the shared L3 bandwidth server.
-func (m *Machine) L3Port() *mem.Server { return m.l3port }
-
-// FreqHz returns the core clock frequency.
-func (m *Machine) FreqHz() float64 { return m.cfg.CPU.FreqHz }
 
 // Now returns the global time: the cycle clock of the most recently
 // scheduled core. It is monotone under min-clock scheduling.
@@ -215,12 +206,10 @@ func (m *Machine) Attach(core int, gen workload.Generator) error {
 	return nil
 }
 
-// AttachBlocks binds a streamed trace to core: the block-source
-// counterpart of attaching a workload.FromTrace generator. The core
-// replays the source as a looping op stream; because FromBlocks
-// preserves record order exactly, the simulation is bit-identical to
-// attaching the same trace from memory (pinned in
-// internal/conformance).
+// AttachBlocks binds a trace to core as a looping op stream
+// (workload.FromBlocks). FromBlocks preserves record order exactly, so
+// the simulation does not depend on whether src is in memory or
+// streamed (pinned in internal/conformance).
 func (m *Machine) AttachBlocks(core int, name string, src trace.BlockSource, mlp float64) error {
 	return m.Attach(core, workload.NewFromBlocks(name, src, mlp, 0))
 }

@@ -26,12 +26,6 @@ type Server struct {
 	// bit-identical.
 	lastSize    int64
 	lastService float64
-
-	// cumulative statistics
-	bytes    int64
-	requests int64
-	queueCyc float64
-	busyCyc  float64
 }
 
 // ServerConfig describes a bandwidth server.
@@ -69,9 +63,6 @@ func MustNewServer(cfg ServerConfig) *Server {
 	return s
 }
 
-// Config returns the server's configuration.
-func (s *Server) Config() ServerConfig { return s.cfg }
-
 // Request schedules a transfer of size bytes arriving at cycle now and
 // returns the cycle at which the data is available. Completion =
 // max(now, nextFree) + size/capacity + baseLatency.
@@ -84,72 +75,9 @@ func (s *Server) Request(now float64, size int64) (done float64) {
 		s.lastSize = size
 		s.lastService = float64(size) / s.cfg.BytesPerCycle
 	}
-	service := s.lastService
-	s.queueCyc += start - now
-	s.busyCyc += service
-	s.nextFree = start + service
-	s.bytes += size
-	s.requests++
+	s.nextFree = start + s.lastService
 	return s.nextFree + s.cfg.BaseLatency
-}
-
-// Delay is Request expressed as a latency: the number of cycles between
-// arrival and completion.
-func (s *Server) Delay(now float64, size int64) float64 {
-	return s.Request(now, size) - now
 }
 
 // NextFree returns the cycle at which the server becomes idle.
 func (s *Server) NextFree() float64 { return s.nextFree }
-
-// Stats returns cumulative transfer statistics.
-func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Bytes:       s.bytes,
-		Requests:    s.requests,
-		QueueCycles: s.queueCyc,
-		BusyCycles:  s.busyCyc,
-	}
-}
-
-// ResetStats zeroes the statistics but keeps the schedule cursor.
-func (s *Server) ResetStats() {
-	s.bytes, s.requests, s.queueCyc, s.busyCyc = 0, 0, 0, 0
-}
-
-// Reset clears both statistics and the schedule cursor.
-func (s *Server) Reset() {
-	s.ResetStats()
-	s.nextFree = 0
-}
-
-// ServerStats summarises a server's cumulative traffic.
-type ServerStats struct {
-	Bytes       int64
-	Requests    int64
-	QueueCycles float64
-	BusyCycles  float64
-}
-
-// Utilization returns the fraction of the window [0, now] the server
-// spent busy.
-func (st ServerStats) Utilization(now float64) float64 {
-	if now <= 0 {
-		return 0
-	}
-	u := st.BusyCycles / now
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
-
-// GBPerSec converts the server's traffic over elapsed cycles at the
-// given core frequency (Hz) into GB/s (decimal GB, as the paper uses).
-func (st ServerStats) GBPerSec(elapsedCycles, freqHz float64) float64 {
-	if elapsedCycles <= 0 {
-		return 0
-	}
-	bytesPerCycle := float64(st.Bytes) / elapsedCycles
-	return bytesPerCycle * freqHz / 1e9
-}

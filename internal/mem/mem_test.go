@@ -35,10 +35,6 @@ func TestBackToBackRequestsQueue(t *testing.T) {
 	if d1 != 16 || d2 != 32 {
 		t.Errorf("completions = %g, %g; want 16, 32", d1, d2)
 	}
-	st := s.Stats()
-	if st.QueueCycles != 16 {
-		t.Errorf("queue cycles = %g, want 16", st.QueueCycles)
-	}
 }
 
 func TestIdleGapDoesNotQueue(t *testing.T) {
@@ -47,20 +43,6 @@ func TestIdleGapDoesNotQueue(t *testing.T) {
 	d := s.Request(100, 64) // arrives long after
 	if d != 100+8+10 {
 		t.Errorf("completion after idle gap = %g, want 118", d)
-	}
-	if q := s.Stats().QueueCycles; q != 0 {
-		t.Errorf("idle arrival queued %g cycles", q)
-	}
-}
-
-func TestDelayMatchesRequest(t *testing.T) {
-	a := MustNewServer(ServerConfig{BytesPerCycle: 4, BaseLatency: 50})
-	b := MustNewServer(ServerConfig{BytesPerCycle: 4, BaseLatency: 50})
-	for i := 0; i < 10; i++ {
-		now := float64(i * 3)
-		if got, want := a.Delay(now, 64), b.Request(now, 64)-now; got != want {
-			t.Fatalf("Delay mismatch at %d: %g vs %g", i, got, want)
-		}
 	}
 }
 
@@ -77,53 +59,6 @@ func TestThroughputCapped(t *testing.T) {
 	achieved := float64(n*64) / elapsed
 	if math.Abs(achieved-2) > 0.01 {
 		t.Errorf("achieved %g B/cycle under overload, want ~2", achieved)
-	}
-}
-
-func TestStatsAccumulateAndReset(t *testing.T) {
-	s := MustNewServer(ServerConfig{BytesPerCycle: 4, BaseLatency: 0})
-	s.Request(0, 64)
-	s.Request(0, 128)
-	st := s.Stats()
-	if st.Bytes != 192 || st.Requests != 2 {
-		t.Errorf("stats = %+v", st)
-	}
-	s.ResetStats()
-	if s.Stats().Bytes != 0 {
-		t.Error("ResetStats left bytes")
-	}
-	if s.NextFree() == 0 {
-		t.Error("ResetStats should keep the schedule cursor")
-	}
-	s.Reset()
-	if s.NextFree() != 0 {
-		t.Error("Reset should clear the cursor")
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	st := ServerStats{BusyCycles: 50}
-	if got := st.Utilization(100); got != 0.5 {
-		t.Errorf("utilization = %g, want 0.5", got)
-	}
-	if got := st.Utilization(0); got != 0 {
-		t.Errorf("utilization at t=0 = %g, want 0", got)
-	}
-	st.BusyCycles = 200
-	if got := st.Utilization(100); got != 1 {
-		t.Errorf("utilization should clamp to 1, got %g", got)
-	}
-}
-
-func TestGBPerSec(t *testing.T) {
-	// 10.4 GB/s at 2.27 GHz is ~4.58 bytes/cycle.
-	st := ServerStats{Bytes: 458}
-	got := st.GBPerSec(100, 2.27e9)
-	if math.Abs(got-10.3966) > 0.01 {
-		t.Errorf("GBPerSec = %g, want ~10.4", got)
-	}
-	if st.GBPerSec(0, 2.27e9) != 0 {
-		t.Error("zero elapsed should give 0")
 	}
 }
 
@@ -152,7 +87,7 @@ func TestCompletionMonotoneProperty(t *testing.T) {
 }
 
 // TestRequestBitEqualToDividingForm pins the cached service quotient:
-// completion times and statistics must be Float64bits-identical to
+// completion times must be Float64bits-identical to
 // dividing size by capacity on every request, across runs of
 // line-sized requests, multi-line requests and switches between them,
 // at capacities whose quotients are inexact.
@@ -160,7 +95,7 @@ func TestRequestBitEqualToDividingForm(t *testing.T) {
 	for _, bpc := range []float64{4.58, 29.96, 3, 8} {
 		cfg := ServerConfig{BytesPerCycle: bpc, BaseLatency: 180.25}
 		s := MustNewServer(cfg)
-		var nextFree, queue, busy float64
+		var nextFree float64
 		now := 0.0
 		for i := 0; i < 5000; i++ {
 			now += float64(i%7) * 1.375
@@ -175,19 +110,12 @@ func TestRequestBitEqualToDividingForm(t *testing.T) {
 			if nextFree > start {
 				start = nextFree
 			}
-			service := float64(size) / cfg.BytesPerCycle
-			queue += start - now
-			busy += service
-			nextFree = start + service
+			nextFree = start + float64(size)/cfg.BytesPerCycle
 			want := nextFree + cfg.BaseLatency
 
 			if got := s.Request(now, size); math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("bpc %g request %d (size %d): done %v, dividing form %v", bpc, i, size, got, want)
 			}
-		}
-		st := s.Stats()
-		if math.Float64bits(st.QueueCycles) != math.Float64bits(queue) || math.Float64bits(st.BusyCycles) != math.Float64bits(busy) {
-			t.Errorf("bpc %g: stats %+v, dividing form queue %v busy %v", bpc, st, queue, busy)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package prefetch implements the hardware prefetcher models used by the
-// simulated memory hierarchy: next-line, multi-stream sequential, and
-// stride. Prefetchers observe the demand line-address stream at the
+// simulated memory hierarchy: next-line and multi-stream sequential.
+// Prefetchers observe the demand line-address stream at the
 // last-level cache and propose line addresses to fetch ahead of demand.
 //
 // The paper (§I-B) distinguishes *fetches* (lines brought from memory,

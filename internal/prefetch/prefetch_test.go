@@ -132,60 +132,8 @@ func TestStreamRetouchSameLine(t *testing.T) {
 	}
 }
 
-func TestStrideDetectsLargeStride(t *testing.T) {
-	p := NewStride(StrideConfig{Degree: 2, Confirm: 2})
-	// Stride of 8 lines (within one 64-line region).
-	p.Observe(0, true)
-	p.Observe(8, true)         // stride=8, count=1
-	got := p.Observe(16, true) // count=2 → confirmed
-	if len(got) != 2 || got[0] != 24 || got[1] != 32 {
-		t.Fatalf("stride prefetch = %v, want [24 32]", got)
-	}
-}
-
-func TestStrideChangedStrideRetrains(t *testing.T) {
-	p := NewStride(StrideConfig{Degree: 1, Confirm: 2})
-	p.Observe(0, true)
-	p.Observe(8, true)
-	p.Observe(16, true) // confirmed
-	if got := p.Observe(20, true); len(got) != 0 {
-		t.Errorf("stride change should retrain, got %v", got)
-	}
-}
-
-func TestStrideZeroStrideIgnored(t *testing.T) {
-	p := NewStride(StrideConfig{})
-	p.Observe(5, true)
-	if got := p.Observe(5, true); len(got) != 0 {
-		t.Errorf("zero stride prefetched %v", got)
-	}
-}
-
-func TestStrideTableBounded(t *testing.T) {
-	p := NewStride(StrideConfig{Entries: 4})
-	for i := uint64(0); i < 100; i++ {
-		p.Observe(i*1000000, true) // each in its own region
-	}
-	if len(p.index) > 4 {
-		t.Errorf("stride table grew to %d entries, cap 4", len(p.index))
-	}
-}
-
-func TestStrideReset(t *testing.T) {
-	p := NewStride(StrideConfig{Confirm: 2})
-	p.Observe(0, true)
-	p.Observe(8, true)
-	p.Reset()
-	if got := p.Observe(16, true); len(got) != 0 {
-		t.Errorf("reset did not clear stride state: %v", got)
-	}
-}
-
 func TestNamesAreStable(t *testing.T) {
 	if NewStream(StreamConfig{}).Name() != "stream" {
 		t.Error("stream name changed")
-	}
-	if NewStride(StrideConfig{}).Name() != "stride" {
-		t.Error("stride name changed")
 	}
 }

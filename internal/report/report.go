@@ -26,16 +26,6 @@ func NewTable(title string, headers ...string) *Table {
 // table.
 func (t *Table) Add(cells ...string) { t.Rows = append(t.Rows, cells) }
 
-// Addf appends a row of formatted cells: each argument is rendered
-// with %v.
-func (t *Table) Addf(cells ...interface{}) {
-	row := make([]string, len(cells))
-	for i, c := range cells {
-		row[i] = fmt.Sprintf("%v", c)
-	}
-	t.Add(row...)
-}
-
 // columns returns the width of each column.
 func (t *Table) columns() []int {
 	n := len(t.Headers)

@@ -28,14 +28,6 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestTableAddf(t *testing.T) {
-	tb := NewTable("", "a", "b")
-	tb.Addf(1, 2.5)
-	if tb.Rows[0][0] != "1" || tb.Rows[0][1] != "2.5" {
-		t.Errorf("Addf rendered %v", tb.Rows[0])
-	}
-}
-
 func TestTableNoTitleNoHeaders(t *testing.T) {
 	tb := &Table{}
 	tb.Add("x")

@@ -34,7 +34,6 @@ type Queue struct {
 
 	queued  atomic.Int64 // jobs admitted but not finished
 	running atomic.Int64 // jobs currently executing
-	served  atomic.Uint64
 }
 
 type queueJob struct {
@@ -75,7 +74,6 @@ func (q *Queue) worker() {
 		err := runJob(j)
 		q.running.Add(-1)
 		q.queued.Add(-1)
-		q.served.Add(1)
 		j.done <- err
 	}
 }
@@ -129,10 +127,6 @@ func (q *Queue) Depth() int { return int(q.queued.Load()) }
 
 // Running returns how many jobs are executing right now.
 func (q *Queue) Running() int { return int(q.running.Load()) }
-
-// Served returns how many jobs have been executed to completion
-// (successfully or not), excluding jobs skipped by cancellation.
-func (q *Queue) Served() uint64 { return q.served.Load() }
 
 // Close stops admission and waits for the workers to drain the
 // backlog. Jobs already admitted still run (their Do calls return as

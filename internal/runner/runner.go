@@ -34,11 +34,6 @@ type Pool struct {
 	// the calling goroutine, in index order, stopping at the first
 	// error — exactly the pre-pool serial loops.
 	Workers int
-	// OnDone, if non-nil, is called after each task finishes (in
-	// completion order, serialised) with the number of tasks done so
-	// far and the total. It must not block for long: every worker
-	// shares it.
-	OnDone func(done, total int)
 }
 
 // EffectiveWorkers resolves the Workers field to the actual worker
@@ -85,7 +80,7 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 	}
 	workers := p.EffectiveWorkers(n)
 	if workers == 1 {
-		return mapSerial(ctx, p, n, fn)
+		return mapSerial(ctx, n, fn)
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
@@ -94,8 +89,6 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 	results := make([]T, n)
 	errs := make([]error, n)
 	var next int64 // next task index to dispatch
-	var done int64 // completed task count, for OnDone
-	var mu sync.Mutex
 	var wg sync.WaitGroup
 
 	run := func(i int) (out T, err error) {
@@ -126,12 +119,6 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 					continue
 				}
 				results[i] = out
-				if p.OnDone != nil {
-					d := int(atomic.AddInt64(&done, 1))
-					mu.Lock()
-					p.OnDone(d, n)
-					mu.Unlock()
-				}
 			}
 		}()
 	}
@@ -166,7 +153,7 @@ func Map[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context,
 // in index order and stops at the first error, so tasks after a
 // failure are never started — identical to the serial loops the pool
 // replaced (panics are still converted, serially as in parallel mode).
-func mapSerial[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
+func mapSerial[T any](ctx context.Context, n int, fn func(ctx context.Context, i int) (T, error)) ([]T, error) {
 	results := make([]T, n)
 	for i := 0; i < n; i++ {
 		if err := ctx.Err(); err != nil {
@@ -184,9 +171,6 @@ func mapSerial[T any](ctx context.Context, p Pool, n int, fn func(ctx context.Co
 			return nil, fmt.Errorf("runner: task %d: %w", i, err)
 		}
 		results[i] = out
-		if p.OnDone != nil {
-			p.OnDone(i+1, n)
-		}
 	}
 	return results, nil
 }

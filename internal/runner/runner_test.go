@@ -135,35 +135,6 @@ func TestMapParentCancellation(t *testing.T) {
 	}
 }
 
-// TestMapProgress checks the OnDone callback: called once per
-// successful task with a monotone done count reaching the total.
-func TestMapProgress(t *testing.T) {
-	const n = 32
-	for _, workers := range []int{1, 4} {
-		var mu sync.Mutex
-		var calls int
-		last := 0
-		monotone := true
-		p := Pool{Workers: workers, OnDone: func(done, total int) {
-			mu.Lock()
-			defer mu.Unlock()
-			calls++
-			if done <= last || total != n {
-				monotone = false
-			}
-			last = done
-		}}
-		if _, err := Map(context.Background(), p, n,
-			func(_ context.Context, i int) (int, error) { return i, nil }); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if calls != n || last != n || !monotone {
-			t.Errorf("workers=%d: calls=%d last=%d monotone=%v, want %d/%d/true",
-				workers, calls, last, monotone, n, n)
-		}
-	}
-}
-
 // TestMapEmpty checks the degenerate sizes.
 func TestMapEmpty(t *testing.T) {
 	out, err := Map(context.Background(), Pool{}, 0,

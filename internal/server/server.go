@@ -121,10 +121,6 @@ func (s *Server) Close() {
 	s.queue.Close()
 }
 
-// JobsServed returns how many curve computations have completed
-// successfully (cache hits and deduped waits not included).
-func (s *Server) JobsServed() uint64 { return s.jobsServed.Load() }
-
 // apiError is the error taxonomy every endpoint speaks: an HTTP
 // status plus a machine-readable code, serialised as
 // {"error":{"code":...,"message":...}}.

@@ -78,9 +78,6 @@ func NewStore(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
 // Put streams r into the store: the bytes are hashed and written to a
 // temp file simultaneously, validated by a full decode pass, and then
 // renamed to their content address. The reader is consumed to EOF.

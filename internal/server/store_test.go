@@ -132,7 +132,7 @@ func TestStoreRejectsCorruptUploads(t *testing.T) {
 		t.Errorf("store holds %d traces after rejected uploads, want 0", store.Len())
 	}
 	// Rejected uploads must not leak temp files into the store dir.
-	ents, err := os.ReadDir(store.Dir())
+	ents, err := os.ReadDir(store.dir)
 	if err != nil {
 		t.Fatal(err)
 	}

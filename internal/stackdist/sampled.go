@@ -396,33 +396,6 @@ func (p *SampledProfiler) Histogram() *SampledHistogram {
 	}
 }
 
-// Reset clears all accumulated state, keeping the pooled capacity, so
-// one profiler can profile many traces without reallocating.
-func (p *SampledProfiler) Reset() {
-	p.tree.reset()
-	p.table.clear()
-	p.live = 0
-	p.heapLen = 0
-	p.mass.clear()
-	p.overflow, p.cold, p.total = 0, 0, 0
-	p.sampled, p.records = 0, 0
-	p.threshold = uint64(math.Round(p.cfg.Rate * sampleModulus))
-	if p.threshold == 0 {
-		p.threshold = 1
-	}
-	p.invRate = sampleModulus / float64(p.threshold)
-}
-
-// SampledAnalyze profiles an in-memory trace in one call.
-func SampledAnalyze(tr *trace.Trace, cfg SampledConfig) (*SampledHistogram, error) {
-	p, err := NewSampledProfiler(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p.Feed(tr.Records)
-	return p.Histogram(), nil
-}
-
 // Adjust applies the SHARDS_adj total correction in place: sampling
 // noise makes the rescaled total drift from the true record count, and
 // the drift concentrates at small distances, so the difference is
@@ -481,16 +454,6 @@ func (h *SampledHistogram) MissRatio(capacityLines int64) float64 {
 		hits += b.Mass
 	}
 	return 1 - hits/h.Total
-}
-
-// MissRatioCurve evaluates MissRatio at each capacity in bytes
-// (64-byte lines).
-func (h *SampledHistogram) MissRatioCurve(capacities []int64) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = h.MissRatio(c / 64)
-	}
-	return out
 }
 
 // DistinctLines estimates the trace's footprint: the cold mass is one
@@ -577,14 +540,6 @@ func (t *lineTable) init(capacity int, seed uint64) {
 	t.mask = uint64(capacity - 1)
 	t.live = 0
 	t.seed = seed
-}
-
-// clear empties the table in place.
-func (t *lineTable) clear() {
-	for i := range t.vals {
-		t.vals[i] = -1
-	}
-	t.live = 0
 }
 
 // nearFull reports whether the next insertion should wait for growth

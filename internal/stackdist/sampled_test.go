@@ -9,6 +9,18 @@ import (
 	"cachepirate/internal/workload"
 )
 
+// sampledProfile feeds recs through a fresh profiler and returns its
+// histogram.
+func sampledProfile(t *testing.T, recs []trace.Record, cfg SampledConfig) *SampledHistogram {
+	t.Helper()
+	p, err := NewSampledProfiler(cfg)
+	if err != nil {
+		t.Fatalf("NewSampledProfiler(%+v): %v", cfg, err)
+	}
+	p.Feed(recs)
+	return p.Histogram()
+}
+
 // exactEqual asserts the sampled histogram equals the exact one value
 // for value (every weight exactly 1.0, so float64 counts are exact
 // integers).
@@ -49,10 +61,7 @@ func TestSampledRateOneIsExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := SampledAnalyze(tr, SampledConfig{Rate: 1, MaxDistance: depth, Seed: 42})
-		if err != nil {
-			t.Fatal(err)
-		}
+		got := sampledProfile(t, tr.Records, SampledConfig{Rate: 1, MaxDistance: depth, Seed: 42})
 		exactEqual(t, got, want)
 		if got.Rate != 1.0 {
 			t.Errorf("n=%d: rate %v, want 1.0", n, got.Rate)
@@ -65,10 +74,7 @@ func TestSampledRateOneIsExact(t *testing.T) {
 // TestSampledEmptyTrace: a profiler that saw nothing reports zeros and
 // a well-defined (zero) miss ratio.
 func TestSampledEmptyTrace(t *testing.T) {
-	h, err := SampledAnalyze(&trace.Trace{}, SampledConfig{Rate: 0.5, MaxDistance: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := sampledProfile(t, nil, SampledConfig{Rate: 0.5, MaxDistance: 16})
 	if h.Records != 0 || h.Sampled != 0 || h.Total != 0 || h.Cold != 0 {
 		t.Fatalf("empty trace produced mass: %+v", h)
 	}
@@ -89,10 +95,7 @@ func TestSampledSingleRepeatedAddress(t *testing.T) {
 	for i := range tr.Records {
 		tr.Records[i] = trace.Record{Addr: 0x4000}
 	}
-	h, err := SampledAnalyze(tr, SampledConfig{Rate: 1, MaxDistance: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := sampledProfile(t, tr.Records, SampledConfig{Rate: 1, MaxDistance: 8})
 	if h.Cold != 1 || dense(h)[0] != n-1 || h.Overflow != 0 {
 		t.Fatalf("single-line profile wrong: cold %v buckets %v overflow %v", h.Cold, h.Buckets, h.Overflow)
 	}
@@ -110,10 +113,7 @@ func TestSampledAllUnique(t *testing.T) {
 		tr.Records[i] = trace.Record{Addr: uint64(i) * 64}
 	}
 	for _, rate := range []float64{1, 0.25} {
-		h, err := SampledAnalyze(tr, SampledConfig{Rate: rate, MaxDistance: 64, Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := sampledProfile(t, tr.Records, SampledConfig{Rate: rate, MaxDistance: 64, Seed: 7})
 		if h.Cold != h.Total {
 			t.Errorf("rate %v: cold %v != total %v on a no-reuse trace", rate, h.Cold, h.Total)
 		}
@@ -144,10 +144,7 @@ func TestSampledEstimatesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SampledAnalyze(tr, SampledConfig{Rate: 0.1, MaxDistance: depth, Seed: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sampledProfile(t, tr.Records, SampledConfig{Rate: 0.1, MaxDistance: depth, Seed: 2})
 	for _, lines := range []int64{16, 64, 256, 512, 1024, 2048} {
 		e, g := want.MissRatio(lines), got.MissRatio(lines)
 		if math.Abs(e-g) > 0.05 {
@@ -226,10 +223,7 @@ func TestSampledDeterministicAcrossBlocks(t *testing.T) {
 		{MaxSampled: 128, MaxDistance: 1024, Seed: 5},
 	}
 	for _, cfg := range cfgs {
-		want, err := SampledAnalyze(tr, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := sampledProfile(t, tr.Records, cfg)
 		for _, chunk := range []int{1, 7, 1000} {
 			p, err := NewSampledProfiler(cfg)
 			if err != nil {
@@ -251,11 +245,6 @@ func TestSampledDeterministicAcrossBlocks(t *testing.T) {
 		if err := p.FeedSource(trace.NewReplayer(tr, false)); err != nil {
 			t.Fatal(err)
 		}
-		assertSampledIdentical(t, p.Histogram(), want)
-
-		// Reset must return the profiler to a pristine state.
-		p.Reset()
-		p.Feed(tr.Records)
 		assertSampledIdentical(t, p.Histogram(), want)
 	}
 }
@@ -332,10 +321,7 @@ func TestSampledPercentileMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SampledAnalyze(tr, SampledConfig{Rate: 1, MaxDistance: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := sampledProfile(t, tr.Records, SampledConfig{Rate: 1, MaxDistance: 1024})
 	for _, q := range []float64{0.1, 0.5, 0.9, 0.99} {
 		we, err := want.Percentile(q)
 		if err != nil {

@@ -183,21 +183,6 @@ func (p *SetAssocProfiler) Reset() {
 	p.absent, p.total = 0, 0
 }
 
-// SetAssocLRU replays tr's line stream once through per-set LRU
-// recency stacks of depth maxWays and returns the depth histogram.
-// This is the Mattson fast path the fused sweep's LRU cross-check
-// rests on: one pass yields the exact curve for every associativity
-// 1..maxWays, and TestSetAssocLRUMatchesReplicas pins it hit-for-hit
-// against the cache.Replicas kernel the fused engine runs.
-func SetAssocLRU(tr *trace.Trace, sets, maxWays int, lineShift uint) (*SetAssocHistogram, error) {
-	p, err := NewSetAssocProfiler(sets, maxWays, lineShift)
-	if err != nil {
-		return nil, err
-	}
-	p.Feed(tr.Records)
-	return p.Histogram(), nil
-}
-
 // Hits returns the exact demand-hit count of a ways-way, Sets-set LRU
 // cache over the analysed stream (stack inclusion: depth < ways hits).
 func (h *SetAssocHistogram) Hits(ways int) (uint64, error) {

@@ -24,12 +24,25 @@ func randTrace(span int64, seed uint64, n int) *trace.Trace {
 		Name: "r", Span: span, NInstr: 1, WriteFrac: 0.25, Seed: seed}), n)
 }
 
-// TestSetAssocLRUMatchesReplicas is the Mattson cross-check the fused
+// setAssocProfile feeds tr's records through a fresh set-associative
+// profiler (64-byte lines) and returns its depth histogram.
+func setAssocProfile(t *testing.T, tr *trace.Trace, sets, maxWays int) *SetAssocHistogram {
+	t.Helper()
+	p, err := NewSetAssocProfiler(sets, maxWays, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Feed(tr.Records)
+	return p.Histogram()
+}
+
+// TestSetAssocProfilerMatchesReplicas is the Mattson cross-check the fused
 // sweep's LRU fast path rests on: the one-pass per-set stack analysis
-// must reproduce, hit for hit, the demand hits of the cache.Replicas
-// kernel (the fused engine's L3 state) at every way count — bit-for-bit,
-// not approximately. Stack inclusion makes this exact for true-LRU.
-func TestSetAssocLRUMatchesReplicas(t *testing.T) {
+// must reproduce, hit for hit, the demand hits of the cache.Cache
+// kernel (each fused-engine L3 replica is one) at every way count —
+// bit-for-bit, not approximately. Stack inclusion makes this exact for
+// true-LRU.
+func TestSetAssocProfilerMatchesReplicas(t *testing.T) {
 	const (
 		sets    = 64
 		maxWays = 16
@@ -37,28 +50,21 @@ func TestSetAssocLRUMatchesReplicas(t *testing.T) {
 	)
 	for _, n := range []int{500, 20000} {
 		tr := randTrace(96<<10, uint64(n), n)
-		h, err := SetAssocLRU(tr, sets, maxWays, 6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfgs := make([]cache.Config, maxWays)
+		h := setAssocProfile(t, tr, sets, maxWays)
+		reps := make([]*cache.Cache, maxWays)
 		for w := 1; w <= maxWays; w++ {
-			cfgs[w-1] = cache.Config{
+			reps[w-1] = cache.MustNew(cache.Config{
 				Name: "L3", Size: int64(sets) * int64(w) * line, Ways: w,
 				LineSize: line, Policy: cache.LRU, Owners: 1,
-			}
-		}
-		reps, err := cache.NewReplicas(cfgs)
-		if err != nil {
-			t.Fatal(err)
+			})
 		}
 		for _, r := range tr.Records {
-			for k := 0; k < reps.Len(); k++ {
-				reps.Rep(k).AccessFill(cache.Addr(r.Addr), r.Write, 0)
+			for _, c := range reps {
+				c.AccessFill(cache.Addr(r.Addr), r.Write, 0)
 			}
 		}
 		for w := 1; w <= maxWays; w++ {
-			want := reps.Rep(w - 1).Stats(0)
+			want := reps[w-1].Stats(0)
 			hits, err := h.Hits(w)
 			if err != nil {
 				t.Fatal(err)
@@ -73,41 +79,32 @@ func TestSetAssocLRUMatchesReplicas(t *testing.T) {
 	}
 }
 
-// TestSetAssocLRUSequentialThrash pins the classic cyclic-scan
+// TestSetAssocProfilerSequentialThrash pins the classic cyclic-scan
 // behaviour: a loop over more lines than the cache holds misses every
 // time under LRU at every way count, while a loop that fits hits after
 // the first pass.
-func TestSetAssocLRUSequentialThrash(t *testing.T) {
+func TestSetAssocProfilerSequentialThrash(t *testing.T) {
 	const sets, ways = 8, 4
 	gen := workload.NewSequential(workload.SequentialConfig{Name: "s", Span: 2 * sets * ways * 64, Elem: 64})
 	tr := captureLines(gen, 3*2*sets*ways)
-	h, err := SetAssocLRU(tr, sets, ways, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := setAssocProfile(t, tr, sets, ways)
 	if hits, _ := h.Hits(ways); hits != 0 {
 		t.Errorf("over-capacity cyclic scan should thrash LRU, got %d hits", hits)
 	}
 
 	fits := workload.NewSequential(workload.SequentialConfig{Name: "s", Span: sets * ways * 64, Elem: 64})
 	trFits := captureLines(fits, 3*sets*ways)
-	h2, err := SetAssocLRU(trFits, sets, ways, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h2 := setAssocProfile(t, trFits, sets, ways)
 	if hits, _ := h2.Hits(ways); hits != uint64(2*sets*ways) {
 		t.Errorf("resident scan should hit every non-cold access, got %d of %d", hits, 2*sets*ways)
 	}
 }
 
-// TestSetAssocLRUMonotone: hits can only grow with associativity
+// TestSetAssocProfilerMonotone: hits can only grow with associativity
 // (stack inclusion), and the histogram accounts for every access.
-func TestSetAssocLRUMonotone(t *testing.T) {
+func TestSetAssocProfilerMonotone(t *testing.T) {
 	tr := randTrace(64<<10, 9, 8000)
-	h, err := SetAssocLRU(tr, 64, 16, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	h := setAssocProfile(t, tr, 64, 16)
 	var sum uint64
 	prev := uint64(0)
 	for w := 1; w <= h.MaxWays; w++ {
@@ -154,17 +151,16 @@ func TestSetAssocFeedAllocFree(t *testing.T) {
 	}
 }
 
-// TestSetAssocLRUValidation pins the error shapes.
-func TestSetAssocLRUValidation(t *testing.T) {
-	tr := randTrace(1<<10, 1, 10)
-	if _, err := SetAssocLRU(tr, 0, 4, 6); err == nil {
+// TestSetAssocProfilerValidation pins the error shapes.
+func TestSetAssocProfilerValidation(t *testing.T) {
+	if _, err := NewSetAssocProfiler(0, 4, 6); err == nil {
 		t.Error("zero sets accepted")
 	}
-	if _, err := SetAssocLRU(tr, 8, 0, 6); err == nil {
+	if _, err := NewSetAssocProfiler(8, 0, 6); err == nil {
 		t.Error("zero ways accepted")
 	}
 	// Non-power-of-two set counts use the modulo mapping.
-	if _, err := SetAssocLRU(tr, 12, 4, 6); err != nil {
+	if _, err := NewSetAssocProfiler(12, 4, 6); err != nil {
 		t.Errorf("non-pow2 sets rejected: %v", err)
 	}
 }

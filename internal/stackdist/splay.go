@@ -226,14 +226,3 @@ func (t *reuseTree) remove(idx int32) {
 	t.detachRoot()
 	t.release(idx)
 }
-
-// reset empties the tree, returning every pooled node to the free
-// list. Not hot (rebuilds the free list with a full scan).
-func (t *reuseTree) reset() {
-	t.root = nilNode
-	t.free = nilNode
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		t.nodes[i] = treeNode{left: t.free}
-		t.free = int32(i)
-	}
-}

@@ -107,16 +107,6 @@ func (h *Histogram) MissRatio(capacityLines int64) float64 {
 	return 1 - float64(hits)/float64(h.Total)
 }
 
-// MissRatioCurve evaluates MissRatio at each capacity (in bytes,
-// 64-byte lines).
-func (h *Histogram) MissRatioCurve(capacities []int64) []float64 {
-	out := make([]float64, len(capacities))
-	for i, c := range capacities {
-		out[i] = h.MissRatio(c / 64)
-	}
-	return out
-}
-
 // ColdRatio returns the fraction of first-touch accesses.
 func (h *Histogram) ColdRatio() float64 {
 	if h.Total == 0 {
@@ -149,21 +139,6 @@ func (h *Histogram) Percentile(p float64) (int64, error) {
 		}
 	}
 	return int64(len(h.Counts) - 1), nil
-}
-
-// Merge folds other into h (histograms must have equal Counts length).
-func (h *Histogram) Merge(other *Histogram) error {
-	if len(h.Counts) != len(other.Counts) {
-		return fmt.Errorf("stackdist: merging histograms of different depth (%d vs %d)",
-			len(h.Counts), len(other.Counts))
-	}
-	for i, c := range other.Counts {
-		h.Counts[i] += c
-	}
-	h.Overflow += other.Overflow
-	h.Cold += other.Cold
-	h.Total += other.Total
-	return nil
 }
 
 // SetAssociativeMissRatio approximates the miss ratio of a W-way,

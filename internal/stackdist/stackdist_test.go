@@ -191,32 +191,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestMerge(t *testing.T) {
-	a, _ := Analyze(tr(0, 1, 0), 4)
-	b, _ := Analyze(tr(2, 3, 2), 4)
-	if err := a.Merge(b); err != nil {
-		t.Fatal(err)
-	}
-	if a.Total != 6 || a.Cold != 4 || a.Counts[1] != 2 {
-		t.Errorf("merged histogram wrong: %+v", a)
-	}
-	c, _ := Analyze(tr(0), 8)
-	if err := a.Merge(c); err == nil {
-		t.Error("depth mismatch accepted")
-	}
-}
-
-func TestMissRatioCurve(t *testing.T) {
-	h, _ := Analyze(tr(0, 1, 2, 3, 0, 1, 2, 3), 16)
-	curve := h.MissRatioCurve([]int64{3 * 64, 4 * 64, 16 * 64})
-	if curve[0] != 1 {
-		t.Errorf("curve[0] = %g, want 1", curve[0])
-	}
-	if curve[1] >= curve[0] || curve[2] != curve[1] {
-		t.Errorf("curve shape wrong: %v", curve)
-	}
-}
-
 func TestWorkingSetKnees(t *testing.T) {
 	// Synthetic: heavy reuse at distance ~100 (a ~6.4KB working set).
 	h := &Histogram{Counts: make([]uint64, 1024), Total: 1000}

@@ -1,6 +1,6 @@
 // Package stats provides small numeric helpers used throughout the
-// simulator and the measurement harness: online accumulators, percentiles,
-// linear interpolation and a deterministic pseudo-random number generator.
+// simulator and the measurement harness: percentiles, linear
+// interpolation and a deterministic pseudo-random number generator.
 //
 // Everything here is allocation-free on the hot paths and fully
 // deterministic, which the machine model depends on for reproducible runs.
@@ -11,96 +11,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Accumulator keeps online summary statistics (count, mean, variance
-// via Welford's algorithm, min and max). The zero value is ready to use.
-type Accumulator struct {
-	n        int64
-	mean, m2 float64
-	min, max float64
-}
-
-// Add folds one observation into the accumulator.
-func (a *Accumulator) Add(x float64) {
-	if a.n == 0 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
-	a.n++
-	d := x - a.mean
-	a.mean += d / float64(a.n)
-	a.m2 += float64(d * (x - a.mean)) // rounded: no FMA
-}
-
-// N returns the number of observations added so far.
-func (a *Accumulator) N() int64 { return a.n }
-
-// Mean returns the arithmetic mean, or 0 when empty.
-func (a *Accumulator) Mean() float64 { return a.mean }
-
-// Min returns the smallest observation, or 0 when empty.
-func (a *Accumulator) Min() float64 { return a.min }
-
-// Max returns the largest observation, or 0 when empty.
-func (a *Accumulator) Max() float64 { return a.max }
-
-// Variance returns the unbiased sample variance, or 0 for fewer than
-// two observations.
-func (a *Accumulator) Variance() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return a.m2 / float64(a.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (a *Accumulator) StdDev() float64 { return math.Sqrt(a.Variance()) }
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-// Max returns the largest element of xs, or 0 for an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the smallest element of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
 
 // Percentile returns the p-th percentile (0 <= p <= 100) of xs using
 // linear interpolation between closest ranks. xs is not modified.

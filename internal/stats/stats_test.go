@@ -6,77 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestAccumulatorBasics(t *testing.T) {
-	var a Accumulator
-	if a.N() != 0 || a.Mean() != 0 || a.Variance() != 0 {
-		t.Fatalf("zero accumulator not empty: n=%d mean=%g var=%g", a.N(), a.Mean(), a.Variance())
-	}
-	for _, x := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
-		a.Add(x)
-	}
-	if a.N() != 8 {
-		t.Errorf("N = %d, want 8", a.N())
-	}
-	if got := a.Mean(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Mean = %g, want 5", got)
-	}
-	// Population variance of this classic sequence is 4; sample variance
-	// is 32/7.
-	if got := a.Variance(); math.Abs(got-32.0/7.0) > 1e-12 {
-		t.Errorf("Variance = %g, want %g", got, 32.0/7.0)
-	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("Min/Max = %g/%g, want 2/9", a.Min(), a.Max())
-	}
-}
-
-func TestAccumulatorSingleValue(t *testing.T) {
-	var a Accumulator
-	a.Add(42)
-	if a.Mean() != 42 || a.Min() != 42 || a.Max() != 42 {
-		t.Errorf("single-value accumulator wrong: %g %g %g", a.Mean(), a.Min(), a.Max())
-	}
-	if a.Variance() != 0 || a.StdDev() != 0 {
-		t.Errorf("variance of single value should be 0, got %g", a.Variance())
-	}
-}
-
-func TestAccumulatorMatchesSliceMean(t *testing.T) {
-	f := func(xs []float64) bool {
-		for _, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e100 {
-				return true // skip pathological inputs
-			}
-		}
-		var a Accumulator
-		for _, x := range xs {
-			a.Add(x)
-		}
-		want := Mean(xs)
-		scale := math.Max(1, math.Abs(want))
-		return math.Abs(a.Mean()-want) <= 1e-9*scale
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMeanMinMax(t *testing.T) {
-	xs := []float64{3, -1, 4, 1, 5}
-	if got := Mean(xs); math.Abs(got-2.4) > 1e-12 {
-		t.Errorf("Mean = %g, want 2.4", got)
-	}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %g, want -1", got)
-	}
-	if got := Max(xs); got != 5 {
-		t.Errorf("Max = %g, want 5", got)
-	}
-	if Mean(nil) != 0 || Min(nil) != 0 || Max(nil) != 0 {
-		t.Error("empty-slice helpers should return 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	cases := []struct {

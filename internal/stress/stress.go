@@ -37,15 +37,6 @@ type XuResult struct {
 	StressorBandwidthGBs float64
 }
 
-// Distortion returns the Target CPI inflation caused by the stressor's
-// bandwidth use relative to running alone.
-func (r XuResult) Distortion() float64 {
-	if r.BaselineCPI == 0 {
-		return 0
-	}
-	return r.TargetCPI/r.BaselineCPI - 1
-}
-
 // XuCoRun runs the Target against a freely-contending random-access
 // stressor with the given working set (the amount Xu et al. would
 // *like* to steal) and measures what actually happens. Occupancy is
@@ -129,14 +120,6 @@ func XuCoRun(mcfg machine.Config, newGen func(seed uint64) workload.Generator, s
 type Sensitivity struct {
 	AloneCPI float64
 	CoRunCPI float64
-}
-
-// Slowdown returns CoRunCPI/AloneCPI - 1.
-func (s Sensitivity) Slowdown() float64 {
-	if s.AloneCPI == 0 {
-		return 0
-	}
-	return s.CoRunCPI/s.AloneCPI - 1
 }
 
 // BaseVectorSensitivity co-runs the Target with the cache base vector

@@ -79,8 +79,9 @@ func TestBaseVectorSlowsCacheHungryMoreThanComputeBound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hungry.Slowdown() <= calm.Slowdown() {
+	slowdown := func(s Sensitivity) float64 { return s.CoRunCPI/s.AloneCPI - 1 }
+	if slowdown(hungry) <= slowdown(calm) {
 		t.Errorf("base vector should hurt the cache-hungry target more: %.3f vs %.3f",
-			hungry.Slowdown(), calm.Slowdown())
+			slowdown(hungry), slowdown(calm))
 	}
 }

@@ -47,7 +47,7 @@ func readPass(t *testing.T, data []byte, procs int) passResult {
 	}
 	res := passResult{inline: r.inline}
 	res.recs, res.err = drainAll(r)
-	res.frames = r.Frames()
+	res.frames = r.frames
 	_, res.sticky = r.NextBlock()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -145,8 +145,8 @@ func TestReaderDecodesInline(t *testing.T) {
 				if r.running {
 					t.Fatal("inline reader started a decode goroutine")
 				}
-				if r.Frames() != (5000+511)/512 {
-					t.Fatalf("frames = %d, want %d", r.Frames(), (5000+511)/512)
+				if r.frames != (5000+511)/512 {
+					t.Fatalf("frames = %d, want %d", r.frames, (5000+511)/512)
 				}
 				if err := r.Rewind(); err != nil {
 					t.Fatal(err)
@@ -271,7 +271,7 @@ func readBlocks(t *testing.T, data []byte, procs int, work func()) blockPass {
 			res.ahead = max(res.ahead, len(r.out))
 		}
 	}
-	res.frames = r.Frames()
+	res.frames = r.frames
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -231,7 +231,7 @@ func streamAll(t *testing.T, data []byte) ([]Record, int64, error) {
 		}
 		recs = append(recs, blk...)
 	}
-	frames := r.Frames()
+	frames := r.frames
 	if cerr := r.Close(); cerr != nil {
 		t.Fatalf("Reader.Close: %v", cerr)
 	}

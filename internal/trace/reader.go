@@ -58,7 +58,7 @@ type Reader struct {
 	wg      sync.WaitGroup
 	held    *blockBuf
 
-	frames     int64  // frames surfaced this pass
+	frames     int64  // frames surfaced this pass; at an error, those before it
 	passRecs   int64  // records surfaced this pass, checked against the header at EOF
 	passInstrs uint64 // instruction total surfaced this pass, ditto
 	eof        bool
@@ -107,7 +107,8 @@ func OpenFile(path string, o ReaderOptions) (*Reader, error) {
 
 // ReaderOptions, ParallelReaderOptions and OpenFileParallel survive
 // only because the benchmark harness (bench/) still passes and calls
-// them; all three go when it stops. ReaderOptions is empty: a Reader's
+// them; all three, and NewReplayer's ignored loop flag, go when it
+// stops. ReaderOptions is empty: a Reader's
 // blocks are the stream's own frames.
 type ReaderOptions struct{}
 
@@ -287,11 +288,6 @@ func (r *Reader) NumRecords() int64 { return r.hdrRecords }
 // NumInstructions implements BlockSource: the header-declared total
 // (-1 when the recorder could not patch it).
 func (r *Reader) NumInstructions() int64 { return r.hdrInstrs }
-
-// Frames returns how many frames this pass has surfaced; at an error,
-// the frames before the failing one.
-// Diagnostic only.
-func (r *Reader) Frames() int64 { return r.frames }
 
 // Close joins any decode goroutine and closes the underlying file
 // when the Reader was built by OpenFile.

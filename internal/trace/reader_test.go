@@ -196,9 +196,9 @@ func waitGoroutines(t *testing.T, base int) {
 
 // TestReaderLifecycle drives the Reader through every way a pass ends,
 // with decode-ahead on (GOMAXPROCS 2) and off (GOMAXPROCS 1). Each
-// case pins the error and Frames() where the pass stopped, that the
-// error is sticky, and that Close leaves no goroutine behind. Run it
-// under -race: the decode goroutine and the caller share the Reader.
+// case pins the error and the frame count where the pass stopped, that
+// the error is sticky, and that Close leaves no goroutine behind. Run
+// it under -race: the decode goroutine and the caller share the Reader.
 func TestReaderLifecycle(t *testing.T) {
 	const frameRecs = 64
 	tr := testTrace(40 * frameRecs)
@@ -262,12 +262,12 @@ func TestReaderLifecycle(t *testing.T) {
 				if !errors.Is(err, tc.wantErr) {
 					t.Fatalf("pass ended with %v, want %v", err, tc.wantErr)
 				}
-				if n != tc.wantRecs || r.Frames() != tc.wantFrames {
-					t.Fatalf("stopped after %d records, %d frames; want %d, %d", n, r.Frames(), tc.wantRecs, tc.wantFrames)
+				if n != tc.wantRecs || r.frames != tc.wantFrames {
+					t.Fatalf("stopped after %d records, %d frames; want %d, %d", n, r.frames, tc.wantRecs, tc.wantFrames)
 				}
 				if tc.wantErr != nil {
-					if _, again := r.NextBlock(); again != err || r.Frames() != tc.wantFrames {
-						t.Fatalf("error not sticky: %v, %d frames", again, r.Frames())
+					if _, again := r.NextBlock(); again != err || r.frames != tc.wantFrames {
+						t.Fatalf("error not sticky: %v, %d frames", again, r.frames)
 					}
 				}
 				if err := r.Close(); err != nil {
@@ -378,15 +378,4 @@ func TestReplayerBlockSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	recordsEqual(t, tr.Records, drain(t, r))
-	// Mixed-mode: consume two records, then take the rest as a block.
-	if err := r.Rewind(); err != nil {
-		t.Fatal(err)
-	}
-	r.NextRecord()
-	r.NextRecord()
-	blk, err := r.NextBlock()
-	if err != nil {
-		t.Fatal(err)
-	}
-	recordsEqual(t, tr.Records[2:], blk)
 }

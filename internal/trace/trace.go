@@ -177,43 +177,26 @@ func recordCap(declared uint64, hint int64) int {
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
-// Replayer replays an in-memory trace, optionally looping. It is both
-// a Source (per-record replay) and the in-memory implementation of
-// BlockSource (block replay): the streamed and in-memory paths share
-// one shape, and out-of-core readers are drop-in replacements.
+// Replayer is the in-memory implementation of BlockSource: the
+// streamed and in-memory paths share one shape, and out-of-core
+// readers are drop-in replacements. It never loops by itself; looping
+// is the consumer's policy (see workload.FromBlocks), signalled by
+// Rewind.
 type Replayer struct {
-	t    *Trace
-	pos  int
-	Loop bool
+	t   *Trace
+	pos int
 }
 
-// NewReplayer builds a replayer over t. With Loop set it restarts from
-// the beginning after the last record; otherwise NextRecord panics past
-// the end.
+// NewReplayer builds a replayer over t. loop is ignored: the parameter
+// survives only because the benchmark harness (bench/) still passes
+// it, and goes with ReaderOptions and OpenFileParallel when it stops.
 func NewReplayer(t *Trace, loop bool) *Replayer {
-	return &Replayer{t: t, Loop: loop}
-}
-
-// NextRecord returns the next record.
-//
-//lint:hotpath
-func (r *Replayer) NextRecord() Record {
-	if r.pos >= len(r.t.Records) {
-		if !r.Loop {
-			panic("trace: replay past end of non-looping trace")
-		}
-		r.pos = 0
-	}
-	rec := r.t.Records[r.pos]
-	r.pos++
-	return rec
+	return &Replayer{t: t}
 }
 
 // NextBlock returns every remaining record as one block (the whole
 // trace is already resident, so the natural block is all of it), or
-// nil at the end of the pass. Block replay ignores Loop: looping is
-// the consumer's policy (see workload.FromBlocks), signalled by
-// Rewind.
+// nil at the end of the pass.
 //
 //lint:hotpath
 func (r *Replayer) NextBlock() ([]Record, error) {
@@ -236,13 +219,6 @@ func (r *Replayer) NumRecords() int64 { return int64(len(r.t.Records)) }
 
 // NumInstructions implements BlockSource: the cached trace total.
 func (r *Replayer) NumInstructions() int64 { return int64(r.t.Instructions()) }
-
-// Exhausted reports whether a non-looping replayer has consumed every
-// record.
-func (r *Replayer) Exhausted() bool { return !r.Loop && r.pos >= len(r.t.Records) }
-
-// Reset rewinds the replayer.
-func (r *Replayer) Reset() { r.pos = 0 }
 
 // BlockSource yields a trace as consecutive blocks of records: the
 // shape shared by the in-memory Replayer and the out-of-core Reader,

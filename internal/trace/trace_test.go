@@ -78,54 +78,6 @@ func TestCapture(t *testing.T) {
 	}
 }
 
-func TestReplayerLoop(t *testing.T) {
-	tr := Capture(&seqSource{}, 3)
-	r := NewReplayer(tr, true)
-	var addrs []uint64
-	for i := 0; i < 7; i++ {
-		addrs = append(addrs, r.NextRecord().Addr)
-	}
-	want := []uint64{0, 64, 128, 0, 64, 128, 0}
-	for i := range want {
-		if addrs[i] != want[i] {
-			t.Fatalf("loop replay addr[%d] = %d, want %d", i, addrs[i], want[i])
-		}
-	}
-}
-
-func TestReplayerNonLoop(t *testing.T) {
-	tr := Capture(&seqSource{}, 2)
-	r := NewReplayer(tr, false)
-	r.NextRecord()
-	if r.Exhausted() {
-		t.Error("exhausted too early")
-	}
-	r.NextRecord()
-	if !r.Exhausted() {
-		t.Error("not exhausted after last record")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("replay past end did not panic")
-		}
-	}()
-	r.NextRecord()
-}
-
-func TestReplayerReset(t *testing.T) {
-	tr := Capture(&seqSource{}, 2)
-	r := NewReplayer(tr, false)
-	r.NextRecord()
-	r.NextRecord()
-	r.Reset()
-	if r.Exhausted() {
-		t.Error("exhausted after reset")
-	}
-	if got := r.NextRecord().Addr; got != 0 {
-		t.Errorf("first record after reset = %d", got)
-	}
-}
-
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40)} {
 		if got := unzigzag(zigzag(v)); got != v {

@@ -158,9 +158,6 @@ func (p *Phased) MLP() float64 { return p.mlp }
 // WorkingSet returns the largest phase working set.
 func (p *Phased) WorkingSet() int64 { return p.wss }
 
-// CurrentPhase returns the index of the running phase (for tests).
-func (p *Phased) CurrentPhase() int { return p.cur }
-
 // ComputeBound touches a tiny buffer with many instructions between
 // accesses (453.povray / 454.calculix-like: fetch ratio ~0, flat CPI).
 type ComputeBound struct {
@@ -200,40 +197,3 @@ func (s TraceSource) NextRecord() trace.Record {
 	op := s.Gen.Next()
 	return trace.Record{NInstr: op.NInstr, Addr: op.Addr, Write: op.Write}
 }
-
-// FromTrace adapts a captured trace back into a Generator (looping),
-// with an explicit MLP hint since traces carry none.
-type FromTrace struct {
-	name string
-	rep  *trace.Replayer
-	mlp  float64
-	wss  int64
-}
-
-// NewFromTrace wraps tr as a looping generator.
-func NewFromTrace(name string, tr *trace.Trace, mlp float64, wss int64) *FromTrace {
-	if mlp < 1 {
-		mlp = 1
-	}
-	return &FromTrace{name: name, rep: trace.NewReplayer(tr, true), mlp: mlp, wss: wss}
-}
-
-// Next returns the next replayed op.
-//
-//lint:hotpath
-func (f *FromTrace) Next() Op {
-	r := f.rep.NextRecord()
-	return Op{NInstr: r.NInstr, Addr: r.Addr, Write: r.Write}
-}
-
-// Reset rewinds the trace (the seed is ignored; traces are fixed).
-func (f *FromTrace) Reset(uint64) { f.rep.Reset() }
-
-// Name returns the workload name.
-func (f *FromTrace) Name() string { return f.name }
-
-// MLP returns the configured overlap hint.
-func (f *FromTrace) MLP() float64 { return f.mlp }
-
-// WorkingSet returns the configured nominal working set.
-func (f *FromTrace) WorkingSet() int64 { return f.wss }

@@ -6,11 +6,11 @@ import (
 	"cachepirate/internal/trace"
 )
 
-// FromBlocks adapts a trace.BlockSource into a looping Generator:
-// the streamed counterpart of FromTrace. Each exhausted pass triggers
-// a Rewind, so the op stream a core sees is identical to replaying
-// the same trace from memory — bit-identical curves are pinned in
-// internal/conformance.
+// FromBlocks adapts a trace.BlockSource into a looping Generator: the
+// one way to replay a trace on a core, from memory (trace.Replayer) or
+// from a stream (trace.Reader). Each exhausted pass triggers a Rewind,
+// so the op stream a core sees does not depend on where the records
+// live — bit-identical curves are pinned in internal/conformance.
 //
 // Generators are infallible by interface (Next returns an Op, not an
 // error), so stream failures mid-replay panic: a decode error under a

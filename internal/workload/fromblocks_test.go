@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -22,43 +23,58 @@ func blocksTestTrace(n int) *trace.Trace {
 	return tr
 }
 
-// TestFromBlocksMatchesFromTrace pins the bit-identity contract at the
-// generator layer: the op stream out of a streamed BlockSource —
-// including the wrap at end of pass — is exactly the op stream
-// FromTrace produces from the same records in memory.
-func TestFromBlocksMatchesFromTrace(t *testing.T) {
-	tr := blocksTestTrace(1000)
-	var buf bytes.Buffer
-	if err := tr.WriteV2Frames(&buf, 64); err != nil { // many block boundaries per pass
-		t.Fatal(err)
+// blocksSource serves tr as a BlockSource: the in-memory Replayer when
+// frame is 0, else a streamed Reader over tr encoded frame records per
+// frame.
+func blocksSource(t *testing.T, tr *trace.Trace, frame int) trace.BlockSource {
+	t.Helper()
+	if frame == 0 {
+		return trace.NewReplayer(tr, false)
 	}
-
-	sources := map[string]trace.BlockSource{
-		"replayer": trace.NewReplayer(tr, false),
+	var buf bytes.Buffer
+	if err := tr.WriteV2Frames(&buf, frame); err != nil {
+		t.Fatal(err)
 	}
 	r, err := trace.NewReader(bytes.NewReader(buf.Bytes()), trace.ReaderOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
+	t.Cleanup(func() {
 		if err := r.Close(); err != nil {
 			t.Error(err)
 		}
-	}()
-	sources["reader"] = r
+	})
+	return r
+}
 
-	for name, src := range sources {
-		t.Run(name, func(t *testing.T) {
-			ref := NewFromTrace("ref", tr, 1, 0)
-			got := NewFromBlocks("got", src, 1, 0)
-			// 2.5 passes: the wrap must be seamless and positioned
-			// identically in both streams.
-			for i := 0; i < 2500; i++ {
-				if g, w := got.Next(), ref.Next(); g != w {
-					t.Fatalf("op %d: streamed %+v, in-memory %+v", i, g, w)
+// TestFromBlocksMatchesFromTrace pins FromBlocks, the one looping trace
+// generator, against the records themselves: op i is record i mod n,
+// over three passes and through a Reset in mid-pass, whether the
+// records come from memory or from a stream framed 1, 7 or 4096
+// records at a time (a 1-record trace and traces shorter than one
+// frame included).
+func TestFromBlocksMatchesFromTrace(t *testing.T) {
+	for _, n := range []int{1, 5, 1000} {
+		tr := blocksTestTrace(n)
+		for _, frame := range []int{0, 1, 7, 4096} {
+			t.Run(fmt.Sprintf("n=%d/frame=%d", n, frame), func(t *testing.T) {
+				g := NewFromBlocks("got", blocksSource(t, tr, frame), 1, 0)
+				check := func(count int) {
+					t.Helper()
+					for i := 0; i < count; i++ {
+						r := tr.Records[i%n]
+						want := Op{NInstr: r.NInstr, Addr: r.Addr, Write: r.Write}
+						if got := g.Next(); got != want {
+							t.Fatalf("op %d: got %+v, want %+v", i, got, want)
+						}
+					}
 				}
-			}
-		})
+				check(3 * n)   // every wrap must be seamless
+				check(n/2 + 1) // stop in mid-pass
+				g.Reset(99)    // the seed is ignored for traces
+				check(3 * n)
+			})
+		}
 	}
 }
 

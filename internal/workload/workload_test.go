@@ -251,11 +251,11 @@ func TestPhasedReset(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		p.Next()
 	}
-	if p.CurrentPhase() != 1 {
-		t.Fatalf("expected phase 1 after 30 instrs, got %d", p.CurrentPhase())
+	if p.cur != 1 {
+		t.Fatalf("expected phase 1 after 30 instrs, got %d", p.cur)
 	}
 	p.Reset(1)
-	if p.CurrentPhase() != 0 {
+	if p.cur != 0 {
 		t.Error("reset did not return to phase 0")
 	}
 }
@@ -271,11 +271,11 @@ func TestComputeBoundProperties(t *testing.T) {
 	}
 }
 
-func TestTraceSourceAndFromTraceRoundTrip(t *testing.T) {
+func TestTraceSourceAndFromBlocksRoundTrip(t *testing.T) {
 	g := NewSequential(SequentialConfig{Name: "s", Span: 1 << 12, NInstr: 3, WriteFrac: 0.5})
 	tr := trace.Capture(TraceSource{Gen: g}, 50)
 	g.Reset(1)
-	replay := NewFromTrace("s-replay", tr, 4, 1<<12)
+	replay := NewFromBlocks("s-replay", trace.NewReplayer(tr, false), 4, 1<<12)
 	for i := 0; i < 50; i++ {
 		want, got := g.Next(), replay.Next()
 		if want != got {
@@ -288,7 +288,7 @@ func TestTraceSourceAndFromTraceRoundTrip(t *testing.T) {
 		t.Errorf("loop restart op = %+v, want %+v", got, want)
 	}
 	if replay.MLP() != 4 || replay.WorkingSet() != 1<<12 {
-		t.Error("FromTrace hints not preserved")
+		t.Error("FromBlocks hints not preserved")
 	}
 }
 
