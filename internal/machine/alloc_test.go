@@ -152,6 +152,15 @@ func TestHotPathPrimitivesAllocFree(t *testing.T) {
 		gate(t, "Machine.Step (co-run)", func() { m.Step() })
 	})
 
+	t.Run("trace", func(t *testing.T) {
+		rep := trace.NewReplayer(randomTrace(4096, 1<<20), false)
+		gate(t, "Replayer.NextBlock", func() {
+			if blk, _ := rep.NextBlock(); blk == nil {
+				rep.Rewind()
+			}
+		})
+	})
+
 	t.Run("prefetch", func(t *testing.T) {
 		st := prefetch.NewStream(prefetch.StreamConfig{})
 		var a uint64

@@ -78,6 +78,23 @@ func TestCapture(t *testing.T) {
 	}
 }
 
+// TestReplayerLoop pins that NewReplayer's loop argument is ignored:
+// looping is the consumer's policy (workload.FromBlocks rewinds), so a
+// replayer built with loop set still ends its pass.
+func TestReplayerLoop(t *testing.T) {
+	tr := Capture(&seqSource{}, 3)
+	r := NewReplayer(tr, true)
+	for p := 0; p < 2; p++ {
+		recordsEqual(t, tr.Records, drain(t, r))
+		if blk, err := r.NextBlock(); blk != nil || err != nil {
+			t.Fatalf("pass %d: loop=true replayer went on past the end: %v, %v", p, blk, err)
+		}
+		if err := r.Rewind(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestZigzag(t *testing.T) {
 	for _, v := range []int64{0, 1, -1, 63, -64, 1 << 40, -(1 << 40)} {
 		if got := unzigzag(zigzag(v)); got != v {
