@@ -44,9 +44,14 @@ bench-kernel:
 # kernels"), and the machine's step loop unpacks the walk's outcome word
 # through the PackedOutcome accessors. An edit that pushes one over the
 # compiler's budget turns it into a call per level per record; fail
-# here, not as benchmark drift. Names are as `-gcflags=-m=2` prints them.
+# here, not as benchmark drift. The set-position helpers are the same
+# promise: at and locate index a set in any layout (the fused walk's
+# set-major replicas), own a stand-alone cache's set (the machine's
+# walk), and FusedHierarchy.Line decodes a record once for every replica
+# inside the fused record loops. Names are as `-gcflags=-m=2` prints them.
 INLINE_LEAVES = '(*Cache).setFor' '(*Cache).plruTouch' '(*Cache).nehalemTouch' \
 	'(*Cache).plruVictim' '(*Cache).nehalemVictim' \
+	'(*Cache).at' '(*Cache).locate' '(*Cache).own' '(*FusedHierarchy).Line' \
 	PackedOutcome.ServedBy PackedOutcome.PrefetchHit PackedOutcome.L3Uses \
 	PackedOutcome.ReadLines PackedOutcome.WriteLines
 check-inline:
@@ -117,13 +122,16 @@ cover:
 # Fuzz every target for FUZZTIME each (seeded from the checked-in
 # corpora under testdata/fuzz/). Failing inputs land in testdata/fuzz/
 # and replay deterministically with `go run ./cmd/conformance replay`.
-# FuzzHierarchy's executions are differential replays (two hierarchy
-# implementations, two back-invalidation modes), so its input minimiser
-# is capped: the default 60s per find would swallow a short campaign.
+# FuzzHierarchy's and FuzzFusedHierarchy's executions are differential
+# replays (two hierarchy implementations, two back-invalidation modes;
+# a replica family against one hierarchy per replica), so their input
+# minimiser is capped: the default 60s per find would swallow a short
+# campaign.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -fuzz '^FuzzKernel$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/conformance
 	$(GO) test -fuzz '^FuzzHierarchy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/conformance
+	$(GO) test -fuzz '^FuzzFusedHierarchy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/conformance
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzSampledProfile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/stackdist
 

@@ -6,7 +6,7 @@
 // Usage:
 //
 //	conformance check [-seed N] [-n N] [-ops N]
-//	conformance replay [-target kernel|hierarchy|trace] <corpus-file>...
+//	conformance replay [-target kernel|hierarchy|fused|trace] <corpus-file>...
 //
 // `check` runs n randomized campaigns per policy/geometry/pattern
 // combination and exits non-zero on the first divergence, printing a
@@ -47,7 +47,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   conformance check [-seed N] [-n N] [-ops N]
-  conformance replay [-target kernel|hierarchy|trace] <corpus-file>...`)
+  conformance replay [-target kernel|hierarchy|fused|trace] <corpus-file>...`)
 	os.Exit(2)
 }
 
@@ -110,7 +110,7 @@ func fail(cfg cache.Config, ops []conformance.Op, d *conformance.Divergence) {
 // runReplay re-runs fuzz corpus files deterministically.
 func runReplay(args []string) {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
-	target := fs.String("target", "kernel", "which decoder to replay: kernel, hierarchy or trace")
+	target := fs.String("target", "kernel", "which decoder to replay: kernel, hierarchy, fused or trace")
 	fs.Parse(args)
 	if fs.NArg() == 0 {
 		usage()
@@ -153,6 +153,14 @@ func replayOne(target, path string, data []byte) bool {
 		cfg, ops := conformance.DecodeHierarchy(data)
 		if err := conformance.ReplayHierarchy(cfg, ops); err == nil {
 			fmt.Printf("%s: ok (%d cores, %d ops)\n", path, cfg.Cores, len(ops))
+			return true
+		} else {
+			fmt.Printf("%s: FAIL: %v\n", path, err)
+		}
+	case "fused":
+		fam, ops := conformance.DecodeFused(data)
+		if err := conformance.ReplayFused(fam, ops); err == nil {
+			fmt.Printf("%s: ok (%d replicas, %d ops)\n", path, len(fam.L3), len(ops))
 			return true
 		} else {
 			fmt.Printf("%s: FAIL: %v\n", path, err)

@@ -84,6 +84,7 @@ func record(args []string) {
 		fmt.Fprintf(os.Stderr, "tracer: -records must be at least 1 and -skip at least 0 (got %d and %d)\n", *records, *skip)
 		os.Exit(2)
 	}
+	checkFrame(*frame)
 	spec, ok := workload.ByName(fs.Arg(0))
 	if !ok {
 		fmt.Fprintf(os.Stderr, "tracer: unknown benchmark %q (cmd/pirate -list names them)\n", fs.Arg(0))
@@ -225,6 +226,16 @@ func sizeString(b float64) string {
 	return fmt.Sprintf("%.0fB", b)
 }
 
+// checkFrame refuses, with a usage exit, a -frame the writer would
+// otherwise quietly clamp into [1, trace.MaxFrameRecords]: a frame
+// size nobody asked for is not what the caller meant.
+func checkFrame(frame int) {
+	if frame < 1 || frame > trace.MaxFrameRecords {
+		fmt.Fprintf(os.Stderr, "tracer: -frame must be between 1 and %d (got %d)\n", trace.MaxFrameRecords, frame)
+		os.Exit(2)
+	}
+}
+
 // compact re-encodes SRC frame by frame at the requested frame size.
 func compact(args []string) {
 	fs := flag.NewFlagSet("tracer compact", flag.ExitOnError)
@@ -234,6 +245,7 @@ func compact(args []string) {
 	if *out == "" || fs.NArg() != 1 {
 		usage()
 	}
+	checkFrame(*frame)
 	src, dst := fs.Arg(0), *out
 
 	in, err := trace.OpenFile(src, trace.ReaderOptions{})

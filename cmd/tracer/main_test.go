@@ -215,6 +215,37 @@ func TestRecordRejectsBadCounts(t *testing.T) {
 	}
 }
 
+// TestRejectsBadFrame pins that record and compact refuse a frame size
+// outside [1, trace.MaxFrameRecords] with a usage exit that names the
+// range, before writing anything, where the writer would clamp it.
+func TestRejectsBadFrame(t *testing.T) {
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src.cptr2")
+	writeTrace(t, src, cliTestTrace(300), 64)
+	for _, frame := range []string{"0", "-5", "1048577", "100000000"} {
+		dst := filepath.Join(dir, "t.cptr2")
+		for _, args := range [][]string{
+			{"record", "-records", "100", "-frame", frame, "-o", dst, "microrand"},
+			{"compact", "-frame", frame, "-o", dst, src},
+		} {
+			out, err := run(args...)
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "tracer: -frame must be between 1 and 1048576") {
+				t.Errorf("%s: %v\n%s", strings.Join(args, " "), err, out)
+			}
+			if _, err := os.Stat(dst); !os.IsNotExist(err) {
+				t.Errorf("%s left an output file (stat: %v)", strings.Join(args, " "), err)
+			}
+		}
+	}
+	// The bounds themselves are accepted.
+	for _, frame := range []string{"1", "1048576"} {
+		dst := filepath.Join(dir, "ok-"+frame+".cptr2")
+		tracer(t, "compact", "-frame", frame, "-o", dst, src)
+		sameRecords(t, readFile(t, src), readFile(t, dst), "compact -frame "+frame)
+	}
+}
+
 // TestUsageFlagsDefined checks every -flag the usage text names against
 // the flags its subcommand defines, as `tracer <sub> -h` prints them.
 func TestUsageFlagsDefined(t *testing.T) {

@@ -146,11 +146,17 @@ type Result struct {
 }
 
 // Cache is a single set-associative cache level. Line state lives in
-// dense parallel arrays indexed by set*ways+way (see the package
-// comment for why).
+// dense parallel arrays (see the package comment for why): the lines of
+// set si start at base si*stride and its meta and free words sit at
+// meta index si*group. A cache New builds owns its arrays, so stride is
+// its way count and group 1: base si*ways, meta index si. A replica of a
+// set-major Replicas family shares its arrays with the other replicas
+// of its band, and its slices start at its own part of set 0.
 type Cache struct {
 	cfg      Config
 	ways     int
+	stride   int    // line slots from one set to the next
+	group    uint64 // meta/free words from one set to the next
 	nsets    uint64
 	setMask  uint64 // nsets-1
 	setsPow2 bool   // index with &setMask instead of %nsets
@@ -189,21 +195,24 @@ func New(cfg Config) (*Cache, error) {
 		stamp = make([]uint64, nlines)
 	}
 	c := &Cache{}
-	c.init(cfg,
+	c.init(cfg, cfg.Ways, 1,
 		make([]uint64, nlines), make([]uint8, nlines), make([]int32, nlines),
 		stamp, make([]uint64, nsets), make([]uint64, nsets))
 	return c, nil
 }
 
 // geometry returns a cache holding cfg's derived geometry — set count,
-// index mask, way mask, line shift — and no line state. init builds on
-// it; peakSetLoad uses one bare to index a geometry it never
-// materialises, so every set index in the package comes out of setFor.
+// index mask, way mask, line shift, the stand-alone layout — and no line
+// state. init builds on it; peakSetLoad uses one bare to index a
+// geometry it never materialises, so every set index in the package
+// comes out of setFor.
 func geometry(cfg Config) Cache {
 	nsets := uint64(cfg.Sets())
 	return Cache{
 		cfg:      cfg,
 		ways:     cfg.Ways,
+		stride:   cfg.Ways,
+		group:    1,
 		nsets:    nsets,
 		setMask:  nsets - 1,
 		setsPow2: nsets&(nsets-1) == 0,
@@ -212,13 +221,17 @@ func geometry(cfg Config) Cache {
 	}
 }
 
-// init wires a validated config onto the given backing arrays (sized
-// nlines or nsets as the field requires; stamp is nil unless the policy
-// is LRU) and resets them to the empty state. New owns one cache's
+// init wires a validated config onto the given backing arrays, laid out
+// at stride line slots and group meta words per set (the Cache layout;
+// stamp is nil unless the policy is LRU), and resets this cache's own
+// lines and sets to the empty state: tags and free masks are written,
+// flags, owners, stamps and meta must come zeroed. New owns one cache's
 // arrays; newReplicas carves many caches out of shared contiguous
 // blocks, so both start bit-identical.
-func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64) {
+func (c *Cache) init(cfg Config, stride int, group uint64, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64) {
 	*c = geometry(cfg)
+	c.stride = stride
+	c.group = group
 	c.rngState = rngSeed
 	c.stats = make([]OwnerStats, cfg.Owners)
 	c.tags = tags
@@ -234,11 +247,13 @@ func (c *Cache) init(cfg Config, tags []uint64, flags []uint8, owner []int32, st
 			c.plruV = &plruVictimTab[lg]
 		}
 	}
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	for i := range c.free {
-		c.free[i] = c.fullMask
+	for si := uint64(0); si < c.nsets; si++ {
+		mi, base := c.at(si)
+		tags := c.tags[base : base+c.ways]
+		for w := range tags {
+			tags[w] = invalidTag
+		}
+		c.free[mi] = c.fullMask
 	}
 }
 
@@ -255,23 +270,48 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// index maps a byte address to its set index and full line tag. Set
-// counts are almost always powers of two (the BySets sweep mode is the
-// exception), so the hot path is a mask, not a modulo.
-func (c *Cache) index(a Addr) (setIdx uint64, tag uint64) {
-	lineAddr := uint64(a) >> c.shift
-	return c.setFor(lineAddr), lineAddr
+// index maps a byte address to its line tag and to the meta index and
+// line base of the tag's set, in whatever layout the cache has. Every
+// address-taking method enters here.
+func (c *Cache) index(a Addr) (mi uint64, base int, tag uint64) {
+	tag = uint64(a) >> c.shift
+	mi, base = c.locate(tag)
+	return mi, base, tag
 }
 
 // setFor maps an already-decoded line address (tag) to its set index.
 // The fused multi-size engine decodes each address once — all replicas
 // share one line size, so the tag is shared — and re-derives only the
-// per-geometry set index through this entry point.
+// per-geometry set index through this entry point. Set counts are
+// almost always powers of two (the BySets sweep mode is the
+// exception), so the hot path is a mask, not a modulo.
 func (c *Cache) setFor(lineAddr uint64) uint64 {
 	if c.setsPow2 {
 		return lineAddr & c.setMask
 	}
 	return lineAddr % c.nsets
+}
+
+// at returns the meta/free index and the line base of set si. Every
+// replica of a set-major band has the same stride and group, so one
+// set's numbers serve every replica of the band (FusedHierarchy.Line
+// computes the private levels' once per record).
+func (c *Cache) at(si uint64) (mi uint64, base int) {
+	return si * c.group, int(si) * c.stride
+}
+
+// locate is at of the set tag maps to.
+func (c *Cache) locate(tag uint64) (mi uint64, base int) {
+	return c.at(c.setFor(tag))
+}
+
+// own is locate for a cache that owns its arrays (New): the meta index
+// is the set index and the base is si*ways, with no group multiply. It
+// is how the machine's Hierarchy, all of whose caches New builds,
+// indexes them off its hot walk; on a replica it is wrong.
+func (c *Cache) own(tag uint64) (si uint64, base int) {
+	si = c.setFor(tag)
+	return si, int(si) * c.ways
 }
 
 func (c *Cache) lineAddr(tag uint64) Addr { return Addr(tag << c.shift) }
@@ -361,32 +401,33 @@ func matchN(t []uint64, tag uint64) int {
 //
 //lint:hotpath
 func (c *Cache) Access(a Addr, write bool, owner Owner) Result {
-	hit, wasPref := c.demand(a, write, owner)
+	mi, base, tag := c.index(a)
+	hit, wasPref := c.demand(mi, base, tag, write, owner)
 	return Result{Hit: hit, WasPrefetch: wasPref}
 }
 
-// demand is Access without the Result envelope: the hierarchy's probe
-// path needs only the two booleans, so the hot loop skips materialising
-// (and zeroing) the full struct at every level.
-func (c *Cache) demand(a Addr, write bool, owner Owner) (hit, wasPref bool) {
-	si, tag := c.index(a)
+// demand is Access after address decode and without the Result
+// envelope: the hierarchy's probe path needs only the two booleans, so
+// the hot loop skips materialising (and zeroing) the full struct at
+// every level.
+func (c *Cache) demand(mi uint64, base int, tag uint64, write bool, owner Owner) (hit, wasPref bool) {
 	st := &c.stats[owner]
 	st.Accesses++
 	if write {
 		st.Writes++
 	}
-	base := int(si) * c.ways
 	w := c.findWay(base, tag)
 	if w < 0 {
 		st.Misses++
 		return false, false
 	}
-	return true, c.hit(si, base, w, write, st)
+	return true, c.hit(mi, base, w, write, st)
 }
 
-// hit applies the demand-hit bookkeeping for way w and reports whether
-// the line was an untouched prefetch.
-func (c *Cache) hit(si uint64, base, w int, write bool, st *OwnerStats) (wasPref bool) {
+// hit applies the demand-hit bookkeeping for way w of the set at meta
+// index mi and line base base, and reports whether the line was an
+// untouched prefetch.
+func (c *Cache) hit(mi uint64, base, w int, write bool, st *OwnerStats) (wasPref bool) {
 	st.Hits++
 	idx := base + w
 	f := c.flags[idx]
@@ -399,7 +440,7 @@ func (c *Cache) hit(si uint64, base, w int, write bool, st *OwnerStats) (wasPref
 		f |= flagDirty
 	}
 	c.flags[idx] = f
-	c.touch(si, base, w)
+	c.touch(mi, base, w)
 	return wasPref
 }
 
@@ -414,25 +455,17 @@ func (c *Cache) hit(si uint64, base, w int, write bool, st *OwnerStats) (wasPref
 //
 //lint:hotpath
 func (c *Cache) AccessFill(a Addr, write bool, owner Owner) Result {
-	si, tag := c.index(a)
-	return c.accessFillTag(si, tag, write, owner)
-}
-
-// accessFillTag is AccessFill after address decode: the caller supplies
-// the set index and line tag, so the fused multi-size engine can decode
-// each address once and fan it out to every replica.
-func (c *Cache) accessFillTag(si, tag uint64, write bool, owner Owner) Result {
+	mi, base, tag := c.index(a)
 	st := &c.stats[owner]
 	st.Accesses++
 	if write {
 		st.Writes++
 	}
-	base := int(si) * c.ways
 	if w := c.findWay(base, tag); w >= 0 {
-		return Result{Hit: true, WasPrefetch: c.hit(si, base, w, write, st)}
+		return Result{Hit: true, WasPrefetch: c.hit(mi, base, w, write, st)}
 	}
 	st.Misses++
-	return c.fillWay(si, base, tag, owner, false, false)
+	return c.fillWay(mi, base, tag, owner, false, false)
 }
 
 // Probe reports whether the line holding a is resident, without
@@ -440,8 +473,8 @@ func (c *Cache) accessFillTag(si, tag uint64, write bool, owner Owner) Result {
 //
 //lint:hotpath
 func (c *Cache) Probe(a Addr) bool {
-	si, tag := c.index(a)
-	return c.findWay(int(si)*c.ways, tag) >= 0
+	_, base, tag := c.index(a)
+	return c.findWay(base, tag) >= 0
 }
 
 // Fill inserts the line holding a on behalf of owner, evicting a victim
@@ -452,14 +485,14 @@ func (c *Cache) Probe(a Addr) bool {
 //
 //lint:hotpath
 func (c *Cache) Fill(a Addr, owner Owner, prefetch, dirty bool) Result {
-	si, tag := c.index(a)
-	return c.fillTag(si, tag, owner, prefetch, dirty)
+	mi, base, tag := c.index(a)
+	return c.fillTag(mi, base, tag, owner, prefetch, dirty)
 }
 
-// fillTag is Fill after address decode (see accessFillTag).
-func (c *Cache) fillTag(si, tag uint64, owner Owner, prefetch, dirty bool) Result {
-	base := int(si) * c.ways
-
+// fillTag is Fill after address decode: the caller supplies the line
+// tag and its set's meta index and line base, so the prefetch paths of
+// both hierarchy walks fill a tag they already hold.
+func (c *Cache) fillTag(mi uint64, base int, tag uint64, owner Owner, prefetch, dirty bool) Result {
 	// Already resident (e.g. a racing prefetch): refresh and return.
 	if w := c.findWay(base, tag); w >= 0 {
 		idx := base + w
@@ -468,11 +501,11 @@ func (c *Cache) fillTag(si, tag uint64, owner Owner, prefetch, dirty bool) Resul
 		}
 		if !prefetch {
 			c.flags[idx] &^= flagPrefetch
-			c.touch(si, base, w)
+			c.touch(mi, base, w)
 		}
 		return Result{Hit: true}
 	}
-	return c.fillWay(si, base, tag, owner, prefetch, dirty)
+	return c.fillWay(mi, base, tag, owner, prefetch, dirty)
 }
 
 // FillMissed is Fill for a line the caller has just observed to be
@@ -484,13 +517,13 @@ func (c *Cache) fillTag(si, tag uint64, owner Owner, prefetch, dirty bool) Resul
 //
 //lint:hotpath
 func (c *Cache) FillMissed(a Addr, owner Owner, prefetch, dirty bool) Result {
-	si, tag := c.index(a)
-	return c.fillWay(si, int(si)*c.ways, tag, owner, prefetch, dirty)
+	mi, base, tag := c.index(a)
+	return c.fillWay(mi, base, tag, owner, prefetch, dirty)
 }
 
 // fillPrivateAt is the fused engine's private-level (L1/L2) fill:
-// FillMissed with owner 0 and no prefetch mark at the set base the
-// caller's demand probe already computed, with the statistics writes
+// FillMissed with owner 0 and no prefetch mark at the meta index and
+// set base the caller's demand probe already computed, with the statistics writes
 // elided (private stats never feed a sweep curve) and a dirty victim
 // reported as a line *tag* — all fused levels share one line size, so
 // the writeback chase re-derives set indices from the tag without the
@@ -498,11 +531,11 @@ func (c *Cache) FillMissed(a Addr, owner Owner, prefetch, dirty bool) Result {
 // single-owner. The state evolution — victim choice, flags, replacement
 // touch — is exactly fillWay's; Hierarchy.AccessPacked carries
 // the same fill inline with the statistics kept.
-func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (victimTag uint64, wb bool) {
+func (c *Cache) fillPrivateAt(mi uint64, base int, tag uint64, dirty bool) (victimTag uint64, wb bool) {
 	var victim int
-	if fm := c.free[si]; fm != 0 {
+	if fm := c.free[mi]; fm != 0 {
 		victim = bits.TrailingZeros64(fm)
-		c.free[si] = fm &^ (1 << uint(victim))
+		c.free[mi] = fm &^ (1 << uint(victim))
 	} else {
 		// victim() open-coded: the dispatchers victim and touch are over
 		// the inlining budget (-m=2: cost 181 and 104 against 80) while
@@ -522,9 +555,9 @@ func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (vict
 			}
 			victim = best
 		case PseudoLRU:
-			victim = c.plruVictim(si)
+			victim = c.plruVictim(mi)
 		case Nehalem:
-			victim = c.nehalemVictim(si)
+			victim = c.nehalemVictim(mi)
 		case Random:
 			x := c.rngState
 			x ^= x >> 12
@@ -551,9 +584,9 @@ func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (vict
 		c.clock++
 		c.stamp[idx] = c.clock
 	case PseudoLRU:
-		c.plruTouch(si, victim)
+		c.plruTouch(mi, victim)
 	case Nehalem:
-		c.nehalemTouch(si, victim)
+		c.nehalemTouch(mi, victim)
 	}
 	return victimTag, wb
 }
@@ -561,20 +594,18 @@ func (c *Cache) fillPrivateAt(si uint64, base int, tag uint64, dirty bool) (vict
 // invalidatePrivate is Invalidate after address decode, reduced to the
 // booleans the back-invalidation path consumes. clearLine performs the
 // identical state transition.
-func (c *Cache) invalidatePrivate(si, tag uint64) (dirty, found bool) {
-	base := int(si) * c.ways
+func (c *Cache) invalidatePrivate(mi uint64, base int, tag uint64) (dirty, found bool) {
 	w := c.findWay(base, tag)
 	if w < 0 {
 		return false, false
 	}
 	dirty = c.flags[base+w]&flagDirty != 0
-	c.clearLine(si, base, w)
+	c.clearLine(mi, base, w)
 	return dirty, true
 }
 
-// markDirtyTag is MarkDirty after address decode.
-func (c *Cache) markDirtyTag(si, tag uint64) bool {
-	base := int(si) * c.ways
+// markDirtyTag is MarkDirty after address decode, on the set at base.
+func (c *Cache) markDirtyTag(base int, tag uint64) bool {
 	if w := c.findWay(base, tag); w >= 0 {
 		c.flags[base+w] |= flagDirty
 		return true
@@ -582,11 +613,11 @@ func (c *Cache) markDirtyTag(si, tag uint64) bool {
 	return false
 }
 
-// fillWay installs tag into the set starting at base: count the fill,
-// prefer the lowest-numbered empty way (one bit op via the per-set
-// free mask, same way the reference layout's first-invalid scan finds),
-// otherwise evict the policy's victim.
-func (c *Cache) fillWay(si uint64, base int, tag uint64, owner Owner, prefetch, dirty bool) Result {
+// fillWay installs tag into the set at meta index mi and line base
+// base: count the fill, prefer the lowest-numbered empty way (one bit
+// op via the per-set free mask, same way the reference layout's
+// first-invalid scan finds), otherwise evict the policy's victim.
+func (c *Cache) fillWay(mi uint64, base int, tag uint64, owner Owner, prefetch, dirty bool) Result {
 	st := &c.stats[owner]
 	st.Fills++
 	if prefetch {
@@ -595,11 +626,11 @@ func (c *Cache) fillWay(si uint64, base int, tag uint64, owner Owner, prefetch, 
 
 	var res Result
 	var victim int
-	if fm := c.free[si]; fm != 0 {
+	if fm := c.free[mi]; fm != 0 {
 		victim = bits.TrailingZeros64(fm)
-		c.free[si] = fm &^ (1 << uint(victim))
+		c.free[mi] = fm &^ (1 << uint(victim))
 	} else {
-		victim = c.victim(si, base)
+		victim = c.victim(mi, base)
 		idx := base + victim
 		vf := c.flags[idx]
 		vo := Owner(c.owner[idx])
@@ -626,7 +657,7 @@ func (c *Cache) fillWay(si uint64, base int, tag uint64, owner Owner, prefetch, 
 	}
 	c.flags[idx] = f
 	c.owner[idx] = int32(owner)
-	c.touch(si, base, victim)
+	c.touch(mi, base, victim)
 	return res
 }
 
@@ -635,15 +666,19 @@ func (c *Cache) fillWay(si uint64, base int, tag uint64, owner Owner, prefetch, 
 // writeback arriving from an upper level. It reports whether the line
 // was found.
 func (c *Cache) MarkDirty(a Addr) bool {
-	si, tag := c.index(a)
-	return c.markDirtyTag(si, tag)
+	_, base, tag := c.index(a)
+	return c.markDirtyTag(base, tag)
 }
 
 // Invalidate removes the line holding a if resident, returning its
 // eviction record (used for back-invalidation in inclusive hierarchies).
 func (c *Cache) Invalidate(a Addr) (Evicted, bool) {
-	si, tag := c.index(a)
-	base := int(si) * c.ways
+	mi, base, tag := c.index(a)
+	return c.invalidateTag(mi, base, tag)
+}
+
+// invalidateTag is Invalidate after address decode.
+func (c *Cache) invalidateTag(mi uint64, base int, tag uint64) (Evicted, bool) {
 	w := c.findWay(base, tag)
 	if w < 0 {
 		return Evicted{}, false
@@ -657,39 +692,47 @@ func (c *Cache) Invalidate(a Addr) (Evicted, bool) {
 		Owner:    Owner(c.owner[idx]),
 		Prefetch: f&flagPrefetch != 0,
 	}
-	c.clearLine(si, base, w)
+	c.clearLine(mi, base, w)
 	return ev, true
 }
 
-// clearLine empties way w of set si: tag sentinel, flags, owner,
-// free-mask bit, and the way's replacement state — its stamp (LRU) or
-// its accessed bit (Nehalem). The pseudo-LRU tree is deliberately left
-// alone, as in the reference model.
-func (c *Cache) clearLine(si uint64, base, w int) {
+// clearLine empties way w of the set at meta index mi and line base
+// base: tag sentinel, flags, owner, free-mask bit, and the way's
+// replacement state — its stamp (LRU) or its accessed bit (Nehalem).
+// The pseudo-LRU tree is deliberately left alone, as in the reference
+// model.
+func (c *Cache) clearLine(mi uint64, base, w int) {
 	idx := base + w
 	c.tags[idx] = invalidTag
 	c.flags[idx] = 0
 	c.owner[idx] = 0
-	c.free[si] |= 1 << uint(w)
+	c.free[mi] |= 1 << uint(w)
 	switch c.cfg.Policy {
 	case LRU:
 		c.stamp[idx] = 0
 	case Nehalem:
-		c.meta[si] &^= 1 << uint(w)
+		c.meta[mi] &^= 1 << uint(w)
 	}
 }
 
 // Flush invalidates every line, resetting contents but not statistics.
+// Like every whole-cache walk it goes set by set, so on a replica it
+// touches the replica's own part of each set and nothing else.
 func (c *Cache) Flush() {
-	for i := range c.tags {
-		c.tags[i] = invalidTag
-	}
-	clear(c.flags)
-	clear(c.owner)
-	clear(c.stamp) // nil unless LRU
-	clear(c.meta)
-	for i := range c.free {
-		c.free[i] = c.fullMask
+	for si := uint64(0); si < c.nsets; si++ {
+		mi, base := c.at(si)
+		end := base + c.ways
+		tags := c.tags[base:end]
+		for w := range tags {
+			tags[w] = invalidTag
+		}
+		clear(c.flags[base:end])
+		clear(c.owner[base:end])
+		if c.stamp != nil { // LRU only
+			clear(c.stamp[base:end])
+		}
+		c.meta[mi] = 0
+		c.free[mi] = c.fullMask
 	}
 }
 
@@ -699,9 +742,12 @@ func (c *Cache) Flush() {
 func (c *Cache) ResidentLines(owner Owner) int {
 	n := 0
 	ow := int32(owner)
-	for i, tg := range c.tags {
-		if tg != invalidTag && c.owner[i] == ow {
-			n++
+	for si := uint64(0); si < c.nsets; si++ {
+		_, base := c.at(si)
+		for i, tg := range c.tags[base : base+c.ways] {
+			if tg != invalidTag && c.owner[base+i] == ow {
+				n++
+			}
 		}
 	}
 	return n
@@ -751,18 +797,19 @@ func (c *Cache) FootprintFits(cands []Config) []bool {
 func (c *Cache) peakSetLoad(g Config) int {
 	peak := 0
 	if uint64(g.Sets()) == c.nsets {
-		for _, fm := range c.free {
-			peak = max(peak, bits.OnesCount64(c.fullMask&^fm))
+		for si := uint64(0); si < c.nsets; si++ {
+			mi, _ := c.at(si)
+			peak = max(peak, bits.OnesCount64(c.fullMask&^c.free[mi]))
 		}
 		return peak
 	}
 	gc := geometry(g)
 	load := make([]int32, gc.nsets)
-	for si, fm := range c.free {
-		if fm == c.fullMask {
+	for si := uint64(0); si < c.nsets; si++ {
+		mi, base := c.at(si)
+		if c.free[mi] == c.fullMask {
 			continue // empty set
 		}
-		base := si * c.ways
 		for _, tag := range c.tags[base : base+c.ways] {
 			if tag == invalidTag {
 				continue
@@ -791,7 +838,7 @@ type LineInfo struct {
 // and diagnostics, not hot paths.
 func (c *Cache) ForEachLine(fn func(LineInfo) bool) {
 	for si := uint64(0); si < c.nsets; si++ {
-		base := int(si) * c.ways
+		_, base := c.at(si)
 		for w := 0; w < c.ways; w++ {
 			idx := base + w
 			tg := c.tags[idx]
@@ -814,16 +861,16 @@ func (c *Cache) ForEachLine(fn func(LineInfo) bool) {
 }
 
 // touch updates replacement metadata for a hit on or (re)fill of way w
-// in the set starting at base.
-func (c *Cache) touch(si uint64, base, w int) {
+// in the set at meta index mi and line base base.
+func (c *Cache) touch(mi uint64, base, w int) {
 	switch c.cfg.Policy {
 	case LRU:
 		c.clock++
 		c.stamp[base+w] = c.clock
 	case PseudoLRU:
-		c.plruTouch(si, w)
+		c.plruTouch(mi, w)
 	case Nehalem:
-		c.nehalemTouch(si, w)
+		c.nehalemTouch(mi, w)
 	case Random:
 		// stateless
 	}
@@ -835,7 +882,7 @@ func (c *Cache) touch(si uint64, base, w int) {
 // see fillPrivateAt): the LRU and Random arms are written out there and
 // must match these, the PseudoLRU and Nehalem arms call the same leaves.
 // The victim choice is the bit-identity contract.
-func (c *Cache) victim(si uint64, base int) int {
+func (c *Cache) victim(mi uint64, base int) int {
 	switch c.cfg.Policy {
 	case LRU:
 		st := c.stamp[base : base+c.ways]
@@ -847,9 +894,9 @@ func (c *Cache) victim(si uint64, base int) int {
 		}
 		return best
 	case PseudoLRU:
-		return c.plruVictim(si)
+		return c.plruVictim(mi)
 	case Nehalem:
-		return c.nehalemVictim(si)
+		return c.nehalemVictim(mi)
 	case Random:
 		x := c.rngState
 		x ^= x >> 12
@@ -870,21 +917,21 @@ func (c *Cache) victim(si uint64, base int) int {
 // and the clear-all-but-touched rule below zeroes the rest — invalid
 // ways always carry a zero bit in both layouts.
 
-func (c *Cache) nehalemTouch(si uint64, w int) {
+func (c *Cache) nehalemTouch(mi uint64, w int) {
 	bit := uint64(1) << uint(w)
-	m := c.meta[si] | bit
+	m := c.meta[mi] | bit
 	// If every valid way's accessed bit is now set, clear all except
 	// the one just touched ("when this last cache-line is accessed its
 	// access bit is set and all other accessed bits are cleared"). The
 	// touched way is always valid by the time touch runs.
-	if valid := c.fullMask &^ c.free[si]; valid&^m == 0 {
+	if valid := c.fullMask &^ c.free[mi]; valid&^m == 0 {
 		m = bit
 	}
-	c.meta[si] = m
+	c.meta[mi] = m
 }
 
-func (c *Cache) nehalemVictim(si uint64) int {
-	unset := c.fullMask &^ c.meta[si]
+func (c *Cache) nehalemVictim(mi uint64) int {
+	unset := c.fullMask &^ c.meta[mi]
 	if unset == 0 {
 		// All bits set can only happen transiently for 1-way caches.
 		return 0
@@ -945,13 +992,13 @@ func buildPLRUTables() (touch [7][64]plruMask, victim [4][1 << plruVictimWays]ui
 	return touch, victim
 }
 
-func (c *Cache) plruTouch(si uint64, w int) {
+func (c *Cache) plruTouch(mi uint64, w int) {
 	m := &c.plruT[w&63] // w < ways <= 64; the mask only drops the bounds check
-	c.meta[si] = c.meta[si]&^m.clr | m.set
+	c.meta[mi] = c.meta[mi]&^m.clr | m.set
 }
 
-func (c *Cache) plruVictim(si uint64) int {
-	tr := c.meta[si]
+func (c *Cache) plruVictim(mi uint64) int {
+	tr := c.meta[mi]
 	if c.plruV != nil {
 		return int(c.plruV[uint8(tr)])
 	}

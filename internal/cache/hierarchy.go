@@ -207,7 +207,7 @@ func (h *Hierarchy) Access(core int, addr Addr, write bool) Outcome {
 // L3 line, the victim's owner on eviction, and the back-invalidation of
 // every core once address spaces are shared. Each state transition is
 // operation for operation the Cache method it replaces (demand,
-// accessFillTag, fillWay, Invalidate), except that a private-level hit
+// AccessFill, fillWay, Invalidate), except that a private-level hit
 // does not test the prefetch flag: only the L3 is ever filled by a
 // prefetcher. conformance.ReplayHierarchy checks the walk step for step
 // against the helper-composed reference (outcome, every counter, every
@@ -275,7 +275,7 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 
 		// The access reaches the shared L3 — one port use, which the
 		// served level (L3 or memory) implies — and core's prefetcher
-		// observes the demand line stream here. accessFillTag inline: the
+		// observes the demand line stream here. AccessFill inline: the
 		// set is scanned once whether the access hits or misses.
 		l3 := h.l3
 		st3 := &l3.stats[core]
@@ -382,7 +382,7 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 			if l2.flags[base2+v2]&flagDirty != 0 {
 				st2.Writebacks++
 				vt := l2.tags[base2+v2]
-				if !l3.markDirtyTag(l3.setFor(vt), vt) {
+				if _, b := l3.own(vt); !l3.markDirtyTag(b, vt) {
 					out += packWriteLine
 				}
 			}
@@ -423,8 +423,9 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 		if l1.flags[base1+v1]&flagDirty != 0 {
 			st1.Writebacks++
 			vt := l1.tags[base1+v1]
-			if !l2.markDirtyTag(l2.setFor(vt), vt) {
-				if l3 := h.l3; !l3.markDirtyTag(l3.setFor(vt), vt) {
+			if _, b := l2.own(vt); !l2.markDirtyTag(b, vt) {
+				l3 := h.l3
+				if _, b := l3.own(vt); !l3.markDirtyTag(b, vt) {
 					out += packWriteLine
 				}
 			}
@@ -456,24 +457,20 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 // already dropped the line. It returns how many remote copies were
 // invalidated and the memory writeback bytes incurred.
 func (h *Hierarchy) InvalidateRemoteCopies(core int, addr Addr) (invalidated int, memWriteBytes int64) {
+	tag := uint64(addr) >> h.lineShift
 	for c := 0; c < h.cfg.Cores; c++ {
 		if c == core {
 			continue
 		}
-		dirty := false
-		found := false
-		if e, ok := h.l1[c].Invalidate(addr); ok {
-			found = true
-			dirty = dirty || e.Dirty
-		}
-		if e, ok := h.l2[c].Invalidate(addr); ok {
-			found = true
-			dirty = dirty || e.Dirty
-		}
-		if found {
+		l1, l2 := h.l1[c], h.l2[c]
+		si1, base1 := l1.own(tag)
+		d1, found1 := l1.invalidatePrivate(si1, base1, tag)
+		si2, base2 := l2.own(tag)
+		d2, found2 := l2.invalidatePrivate(si2, base2, tag)
+		if found1 || found2 {
 			invalidated++
-			if dirty {
-				if !h.l3.MarkDirty(addr) {
+			if d1 || d2 {
+				if _, base3 := h.l3.own(tag); !h.l3.markDirtyTag(base3, tag) {
 					memWriteBytes += h.lineSize
 				}
 			}
@@ -496,13 +493,18 @@ func (h *Hierarchy) AccessNonTemporal(core int, addr Addr) Outcome {
 //
 //lint:hotpath
 func (h *Hierarchy) AccessNonTemporalPacked(core int, addr Addr) PackedOutcome {
-	if hit, _ := h.l1[core].demand(addr, false, 0); hit {
+	tag := uint64(addr) >> h.lineShift
+	l1, l2, l3 := h.l1[core], h.l2[core], h.l3
+	si1, base1 := l1.own(tag)
+	if hit, _ := l1.demand(si1, base1, tag, false, 0); hit {
 		return PackedL1Hit
 	}
-	if hit, _ := h.l2[core].demand(addr, false, 0); hit {
+	si2, base2 := l2.own(tag)
+	if hit, _ := l2.demand(si2, base2, tag, false, 0); hit {
 		return PackedL2Hit
 	}
-	if hit, wasPref := h.l3.demand(addr, false, Owner(core)); hit {
+	si3, base3 := l3.own(tag)
+	if hit, wasPref := l3.demand(si3, base3, tag, false, Owner(core)); hit {
 		if wasPref {
 			return PackedOutcome(LevelL3) | packPrefetchHit
 		}
@@ -522,7 +524,8 @@ func (h *Hierarchy) trainPrefetcher(core int, tag uint64, miss bool) PackedOutco
 	var d PackedOutcome
 	l3 := h.l3
 	for _, pl := range h.pf[core].Observe(tag, miss) {
-		r := l3.fillTag(l3.setFor(pl), pl, Owner(core), true, false)
+		si, base := l3.own(pl)
+		r := l3.fillTag(si, base, pl, Owner(core), true, false)
 		if r.Hit {
 			continue // already resident; nothing was disturbed
 		}
@@ -548,10 +551,12 @@ func (h *Hierarchy) backInvalidate(tag uint64, owner int, dirty bool) PackedOutc
 	}
 	for c := lo; c < hi; c++ {
 		l1, l2 := h.l1[c], h.l2[c]
-		if d, ok := l1.invalidatePrivate(l1.setFor(tag), tag); ok && d {
+		si1, base1 := l1.own(tag)
+		if d, _ := l1.invalidatePrivate(si1, base1, tag); d {
 			dirty = true
 		}
-		if d, ok := l2.invalidatePrivate(l2.setFor(tag), tag); ok && d {
+		si2, base2 := l2.own(tag)
+		if d, _ := l2.invalidatePrivate(si2, base2, tag); d {
 			dirty = true
 		}
 	}

@@ -8,15 +8,22 @@ import (
 )
 
 // Replicas is a family of caches evaluated in lockstep by the fused
-// multi-size sweep: one Cache per L3 size under test, with every dense
+// multi-size sweep: one Cache per size under test, with every dense
 // line-state array (tags, flags, owners, stamps, per-set metadata)
-// carved out of a single contiguous backing block in replica order —
-// a [replica][set][way] extension of the single-cache SoA layout — so
-// the size-inner loop walks one allocation instead of hopping between
-// independently allocated caches. Each replica is bit-identical to a
-// freshly New()ed cache of the same config: the fused engine's results
-// must match the per-size path exactly, and sharing init with New is
-// what makes that hold from the first access.
+// carved out of a single contiguous backing block. The block is laid
+// out set-major: consecutive replicas with one set count form a band,
+// and set s of every replica in a band is one contiguous run — a
+// [band][set][replica][way] extension of the single-cache SoA layout,
+// with the meta and free words [band][set][replica]. The fused walk
+// feeds one record to every replica before the next record, so it
+// sweeps forward through one run per level instead of probing one
+// scattered set per replica. Replicas of equal geometry (the private
+// levels) and way-shrunk L3s form one band; set-shrunk L3s differ in
+// set count, so each is a band of one, which is the plain per-cache
+// layout. Each replica is bit-identical to a freshly New()ed cache of
+// the same config: the fused engine's results must match the per-size
+// path exactly, and sharing init with New is what makes that hold from
+// the first access.
 type Replicas struct {
 	reps []Cache
 }
@@ -31,13 +38,6 @@ type lineStore struct {
 	stamp []uint64
 	meta  []uint64
 	free  []uint64
-}
-
-// slots returns how many line slots and set slots a cache of this
-// geometry occupies in a lineStore.
-func (c Config) slots() (lines, sets int) {
-	sets = int(c.Sets())
-	return sets * c.Ways, sets
 }
 
 // grow makes the store hold at least lines line slots, stamps stamp
@@ -69,15 +69,58 @@ func (s *lineStore) fit(lines, stamps, sets int) {
 	clear(s.meta[:sets])
 }
 
+// band is a run of consecutive replica configs with one set count: the
+// unit the set-major layout interleaves.
+type band struct {
+	cfgs   []Config
+	nsets  int
+	stride int  // the band's summed ways: line slots per set
+	lru    bool // some replica keeps LRU stamps
+}
+
+// bands splits cfgs into maximal runs of equal set count.
+func bands(cfgs []Config) []band {
+	var bs []band
+	for lo := 0; lo < len(cfgs); {
+		b := band{nsets: int(cfgs[lo].Sets())}
+		hi := lo
+		for ; hi < len(cfgs) && int(cfgs[hi].Sets()) == b.nsets; hi++ {
+			b.stride += cfgs[hi].Ways
+			b.lru = b.lru || cfgs[hi].Policy == LRU
+		}
+		b.cfgs = cfgs[lo:hi]
+		bs = append(bs, b)
+		lo = hi
+	}
+	return bs
+}
+
+// slots returns how many line slots, stamp slots and set slots the band
+// occupies in a lineStore. Stamps cover the whole band when any of its
+// replicas is LRU (a sweep's replicas share one policy).
+func (b band) slots() (lines, stamps, sets int) {
+	lines = b.nsets * b.stride
+	if b.lru {
+		stamps = lines
+	}
+	return lines, stamps, b.nsets * len(b.cfgs)
+}
+
 // newReplicas builds one cache per config over the shared contiguous
 // backing arrays of s, which a later family may reuse once this one is
 // dead. All configs must agree on line size (the fused engine decodes
 // each address once and fans the line tag out to every replica).
+//
+// Within a band of R replicas with S summed ways, replica j's slices
+// start at its own part of set 0 — line slot W_j (the ways of the
+// replicas before it), meta word j — and every set index is one stride
+// further: lines at si*S, meta at si*R. Each slice runs to the end of
+// the replica's last set, so it spans the parts of the others between;
+// every Cache method reaches lines only at its own sets' bases.
 func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 	if len(cfgs) == 0 {
 		return nil, fmt.Errorf("cache: replicas need at least one config")
 	}
-	lines, stamps, sets := 0, 0, 0
 	for i, cfg := range cfgs {
 		if err := cfg.Validate(); err != nil {
 			return nil, err
@@ -85,27 +128,39 @@ func newReplicas(cfgs []Config, s *lineStore) (*Replicas, error) {
 		if cfg.LineSize != cfgs[0].LineSize {
 			return nil, fmt.Errorf("cache: replica %d line size %d != %d", i, cfg.LineSize, cfgs[0].LineSize)
 		}
-		nl, ns := cfg.slots()
+	}
+	bs := bands(cfgs)
+	lines, stamps, sets := 0, 0, 0
+	for _, b := range bs {
+		nl, nt, ns := b.slots()
 		lines += nl
+		stamps += nt
 		sets += ns
-		if cfg.Policy == LRU {
-			stamps += nl
-		}
 	}
 	s.fit(lines, stamps, sets)
 	r := &Replicas{reps: make([]Cache, len(cfgs))}
-	lo, to, so := 0, 0, 0
-	for i, cfg := range cfgs {
-		nl, ns := cfg.slots()
-		var stamp []uint64
-		if cfg.Policy == LRU {
-			stamp = s.stamp[to : to+nl : to+nl]
-			to += nl
+	k, lo, to, so := 0, 0, 0, 0
+	for _, b := range bs {
+		group := len(b.cfgs)
+		way := 0
+		for j, cfg := range b.cfgs {
+			l, m := lo+way, so+j
+			ln := (b.nsets-1)*b.stride + cfg.Ways
+			ms := (b.nsets-1)*group + 1
+			var stamp []uint64
+			if cfg.Policy == LRU {
+				t := to + way
+				stamp = s.stamp[t : t+ln : t+ln]
+			}
+			r.reps[k].init(cfg, b.stride, uint64(group),
+				s.tags[l:l+ln:l+ln], s.flags[l:l+ln:l+ln], s.owner[l:l+ln:l+ln],
+				stamp, s.meta[m:m+ms:m+ms], s.free[m:m+ms:m+ms])
+			way += cfg.Ways
+			k++
 		}
-		r.reps[i].init(cfg,
-			s.tags[lo:lo+nl:lo+nl], s.flags[lo:lo+nl:lo+nl], s.owner[lo:lo+nl:lo+nl],
-			stamp, s.meta[so:so+ns:so+ns], s.free[so:so+ns:so+ns])
+		nl, nt, ns := b.slots()
 		lo += nl
+		to += nt
 		so += ns
 	}
 	return r, nil
@@ -116,13 +171,14 @@ func (r *Replicas) Rep(k int) *Cache { return &r.reps[k] }
 
 // FusedHierarchy advances one single-core cache hierarchy per L3
 // geometry under the same demand stream: per-replica private L1/L2,
-// per-replica L3, and per-replica prefetcher, each group held in one
-// contiguous Replicas block. Back-invalidations from a shrunk L3 differ
+// per-replica L3, and per-replica prefetcher, each level held in one
+// set-major Replicas block. Back-invalidations from a shrunk L3 differ
 // by size, so the private levels (and therefore the prefetcher training
 // streams) genuinely diverge across replicas and must all be
 // replicated; what is shared is the trace iteration and the address
-// decode, which Access performs once per call. Replicas may differ in
-// L3 ways and in L3 sets alike — every set index is derived per replica
+// decode — the line tag and the L1 and L2 set positions, which Line
+// computes once per record for every replica. Replicas may differ in
+// L3 ways and in L3 sets alike — the L3 set index is derived per replica
 // from the shared line tag — so both sweep geometries fuse.
 //
 // Access(k, addr, write) is step-for-step the same state evolution and
@@ -131,7 +187,11 @@ func (r *Replicas) Rep(k int) *Cache { return &r.reps[k] }
 // guarantee rests on (see conformance.CheckSweepEquivalence).
 type FusedHierarchy struct {
 	l1, l2, l3 *Replicas
-	pf         []prefetch.Prefetcher
+	// p1 and p2 are replica 0's private levels. Every replica shares
+	// their geometry and their set-major layout, so Line indexes every
+	// replica's private sets through them.
+	p1, p2 *Cache
+	pf     []prefetch.Prefetcher
 
 	lineSize  int64
 	lineShift uint
@@ -223,6 +283,7 @@ func NewFusedHierarchyL3(cfg HierarchyConfig, l3 []Config, b *FusedBacking) (*Fu
 	if f.l3, err = newReplicas(l3cfgs, &b.l3); err != nil {
 		return nil, err
 	}
+	f.p1, f.p2 = f.l1.Rep(0), f.l2.Rep(0)
 	for k := range f.pf {
 		if cfg.NewPrefetcher != nil {
 			f.pf[k] = cfg.NewPrefetcher()
@@ -235,6 +296,29 @@ func NewFusedHierarchyL3(cfg HierarchyConfig, l3 []Config, b *FusedBacking) (*Fu
 
 // L3 returns replica k's last-level cache (counter reads, assertions).
 func (f *FusedHierarchy) L3(k int) *Cache { return f.l3.Rep(k) }
+
+// FusedLine is one access decoded for every replica of a
+// FusedHierarchy: the line tag, and the meta index and line base of its
+// L1 set and of its L2 set. Every replica shares the private geometry,
+// and the private levels are one band each, so these are the same
+// numbers for every replica; each replica's slices start at its own
+// part of the set.
+type FusedLine struct {
+	tag          uint64
+	mi1, mi2     uint64
+	base1, base2 int
+}
+
+// Line decodes addr for every replica.
+func (f *FusedHierarchy) Line(addr Addr) FusedLine {
+	tag := uint64(addr) >> f.lineShift
+	si1, si2 := f.p1.setFor(tag), f.p2.setFor(tag)
+	return FusedLine{
+		tag: tag,
+		mi1: si1 * f.p1.group, base1: int(si1) * f.p1.stride,
+		mi2: si2 * f.p2.group, base2: int(si2) * f.p2.stride,
+	}
+}
 
 // PackedOutcome is an Outcome in one machine word — the form the fused
 // sweep's record loop consumes. An Outcome is six fields and 40 bytes,
@@ -320,13 +404,14 @@ func (p PackedOutcome) Outcome(lineSize int64) Outcome {
 // Access performs one demand access on hierarchy replica k and returns
 // its outcome: AccessPacked's word, expanded.
 func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
-	return f.AccessPacked(k, addr, write).Outcome(f.lineSize)
+	return f.AccessPacked(k, f.Line(addr), write).Outcome(f.lineSize)
 }
 
-// AccessPacked performs one demand access on hierarchy replica k and
-// returns its outcome as one word. The address is decoded to a line tag
-// once; per-level set indices are one mask (or modulo) each off that
-// tag.
+// AccessPacked performs one demand access of the decoded line ln on
+// hierarchy replica k and returns its outcome as one word. The private
+// levels take their set positions from ln; the L3's is one mask (or
+// modulo) off the tag, per replica, since set-shrunk L3s differ in set
+// count.
 //
 // The walk is Hierarchy.Access flattened into a single function: the
 // per-level demand probes, the L3 access-and-fill, the victim
@@ -338,16 +423,14 @@ func (f *FusedHierarchy) Access(k int, addr Addr, write bool) Outcome {
 // prefetch-marked lines, so the flag read-modify-write on clean read
 // hits is value-identical too. The L3 keeps its complete counter set —
 // those are the measured events. Every state transition below is
-// step-for-step the corresponding Cache method (demand, accessFillTag,
+// step-for-step the corresponding Cache method (demand, AccessFill,
 // fillWay, Invalidate); conformance.CheckSweepEquivalence pins the
 // equivalence against per-size machines.
 //
 //lint:hotpath
-func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcome {
+func (f *FusedHierarchy) AccessPacked(k int, ln FusedLine, write bool) PackedOutcome {
 	l1 := &f.l1.reps[k]
-	l2 := &f.l2.reps[k]
-	l3 := &f.l3.reps[k]
-	tag := uint64(addr) >> f.lineShift
+	tag := ln.tag
 
 	// L1 demand probe: demand()'s state evolution, stats elided. The
 	// replacement touches here and below open-code touch()'s policy
@@ -355,8 +438,7 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 	// every leaf is under it (costs at fillPrivateAt), so calling touch
 	// costs a real call per level per record, while the dispatch written
 	// at the call site inlines its per-policy leaves.
-	si1 := l1.setFor(tag)
-	base1 := int(si1) * l1.ways
+	mi1, base1 := ln.mi1, ln.base1
 	if w := l1.findWay(base1, tag); w >= 0 {
 		if write {
 			l1.flags[base1+w] |= flagDirty
@@ -366,16 +448,17 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 			l1.clock++
 			l1.stamp[base1+w] = l1.clock
 		case PseudoLRU:
-			l1.plruTouch(si1, w)
+			l1.plruTouch(mi1, w)
 		case Nehalem:
-			l1.nehalemTouch(si1, w)
+			l1.nehalemTouch(mi1, w)
 		}
 		return PackedL1Hit
 	}
 
 	// L2 demand probe.
-	si2 := l2.setFor(tag)
-	base2 := int(si2) * l2.ways
+	l2 := &f.l2.reps[k]
+	l3 := &f.l3.reps[k]
+	mi2, base2 := ln.mi2, ln.base2
 	if w := l2.findWay(base2, tag); w >= 0 {
 		if write {
 			l2.flags[base2+w] |= flagDirty
@@ -385,22 +468,21 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 			l2.clock++
 			l2.stamp[base2+w] = l2.clock
 		case PseudoLRU:
-			l2.plruTouch(si2, w)
+			l2.plruTouch(mi2, w)
 		case Nehalem:
-			l2.nehalemTouch(si2, w)
+			l2.nehalemTouch(mi2, w)
 		}
-		return PackedL2Hit + fillL1At(l1, l2, l3, si1, base1, tag, write)
+		return PackedL2Hit + fillL1At(l1, l2, l3, mi1, base1, tag, write)
 	}
 
 	// The access reaches this replica's L3 — one port use, which the
 	// served level (L3 or memory) implies — and the replica's prefetcher
-	// observes the demand line stream here. This is accessFillTag
+	// observes the demand line stream here. This is AccessFill
 	// specialised to the single owner: the stats pointer is hoisted once
 	// and the owner array (always zero in a replica) is neither read nor
 	// written.
 	var out PackedOutcome
-	si3 := l3.setFor(tag)
-	base3 := int(si3) * l3.ways
+	mi3, base3 := l3.locate(tag)
 	st := &l3.stats[0]
 	st.Accesses++
 	if write {
@@ -426,9 +508,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 			l3.clock++
 			l3.stamp[idx] = l3.clock
 		case PseudoLRU:
-			l3.plruTouch(si3, w3)
+			l3.plruTouch(mi3, w3)
 		case Nehalem:
-			l3.nehalemTouch(si3, w3)
+			l3.nehalemTouch(mi3, w3)
 		}
 		out |= PackedOutcome(LevelL3)
 	} else {
@@ -440,9 +522,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		st.Fills++
 		out |= PackedOutcome(LevelMem) // and with it the demand line's DRAM read
 		var victim int
-		if fm := l3.free[si3]; fm != 0 {
+		if fm := l3.free[mi3]; fm != 0 {
 			victim = bits.TrailingZeros64(fm)
-			l3.free[si3] = fm &^ (1 << uint(victim))
+			l3.free[mi3] = fm &^ (1 << uint(victim))
 		} else {
 			// victim() open-coded, same call-elision as the touches.
 			switch l3.cfg.Policy {
@@ -458,9 +540,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 				}
 				victim = best
 			case PseudoLRU:
-				victim = l3.plruVictim(si3)
+				victim = l3.plruVictim(mi3)
 			case Nehalem:
-				victim = l3.nehalemVictim(si3)
+				victim = l3.nehalemVictim(mi3)
 			case Random:
 				x := l3.rngState
 				x ^= x >> 12
@@ -476,10 +558,12 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 				st.Writebacks++
 			}
 			vt := l3.tags[idx]
-			if d, ok := l1.invalidatePrivate(l1.setFor(vt), vt); ok && d {
+			vm1, vb1 := l1.locate(vt)
+			if d, _ := l1.invalidatePrivate(vm1, vb1, vt); d {
 				vDirty = true
 			}
-			if d, ok := l2.invalidatePrivate(l2.setFor(vt), vt); ok && d {
+			vm2, vb2 := l2.locate(vt)
+			if d, _ := l2.invalidatePrivate(vm2, vb2, vt); d {
 				vDirty = true
 			}
 			if vDirty {
@@ -494,9 +578,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 			l3.clock++
 			l3.stamp[idx] = l3.clock
 		case PseudoLRU:
-			l3.plruTouch(si3, victim)
+			l3.plruTouch(mi3, victim)
 		case Nehalem:
-			l3.nehalemTouch(si3, victim)
+			l3.nehalemTouch(mi3, victim)
 		}
 	}
 	if f.hasPF {
@@ -513,9 +597,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 
 	// L2 fill; a dirty victim writes back to L3 or, if absent, DRAM.
 	var v2 int
-	if fm := l2.free[si2]; fm != 0 {
+	if fm := l2.free[mi2]; fm != 0 {
 		v2 = bits.TrailingZeros64(fm)
-		l2.free[si2] = fm &^ (1 << uint(v2))
+		l2.free[mi2] = fm &^ (1 << uint(v2))
 	} else {
 		switch l2.cfg.Policy {
 		case LRU:
@@ -535,9 +619,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 			}
 			v2 = best
 		case PseudoLRU:
-			v2 = l2.plruVictim(si2)
+			v2 = l2.plruVictim(mi2)
 		case Nehalem:
-			v2 = l2.nehalemVictim(si2)
+			v2 = l2.nehalemVictim(mi2)
 		case Random:
 			x := l2.rngState
 			x ^= x >> 12
@@ -548,7 +632,7 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		}
 		if l2.flags[base2+v2]&flagDirty != 0 {
 			vt := l2.tags[base2+v2]
-			if !l3.markDirtyTag(l3.setFor(vt), vt) {
+			if _, b := l3.locate(vt); !l3.markDirtyTag(b, vt) {
 				out += packWriteLine
 			}
 		}
@@ -561,16 +645,16 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		l2.clock++
 		l2.stamp[idx2] = l2.clock
 	case PseudoLRU:
-		l2.plruTouch(si2, v2)
+		l2.plruTouch(mi2, v2)
 	case Nehalem:
-		l2.nehalemTouch(si2, v2)
+		l2.nehalemTouch(mi2, v2)
 	}
 
 	// L1 fill; a dirty victim's writeback chases L2, then L3, then DRAM.
 	var v1 int
-	if fm := l1.free[si1]; fm != 0 {
+	if fm := l1.free[mi1]; fm != 0 {
 		v1 = bits.TrailingZeros64(fm)
-		l1.free[si1] = fm &^ (1 << uint(v1))
+		l1.free[mi1] = fm &^ (1 << uint(v1))
 	} else {
 		switch l1.cfg.Policy {
 		case LRU:
@@ -585,9 +669,9 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 			}
 			v1 = best
 		case PseudoLRU:
-			v1 = l1.plruVictim(si1)
+			v1 = l1.plruVictim(mi1)
 		case Nehalem:
-			v1 = l1.nehalemVictim(si1)
+			v1 = l1.nehalemVictim(mi1)
 		case Random:
 			x := l1.rngState
 			x ^= x >> 12
@@ -598,8 +682,8 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		}
 		if l1.flags[base1+v1]&flagDirty != 0 {
 			vt := l1.tags[base1+v1]
-			if !l2.markDirtyTag(l2.setFor(vt), vt) {
-				if !l3.markDirtyTag(l3.setFor(vt), vt) {
+			if _, b := l2.locate(vt); !l2.markDirtyTag(b, vt) {
+				if _, b := l3.locate(vt); !l3.markDirtyTag(b, vt) {
 					out += packWriteLine
 				}
 			}
@@ -617,23 +701,23 @@ func (f *FusedHierarchy) AccessPacked(k int, addr Addr, write bool) PackedOutcom
 		l1.clock++
 		l1.stamp[idx1] = l1.clock
 	case PseudoLRU:
-		l1.plruTouch(si1, v1)
+		l1.plruTouch(mi1, v1)
 	case Nehalem:
-		l1.nehalemTouch(si1, v1)
+		l1.nehalemTouch(mi1, v1)
 	}
 	return out
 }
 
-// fillL1At installs the line into L1 at the probe-computed set base and
-// chases a dirty victim's writeback through L2, then L3, then memory —
-// Hierarchy.fillL1 on replica state. It returns the DRAM writeback as an
-// outcome delta (zero or one write line) rather than mutating the
-// caller's outcome: keeping AccessPacked free of address-taken locals
-// lets its outcome live in a register.
-func fillL1At(l1, l2, l3 *Cache, si1 uint64, base1 int, tag uint64, write bool) PackedOutcome {
-	if vt, wb := l1.fillPrivateAt(si1, base1, tag, write); wb {
-		if !l2.markDirtyTag(l2.setFor(vt), vt) {
-			if !l3.markDirtyTag(l3.setFor(vt), vt) {
+// fillL1At installs the line into L1 at the probe-computed set position
+// and chases a dirty victim's writeback through L2, then L3, then
+// memory — Hierarchy.fillL1 on replica state. It returns the DRAM
+// writeback as an outcome delta (zero or one write line) rather than
+// mutating the caller's outcome: keeping AccessPacked free of
+// address-taken locals lets its outcome live in a register.
+func fillL1At(l1, l2, l3 *Cache, mi1 uint64, base1 int, tag uint64, write bool) PackedOutcome {
+	if vt, wb := l1.fillPrivateAt(mi1, base1, tag, write); wb {
+		if _, b := l2.locate(vt); !l2.markDirtyTag(b, vt) {
+			if _, b := l3.locate(vt); !l3.markDirtyTag(b, vt) {
 				return packWriteLine
 			}
 		}
@@ -651,7 +735,8 @@ func (f *FusedHierarchy) trainPrefetcher(k int, tag uint64, miss bool) PackedOut
 	var d PackedOutcome
 	l3 := &f.l3.reps[k]
 	for _, pl := range f.pf[k].Observe(tag, miss) {
-		r := l3.fillTag(l3.setFor(pl), pl, 0, true, false)
+		mi, base := l3.locate(pl)
+		r := l3.fillTag(mi, base, pl, 0, true, false)
 		if r.Hit {
 			continue // already resident; nothing was disturbed
 		}
@@ -672,10 +757,12 @@ func (f *FusedHierarchy) backInvalidate(k int, ev Evicted) PackedOutcome {
 	tag := uint64(ev.LineAddr) >> f.lineShift
 	l1 := &f.l1.reps[k]
 	l2 := &f.l2.reps[k]
-	if d, ok := l1.invalidatePrivate(l1.setFor(tag), tag); ok && d {
+	mi1, b1 := l1.locate(tag)
+	if d, _ := l1.invalidatePrivate(mi1, b1, tag); d {
 		dirty = true
 	}
-	if d, ok := l2.invalidatePrivate(l2.setFor(tag), tag); ok && d {
+	mi2, b2 := l2.locate(tag)
+	if d, _ := l2.invalidatePrivate(mi2, b2, tag); d {
 		dirty = true
 	}
 	if dirty {

@@ -3,6 +3,7 @@ package conformance
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -54,6 +55,48 @@ func TestHierarchyConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestFusedHierarchyConformance replays a generated stream through a
+// replica family of every hierarchy shape — by ways and by sets, of one
+// and of seven replicas, under every L3 policy, prefetcher on and off —
+// fused against one 1-core hierarchy per replica (ReplayFused).
+func TestFusedHierarchyConformance(t *testing.T) {
+	nops := 1500
+	if testing.Short() {
+		nops = 500
+	}
+	for shape := range hierarchyShapes {
+		for fam := 0; fam < 0x80; fam++ {
+			if reps := 1 + (fam>>1&7)%maxFusedReplicas; reps != 1 && reps != maxFusedReplicas {
+				continue
+			}
+			f, _ := DecodeFused([]byte{byte(shape), byte(fam)})
+			ops := GenFOps(stats.NewRNG(uint64(500+shape*0x80+fam)), f.Hier, nops)
+			if err := ReplayFused(f, ops); err != nil {
+				t.Fatalf("shape %d family %#02x (%d replicas): %v", shape, fam, len(f.L3), err)
+			}
+		}
+	}
+}
+
+// TestFusedCodecRoundTrip pins EncodeFused as DecodeFused's inverse.
+func TestFusedCodecRoundTrip(t *testing.T) {
+	rng := stats.NewRNG(654)
+	for trial := 0; trial < 50; trial++ {
+		data := make([]byte, 2+rng.Uint64n(400))
+		for i := range data {
+			data[i] = byte(rng.Uint64n(256))
+		}
+		fam1, ops1 := DecodeFused(data)
+		fam2, ops2 := DecodeFused(EncodeFused(data[0], data[1], ops1))
+		if !reflect.DeepEqual(fam1.L3, fam2.L3) || (fam1.Hier.NewPrefetcher == nil) != (fam2.Hier.NewPrefetcher == nil) {
+			t.Fatalf("family changed: %+v -> %+v", fam1.L3, fam2.L3)
+		}
+		if !reflect.DeepEqual(ops1, ops2) {
+			t.Fatalf("ops changed: %+v -> %+v", ops1, ops2)
+		}
 	}
 }
 

@@ -36,3 +36,19 @@ func FuzzHierarchy(f *testing.F) {
 		}
 	})
 }
+
+// FuzzFusedHierarchy feeds arbitrary bytes through DecodeFused — a
+// replica family by ways or by sets, of any policy, with or without a
+// prefetcher — and replays the stream record by record through every
+// replica of a cache.FusedHierarchy and through a 1-core
+// cache.Hierarchy per replica. Outcome words and L3 counters must agree
+// after every access (`conformance replay -target fused <file>`).
+func FuzzFusedHierarchy(f *testing.F) {
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fam, ops := DecodeFused(data)
+		if err := ReplayFused(fam, ops); err != nil {
+			t.Fatal(err)
+		}
+	})
+}

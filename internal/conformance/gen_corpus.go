@@ -76,6 +76,21 @@ func main() {
 		writeSeed(hdir, fmt.Sprintf("seed-shape%d", shape), conformance.EncodeHierarchy(shape, ops))
 	}
 
+	// Fused seeds: per shape, a seven-replica family by ways and one by
+	// sets, under a policy and prefetch toggle that vary with the shape.
+	fdir := filepath.Join("internal", "conformance", "testdata", "fuzz", "FuzzFusedHierarchy")
+	for shape := 0; ; shape++ {
+		cfg, ok := conformance.HierarchyShape(shape)
+		if !ok {
+			break
+		}
+		for mode, name := range []string{"ways", "sets"} {
+			family := byte(mode) | 6<<1 | byte(shape%4)<<4 | byte(shape%2)<<6
+			ops := conformance.GenFOps(stats.NewRNG(uint64(400+2*shape+mode)), cfg, 200)
+			writeSeed(fdir, fmt.Sprintf("seed-shape%d-%s", shape, name), conformance.EncodeFused(byte(shape), family, ops))
+		}
+	}
+
 	// Trace seeds, written alike for the decoder (FuzzRead) and the
 	// profiler (FuzzSampledProfile): a valid framed stream plus each
 	// rejection path — truncated mid-frame, corrupted payload

@@ -308,9 +308,16 @@ func compareHierarchyLines(ref *RefHierarchy, h *cache.Hierarchy) error {
 	return compareLines(ref.l3, h.L3())
 }
 
+// lineWalker is a cache model that lists its lines in set/way order:
+// the Reference oracle, or a stand-alone cache.Cache as the reference of
+// a fused replica.
+type lineWalker interface {
+	ForEachLine(fn func(cache.LineInfo) bool)
+}
+
 // compareLines walks both layouts in set/way order and reports the
 // first line that differs in place, tag, owner, dirty or prefetch bit.
-func compareLines(ref *cache.Reference, c *cache.Cache) error {
+func compareLines(ref lineWalker, c *cache.Cache) error {
 	var want []cache.LineInfo
 	ref.ForEachLine(func(li cache.LineInfo) bool {
 		want = append(want, li)

@@ -8,20 +8,24 @@
 // once, and fans the access out to one hierarchy replica per size
 // (cache.FusedHierarchy): replicas share only the line size, every set
 // index is derived per replica, so way-shrunk and set-shrunk sizes fuse
-// alike. Per-replica L1/L2/L3 state lives in contiguous SoA blocks and
-// the per-replica timing state (cycle clock, bandwidth-server cursors,
-// DRAM byte counters) lives in registers for the duration of a record
-// block.
+// alike. Per-replica L1/L2/L3 state lives in set-major SoA blocks: set s
+// of every replica of a level sits in one contiguous run (see
+// cache.Replicas), so the records-outer loop (replayRecords), which
+// feeds one record to every replica before the next, walks forward
+// through one run per level instead of probing one scattered set per
+// replica. The per-replica timing state (cycle clock, bandwidth-server
+// cursors, DRAM byte counters) is one small struct per replica, next to
+// the others.
 //
-// What the engine gains is the lean replayBlock loop, not the shared
-// decode (5% of a fused sweep even decoded once per group), and what it
-// pays is the interleaved line state of every replica competing for
-// the host's cache. The sweep therefore replays the sizes in
-// consecutive replica groups of bounded line state (fusedGroupLines),
-// each over its own freshly opened source; Config.Workers is how many
-// groups replay at once. The largest size goes first, alone, as a
-// footprint probe: a size the trace provably cannot overflow takes the
-// probe's point instead of a replay (sweepFusedGrouped).
+// What the engine gains is the lean record loop, not the shared decode
+// (5% of a fused sweep even decoded once per group), and what it pays
+// is the line state of every replica competing for the host's cache.
+// The sweep therefore replays the sizes in consecutive replica groups
+// of bounded line state (fusedGroupLines), each over its own freshly
+// opened source; Config.Workers is how many groups replay at once. The
+// largest size goes first, alone, as a footprint probe: a size the
+// trace provably cannot overflow takes the probe's point instead of a
+// replay (sweepFusedGrouped).
 //
 // Bit-identity with the per-size path is load-bearing and rests on
 // three facts. First, a single-core machine's scheduler is trivial:
@@ -30,9 +34,9 @@
 // (machine.StepChunk) never straddles a pass boundary, because a
 // record's access retires in the same step as its last instruction
 // chunk. Second, the timing recurrence per record is a pure function of
-// (previous clock, bandwidth cursors, hierarchy outcome); replayBlock
-// reproduces stepCore's float64 operations in the same order, so the
-// sums round identically. Third, the hierarchy replicas start
+// (previous clock, bandwidth cursors, hierarchy outcome); the record
+// loops reproduce stepCore's float64 operations in the same order, so
+// the sums round identically. Third, the hierarchy replicas start
 // bit-identical to fresh machines and cache.FusedHierarchy.AccessPacked
 // is step-for-step Hierarchy.Access. conformance.CheckSweepEquivalence
 // pins all of this down against the retained per-size oracle.
@@ -54,10 +58,8 @@ import (
 	"cachepirate/internal/trace"
 )
 
-// fusedBlock is how many trace records the engine replays per replica
-// before moving to the next replica. Large enough to amortise the
-// per-replica timing-state spill/reload, small enough that a replica's
-// working lines stay cache-resident across its turn.
+// fusedBlock is how many trace records the engine replays between two
+// cancellation polls.
 const fusedBlock = 256
 
 // fusedGroupLines is the sweep's replica-group budget in L3 lines:
@@ -71,12 +73,12 @@ const fusedGroupLines = 1 << 18
 
 // repClock is one replica's timing state: the fields a per-size
 // machine keeps in cpu.Core, the two mem.Servers and the machine's
-// DRAM byte counters, reduced to what the sweep's counter reads
-// observe. replayBlock loads these into locals for a block of records.
+// DRAM byte counters, reduced to what the sweep's counter reads observe
+// and what differs between replicas. Retired instructions and demand
+// accesses are the trace's own counts, the same for every replica, and
+// live in the engine.
 type repClock struct {
 	cycles   float64 // cpu.Core cycle clock
-	instrs   uint64  // retired instructions
-	memAccs  uint64  // demand memory accesses
 	l3Free   float64 // L3 port server's next-free cursor
 	dramFree float64 // DRAM server's next-free cursor
 	memRead  uint64  // cumulative DRAM read bytes
@@ -117,9 +119,11 @@ type fusedEngine struct {
 	l1HitCyc float64
 	l2HitCyc float64
 
-	warm int
-	clk  []repClock
-	base []counters.Sample
+	warm    int
+	instrs  uint64 // retired instructions, every replica alike
+	memAccs uint64 // demand memory accesses, every replica alike
+	clk     []repClock
+	base    []counters.Sample
 }
 
 // hierarchyConfig is the replica template: cfg's private levels and
@@ -176,8 +180,7 @@ func (e *fusedEngine) replay(ctx context.Context, open func() (trace.BlockSource
 // run replays warm+1 passes of src through every replica, capturing
 // the per-replica counter baselines between the last warm pass and
 // the measured one — exactly where the per-size path calls
-// PMU.MarkAll. Source blocks of any size are re-chunked to fusedBlock
-// internally; block boundaries cannot affect results (replicas never
+// PMU.MarkAll. Block boundaries cannot affect results (replicas never
 // interact and each sees the same record order regardless of
 // chunking), so a streamed source is bit-identical to an in-memory
 // replayer.
@@ -215,156 +218,189 @@ func (e *fusedEngine) run(ctx context.Context, src trace.BlockSource) error {
 	return nil
 }
 
-// replayAll advances every replica through one source block,
-// re-chunking it to fusedBlock internally. Chunk boundaries cannot
-// affect results — replicas never interact and replayBlock's timing
-// recurrence is a pure fold over the record sequence — so any chunking
-// of the same record order (a streamed reader's frames, an in-memory
-// replayer's single block) is bit-identical.
+// replayAll advances every replica through one source block, polling
+// for cancellation every fusedBlock records: the cancellation point that
+// lets a curve job's deadline abandon an in-memory replay, whose source
+// yields the whole trace as one block. A group of one replica — the
+// footprint probe — takes replayOne, which keeps its clock in a
+// register; a group of more takes replayRecords.
 func (e *fusedEngine) replayAll(ctx context.Context, blk []trace.Record) error {
-	n := len(blk)
-	for lo := 0; lo < n; lo += fusedBlock {
-		// One poll per fusedBlock round (256 records across every
-		// replica): the cancellation point that lets a curve job's
-		// deadline abandon an in-memory replay, whose source yields
-		// the whole trace as one block.
+	for lo := 0; lo < len(blk); lo += fusedBlock {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		hi := lo + fusedBlock
-		if hi > n {
-			hi = n
-		}
-		sub := blk[lo:hi]
-		for k := range e.clk {
-			e.replayBlock(sub, k)
+		sub := blk[lo:min(lo+fusedBlock, len(blk))]
+		if len(e.clk) == 1 {
+			e.replayOne(sub)
+		} else {
+			e.replayRecords(sub)
 		}
 	}
 	return nil
 }
 
-// replayBlock advances replica k through one block of records. This is
-// the size-inner loop of the fused sweep: all timing state lives in
-// locals, and each record costs one FusedHierarchy.AccessPacked plus the
-// same float64 timing recurrence stepCore computes — term for term, in
-// stepCore's evaluation order, so the clocks agree bit for bit with a
-// per-size machine replay. The outcome arrives as one word, so it stays
-// in a register, and a private-level hit that moved no data — most
-// records — is charged its precomputed cost without touching the
-// bandwidth servers, which such a record leaves alone in stepCore too.
+// replayRecords is the fused sweep's record loop: records outside,
+// replicas inside. Each record's line tag and private set positions are
+// decoded once (cache.FusedHierarchy.Line); each replica then takes one
+// FusedHierarchy.AccessPacked — walking its own part of the set-major
+// runs, next to the previous replica's — plus the same float64 timing
+// recurrence stepCore computes, term for term, in stepCore's
+// evaluation order, so the clocks agree bit for bit with a per-size
+// machine replay. The outcome arrives as one word, so it stays in a
+// register, and a private-level hit that moved no data — most records —
+// is charged its precomputed cost without touching the bandwidth
+// servers, which such a record leaves alone in stepCore too.
 //
 //lint:hotpath
-func (e *fusedEngine) replayBlock(blk []trace.Record, k int) {
-	t := &e.clk[k]
-	cycles := t.cycles
-	instrs := t.instrs
-	memAccs := t.memAccs
-	l3Free := t.l3Free
-	dramFree := t.dramFree
-	memRead := t.memRead
-	memWrite := t.memWrite
+func (e *fusedEngine) replayRecords(blk []trace.Record) {
 	// Hoist every engine field the loop reads: the compiler cannot
 	// prove the access call leaves *e unchanged, so field reads inside
 	// the loop would reload from memory every record.
 	fh := e.fh
-	params := e.params
-	baseCPI := params.BaseCPI
+	clk := e.clk
+	baseCPI := e.params.BaseCPI
 	chunkCycles := e.chunkCycles
-	lineSize := e.lineSize
-	l3BPC := e.l3BPC
-	dramBPC := e.dramBPC
-	dramLat := e.dramLat
-	mlp := e.mlp
-	l3LineCyc := e.l3LineCyc
-	dramLineCyc := e.dramLineCyc
 	l1HitCyc := e.l1HitCyc
 	l2HitCyc := e.l2HitCyc
+	instrs := e.instrs
+	memAccs := e.memAccs
 
 	for _, rec := range blk {
-		// Leading instructions, chunked as stepCore retires them.
+		// Leading instructions, chunked as stepCore retires them: the
+		// full chunks, then the rest. The rest's cycles are the same
+		// product for every replica; adding a zero rest leaves a clock
+		// unchanged.
+		chunks, n := 0, rec.NInstr
+		for n > machine.StepChunk {
+			chunks++
+			n -= machine.StepChunk
+		}
+		rest := float64(float64(n) * baseCPI) // rounded: no FMA
+		instrs += uint64(rec.NInstr) + 1
+		memAccs++
+
+		ln := fh.Line(cache.Addr(rec.Addr))
+		for k := range clk {
+			t := &clk[k]
+			cycles := t.cycles
+			for c := chunks; c > 0; c-- {
+				cycles += chunkCycles
+			}
+			cycles += rest
+			switch out := fh.AccessPacked(k, ln, rec.Write); out {
+			case cache.PackedL1Hit:
+				cycles += l1HitCyc
+			case cache.PackedL2Hit:
+				cycles += l2HitCyc
+			default:
+				cycles += e.charge(t, out, cycles)
+			}
+			t.cycles = cycles
+		}
+	}
+	e.instrs = instrs
+	e.memAccs = memAccs
+}
+
+// replayOne is replayRecords for a group of one replica. With a single
+// replica nothing hides the latency of a clock that goes through memory
+// every record, so the clock stays in a local for the whole block.
+//
+//lint:hotpath
+func (e *fusedEngine) replayOne(blk []trace.Record) {
+	fh := e.fh
+	t := &e.clk[0]
+	cycles := t.cycles
+	baseCPI := e.params.BaseCPI
+	chunkCycles := e.chunkCycles
+	l1HitCyc := e.l1HitCyc
+	l2HitCyc := e.l2HitCyc
+	instrs := e.instrs
+	memAccs := e.memAccs
+
+	for _, rec := range blk {
 		n := rec.NInstr
 		for n > machine.StepChunk {
-			instrs += machine.StepChunk
 			cycles += chunkCycles
 			n -= machine.StepChunk
 		}
-		if n > 0 {
-			instrs += uint64(n)
-			cycles += float64(float64(n) * baseCPI) // rounded: no FMA
-		}
-		instrs++
+		cycles += float64(float64(n) * baseCPI) // rounded: no FMA
+		instrs += uint64(rec.NInstr) + 1
 		memAccs++
 
-		out := fh.AccessPacked(k, cache.Addr(rec.Addr), rec.Write)
-		if out == cache.PackedL1Hit {
+		switch out := fh.AccessPacked(0, fh.Line(cache.Addr(rec.Addr)), rec.Write); out {
+		case cache.PackedL1Hit:
 			cycles += l1HitCyc
-			continue
-		}
-		if out == cache.PackedL2Hit {
+		case cache.PackedL2Hit:
 			cycles += l2HitCyc
-			continue
+		default:
+			cycles += e.charge(t, out, cycles)
 		}
-		now := cycles
-
-		// L3 port queueing (mem.Server.Request on the l3port server).
-		var l3Queue, memDelay float64
-		if uses := out.L3Uses(); uses > 0 {
-			start := now
-			if l3Free > start {
-				l3Queue = l3Free - now
-				start = l3Free
-			}
-			if uses == 1 {
-				l3Free = start + l3LineCyc
-			} else {
-				l3Free = start + float64(uses*lineSize)/l3BPC
-			}
-		}
-		// DRAM read, then writeback — stepCore's request order.
-		if lines := out.ReadLines(); lines > 0 {
-			var backlog float64
-			start := now
-			if dramFree > start {
-				backlog = dramFree - now
-				start = dramFree
-			}
-			if lines == 1 {
-				dramFree = start + dramLineCyc
-			} else {
-				dramFree = start + float64(lines*lineSize)/dramBPC
-			}
-			if out.ServedBy() == cache.LevelMem {
-				memDelay = dramFree + dramLat - now
-			} else {
-				memDelay = backlog
-			}
-			memRead += uint64(lines * lineSize)
-		}
-		if lines := out.WriteLines(); lines > 0 {
-			start := now
-			if dramFree > start {
-				start = dramFree
-			}
-			if lines == 1 {
-				dramFree = start + dramLineCyc
-			} else {
-				dramFree = start + float64(lines*lineSize)/dramBPC
-			}
-			memWrite += uint64(lines * lineSize)
-		}
-
-		// AccessCost reads the served level and the prefetch-hit bit only.
-		served := cache.Outcome{ServedBy: out.ServedBy(), PrefetchHit: out.PrefetchHit()}
-		cycles += baseCPI + cpu.AccessCost(params, served, memDelay, l3Queue, mlp)
 	}
-
 	t.cycles = cycles
-	t.instrs = instrs
-	t.memAccs = memAccs
-	t.l3Free = l3Free
+	e.instrs = instrs
+	e.memAccs = memAccs
+}
+
+// charge runs the bandwidth servers of replica t for an access whose
+// outcome out is not a plain private-level hit, at clock now, and
+// returns the cycles the access adds: stepCore's L3 port and DRAM
+// requests and cpu.Core.RetireAccess's BaseCPI + cpu.AccessCost, in
+// stepCore's order.
+func (e *fusedEngine) charge(t *repClock, out cache.PackedOutcome, now float64) float64 {
+	lineSize := e.lineSize
+	// L3 port queueing (mem.Server.Request on the l3port server).
+	var l3Queue, memDelay float64
+	if uses := out.L3Uses(); uses > 0 {
+		start := now
+		if t.l3Free > start {
+			l3Queue = t.l3Free - now
+			start = t.l3Free
+		}
+		if uses == 1 {
+			t.l3Free = start + e.l3LineCyc
+		} else {
+			t.l3Free = start + float64(uses*lineSize)/e.l3BPC
+		}
+	}
+	// DRAM read, then writeback — stepCore's request order.
+	dramFree := t.dramFree
+	if lines := out.ReadLines(); lines > 0 {
+		var backlog float64
+		start := now
+		if dramFree > start {
+			backlog = dramFree - now
+			start = dramFree
+		}
+		if lines == 1 {
+			dramFree = start + e.dramLineCyc
+		} else {
+			dramFree = start + float64(lines*lineSize)/e.dramBPC
+		}
+		if out.ServedBy() == cache.LevelMem {
+			memDelay = dramFree + e.dramLat - now
+		} else {
+			memDelay = backlog
+		}
+		t.memRead += uint64(lines * lineSize)
+	}
+	if lines := out.WriteLines(); lines > 0 {
+		start := now
+		if dramFree > start {
+			start = dramFree
+		}
+		if lines == 1 {
+			dramFree = start + e.dramLineCyc
+		} else {
+			dramFree = start + float64(lines*lineSize)/e.dramBPC
+		}
+		t.memWrite += uint64(lines * lineSize)
+	}
 	t.dramFree = dramFree
-	t.memRead = memRead
-	t.memWrite = memWrite
+
+	// AccessCost reads the served level and the prefetch-hit bit only.
+	served := cache.Outcome{ServedBy: out.ServedBy(), PrefetchHit: out.PrefetchHit()}
+	return e.params.BaseCPI + cpu.AccessCost(e.params, served, memDelay, l3Queue, e.mlp)
 }
 
 // sample assembles replica k's cumulative counters exactly as
@@ -373,9 +409,9 @@ func (e *fusedEngine) sample(k int) counters.Sample {
 	st := e.fh.L3(k).Stats(0)
 	t := &e.clk[k]
 	return counters.Sample{
-		Instructions:  t.instrs,
+		Instructions:  e.instrs,
 		Cycles:        uint64(t.cycles),
-		MemAccesses:   t.memAccs,
+		MemAccesses:   e.memAccs,
 		L3Accesses:    st.Accesses,
 		L3Misses:      st.Misses,
 		L3Fetches:     st.Fetches(),

@@ -77,28 +77,34 @@ func BenchmarkSweepFused(b *testing.B) { benchSweepEngine(b, EngineFused) }
 // path on the same workload.
 func BenchmarkSweepPerSize(b *testing.B) { benchSweepEngine(b, EnginePerSize) }
 
-// TestFusedInnerLoopAllocFree pins the fused size-inner loop at zero
-// allocations per block: the loop runs ~millions of times per sweep,
-// so a single escaping value would dominate the profile.
+// TestFusedInnerLoopAllocFree pins both fused record loops — a group's
+// and the one-replica probe's — at zero allocations per block: the loop
+// runs ~millions of times per sweep, so a single escaping value would
+// dominate the profile.
 func TestFusedInnerLoopAllocFree(t *testing.T) {
 	tr := CaptureTrace(randFactory(64<<10), 1, 0, 2*fusedBlock)
 	cfg := Config{Machine: smallMachine(), Workers: 1}.withDefaults()
-	e, err := newFusedEngine(cfg, sweepL3(t, cfg), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	blk := tr.Records[:fusedBlock]
-	// Warm every replica once so steady-state fills are exercised too.
-	for k := range e.clk {
-		e.replayBlock(blk, k)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		for k := range e.clk {
-			e.replayBlock(blk, k)
+	l3 := sweepL3(t, cfg)
+	for _, reps := range [][]cache.Config{l3, l3[:1]} {
+		e, err := newFusedEngine(cfg, reps, nil)
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("fused inner loop allocates %v times per block sweep; want 0", allocs)
+		blk := tr.Records[:fusedBlock]
+		// Warm every replica once so steady-state fills are exercised too.
+		if err := e.replayAll(context.Background(), blk); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(10, func() {
+			if len(reps) == 1 {
+				e.replayOne(blk)
+			} else {
+				e.replayRecords(blk)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%d replicas: fused record loop allocates %v times per block; want 0", len(reps), allocs)
+		}
 	}
 }
 
@@ -298,6 +304,46 @@ func TestSerialSweepAllocatesOneGroup(t *testing.T) {
 		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
 			t.Errorf("warmed default sweep at %d workers allocated %.2f MB, want under 1 MB", workers, float64(got)/(1<<20))
 		}
+	}
+}
+
+// TestServeSizeSweepAllocs is the allocation gate of a curve server
+// miss: a default fused sweep of a 25k-record trace streamed from a
+// file, after a warm-up sweep of the same shape, takes its line state
+// from backingPool and each reader's buffers from the reader closed
+// before it, and allocates under 0.25 MB in all — when every open made
+// its own, the two file opens alone allocated over 1.5 MB. One P, as
+// in TestSerialSweepAllocatesOneGroup.
+func TestServeSizeSweepAllocs(t *testing.T) {
+	if raceDetector {
+		t.Skip("the race detector makes sync.Pool drop items at random")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	tr := CaptureTrace(workload.MustByName("omnetpp").New, 1, 0, 25_000)
+	path := filepath.Join(t.TempDir(), "t.cptr2")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteV2(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	open := func() (trace.BlockSource, error) { return trace.OpenFile(path, trace.ReaderOptions{}) }
+	cfg := Config{Workers: 1}
+	if _, err := SweepStream(cfg, open); err != nil { // warm both pools
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := SweepStream(cfg, open); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<18 {
+		t.Errorf("warmed 25k-record sweep allocated %.2f MB, want under 0.25 MB", float64(got)/(1<<20))
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // readerBufBytes sizes the bufio window. It is chosen so a
@@ -29,23 +30,30 @@ const readerBufBytes = 1 << 19
 // frameDecoder in the same order, so blocks, errors, Frames and header
 // cross-checks do not depend on the path.
 // Steady-state decode reuses the block buffers and performs no
-// allocation (gated by AllocsPerRun in reader_test.go).
+// allocation (gated by AllocsPerRun in reader_test.go), and Close hands
+// the bufio window and the block buffers to the next Reader opened
+// (readerSpare), so a short pass over a small trace costs no fresh
+// megabyte either.
 //
 // A Reader is not safe for concurrent use; sweep engines open one
 // Reader per consumer (see simulate.SweepStream). Close joins the
 // decode goroutine, so a Reader abandoned mid-pass must be closed.
 type Reader struct {
 	rs   io.ReadSeeker
-	br   *bufio.Reader
 	file *os.File // set by OpenFile; closed by Close
+
+	// mem holds the bufio window and the block buffers, taken from
+	// readerSpare by NewReader and returned by Close; br and bufs point
+	// into it, and all three are nil once the Reader is closed. Inline
+	// decode uses bufs[0] only; decode-ahead fills the other three while
+	// the caller reads one.
+	mem  *readerMem
+	br   *bufio.Reader
+	bufs *[4]blockBuf
 
 	hdrRecords int64
 	hdrInstrs  int64
 	fd         frameDecoder
-
-	// bufs are the block buffers: inline decode uses bufs[0] only;
-	// decode-ahead fills the other three while the caller reads one.
-	bufs [4]blockBuf
 
 	// Decode-ahead state. free carries empty buffers (and, from stop,
 	// a nil quit request) to the goroutine, out carries decoded
@@ -77,14 +85,72 @@ type decoded struct {
 // streaming counterpart of Read's header cross-check.
 var errHeaderMismatch = errors.New("trace: header record count disagrees with stream")
 
+// errClosed is what every read of a closed Reader returns.
+var errClosed = errors.New("trace: Reader used after Close")
+
+// readerMem is the memory of one Reader that does not depend on the
+// stream it reads: the bufio window (readerBufBytes) and the block
+// buffers, which grow to the stream's frame size.
+type readerMem struct {
+	br   *bufio.Reader
+	bufs [4]blockBuf
+}
+
+// readerSpare holds the memory of the last Reader closed, for the next
+// one opened, until the next garbage collection. A curve server miss
+// opens a 25k-record trace twice (the footprint probe and one replica
+// group) and allocated a fresh megabyte of window and buffers each
+// time, about all the memory such a sweep allocates. One slot, not a
+// sync.Pool: a pool keeps a set per P and its victim copies alive
+// between collections, which on the curve server's closed loop held
+// about 4 MB more peak RSS; and emptied at each collection, unlike a
+// plain slot, whose 2 MB set outlived the replay that filled it and
+// raised replay_exact's peak RSS by 4 MB. Readers opened while the slot
+// is empty allocate their own, as before.
+var readerSpare atomic.Pointer[readerMem]
+
+// spareSentinel is garbage from the moment it is made, so its finalizer
+// runs after the next collection: it empties readerSpare and makes the
+// next sentinel. The pointer field keeps it out of the tiny allocator,
+// whose objects may share a finalizer's fate with their neighbours.
+type spareSentinel struct{ _ *byte }
+
+func init() { armSpareSentinel() }
+
+func armSpareSentinel() {
+	runtime.SetFinalizer(&spareSentinel{}, func(*spareSentinel) {
+		readerSpare.Store(nil)
+		armSpareSentinel()
+	})
+}
+
 // NewReader opens a streaming reader over rs, which must be
 // positioned at the start of a trace stream.
 func NewReader(rs io.ReadSeeker, o ReaderOptions) (*Reader, error) {
-	r := &Reader{rs: rs, br: bufio.NewReaderSize(rs, readerBufBytes)}
+	mem := readerSpare.Swap(nil)
+	if mem == nil {
+		mem = &readerMem{br: bufio.NewReaderSize(nil, readerBufBytes)}
+	}
+	mem.br.Reset(rs)
+	r := &Reader{rs: rs, mem: mem, br: mem.br, bufs: &mem.bufs}
 	if err := r.readHeader(); err != nil {
+		r.release()
 		return nil, err
 	}
 	return r, nil
+}
+
+// release hands the Reader's memory to readerSpare, once: the decode
+// goroutine must be stopped. Every later read sees errClosed.
+func (r *Reader) release() {
+	if r.mem == nil {
+		return
+	}
+	r.mem.br.Reset(nil) // keep no stream alive from the slot
+	readerSpare.Store(r.mem)
+	r.mem, r.br, r.bufs = nil, nil, nil
+	r.fd = frameDecoder{}
+	r.err = errClosed
 }
 
 // OpenFile opens path as a streaming reader; Close releases the file.
@@ -273,6 +339,9 @@ func (r *Reader) stop() {
 // goroutine, seeks back to the start and re-reads the header. Blocks
 // from the previous pass are invalidated.
 func (r *Reader) Rewind() error {
+	if r.mem == nil {
+		return errClosed
+	}
 	r.stop()
 	if _, err := r.rs.Seek(0, io.SeekStart); err != nil {
 		return err
@@ -289,10 +358,13 @@ func (r *Reader) NumRecords() int64 { return r.hdrRecords }
 // (-1 when the recorder could not patch it).
 func (r *Reader) NumInstructions() int64 { return r.hdrInstrs }
 
-// Close joins any decode goroutine and closes the underlying file
-// when the Reader was built by OpenFile.
+// Close joins any decode goroutine, hands the Reader's buffers to the
+// next Reader opened and closes the underlying file when the Reader was
+// built by OpenFile. Blocks it returned are invalid from then on, and
+// NextBlock and Rewind return an error.
 func (r *Reader) Close() error {
 	r.stop()
+	r.release()
 	if r.file != nil {
 		f := r.file
 		r.file = nil

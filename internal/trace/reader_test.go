@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
@@ -359,6 +360,163 @@ func TestReaderRewindAllocs(t *testing.T) {
 	})
 	if allocs > 3 {
 		t.Errorf("Rewind + full pass allocates %v times; want <= 3 (the header scratch, nothing per block)", allocs)
+	}
+}
+
+// writeFile writes tr to a fresh v2 file of frameRecords-record frames
+// under dir and returns its path.
+func writeFile(t *testing.T, dir string, tr *Trace, frameRecords int) string {
+	t.Helper()
+	path := filepath.Join(dir, fmt.Sprintf("t%d.cptr2", frameRecords))
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.WriteV2Frames(f, frameRecords); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestReaderUseAfterClose pins what Close leaves behind: NextBlock and
+// Rewind on a closed Reader fail with an error, at once and every time,
+// and never reach the buffers Close handed on — a Reader opened after
+// it, which may hold them now, reads its own stream undisturbed.
+func TestReaderUseAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	a, b := testTrace(3000), testTrace(5000)
+	pa, pb := writeFile(t, dir, a, 256), writeFile(t, dir, b, 512)
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			old, err := OpenFile(pa, ReaderOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := old.NextBlock(); err != nil { // mid-pass
+				t.Fatal(err)
+			}
+			if err := old.Close(); err != nil {
+				t.Fatal(err)
+			}
+			next, err := OpenFile(pb, ReaderOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer next.Close()
+			first, err := next.NextBlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			keep := append([]Record(nil), first...)
+			for i := 0; i < 2; i++ {
+				if blk, err := old.NextBlock(); err == nil || blk != nil {
+					t.Fatalf("NextBlock after Close = %d records, %v; want an error", len(blk), err)
+				}
+				if err := old.Rewind(); err == nil {
+					t.Fatal("Rewind after Close succeeded")
+				}
+			}
+			if err := old.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			recordsEqual(t, keep, first)
+			recordsEqual(t, b.Records, append(keep, drain(t, next)...))
+		})
+	}
+}
+
+// TestReadersShareSpareConcurrently opens, reads and closes Readers
+// of two different files from several goroutines at once, so the spare
+// buffers pass between Readers running side by side (and, at one
+// goroutine's GC, are dropped): every pass must read its own file's
+// records. Run it under -race.
+func TestReadersShareSpareConcurrently(t *testing.T) {
+	dir := t.TempDir()
+	trs := []*Trace{testTrace(3000), testTrace(5000)}
+	paths := []string{writeFile(t, dir, trs[0], 256), writeFile(t, dir, trs[1], 1024)}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				k := (g + i) % 2
+				r, err := OpenFile(paths[k], ReaderOptions{})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := drainAll(r)
+				if cerr := r.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(got) != len(trs[k].Records) {
+					t.Errorf("goroutine %d pass %d: %d records, want %d", g, i, len(got), len(trs[k].Records))
+					return
+				}
+				for j := range got {
+					if got[j] != trs[k].Records[j] {
+						t.Errorf("goroutine %d pass %d: record %d = %+v, want %+v", g, i, j, got[j], trs[k].Records[j])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestReaderOpenAllocs is the allocation gate on readerSpare: once a
+// Reader has been opened and closed, opening a file, reading one pass
+// and closing it again reuses that Reader's bufio window and block
+// buffers (about a megabyte) and allocates only the Reader itself and
+// the file handle. At one P and at four, so on the decode-ahead path
+// too.
+func TestReaderOpenAllocs(t *testing.T) {
+	tr := testTrace(2 * DefaultFrameRecords)
+	path := writeFile(t, t.TempDir(), tr, DefaultFrameRecords)
+	pass := func() {
+		r, err := OpenFile(path, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for {
+			blk, err := r.NextBlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(blk) == 0 {
+				break
+			}
+			n += len(blk)
+		}
+		if n != tr.Len() {
+			t.Fatalf("pass decoded %d records", n)
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		pass() // warm the spare
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pass()
+		runtime.ReadMemStats(&after)
+		runtime.GOMAXPROCS(prev)
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+			t.Errorf("GOMAXPROCS %d: warmed open + pass + close allocated %d KB, want under 64 KB", procs, got>>10)
+		}
 	}
 }
 
