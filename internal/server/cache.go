@@ -40,15 +40,15 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// resultCache is a sharded, byte-budgeted LRU cache of encoded curve
-// results. The total across shards never exceeds the construction
-// budget: each shard enforces budget/cacheShards, evicting from its
-// own LRU tail, and a value that cannot fit an empty shard is rejected
-// outright. Values are aliased, not copied — callers must treat
-// returned slices as read-only.
-type resultCache struct {
+// lruCache is a sharded, byte-budgeted LRU cache. The total across
+// shards never exceeds the construction budget: each shard enforces
+// budget/cacheShards, evicting from its own LRU tail, and a value that
+// cannot fit an empty shard is rejected outright. Values are aliased,
+// not copied — callers must treat returned values as read-only.
+type lruCache[V any] struct {
 	shards [cacheShards]cacheShard
 	budget int64
+	size   func(V) int64 // bytes a value holds, before entryOverhead
 
 	hits, misses, evictions, rejected atomic.Uint64
 }
@@ -61,17 +61,18 @@ type cacheShard struct {
 	items  map[string]*list.Element
 }
 
-type cacheEntry struct {
+type cacheEntry[V any] struct {
 	key  string
-	val  []byte
+	val  V
 	cost int64
 }
 
-// newResultCache builds a cache holding at most budget bytes across
-// all shards (budget <= 0 disables caching entirely: every Get
+// newLRUCache builds a cache holding at most budget bytes across all
+// shards, a value costing size(value) bytes plus its key and
+// entryOverhead (budget <= 0 disables caching entirely: every Get
 // misses, every Put is rejected).
-func newResultCache(budget int64) *resultCache {
-	c := &resultCache{budget: budget}
+func newLRUCache[V any](budget int64, size func(V) int64) *lruCache[V] {
+	c := &lruCache[V]{budget: budget, size: size}
 	per := budget / cacheShards
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
@@ -83,33 +84,40 @@ func newResultCache(budget int64) *resultCache {
 	return c
 }
 
-func (c *resultCache) shard(key string) *cacheShard {
+// newResultCache builds the result cache of encoded curves: budget
+// bytes of JSON payloads.
+func newResultCache(budget int64) *lruCache[[]byte] {
+	return newLRUCache(budget, func(val []byte) int64 { return int64(len(val)) })
+}
+
+func (c *lruCache[V]) shard(key string) *cacheShard {
 	h := fnv.New32a()
 	// fnv.Write never fails.
 	_, _ = h.Write([]byte(key))
 	return &c.shards[h.Sum32()%cacheShards]
 }
 
-func entryCost(key string, val []byte) int64 {
-	return int64(len(key)) + int64(len(val)) + entryOverhead
+// entryCost is what an entry of key and val charges to the budget.
+func (c *lruCache[V]) entryCost(key string, val V) int64 {
+	return int64(len(key)) + c.size(val) + entryOverhead
 }
 
 // Get returns the cached value for key, marking it most-recently-used.
-func (c *resultCache) Get(key string) ([]byte, bool) {
+func (c *lruCache[V]) Get(key string) (V, bool) {
 	sh := c.shard(key)
 	sh.mu.Lock()
-	var val []byte
+	var val V
 	el, ok := sh.items[key]
 	if ok {
 		sh.ll.MoveToFront(el)
 		// Read val under the lock: a concurrent Put to the same key
 		// swaps the entry's value in place.
-		val = el.Value.(*cacheEntry).val
+		val = el.Value.(*cacheEntry[V]).val
 	}
 	sh.mu.Unlock()
 	if !ok {
 		c.misses.Add(1)
-		return nil, false
+		return val, false
 	}
 	c.hits.Add(1)
 	return val, true
@@ -119,8 +127,8 @@ func (c *resultCache) Get(key string) ([]byte, bool) {
 // from its shard until the shard is back under budget. A value whose
 // cost exceeds the shard budget is rejected (never stored), so the
 // byte invariant holds unconditionally.
-func (c *resultCache) Put(key string, val []byte) {
-	cost := entryCost(key, val)
+func (c *lruCache[V]) Put(key string, val V) {
+	cost := c.entryCost(key, val)
 	sh := c.shard(key)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -129,12 +137,12 @@ func (c *resultCache) Put(key string, val []byte) {
 		return
 	}
 	if el, ok := sh.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
+		ent := el.Value.(*cacheEntry[V])
 		sh.bytes += cost - ent.cost
 		ent.val, ent.cost = val, cost
 		sh.ll.MoveToFront(el)
 	} else {
-		sh.items[key] = sh.ll.PushFront(&cacheEntry{key: key, val: val, cost: cost})
+		sh.items[key] = sh.ll.PushFront(&cacheEntry[V]{key: key, val: val, cost: cost})
 		sh.bytes += cost
 	}
 	for sh.bytes > sh.budget {
@@ -142,7 +150,7 @@ func (c *resultCache) Put(key string, val []byte) {
 		if tail == nil {
 			break
 		}
-		ent := tail.Value.(*cacheEntry)
+		ent := tail.Value.(*cacheEntry[V])
 		sh.ll.Remove(tail)
 		delete(sh.items, ent.key)
 		sh.bytes -= ent.cost
@@ -151,7 +159,7 @@ func (c *resultCache) Put(key string, val []byte) {
 }
 
 // Bytes returns the total bytes currently held across shards.
-func (c *resultCache) Bytes() int64 {
+func (c *lruCache[V]) Bytes() int64 {
 	var total int64
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -163,7 +171,7 @@ func (c *resultCache) Bytes() int64 {
 }
 
 // Len returns the total entry count across shards.
-func (c *resultCache) Len() int {
+func (c *lruCache[V]) Len() int {
 	var n int
 	for i := range c.shards {
 		sh := &c.shards[i]
@@ -175,7 +183,7 @@ func (c *resultCache) Len() int {
 }
 
 // Stats snapshots the cache counters.
-func (c *resultCache) Stats() CacheStats {
+func (c *lruCache[V]) Stats() CacheStats {
 	return CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),

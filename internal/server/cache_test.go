@@ -48,7 +48,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 	payload := make([]byte, 200)
 	// Pin shard 0's budget to exactly three entries, then exercise it
 	// through the public surface with keys that hash to shard 0.
-	c.shards[0].budget = 3 * entryCost("k-000", payload)
+	c.shards[0].budget = 3 * c.entryCost("k-000", payload)
 	shard0 := func(prefix string) []string {
 		var keys []string
 		for i := 0; len(keys) < 4; i++ {

@@ -130,6 +130,9 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 			return j, badRequest("engine_mode_mismatch", "engine=mattson requires mode=ways")
 		}
 	}
+	if j.Engine != simulate.EngineAnalytic && j.Policy == cache.PseudoLRU && j.Mode == simulate.ByWays {
+		return j, badRequest("policy_mode_mismatch", "policy=plru requires mode=sets: a sweep by ways visits way counts that are not powers of two, which the pseudo-LRU tree cannot model")
+	}
 	var perr *apiError
 	j.Records, perr = intParam(q, "records", j.Records, 1, maxCaptureRecords)
 	if perr != nil {
@@ -198,7 +201,9 @@ type ComputeFunc func(ctx context.Context, spec JobSpec) (*analysis.Curve, error
 
 // computeDirect is the production ComputeFunc: resolve the job's
 // block source (stored trace, or capture-and-store for workload
-// specs) and run the requested engine under the job context.
+// specs) and run the requested engine under the job context. A fused
+// curve reuses the policy-free points of the same trace under another
+// policy (sweepFused).
 func (s *Server) computeDirect(ctx context.Context, spec JobSpec) (*analysis.Curve, error) {
 	hash := spec.TraceHash
 	if spec.Workload != "" {
@@ -209,7 +214,11 @@ func (s *Server) computeDirect(ctx context.Context, spec JobSpec) (*analysis.Cur
 		hash = info.Hash
 	}
 	open := func() (trace.BlockSource, error) { return s.store.Open(hash) }
-	return simulate.SweepStreamContext(ctx, spec.simConfig(s.sweepWorkers), open)
+	cfg := spec.simConfig(s.sweepWorkers)
+	if spec.Engine == simulate.EngineFused {
+		return s.sweepFused(ctx, spec.pointsKey(hash), cfg, open)
+	}
+	return simulate.SweepStreamContext(ctx, cfg, open)
 }
 
 // captureWorkload captures the spec's synthetic workload, encodes it

@@ -24,7 +24,9 @@ type Config struct {
 	// Store holds uploaded and captured traces. Required.
 	Store *Store
 	// CacheBytes is the result-cache budget (default 64 MiB;
-	// negative disables caching).
+	// negative disables caching). A sixteenth of it more holds the
+	// policy-free points of fused sweeps, which a request for the same
+	// trace under another policy reuses instead of replaying.
 	CacheBytes int64
 	// Workers is the job-queue worker count (default GOMAXPROCS).
 	Workers int
@@ -51,7 +53,8 @@ type Config struct {
 // moving parts and DESIGN.md §14 for the endpoint and error taxonomy.
 type Server struct {
 	store        *Store
-	cache        *resultCache
+	cache        *lruCache[[]byte]
+	points       *lruCache[policyFree]
 	flights      *flightGroup
 	queue        *runner.Queue
 	compute      ComputeFunc
@@ -60,7 +63,8 @@ type Server struct {
 	sweepWorkers int
 	mux          *http.ServeMux
 
-	jobsServed atomic.Uint64
+	jobsServed     atomic.Uint64
+	replicasReused atomic.Int64
 
 	// writeFailures counts response writes that failed mid-body
 	// (client gone, connection reset). The response status is already
@@ -90,6 +94,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		store:        cfg.Store,
 		cache:        newResultCache(cfg.CacheBytes),
+		points:       newPointStore(cfg.CacheBytes / pointStoreShare),
 		flights:      newFlightGroup(),
 		queue:        runner.NewQueue(cfg.Workers, cfg.Backlog),
 		compute:      cfg.Compute,
@@ -259,14 +264,24 @@ type Stats struct {
 	// SweepWorkers is how many replica groups of one job's fused sweep
 	// replay at once.
 	SweepWorkers int `json:"sweep_workers"`
-	// Sweep counts, over every fused sweep so far, the sizes replayed
-	// and the sizes that took the largest size's point because the
-	// trace cannot overflow them: why one miss costs a fraction of
-	// another. A cache hit moves neither.
-	Sweep simulate.ReplicaStats `json:"sweep"`
+	// Sweep counts how the sizes of fused curves got their points: why
+	// one miss costs a fraction of another. A cache hit moves none.
+	Sweep SweepStats `json:"sweep"`
 	// WriteFailures counts responses whose body write failed after the
 	// status was committed (client disconnects, resets).
 	WriteFailures uint64 `json:"write_failures"`
+}
+
+// SweepStats is the /statsz sweep block.
+type SweepStats struct {
+	// ReplicaStats counts, over every fused sweep of the process, the
+	// sizes replayed and the sizes that took the largest size's point
+	// because the trace cannot overflow them.
+	simulate.ReplicaStats
+	// ReplicasReused counts, over this server's fused curves, the sizes
+	// that took a policy-free point of an earlier sweep of the same
+	// trace, mode and warm-up under another policy: no replay at all.
+	ReplicasReused int64 `json:"replicas_reused"`
 }
 
 func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
@@ -283,7 +298,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		Deduped:       s.flights.Deduped(),
 		Traces:        s.store.Len(),
 		SweepWorkers:  s.sweepWorkers,
-		Sweep:         simulate.SweepReplicaStats(),
+		Sweep:         SweepStats{simulate.SweepReplicaStats(), s.replicasReused.Load()},
 		WriteFailures: s.writeFailures.Load(),
 	})
 }

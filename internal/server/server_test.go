@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/simulate"
 )
 
 // newTestServer builds a Server over a fresh store with a tiny stub
@@ -120,6 +119,13 @@ func TestHandlerErrorTable(t *testing.T) {
 		{"curves: unknown format", http.MethodGet, "/v1/curves?trace=" + hash + "&format=xml", nil, 400, "unknown_format"},
 		{"curves: mattson without lru", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=mattson", nil, 400, "engine_policy_mismatch"},
 		{"curves: mattson by sets", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=mattson&policy=lru&mode=sets", nil, 400, "engine_mode_mismatch"},
+		{"curves: plru by ways", http.MethodGet, "/v1/curves?trace=" + hash + "&policy=plru", nil, 400, "policy_mode_mismatch"},
+		{"curves: fused plru by ways", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=fused&policy=plru&mode=ways", nil, 400, "policy_mode_mismatch"},
+		{"curves: persize plru by ways", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=persize&policy=plru", nil, 400, "policy_mode_mismatch"},
+		// Not failures: pseudo-LRU sweeps by sets (16 ways at every
+		// size), and the analytic engine reads no policy.
+		{"curves: plru by sets", http.MethodGet, "/v1/curves?trace=" + hash + "&policy=plru&mode=sets", nil, 200, ""},
+		{"curves: analytic plru", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=analytic&policy=plru", nil, 200, ""},
 		// Not a failure: the default (fused) engine sweeps by sets too.
 		{"curves: fused by sets", http.MethodGet, "/v1/curves?trace=" + hash + "&mode=sets", nil, 200, ""},
 		{"curves: records not a number", http.MethodGet, "/v1/curves?workload=microrand&records=lots", nil, 400, "bad_param"},
@@ -387,32 +393,51 @@ func TestStatszSweepWorkers(t *testing.T) {
 // counters on /statsz — the 2000-record trace overflows only the few
 // smallest of the 16 L3 sizes, so those and the probe replay and the
 // rest take the probe's point — and a hit on the same key moves neither.
-// The counters are process-wide, so the test reads deltas.
+// The same trace under another policy reuses the first sweep's
+// policy-free points: it replays only the other sizes and clones none,
+// and the result cache counts it as one miss, the point store's lookup
+// not at all. The replay counters are process-wide, so the test reads
+// deltas.
 func TestStatszSweepReplicas(t *testing.T) {
 	s, hash := newTestServer(t, Config{})
 	s.compute = s.computeDirect // newTestServer stubs the engines out
-	sweep := func() simulate.ReplicaStats {
+	stats := func() Stats {
 		t.Helper()
 		var st Stats
 		if err := json.Unmarshal(do(t, s, http.MethodGet, "/statsz", nil).Body.Bytes(), &st); err != nil {
 			t.Fatal(err)
 		}
-		return st.Sweep
+		return st
 	}
-	get := func() {
+	get := func(query string) {
 		t.Helper()
-		if rec := do(t, s, http.MethodGet, "/v1/curves?trace="+hash, nil); rec.Code != http.StatusOK {
+		if rec := do(t, s, http.MethodGet, "/v1/curves?trace="+hash+query, nil); rec.Code != http.StatusOK {
 			t.Fatalf("GET /v1/curves: status %d (body %q)", rec.Code, rec.Body.String())
 		}
 	}
-	idle := sweep()
-	get()
-	miss := sweep()
-	if dr, dc := miss.ReplicasReplayed-idle.ReplicasReplayed, miss.ReplicasCloned-idle.ReplicasCloned; dr < 1 || dc < 1 || dr+dc != 16 {
+	idle := stats()
+	get("")
+	miss := stats()
+	if dr, dc := miss.Sweep.ReplicasReplayed-idle.Sweep.ReplicasReplayed, miss.Sweep.ReplicasCloned-idle.Sweep.ReplicasCloned; dr < 1 || dc < 1 || dr+dc != 16 {
 		t.Errorf("a miss moved the sweep counters by %d replayed / %d cloned, want some of each and 16 in all", dr, dc)
 	}
-	get()
-	if hit := sweep(); hit != miss {
-		t.Errorf("a cache hit moved the sweep counters: %+v -> %+v", miss, hit)
+	if miss.Sweep.ReplicasReused != 0 {
+		t.Errorf("the first sweep of a trace reused %d points", miss.Sweep.ReplicasReused)
+	}
+	get("")
+	hit := stats()
+	if hit.Sweep != miss.Sweep {
+		t.Errorf("a cache hit moved the sweep counters: %+v -> %+v", miss.Sweep, hit.Sweep)
+	}
+	get("&policy=lru")
+	variant := stats()
+	dr := variant.Sweep.ReplicasReplayed - hit.Sweep.ReplicasReplayed
+	dc := variant.Sweep.ReplicasCloned - hit.Sweep.ReplicasCloned
+	du := variant.Sweep.ReplicasReused - hit.Sweep.ReplicasReused
+	if dr < 1 || du < 1 || dc != 0 || dr+du != 16 {
+		t.Errorf("a policy variant moved the sweep counters by %d replayed / %d cloned / %d reused, want some replayed, some reused, none cloned and 16 in all", dr, dc, du)
+	}
+	if dh, dm := variant.Cache.Hits-hit.Cache.Hits, variant.Cache.Misses-hit.Cache.Misses; dh != 0 || dm != 1 {
+		t.Errorf("a policy variant moved the result cache by %d hits / %d misses, want 0 / 1", dh, dm)
 	}
 }

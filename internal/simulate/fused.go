@@ -43,9 +43,11 @@
 package simulate
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -450,19 +452,45 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 // replica groups (sweepFusedGrouped), cfg.Workers of them at once.
 // Replicas never interact and every group sees the same record order,
 // so neither the group budget nor the width can change any point
-// (conformance.CheckParallelSweepEquivalence).
-func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
+// (conformance.CheckParallelSweepEquivalence). The mask says which
+// points of the curve are policy-free, in the curve's order.
+func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {
 	mcfgs, err := shrunkMachines(cfg)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	points, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
+	points, free, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	curve := &analysis.Curve{Name: "reference", Points: points}
-	curve.Sort()
-	return curve, nil
+	order := make([]int, len(points))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(points[a].CacheBytes, points[b].CacheBytes) })
+	curve := &analysis.Curve{Name: "reference", Points: make([]analysis.Point, len(points))}
+	mask := make([]bool, len(points))
+	for i, k := range order {
+		curve.Points[i], mask[i] = points[k], free[k]
+	}
+	return curve, mask, nil
+}
+
+// SweepPolicyFree is SweepStreamContext for EngineFused, which also
+// reports, per point of the curve, whether it is policy-free: whether
+// its L3 replica never chose between victims, because it never evicted
+// (every size the footprint probe proves, and the probe itself when it
+// fits) or because it has one way, where every policy's victim is the
+// only way there is. Such a point is the same, bit for bit, under every
+// L3 replacement policy (DESIGN.md §11), so a caller that sweeps one
+// trace under several policies need sweep only the other sizes, through
+// Config.Sizes, for the second policy on.
+func SweepPolicyFree(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {
+	cfg = cfg.withDefaults()
+	if cfg.Engine != EngineFused {
+		return nil, nil, fmt.Errorf("simulate: policy-free points need engine fused, not %v", cfg.Engine)
+	}
+	return sweepFusedStream(ctx, cfg, open)
 }
 
 // Sweep-wide counts of what the footprint probe saved, for a serving
@@ -567,9 +595,11 @@ func pick(l3 []cache.Config, reps []int) []cache.Config {
 // them all), and a group with none left opens no source. When the probe
 // does evict, nothing is proven and every size replays.
 //
-// The second result is how many replicas were replayed; the rest were
-// cloned.
-func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, int, error) {
+// The second result is, per replica, whether its point is policy-free
+// (SweepPolicyFree): it was cloned, its replay never evicted, or its L3
+// has one way. The third is how many replicas were replayed; the rest
+// were cloned.
+func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, []bool, int, error) {
 	pool := runner.Pool{Workers: cfg.Workers}
 	groups := replicaGroups(l3, budget, pool.EffectiveWorkers(len(l3)))
 	workers := pool.EffectiveWorkers(len(groups))
@@ -599,6 +629,7 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		}
 	}()
 	points := make([]analysis.Point, len(l3))
+	free := make([]bool, len(l3))
 	probe := groups[0][0]
 	// Per replica, whether its point is the probe's: stored by group 0
 	// once, after points[probe], and only if the probe never evicted.
@@ -612,6 +643,7 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 				if (*fits)[k] {
 					points[k] = points[probe]
 					points[k].CacheBytes = cfg.Sizes[k]
+					free[k] = true
 					continue
 				}
 				reps = append(reps, k)
@@ -632,6 +664,7 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		replayed.Add(int64(len(reps)))
 		for i, k := range reps {
 			points[k] = e.point(i, cfg.Sizes[k])
+			free[k] = l3[k].Ways == 1 || e.fh.L3(i).Stats(0).Evictions == 0
 		}
 		if c := e.fh.L3(0); g == 0 && c.Stats(0).Evictions == 0 {
 			fits := c.FootprintFits(l3)
@@ -648,8 +681,8 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		if cause := errors.Unwrap(err); cause != nil {
 			err = cause
 		}
-		return nil, n, err
+		return nil, nil, n, err
 	}
 	replicasCloned.Add(int64(len(l3) - n))
-	return points, n, nil
+	return points, free, n, nil
 }

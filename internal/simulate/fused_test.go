@@ -222,7 +222,7 @@ func TestFusedGroupBoundaries(t *testing.T) {
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg.Workers = workers
 				for _, src := range sources {
-					pts, _, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
+					pts, _, _, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
 					if err != nil {
 						t.Fatalf("mode %d budget %d j=%d %s: %v", mode, tc.budget, workers, src.name, err)
 					}

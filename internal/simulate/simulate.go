@@ -242,7 +242,8 @@ func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.Bloc
 	cfg = cfg.withDefaults()
 	switch cfg.Engine {
 	case EngineFused:
-		return sweepFusedStream(ctx, cfg, open)
+		curve, _, err := sweepFusedStream(ctx, cfg, open)
+		return curve, err
 	case EnginePerSize:
 		return sweepPerSizeStream(ctx, cfg, open)
 	case EngineMattson:
