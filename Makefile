@@ -48,14 +48,20 @@ bench-kernel:
 # promise: at and locate index a set in any layout (the fused walk's
 # set-major replicas), own a stand-alone cache's set (the machine's
 # walk), and FusedHierarchy.Line decodes a record once for every replica
-# inside the fused record loops. Names are as `-gcflags=-m=2` prints them.
+# inside the fused record loops. The timing recurrence past L2
+# (machine.Shared.Charge, DESIGN.md §8) is one call per such access and
+# books its requests through the bandwidth server's Request and Backlog
+# and Shared.WriteBack, which must inline into it. Names are as
+# `-gcflags=-m=2` prints them; INLINE_PKGS are the packages they live in.
+INLINE_PKGS = ./internal/cache ./internal/mem ./internal/machine
 INLINE_LEAVES = '(*Cache).setFor' '(*Cache).plruTouch' '(*Cache).nehalemTouch' \
 	'(*Cache).plruVictim' '(*Cache).nehalemVictim' \
 	'(*Cache).at' '(*Cache).locate' '(*Cache).own' '(*FusedHierarchy).Line' \
 	PackedOutcome.ServedBy PackedOutcome.PrefetchHit PackedOutcome.L3Uses \
-	PackedOutcome.ReadLines PackedOutcome.WriteLines
+	PackedOutcome.ReadLines PackedOutcome.WriteLines \
+	'(*Server).Request' '(*Server).Backlog' '(*Shared).WriteBack'
 check-inline:
-	@out=$$($(GO) build -gcflags=-m=2 ./internal/cache 2>&1); ok=; \
+	@out=$$($(GO) build -gcflags=-m=2 $(INLINE_PKGS) 2>&1); ok=; \
 	for f in $(INLINE_LEAVES); do \
 		echo "$$out" | grep -qF "can inline $$f with cost" || \
 			{ echo "check-inline: $$f no longer inlines:"; echo "$$out" | grep -F " $$f:"; exit 1; }; \

@@ -64,20 +64,12 @@ func (c Config) Validate() error {
 // proc is a software context bound to one core.
 type proc struct {
 	gen    workload.Generator
-	mlp    float64
+	costs  Costs
 	offset uint64 // address-space offset isolating this context
 	// shared marks a context attached with AttachShared: it shares its
 	// address space with its group, so its writes invalidate remote
 	// private-cache copies (write-invalidate coherence).
 	shared bool
-
-	// Stall cycles of the three accesses that meet no queue — an L1 hit,
-	// an L2 hit, and an L3 hit (not of a prefetched line) that finds the
-	// port idle. Each depends on the core parameters and the context's
-	// MLP alone, so Attach evaluates cpu.AccessCost once with zero
-	// delays: the very expression stepCore would evaluate per access, on
-	// the same operands — bit-equal — without the divide by the MLP.
-	l1HitCost, l2HitCost, l3HitCost float64
 
 	// In-flight op state: ops with many leading instructions retire in
 	// scheduler-sized chunks (see StepChunk) so no core's clock jumps
@@ -103,8 +95,7 @@ type Machine struct {
 	cfg    Config
 	cores  []*cpu.Core
 	hier   *cache.Hierarchy
-	dram   *mem.Server
-	l3port *mem.Server
+	shared Shared
 	procs  []*proc
 	now    float64 // global time: clock of the last core scheduled
 
@@ -114,9 +105,7 @@ type Machine struct {
 	// core's context or suspension changes, stepCore after every step.
 	clock []float64
 
-	// Per-core DRAM traffic, for the counter facade.
-	memRead  []uint64
-	memWrite []uint64
+	traffic []Traffic // per core, for the counter facade
 }
 
 // New builds a machine from cfg.
@@ -132,14 +121,12 @@ func New(cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	m := &Machine{
-		cfg:      cfg,
-		hier:     hier,
-		dram:     mem.MustNewServer(cfg.DRAM),
-		l3port:   mem.MustNewServer(cfg.L3Port),
-		procs:    make([]*proc, cfg.Cores),
-		clock:    make([]float64, cfg.Cores),
-		memRead:  make([]uint64, cfg.Cores),
-		memWrite: make([]uint64, cfg.Cores),
+		cfg:     cfg,
+		hier:    hier,
+		shared:  NewShared(cfg),
+		procs:   make([]*proc, cfg.Cores),
+		clock:   make([]float64, cfg.Cores),
+		traffic: make([]Traffic, cfg.Cores),
 	}
 	for i := 0; i < cfg.Cores; i++ {
 		core, err := cpu.NewCore(cfg.CPU)
@@ -190,17 +177,7 @@ func (m *Machine) Attach(core int, gen workload.Generator) error {
 	if m.procs[core] != nil {
 		m.hier.FlushCore(core)
 	}
-	mlp := gen.MLP()
-	if mlp < 1 {
-		mlp = 1
-	}
-	served := func(l cache.Level) float64 {
-		return cpu.AccessCost(m.cfg.CPU, cache.Outcome{ServedBy: l}, 0, 0, mlp)
-	}
-	m.procs[core] = &proc{
-		gen: gen, mlp: mlp, offset: uint64(core) << 44,
-		l1HitCost: served(cache.LevelL1), l2HitCost: served(cache.LevelL2), l3HitCost: served(cache.LevelL3),
-	}
+	m.procs[core] = &proc{gen: gen, costs: NewCosts(m.cfg.CPU, gen.MLP()), offset: uint64(core) << 44}
 	m.cores[core].Resume(m.now)
 	m.publish(core)
 	return nil
@@ -311,7 +288,7 @@ func (m *Machine) Step() bool {
 // private-level hit that moved no data — the whole word equals
 // PackedL1Hit or PackedL2Hit — is charged its precomputed cost without
 // a look at the bandwidth servers, which such an access never uses;
-// every other word is unpacked into its port uses and DRAM lines.
+// every other word goes to Shared.Charge.
 //
 //lint:hotpath
 func (m *Machine) stepCore(core int) {
@@ -349,11 +326,11 @@ func (m *Machine) stepCore(core int) {
 	var cost float64
 	switch out {
 	case cache.PackedL1Hit:
-		cost = p.l1HitCost
+		cost = p.costs.L1Hit
 	case cache.PackedL2Hit:
-		cost = p.l2HitCost
+		cost = p.costs.L2Hit
 	default:
-		cost = m.chargeShared(core, p, out, now)
+		cost = m.shared.Charge(out, now, &p.costs, &m.traffic[core])
 	}
 	if p.shared && op.Write && !op.NonTemporal {
 		// Write-invalidate coherence: evict sibling copies; finding
@@ -363,58 +340,11 @@ func (m *Machine) stepCore(core int) {
 			cost += m.cfg.CPU.L3Cost
 		}
 		if wb > 0 {
-			m.dram.Request(now, wb)
-			m.memWrite[core] += uint64(wb)
+			m.shared.WriteBack(now, wb, &m.traffic[core])
 		}
 	}
 	c.RetireAccess(cost)
 	m.clock[core] = c.Cycles()
-}
-
-// chargeShared books an access that left the private levels, or wrote
-// a line back to DRAM from them, on the shared servers — the L3 port,
-// then the DRAM read, then the DRAM writeback, each only if the word
-// says the access reached it — and returns the stall cycles to charge.
-//
-//lint:hotpath
-func (m *Machine) chargeShared(core int, p *proc, out cache.PackedOutcome, now float64) float64 {
-	lineSize := m.hier.LineSize()
-	var l3Queue, memDelay float64
-	if uses := out.L3Uses(); uses > 0 {
-		// Queueing at the shared L3 port; the unloaded port service
-		// time is already folded into the CPU's L3Cost.
-		if free := m.l3port.NextFree(); free > now {
-			l3Queue = free - now
-		}
-		m.l3port.Request(now, uses*lineSize)
-	}
-	if lines := out.ReadLines(); lines > 0 {
-		// Queueing backlog before this request: the delay a prefetch
-		// hit sees when DRAM is saturated (the data is not ahead of
-		// demand any more).
-		var backlog float64
-		if free := m.dram.NextFree(); free > now {
-			backlog = free - now
-		}
-		done := m.dram.Request(now, lines*lineSize)
-		if out.ServedBy() == cache.LevelMem {
-			memDelay = done - now
-		} else {
-			memDelay = backlog
-		}
-		m.memRead[core] += uint64(lines * lineSize)
-	}
-	if lines := out.WriteLines(); lines > 0 {
-		// Writebacks consume DRAM bandwidth but do not stall the core.
-		m.dram.Request(now, lines*lineSize)
-		m.memWrite[core] += uint64(lines * lineSize)
-	}
-	if out == cache.PackedOutcome(cache.LevelL3) && l3Queue == 0 {
-		return p.l3HitCost
-	}
-	// AccessCost reads the served level and the prefetch-hit bit only.
-	served := cache.Outcome{ServedBy: out.ServedBy(), PrefetchHit: out.PrefetchHit()}
-	return cpu.AccessCost(m.cfg.CPU, served, memDelay, l3Queue, p.mlp)
 }
 
 // RunSteps executes up to n global steps, returning how many ran.
@@ -500,8 +430,8 @@ func (m *Machine) ReadCounters(core int) counters.Sample {
 		L3Misses:      l3.Misses,
 		L3Fetches:     l3.Fetches(),
 		L3Prefetches:  l3.PrefetchFills,
-		MemReadBytes:  m.memRead[core],
-		MemWriteBytes: m.memWrite[core],
+		MemReadBytes:  m.traffic[core].Read,
+		MemWriteBytes: m.traffic[core].Write,
 	}
 }
 

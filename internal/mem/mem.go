@@ -14,18 +14,19 @@ package mem
 
 import "fmt"
 
-// Server is a shared bandwidth resource.
+// Server is a shared bandwidth resource, held by value: its next-free
+// cursor and the constants of its configuration.
 type Server struct {
-	cfg      ServerConfig
 	nextFree float64
 
-	// Service time of the most recent request size. Nearly every
-	// request is one cache line, so the divide runs once per run of
-	// equal sizes, not once per request; the cached quotient is the
-	// same IEEE division of the same operands, so schedules stay
-	// bit-identical.
-	lastSize    int64
-	lastService float64
+	// Service time of one line, lineBytes/BytesPerCycle. Nearly every
+	// request is one line, so the division runs once here instead of
+	// per request; the stored quotient is the same IEEE division of the
+	// same operands, so schedules stay bit-identical.
+	line      float64
+	lineBytes int64
+	bpc       float64
+	latency   float64
 }
 
 // ServerConfig describes a bandwidth server.
@@ -46,21 +47,15 @@ func (c ServerConfig) Validate() error {
 	return nil
 }
 
-// NewServer builds a bandwidth server.
-func NewServer(cfg ServerConfig) (*Server, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// Server returns an idle server for c, whose requests are mostly one
+// line of lineBytes. c must be valid.
+func (c ServerConfig) Server(lineBytes int64) Server {
+	return Server{
+		line:      float64(lineBytes) / c.BytesPerCycle,
+		lineBytes: lineBytes,
+		bpc:       c.BytesPerCycle,
+		latency:   c.BaseLatency,
 	}
-	return &Server{cfg: cfg}, nil
-}
-
-// MustNewServer is NewServer but panics on error.
-func MustNewServer(cfg ServerConfig) *Server {
-	s, err := NewServer(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
 }
 
 // Request schedules a transfer of size bytes arriving at cycle now and
@@ -71,13 +66,19 @@ func (s *Server) Request(now float64, size int64) (done float64) {
 	if s.nextFree > start {
 		start = s.nextFree
 	}
-	if size != s.lastSize {
-		s.lastSize = size
-		s.lastService = float64(size) / s.cfg.BytesPerCycle
+	service := s.line
+	if size != s.lineBytes {
+		service = float64(size) / s.bpc
 	}
-	s.nextFree = start + s.lastService
-	return s.nextFree + s.cfg.BaseLatency
+	s.nextFree = start + service
+	return s.nextFree + s.latency
 }
 
-// NextFree returns the cycle at which the server becomes idle.
-func (s *Server) NextFree() float64 { return s.nextFree }
+// Backlog returns how long a request arriving at cycle now waits
+// before its service starts.
+func (s *Server) Backlog(now float64) float64 {
+	if s.nextFree > now {
+		return s.nextFree - now
+	}
+	return 0
+}

@@ -13,13 +13,10 @@ func TestServerConfigValidate(t *testing.T) {
 	if err := (ServerConfig{Name: "x", BytesPerCycle: 4, BaseLatency: -1}).Validate(); err == nil {
 		t.Error("negative latency accepted")
 	}
-	if _, err := NewServer(ServerConfig{Name: "x", BytesPerCycle: -2}); err == nil {
-		t.Error("NewServer accepted bad config")
-	}
 }
 
 func TestUnloadedLatency(t *testing.T) {
-	s := MustNewServer(ServerConfig{BytesPerCycle: 4, BaseLatency: 100})
+	s := ServerConfig{BytesPerCycle: 4, BaseLatency: 100}.Server(64)
 	done := s.Request(1000, 64)
 	want := 1000.0 + 64.0/4.0 + 100.0
 	if done != want {
@@ -28,9 +25,12 @@ func TestUnloadedLatency(t *testing.T) {
 }
 
 func TestBackToBackRequestsQueue(t *testing.T) {
-	s := MustNewServer(ServerConfig{BytesPerCycle: 4, BaseLatency: 0})
+	s := ServerConfig{BytesPerCycle: 4, BaseLatency: 0}.Server(64)
 	// Two simultaneous 64B requests: the second waits for the first.
 	d1 := s.Request(0, 64)
+	if b := s.Backlog(0); b != 16 {
+		t.Errorf("backlog behind the first request = %g, want 16", b)
+	}
 	d2 := s.Request(0, 64)
 	if d1 != 16 || d2 != 32 {
 		t.Errorf("completions = %g, %g; want 16, 32", d1, d2)
@@ -38,8 +38,11 @@ func TestBackToBackRequestsQueue(t *testing.T) {
 }
 
 func TestIdleGapDoesNotQueue(t *testing.T) {
-	s := MustNewServer(ServerConfig{BytesPerCycle: 8, BaseLatency: 10})
-	s.Request(0, 64)        // busy until cycle 8
+	s := ServerConfig{BytesPerCycle: 8, BaseLatency: 10}.Server(64)
+	s.Request(0, 64) // busy until cycle 8
+	if b := s.Backlog(100); b != 0 {
+		t.Errorf("backlog after idle gap = %g, want 0", b)
+	}
 	d := s.Request(100, 64) // arrives long after
 	if d != 100+8+10 {
 		t.Errorf("completion after idle gap = %g, want 118", d)
@@ -49,7 +52,7 @@ func TestIdleGapDoesNotQueue(t *testing.T) {
 func TestThroughputCapped(t *testing.T) {
 	// Offered load 2x capacity: completions must advance at exactly
 	// capacity rate.
-	s := MustNewServer(ServerConfig{BytesPerCycle: 2, BaseLatency: 0})
+	s := ServerConfig{BytesPerCycle: 2, BaseLatency: 0}.Server(64)
 	var done float64
 	const n = 1000
 	for i := 0; i < n; i++ {
@@ -66,7 +69,7 @@ func TestThroughputCapped(t *testing.T) {
 // precede arrival + service + base latency.
 func TestCompletionMonotoneProperty(t *testing.T) {
 	f := func(gaps []uint8) bool {
-		s := MustNewServer(ServerConfig{BytesPerCycle: 4, BaseLatency: 7})
+		s := ServerConfig{BytesPerCycle: 4, BaseLatency: 7}.Server(64)
 		now, prevDone := 0.0, 0.0
 		for _, g := range gaps {
 			now += float64(g)
@@ -86,7 +89,7 @@ func TestCompletionMonotoneProperty(t *testing.T) {
 	}
 }
 
-// TestRequestBitEqualToDividingForm pins the cached service quotient:
+// TestRequestBitEqualToDividingForm pins the stored line service time:
 // completion times must be Float64bits-identical to
 // dividing size by capacity on every request, across runs of
 // line-sized requests, multi-line requests and switches between them,
@@ -94,7 +97,7 @@ func TestCompletionMonotoneProperty(t *testing.T) {
 func TestRequestBitEqualToDividingForm(t *testing.T) {
 	for _, bpc := range []float64{4.58, 29.96, 3, 8} {
 		cfg := ServerConfig{BytesPerCycle: bpc, BaseLatency: 180.25}
-		s := MustNewServer(cfg)
+		s := cfg.Server(64)
 		var nextFree float64
 		now := 0.0
 		for i := 0; i < 5000; i++ {

@@ -158,7 +158,7 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 	}
 	if v := q.Get("sample_rate"); v != "" {
 		rate, err := strconv.ParseFloat(v, 64)
-		if err != nil || rate <= 0 || rate > 1 {
+		if err != nil || !(rate > 0 && rate <= 1) { // NaN fails both
 			return j, badRequest("bad_param", fmt.Sprintf("sample_rate %q is not in (0, 1]", v))
 		}
 		j.SampleRate = rate

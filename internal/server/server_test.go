@@ -132,6 +132,8 @@ func TestHandlerErrorTable(t *testing.T) {
 		{"curves: records out of range", http.MethodGet, "/v1/curves?workload=microrand&records=999999999", nil, 400, "bad_param"},
 		{"curves: bad seed", http.MethodGet, "/v1/curves?workload=microrand&seed=-3", nil, 400, "bad_param"},
 		{"curves: bad sample_rate", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=analytic&sample_rate=1.5", nil, 400, "bad_param"},
+		{"curves: sample_rate NaN", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=analytic&sample_rate=NaN", nil, 400, "bad_param"},
+		{"curves: sample_rate nan", http.MethodGet, "/v1/curves?trace=" + hash + "&engine=analytic&sample_rate=nan", nil, 400, "bad_param"},
 		{"curves: bad nowarm", http.MethodGet, "/v1/curves?trace=" + hash + "&nowarm=maybe", nil, 400, "bad_param"},
 
 		// Trace info.

@@ -13,8 +13,8 @@
 // cache.Replicas), so the records-outer loop (replayRecords), which
 // feeds one record to every replica before the next, walks forward
 // through one run per level instead of probing one scattered set per
-// replica. The per-replica timing state (cycle clock, bandwidth-server
-// cursors, DRAM byte counters) is one small struct per replica, next to
+// replica. The per-replica timing state (cycle clock, bandwidth
+// servers, DRAM byte counters) is one small struct per replica, next to
 // the others.
 //
 // What the engine gains is the lean record loop, not the shared decode
@@ -34,11 +34,13 @@
 // (machine.StepChunk) never straddles a pass boundary, because a
 // record's access retires in the same step as its last instruction
 // chunk. Second, the timing recurrence per record is a pure function of
-// (previous clock, bandwidth cursors, hierarchy outcome); the record
-// loops reproduce stepCore's float64 operations in the same order, so
-// the sums round identically. Third, the hierarchy replicas start
-// bit-identical to fresh machines and cache.FusedHierarchy.AccessPacked
-// is step-for-step Hierarchy.Access. conformance.CheckSweepEquivalence
+// (previous clock, bandwidth servers, hierarchy outcome), and it is
+// stepCore's own code: the record loops add the same precomputed
+// private-hit costs (machine.Costs) and call the same
+// machine.Shared.Charge past L2, in stepCore's order, so the sums round
+// identically. Third, the hierarchy replicas start bit-identical to
+// fresh machines and cache.FusedHierarchy.AccessPacked is step-for-step
+// Hierarchy.Access. conformance.CheckSweepEquivalence
 // pins all of this down against the retained per-size oracle.
 package simulate
 
@@ -54,7 +56,6 @@ import (
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/cache"
 	"cachepirate/internal/counters"
-	"cachepirate/internal/cpu"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/runner"
 	"cachepirate/internal/trace"
@@ -74,17 +75,15 @@ const fusedBlock = 256
 const fusedGroupLines = 1 << 18
 
 // repClock is one replica's timing state: the fields a per-size
-// machine keeps in cpu.Core, the two mem.Servers and the machine's
-// DRAM byte counters, reduced to what the sweep's counter reads observe
-// and what differs between replicas. Retired instructions and demand
-// accesses are the trace's own counts, the same for every replica, and
-// live in the engine.
+// machine keeps in cpu.Core, its shared servers and its DRAM byte
+// counters, reduced to what the sweep's counter reads observe and what
+// differs between replicas. Retired instructions and demand accesses
+// are the trace's own counts, the same for every replica, and live in
+// the engine.
 type repClock struct {
-	cycles   float64 // cpu.Core cycle clock
-	l3Free   float64 // L3 port server's next-free cursor
-	dramFree float64 // DRAM server's next-free cursor
-	memRead  uint64  // cumulative DRAM read bytes
-	memWrite uint64  // cumulative DRAM write bytes
+	cycles float64 // cpu.Core cycle clock
+	machine.Shared
+	traffic machine.Traffic
 }
 
 // fusedEngine advances one hierarchy replica per size through a
@@ -92,34 +91,8 @@ type repClock struct {
 type fusedEngine struct {
 	fh *cache.FusedHierarchy
 
-	params      cpu.Params
-	mlp         float64
-	lineSize    int64
-	l3BPC       float64 // L3 port bytes/cycle
-	dramBPC     float64 // DRAM bytes/cycle
-	dramLat     float64 // DRAM base latency in cycles
+	costs       machine.Costs
 	chunkCycles float64 // cycles per full StepChunk of instructions
-
-	// Precomputed single-line service times. Almost every record moves
-	// exactly one line per server (one L3 port use, one DRAM fill or
-	// writeback), so the division float64(lineSize)/BPC the per-size
-	// servers perform per request resolves to the same quotient every
-	// time; computing it once and reusing it is the identical IEEE
-	// operation on identical operands — bit-equal — and keeps an FDIV
-	// out of the record loop. Multi-line requests fall back to the
-	// general division.
-	l3LineCyc   float64 // float64(lineSize) / l3BPC
-	dramLineCyc float64 // float64(lineSize) / dramBPC
-
-	// Precomputed cycles of a record a private level serves: the
-	// BaseCPI + cpu.AccessCost sum cpu.Core.RetireAccess adds to the
-	// clock. For an L1 or L2 hit it depends on the core parameters and
-	// the MLP alone, so evaluating it once here is the very expression
-	// the per-size path evaluates per record, on the same operands —
-	// bit-equal, as for the line service times above — and keeps the
-	// L2Cost/mlp FDIV out of the record loop.
-	l1HitCyc float64
-	l2HitCyc float64
 
 	warm    int
 	instrs  uint64 // retired instructions, every replica alike
@@ -146,25 +119,17 @@ func newFusedEngine(cfg Config, l3 []cache.Config, backing *cache.FusedBacking) 
 	if err != nil {
 		return nil, err
 	}
-	mlp := cfg.MLP
-	if mlp < 1 {
-		mlp = 1 // the generator/attach clamp of the per-size path
+	clk := make([]repClock, len(l3))
+	shared := machine.NewShared(cfg.Machine)
+	for k := range clk {
+		clk[k].Shared = shared
 	}
 	return &fusedEngine{
 		fh:          fh,
-		params:      cfg.Machine.CPU,
-		mlp:         mlp,
-		lineSize:    cfg.Machine.L3.LineSize,
-		l3BPC:       cfg.Machine.L3Port.BytesPerCycle,
-		dramBPC:     cfg.Machine.DRAM.BytesPerCycle,
-		dramLat:     cfg.Machine.DRAM.BaseLatency,
+		costs:       machine.NewCosts(cfg.Machine.CPU, cfg.MLP),
 		chunkCycles: float64(machine.StepChunk) * cfg.Machine.CPU.BaseCPI,
-		l3LineCyc:   float64(cfg.Machine.L3.LineSize) / cfg.Machine.L3Port.BytesPerCycle,
-		dramLineCyc: float64(cfg.Machine.L3.LineSize) / cfg.Machine.DRAM.BytesPerCycle,
-		l1HitCyc:    cfg.Machine.CPU.BaseCPI + cpu.AccessCost(cfg.Machine.CPU, cache.Outcome{ServedBy: cache.LevelL1}, 0, 0, mlp),
-		l2HitCyc:    cfg.Machine.CPU.BaseCPI + cpu.AccessCost(cfg.Machine.CPU, cache.Outcome{ServedBy: cache.LevelL2}, 0, 0, mlp),
 		warm:        cfg.WarmPasses,
-		clk:         make([]repClock, len(l3)),
+		clk:         clk,
 		base:        make([]counters.Sample, len(l3)),
 	}, nil
 }
@@ -260,10 +225,11 @@ func (e *fusedEngine) replayRecords(blk []trace.Record) {
 	// the loop would reload from memory every record.
 	fh := e.fh
 	clk := e.clk
-	baseCPI := e.params.BaseCPI
+	costs := &e.costs
+	baseCPI := costs.CPU.BaseCPI
 	chunkCycles := e.chunkCycles
-	l1HitCyc := e.l1HitCyc
-	l2HitCyc := e.l2HitCyc
+	l1Cyc := baseCPI + costs.L1Hit // what cpu.Core.RetireAccess adds
+	l2Cyc := baseCPI + costs.L2Hit
 	instrs := e.instrs
 	memAccs := e.memAccs
 
@@ -291,11 +257,11 @@ func (e *fusedEngine) replayRecords(blk []trace.Record) {
 			cycles += rest
 			switch out := fh.AccessPacked(k, ln, rec.Write); out {
 			case cache.PackedL1Hit:
-				cycles += l1HitCyc
+				cycles += l1Cyc
 			case cache.PackedL2Hit:
-				cycles += l2HitCyc
+				cycles += l2Cyc
 			default:
-				cycles += e.charge(t, out, cycles)
+				cycles += baseCPI + t.Charge(out, cycles, costs, &t.traffic)
 			}
 			t.cycles = cycles
 		}
@@ -313,10 +279,11 @@ func (e *fusedEngine) replayOne(blk []trace.Record) {
 	fh := e.fh
 	t := &e.clk[0]
 	cycles := t.cycles
-	baseCPI := e.params.BaseCPI
+	costs := &e.costs
+	baseCPI := costs.CPU.BaseCPI
 	chunkCycles := e.chunkCycles
-	l1HitCyc := e.l1HitCyc
-	l2HitCyc := e.l2HitCyc
+	l1Cyc := baseCPI + costs.L1Hit
+	l2Cyc := baseCPI + costs.L2Hit
 	instrs := e.instrs
 	memAccs := e.memAccs
 
@@ -332,77 +299,16 @@ func (e *fusedEngine) replayOne(blk []trace.Record) {
 
 		switch out := fh.AccessPacked(0, fh.Line(cache.Addr(rec.Addr)), rec.Write); out {
 		case cache.PackedL1Hit:
-			cycles += l1HitCyc
+			cycles += l1Cyc
 		case cache.PackedL2Hit:
-			cycles += l2HitCyc
+			cycles += l2Cyc
 		default:
-			cycles += e.charge(t, out, cycles)
+			cycles += baseCPI + t.Charge(out, cycles, costs, &t.traffic)
 		}
 	}
 	t.cycles = cycles
 	e.instrs = instrs
 	e.memAccs = memAccs
-}
-
-// charge runs the bandwidth servers of replica t for an access whose
-// outcome out is not a plain private-level hit, at clock now, and
-// returns the cycles the access adds: stepCore's L3 port and DRAM
-// requests and cpu.Core.RetireAccess's BaseCPI + cpu.AccessCost, in
-// stepCore's order.
-func (e *fusedEngine) charge(t *repClock, out cache.PackedOutcome, now float64) float64 {
-	lineSize := e.lineSize
-	// L3 port queueing (mem.Server.Request on the l3port server).
-	var l3Queue, memDelay float64
-	if uses := out.L3Uses(); uses > 0 {
-		start := now
-		if t.l3Free > start {
-			l3Queue = t.l3Free - now
-			start = t.l3Free
-		}
-		if uses == 1 {
-			t.l3Free = start + e.l3LineCyc
-		} else {
-			t.l3Free = start + float64(uses*lineSize)/e.l3BPC
-		}
-	}
-	// DRAM read, then writeback — stepCore's request order.
-	dramFree := t.dramFree
-	if lines := out.ReadLines(); lines > 0 {
-		var backlog float64
-		start := now
-		if dramFree > start {
-			backlog = dramFree - now
-			start = dramFree
-		}
-		if lines == 1 {
-			dramFree = start + e.dramLineCyc
-		} else {
-			dramFree = start + float64(lines*lineSize)/e.dramBPC
-		}
-		if out.ServedBy() == cache.LevelMem {
-			memDelay = dramFree + e.dramLat - now
-		} else {
-			memDelay = backlog
-		}
-		t.memRead += uint64(lines * lineSize)
-	}
-	if lines := out.WriteLines(); lines > 0 {
-		start := now
-		if dramFree > start {
-			start = dramFree
-		}
-		if lines == 1 {
-			dramFree = start + e.dramLineCyc
-		} else {
-			dramFree = start + float64(lines*lineSize)/e.dramBPC
-		}
-		t.memWrite += uint64(lines * lineSize)
-	}
-	t.dramFree = dramFree
-
-	// AccessCost reads the served level and the prefetch-hit bit only.
-	served := cache.Outcome{ServedBy: out.ServedBy(), PrefetchHit: out.PrefetchHit()}
-	return e.params.BaseCPI + cpu.AccessCost(e.params, served, memDelay, l3Queue, e.mlp)
 }
 
 // sample assembles replica k's cumulative counters exactly as
@@ -418,8 +324,8 @@ func (e *fusedEngine) sample(k int) counters.Sample {
 		L3Misses:      st.Misses,
 		L3Fetches:     st.Fetches(),
 		L3Prefetches:  st.PrefetchFills,
-		MemReadBytes:  t.memRead,
-		MemWriteBytes: t.memWrite,
+		MemReadBytes:  t.traffic.Read,
+		MemWriteBytes: t.traffic.Write,
 	}
 }
 
@@ -430,7 +336,7 @@ func (e *fusedEngine) point(k int, size int64) analysis.Point {
 	return analysis.Point{
 		CacheBytes:   size,
 		CPI:          s.CPI(),
-		BandwidthGBs: s.BandwidthGBs(e.params.FreqHz),
+		BandwidthGBs: s.BandwidthGBs(e.costs.CPU.FreqHz),
 		FetchRatio:   s.FetchRatio(),
 		MissRatio:    s.MissRatio(),
 		Trusted:      true,
