@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel check-inline check-fma bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic bench-lint vet fmt experiments cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel check-inline check-fma bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic vet fmt experiments cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -53,7 +53,7 @@ bench-kernel:
 # books its requests through the bandwidth server's Request and Backlog
 # and Shared.WriteBack, which must inline into it. Names are as
 # `-gcflags=-m=2` prints them; INLINE_PKGS are the packages they live in.
-INLINE_PKGS = ./internal/cache ./internal/mem ./internal/machine
+INLINE_PKGS = ./internal/cache ./internal/machine
 INLINE_LEAVES = '(*Cache).setFor' '(*Cache).plruTouch' '(*Cache).nehalemTouch' \
 	'(*Cache).plruVictim' '(*Cache).nehalemVictim' \
 	'(*Cache).at' '(*Cache).locate' '(*Cache).own' '(*FusedHierarchy).Line' \
@@ -152,12 +152,6 @@ staticcheck:
 # DESIGN.md §10 and §15). Any finding fails the build.
 lint: vet staticcheck
 	$(GO) run ./cmd/lint ./...
-
-# Analyzer-suite throughput over the whole module: packages/sec for a
-# full 7-analyzer pass, recorded in BENCH_lint.json. diagnostics must
-# be 0 — the tree lints clean by construction.
-bench-lint:
-	$(GO) run ./cmd/lint -benchjson BENCH_lint.json ./...
 
 # Remove build and profiling droppings. Nothing under version control
 # matches these patterns — CI asserts `git ls-files` is binary-free.

@@ -105,6 +105,14 @@ func main() {
 	if err != nil {
 		exit(2, err)
 	}
+	// The curve server's domain for the same knobs, checked before the
+	// capture and on the value given, not the fixed-size default below.
+	if !(*sampleRate > 0 && *sampleRate <= 1) { // NaN fails both
+		exit(2, fmt.Sprintf("-sample-rate must be in (0, 1], got %g", *sampleRate))
+	}
+	if *sampleSize < 0 || *sampleSize > 1<<30 {
+		exit(2, fmt.Sprintf("-sample-size must be in [0, %d], got %d", 1<<30, *sampleSize))
+	}
 	// Fixed-size mode starts at rate 1.0 unless a rate is given: the
 	// -sample-rate default belongs to fixed-rate mode.
 	rate := *sampleRate

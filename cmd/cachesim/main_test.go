@@ -69,6 +69,25 @@ func TestRejectsBadCounts(t *testing.T) {
 	}
 }
 
+// TestRejectsBadSampling pins that a SHARDS knob outside the curve
+// server's domain is a usage error before any capture: a zero rate
+// used to run the exact rate 1.0, and the others failed only after the
+// capture.
+func TestRejectsBadSampling(t *testing.T) {
+	for _, tc := range []struct{ flag, value, msg string }{
+		{"-sample-rate", "0", "-sample-rate must be in (0, 1]"},
+		{"-sample-rate", "2", "-sample-rate must be in (0, 1]"},
+		{"-sample-rate", "NaN", "-sample-rate must be in (0, 1]"},
+		{"-sample-rate", "-1", "-sample-rate must be in (0, 1]"},
+		{"-sample-size", "-5", "-sample-size must be in [0, "},
+	} {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			_, errOut, err := run("-engine", "analytic", tc.flag, tc.value, "microrand")
+			wantUsageExit(t, err, errOut, tc.msg)
+		})
+	}
+}
+
 // TestLoadSaveRejected pins that -save works on captures only: with
 // -load it exits 2, names the re-encode command and writes nothing.
 func TestLoadSaveRejected(t *testing.T) {

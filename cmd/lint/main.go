@@ -6,7 +6,6 @@
 //
 //	go run ./cmd/lint ./...
 //	go run ./cmd/lint -a detrand,hotalloc ./internal/cache
-//	go run ./cmd/lint -benchjson BENCH_lint.json ./...
 //
 // The seven analyzers (see DESIGN.md §10 and §15):
 //
@@ -29,12 +28,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"strings"
-	"time"
 
 	"cachepirate/internal/lint/analysis"
 	"cachepirate/internal/lint/counterpair"
@@ -57,22 +54,10 @@ var all = []*analysis.Analyzer{
 	leakcheck.Analyzer,
 }
 
-// benchResult is the BENCH_lint.json shape consumed by CI: how fast
-// the whole suite runs and that the tree is clean.
-type benchResult struct {
-	Packages       int     `json:"packages"`
-	Analyzers      int     `json:"analyzers"`
-	LoadSeconds    float64 `json:"load_seconds"`
-	AnalyzeSeconds float64 `json:"analyze_seconds"`
-	PackagesPerSec float64 `json:"packages_per_sec"`
-	Diagnostics    int     `json:"diagnostics"`
-}
-
 func main() {
 	names := flag.String("a", "", "comma-separated analyzers to run (default: all)")
-	benchjson := flag.String("benchjson", "", "write a BENCH_lint.json timing record to this file")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lint [-a analyzers] [-benchjson file] packages...\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: lint [-a analyzers] packages...\n\nanalyzers:\n")
 		for _, a := range all {
 			fmt.Fprintf(os.Stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
@@ -102,15 +87,12 @@ func main() {
 		}
 	}
 
-	loadStart := time.Now()
 	prog, err := load.Program(".", flag.Args()...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "lint:", err)
 		os.Exit(1)
 	}
-	loadTime := time.Since(loadStart)
 
-	analyzeStart := time.Now()
 	found := 0
 	for ti := range prog.Targets {
 		t := &prog.Targets[ti]
@@ -124,30 +106,6 @@ func main() {
 				fmt.Println(d)
 				found++
 			}
-		}
-	}
-	analyzeTime := time.Since(analyzeStart)
-
-	if *benchjson != "" {
-		res := benchResult{
-			Packages:       len(prog.Targets),
-			Analyzers:      len(analyzers),
-			LoadSeconds:    loadTime.Seconds(),
-			AnalyzeSeconds: analyzeTime.Seconds(),
-			Diagnostics:    found,
-		}
-		if total := loadTime + analyzeTime; total > 0 {
-			res.PackagesPerSec = float64(len(prog.Targets)) / total.Seconds()
-		}
-		data, err := json.MarshalIndent(res, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if err := os.WriteFile(*benchjson, data, 0o644); err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			os.Exit(1)
 		}
 	}
 

@@ -32,6 +32,12 @@ func main() {
 	all := flag.Bool("all", false, "profile the whole suite and print one sparkline summary per benchmark")
 	flag.Parse()
 
+	switch *plot {
+	case "", "cpi", "bw", "fetch", "miss":
+	default:
+		fmt.Fprintf(os.Stderr, "pirate: unknown -plot metric %q (use cpi, bw, fetch or miss)\n", *plot)
+		os.Exit(2)
+	}
 	if *list {
 		for _, s := range cachepirate.Workloads() {
 			fmt.Printf("%-12s %-28s %s\n", s.Name, s.Paper, s.Description)

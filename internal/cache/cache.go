@@ -5,7 +5,7 @@
 // with an inclusive shared L3.
 //
 // The package models cache *state* only; timing (latencies, bandwidth
-// queueing) belongs to internal/cpu and internal/mem. All state changes
+// queueing) belongs to internal/machine's timing model. All state changes
 // are deterministic, so simulations are bit-reproducible.
 //
 // Line state is stored structure-of-arrays: one dense tags array (with

@@ -32,8 +32,6 @@ var Scope = []string{
 	"internal/stackdist",
 	"internal/analytic",
 	"internal/prefetch",
-	"internal/mem",
-	"internal/cpu",
 	"internal/counters",
 }
 

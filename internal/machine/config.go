@@ -2,8 +2,6 @@ package machine
 
 import (
 	"cachepirate/internal/cache"
-	"cachepirate/internal/cpu"
-	"cachepirate/internal/mem"
 	"cachepirate/internal/prefetch"
 )
 
@@ -25,7 +23,7 @@ const (
 func NehalemConfig() Config {
 	return Config{
 		Cores: 4,
-		CPU:   cpu.DefaultParams(),
+		CPU:   DefaultParams(),
 		L1: cache.Config{
 			Name: "L1", Size: 32 << 10, Ways: 8, LineSize: 64,
 			Policy: cache.PseudoLRU,
@@ -38,15 +36,15 @@ func NehalemConfig() Config {
 			Name: "L3", Size: 8 << 20, Ways: 16, LineSize: 64,
 			Policy: cache.Nehalem,
 		},
-		DRAM: mem.ServerConfig{
+		DRAM: ServerConfig{
 			Name:          "dram",
 			BytesPerCycle: NehalemDRAMBytesPerCycle,
 			BaseLatency:   160,
 		},
-		L3Port: mem.ServerConfig{
+		L3Port: ServerConfig{
 			Name:          "l3port",
 			BytesPerCycle: NehalemL3PortBytesPerCycle,
-			BaseLatency:   0, // unloaded L3 latency lives in cpu.Params.L3Cost
+			BaseLatency:   0, // unloaded L3 latency lives in Params.L3Cost
 		},
 		NewPrefetcher: func() prefetch.Prefetcher {
 			return prefetch.NewStream(prefetch.StreamConfig{Streams: 16, Degree: 8, Confirm: 2})
@@ -75,7 +73,7 @@ func GenericLRUConfig() Config {
 	const freq = 2.5e9
 	return Config{
 		Cores: 4,
-		CPU: cpu.Params{
+		CPU: Params{
 			BaseCPI:         0.45,
 			L1Cost:          0.5,
 			L2Cost:          7,
@@ -95,12 +93,12 @@ func GenericLRUConfig() Config {
 			Name: "L3", Size: 6 << 20, Ways: 24, LineSize: 64,
 			Policy: cache.LRU,
 		},
-		DRAM: mem.ServerConfig{
+		DRAM: ServerConfig{
 			Name:          "dram",
 			BytesPerCycle: 12.8e9 / freq,
 			BaseLatency:   180,
 		},
-		L3Port: mem.ServerConfig{
+		L3Port: ServerConfig{
 			Name:          "l3port",
 			BytesPerCycle: 60e9 / freq,
 			BaseLatency:   0,

@@ -1,8 +1,8 @@
 // Package machine ties the substrates together into a deterministic
-// multicore system: per-core in-order CPUs (internal/cpu), a private
-// L1/L2 + shared inclusive L3 hierarchy (internal/cache), hardware
-// prefetchers (internal/prefetch), and finite-bandwidth DRAM and L3
-// ports (internal/mem).
+// multicore system: per-core in-order CPUs and finite-bandwidth DRAM
+// and L3 ports (the timing model, timing.go), a private L1/L2 + shared
+// inclusive L3 hierarchy (internal/cache), and hardware prefetchers
+// (internal/prefetch).
 //
 // Software contexts (workload generators) attach to cores and the
 // machine interleaves them in global cycle order: at every step the
@@ -22,8 +22,6 @@ import (
 
 	"cachepirate/internal/cache"
 	"cachepirate/internal/counters"
-	"cachepirate/internal/cpu"
-	"cachepirate/internal/mem"
 	"cachepirate/internal/prefetch"
 	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
@@ -32,12 +30,12 @@ import (
 // Config describes a machine.
 type Config struct {
 	Cores  int
-	CPU    cpu.Params
+	CPU    Params
 	L1     cache.Config
 	L2     cache.Config
 	L3     cache.Config
-	DRAM   mem.ServerConfig
-	L3Port mem.ServerConfig
+	DRAM   ServerConfig
+	L3Port ServerConfig
 	// NewPrefetcher builds each core's L3 prefetcher; nil disables
 	// hardware prefetching (fetches == misses, as in Fig. 9).
 	NewPrefetcher func() prefetch.Prefetcher
@@ -90,10 +88,18 @@ type proc struct {
 // per-size path.
 const StepChunk = 64
 
+// coreClock is one hardware context's clocks.
+type coreClock struct {
+	cycles    float64
+	instrs    uint64
+	memAccs   uint64
+	suspended bool
+}
+
 // Machine is the simulated system.
 type Machine struct {
 	cfg    Config
-	cores  []*cpu.Core
+	cores  []coreClock
 	hier   *cache.Hierarchy
 	shared Shared
 	procs  []*proc
@@ -124,16 +130,12 @@ func New(cfg Config) (*Machine, error) {
 		cfg:     cfg,
 		hier:    hier,
 		shared:  NewShared(cfg),
+		cores:   make([]coreClock, cfg.Cores),
 		procs:   make([]*proc, cfg.Cores),
 		clock:   make([]float64, cfg.Cores),
 		traffic: make([]Traffic, cfg.Cores),
 	}
-	for i := 0; i < cfg.Cores; i++ {
-		core, err := cpu.NewCore(cfg.CPU)
-		if err != nil {
-			return nil, err
-		}
-		m.cores = append(m.cores, core)
+	for i := range m.cores {
 		m.publish(i)
 	}
 	return m, nil
@@ -178,8 +180,7 @@ func (m *Machine) Attach(core int, gen workload.Generator) error {
 		m.hier.FlushCore(core)
 	}
 	m.procs[core] = &proc{gen: gen, costs: NewCosts(m.cfg.CPU, gen.MLP()), offset: uint64(core) << 44}
-	m.cores[core].Resume(m.now)
-	m.publish(core)
+	m.Resume(core)
 	return nil
 }
 
@@ -228,30 +229,35 @@ func (m *Machine) Detach(core int) {
 // Attached reports whether core has a context.
 func (m *Machine) Attached(core int) bool { return m.procs[core] != nil }
 
-// Suspend halts core (its context keeps its cache contents).
+// Suspend halts core (its context keeps its cache contents); the
+// scheduler skips it.
 func (m *Machine) Suspend(core int) {
-	m.cores[core].Suspend()
+	m.cores[core].suspended = true
 	m.publish(core)
 }
 
-// Resume lets core run again from the current global time.
+// Resume lets core run again from the current global time, so it does
+// not "catch up" on the time it spent halted: its clock jumps forward
+// to the global time, and never back.
 func (m *Machine) Resume(core int) {
-	m.cores[core].Resume(m.now)
+	c := &m.cores[core]
+	c.suspended = false
+	c.cycles = max(c.cycles, m.now)
 	m.publish(core)
 }
 
 // Suspended reports whether core is halted.
-func (m *Machine) Suspended(core int) bool { return m.cores[core].Suspended() }
+func (m *Machine) Suspended(core int) bool { return m.cores[core].suspended }
 
 // runnable reports whether core can execute.
 func (m *Machine) runnable(core int) bool {
-	return m.procs[core] != nil && !m.cores[core].Suspended()
+	return m.procs[core] != nil && !m.cores[core].suspended
 }
 
 // publish refreshes core's entry of the scheduler's view.
 func (m *Machine) publish(core int) {
 	if m.runnable(core) {
-		m.clock[core] = m.cores[core].Cycles()
+		m.clock[core] = m.cores[core].cycles
 	} else {
 		m.clock[core] = math.Inf(1)
 	}
@@ -293,9 +299,9 @@ func (m *Machine) Step() bool {
 //lint:hotpath
 func (m *Machine) stepCore(core int) {
 	p := m.procs[core]
-	c := m.cores[core]
-	if c.Cycles() > m.now {
-		m.now = c.Cycles()
+	c := &m.cores[core]
+	if c.cycles > m.now {
+		m.now = c.cycles
 	}
 
 	if !p.hasPending {
@@ -303,18 +309,21 @@ func (m *Machine) stepCore(core int) {
 		p.pendingIn = p.pending.NInstr
 		p.hasPending = true
 	}
+	costs := &p.costs
 	if p.pendingIn > StepChunk {
-		c.RetireInstrs(StepChunk)
+		c.instrs += StepChunk
+		c.cycles += costs.Chunk
 		p.pendingIn -= StepChunk
-		m.clock[core] = c.Cycles()
+		m.clock[core] = c.cycles
 		return
 	}
 	if p.pendingIn > 0 {
-		c.RetireInstrs(uint64(p.pendingIn))
+		c.instrs += uint64(p.pendingIn)
+		c.cycles += costs.Instrs(p.pendingIn)
 	}
 	op := p.pending
 	p.hasPending = false
-	now := c.Cycles()
+	now := c.cycles
 	addr := cache.Addr(op.Addr + p.offset) // offset-adjusted address, computed once
 	var out cache.PackedOutcome
 	if op.NonTemporal {
@@ -323,28 +332,32 @@ func (m *Machine) stepCore(core int) {
 		out = m.hier.AccessPacked(core, addr, op.Write)
 	}
 
-	var cost float64
+	// The access retires as one instruction: BaseCPI plus its stall.
+	var stall, retire float64
 	switch out {
 	case cache.PackedL1Hit:
-		cost = p.costs.L1Hit
+		stall, retire = costs.L1Hit, costs.L1Retire
 	case cache.PackedL2Hit:
-		cost = p.costs.L2Hit
+		stall, retire = costs.L2Hit, costs.L2Retire
 	default:
-		cost = m.shared.Charge(out, now, &p.costs, &m.traffic[core])
+		stall = m.shared.Charge(out, now, costs, &m.traffic[core])
+		retire = costs.CPU.BaseCPI + stall
 	}
 	if p.shared && op.Write && !op.NonTemporal {
 		// Write-invalidate coherence: evict sibling copies; finding
 		// any costs an upgrade round-trip through the shared L3.
 		inv, wb := m.hier.InvalidateRemoteCopies(core, addr)
 		if inv > 0 {
-			cost += m.cfg.CPU.L3Cost
+			retire = costs.CPU.BaseCPI + (stall + costs.CPU.L3Cost)
 		}
 		if wb > 0 {
 			m.shared.WriteBack(now, wb, &m.traffic[core])
 		}
 	}
-	c.RetireAccess(cost)
-	m.clock[core] = c.Cycles()
+	c.instrs++
+	c.memAccs++
+	c.cycles += retire
+	m.clock[core] = c.cycles
 }
 
 // RunSteps executes up to n global steps, returning how many ran.
@@ -381,10 +394,10 @@ func (m *Machine) RunInstructionsCtx(ctx context.Context, core int, n uint64) er
 	if !m.runnable(core) {
 		return fmt.Errorf("machine: core %d not runnable", core)
 	}
-	c := m.cores[core]
-	target := c.Instructions() + n
+	c := &m.cores[core]
+	target := c.instrs + n
 	steps := 0
-	for c.Instructions() < target {
+	for c.instrs < target {
 		if !m.Step() {
 			return fmt.Errorf("machine: no runnable cores before core %d reached %d instructions", core, target)
 		}
@@ -420,19 +433,8 @@ func (m *Machine) RunCycles(n float64) {
 
 // ReadCounters implements counters.Source: core's cumulative events.
 func (m *Machine) ReadCounters(core int) counters.Sample {
-	c := m.cores[core]
-	l3 := m.hier.L3().Stats(cache.Owner(core))
-	return counters.Sample{
-		Instructions:  c.Instructions(),
-		Cycles:        uint64(c.Cycles()),
-		MemAccesses:   c.MemAccesses(),
-		L3Accesses:    l3.Accesses,
-		L3Misses:      l3.Misses,
-		L3Fetches:     l3.Fetches(),
-		L3Prefetches:  l3.PrefetchFills,
-		MemReadBytes:  m.traffic[core].Read,
-		MemWriteBytes: m.traffic[core].Write,
-	}
+	c := &m.cores[core]
+	return Sample(c.instrs, c.memAccs, c.cycles, m.hier.L3().Stats(cache.Owner(core)), m.traffic[core])
 }
 
 var _ counters.Source = (*Machine)(nil)

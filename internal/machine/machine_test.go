@@ -149,22 +149,42 @@ func TestSuspendResume(t *testing.T) {
 	m.MustAttach(0, seqGen(1024))
 	m.MustAttach(1, seqGen(1024))
 	m.Suspend(1)
+	if !m.Suspended(1) {
+		t.Fatal("suspend failed")
+	}
 	if err := m.RunInstructions(0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.ReadCounters(1).Instructions; got != 0 {
 		t.Errorf("suspended core retired %d instructions", got)
 	}
+	now := m.Now()
 	m.Resume(1)
 	if m.Suspended(1) {
 		t.Fatal("resume failed")
 	}
+	// Resumed core's clock jumps to the global time, not zero.
+	if got := m.cores[1].cycles; got != now {
+		t.Errorf("resumed core cycles = %g, want the global time %g", got, now)
+	}
 	if err := m.RunInstructions(1, 100); err != nil {
 		t.Fatal(err)
 	}
-	// Resumed core's clock starts at the global time, not zero.
 	if c1 := m.ReadCounters(1); c1.Cycles < 100 {
 		t.Errorf("resumed core cycles = %d; should start from global time", c1.Cycles)
+	}
+	// A core whose clock is ahead of the global time keeps it: resuming
+	// never moves a clock backwards.
+	m.Suspend(0)
+	m.Step()
+	ahead := m.cores[1].cycles
+	if ahead <= m.Now() {
+		t.Fatalf("core 1 at %g is not ahead of the global time %g", ahead, m.Now())
+	}
+	m.Suspend(1)
+	m.Resume(1)
+	if got := m.cores[1].cycles; got != ahead {
+		t.Errorf("resume moved the clock from %g to %g", ahead, got)
 	}
 }
 

@@ -3,8 +3,8 @@
 //
 // The per-size path replays the trace once per size — 16 full machine
 // replays for the default sweep, each re-decoding the trace and
-// re-driving a scheduler, a bandwidth-server object pair and a cpu.Core
-// per size. The fused engine iterates the trace, decodes each record
+// re-driving a scheduler, a bandwidth-server pair and a core clock per
+// size. The fused engine iterates the trace, decodes each record
 // once, and fans the access out to one hierarchy replica per size
 // (cache.FusedHierarchy): replicas share only the line size, every set
 // index is derived per replica, so way-shrunk and set-shrunk sizes fuse
@@ -36,7 +36,7 @@
 // chunk. Second, the timing recurrence per record is a pure function of
 // (previous clock, bandwidth servers, hierarchy outcome), and it is
 // stepCore's own code: the record loops add the same precomputed
-// private-hit costs (machine.Costs) and call the same
+// chunk and private-hit retire cycles (machine.Costs) and call the same
 // machine.Shared.Charge past L2, in stepCore's order, so the sums round
 // identically. Third, the hierarchy replicas start bit-identical to
 // fresh machines and cache.FusedHierarchy.AccessPacked is step-for-step
@@ -74,14 +74,13 @@ const fusedBlock = 256
 // last-level cache.
 const fusedGroupLines = 1 << 18
 
-// repClock is one replica's timing state: the fields a per-size
-// machine keeps in cpu.Core, its shared servers and its DRAM byte
-// counters, reduced to what the sweep's counter reads observe and what
-// differs between replicas. Retired instructions and demand accesses
-// are the trace's own counts, the same for every replica, and live in
-// the engine.
+// repClock is one replica's timing state: a per-size machine's core
+// cycle clock, shared servers and DRAM byte counters, reduced to what
+// the sweep's counter reads observe and what differs between replicas.
+// Retired instructions and demand accesses are the trace's own counts,
+// the same for every replica, and live in the engine.
 type repClock struct {
-	cycles float64 // cpu.Core cycle clock
+	cycles float64
 	machine.Shared
 	traffic machine.Traffic
 }
@@ -89,10 +88,8 @@ type repClock struct {
 // fusedEngine advances one hierarchy replica per size through a
 // shared trace stream.
 type fusedEngine struct {
-	fh *cache.FusedHierarchy
-
-	costs       machine.Costs
-	chunkCycles float64 // cycles per full StepChunk of instructions
+	fh    *cache.FusedHierarchy
+	costs machine.Costs
 
 	warm    int
 	instrs  uint64 // retired instructions, every replica alike
@@ -125,12 +122,11 @@ func newFusedEngine(cfg Config, l3 []cache.Config, backing *cache.FusedBacking) 
 		clk[k].Shared = shared
 	}
 	return &fusedEngine{
-		fh:          fh,
-		costs:       machine.NewCosts(cfg.Machine.CPU, cfg.MLP),
-		chunkCycles: float64(machine.StepChunk) * cfg.Machine.CPU.BaseCPI,
-		warm:        cfg.WarmPasses,
-		clk:         clk,
-		base:        make([]counters.Sample, len(l3)),
+		fh:    fh,
+		costs: machine.NewCosts(cfg.Machine.CPU, cfg.MLP),
+		warm:  cfg.WarmPasses,
+		clk:   clk,
+		base:  make([]counters.Sample, len(l3)),
 	}, nil
 }
 
@@ -226,10 +222,8 @@ func (e *fusedEngine) replayRecords(blk []trace.Record) {
 	fh := e.fh
 	clk := e.clk
 	costs := &e.costs
-	baseCPI := costs.CPU.BaseCPI
-	chunkCycles := e.chunkCycles
-	l1Cyc := baseCPI + costs.L1Hit // what cpu.Core.RetireAccess adds
-	l2Cyc := baseCPI + costs.L2Hit
+	baseCPI, chunk := costs.CPU.BaseCPI, costs.Chunk
+	l1, l2 := costs.L1Retire, costs.L2Retire
 	instrs := e.instrs
 	memAccs := e.memAccs
 
@@ -243,7 +237,7 @@ func (e *fusedEngine) replayRecords(blk []trace.Record) {
 			chunks++
 			n -= machine.StepChunk
 		}
-		rest := float64(float64(n) * baseCPI) // rounded: no FMA
+		rest := costs.Instrs(n)
 		instrs += uint64(rec.NInstr) + 1
 		memAccs++
 
@@ -252,14 +246,14 @@ func (e *fusedEngine) replayRecords(blk []trace.Record) {
 			t := &clk[k]
 			cycles := t.cycles
 			for c := chunks; c > 0; c-- {
-				cycles += chunkCycles
+				cycles += chunk
 			}
 			cycles += rest
 			switch out := fh.AccessPacked(k, ln, rec.Write); out {
 			case cache.PackedL1Hit:
-				cycles += l1Cyc
+				cycles += l1
 			case cache.PackedL2Hit:
-				cycles += l2Cyc
+				cycles += l2
 			default:
 				cycles += baseCPI + t.Charge(out, cycles, costs, &t.traffic)
 			}
@@ -280,28 +274,26 @@ func (e *fusedEngine) replayOne(blk []trace.Record) {
 	t := &e.clk[0]
 	cycles := t.cycles
 	costs := &e.costs
-	baseCPI := costs.CPU.BaseCPI
-	chunkCycles := e.chunkCycles
-	l1Cyc := baseCPI + costs.L1Hit
-	l2Cyc := baseCPI + costs.L2Hit
+	baseCPI, chunk := costs.CPU.BaseCPI, costs.Chunk
+	l1, l2 := costs.L1Retire, costs.L2Retire
 	instrs := e.instrs
 	memAccs := e.memAccs
 
 	for _, rec := range blk {
 		n := rec.NInstr
 		for n > machine.StepChunk {
-			cycles += chunkCycles
+			cycles += chunk
 			n -= machine.StepChunk
 		}
-		cycles += float64(float64(n) * baseCPI) // rounded: no FMA
+		cycles += costs.Instrs(n)
 		instrs += uint64(rec.NInstr) + 1
 		memAccs++
 
 		switch out := fh.AccessPacked(0, fh.Line(cache.Addr(rec.Addr)), rec.Write); out {
 		case cache.PackedL1Hit:
-			cycles += l1Cyc
+			cycles += l1
 		case cache.PackedL2Hit:
-			cycles += l2Cyc
+			cycles += l2
 		default:
 			cycles += baseCPI + t.Charge(out, cycles, costs, &t.traffic)
 		}
@@ -311,37 +303,17 @@ func (e *fusedEngine) replayOne(blk []trace.Record) {
 	e.memAccs = memAccs
 }
 
-// sample assembles replica k's cumulative counters exactly as
-// machine.ReadCounters(0) would on the equivalent per-size machine.
+// sample reads replica k's cumulative counters through the counter
+// read machine.ReadCounters(0) makes on the equivalent per-size machine.
 func (e *fusedEngine) sample(k int) counters.Sample {
-	st := e.fh.L3(k).Stats(0)
 	t := &e.clk[k]
-	return counters.Sample{
-		Instructions:  e.instrs,
-		Cycles:        uint64(t.cycles),
-		MemAccesses:   e.memAccs,
-		L3Accesses:    st.Accesses,
-		L3Misses:      st.Misses,
-		L3Fetches:     st.Fetches(),
-		L3Prefetches:  st.PrefetchFills,
-		MemReadBytes:  t.traffic.Read,
-		MemWriteBytes: t.traffic.Write,
-	}
+	return machine.Sample(e.instrs, e.memAccs, t.cycles, e.fh.L3(k).Stats(0), t.traffic)
 }
 
 // point returns replica k's measured-pass curve point, labelled with
 // the sweep size the replica stands for.
 func (e *fusedEngine) point(k int, size int64) analysis.Point {
-	s := e.sample(k).Sub(e.base[k])
-	return analysis.Point{
-		CacheBytes:   size,
-		CPI:          s.CPI(),
-		BandwidthGBs: s.BandwidthGBs(e.costs.CPU.FreqHz),
-		FetchRatio:   s.FetchRatio(),
-		MissRatio:    s.MissRatio(),
-		Trusted:      true,
-		Samples:      1,
-	}
+	return curvePoint(size, e.sample(k).Sub(e.base[k]), e.costs.CPU.FreqHz)
 }
 
 // l3Configs returns each machine's L3: the one thing a sweep's replicas

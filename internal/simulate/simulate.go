@@ -371,16 +371,22 @@ func sweepPoint(ctx context.Context, cfg Config, open func() (trace.BlockSource,
 	if err := m.RunInstructionsCtx(ctx, 0, passInstrs); err != nil {
 		return analysis.Point{}, err
 	}
-	s := pmu.ReadInterval(0)
+	return curvePoint(mcfg.L3.Size, pmu.ReadInterval(0), mcfg.CPU.FreqHz), nil
+}
+
+// curvePoint is the one assembly of a sweep's curve point: the
+// measured-pass counter interval s of the size's machine, at core clock
+// freqHz. Both replay engines call it.
+func curvePoint(size int64, s counters.Sample, freqHz float64) analysis.Point {
 	return analysis.Point{
-		CacheBytes:   mcfg.L3.Size,
+		CacheBytes:   size,
 		CPI:          s.CPI(),
-		BandwidthGBs: s.BandwidthGBs(mcfg.CPU.FreqHz),
+		BandwidthGBs: s.BandwidthGBs(freqHz),
 		FetchRatio:   s.FetchRatio(),
 		MissRatio:    s.MissRatio(),
 		Trusted:      true,
 		Samples:      1,
-	}, nil
+	}
 }
 
 // CaptureTrace records n references from a fresh instance of the
