@@ -64,11 +64,16 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
+// Perm returns a pseudo-random permutation of [0, n): a Fisher-Yates
+// shuffle of the identity, drawing Intn(i+1) for i = n-1 down to 1.
+// Elements are uint32, 4 B each, so n may not exceed 2^32.
+func (r *RNG) Perm(n int) []uint32 {
+	if n < 0 || uint64(n) > 1<<32 {
+		panic("stats: Perm with n outside [0, 2^32]")
+	}
+	p := make([]uint32, n)
 	for i := range p {
-		p[i] = i
+		p[i] = uint32(i)
 	}
 	for i := n - 1; i > 0; i-- {
 		j := r.Intn(i + 1)

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -108,7 +109,7 @@ func TestPermIsPermutation(t *testing.T) {
 		}
 		seen := make([]bool, n)
 		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
+			if int(v) >= n || seen[v] {
 				return false
 			}
 			seen[v] = true
@@ -117,6 +118,23 @@ func TestPermIsPermutation(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestPermPanicsOutsideUint32(t *testing.T) {
+	ns := []int{-1}
+	if bits.UintSize == 64 {
+		ns = append(ns, math.MaxInt)
+	}
+	for _, n := range ns {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Perm(%d) did not panic", n)
+				}
+			}()
+			NewRNG(1).Perm(n)
+		}()
 	}
 }
 

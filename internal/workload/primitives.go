@@ -235,14 +235,16 @@ func (g *RandomAccess) WorkingSet() int64 { return g.span }
 
 // PointerChase walks a fixed random cycle through the lines of its
 // working set. Each access depends on the previous one, so MLP is 1 —
-// the latency-bound pattern (471.omnetpp-like heap traversal).
+// the latency-bound pattern (471.omnetpp-like heap traversal). The
+// cycle is stored as its visiting order, 4 B per line: a permutation of
+// the lines walked front to back and wrapped.
 type PointerChase struct {
 	name   string
 	base   uint64
-	next   []uint32 // permutation cycle over lines
+	order  []uint32 // line numbers in visiting order
+	pos    int      // index into order of the next line
 	nInstr uint32
 	wfrac  float64
-	cur    uint32
 	rng    *stats.RNG
 	seed   uint64
 }
@@ -264,31 +266,20 @@ func NewPointerChase(cfg ChaseConfig) *PointerChase {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	g := &PointerChase{
+	return &PointerChase{
 		name: cfg.Name, base: cfg.Base, nInstr: cfg.NInstr,
+		order: stats.NewRNG(cfg.Seed).Perm(max(int(cfg.Span/LineSize), 1)),
 		wfrac: cfg.WriteFrac, seed: cfg.Seed, rng: stats.NewRNG(cfg.Seed),
 	}
-	g.build(cfg.Span, cfg.Seed)
-	return g
-}
-
-func (g *PointerChase) build(span int64, seed uint64) {
-	n := int(span / LineSize)
-	if n < 1 {
-		n = 1
-	}
-	perm := stats.NewRNG(seed).Perm(n)
-	g.next = make([]uint32, n)
-	for i := 0; i < n; i++ {
-		g.next[perm[i]] = uint32(perm[(i+1)%n])
-	}
-	g.cur = uint32(perm[0])
 }
 
 // Next returns the next op.
 func (g *PointerChase) Next() Op {
-	a := g.base + uint64(g.cur)*LineSize
-	g.cur = g.next[g.cur]
+	a := g.base + uint64(g.order[g.pos])*LineSize
+	g.pos++
+	if g.pos == len(g.order) {
+		g.pos = 0
+	}
 	return Op{NInstr: g.nInstr, Addr: a, Write: g.wfrac > 0 && g.rng.Float64() < g.wfrac}
 }
 
@@ -297,7 +288,8 @@ func (g *PointerChase) Reset(seed uint64) {
 	if seed == 0 {
 		seed = g.seed
 	}
-	g.build(int64(len(g.next))*LineSize, seed)
+	g.order = stats.NewRNG(seed).Perm(len(g.order))
+	g.pos = 0
 	g.rng.Reseed(seed)
 }
 
@@ -308,7 +300,7 @@ func (g *PointerChase) Name() string { return g.name }
 func (g *PointerChase) MLP() float64 { return 1 }
 
 // WorkingSet returns the cycle footprint.
-func (g *PointerChase) WorkingSet() int64 { return int64(len(g.next)) * LineSize }
+func (g *PointerChase) WorkingSet() int64 { return int64(len(g.order)) * LineSize }
 
 // HotCold draws lines from its working set with Zipf skew: a hot head
 // that caches well plus a long cold tail (403.gcc / 482.sphinx3-like
@@ -320,9 +312,8 @@ type HotCold struct {
 	nInstr uint32
 	wfrac  float64
 	mlp    float64
-	skew   float64
 	seed   uint64
-	rng    *stats.RNG
+	rng    *stats.RNG // the sampler's; Reset reseeds it in place
 	zipf   *stats.Zipf
 }
 
@@ -350,12 +341,12 @@ func NewHotCold(cfg HotColdConfig) *HotCold {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	g := &HotCold{
+	rng := stats.NewRNG(cfg.Seed)
+	return &HotCold{
 		name: cfg.Name, base: cfg.Base, span: cfg.Span, nInstr: cfg.NInstr,
-		wfrac: cfg.WriteFrac, mlp: cfg.MLP, skew: cfg.Skew, seed: cfg.Seed,
+		wfrac: cfg.WriteFrac, mlp: cfg.MLP, seed: cfg.Seed, rng: rng,
+		zipf: stats.NewZipf(rng, max(int(cfg.Span/LineSize), 1), cfg.Skew),
 	}
-	g.Reset(cfg.Seed)
-	return g
 }
 
 // Next returns the next op.
@@ -368,17 +359,13 @@ func (g *HotCold) Next() Op {
 	return Op{NInstr: g.nInstr, Addr: a, Write: g.wfrac > 0 && g.rng.Float64() < g.wfrac}
 }
 
-// Reset reseeds the sampler.
+// Reset reseeds the sampler. The Zipf table depends only on the span
+// and the skew, so it is kept.
 func (g *HotCold) Reset(seed uint64) {
 	if seed == 0 {
 		seed = g.seed
 	}
-	g.rng = stats.NewRNG(seed)
-	n := int(g.span / LineSize)
-	if n < 1 {
-		n = 1
-	}
-	g.zipf = stats.NewZipf(g.rng, n, g.skew)
+	g.rng.Reseed(seed)
 }
 
 // Name returns the configured name.

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"testing"
 
 	"cachepirate/internal/trace"
@@ -156,6 +157,21 @@ func TestPointerChaseMLPIsOne(t *testing.T) {
 	}
 }
 
+// TestPointerChaseFootprint holds a chase's construction to its visiting
+// order, 4 B per line, plus a fixed allowance for the generator and its
+// RNGs.
+func TestPointerChaseFootprint(t *testing.T) {
+	const lines = 1 << 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	g := NewPointerChase(ChaseConfig{Name: "p", Span: lines * LineSize})
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(g)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*lines+64<<10); got > limit {
+		t.Errorf("NewPointerChase over %d lines allocated %d B, over the %d B limit", lines, got, limit)
+	}
+}
+
 func TestHotColdSkew(t *testing.T) {
 	g := NewHotCold(HotColdConfig{Name: "h", Span: 1 << 20, Skew: 1.0, Seed: 7})
 	counts := map[uint64]int{}
@@ -181,6 +197,24 @@ func TestHotColdStaysInSpan(t *testing.T) {
 		a := g.Next().Addr
 		if a < 1<<30 || a >= 1<<30+1<<16 {
 			t.Fatalf("address %#x outside span", a)
+		}
+	}
+}
+
+// TestHotColdResetKeepsTable: Reset reseeds in place, allocating
+// nothing (the Zipf table depends only on span and skew), and leaves the
+// stream a fresh generator of that seed starts with.
+func TestHotColdResetKeepsTable(t *testing.T) {
+	cfg := HotColdConfig{Name: "h", Span: 1 << 20, Skew: 0.7, Seed: 3}
+	g := NewHotCold(cfg)
+	if n := testing.AllocsPerRun(5, func() { g.Reset(9) }); n != 0 {
+		t.Errorf("Reset allocated %.0f times", n)
+	}
+	cfg.Seed = 9
+	fresh := NewHotCold(cfg)
+	for i := 0; i < 5000; i++ {
+		if a, b := g.Next(), fresh.Next(); a != b {
+			t.Fatalf("op %d after Reset(9): %+v, fresh generator %+v", i, a, b)
 		}
 	}
 }
@@ -373,5 +407,18 @@ func TestSuiteGeneratorsDeterministic(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// BenchmarkSuiteNew builds each suite workload's generator: the cost a
+// profile, a thread scan or a capture pays before its first op.
+func BenchmarkSuiteNew(b *testing.B) {
+	for _, spec := range Suite() {
+		b.Run(spec.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				spec.New(1)
+			}
+		})
 	}
 }
