@@ -140,6 +140,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzFusedHierarchy$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 5s -run '^$$' ./internal/conformance
 	$(GO) test -fuzz '^FuzzRead$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/trace
 	$(GO) test -fuzz '^FuzzSampledProfile$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/stackdist
+	$(GO) test -fuzz '^FuzzParseJobSpec$$' -fuzztime $(FUZZTIME) -run '^$$' ./internal/server
 
 # Fetches staticcheck via the toolchain; the module itself stays
 # stdlib-only.

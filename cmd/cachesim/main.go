@@ -11,6 +11,11 @@
 //	         [-sample-rate R] [-sample-size N] [-stack] [-csv]
 //	         [-j N] [-cpuprofile FILE] <benchmark>
 //
+// The flags that shape the sweep (-engine, -policy, -mode, -sample-rate,
+// -sample-size) make a simulate.Config, and simulate.Config.Validate,
+// the rule the curve server applies to the same knobs, checks it before
+// any capture: a rejection exits 2 and names the flags at fault.
+//
 // -engine is simulate.Engine by name. Sweeps in either -mode default
 // to the fused engine (one trace replay advancing a group of sizes at
 // once); -engine persize forces the historical one-machine-per-size
@@ -42,6 +47,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -56,6 +62,12 @@ import (
 	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
 )
+
+// flagNames are the flags that set simulate.Config fields.
+var flagNames = map[simulate.Field]string{
+	simulate.FieldEngine: "-engine", simulate.FieldPolicy: "-policy", simulate.FieldMode: "-mode",
+	simulate.FieldSampleRate: "-sample-rate", simulate.FieldSampleSize: "-sample-size",
+}
 
 // exit prints its arguments to stderr and exits with code.
 func exit(code int, a ...any) {
@@ -105,24 +117,31 @@ func main() {
 	if err != nil {
 		exit(2, err)
 	}
-	// The curve server's domain for the same knobs, checked before the
-	// capture and on the value given, not the fixed-size default below.
-	if !(*sampleRate > 0 && *sampleRate <= 1) { // NaN fails both
-		exit(2, fmt.Sprintf("-sample-rate must be in (0, 1], got %g", *sampleRate))
-	}
-	if *sampleSize < 0 || *sampleSize > 1<<30 {
-		exit(2, fmt.Sprintf("-sample-size must be in [0, %d], got %d", 1<<30, *sampleSize))
-	}
 	// Fixed-size mode starts at rate 1.0 unless a rate is given: the
 	// -sample-rate default belongs to fixed-rate mode.
+	rateGiven := false
+	flag.Visit(func(f *flag.Flag) { rateGiven = rateGiven || f.Name == "sample-rate" })
 	rate := *sampleRate
-	if *sampleSize > 0 {
+	if *sampleSize > 0 && !rateGiven {
 		rate = 0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "sample-rate" {
-				rate = *sampleRate
-			}
-		})
+	}
+	simCfg := simulate.Config{
+		Machine: machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), pol),
+		Mode:    swMode, Engine: eng, NoWarm: *noWarm, Workers: *workers,
+		SampleRate: rate, SampleSize: *sampleSize,
+	}
+	// The curve server's rule for the same knobs, before any capture.
+	// Validate reads a zero rate as unset; a rate given must be one.
+	err = simCfg.Validate()
+	if err == nil && rateGiven {
+		err = simulate.CheckSampleRate(*sampleRate)
+	}
+	if err != nil {
+		var ce *simulate.ConfigError
+		if errors.As(err, &ce) {
+			err = errors.New(ce.Explain(flagNames))
+		}
+		exit(2, err)
 	}
 
 	if *records < 1 || *skip < 0 {
@@ -173,11 +192,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "trace saved to %s (%d records)\n", *save, tr.Len())
 	}
 
-	simCfg := simulate.Config{
-		Machine: machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), pol),
-		Mode:    swMode, Engine: eng, NoWarm: *noWarm, Workers: *workers,
-		SampleRate: rate, SampleSize: *sampleSize,
-	}
 	openSource := func() (trace.BlockSource, error) {
 		if *load != "" {
 			return trace.OpenFile(*load, trace.ReaderOptions{})

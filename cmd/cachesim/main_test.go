@@ -1,12 +1,24 @@
 package main
 
 import (
+	"encoding/json"
 	"errors"
+	"net/http/httptest"
+	"net/url"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cachepirate/internal/analysis"
+	"cachepirate/internal/cache"
+	"cachepirate/internal/machine"
+	"cachepirate/internal/report"
+	"cachepirate/internal/server"
+	"cachepirate/internal/simulate"
 )
 
 // TestMain lets the test binary double as the cachesim CLI: when the
@@ -152,6 +164,183 @@ func TestLoadRejectsV1(t *testing.T) {
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Contains(errOut, "panic") {
 				t.Errorf("-load of a v1 file: %v\n%s", err, errOut)
+			}
+		})
+	}
+}
+
+// doorRows is the three-door verdict table: each row is one sweep spec,
+// as curve-server query parameters, and the verdict every front door
+// must reach on it: "" to accept, or the curve server's error code. It
+// holds every curve-knob row of the server's TestHandlerErrorTable and
+// every row of TestRejectsBadSampling above.
+var doorRows = []struct{ name, query, want string }{
+	{"unknown engine", "engine=quantum", "unknown_engine"},
+	{"unknown policy", "policy=fifo", "unknown_policy"},
+	{"unknown mode", "mode=diag", "unknown_mode"},
+	{"mattson without lru", "engine=mattson", "engine_policy_mismatch"},
+	{"mattson with nehalem", "engine=mattson&policy=nehalem", "engine_policy_mismatch"},
+	{"mattson by sets", "engine=mattson&policy=lru&mode=sets", "engine_mode_mismatch"},
+	{"plru by ways", "policy=plru", "policy_mode_mismatch"},
+	{"fused plru by ways", "engine=fused&policy=plru&mode=ways", "policy_mode_mismatch"},
+	{"persize plru by ways", "engine=persize&policy=plru", "policy_mode_mismatch"},
+	{"analytic plru by ways", "engine=analytic&policy=plru", ""},
+	{"plru by sets", "policy=plru&mode=sets", ""},
+	{"persize plru by sets", "engine=persize&policy=plru&mode=sets", ""},
+	{"fused by sets", "mode=sets", ""},
+	{"sample_rate 1.5", "engine=analytic&sample_rate=1.5", "bad_param"},
+	{"sample_rate NaN", "engine=analytic&sample_rate=NaN", "bad_param"},
+	{"sample_rate nan", "engine=analytic&sample_rate=nan", "bad_param"},
+	{"sample_rate 0", "engine=analytic&sample_rate=0", "bad_param"},
+	{"sample_rate 2", "engine=analytic&sample_rate=2", "bad_param"},
+	{"sample_rate -1", "engine=analytic&sample_rate=-1", "bad_param"},
+	{"fused sample_rate 0", "sample_rate=0", "bad_param"},
+	{"sample_size -5", "engine=analytic&sample_size=-5", "bad_param"},
+	{"sample_size 2^30+1", "engine=analytic&sample_size=1073741825", "bad_param"},
+	{"bad nowarm", "nowarm=maybe", "bad_param"},
+	{"fused", "", ""},
+	{"persize nowarm", "engine=persize&nowarm=true", ""},
+	{"mattson", "engine=mattson&policy=lru", ""},
+	{"analytic sample_rate 0.5", "engine=analytic&sample_rate=0.5", ""},
+	{"analytic sample_size 64", "engine=analytic&sample_size=64", ""},
+}
+
+// mismatchCodes are the curve server's codes for two knobs that do
+// not go together.
+var mismatchCodes = map[simulate.Field]string{
+	simulate.FieldEngine | simulate.FieldPolicy: "engine_policy_mismatch",
+	simulate.FieldEngine | simulate.FieldMode:   "engine_mode_mismatch",
+	simulate.FieldPolicy | simulate.FieldMode:   "policy_mode_mismatch",
+}
+
+// libraryVerdict is the library's verdict on a spec: the knobs parsed
+// by the simulate and cache parsers into the curve server's sweep
+// config, then simulate.Config.Validate. A Config reads SampleRate 0
+// as unset, so a rate given is checked with simulate.CheckSampleRate
+// too, as every front door does. It returns the verdict as a curve
+// server code, and the rejection when Validate's rule made it.
+func libraryVerdict(q url.Values) (string, *simulate.ConfigError) {
+	cfg := simulate.Config{Machine: machine.NehalemConfigNoPrefetch()}
+	var err error
+	if v := q.Get("engine"); v != "" {
+		if cfg.Engine, err = simulate.ParseEngine(v); err != nil {
+			return "unknown_engine", nil
+		}
+	}
+	if v := q.Get("policy"); v != "" {
+		if cfg.Machine.L3.Policy, err = cache.ParsePolicy(v); err != nil {
+			return "unknown_policy", nil
+		}
+	}
+	if v := q.Get("mode"); v != "" {
+		if cfg.Mode, err = simulate.ParseMode(v); err != nil {
+			return "unknown_mode", nil
+		}
+	}
+	if v := q.Get("nowarm"); v != "" {
+		if cfg.NoWarm, err = strconv.ParseBool(v); err != nil {
+			return "bad_param", nil
+		}
+	}
+	if v := q.Get("sample_size"); v != "" {
+		if cfg.SampleSize, err = strconv.Atoi(v); err != nil {
+			return "bad_param", nil
+		}
+	}
+	if v := q.Get("sample_rate"); v != "" {
+		if cfg.SampleRate, err = strconv.ParseFloat(v, 64); err != nil {
+			return "bad_param", nil
+		}
+		err = simulate.CheckSampleRate(cfg.SampleRate)
+	}
+	if err == nil {
+		err = cfg.Validate()
+	}
+	var ce *simulate.ConfigError
+	if !errors.As(err, &ce) {
+		return "", nil
+	}
+	if code, ok := mismatchCodes[ce.Fields]; ok {
+		return code, ce
+	}
+	return "bad_param", ce
+}
+
+// TestThreeDoorVerdicts runs every doorRows spec through the library,
+// the curved handler and the cachesim CLI, and requires the same
+// verdict from each. A rejection by Validate's rule reads the same at
+// the CLI, under the flags' names. An accepted spec is swept by the
+// handler and the CLI over the same 3000-record microrand capture, and
+// the served JSON curve, rendered as cachesim renders its curve, must
+// be byte-equal to cachesim's CSV.
+func TestThreeDoorVerdicts(t *testing.T) {
+	store, err := server.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Store: store, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range doorRows {
+		t.Run(row.name, func(t *testing.T) {
+			q, err := url.ParseQuery(row.query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lib, ce := libraryVerdict(q)
+			if lib != row.want {
+				t.Errorf("library verdict %q, want %q", lib, row.want)
+			}
+
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/curves?workload=microrand&records=3000&"+row.query, nil))
+			var served string
+			if rec.Code != 200 {
+				var body struct {
+					Error struct{ Code string } `json:"error"`
+				}
+				if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != 400 {
+					t.Fatalf("curved: status %d, body %q", rec.Code, rec.Body.String())
+				}
+				served = body.Error.Code
+			}
+			if served != row.want {
+				t.Errorf("curved verdict %q, want %q (%s)", served, row.want, rec.Body.String())
+			}
+
+			keys := make([]string, 0, len(q))
+			for k := range q {
+				keys = append(keys, k)
+			}
+			sort.Strings(keys)
+			args := []string{"-records", "3000", "-j", "1", "-csv"}
+			for _, k := range keys {
+				args = append(args, "-"+strings.ReplaceAll(k, "_", "-")+"="+q.Get(k))
+			}
+			out, errOut, err := run(append(args, "microrand")...)
+			if row.want != "" {
+				msg := ""
+				if ce != nil {
+					msg = ce.Explain(flagNames)
+				}
+				wantUsageExit(t, err, errOut, msg)
+				return
+			}
+			if err != nil {
+				t.Fatalf("cachesim %s: %v\n%s", strings.Join(args, " "), err, errOut)
+			}
+			if q.Get("engine") == "analytic" && !q.Has("sample_rate") && !q.Has("sample_size") {
+				// The doors' defaults differ here: curved's rate is
+				// exact, cachesim's 0.01.
+				out = cachesim(t, append(args, "-sample-rate=1", "microrand")...)
+			}
+			curve, err := analysis.ReadCurveJSON(rec.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if csv := report.CurveTable("", curve).CSV(); csv != out {
+				t.Errorf("curved's curve differs from cachesim's:\n%s\nvs\n%s", csv, out)
 			}
 		})
 	}

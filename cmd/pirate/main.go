@@ -44,8 +44,33 @@ func main() {
 		}
 		return
 	}
+	mcfg := cachepirate.NehalemMachine()
+	if *noPrefetch {
+		mcfg = cachepirate.NehalemMachineNoPrefetch()
+	}
+	cfg := cachepirate.Config{
+		Machine:        mcfg,
+		IntervalInstrs: *interval,
+		Cycles:         *cycles,
+		Threads:        *threads,
+		Seed:           *seed,
+	}
 	if *all {
-		profileAll(*interval, *cycles, *threads, *seed, *noPrefetch)
+		// Whole-suite sweeps favour speed.
+		if cfg.IntervalInstrs == 0 {
+			cfg.IntervalInstrs = 100_000
+		}
+		if cfg.Cycles == 0 {
+			cfg.Cycles = 2
+		}
+	}
+	// One check of the flags, before any benchmark runs.
+	if err := cfg.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if *all {
+		profileAll(cfg)
 		return
 	}
 	if flag.NArg() != 1 {
@@ -62,18 +87,6 @@ func main() {
 		os.Exit(2)
 		panic("unreachable")
 	}()
-
-	mcfg := cachepirate.NehalemMachine()
-	if *noPrefetch {
-		mcfg = cachepirate.NehalemMachineNoPrefetch()
-	}
-	cfg := cachepirate.Config{
-		Machine:        mcfg,
-		IntervalInstrs: *interval,
-		Cycles:         *cycles,
-		Threads:        *threads,
-		Seed:           *seed,
-	}
 
 	var (
 		curve *cachepirate.Curve
@@ -125,27 +138,10 @@ func main() {
 	}
 }
 
-// profileAll sweeps the whole suite and prints one summary line per
-// benchmark — the quickest way to see who is cache-sensitive.
-func profileAll(interval uint64, cycles, threads int, seed uint64, noPrefetch bool) {
-	mcfg := cachepirate.NehalemMachine()
-	if noPrefetch {
-		mcfg = cachepirate.NehalemMachineNoPrefetch()
-	}
-	if interval == 0 {
-		interval = 100_000 // whole-suite sweeps favour speed
-	}
-	if cycles == 0 {
-		cycles = 2
-	}
+// profileAll sweeps the whole suite under cfg and prints one summary
+// line per benchmark — the quickest way to see who is cache-sensitive.
+func profileAll(cfg cachepirate.Config) {
 	for _, spec := range cachepirate.Workloads() {
-		cfg := cachepirate.Config{
-			Machine:        mcfg,
-			IntervalInstrs: interval,
-			Cycles:         cycles,
-			Threads:        threads,
-			Seed:           seed,
-		}
 		curve, rep, err := cachepirate.Profile(cfg, spec.New)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "%s: %v\n", spec.Name, err)

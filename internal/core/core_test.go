@@ -243,8 +243,8 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	} {
 		c := Config{}
 		tc.set(&c)
-		if err := c.withDefaults().validate(); (err == nil) != tc.ok {
-			t.Errorf("%s: validate = %v, want ok %v", tc.name, err, tc.ok)
+		if err := c.Validate(); (err == nil) != tc.ok {
+			t.Errorf("%s: Validate = %v, want ok %v", tc.name, err, tc.ok)
 		}
 	}
 	factory := mustNotBuild(t)

@@ -130,6 +130,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Validate reports whether a profile of cfg can run, with its zero
+// fields filled in: the rule every entry point for a one-core Target
+// applies before it builds a machine, for a front door to apply to its
+// flags before any work.
+func (c Config) Validate() error { return c.withDefaults().validate() }
+
+// validate is Validate on a config whose defaults are filled in.
 func (c Config) validate() error {
 	if err := c.Machine.Validate(); err != nil {
 		return err

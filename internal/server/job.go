@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/url"
@@ -77,9 +78,11 @@ func (j JobSpec) simConfig(workers int) simulate.Config {
 	}
 }
 
-// parseJobSpec validates the curve-request query parameters against
-// the store. Violations return an *apiError carrying the documented
-// status code and machine-readable error code.
+// parseJobSpec parses the curve-request query parameters and checks the
+// source against the store; whether the engine knobs make a sweep is
+// simulate.Config.Validate's call, the rule every front door shares.
+// Violations return an *apiError carrying the documented status code
+// and machine-readable error code.
 func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 	j := JobSpec{
 		Policy:  defaultPolicy,
@@ -122,17 +125,6 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 			return j, badRequest("unknown_mode", err.Error())
 		}
 	}
-	if j.Engine == simulate.EngineMattson {
-		if j.Policy != cache.LRU {
-			return j, badRequest("engine_policy_mismatch", "engine=mattson requires policy=lru (stack inclusion)")
-		}
-		if j.Mode != simulate.ByWays {
-			return j, badRequest("engine_mode_mismatch", "engine=mattson requires mode=ways")
-		}
-	}
-	if j.Engine != simulate.EngineAnalytic && j.Policy == cache.PseudoLRU && j.Mode == simulate.ByWays {
-		return j, badRequest("policy_mode_mismatch", "policy=plru requires mode=sets: a sweep by ways visits way counts that are not powers of two, which the pseudo-LRU tree cannot model")
-	}
 	var perr *apiError
 	j.Records, perr = intParam(q, "records", j.Records, 1, maxCaptureRecords)
 	if perr != nil {
@@ -157,15 +149,21 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 		j.NoWarm = b
 	}
 	if v := q.Get("sample_rate"); v != "" {
-		rate, err := strconv.ParseFloat(v, 64)
-		if err != nil || !(rate > 0 && rate <= 1) { // NaN fails both
-			return j, badRequest("bad_param", fmt.Sprintf("sample_rate %q is not in (0, 1]", v))
+		if j.SampleRate, err = strconv.ParseFloat(v, 64); err != nil {
+			return j, badRequest("bad_param", fmt.Sprintf("sample_rate %q is not a number", v))
 		}
-		j.SampleRate = rate
+		// Validate reads a zero rate as unset; a rate given must be one.
+		if err := simulate.CheckSampleRate(j.SampleRate); err != nil {
+			return j, specError(err)
+		}
 	}
-	j.SampleSize, perr = intParam(q, "sample_size", 0, 0, 1<<30)
-	if perr != nil {
-		return j, perr
+	if v := q.Get("sample_size"); v != "" {
+		if j.SampleSize, err = strconv.Atoi(v); err != nil {
+			return j, badRequest("bad_param", fmt.Sprintf("sample_size %q is not an integer", v))
+		}
+	}
+	if err := j.simConfig(1).Validate(); err != nil {
+		return j, specError(err)
 	}
 	// One curve, one key: reset what the engine ignores, so that a knob
 	// with no effect cannot make a cached curve recompute.
@@ -179,6 +177,32 @@ func parseJobSpec(q url.Values, store *Store) (JobSpec, *apiError) {
 		j.Policy = defaultPolicy // its grid reads sets and ways only
 	}
 	return j, nil
+}
+
+// specError maps a simulate.Config rejection onto the error taxonomy:
+// a clash of two knobs has its own code, anything else is a bad
+// parameter, and the message names the query parameters.
+func specError(err error) *apiError {
+	var ce *simulate.ConfigError
+	if !errors.As(err, &ce) {
+		return badRequest("bad_param", err.Error())
+	}
+	code := "bad_param"
+	switch ce.Fields {
+	case simulate.FieldEngine | simulate.FieldPolicy:
+		code = "engine_policy_mismatch"
+	case simulate.FieldEngine | simulate.FieldMode:
+		code = "engine_mode_mismatch"
+	case simulate.FieldPolicy | simulate.FieldMode:
+		code = "policy_mode_mismatch"
+	}
+	return badRequest(code, ce.Explain(paramNames))
+}
+
+// paramNames are the query parameters that set simulate.Config fields.
+var paramNames = map[simulate.Field]string{
+	simulate.FieldEngine: "engine", simulate.FieldPolicy: "policy", simulate.FieldMode: "mode",
+	simulate.FieldSampleRate: "sample_rate", simulate.FieldSampleSize: "sample_size",
 }
 
 func intParam(q url.Values, name string, def, min, max int) (int, *apiError) {

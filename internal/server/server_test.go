@@ -17,7 +17,7 @@ import (
 // newTestServer builds a Server over a fresh store with a tiny stub
 // compute (unless cfg overrides it) and returns it plus the hash of
 // one pre-uploaded 2k-record trace.
-func newTestServer(t *testing.T, cfg Config) (*Server, string) {
+func newTestServer(t testing.TB, cfg Config) (*Server, string) {
 	t.Helper()
 	if cfg.Store == nil {
 		store, err := NewStore(t.TempDir())
@@ -85,15 +85,40 @@ func decodeAPIError(t *testing.T, rec *httptest.ResponseRecorder) string {
 func TestHandlerErrorTable(t *testing.T) {
 	s, hash := newTestServer(t, Config{MaxUploadBytes: 1 << 20})
 	raw, _ := testTraceBytes(t, "microrand", 1, 2_000)
+	for _, tc := range handlerCases(hash, raw) {
+		t.Run(tc.name, func(t *testing.T) {
+			rec := do(t, s, tc.method, tc.target, tc.body)
+			if rec.Code != tc.wantStatus {
+				t.Fatalf("status = %d, want %d (body %q)", rec.Code, tc.wantStatus, rec.Body.String())
+			}
+			if tc.wantStatus == 200 {
+				return
+			}
+			if code := decodeAPIError(t, rec); code != tc.wantCode {
+				t.Errorf("error code = %q, want %q", code, tc.wantCode)
+			}
+			if tc.wantStatus == 405 && rec.Header().Get("Allow") == "" {
+				t.Error("405 response missing Allow header")
+			}
+		})
+	}
+}
 
-	tests := []struct {
-		name       string
-		method     string
-		target     string
-		body       io.Reader
-		wantStatus int
-		wantCode   string
-	}{
+// handlerCase is one row of TestHandlerErrorTable.
+type handlerCase struct {
+	name       string
+	method     string
+	target     string
+	body       io.Reader
+	wantStatus int
+	wantCode   string
+}
+
+// handlerCases is TestHandlerErrorTable's table, over a server holding
+// the trace raw under hash; FuzzParseJobSpec takes its curve requests
+// as seeds.
+func handlerCases(hash string, raw []byte) []handlerCase {
+	return []handlerCase{
 		// Method checks, one per endpoint.
 		{"traces: DELETE", http.MethodDelete, "/v1/traces", nil, 405, "method_not_allowed"},
 		{"trace info: POST", http.MethodPost, "/v1/traces/" + hash, nil, 405, "method_not_allowed"},
@@ -138,23 +163,6 @@ func TestHandlerErrorTable(t *testing.T) {
 
 		// Trace info.
 		{"trace info: unknown hash", http.MethodGet, "/v1/traces/0000", nil, 404, "trace_not_found"},
-	}
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			rec := do(t, s, tc.method, tc.target, tc.body)
-			if rec.Code != tc.wantStatus {
-				t.Fatalf("status = %d, want %d (body %q)", rec.Code, tc.wantStatus, rec.Body.String())
-			}
-			if tc.wantStatus == 200 {
-				return
-			}
-			if code := decodeAPIError(t, rec); code != tc.wantCode {
-				t.Errorf("error code = %q, want %q", code, tc.wantCode)
-			}
-			if tc.wantStatus == 405 && rec.Header().Get("Allow") == "" {
-				t.Error("405 response missing Allow header")
-			}
-		})
 	}
 }
 

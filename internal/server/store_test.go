@@ -14,7 +14,7 @@ import (
 
 // testTraceBytes returns a small captured workload encoded as a v2
 // stream, plus its decoded totals.
-func testTraceBytes(t *testing.T, name string, seed uint64, n int) ([]byte, *trace.Trace) {
+func testTraceBytes(t testing.TB, name string, seed uint64, n int) ([]byte, *trace.Trace) {
 	t.Helper()
 	spec := workload.MustByName(name)
 	tr := simulate.CaptureTrace(spec.New, seed, 0, n)

@@ -25,11 +25,8 @@ const analyticDepthFactor = 8
 // same shrink rules as every other engine (ByWays keeps sets and
 // drops ways; BySets the converse), so the analytic curve answers the
 // same question the reference sweep does.
-func analyticGrid(cfg Config) ([]analytic.Geometry, int, error) {
-	mcfgs, err := shrunkMachines(cfg)
-	if err != nil {
-		return nil, 0, err
-	}
+func analyticGrid(cfg Config) ([]analytic.Geometry, int) {
+	mcfgs := shrunkMachines(cfg)
 	grid := make([]analytic.Geometry, len(mcfgs))
 	maxLines := 0
 	for i, mcfg := range mcfgs {
@@ -41,7 +38,7 @@ func analyticGrid(cfg Config) ([]analytic.Geometry, int, error) {
 		}
 		maxLines = max(maxLines, int(size/cfg.Machine.L3.LineSize))
 	}
-	return grid, maxLines, nil
+	return grid, maxLines
 }
 
 // analyticSampleConfig derives the profiler configuration from the
@@ -72,13 +69,15 @@ func analyticSampleConfig(cfg Config, maxLines int) stackdist.SampledConfig {
 // O(1) memory — no replay per size, no trace materialised), polling
 // ctx at block granularity, then a set-associativity-corrected
 // threshold-model evaluation per size. SweepStreamContext with
-// EngineAnalytic returns exactly its Curve(); cfg.Engine is ignored.
+// EngineAnalytic returns exactly its Curve(); cfg.Engine is ignored,
+// and cfg is validated as EngineAnalytic's.
 func AnalyticEstimate(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (est *analytic.CurveEstimate, err error) {
-	cfg = cfg.withDefaults()
-	grid, maxLines, err := analyticGrid(cfg)
-	if err != nil {
+	cfg.Engine = EngineAnalytic
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.withDefaults()
+	grid, maxLines := analyticGrid(cfg)
 	src, err := open()
 	if err != nil {
 		return nil, err

@@ -333,11 +333,7 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 // (conformance.CheckParallelSweepEquivalence). The mask says which
 // points of the curve are policy-free, in the curve's order.
 func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {
-	mcfgs, err := shrunkMachines(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	points, free, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(mcfgs), fusedGroupLines)
+	points, free, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(shrunkMachines(cfg)), fusedGroupLines)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -364,11 +360,13 @@ func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockS
 // trace under several policies need sweep only the other sizes, through
 // Config.Sizes, for the second policy on.
 func SweepPolicyFree(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Engine != EngineFused {
 		return nil, nil, fmt.Errorf("simulate: policy-free points need engine fused, not %v", cfg.Engine)
 	}
-	return sweepFusedStream(ctx, cfg, open)
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	return sweepFusedStream(ctx, cfg.withDefaults(), open)
 }
 
 // Sweep-wide counts of what the footprint probe saved, for a serving

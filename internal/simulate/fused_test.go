@@ -112,11 +112,10 @@ func TestFusedInnerLoopAllocFree(t *testing.T) {
 // config, as sweepFusedStream derives them.
 func sweepL3(t *testing.T, cfg Config) []cache.Config {
 	t.Helper()
-	mcfgs, err := shrunkMachines(cfg)
-	if err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	return l3Configs(mcfgs)
+	return l3Configs(shrunkMachines(cfg))
 }
 
 // groupLens returns the replica count of each group.

@@ -6,31 +6,21 @@ import (
 	"math/bits"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/cache"
 	"cachepirate/internal/stackdist"
 	"cachepirate/internal/trace"
 )
 
-// mattsonGeometry validates the sweep config for EngineMattson and
-// returns the per-size way counts plus the shared L3 geometry.
-func mattsonGeometry(cfg Config) (ways []int, sets int, lineShift uint, err error) {
-	if cfg.Machine.L3.Policy != cache.LRU {
-		return nil, 0, 0, fmt.Errorf("simulate: Mattson fast path requires the LRU policy (stack inclusion), have %v", cfg.Machine.L3.Policy)
-	}
-	if cfg.Mode != ByWays {
-		return nil, 0, 0, fmt.Errorf("simulate: Mattson fast path requires the ByWays sweep mode")
-	}
-	mcfgs, err := shrunkMachines(cfg)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+// mattsonGeometry returns the per-size way counts of a validated
+// EngineMattson config plus the shared L3 geometry.
+func mattsonGeometry(cfg Config) (ways []int, sets int, lineShift uint) {
+	mcfgs := shrunkMachines(cfg)
 	ways = make([]int, len(mcfgs))
 	for i, mcfg := range mcfgs {
 		ways[i] = mcfg.L3.Ways
 	}
 	sets = int(cfg.Machine.L3.Sets())
 	lineShift = uint(bits.TrailingZeros64(uint64(cfg.Machine.L3.LineSize)))
-	return ways, sets, lineShift, nil
+	return ways, sets, lineShift
 }
 
 // mattsonStream is the EngineMattson body: the exact single-pass curve
@@ -51,10 +41,7 @@ func mattsonGeometry(cfg Config) (ways []int, sets int, lineShift uint, err erro
 // histogram hit-for-hit against the cache.Replicas kernel. Stack
 // inclusion does not hold for the nehalem, plru or random policies.
 func mattsonStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (curve *analysis.Curve, err error) {
-	ways, sets, lineShift, err := mattsonGeometry(cfg)
-	if err != nil {
-		return nil, err
-	}
+	ways, sets, lineShift := mattsonGeometry(cfg)
 	maxWays := 0
 	for _, w := range ways {
 		maxWays = max(maxWays, w)

@@ -17,6 +17,7 @@ import (
 	"io"
 
 	"cachepirate/internal/analysis"
+	"cachepirate/internal/cache"
 	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/runner"
@@ -159,15 +160,9 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Machine.Cores == 0 {
-		c.Machine = machine.NehalemConfig()
-	}
-	c.Machine.Cores = 1
+	c.Machine = c.replayMachine()
 	if len(c.Sizes) == 0 {
-		step := c.Machine.L3.Size / int64(c.Machine.L3.Ways)
-		for s := step; s <= c.Machine.L3.Size; s += step {
-			c.Sizes = append(c.Sizes, s)
-		}
+		c.Sizes = waySizes(nil, c.Machine.L3)
 	}
 	if c.MLP == 0 {
 		c.MLP = 2
@@ -180,38 +175,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shrink returns the machine config with an L3 of the given size.
-func shrink(mcfg machine.Config, mode SweepMode, size int64) (machine.Config, error) {
-	switch mode {
-	case ByWays:
-		waySize := mcfg.L3.Size / int64(mcfg.L3.Ways)
-		if size%waySize != 0 {
-			return mcfg, fmt.Errorf("simulate: size %d not a whole number of ways (way = %d bytes)", size, waySize)
-		}
-		return machine.WithL3Ways(mcfg, int(size/waySize)), nil
-	case BySets:
-		return machine.WithL3Size(mcfg, size), nil
+// replayMachine is the template the sweep shrinks: Machine, or the
+// Nehalem machine when unset, with the one core the trace replays on.
+func (c Config) replayMachine() machine.Config {
+	mcfg := c.Machine
+	if mcfg.Cores == 0 {
+		mcfg = machine.NehalemConfig()
 	}
-	return mcfg, fmt.Errorf("simulate: unknown sweep mode %d", mode)
+	mcfg.Cores = 1
+	return mcfg
 }
 
-// shrunkMachines returns the machine config of every configured size,
-// or the error of the first size that the sweep mode cannot express or
-// no machine can be built at — up front and in one place, so every
-// engine rejects a bad size the same way before any replay starts.
-func shrunkMachines(cfg Config) ([]machine.Config, error) {
+// waySizes appends the default size grid to dst: one size per L3 way.
+func waySizes(dst []int64, l3 cache.Config) []int64 {
+	step := l3.Size / int64(l3.Ways)
+	for s := step; s <= l3.Size; s += step {
+		dst = append(dst, s)
+	}
+	return dst
+}
+
+// shrink returns the machine config with an L3 of the given size, one
+// that Config.Validate has accepted.
+func shrink(mcfg machine.Config, mode SweepMode, size int64) machine.Config {
+	if mode == BySets {
+		return machine.WithL3Size(mcfg, size)
+	}
+	return machine.WithL3Ways(mcfg, int(size/(mcfg.L3.Size/int64(mcfg.L3.Ways))))
+}
+
+// shrunkMachines returns the machine config of every size of a
+// validated cfg.
+func shrunkMachines(cfg Config) []machine.Config {
 	mcfgs := make([]machine.Config, len(cfg.Sizes))
 	for i, size := range cfg.Sizes {
-		mcfg, err := shrink(cfg.Machine, cfg.Mode, size)
-		if err != nil {
-			return nil, err
-		}
-		if err := mcfg.Validate(); err != nil {
-			return nil, fmt.Errorf("simulate: size %d: %w", size, err)
-		}
-		mcfgs[i] = mcfg
+		mcfgs[i] = shrink(cfg.Machine, cfg.Mode, size)
 	}
-	return mcfgs, nil
+	return mcfgs
 }
 
 // SweepStreamContext draws the curve of the trace open yields with
@@ -239,6 +239,9 @@ func shrunkMachines(cfg Config) ([]machine.Config, error) {
 // returns ctx's error. The context is only read, never woven into
 // simulated state, so a live context gives bit-identical curves.
 func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
+	if err := cfg.Validate(); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	switch cfg.Engine {
 	case EngineFused:
@@ -255,7 +258,7 @@ func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.Bloc
 		}
 		return est.Curve(), nil
 	}
-	return nil, fmt.Errorf("simulate: unknown engine %v", cfg.Engine)
+	panic("unreachable: Validate accepts no other engine")
 }
 
 // Sweep is SweepStreamContext over an in-memory trace, with no
@@ -278,10 +281,7 @@ func SweepStream(cfg Config, open func() (trace.BlockSource, error)) (*analysis.
 // sweepPerSizeStream is the EnginePerSize body: one fresh machine and
 // one full replay per size, runner.Map'ed over cfg.Workers.
 func sweepPerSizeStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, error) {
-	mcfgs, err := shrunkMachines(cfg)
-	if err != nil {
-		return nil, err
-	}
+	mcfgs := shrunkMachines(cfg)
 	records, passInstrs, err := sourceStats(open)
 	if err != nil {
 		return nil, err

@@ -160,10 +160,7 @@ func TestSweepSerialGolden(t *testing.T) {
 	passInstrs := tr.Instructions()
 	want := &analysis.Curve{Name: "reference"}
 	for _, size := range def.Sizes {
-		mcfg, err := shrink(def.Machine, def.Mode, size)
-		if err != nil {
-			t.Fatal(err)
-		}
+		mcfg := shrink(def.Machine, def.Mode, size)
 		m, err := machine.New(mcfg)
 		if err != nil {
 			t.Fatal(err)
