@@ -13,7 +13,8 @@
 // benchmark list. Experiments and their per-benchmark runs fan out
 // across -j workers (default: one per CPU); -j 1 reproduces the serial
 // order exactly, and results are bit-identical at any width. An unknown
-// experiment or benchmark exits 2 before anything runs.
+// experiment or benchmark, or a flag out of range (-cycles or -trace
+// below 0), exits 2 before anything runs.
 package main
 
 import (
@@ -26,6 +27,10 @@ import (
 
 	"cachepirate/internal/experiments"
 )
+
+// flagNames names the options an OptionError can blame by the flags
+// that set them.
+var flagNames = map[string]string{"Cycles": "-cycles", "TraceRecords": "-trace"}
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink intervals, sizes and benchmark lists (seconds instead of minutes)")
@@ -62,11 +67,16 @@ func main() {
 		ids = nil
 	}
 	results, err := experiments.RunAll(opts, ids)
-	if err != nil {
+	var oe *experiments.OptionError
+	switch {
+	case errors.As(err, &oe):
+		fmt.Fprintln(os.Stderr, "experiments: "+oe.Explain(flagNames))
+		os.Exit(2)
+	case errors.Is(err, experiments.ErrUnknown):
 		fmt.Fprintln(os.Stderr, err)
-		if errors.Is(err, experiments.ErrUnknown) {
-			os.Exit(2)
-		}
+		os.Exit(2)
+	case err != nil:
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	for _, res := range results {

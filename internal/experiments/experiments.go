@@ -109,6 +109,53 @@ func (o Options) profileConfig(mcfg machine.Config) core.Config {
 	}
 }
 
+// OptionError is Options.Validate's verdict: the option at fault, by
+// its Options field name, and why.
+type OptionError struct {
+	Option string // "Cycles", "Sizes" or "TraceRecords"
+	Err    error
+}
+
+func (e *OptionError) Error() string { return "experiments: " + e.Explain(nil) }
+
+func (e *OptionError) Unwrap() error { return e.Err }
+
+// Explain renders the error under a front door's name for the option,
+// a flag say: "-cycles: core: negative measurement cycle count -1". An
+// option the door does not name keeps its field name.
+func (e *OptionError) Explain(names map[string]string) string {
+	name, ok := names[e.Option]
+	if !ok {
+		name = e.Option
+	}
+	return name + ": " + e.Err.Error()
+}
+
+// Validate checks the options, defaults filled in, before any
+// experiment runs; RunAll applies it first. The options the profile
+// harness reads go through the harness's own rule, core.Config.Validate
+// on the resolved Nehalem config, one at a time so the verdict names
+// one option. IntervalInstrs, Seed and Workers are not bounded.
+func (o Options) Validate() error {
+	o = o.withDefaults()
+	if o.TraceRecords < 0 {
+		return &OptionError{Option: "TraceRecords", Err: fmt.Errorf("negative reference trace length %d", o.TraceRecords)}
+	}
+	cfg := o.profileConfig(machine.NehalemConfig())
+	for _, c := range []struct {
+		option string
+		cfg    core.Config
+	}{
+		{"Cycles", core.Config{Machine: cfg.Machine, Cycles: cfg.Cycles}},
+		{"Sizes", core.Config{Machine: cfg.Machine, Sizes: cfg.Sizes}},
+	} {
+		if err := c.cfg.Validate(); err != nil {
+			return &OptionError{Option: c.option, Err: err}
+		}
+	}
+	return nil
+}
+
 // pool is the worker pool every experiment fan-out shares.
 func (o Options) pool() runner.Pool { return runner.Pool{Workers: o.Workers} }
 
@@ -209,12 +256,16 @@ var ErrUnknown = errors.New("experiments: unknown")
 
 // RunAll executes the named experiments (every experiment, in paper
 // order, when ids is empty) and returns their results in request
-// order. Experiment IDs and Options.Benchmarks are checked before
-// anything runs. Experiments fan out across the option's worker pool —
-// they are fully independent apart from the fig6/fig7
-// shared-computation memo, which deduplicates concurrent callers — and
-// the first failure cancels experiments that have not started yet.
+// order. The options (Validate, first), experiment IDs and
+// Options.Benchmarks are checked before anything runs. Experiments fan
+// out across the option's worker pool — they are fully independent
+// apart from the fig6/fig7 shared-computation memo, which deduplicates
+// concurrent callers — and the first failure cancels experiments that
+// have not started yet.
 func RunAll(opts Options, ids []string) ([]*Result, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if len(ids) == 0 {
 		for _, r := range All() {
 			ids = append(ids, r.ID)

@@ -193,6 +193,23 @@ func TestRunAllOrderAndErrors(t *testing.T) {
 	if want := `experiments: unknown benchmark "nope"`; err == nil || err.Error() != want {
 		t.Errorf("RunAll(unknown benchmark) = %v, want %s", err, want)
 	}
+	for _, tc := range []struct {
+		option string
+		edit   func(*Options)
+	}{
+		{"TraceRecords", func(o *Options) { o.TraceRecords = -5 }},
+		{"Cycles", func(o *Options) { o.Cycles = -1 }},
+		{"Sizes", func(o *Options) { o.Sizes = []int64{1 << 20, 64 << 20} }},
+		{"Sizes", func(o *Options) { o.Sizes = []int64{0} }},
+	} {
+		bad := opts
+		tc.edit(&bad)
+		_, err := RunAll(bad, []string{"fig6"})
+		var oe *OptionError
+		if !errors.As(err, &oe) || oe.Option != tc.option {
+			t.Errorf("RunAll(bad %s) = %v, want an OptionError naming it", tc.option, err)
+		}
+	}
 	if testing.Short() {
 		t.Skip("experiments are seconds-scale; skipped in -short mode")
 	}

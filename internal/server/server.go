@@ -310,12 +310,13 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	if s.methodErr(w, r, http.MethodGet) {
 		return
 	}
-	spec, aerr := parseJobSpec(r.URL.Query(), s.store)
+	q := r.URL.Query() // parsed once, for the spec and the format
+	spec, aerr := parseJobSpec(q, s.store)
 	if aerr != nil {
 		s.writeError(w, aerr)
 		return
 	}
-	format := r.URL.Query().Get("format")
+	format := q.Get("format")
 	if format == "" {
 		format = "json"
 	}

@@ -45,9 +45,10 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("stats: Uint64n(0)")
 	}
-	// Multiply-shift reduction; bias is negligible for the simulator's
+	// Multiply-shift reduction: the high word of the 128-bit product,
+	// one hardware multiply. Bias is negligible for the simulator's
 	// purposes (n << 2^64) and keeps the generator branch-free.
-	hi, _ := mul64(r.Uint64(), n)
+	hi, _ := bits.Mul64(r.Uint64(), n)
 	return hi
 }
 
@@ -82,18 +83,6 @@ func (r *RNG) Perm(n int) []uint32 {
 	return p
 }
 
-// mul64 returns the 128-bit product of a and b as (hi, lo).
-func mul64(a, b uint64) (hi, lo uint64) {
-	const mask = 0xFFFFFFFF
-	a0, a1 := a&mask, a>>32
-	b0, b1 := b&mask, b>>32
-	t := a1*b0 + (a0*b0)>>32
-	w1 := t&mask + a0*b1
-	hi = a1*b1 + t>>32 + w1>>32
-	lo = a * b
-	return
-}
-
 // Zipf draws values in [0, n) following a Zipf-like distribution with
 // exponent s using inverse-CDF sampling over a precomputed table.
 // It models hot/cold access skew in the synthetic workloads.
@@ -122,7 +111,7 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
-		sum += 1 / pow(float64(i+1), s)
+		sum += 1 / zipfWeight(float64(i+1), s)
 		cdf[i] = sum
 	}
 	for i := range cdf {
@@ -168,4 +157,29 @@ func (z *Zipf) search(u float64, lo, hi int) int {
 	return lo
 }
 
-func pow(base, exp float64) float64 { return math.Pow(base, exp) }
+// zipfWeight returns math.Pow(x, s), bit for bit, for the table's
+// arguments. For a finite x >= 1 and 0 < s < 1, Pow (math/pow.go, which
+// every platform but s390x runs) skips its special cases and runs one
+// of three fixed sequences, written out here without its
+// Modf/Frexp/Ldexp dispatch:
+//   - s < 0.5: Exp(s*Log(x)), then Ldexp by 0;
+//   - s = 0.5: Sqrt(x);
+//   - s > 0.5: Exp((s-1)*Log(x)) times x = x1*2^xe (Frexp), as
+//     Ldexp(a*x1, xe); scaling by 2^xe is exact, so that is a*x rounded
+//     once. s-1 is exact for s in (0.5, 1), as Pow's yf-- is.
+//
+// Exp and Log are the exported functions Pow calls, so whichever path
+// they take at run time (amd64's FMA Exp), both sides take it. Any other
+// argument goes to math.Pow.
+func zipfWeight(x, s float64) float64 {
+	switch {
+	case !(x >= 1 && x <= math.MaxFloat64 && s > 0 && s < 1):
+		return math.Pow(x, s)
+	case s < 0.5:
+		return math.Exp(s * math.Log(x))
+	case s == 0.5:
+		return math.Sqrt(x)
+	default:
+		return math.Exp((s-1)*math.Log(x)) * x
+	}
+}

@@ -2,7 +2,9 @@ package stats
 
 import (
 	"math"
+	"math/big"
 	"math/bits"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -223,14 +225,102 @@ func TestZipfPanicsOnBadN(t *testing.T) {
 	NewZipf(NewRNG(1), 0, 1)
 }
 
-func TestMul64KnownValues(t *testing.T) {
-	hi, lo := mul64(math.MaxUint64, math.MaxUint64)
-	// (2^64-1)^2 = 2^128 - 2^65 + 1
-	if hi != math.MaxUint64-1 || lo != 1 {
-		t.Errorf("mul64(max,max) = (%d,%d), want (%d,1)", hi, lo, uint64(math.MaxUint64-1))
+// TestUint64nWideProduct: Uint64n(n) is the high word of x*n for the
+// generator's next output x, i.e. floor(x*n / 2^64) computed exactly —
+// over seeded pairs and at the edges of both operands (n = 1, n and
+// x = 2^64-1, x = 1).
+func TestUint64nWideProduct(t *testing.T) {
+	check := func(x, n uint64) {
+		t.Helper()
+		r := &RNG{state: stateFor(x)}
+		if got := (&RNG{state: r.state}).Uint64(); got != x {
+			t.Fatalf("stateFor(%d) yields %d", x, got)
+		}
+		want := new(big.Int).Mul(new(big.Int).SetUint64(x), new(big.Int).SetUint64(n))
+		want.Rsh(want, 64)
+		if got := r.Uint64n(n); got != want.Uint64() {
+			t.Fatalf("Uint64n(%d) after x = %d: %d, want %s", n, x, got, want)
+		}
 	}
-	hi, lo = mul64(1<<32, 1<<32)
-	if hi != 1 || lo != 0 {
-		t.Errorf("mul64(2^32,2^32) = (%d,%d), want (1,0)", hi, lo)
+	edges := []uint64{1, 2, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
+	for _, x := range edges {
+		for _, n := range edges {
+			check(x, n)
+		}
+	}
+	src := NewRNG(2024)
+	for i := 0; i < 10000; i++ {
+		x, n := src.Uint64(), src.Uint64()
+		if i%2 == 1 {
+			n >>= src.Uint64n(64) // small bounds too, as Perm and Intn draw them
+		}
+		check(x, max(n, 1))
+	}
+}
+
+// stateFor returns the generator state whose next Uint64 is x: Uint64's
+// output step undone (the multiplier is odd, so invertible mod 2^64),
+// then its three xorshifts, last first.
+func stateFor(x uint64) uint64 {
+	const m = 0x2545F4914F6CDD1D
+	inv := uint64(m) // Newton: each step doubles the correct low bits
+	for i := 0; i < 6; i++ {
+		inv *= 2 - m*inv
+	}
+	y := x * inv
+	y = unshiftRight(y, 27)
+	y = unshiftLeft(y, 25)
+	return unshiftRight(y, 12)
+}
+
+// unshiftRight inverts y = x ^ x>>k.
+func unshiftRight(y uint64, k uint) uint64 {
+	x := y
+	for i := k; i < 64; i += k {
+		x = y ^ x>>k
+	}
+	return x
+}
+
+// unshiftLeft inverts y = x ^ x<<k.
+func unshiftLeft(y uint64, k uint) uint64 {
+	x := y
+	for i := k; i < 64; i += k {
+		x = y ^ x<<k
+	}
+	return x
+}
+
+// TestZipfWeightMatchesPow: the table's weight helper is math.Pow, bit
+// for bit, for every rank a suite table holds (x = 1 .. 2^17; the
+// largest table, sphinx3's 7 MB at 64 B lines, has 114,688) at every
+// suite skew, and at s = k/200 across (0, 1), 0.5 included (-short
+// strides that sweep). The CI step with GODEBUG=cpu.fma=off runs it on
+// the other amd64 Exp path too. Outside (0, 1) the helper is math.Pow
+// itself.
+func TestZipfWeightMatchesPow(t *testing.T) {
+	if runtime.GOARCH == "s390x" {
+		t.Skip("s390x's math.Pow is its own assembly, not math/pow.go")
+	}
+	check := func(s float64, stride int) {
+		t.Helper()
+		for x := 1; x <= 1<<17; x += stride {
+			if got, want := zipfWeight(float64(x), s), math.Pow(float64(x), s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("zipfWeight(%d, %v) = %v (%#x), math.Pow %v (%#x)", x, s, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+	for _, s := range []float64{0.45, 0.5, 0.55, 0.6, 0.7, 0.75, 0.8, 0.9} {
+		check(s, 1)
+	}
+	stride := 1
+	if testing.Short() {
+		stride = 17 // the suite skews above stay exhaustive
+	}
+	for k := 1; k < 200; k++ {
+		check(float64(k)/200, stride)
+	}
+	for _, s := range []float64{math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), math.Nextafter(1, 0), 1, 2, 3} {
+		check(s, stride)
 	}
 }
