@@ -30,7 +30,7 @@ import (
 
 // flagNames names the options an OptionError can blame by the flags
 // that set them.
-var flagNames = map[string]string{"Cycles": "-cycles", "TraceRecords": "-trace"}
+var flagNames = map[string]string{"IntervalInstrs": "-interval", "Cycles": "-cycles", "TraceRecords": "-trace"}
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink intervals, sizes and benchmark lists (seconds instead of minutes)")

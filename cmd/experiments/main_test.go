@@ -32,6 +32,8 @@ func TestRejectsBadOptions(t *testing.T) {
 		{[]string{"-trace", "-5", "fig6"}, "-trace"},
 		{[]string{"-quick", "-cycles", "-1", "fig1"}, "-cycles"},
 		{[]string{"-cycles", "-1", "-trace", "-5"}, "-trace"},
+		{[]string{"-quick", "-j", "1", "-benchmarks", "microseq", "-interval", "9223372036854775808", "tab3"}, "-interval"},
+		{[]string{"-interval", "18446744073709551615", "fig1"}, "-interval"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			cmd := exec.Command(os.Args[0], tc.args...)

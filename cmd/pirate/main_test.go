@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -59,11 +60,16 @@ func TestRejectsBadConfig(t *testing.T) {
 		{"-cycles", "-1", "microseq"},
 		{"-all", "-threads", "9"},
 		{"-all", "-cycles", "-1"},
+		{"-threads", "1", "-cycles", "1", "-interval", "18446744073709551615", "povray"},
+		{"-interval", "1099511627777", "microseq"},
 	} {
 		t.Run(strings.Join(args, " "), func(t *testing.T) {
 			stdout, stderr := usageExit(t, args...)
 			if lines := strings.Split(strings.TrimSuffix(stderr, "\n"), "\n"); len(lines) != 1 || !strings.HasPrefix(lines[0], "core: ") {
 				t.Errorf("stderr is not one core: line:\n%s", stderr)
+			}
+			if slices.Contains(args, "-interval") && !strings.Contains(stderr, "interval") {
+				t.Errorf("stderr does not name the interval:\n%s", stderr)
 			}
 			if stdout != "" {
 				t.Errorf("stdout is not empty:\n%s", stdout)

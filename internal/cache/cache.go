@@ -81,8 +81,12 @@ type Config struct {
 	Ways     int        // associativity
 	LineSize int64      // line size in bytes (power of two)
 	Policy   PolicyKind // replacement policy
-	Owners   int        // number of distinct owners to keep stats for
+	Owners   int        // number of distinct owners to keep stats for (1..MaxOwners)
 }
+
+// MaxOwners is the most owners a cache keeps apart: each line records
+// the owner that filled it in one byte.
+const MaxOwners = 256
 
 // Validate checks that the configuration is internally consistent.
 func (c Config) Validate() error {
@@ -103,8 +107,8 @@ func (c Config) Validate() error {
 	if c.Policy == PseudoLRU && c.Ways&(c.Ways-1) != 0 {
 		return fmt.Errorf("cache %s: pseudo-LRU needs power-of-two ways, got %d", c.Name, c.Ways)
 	}
-	if c.Owners <= 0 {
-		return fmt.Errorf("cache %s: owners must be positive, got %d", c.Name, c.Owners)
+	if c.Owners <= 0 || c.Owners > MaxOwners {
+		return fmt.Errorf("cache %s: owners must be in 1..%d, got %d", c.Name, MaxOwners, c.Owners)
 	}
 	return nil
 }
@@ -168,7 +172,7 @@ type Cache struct {
 
 	tags  []uint64 // line tag per way; invalidTag marks an empty way
 	flags []uint8  // dirty/prefetch bits per way
-	owner []int32  // context that filled each way
+	owner []uint8  // context that filled each way (Owners <= MaxOwners)
 	stamp []uint64 // LRU timestamps per way (LRU policy only; nil otherwise)
 	// meta is one word of per-set replacement metadata: the pseudo-LRU
 	// tree bits (PseudoLRU) or the accessed-bit mask (Nehalem) — one
@@ -196,7 +200,7 @@ func New(cfg Config) (*Cache, error) {
 	}
 	c := &Cache{}
 	c.init(cfg, cfg.Ways, 1,
-		make([]uint64, nlines), make([]uint8, nlines), make([]int32, nlines),
+		make([]uint64, nlines), make([]uint8, nlines), make([]uint8, nlines),
 		stamp, make([]uint64, nsets), make([]uint64, nsets))
 	return c, nil
 }
@@ -228,7 +232,7 @@ func geometry(cfg Config) Cache {
 // flags, owners, stamps and meta must come zeroed. New owns one cache's
 // arrays; newReplicas carves many caches out of shared contiguous
 // blocks, so both start bit-identical.
-func (c *Cache) init(cfg Config, stride int, group uint64, tags []uint64, flags []uint8, owner []int32, stamp, meta, free []uint64) {
+func (c *Cache) init(cfg Config, stride int, group uint64, tags []uint64, flags, owner []uint8, stamp, meta, free []uint64) {
 	*c = geometry(cfg)
 	c.stride = stride
 	c.group = group
@@ -656,7 +660,7 @@ func (c *Cache) fillWay(mi uint64, base int, tag uint64, owner Owner, prefetch, 
 		f |= flagPrefetch
 	}
 	c.flags[idx] = f
-	c.owner[idx] = int32(owner)
+	c.owner[idx] = uint8(owner)
 	c.touch(mi, base, victim)
 	return res
 }
@@ -741,7 +745,10 @@ func (c *Cache) Flush() {
 // not hot paths.
 func (c *Cache) ResidentLines(owner Owner) int {
 	n := 0
-	ow := int32(owner)
+	if owner < 0 || owner >= MaxOwners {
+		return 0
+	}
+	ow := uint8(owner)
 	for si := uint64(0); si < c.nsets; si++ {
 		_, base := c.at(si)
 		for i, tg := range c.tags[base : base+c.ways] {

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -30,11 +32,45 @@ func TestConfigValidate(t *testing.T) {
 		{Name: "div", Size: 1000, Ways: 4, LineSize: 64, Owners: 1},
 		{Name: "plru", Size: 64 * 3 * 4, Ways: 3, LineSize: 64, Policy: PseudoLRU, Owners: 1},
 		{Name: "owners", Size: 1024, Ways: 4, LineSize: 64, Owners: 0},
+		{Name: "owner byte", Size: 1024, Ways: 4, LineSize: 64, Owners: MaxOwners + 1},
 	}
 	for _, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %q should be invalid", c.Name)
 		}
+	}
+	most := Config{Name: "most", Size: 1024, Ways: 4, LineSize: 64, Owners: MaxOwners}
+	if err := most.Validate(); err != nil {
+		t.Errorf("%d owners rejected: %v", MaxOwners, err)
+	}
+}
+
+// TestOwnerByteRoundTrip: the highest owner a line's owner byte holds
+// comes back unchanged from a fill, from the eviction that charges it,
+// and from ForEachLine.
+func TestOwnerByteRoundTrip(t *testing.T) {
+	const top = Owner(MaxOwners - 1)
+	c := MustNew(Config{Name: "one set", Size: 2 * 64, Ways: 2, LineSize: 64, Policy: LRU, Owners: MaxOwners})
+	c.Fill(0, top, false, true)
+	c.Fill(64, top-1, false, false)
+	res := c.Fill(128, 0, false, false)
+	if ev := res.Evicted; !ev.Valid || ev.LineAddr != 0 || ev.Owner != top || !ev.Dirty {
+		t.Fatalf("evicted %+v, want line 0 of owner %d, dirty", ev, top)
+	}
+	if st := c.Stats(top); st.Fills != 1 || st.Evictions != 1 || st.Writebacks != 1 {
+		t.Errorf("owner %d counters %+v, want one fill, eviction and writeback", top, st)
+	}
+	c.Fill(192, top, false, false) // evicts owner top-1's line
+	owners := map[Addr]Owner{}
+	c.ForEachLine(func(li LineInfo) bool {
+		owners[li.LineAddr] = li.Owner
+		return true
+	})
+	if want := map[Addr]Owner{128: 0, 192: top}; !reflect.DeepEqual(owners, want) {
+		t.Errorf("resident lines by owner %v, want %v", owners, want)
+	}
+	if n := c.ResidentLines(top); n != 1 {
+		t.Errorf("owner %d holds %d lines, want 1", top, n)
 	}
 }
 
@@ -321,6 +357,23 @@ func TestStampsOnlyUnderLRU(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNewLineBytes pins a stand-alone cache's line state: tag 8 B,
+// flags 1 B and owner 1 B per line, meta and free words 16 B per set,
+// no stamps outside LRU, plus a fixed 64 KiB for the Cache itself and
+// what the runtime allocates beside it (the race detector's share).
+func TestNewLineBytes(t *testing.T) {
+	cfg := Config{Name: "L3", Size: 8 << 20, Ways: 16, LineSize: 64, Policy: Nehalem, Owners: 4}
+	lines, sets := uint64(cfg.Size/cfg.LineSize), uint64(cfg.Sets())
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := MustNew(cfg)
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(c)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, 10*lines+16*sets+64<<10; got > limit {
+		t.Errorf("New(8 MB Nehalem L3) allocated %d B (%.2f B/line), over the %d B limit", got, float64(got)/float64(lines), limit)
 	}
 }
 

@@ -47,8 +47,8 @@ type HierarchyConfig struct {
 
 // Validate checks the configuration.
 func (hc HierarchyConfig) Validate() error {
-	if hc.Cores <= 0 {
-		return fmt.Errorf("hierarchy: cores must be positive, got %d", hc.Cores)
+	if hc.Cores <= 0 || hc.Cores > MaxOwners {
+		return fmt.Errorf("hierarchy: cores must be in 1..%d, got %d", MaxOwners, hc.Cores)
 	}
 	for _, c := range []Config{hc.L1, hc.L2, hc.L3} {
 		cc := c
@@ -343,7 +343,7 @@ func (h *Hierarchy) AccessPacked(core int, addr Addr, write bool) PackedOutcome 
 			idx := base3 + victim
 			l3.tags[idx] = tag
 			l3.flags[idx] = 0
-			l3.owner[idx] = int32(core)
+			l3.owner[idx] = uint8(core)
 			switch l3.cfg.Policy {
 			case LRU:
 				l3.clock++
@@ -576,7 +576,7 @@ func (h *Hierarchy) FlushCore(core int) {
 	h.l1[core].Flush()
 	h.l2[core].Flush()
 	// Remove the core's lines from the shared L3 one by one.
-	ow := int32(core)
+	ow := uint8(core)
 	l3 := h.l3
 	for si := uint64(0); si < l3.nsets; si++ {
 		base := int(si) * l3.ways

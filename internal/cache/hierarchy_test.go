@@ -29,10 +29,45 @@ func TestHierarchyConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero cores should be invalid")
 	}
+	// The L3 records each line's filling core in one byte.
+	bad.Cores = MaxOwners
+	if err := bad.Validate(); err != nil {
+		t.Errorf("%d cores rejected: %v", bad.Cores, err)
+	}
+	bad.Cores = MaxOwners + 1
+	if err := bad.Validate(); err == nil {
+		t.Errorf("%d cores should be invalid", bad.Cores)
+	}
 	bad.Cores = 2
 	bad.L2.LineSize = 128
 	if err := bad.Validate(); err == nil {
 		t.Error("mismatched line sizes should be invalid")
+	}
+}
+
+// TestHierarchyHighestCore: the last core a one-byte owner can name
+// fills L3 lines as itself, and the eviction of one of them
+// back-invalidates that core's private copy and no other.
+func TestHierarchyHighestCore(t *testing.T) {
+	const top = MaxOwners - 1
+	h := MustNewHierarchy(HierarchyConfig{
+		Cores: MaxOwners,
+		L1:    Config{Size: 2 * 64, Ways: 2, LineSize: 64, Policy: LRU},
+		L2:    Config{Size: 4 * 64, Ways: 4, LineSize: 64, Policy: LRU},
+		L3:    Config{Size: 8 * 64, Ways: 8, LineSize: 64, Policy: LRU},
+	})
+	h.Access(top, 0, true) // dirty in core top's L1
+	for i := 1; i <= 8; i++ {
+		h.Access(0, Addr(i*64), false)
+	}
+	if st := h.L3().Stats(top); st.Fills != 1 || st.Evictions != 1 {
+		t.Errorf("core %d L3 counters %+v, want one fill and one eviction", top, st)
+	}
+	if _, ok := h.L1(top).Invalidate(0); ok {
+		t.Errorf("core %d's L1 still holds the line its L3 copy lost", top)
+	}
+	if n := h.L3().ResidentLines(0); n != 8 {
+		t.Errorf("core 0 holds %d L3 lines, want 8", n)
 	}
 }
 

@@ -34,7 +34,7 @@ type Replicas struct {
 type lineStore struct {
 	tags  []uint64
 	flags []uint8
-	owner []int32
+	owner []uint8
 	stamp []uint64
 	meta  []uint64
 	free  []uint64
@@ -47,7 +47,7 @@ func (s *lineStore) grow(lines, stamps, sets int) {
 	if len(s.tags) < lines {
 		s.tags = make([]uint64, lines)
 		s.flags = make([]uint8, lines)
-		s.owner = make([]int32, lines)
+		s.owner = make([]uint8, lines)
 	}
 	if len(s.stamp) < stamps {
 		s.stamp = make([]uint64, stamps)

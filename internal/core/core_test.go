@@ -240,6 +240,12 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		{"negative threads", func(c *Config) { c.Threads = -1 }, false},
 		{"negative max threads", func(c *Config) { c.MaxThreads = -1 }, false},
 		{"negative cycles", func(c *Config) { c.Cycles = -1 }, false},
+		// A count past MaxInstrs could wrap a core's instruction counter
+		// once an experiment multiplies it.
+		{"interval at the bound", func(c *Config) { c.IntervalInstrs = MaxInstrs }, true},
+		{"interval past the bound", func(c *Config) { c.IntervalInstrs = MaxInstrs + 1 }, false},
+		{"warm-up past the bound", func(c *Config) { c.TargetWarmupInstrs = MaxInstrs + 1 }, false},
+		{"attach point past the bound", func(c *Config) { c.AttachInstr = MaxInstrs + 1 }, false},
 	} {
 		c := Config{}
 		tc.set(&c)

@@ -130,6 +130,13 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// MaxInstrs bounds every instruction count a Config sets
+// (IntervalInstrs, TargetWarmupInstrs, AttachInstr): 2^40, about a
+// thousand times the paper's largest interval of 1B. Experiments run
+// small multiples of these counts, and no sum of them may wrap a
+// core's 64-bit instruction counter.
+const MaxInstrs = 1 << 40
+
 // Validate reports whether a profile of cfg can run, with its zero
 // fields filled in: the rule every entry point for a one-core Target
 // applies before it builds a machine, for a front door to apply to its
@@ -172,6 +179,18 @@ func (c Config) validate() error {
 	}
 	if c.Cycles < 0 {
 		return fmt.Errorf("core: negative measurement cycle count %d", c.Cycles)
+	}
+	for _, n := range []struct {
+		what   string
+		instrs uint64
+	}{
+		{"measurement interval", c.IntervalInstrs},
+		{"target warm-up", c.TargetWarmupInstrs},
+		{"attach point", c.AttachInstr},
+	} {
+		if n.instrs > MaxInstrs {
+			return fmt.Errorf("core: %s of %d instructions above the bound of %d (2^40)", n.what, n.instrs, uint64(MaxInstrs))
+		}
 	}
 	return nil
 }

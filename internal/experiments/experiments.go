@@ -112,7 +112,7 @@ func (o Options) profileConfig(mcfg machine.Config) core.Config {
 // OptionError is Options.Validate's verdict: the option at fault, by
 // its Options field name, and why.
 type OptionError struct {
-	Option string // "Cycles", "Sizes" or "TraceRecords"
+	Option string // "IntervalInstrs", "Cycles", "Sizes" or "TraceRecords"
 	Err    error
 }
 
@@ -135,7 +135,7 @@ func (e *OptionError) Explain(names map[string]string) string {
 // experiment runs; RunAll applies it first. The options the profile
 // harness reads go through the harness's own rule, core.Config.Validate
 // on the resolved Nehalem config, one at a time so the verdict names
-// one option. IntervalInstrs, Seed and Workers are not bounded.
+// one option. Seed and Workers are not bounded.
 func (o Options) Validate() error {
 	o = o.withDefaults()
 	if o.TraceRecords < 0 {
@@ -146,6 +146,7 @@ func (o Options) Validate() error {
 		option string
 		cfg    core.Config
 	}{
+		{"IntervalInstrs", core.Config{Machine: cfg.Machine, IntervalInstrs: cfg.IntervalInstrs}},
 		{"Cycles", core.Config{Machine: cfg.Machine, Cycles: cfg.Cycles}},
 		{"Sizes", core.Config{Machine: cfg.Machine, Sizes: cfg.Sizes}},
 	} {

@@ -389,13 +389,17 @@ const cancelCheckSteps = 1024
 // with ctx's error once the context is done. A cancelled run leaves
 // the machine in a consistent mid-replay state (counters readable,
 // cores attached); it must simply not be trusted as a completed
-// measurement.
+// measurement. A count n that would wrap the core's 64-bit instruction
+// counter is an error before any step.
 func (m *Machine) RunInstructionsCtx(ctx context.Context, core int, n uint64) error {
 	if !m.runnable(core) {
 		return fmt.Errorf("machine: core %d not runnable", core)
 	}
 	c := &m.cores[core]
 	target := c.instrs + n
+	if target < c.instrs {
+		return fmt.Errorf("machine: core %d at %d instructions cannot run %d more: the count would wrap", core, c.instrs, n)
+	}
 	steps := 0
 	for c.instrs < target {
 		if !m.Step() {

@@ -34,6 +34,11 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero cores accepted")
 	}
+	// Each L3 line records its filling core in one byte.
+	bad.Cores = cache.MaxOwners + 1
+	if err := bad.Validate(); err == nil {
+		t.Errorf("%d cores accepted", bad.Cores)
+	}
 }
 
 func TestTable1_NehalemConfig(t *testing.T) {
@@ -141,6 +146,24 @@ func TestRunInstructionsNotRunnable(t *testing.T) {
 	m.Suspend(0)
 	if err := m.RunInstructions(0, 10); err == nil {
 		t.Error("RunInstructions on suspended core should fail")
+	}
+}
+
+// TestRunInstructionsWrapErrors: a count that would wrap the core's
+// instruction counter is an error before any step, not a target below
+// the count already retired that returns at once having run nothing.
+func TestRunInstructionsWrapErrors(t *testing.T) {
+	m := MustNew(smallConfig(1))
+	m.MustAttach(0, seqGen(1024))
+	if err := m.RunInstructions(0, 100); err != nil {
+		t.Fatal(err)
+	}
+	before := m.ReadCounters(0)
+	if err := m.RunInstructions(0, math.MaxUint64); err == nil {
+		t.Fatal("a count past 2^64 instructions was accepted")
+	}
+	if after := m.ReadCounters(0); after != before {
+		t.Errorf("the refused run changed the counters: %+v -> %+v", before, after)
 	}
 }
 

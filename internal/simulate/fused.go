@@ -67,9 +67,9 @@ const fusedBlock = 256
 
 // fusedGroupLines is the sweep's replica-group budget in L3 lines:
 // consecutive sizes are replayed together while their summed L3 line
-// count fits. Twice the Nehalem L3 (about 3.4 MB of line state at 13 B
+// count fits. Twice the Nehalem L3 (about 2.6 MB of line state at 10 B
 // a line) splits the default 16 sizes into the probe and 5 groups; all
-// 16 at once interleave 14 MB of line state, which no host cache holds,
+// 16 at once interleave 11 MB of line state, which no host cache holds,
 // and the sweep's speed then follows whatever else shares the host's
 // last-level cache.
 const fusedGroupLines = 1 << 18
@@ -452,7 +452,11 @@ func pick(l3 []cache.Config, reps []int) []cache.Config {
 // engine over a freshly opened source that it closes when done. A
 // group's line state is carved from one of cfg.Workers backing blocks
 // taken from backingPool and grown to the largest group replayed on
-// any of them, so a warmed process allocates no line state per sweep.
+// any of them, so a warmed sweep allocates no line state while its
+// blocks stay pooled. They need not: backingPool is a sync.Pool, which
+// drops what it holds over two collections, and after one a block in
+// one P's private slot is out of reach of a sweep running on another
+// P, which then builds its own.
 //
 // The first group is the largest size alone, replayed as a footprint
 // probe. If its L3 finishes every pass without one eviction, it holds
@@ -485,7 +489,8 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 	// joined every task, so no two sweeps ever share one. Which group
 	// replays on which backing is the scheduler's choice, so each is
 	// first grown to cover the others: a sweep of a shape the process has
-	// run before then allocates no line state, whatever lands where.
+	// run before then allocates no line state, whatever lands where, as
+	// long as its blocks came back from backingPool.
 	backings := make(chan *cache.FusedBacking, workers)
 	for w := 0; w < workers; w++ {
 		backings <- backingPool.Get().(*cache.FusedBacking)

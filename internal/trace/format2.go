@@ -41,7 +41,7 @@ const (
 
 	// DefaultFrameRecords is the Writer's default frame size: large
 	// enough to amortise frame overhead to well under a bit per
-	// record, small enough that one decoded frame (~24 bytes/record
+	// record, small enough that one decoded frame (16 bytes/record
 	// in memory) stays cache-friendly and the decode block budget is
 	// tiny next to any real trace.
 	DefaultFrameRecords = 1 << 14

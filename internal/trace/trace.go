@@ -21,10 +21,13 @@ import (
 )
 
 // Record is one memory reference: NInstr non-memory instructions
-// executed since the previous record, then one access to Addr.
+// executed since the previous record, then one access to Addr. The
+// widest field leads so the struct packs into 16 bytes, not 24
+// (TestRecordBytes): a decoded frame and an in-memory trace hold one
+// per access.
 type Record struct {
-	NInstr uint32
 	Addr   uint64
+	NInstr uint32
 	Write  bool
 }
 

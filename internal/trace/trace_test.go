@@ -4,7 +4,17 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// TestRecordBytes pins a Record to its 13 B of fields rounded up to
+// the 8-byte alignment of Addr: a decoded frame and an in-memory trace
+// hold one per access, so a field order that pads costs 8 B each.
+func TestRecordBytes(t *testing.T) {
+	if got := unsafe.Sizeof(Record{}); got != 16 {
+		t.Errorf("Record is %d bytes, want 16", got)
+	}
+}
 
 func TestRoundTripKnown(t *testing.T) {
 	tr := &Trace{Records: []Record{

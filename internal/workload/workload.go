@@ -17,8 +17,8 @@ import "fmt"
 // Op is one unit of work: NInstr non-memory instructions, then one
 // access to Addr.
 type Op struct {
-	NInstr uint32
 	Addr   uint64
+	NInstr uint32
 	Write  bool
 	// NonTemporal marks a streaming load that bypasses cache fills
 	// (MOVNTDQA-style): it still hits resident lines and still costs
