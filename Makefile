@@ -40,7 +40,7 @@ bench-kernel:
 	$(GO) test -run XXX -bench 'Sweep|Machine|Analyze|CacheAccess|Hierarchy|PLRUTouchVictim|FindWay' -benchmem ./...
 
 # Inlining guard: every hierarchy walk open-codes its policy dispatch on
-# the promise that these leaves inline into it (DESIGN.md §8, "Set
+# the promise that these leaves inline into it (DESIGN.md §7, "Set
 # kernels"), and the machine's step loop unpacks the walk's outcome word
 # through the PackedOutcome accessors. An edit that pushes one over the
 # compiler's budget turns it into a call per level per record; fail
@@ -49,7 +49,7 @@ bench-kernel:
 # set-major replicas), own a stand-alone cache's set (the machine's
 # walk), and FusedHierarchy.Line decodes a record once for every replica
 # inside the fused record loops. The timing recurrence past L2
-# (machine.Shared.Charge, DESIGN.md §8) is one call per such access and
+# (machine.Shared.Charge, DESIGN.md §7) is one call per such access and
 # books its requests through the bandwidth server's Request and Backlog
 # and Shared.WriteBack, which must inline into it. Names are as
 # `-gcflags=-m=2` prints them; INLINE_PKGS are the packages they live in.
@@ -150,7 +150,7 @@ staticcheck:
 # Full static-analysis gate: vet, staticcheck, and the repo's custom
 # analyzer suite (detrand, hotalloc, counterpair, errcheckdomain plus
 # the CFG/dataflow analyzers lockguard, ctxpoll, leakcheck — see
-# DESIGN.md §10 and §15). Any finding fails the build.
+# DESIGN.md §9 and §12). Any finding fails the build.
 lint: vet staticcheck
 	$(GO) run ./cmd/lint ./...
 

@@ -125,9 +125,13 @@ func main() {
 	if *sampleSize > 0 && !rateGiven {
 		rate = 0
 	}
+	warm := 0
+	if *noWarm {
+		warm = -1
+	}
 	simCfg := simulate.Config{
 		Machine: machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), pol),
-		Mode:    swMode, Engine: eng, NoWarm: *noWarm, Workers: *workers,
+		Mode:    swMode, Engine: eng, WarmPasses: warm, Workers: *workers,
 		SampleRate: rate, SampleSize: *sampleSize,
 	}
 	// The curve server's rule for the same knobs, before any capture.

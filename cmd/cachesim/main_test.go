@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http/httptest"
@@ -33,11 +34,25 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns a child that runs this test binary as the CLI. It is
+// killed when the test's -timeout deadline passes or the test ends, so
+// a hung invocation cannot outlive the test binary.
+func command(t *testing.T, args ...string) *exec.Cmd {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if d, ok := t.Deadline(); ok {
+		ctx, cancel = context.WithDeadline(ctx, d)
+		t.Cleanup(cancel)
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "CACHESIM_UNDER_TEST=1")
+	return cmd
+}
+
 // run runs one CLI invocation in a subprocess and returns its stdout,
 // its stderr and its exit error.
-func run(args ...string) (string, string, error) {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "CACHESIM_UNDER_TEST=1")
+func run(t *testing.T, args ...string) (string, string, error) {
+	cmd := command(t, args...)
 	var stdout, stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()
@@ -48,7 +63,7 @@ func run(args ...string) (string, string, error) {
 // test on a non-zero exit.
 func cachesim(t *testing.T, args ...string) string {
 	t.Helper()
-	out, errOut, err := run(args...)
+	out, errOut, err := run(t, args...)
 	if err != nil {
 		t.Fatalf("cachesim %s: %v\n%s", strings.Join(args, " "), err, errOut)
 	}
@@ -75,7 +90,7 @@ func TestRejectsBadCounts(t *testing.T) {
 		{"skip=-1", "-skip", "-1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, errOut, err := run(tc.flag, tc.value, "microrand")
+			_, errOut, err := run(t, tc.flag, tc.value, "microrand")
 			wantUsageExit(t, err, errOut, "-records must be at least 1")
 		})
 	}
@@ -94,7 +109,7 @@ func TestRejectsBadSampling(t *testing.T) {
 		{"-sample-size", "-5", "-sample-size must be in [0, "},
 	} {
 		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
-			_, errOut, err := run("-engine", "analytic", tc.flag, tc.value, "microrand")
+			_, errOut, err := run(t, "-engine", "analytic", tc.flag, tc.value, "microrand")
 			wantUsageExit(t, err, errOut, tc.msg)
 		})
 	}
@@ -107,7 +122,7 @@ func TestLoadSaveRejected(t *testing.T) {
 	src := filepath.Join(dir, "src.cptr2")
 	cachesim(t, "-records", "500", "-j", "1", "-save", src, "microrand")
 	dst := filepath.Join(dir, "dst.cptr2")
-	_, errOut, err := run("-load", src, "-save", dst)
+	_, errOut, err := run(t, "-load", src, "-save", dst)
 	wantUsageExit(t, err, errOut, "tracer compact")
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {
 		t.Errorf("-load -save left an output file (stat: %v)", err)
@@ -160,7 +175,7 @@ func TestLoadRejectsV1(t *testing.T) {
 		{"stack", []string{"-stack"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			_, errOut, err := run(append(tc.flags, "-j", "1", "-load", path)...)
+			_, errOut, err := run(t, append(tc.flags, "-j", "1", "-load", path)...)
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 1 || strings.Contains(errOut, "panic") {
 				t.Errorf("-load of a v1 file: %v\n%s", err, errOut)
@@ -238,8 +253,12 @@ func libraryVerdict(q url.Values) (string, *simulate.ConfigError) {
 		}
 	}
 	if v := q.Get("nowarm"); v != "" {
-		if cfg.NoWarm, err = strconv.ParseBool(v); err != nil {
+		cold, err := strconv.ParseBool(v)
+		if err != nil {
 			return "bad_param", nil
+		}
+		if cold {
+			cfg.WarmPasses = -1
 		}
 	}
 	if v := q.Get("sample_size"); v != "" {
@@ -318,7 +337,7 @@ func TestThreeDoorVerdicts(t *testing.T) {
 			for _, k := range keys {
 				args = append(args, "-"+strings.ReplaceAll(k, "_", "-")+"="+q.Get(k))
 			}
-			out, errOut, err := run(append(args, "microrand")...)
+			out, errOut, err := run(t, append(args, "microrand")...)
 			if row.want != "" {
 				msg := ""
 				if ce != nil {

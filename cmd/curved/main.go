@@ -12,7 +12,7 @@
 //	curl --data-binary @mcf.trace http://localhost:8080/v1/traces
 //	curl "http://localhost:8080/v1/curves?trace=<hash>&engine=fused"
 //
-// See DESIGN.md §14 for the API and error taxonomy.
+// See DESIGN.md §11 for the API and error taxonomy.
 package main
 
 import (

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -20,6 +21,21 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns a child that runs this test binary as the CLI. It is
+// killed when the test's -timeout deadline passes or the test ends, so
+// a hung invocation cannot outlive the test binary.
+func command(t *testing.T, args ...string) *exec.Cmd {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if d, ok := t.Deadline(); ok {
+		ctx, cancel = context.WithDeadline(ctx, d)
+		t.Cleanup(cancel)
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_UNDER_TEST=1")
+	return cmd
+}
+
 // TestRejectsBadOptions pins that an out-of-range flag exits 2 with one
 // line naming it, before any experiment runs: -trace -5 used to exit 1
 // on a recovered makeslice panic inside the runner, and -cycles -1 on
@@ -36,8 +52,7 @@ func TestRejectsBadOptions(t *testing.T) {
 		{[]string{"-interval", "18446744073709551615", "fig1"}, "-interval"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
-			cmd := exec.Command(os.Args[0], tc.args...)
-			cmd.Env = append(os.Environ(), "EXPERIMENTS_UNDER_TEST=1")
+			cmd := command(t, tc.args...)
 			var stdout, stderr strings.Builder
 			cmd.Stdout, cmd.Stderr = &stdout, &stderr
 			err := cmd.Run()

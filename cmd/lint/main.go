@@ -7,7 +7,7 @@
 //	go run ./cmd/lint ./...
 //	go run ./cmd/lint -a detrand,hotalloc ./internal/cache
 //
-// The seven analyzers (see DESIGN.md §10 and §15):
+// The seven analyzers (see DESIGN.md §9 and §12):
 //
 //	detrand        nondeterminism in simulation packages
 //	hotalloc       allocation in //lint:hotpath functions

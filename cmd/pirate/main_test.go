@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -21,12 +22,26 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns a child that runs this test binary as the CLI. It is
+// killed when the test's -timeout deadline passes or the test ends, so
+// a hung invocation cannot outlive the test binary.
+func command(t *testing.T, args ...string) *exec.Cmd {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if d, ok := t.Deadline(); ok {
+		ctx, cancel = context.WithDeadline(ctx, d)
+		t.Cleanup(cancel)
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "PIRATE_UNDER_TEST=1")
+	return cmd
+}
+
 // usageExit runs one CLI invocation, fails the test unless it exits 2,
 // and returns its stdout and stderr.
 func usageExit(t *testing.T, args ...string) (string, string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "PIRATE_UNDER_TEST=1")
+	cmd := command(t, args...)
 	var stdout, stderr strings.Builder
 	cmd.Stdout, cmd.Stderr = &stdout, &stderr
 	err := cmd.Run()

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"os"
 	"os/exec"
@@ -24,12 +25,25 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// command returns a child that runs this test binary as the CLI. It is
+// killed when the test's -timeout deadline passes or the test ends, so
+// a hung invocation cannot outlive the test binary.
+func command(t *testing.T, args ...string) *exec.Cmd {
+	ctx, cancel := context.WithCancel(context.Background())
+	t.Cleanup(cancel)
+	if d, ok := t.Deadline(); ok {
+		ctx, cancel = context.WithDeadline(ctx, d)
+		t.Cleanup(cancel)
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "TRACER_UNDER_TEST=1")
+	return cmd
+}
+
 // run runs one CLI invocation in a subprocess and returns its combined
 // output and exit error.
-func run(args ...string) (string, error) {
-	cmd := exec.Command(os.Args[0], args...)
-	cmd.Env = append(os.Environ(), "TRACER_UNDER_TEST=1")
-	out, err := cmd.CombinedOutput()
+func run(t *testing.T, args ...string) (string, error) {
+	out, err := command(t, args...).CombinedOutput()
 	return string(out), err
 }
 
@@ -37,7 +51,7 @@ func run(args ...string) (string, error) {
 // failing the test on a non-zero exit.
 func tracer(t *testing.T, args ...string) string {
 	t.Helper()
-	out, err := run(args...)
+	out, err := run(t, args...)
 	if err != nil {
 		t.Fatalf("tracer %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
@@ -186,7 +200,7 @@ func TestInfoCheck(t *testing.T) {
 	if err := os.WriteFile(v1, []byte("CPTR1\n\x01\x02\x02\x01"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	out, err := run("info", v1)
+	out, err := run(t, "info", v1)
 	var exit *exec.ExitError
 	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(out, "tracer: ") || strings.Contains(out, "panic") {
 		t.Errorf("info on a v1 file: %v\n%s", err, out)
@@ -204,7 +218,7 @@ func TestRecordRejectsBadCounts(t *testing.T) {
 		{"-skip", "-1"},
 	} {
 		path := filepath.Join(dir, "t.cptr2")
-		out, err := run(append(append([]string{"record"}, args...), "-o", path, "microrand")...)
+		out, err := run(t, append(append([]string{"record"}, args...), "-o", path, "microrand")...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "tracer: -records must be at least 1") {
 			t.Errorf("record %s: %v\n%s", strings.Join(args, " "), err, out)
@@ -228,7 +242,7 @@ func TestRejectsBadFrame(t *testing.T) {
 			{"record", "-records", "100", "-frame", frame, "-o", dst, "microrand"},
 			{"compact", "-frame", frame, "-o", dst, src},
 		} {
-			out, err := run(args...)
+			out, err := run(t, args...)
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 || !strings.Contains(out, "tracer: -frame must be between 1 and 1048576") {
 				t.Errorf("%s: %v\n%s", strings.Join(args, " "), err, out)
@@ -249,7 +263,7 @@ func TestRejectsBadFrame(t *testing.T) {
 // TestUsageFlagsDefined checks every -flag the usage text names against
 // the flags its subcommand defines, as `tracer <sub> -h` prints them.
 func TestUsageFlagsDefined(t *testing.T) {
-	usage, _ := run() // no subcommand: usage, exit 2
+	usage, _ := run(t) // no subcommand: usage, exit 2
 	lines := 0
 	for _, line := range strings.Split(usage, "\n") {
 		fields := strings.Fields(line)
@@ -257,7 +271,7 @@ func TestUsageFlagsDefined(t *testing.T) {
 			continue
 		}
 		lines++
-		help, _ := run(fields[1], "-h")
+		help, _ := run(t, fields[1], "-h")
 		for _, name := range usageFlag.FindAllStringSubmatch(line, -1) {
 			if !strings.Contains(help, "\n  -"+name[1]+" ") && !strings.Contains(help, "\n  -"+name[1]+"\n") {
 				t.Errorf("usage %q names -%s, which tracer %s does not define:\n%s", line, name[1], fields[1], help)

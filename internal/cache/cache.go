@@ -455,7 +455,7 @@ func (c *Cache) hit(mi uint64, base, w int, write bool, st *OwnerStats) (wasPref
 // and Result.Evicted carries the victim. Because a demand fill
 // immediately follows its miss with no intervening operation on this
 // cache, fusing the two cannot change any replacement decision; it only
-// removes the second tag scan (see DESIGN.md §8).
+// removes the second tag scan (see DESIGN.md §7).
 //
 //lint:hotpath
 func (c *Cache) AccessFill(a Addr, write bool, owner Owner) Result {

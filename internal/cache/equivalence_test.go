@@ -42,7 +42,7 @@ func equivConfigs(pol PolicyKind) []Config {
 // accesses, fused access+fill, plain and prefetch fills, invalidations,
 // dirty marks — through the reference AoS model and the SoA kernel,
 // asserting identical results on every operation and identical final
-// statistics. This is the proof behind DESIGN.md §8's claim that the
+// statistics. This is the proof behind DESIGN.md §7's claim that the
 // single-pass layout cannot change replacement decisions.
 func TestPolicyEquivalence(t *testing.T) {
 	for _, pol := range []PolicyKind{LRU, PseudoLRU, Nehalem, Random} {

@@ -196,7 +196,7 @@ func (h *Hierarchy) Access(core int, addr Addr, write bool) Outcome {
 // bases the probes computed, with the replacement-policy dispatch
 // written out at each site so the per-policy leaves inline into it (the
 // general touch and victim dispatchers are over the inliner's budget;
-// DESIGN.md §8, `make check-inline`). Only the two policies the Table-I
+// DESIGN.md §7, `make check-inline`). Only the two policies the Table-I
 // machine is built from get an inline victim arm; LRU and Random go
 // through victim(), a call on a path that evicts.
 //

@@ -187,7 +187,7 @@ func backingHeads(b *FusedBacking) []uintptr {
 // read bytes follow from the served level and the prefetch count), with
 // a prefetcher filling several lines per access and an L3 small enough
 // that writebacks reach DRAM. The two walks are separate flattened
-// bodies (DESIGN.md §8), so after the stream every level's complete
+// bodies (DESIGN.md §7), so after the stream every level's complete
 // line and replacement state, and the L3's counters, must be equal too:
 // a drift that no outcome has shown yet still fails.
 func TestFusedAccessOutcomeMatchesHierarchy(t *testing.T) {

@@ -116,7 +116,7 @@ func (c *Reference) Access(a Addr, write bool, owner Owner) Result {
 	return Result{}
 }
 
-// AccessFill is the fused demand path, defined — as DESIGN.md §8
+// AccessFill is the fused demand path, defined — as DESIGN.md §7
 // argues it must be — as Access immediately followed by Fill on a
 // miss, with Result.Hit reporting the demand outcome.
 func (c *Reference) AccessFill(a Addr, write bool, owner Owner) Result {

@@ -14,7 +14,7 @@ import (
 // AnalyticBounds states the error budget CheckAnalyticEquivalence
 // enforces between the SHARDS-sampled analytic curves and the exact
 // passes. The bounds are part of the analytic subsystem's contract
-// (DESIGN.md §13): exactness where sampling degenerates, explicit
+// (DESIGN.md §10): exactness where sampling degenerates, explicit
 // tolerances where it does not.
 type AnalyticBounds struct {
 	// Rate is the SHARDS sampling rate the sampled comparisons run at.

@@ -37,11 +37,11 @@ func TestParallelSweepEquivalenceMatrix(t *testing.T) {
 					}
 					t.Run(name, func(t *testing.T) {
 						cfg := simulate.Config{
-							Machine: sweepMachine(policy, false),
-							Sizes:   sizes,
-							Mode:    mode,
-							Engine:  simulate.EngineFused,
-							NoWarm:  noWarm,
+							Machine:    sweepMachine(policy, false),
+							Sizes:      sizes,
+							Mode:       mode,
+							Engine:     simulate.EngineFused,
+							WarmPasses: warmPasses(noWarm),
 						}
 						for i, sp := range sweepSpans {
 							t.Run(sp.name, func(t *testing.T) {

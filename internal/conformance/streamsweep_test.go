@@ -24,11 +24,11 @@ func TestStreamSweepParity(t *testing.T) {
 				name := fmt.Sprintf("%v/noWarm=%v/j%d", engine, noWarm, workers)
 				t.Run(name, func(t *testing.T) {
 					cfg := simulate.Config{
-						Machine: sweepMachine(cache.Nehalem, false),
-						Mode:    simulate.ByWays,
-						Engine:  engine,
-						NoWarm:  noWarm,
-						Workers: workers,
+						Machine:    sweepMachine(cache.Nehalem, false),
+						Mode:       simulate.ByWays,
+						Engine:     engine,
+						WarmPasses: warmPasses(noWarm),
+						Workers:    workers,
 					}
 					for i, sp := range sweepSpans {
 						t.Run(sp.name, func(t *testing.T) {

@@ -139,11 +139,11 @@ func TestSweepEquivalenceMatrix(t *testing.T) {
 					name := fmt.Sprintf("%v/%v/noWarm=%v/j%d", policy, engineModeName(mode), noWarm, workers)
 					t.Run(name, func(t *testing.T) {
 						cfg := simulate.Config{
-							Machine: sweepMachine(policy, false),
-							Sizes:   sizes,
-							Mode:    mode,
-							NoWarm:  noWarm,
-							Workers: workers,
+							Machine:    sweepMachine(policy, false),
+							Sizes:      sizes,
+							Mode:       mode,
+							WarmPasses: warmPasses(noWarm),
+							Workers:    workers,
 						}
 						for i, sp := range sweepSpans {
 							t.Run(sp.name, func(t *testing.T) {
@@ -229,6 +229,15 @@ func TestSweepEquivalenceUnsortedSizes(t *testing.T) {
 	}
 }
 
+// warmPasses is the Config.WarmPasses of a sweep with the default warm-up
+// (0) or of a cold one, measured on its first replay (-1).
+func warmPasses(noWarm bool) int {
+	if noWarm {
+		return -1
+	}
+	return 0
+}
+
 func engineModeName(m simulate.SweepMode) string {
 	if m == simulate.ByWays {
 		return "byways"
@@ -304,16 +313,16 @@ func TestFootprintProbeProperty(t *testing.T) {
 		}
 		tr := trace.Capture(workload.TraceSource{Gen: gen}, 1500)
 		cfg := simulate.Config{
-			Machine: mcfg,
-			Sizes:   sizes,
-			Mode:    mode,
-			NoWarm:  rng.Intn(3) == 0,
-			Workers: 1 + 2*rng.Intn(2),
+			Machine:    mcfg,
+			Sizes:      sizes,
+			Mode:       mode,
+			WarmPasses: warmPasses(rng.Intn(3) == 0),
+			Workers:    1 + 2*rng.Intn(2),
 		}
 		n, err := cloned(func() error { return CheckSweepEquivalence(cfg, tr) })
 		if err != nil {
 			t.Fatalf("case %d (%v, %v, %d sets x %d ways, sizes %v, prefetcher %v, %d-line footprint at line %d, noWarm %v, j%d): %v",
-				i, policy, engineModeName(mode), sets, ways, sizes, mcfg.NewPrefetcher != nil, lines, base/64, cfg.NoWarm, cfg.Workers, err)
+				i, policy, engineModeName(mode), sets, ways, sizes, mcfg.NewPrefetcher != nil, lines, base/64, cfg.WarmPasses < 0, cfg.Workers, err)
 		}
 		switch {
 		case cfg.Workers > 1:

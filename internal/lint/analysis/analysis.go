@@ -12,7 +12,7 @@
 //	//lint:ignore <analyzer> <justification>
 //
 // The justification is mandatory; a bare //lint:ignore suppresses
-// nothing (see DESIGN.md §10).
+// nothing (see DESIGN.md §9).
 package analysis
 
 import (

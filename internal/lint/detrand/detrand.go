@@ -9,7 +9,7 @@
 // The check is deliberately syntactic (no CFG or call graph): a banned
 // construct is a finding wherever it appears, reachable or not. The
 // flow-sensitive end of the suite — goroutine join edges, lock
-// domination — lives in leakcheck and lockguard (DESIGN.md §15).
+// domination — lives in leakcheck and lockguard (DESIGN.md §12).
 package detrand
 
 import (

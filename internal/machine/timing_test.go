@@ -18,7 +18,7 @@ const (
 )
 
 // TestChargeHandDerived holds Shared.Charge and Shared.WriteBack to
-// expectations written out by hand from the model (DESIGN.md §8): one
+// expectations written out by hand from the model (DESIGN.md §7): one
 // row per kind of access past L2, on servers whose bytes/cycle make
 // every line service time inexact, so each expected value is the same
 // float64 expression, in the same order, that the recurrence must

@@ -67,15 +67,18 @@ func (j JobSpec) Key() string {
 // deliberately NOT part of JobSpec.Key — parallelism never changes the
 // result, so cached curves stay valid across width changes.
 func (j JobSpec) simConfig(workers int) simulate.Config {
-	return simulate.Config{
+	cfg := simulate.Config{
 		Machine:    machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), j.Policy),
 		Mode:       j.Mode,
 		Engine:     j.Engine,
-		NoWarm:     j.NoWarm,
 		SampleRate: j.SampleRate,
 		SampleSize: j.SampleSize,
 		Workers:    workers,
 	}
+	if j.NoWarm {
+		cfg.WarmPasses = -1
+	}
+	return cfg
 }
 
 // parseJobSpec parses the curve-request query parameters and checks the

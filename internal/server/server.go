@@ -50,7 +50,7 @@ type Config struct {
 }
 
 // Server is the HTTP curve service. See the package comment for the
-// moving parts and DESIGN.md §14 for the endpoint and error taxonomy.
+// moving parts and DESIGN.md §11 for the endpoint and error taxonomy.
 type Server struct {
 	store        *Store
 	cache        *lruCache[[]byte]

@@ -8,7 +8,7 @@
 // identical in-flight jobs, and a bounded job queue (runner.Queue)
 // with per-job deadlines that propagate into the replay loops.
 //
-// See DESIGN.md §14 for the architecture and the error taxonomy.
+// See DESIGN.md §11 for the architecture and the error taxonomy.
 package server
 
 import (

@@ -356,7 +356,7 @@ func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockS
 // (every size the footprint probe proves, and the probe itself when it
 // fits) or because it has one way, where every policy's victim is the
 // only way there is. Such a point is the same, bit for bit, under every
-// L3 replacement policy (DESIGN.md §11), so a caller that sweeps one
+// L3 replacement policy (DESIGN.md §7), so a caller that sweeps one
 // trace under several policies need sweep only the other sizes, through
 // Config.Sizes, for the second policy on.
 func SweepPolicyFree(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {

@@ -410,9 +410,9 @@ func samePointBits(a, b analysis.Point) bool {
 		math.Float64bits(a.MissRatio) == math.Float64bits(b.MissRatio)
 }
 
-// TestNoWarmMeasuresColdCache pins the WarmPasses fix: NoWarm must
-// measure the very first replay (cold caches see compulsory misses),
-// while the default warms the hierarchy first.
+// TestNoWarmMeasuresColdCache pins the WarmPasses fix: a negative
+// WarmPasses must measure the very first replay (cold caches see
+// compulsory misses), while the default warms the hierarchy first.
 func TestNoWarmMeasuresColdCache(t *testing.T) {
 	// A sequential trace that fits the L3: warmed, it hits every time;
 	// cold, every line is a compulsory miss.
@@ -424,17 +424,17 @@ func TestNoWarmMeasuresColdCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := Sweep(Config{Machine: smallMachine(), Sizes: size, NoWarm: true}, tr)
+	cold, err := Sweep(Config{Machine: smallMachine(), Sizes: size, WarmPasses: -1}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.Points[0].FetchRatio <= warm.Points[0].FetchRatio {
-		t.Errorf("cold fetch ratio %g not above warm %g — NoWarm did not skip warm-up",
+		t.Errorf("cold fetch ratio %g not above warm %g — WarmPasses -1 did not skip warm-up",
 			cold.Points[0].FetchRatio, warm.Points[0].FetchRatio)
 	}
 	// Both engines must agree on the cold measurement too (the matrix
 	// test covers this broadly; this is the targeted regression).
-	coldPer, err := Sweep(Config{Machine: smallMachine(), Sizes: size, NoWarm: true, Engine: EnginePerSize}, tr)
+	coldPer, err := Sweep(Config{Machine: smallMachine(), Sizes: size, WarmPasses: -1, Engine: EnginePerSize}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,12 +451,6 @@ func TestWarmPassesExplicitValues(t *testing.T) {
 	}
 	if got := (Config{WarmPasses: 3}).withDefaults().WarmPasses; got != 3 {
 		t.Errorf("WarmPasses 3 -> %d", got)
-	}
-	if got := (Config{NoWarm: true}).withDefaults().WarmPasses; got != 0 {
-		t.Errorf("NoWarm -> %d warm passes, want 0", got)
-	}
-	if got := (Config{NoWarm: true, WarmPasses: 5}).withDefaults().WarmPasses; got != 0 {
-		t.Errorf("NoWarm with WarmPasses 5 -> %d, want 0", got)
 	}
 	if got := (Config{WarmPasses: -1}).withDefaults().WarmPasses; got != 0 {
 		t.Errorf("WarmPasses -1 -> %d, want 0", got)

@@ -140,20 +140,16 @@ type Config struct {
 	// none; it does not affect fetch ratios, only CPI).
 	MLP float64
 	// WarmPasses is how many full trace replays warm the cache before
-	// the measured replay (default 1). The zero value means the
-	// default; request a genuinely cold measurement with NoWarm.
+	// the measured replay. The zero value means the default, 1; a
+	// negative value measures the first replay cold, with no warm-up.
 	WarmPasses int
-	// NoWarm measures the first replay with no warm-up pass. (A plain
-	// WarmPasses: 0 cannot express this: zero is the "use the default"
-	// value, so it is promoted to 1.)
-	NoWarm bool
 	// Workers bounds the sweep's parallelism. The fused engine replays
 	// the largest size on its own, then the others in consecutive
 	// replica groups of bounded line state, each over its own source,
 	// and Workers is how many groups replay at once (1: one after
 	// another on the calling goroutine; a group holds at most
 	// ceil(others/Workers) replicas, so a small sweep still splits —
-	// DESIGN.md §11). On the per-size engine each size gets its own
+	// DESIGN.md §7). On the per-size engine each size gets its own
 	// fresh machine and trace replayer. Results are bit-identical at
 	// any width either way; <= 0 means one worker per CPU.
 	Workers int
@@ -167,7 +163,7 @@ func (c Config) withDefaults() Config {
 	if c.MLP == 0 {
 		c.MLP = 2
 	}
-	if c.NoWarm || c.WarmPasses < 0 {
+	if c.WarmPasses < 0 {
 		c.WarmPasses = 0
 	} else if c.WarmPasses == 0 {
 		c.WarmPasses = 1

@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"cachepirate/internal/trace"
 )
@@ -190,7 +191,7 @@ func (p *SampledProfiler) Live() int { return p.live }
 // TrackedBytes reports the size of the profiler's variable state (tree
 // pool + hash table + heap), the quantity fixed-size mode bounds.
 func (p *SampledProfiler) TrackedBytes() int {
-	return len(p.tree.nodes)*treeNodeBytes + len(p.table.keys)*12 + len(p.heapHash)*8
+	return len(p.tree.nodes)*int(unsafe.Sizeof(treeNode{})) + len(p.table.keys)*12 + len(p.heapHash)*8
 }
 
 // Feed consumes a block of records, growing pooled state between

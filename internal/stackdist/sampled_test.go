@@ -159,12 +159,23 @@ func TestSampledEstimatesExact(t *testing.T) {
 	}
 }
 
-// TestTreeNodeBytes pins the per-node charge of TrackedBytes to the
-// node's real size, so the O(cap) bound TestSampledFixedSizeBounds
-// reads through TrackedBytes cannot drift from memory actually held.
+// TestTreeNodeBytes pins the per-node charge of TrackedBytes, the size
+// TestSampledFixedSizeBounds reads the O(cap) bound through: a node is
+// four 4-byte fields and a uint64, 32 bytes where a uint64 is 8-byte
+// aligned and 28 on 32-bit platforms, where it is 4-byte aligned.
 func TestTreeNodeBytes(t *testing.T) {
-	if got := unsafe.Sizeof(treeNode{}); got != treeNodeBytes {
-		t.Errorf("treeNode is %d bytes, TrackedBytes charges %d", got, treeNodeBytes)
+	want := 32
+	if unsafe.Alignof(uint64(0)) == 4 {
+		want = 28
+	}
+	p, err := NewSampledProfiler(SampledConfig{MaxSampled: 64, MaxDistance: 4096, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := p.TrackedBytes()
+	p.tree.grow(10)
+	if got := p.TrackedBytes() - before; got != 10*want {
+		t.Errorf("10 more tree nodes charge %d bytes, want %d", got, 10*want)
 	}
 }
 

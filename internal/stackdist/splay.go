@@ -34,10 +34,6 @@ type treeNode struct {
 	hash                uint32
 }
 
-// treeNodeBytes is what SampledProfiler.TrackedBytes charges per pooled
-// node: unsafe.Sizeof(treeNode{}), which TestTreeNodeBytes pins.
-const treeNodeBytes = 32
-
 // newReuseTree builds a tree with capacity pooled nodes, all free.
 func newReuseTree(capacity int) *reuseTree {
 	t := &reuseTree{root: nilNode, free: nilNode}

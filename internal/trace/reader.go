@@ -24,7 +24,7 @@ const readerBufBytes = 1 << 19
 // passes consume a frame about as fast as it decodes, and a decoder
 // only one frame ahead of such a consumer parks on every frame and the
 // consumer waits out a goroutine wake-up each time (~60 µs a frame on
-// a 2-vCPU host, DESIGN.md §12); three frames of slack let the decoder
+// a 2-vCPU host, DESIGN.md §7); three frames of slack let the decoder
 // run through the consumer's jitter instead. With GOMAXPROCS == 1 it
 // decodes inline on the caller's goroutine. Either way it is the same
 // frameDecoder in the same order, so blocks, errors, Frames and header

@@ -39,9 +39,9 @@ type Trace struct {
 	// instrs caches Instructions() as total+1 (0 = not yet computed),
 	// written once at capture/decode time — or lazily on first call —
 	// so per-sweep-config callers do not recompute an O(n) sum.
-	// Accessed atomically: concurrent sweep workers share read-only
-	// traces and may race on the first lazy computation.
-	instrs uint64
+	// Atomic (8-byte aligned on 32-bit platforms too): sweep workers
+	// share read-only traces and may race on the first lazy computation.
+	instrs atomic.Uint64
 }
 
 // Len returns the number of records.
@@ -52,20 +52,20 @@ func (t *Trace) Len() int { return len(t.Records) }
 // The sum is computed once — at capture/decode time for traces built
 // by this package, on first call otherwise — and cached.
 func (t *Trace) Instructions() uint64 {
-	if v := atomic.LoadUint64(&t.instrs); v != 0 {
+	if v := t.instrs.Load(); v != 0 {
 		return v - 1
 	}
 	var n uint64
 	for i := range t.Records {
 		n += uint64(t.Records[i].NInstr) + 1
 	}
-	atomic.StoreUint64(&t.instrs, n+1)
+	t.instrs.Store(n + 1)
 	return n
 }
 
 // setInstructions seeds the Instructions cache at capture/decode time.
 func (t *Trace) setInstructions(n uint64) {
-	atomic.StoreUint64(&t.instrs, n+1)
+	t.instrs.Store(n + 1)
 }
 
 // Source produces records one at a time; workload generators adapt to
