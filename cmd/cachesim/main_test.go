@@ -115,6 +115,20 @@ func TestRejectsBadSampling(t *testing.T) {
 	}
 }
 
+// TestEmptySampleFails pins that an analytic estimate with no sampled
+// access is an error: 60 records at the default rate 0.01 sample none,
+// which used to print 0.00% misses at every size with a zero error bar.
+func TestEmptySampleFails(t *testing.T) {
+	out, errOut, err := run(t, "-records", "60", "-engine", "analytic", "-policy", "lru", "-csv", "microrand")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 || !strings.Contains(errOut, "no access of the 60 records passed the SHARDS filter at sample rate 0.01") {
+		t.Errorf("got %v, want exit 1 naming the records and the rate\n%s", err, errOut)
+	}
+	if out != "" {
+		t.Errorf("printed a curve:\n%s", out)
+	}
+}
+
 // TestLoadSaveRejected pins that -save works on captures only: with
 // -load it exits 2, names the re-encode command and writes nothing.
 func TestLoadSaveRejected(t *testing.T) {

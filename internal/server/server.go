@@ -373,9 +373,12 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 // curveError maps compute-path failures onto the error taxonomy.
 func curveError(err error) *apiError {
 	var aerr *apiError
+	var empty *simulate.EmptySampleError
 	switch {
 	case errors.As(err, &aerr):
 		return aerr
+	case errors.As(err, &empty):
+		return &apiError{status: http.StatusUnprocessableEntity, code: "empty_sample", msg: err.Error()}
 	case errors.Is(err, runner.ErrQueueFull):
 		return &apiError{status: http.StatusTooManyRequests, code: "queue_full", msg: "job queue is full; retry shortly"}
 	case errors.Is(err, runner.ErrQueueClosed):

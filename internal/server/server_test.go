@@ -451,3 +451,30 @@ func TestStatszSweepReplicas(t *testing.T) {
 		t.Errorf("a policy variant moved the result cache by %d hits / %d misses, want 0 / 1", dh, dm)
 	}
 }
+
+// TestCurveEmptySample: an analytic request whose sample rate lets no
+// access of a stored trace through is the client's to fix, a 422
+// empty_sample naming the rate and the record count, not a curve of
+// zero misses (or a 500).
+func TestCurveEmptySample(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	s.compute = s.computeDirect // newTestServer stubs the engines out
+	raw, _ := testTraceBytes(t, "microrand", 1, 60)
+	info, err := s.store.Put(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := do(t, s, http.MethodGet, "/v1/curves?trace="+info.Hash+"&engine=analytic&sample_rate=0.01", nil)
+	if rec.Code != http.StatusUnprocessableEntity {
+		t.Fatalf("status = %d, want 422 (body %q)", rec.Code, rec.Body.String())
+	}
+	if code := decodeAPIError(t, rec); code != "empty_sample" {
+		t.Errorf("code = %q, want empty_sample", code)
+	}
+	if body := rec.Body.String(); !strings.Contains(body, "60 records") || !strings.Contains(body, "rate 0.01") {
+		t.Errorf("message does not name the record count and the rate: %s", body)
+	}
+	if rec := do(t, s, http.MethodGet, "/v1/curves?trace="+info.Hash+"&engine=analytic&sample_rate=1", nil); rec.Code != http.StatusOK {
+		t.Errorf("rate 1: status %d (body %q)", rec.Code, rec.Body.String())
+	}
+}

@@ -90,7 +90,23 @@ func AnalyticEstimate(ctx context.Context, cfg Config, open func() (trace.BlockS
 	if prof.Hist.Records == 0 {
 		return nil, fmt.Errorf("simulate: empty trace")
 	}
+	if prof.Hist.Sampled == 0 {
+		return nil, &EmptySampleError{Rate: prof.Hist.Rate, Records: prof.Hist.Records}
+	}
 	return prof.Estimate(grid)
+}
+
+// EmptySampleError is AnalyticEstimate's verdict on a stream of which
+// no access passed the SHARDS filter. With no sample the histogram
+// holds no mass, and the model would read it as a cache that never
+// misses.
+type EmptySampleError struct {
+	Rate    float64 // the sampling rate in effect
+	Records uint64  // the records the stream held
+}
+
+func (e *EmptySampleError) Error() string {
+	return fmt.Sprintf("simulate: no access of the %d records passed the SHARDS filter at sample rate %.4g; raise the rate or set a sample size", e.Records, e.Rate)
 }
 
 // AnalyticCurveStream is SweepStream with EngineAnalytic. Kept only

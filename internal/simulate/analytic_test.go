@@ -2,12 +2,15 @@ package simulate
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/cache"
 	"cachepirate/internal/trace"
+	"cachepirate/internal/workload"
 )
 
 // lruSweepConfig is the acceptance geometry: the small 16-way LRU L3,
@@ -168,5 +171,33 @@ func TestAnalyticEmptyTrace(t *testing.T) {
 	}
 	if _, err := SweepStream(cfg, replayer(&trace.Trace{})); err == nil {
 		t.Error("empty stream accepted")
+	}
+}
+
+// TestAnalyticEmptySampleIsError: a stream of which no access passes
+// the SHARDS filter has no estimate. 60 records at rate 0.01 sample
+// none, and the estimate used to read that as a cache that never
+// misses, with zero error bars; it must be an EmptySampleError naming
+// the rate and the record count, through the estimate and the sweep.
+// (microrand's first 60 records at seed 1 are the trace cachesim and
+// curved are pinned on too.)
+func TestAnalyticEmptySampleIsError(t *testing.T) {
+	tr := CaptureTrace(workload.MustByName("microrand").New, 1, 0, 60)
+	cfg := lruSweepConfig(EngineAnalytic)
+	cfg.SampleRate = 0.01
+	_, err := AnalyticEstimate(context.Background(), cfg, replayer(tr))
+	var empty *EmptySampleError
+	if !errors.As(err, &empty) || empty.Records != 60 || empty.Rate <= 0 || empty.Rate > 0.01 {
+		t.Fatalf("AnalyticEstimate = %v, want an EmptySampleError over 60 records at rate 0.01", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "60 records") || !strings.Contains(msg, "rate 0.01") {
+		t.Errorf("error %q does not name the record count and the rate", msg)
+	}
+	if _, err := SweepStream(cfg, replayer(tr)); !errors.As(err, &empty) {
+		t.Errorf("SweepStream = %v, want an EmptySampleError", err)
+	}
+	cfg.SampleRate = 1
+	if _, err := AnalyticEstimate(context.Background(), cfg, replayer(tr)); err != nil {
+		t.Errorf("rate 1 over the same records: %v", err)
 	}
 }

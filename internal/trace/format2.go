@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync/atomic"
 )
 
 const (
@@ -348,79 +349,129 @@ func truncated(err error) error {
 	return err
 }
 
-// blockBuf is one decode block: the raw frame payload and the decoded
+// blockBuf is one decode block: the frame's payload and its decoded
 // records, both reused across frames so steady-state decode never
-// allocates.
+// allocates. A decode-ahead Reader shares the blocks it has framed
+// between its goroutine and its consumer; state says which of the two
+// decodes each one (see Reader.claim).
 type blockBuf struct {
-	payload []byte
+	payload []byte // owned payload copy: oversized frames, and every frame framed ahead
+	frame   []byte // the framed payload awaiting decode: payload[:plen], or bytes of the bufio window
 	recs    []Record
 	n       int
 	instrs  uint64 // instruction total of recs[:n] (each record is NInstr+1)
+	err     error  // decode error of a block framed ahead
+
+	seq   int64         // stream index of a block framed ahead
+	state atomic.Int32  // blockIdle ... blockConsumer
+	done  chan struct{} // the goroutine's token for a block it claimed, sent once decoded
 }
 
-// frameDecoder decodes consecutive v2 frames from a buffered stream,
+// decode decodes the framed payload into the block's records.
+//
+//lint:hotpath
+func (buf *blockBuf) decode() error {
+	if cap(buf.recs) < buf.n {
+		//lint:ignore hotalloc block buffers grow to the stream's frame size once and are reused for every later frame
+		buf.recs = make([]Record, buf.n)
+	}
+	instrs, err := decodeRecords(buf.frame, buf.recs[:buf.n])
+	buf.instrs = instrs
+	return err
+}
+
+// frameDecoder reads consecutive v2 frames from a buffered stream,
 // carrying the rolling checksum chain. It is shared by the in-memory
 // Read path and the streaming Reader.
 type frameDecoder struct {
 	br     *bufio.Reader
 	chk    uint64
-	frames int64
+	frames int64 // frames decoded by next
 	done   bool
+	// peeked is how many window bytes the last frame's payload aliases,
+	// discarded once it is decoded.
+	peeked int
 	// chkb is the checksum-read scratch; a function-local array would
 	// escape through io.ReadFull and cost one allocation per frame.
 	chkb [8]byte
 }
 
-// next decodes one frame into buf and returns its record count, or
-// io.EOF after a clean terminator. The frame's record count, payload
-// length, checksum and varint structure are all verified before any
-// record is surfaced.
+// next frames and decodes one frame into buf and returns its record
+// count, or io.EOF after a clean terminator. The frame's record count,
+// payload length, checksum and varint structure are all verified
+// before any record is surfaced.
 //
 //lint:hotpath
 func (fd *frameDecoder) next(buf *blockBuf) (int, error) {
+	if err := fd.frame(buf, false); err != nil {
+		return 0, err
+	}
+	if err := buf.decode(); err != nil {
+		return 0, err
+	}
+	if fd.peeked > 0 {
+		if _, err := fd.br.Discard(fd.peeked); err != nil {
+			return 0, truncated(err)
+		}
+	}
+	fd.frames++
+	return buf.n, nil
+}
+
+// frame reads one frame's header and payload and checks the payload
+// against the checksum chain, leaving buf.n and buf.frame set for
+// decode, or returns io.EOF after a clean terminator. With own unset a
+// frame that fits the bufio window is not copied: buf.frame aliases
+// the window, valid until fd.peeked bytes are discarded. Otherwise,
+// and always with own set, the payload is copied into buf.payload,
+// where it outlives the window.
+//
+//lint:hotpath
+func (fd *frameDecoder) frame(buf *blockBuf, own bool) error {
 	if fd.done {
-		return 0, io.EOF
+		return io.EOF
 	}
 	//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
 	count64, err := binary.ReadUvarint(fd.br)
 	if err != nil {
-		return 0, truncated(err)
+		return truncated(err)
 	}
 	if count64 == 0 {
 		fd.done = true
 		if _, err := fd.br.ReadByte(); err == nil {
-			return 0, errTrailing
+			return errTrailing
 		} else if err != io.EOF {
-			return 0, err
+			return err
 		}
-		return 0, io.EOF
+		return io.EOF
 	}
 	if count64 > MaxFrameRecords {
-		return 0, errFrameRecords
+		return errFrameRecords
 	}
 	//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
 	plen64, err := binary.ReadUvarint(fd.br)
 	if err != nil {
-		return 0, truncated(err)
+		return truncated(err)
 	}
 	if plen64 > MaxFramePayload {
-		return 0, errFramePayload
+		return errFramePayload
 	}
 	count, plen := int(count64), int(plen64)
 	if plen < count*minRecordBytes {
-		return 0, errFrameCount
+		return errFrameCount
 	}
 	//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
 	if _, err := io.ReadFull(fd.br, fd.chkb[:]); err != nil {
-		return 0, truncated(err)
+		return truncated(err)
 	}
-	// Frames that fit the bufio window decode straight out of the
-	// buffered bytes; only oversized frames pay a copy into the block's
-	// own payload buffer. The peeked slice stays valid until the
-	// Discard below — checksum and decode touch no other reader state.
-	p, perr := fd.br.Peek(plen)
-	peeked := perr == nil
-	if !peeked {
+	var p []byte
+	fd.peeked = 0
+	if !own {
+		if p, err = fd.br.Peek(plen); err == nil {
+			fd.peeked = plen
+		}
+	}
+	if fd.peeked == 0 {
 		if cap(buf.payload) < plen {
 			//lint:ignore hotalloc block buffers grow to the stream's frame size once and are reused for every later frame
 			buf.payload = make([]byte, plen)
@@ -428,31 +479,17 @@ func (fd *frameDecoder) next(buf *blockBuf) (int, error) {
 		p = buf.payload[:plen]
 		//lint:ignore hotalloc converting the long-lived *bufio.Reader to a stdlib reader interface stores a pointer, it does not heap-allocate
 		if _, err := io.ReadFull(fd.br, p); err != nil {
-			return 0, truncated(err)
+			return truncated(err)
 		}
 	}
 	chk := frameChecksum(fd.chk, p)
 	if chk != binary.LittleEndian.Uint64(fd.chkb[:]) {
-		return 0, errFrameChecksum
+		return errFrameChecksum
 	}
 	fd.chk = chk
-	if cap(buf.recs) < count {
-		//lint:ignore hotalloc block buffers grow to the stream's frame size once and are reused for every later frame
-		buf.recs = make([]Record, count)
-	}
-	instrs, err := decodeRecords(p, buf.recs[:count])
-	if err != nil {
-		return 0, err
-	}
-	buf.instrs = instrs
-	if peeked {
-		if _, err := fd.br.Discard(plen); err != nil {
-			return 0, truncated(err)
-		}
-	}
-	fd.frames++
+	buf.frame = p
 	buf.n = count
-	return count, nil
+	return nil
 }
 
 // maxRecordBytes is the largest possible encoding of one record: two

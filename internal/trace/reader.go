@@ -12,22 +12,27 @@ import (
 
 // readerBufBytes sizes the bufio window. It is chosen so a
 // default-framed stream (DefaultFrameRecords records at the
-// worst-case maxRecordBytes each) always fits, letting frameDecoder
+// worst-case maxRecordBytes each) always fits, letting inline decode
 // checksum and decode straight out of the buffered bytes instead of
 // copying each payload.
 const readerBufBytes = 1 << 19
 
+// readerBlocks is how many block buffers a Reader owns: the one its
+// consumer holds and three framed ahead.
+const readerBlocks = 4
+
 // Reader streams a trace from a seekable byte stream frame by frame
 // in O(block) memory: the out-of-core implementation of BlockSource.
-// With GOMAXPROCS > 1, a pass decodes up to three frames ahead on one
-// background goroutine (see decodeAhead). The Mattson and SHARDS
-// passes consume a frame about as fast as it decodes, and a decoder
-// only one frame ahead of such a consumer parks on every frame and the
-// consumer waits out a goroutine wake-up each time (~60 µs a frame on
-// a 2-vCPU host, DESIGN.md §7); three frames of slack let the decoder
-// run through the consumer's jitter instead. With GOMAXPROCS == 1 it
-// decodes inline on the caller's goroutine. Either way it is the same
-// frameDecoder in the same order, so blocks, errors, Frames and header
+// With GOMAXPROCS > 1, one background goroutine frames up to three
+// frames ahead of the consumer (header, bounds, checksum chain, and a
+// copy of the payload) and decodes them oldest first; a consumer whose
+// next block is framed but not decoded decodes the youngest unclaimed
+// block itself instead of parking (see decodeAhead and await), so a
+// consumer faster than decode, like the SHARDS pass, has both cores
+// decoding (DESIGN.md §7). With GOMAXPROCS == 1 it decodes inline on
+// the caller's goroutine. Either way frames are framed by one
+// frameDecoder in stream order and surface in that order with the
+// first error in that order, so blocks, errors, Frames and header
 // cross-checks do not depend on the path.
 // Steady-state decode reuses the block buffers and performs no
 // allocation (gated by AllocsPerRun in reader_test.go), and Close hands
@@ -45,20 +50,20 @@ type Reader struct {
 	// mem holds the bufio window and the block buffers, taken from
 	// readerSpare by NewReader and returned by Close; br and bufs point
 	// into it, and all three are nil once the Reader is closed. Inline
-	// decode uses bufs[0] only; decode-ahead fills the other three while
-	// the caller reads one.
+	// decode uses bufs[0] only; decode-ahead frames into the other three
+	// while the caller reads one.
 	mem  *readerMem
 	br   *bufio.Reader
-	bufs *[4]blockBuf
+	bufs *[readerBlocks]blockBuf
 
 	hdrRecords int64
 	hdrInstrs  int64
 	fd         frameDecoder
 
 	// Decode-ahead state. free carries empty buffers (and, from stop,
-	// a nil quit request) to the goroutine, out carries decoded
-	// buffers back in stream order; both are sized so no send ever
-	// blocks. held is the buffer the caller was last handed.
+	// a nil quit request) to the goroutine, out carries framed buffers
+	// back in stream order; both are sized so no send ever blocks. held
+	// is the buffer the caller was last handed.
 	inline  bool // decode on the caller's goroutine this pass
 	running bool
 	free    chan *blockBuf
@@ -67,14 +72,15 @@ type Reader struct {
 	held    *blockBuf
 
 	frames     int64  // frames surfaced this pass; at an error, those before it
+	selfDecode int64  // frames the consumer decoded itself this pass (decode-ahead only)
 	passRecs   int64  // records surfaced this pass, checked against the header at EOF
 	passInstrs uint64 // instruction total surfaced this pass, ditto
 	eof        bool
 	err        error
 }
 
-// decoded is one decode-ahead result: a filled buffer, or the error
-// (io.EOF included) that ended the pass.
+// decoded is one decode-ahead result: a framed buffer, or the framing
+// error (io.EOF included) that ended the pass.
 type decoded struct {
 	buf *blockBuf
 	err error
@@ -93,7 +99,7 @@ var errClosed = errors.New("trace: Reader used after Close")
 // buffers, which grow to the stream's frame size.
 type readerMem struct {
 	br   *bufio.Reader
-	bufs [4]blockBuf
+	bufs [readerBlocks]blockBuf
 }
 
 // readerSpare holds the memory of the last Reader closed, for the next
@@ -205,6 +211,7 @@ func (r *Reader) readHeader() error {
 	r.eof = false
 	r.err = nil
 	r.frames = 0
+	r.selfDecode = 0
 	r.passRecs = 0
 	r.passInstrs = 0
 	return nil
@@ -279,8 +286,75 @@ func (r *Reader) nextBuf() (*blockBuf, error) {
 		r.stop()
 		return nil, d.err
 	}
-	r.held = d.buf
-	return d.buf, nil
+	buf := d.buf
+	r.await(buf)
+	buf.state.Store(blockIdle)
+	r.held = buf
+	if buf.err != nil {
+		r.stop()
+		return nil, buf.err
+	}
+	return buf, nil
+}
+
+// Who decodes a block framed ahead (blockBuf.state). The goroutine
+// frames a block and publishes it as blockFramed; the goroutine or the
+// consumer then claims it by a compare-and-swap, decodes it, and the
+// consumer returns it to blockIdle when it takes it.
+const (
+	blockIdle      int32 = iota // not framed ahead: free, held, or being framed
+	blockFramed                 // framed, decode unclaimed
+	blockGoroutine              // claimed by the goroutine, which sends on done once decoded
+	blockConsumer               // claimed, and so already decoded, by the consumer
+)
+
+// await returns once buf, the consumer's next block, is decoded. While
+// the goroutine has not decoded it, the consumer decodes the youngest
+// unclaimed block itself (buf, once no later block waits) instead of
+// parking: the goroutine works oldest first, so the two rarely want
+// the same block, and the consumer parks only when every framed block
+// is claimed and its own is still in the goroutine's hands.
+//
+//lint:hotpath
+func (r *Reader) await(buf *blockBuf) {
+	for buf.state.Load() != blockConsumer {
+		if buf.state.Load() == blockGoroutine {
+			select {
+			case <-buf.done:
+				return
+			default:
+			}
+		}
+		b := r.claim(blockConsumer)
+		if b == nil { // buf is the goroutine's, mid-decode
+			<-buf.done
+			return
+		}
+		b.err = b.decode()
+		r.selfDecode++
+	}
+}
+
+// claim claims a framed, unclaimed block for who: the youngest for the
+// consumer, the oldest for the goroutine. It returns nil when no block
+// waits. A block seen blockFramed stays in flight until the consumer
+// takes it, so its seq is stable while either side compares it.
+//
+//lint:hotpath
+func (r *Reader) claim(who int32) *blockBuf {
+	youngest := who == blockConsumer
+	for {
+		var pick *blockBuf
+		for i := range r.bufs {
+			b := &r.bufs[i]
+			if b.state.Load() == blockFramed && (pick == nil || (b.seq > pick.seq) == youngest) {
+				pick = b
+			}
+		}
+		if pick == nil || pick.state.CompareAndSwap(blockFramed, who) {
+			return pick
+		}
+	}
 }
 
 // start launches the pass's decode goroutine with every buffer free.
@@ -292,6 +366,10 @@ func (r *Reader) start() {
 		r.out = make(chan decoded, len(r.bufs))
 	}
 	for i := range r.bufs {
+		if r.bufs[i].done == nil {
+			//lint:ignore hotalloc a block's token channel is made once and travels with the block buffers to every later Reader
+			r.bufs[i].done = make(chan struct{}, 1)
+		}
 		r.free <- &r.bufs[i]
 	}
 	r.running = true
@@ -299,26 +377,55 @@ func (r *Reader) start() {
 	go r.decodeAhead()
 }
 
-// decodeAhead is the decode goroutine: it fills each free buffer with
-// the next frame and exits at the first error or end of stream, or on
-// stop's nil request. It is the only user of r.fd and r.br while it
-// runs, and every buffer in flight is one the caller does not hold.
+// decodeAhead is the decode goroutine. It frames the next frame into
+// every free buffer and hands each to the consumer at once, in stream
+// order; then it decodes the oldest block nobody has claimed, and only
+// when there is none waits for a free buffer. It stops framing at the
+// first framing error or the end of the stream, decodes what is still
+// unclaimed, and exits; stop's nil request ends it at once. It is the
+// only user of r.fd and r.br while it runs.
 func (r *Reader) decodeAhead() {
 	defer r.wg.Done()
-	for buf := range r.free {
+	var seq int64
+	framing := true
+	for {
+		if !framing || len(r.free) == 0 {
+			if buf := r.claim(blockGoroutine); buf != nil {
+				buf.err = buf.decode()
+				buf.done <- struct{}{}
+				continue
+			}
+			if !framing {
+				return
+			}
+		}
+		buf := <-r.free
 		if buf == nil {
 			return
 		}
-		_, err := r.fd.next(buf)
-		r.out <- decoded{buf: buf, err: err}
-		if err != nil {
-			return
-		}
+		framing = r.frameAhead(buf, seq)
+		seq++
 	}
 }
 
+// frameAhead frames the stream's next frame into buf, copying its
+// payload, since the window moves on before the block is decoded, and
+// hands the block to the consumer; or it hands on the error that ends
+// framing (io.EOF included). It reports whether framing goes on.
+func (r *Reader) frameAhead(buf *blockBuf, seq int64) bool {
+	if err := r.fd.frame(buf, true); err != nil {
+		r.out <- decoded{err: err}
+		return false
+	}
+	buf.seq = seq
+	buf.state.Store(blockFramed)
+	r.out <- decoded{buf: buf}
+	return true
+}
+
 // stop joins the decode goroutine, whether it is mid-pass or already
-// gone, and empties both channels for the next start.
+// gone, and empties both channels and every block's token for the
+// next start.
 func (r *Reader) stop() {
 	if !r.running {
 		return
@@ -332,6 +439,14 @@ func (r *Reader) stop() {
 	}
 	for len(r.out) > 0 {
 		<-r.out
+	}
+	for i := range r.bufs {
+		b := &r.bufs[i]
+		b.state.Store(blockIdle)
+		select {
+		case <-b.done:
+		default:
+		}
 	}
 }
 
