@@ -22,8 +22,11 @@ const cacheShards = 16
 // CacheStats is a point-in-time snapshot of the result cache, served
 // by /statsz.
 type CacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
+	Hits   uint64 `json:"hits"`
+	Misses uint64 `json:"misses"`
+	// AliasHits counts the hits answered through the server's alias
+	// table, without parsing the query; Hits counts them too.
+	AliasHits uint64 `json:"alias_hits"`
 	Evictions uint64 `json:"evictions"`
 	Rejected  uint64 `json:"rejected"` // values too large to ever cache
 	Entries   int    `json:"entries"`

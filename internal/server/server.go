@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -66,6 +67,11 @@ type Server struct {
 	jobsServed     atomic.Uint64
 	replicasReused atomic.Int64
 
+	// aliases answers a repeated curve query without parsing it, and
+	// aliasHits counts the hits it answered.
+	aliases   *aliasTable
+	aliasHits atomic.Uint64
+
 	// writeFailures counts response writes that failed mid-body
 	// (client gone, connection reset). The response status is already
 	// committed by then, so the only honest handling is to surface the
@@ -102,6 +108,7 @@ func New(cfg Config) (*Server, error) {
 		maxUpload:    cfg.MaxUploadBytes,
 		sweepWorkers: cfg.SweepWorkers,
 		mux:          http.NewServeMux(),
+		aliases:      newAliasTable(),
 	}
 	if s.compute == nil {
 		s.compute = s.computeDirect
@@ -289,6 +296,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cs := s.cache.Stats()
+	cs.AliasHits = s.aliasHits.Load()
 	s.writeJSON(w, http.StatusOK, Stats{
 		Cache:         cs,
 		CacheHitRate:  cs.HitRate(),
@@ -303,12 +311,23 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleCurve is GET /v1/curves: parse and validate the job, consult
-// the result cache, and otherwise run the job once per key through
-// singleflight + the bounded queue.
+// handleCurve is GET /v1/curves: a query answered before is one alias
+// lookup and one result-cache Get; any other parses and validates the
+// job, consults the result cache, and otherwise runs the job once per
+// key through singleflight + the bounded queue.
 func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 	if s.methodErr(w, r, http.MethodGet) {
 		return
+	}
+	raw := r.URL.RawQuery
+	key, aliased := s.aliases.lookup(raw)
+	if aliased {
+		if payload, ok := s.cache.Get(key); ok {
+			s.aliasHits.Add(1)
+			s.serveCurve(w, JobSpec{}, payload, "json", "hit")
+			return
+		}
+		// The curve was evicted, and that Get counted the miss.
 	}
 	q := r.URL.Query() // parsed once, for the spec and the format
 	spec, aerr := parseJobSpec(q, s.store)
@@ -325,10 +344,15 @@ func (s *Server) handleCurve(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := spec.Key()
-	if payload, ok := s.cache.Get(key); ok {
-		s.serveCurve(w, spec, payload, format, "hit")
-		return
+	if !aliased {
+		key = spec.Key()
+		if format == "json" {
+			s.aliases.install(raw, key)
+		}
+		if payload, ok := s.cache.Get(key); ok {
+			s.serveCurve(w, spec, payload, format, "hit")
+			return
+		}
 	}
 
 	payload, err, shared := s.flights.Do(r.Context(), key, func(fctx context.Context) ([]byte, error) {
@@ -392,25 +416,25 @@ func curveError(err error) *apiError {
 	}
 }
 
-// serveCurve writes an encoded curve in the requested format.
+// serveCurve writes an encoded curve in the requested format, with its
+// length: a body net/http would otherwise send chunked.
 // X-Cache reports how the result was obtained: hit (result cache),
 // dedup (piggybacked on an in-flight job) or miss (computed fresh).
 func (s *Server) serveCurve(w http.ResponseWriter, spec JobSpec, payload []byte, format, source string) {
-	w.Header().Set("X-Cache", source)
+	h := w.Header()
+	h.Set("X-Cache", source)
 	if format == "csv" {
 		curve, err := analysis.ReadCurveJSON(bytes.NewReader(payload))
 		if err != nil {
 			s.writeError(w, &apiError{status: http.StatusInternalServerError, code: "compute_failed", msg: err.Error()})
 			return
 		}
-		w.Header().Set("Content-Type", "text/csv; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		if _, err := fmt.Fprint(w, report.CurveTable(spec.title(), curve).CSV()); err != nil {
-			s.writeFailures.Add(1)
-		}
-		return
+		payload = []byte(report.CurveTable(spec.title(), curve).CSV())
+		h.Set("Content-Type", "text/csv; charset=utf-8")
+	} else {
+		h.Set("Content-Type", "application/json")
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(payload)))
 	w.WriteHeader(http.StatusOK)
 	if _, err := w.Write(payload); err != nil {
 		s.writeFailures.Add(1)

@@ -4,7 +4,8 @@
 // internal/simulate. The paper produces one curve per workload on one
 // researcher's machine; this package is the ROADMAP's "serve those
 // curves to millions of users" step — content-addressed trace storage,
-// a sharded byte-budget LRU result cache, singleflight dedup of
+// a sharded byte-budget LRU result cache (reached through a bounded
+// alias of a repeated query's raw string), singleflight dedup of
 // identical in-flight jobs, and a bounded job queue (runner.Queue)
 // with per-job deadlines that propagate into the replay loops.
 //

@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -506,8 +507,22 @@ func TestReaderOpenAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// A collection between the warm pass and the measured one runs the
+	// spare's sentinel, which empties the slot. So collect first, wait
+	// for the sentinel's finalizer, and hold the collector off until the
+	// measured pass ends.
+	gcPercent := debug.SetGCPercent(-1)
+	t.Cleanup(func() { debug.SetGCPercent(gcPercent) })
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
+		pass() // fill the spare, so that the finalizer's run shows
+		runtime.GC()
+		for deadline := time.Now().Add(10 * time.Second); readerSpare.Load() != nil; {
+			if time.Now().After(deadline) {
+				t.Fatal("the spare's sentinel did not run after a collection")
+			}
+			runtime.Gosched()
+		}
 		pass() // warm the spare
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

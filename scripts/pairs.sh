@@ -3,14 +3,15 @@
 #
 #   scripts/pairs.sh --against <rev> --pairs N --workload W [--seed S] [--seconds T]
 #
-# Checks <rev> out in a git worktree under .bench_build/, builds each side
+# Checks <rev> out in a shared clone under .bench_build/, builds each side
 # with that side's own bench/run.sh, and runs N untraced pairs of W, the
 # parent first in odd pairs and the change (this working tree) first in
 # even ones, each writing its record with -o. The records stay in
 # .bench_build/pairs/<workload>-<rev>-s<seed>/ and scripts/pairstat prints
 # one row per end-to-end metric of BENCHMARK.json: medians, the parent's
-# IQR, the change of the median and pairs won. The worktree is removed on
-# exit.
+# IQR, the change of the median and pairs won, under a header naming <rev>
+# and `git describe --always --dirty` of the working tree. The clone is
+# removed on exit.
 set -euo pipefail
 
 usage() {
@@ -42,12 +43,10 @@ mkdir -p "$work"
 rm -rf "$out"
 mkdir -p "$out"
 
-cleanup() {
-	git -C "$root" worktree remove --force "$base" >/dev/null 2>&1 || rm -rf "$base"
-	git -C "$root" worktree prune
-}
-trap cleanup EXIT
-git -C "$root" worktree add --quiet --detach "$base" "$rev"
+trap 'rm -rf "$base"' EXIT
+git clone --quiet --shared --no-checkout "$root" "$base"
+git -C "$base" checkout --quiet --detach "$rev"
+change=$(git -C "$root" describe --always --dirty)
 
 args=(--workload "$workload" --seed "$seed" --trace 0)
 [ -n "$seconds" ] && args+=(--seconds "$seconds")
@@ -73,5 +72,5 @@ for ((i = 1; i <= pairs; i++)); do
 	fi
 done
 
-echo "# parent $rev against the working tree at $(git -C "$root" describe --always --dirty); records in ${out#"$root"/}"
-(cd "$root" && GOTOOLCHAIN=local go run ./scripts/pairstat -spec BENCHMARK.json "$out")
+echo "# records in ${out#"$root"/}"
+(cd "$root" && GOTOOLCHAIN=local go run ./scripts/pairstat -spec BENCHMARK.json -parent "$rev" -change "$change" "$out")

@@ -4,15 +4,21 @@
 // change's medians, the parent's interquartile range, the change of the
 // median, how many pairs the change won, and a verdict.
 //
-//	go run ./scripts/pairstat [-spec BENCHMARK.json] DIR
+//	go run ./scripts/pairstat [-spec BENCHMARK.json] [-parent REV] [-change DESC] DIR
 //
 // DIR holds parent-NN.json and change-NN.json, one pair per NN, each the
-// record `bench -o` writes. A metric is a gain when there are at least
-// ten pairs, the change won at least nine in ten and its median is
-// better than the parent's by more than the parent's IQR; a loss when
-// its median is worse than the parent's by more than the metric's
-// bound; otherwise within. Only the standard library is used, so the
-// tool runs wherever Go does.
+// record `bench -o` writes. -parent and -change name the two sides in the
+// header; scripts/pairs.sh passes the parent revision and `git describe
+// --always --dirty` of the working tree. Without them the header names
+// each side by its records' commit, the vcs.revision its build was
+// stamped with, which is the parent's on both sides of a working-tree
+// change; with them, a record whose commit is not its side's gets a
+// warning. A metric is a gain when there are at least ten pairs, the
+// change won at least nine in ten and its median is better than the
+// parent's by more than the parent's IQR; a loss when its median is
+// worse than the parent's by more than the metric's bound; otherwise
+// within. Only the standard library is used, so the tool runs wherever
+// Go does.
 package main
 
 import (
@@ -37,11 +43,13 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pairstat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	specPath := fs.String("spec", "BENCHMARK.json", "benchmark declaration naming the end-to-end metrics")
+	parent := fs.String("parent", "", "the parent side's revision (default: its records' commit)")
+	change := fs.String("change", "", "the change side's git describe (default: its records' commit)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: pairstat [-spec BENCHMARK.json] DIR")
+		fmt.Fprintln(stderr, "usage: pairstat [-spec BENCHMARK.json] [-parent REV] [-change DESC] DIR")
 		return 2
 	}
 	metrics, err := loadMetrics(*specPath)
@@ -54,7 +62,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pairstat:", err)
 		return 1
 	}
-	if err := writeTable(stdout, metrics, pairs); err != nil {
+	if err := writeTable(stdout, metrics, pairs, sides{*parent, *change}); err != nil {
 		fmt.Fprintln(stderr, "pairstat:", err)
 		return 1
 	}
@@ -209,7 +217,45 @@ func quantile(xs []float64, q float64) float64 {
 	return float64(s[lo]*(1-frac)) + float64(s[lo+1]*frac)
 }
 
-func writeTable(w io.Writer, metrics []metric, pairs []pair) error {
+// sides names the parent and the change in the table's header; an empty
+// name falls back to the first pair's record commit.
+type sides struct{ parent, change string }
+
+// describedCommit is the commit a revision or a `git describe --always
+// --dirty` string names: its "-dirty" suffix dropped and, after a tag,
+// the abbreviation following "-g". It is empty when desc names none, as a
+// bare tag does.
+func describedCommit(desc string) string {
+	desc = strings.TrimSuffix(desc, "-dirty")
+	if i := strings.LastIndex(desc, "-g"); i >= 0 {
+		desc = desc[i+2:]
+	}
+	if len(desc) < 7 || strings.Trim(desc, "0123456789abcdef") != "" {
+		return ""
+	}
+	return desc
+}
+
+// commitWarnings lists the records whose commit is not the one their
+// side's name gives. Records that name no commit are not judged.
+func commitWarnings(pairs []pair, names sides) []string {
+	var warn []string
+	check := func(i int, side, name string, r run) {
+		want := describedCommit(name)
+		got := r.Host.Commit
+		if want == "" || got == "" || got == "unknown" || strings.HasPrefix(got, want) || strings.HasPrefix(want, got) {
+			return
+		}
+		warn = append(warn, fmt.Sprintf("pair %d: the %s record was built from %s, not %s", i+1, side, short(got), name))
+	}
+	for i, p := range pairs {
+		check(i, "parent", names.parent, p.parent)
+		check(i, "change", names.change, p.change)
+	}
+	return warn
+}
+
+func writeTable(w io.Writer, metrics []metric, pairs []pair, names sides) error {
 	first := pairs[0]
 	var pOK, cOK, pFailed, cFailed int
 	for _, p := range pairs {
@@ -225,9 +271,18 @@ func writeTable(w io.Writer, metrics []metric, pairs []pair) error {
 		pFailed += p.parent.Failed
 		cFailed += p.change.Failed
 	}
+	if names.parent == "" {
+		names.parent = short(first.parent.Host.Commit)
+	}
+	if names.change == "" {
+		names.change = short(first.change.Host.Commit)
+	}
 	fmt.Fprintf(w, "# %s, seed %d, %d pairs, nproc %d (parent %s, change %s)\n",
 		first.parent.Workload, first.parent.Seed, len(pairs), first.parent.Host.CPUs,
-		short(first.parent.Host.Commit), short(first.change.Host.Commit))
+		names.parent, names.change)
+	for _, warn := range commitWarnings(pairs, names) {
+		fmt.Fprintf(w, "# warning: %s\n", warn)
+	}
 	fmt.Fprintf(w, "# correct runs: parent %d/%d, change %d/%d; failed ops: parent %d, change %d\n",
 		pOK, len(pairs), cOK, len(pairs), pFailed, cFailed)
 	tw := tabwriter.NewWriter(w, 0, 0, 2, ' ', 0)

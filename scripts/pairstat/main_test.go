@@ -99,3 +99,52 @@ func TestTable(t *testing.T) {
 		}
 	}
 }
+
+// TestSideNames: the header names the sides by -parent and -change, not
+// by the records' commits (a working-tree change is stamped with its
+// parent's), and a record built from another commit than its side's
+// gets a warning. The change side's name is a `git describe --dirty`.
+func TestSideNames(t *testing.T) {
+	const parent, head, other = "976ba7aa9f14", "de3bff6e5a897068d7557e22851b822a8ddf1fc7", "0123456789abcdef0123456789abcdef01234567"
+	dir := t.TempDir()
+	for i, commits := range [][2]string{{parent + "0000", head}, {other, head}, {parent, "unknown"}} {
+		for side, commit := range map[string]string{"parent": commits[0], "change": commits[1]} {
+			rec := fmt.Sprintf(`{"workload":"serve_mixed","seed":5,"host":{"cpus":2,"commit":%q},"correct":true,"failed":0,"end_to_end":{"op_ms_p50":{"value":1,"unit":"ms"}}}`, commit)
+			if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("%s-%02d.json", side, i+1)), []byte(rec), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	spec := filepath.Join(t.TempDir(), "BENCHMARK.json")
+	if err := os.WriteFile(spec, []byte(`{"end_to_end":[{"name":"op_ms_p50","unit":"ms","better":"lower","bound":0.25}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errOut bytes.Buffer
+	if code := realMain([]string{"-spec", spec, "-parent", parent, "-change", "de3bff6e5a89-dirty", dir}, &out, &errOut); code != 0 {
+		t.Fatalf("exit %d: %s", code, errOut.String())
+	}
+	text := out.String()
+	if want := "# serve_mixed, seed 5, 3 pairs, nproc 2 (parent 976ba7aa9f14, change de3bff6e5a89-dirty)\n"; !strings.HasPrefix(text, want) {
+		t.Errorf("header is not %q:\n%s", want, text)
+	}
+	if n := strings.Count(text, "# warning: "); n != 1 || !strings.Contains(text, "# warning: pair 2: the parent record was built from 0123456789ab, not 976ba7aa9f14\n") {
+		t.Errorf("want exactly one warning, for pair 2's parent record:\n%s", text)
+	}
+}
+
+// TestDescribedCommit pins the commit read out of a revision or a
+// `git describe --always --dirty` string.
+func TestDescribedCommit(t *testing.T) {
+	for desc, want := range map[string]string{
+		"de3bff6e5a89":           "de3bff6e5a89",
+		"de3bff6e5a89-dirty":     "de3bff6e5a89",
+		"v1.2-3-gabcdef1-dirty":  "abcdef1",
+		"v1.2":                   "",
+		"abc":                    "",
+		"release-candidate-good": "",
+	} {
+		if got := describedCommit(desc); got != want {
+			t.Errorf("describedCommit(%q) = %q, want %q", desc, got, want)
+		}
+	}
+}
