@@ -74,6 +74,43 @@ func ParsePolicy(name string) (PolicyKind, error) {
 	return 0, fmt.Errorf("unknown policy %q (want nehalem, lru, plru or random)", name)
 }
 
+// PolicySet is a set of replacement policies, bit p for PolicyKind p.
+type PolicySet uint8
+
+// AllPolicies holds every policy.
+const AllPolicies PolicySet = 1<<(Random+1) - 1
+
+// Has reports whether p is in the set.
+func (s PolicySet) Has(p PolicyKind) bool { return s&(1<<p) != 0 }
+
+// Len is how many policies the set holds.
+func (s PolicySet) Len() int { return bits.OnesCount8(uint8(s)) }
+
+// PolicyClass returns the policies that choose the same victim as p in
+// every full ways-way set, so that a cache of that geometry evolves
+// alike under all of them, bit for bit.
+//
+// Every policy fills the lowest free way first and touches the way it
+// fills or hits, and the policy is asked for a victim only when the set
+// is full. With one way that victim is the only way, under every
+// policy. With two ways, a set became full by a fill that touched its
+// way, and every touch since was of one way or the other, so the victim
+// LRU, tree pseudo-LRU and Nehalem pick is the way not touched last:
+// LRU's older stamp; the one-node tree, which points away from the
+// touched way; and the accessed bits, which after a touch of a full
+// 2-way set hold the touched way's bit alone (the clear-all-but-touched
+// rule). Random draws from its generator and is in a class of its own,
+// as is every policy at three ways or more.
+func PolicyClass(p PolicyKind, ways int) PolicySet {
+	switch {
+	case ways == 1:
+		return AllPolicies
+	case ways == 2 && p != Random:
+		return 1<<LRU | 1<<PseudoLRU | 1<<Nehalem
+	}
+	return 1 << p
+}
+
 // Config describes one cache level.
 type Config struct {
 	Name     string     // for diagnostics, e.g. "L3"

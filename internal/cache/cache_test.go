@@ -687,3 +687,68 @@ func TestOwnersIsolatedStats(t *testing.T) {
 		t.Error("ResetStats did not zero counters")
 	}
 }
+
+// TestPolicyClassSameVictims drives one stream of demand accesses,
+// prefetch fills, writebacks and invalidations through a cache of 1 to
+// 4 ways under every policy it admits, and holds every policy of a
+// PolicyClass to the same results and evictions, step for step. Over 6
+// lines per set every geometry evicts, and the controls show that the
+// stream tells the classes apart: LRU and Nehalem part at 3 ways,
+// Random and LRU at 2.
+func TestPolicyClassSameVictims(t *testing.T) {
+	run := func(ways int, p PolicyKind) []Result {
+		c := MustNew(smallCfg(ways, p))
+		stride := Addr(64 * 4) // one line further in the same set
+		rng := stats.NewRNG(11)
+		var out []Result
+		for i := 0; i < 4000; i++ {
+			a := Addr(rng.Intn(4))*64 + Addr(rng.Intn(6))*stride
+			switch op := rng.Intn(16); {
+			case op < 11:
+				out = append(out, c.AccessFill(a, op < 3, 0))
+			case op < 14:
+				if !c.Probe(a) {
+					out = append(out, c.Fill(a, 0, true, false))
+				}
+			case op < 15:
+				c.MarkDirty(a)
+			default:
+				ev, _ := c.Invalidate(a)
+				out = append(out, Result{Evicted: ev})
+			}
+		}
+		return out
+	}
+	for ways := 1; ways <= 4; ways++ {
+		var admitted []PolicyKind
+		runs := make([][]Result, Random+1)
+		for p := LRU; p <= Random; p++ {
+			if p != PseudoLRU || ways&(ways-1) == 0 {
+				admitted = append(admitted, p)
+				runs[p] = run(ways, p)
+			}
+		}
+		for _, p := range admitted {
+			class := PolicyClass(p, ways)
+			if !class.Has(p) {
+				t.Errorf("%d ways: %v is not in its own class %b", ways, p, class)
+			}
+			for _, q := range admitted {
+				if class.Has(q) && !slices.Equal(runs[p], runs[q]) {
+					t.Errorf("%d ways: %v and %v share a class, but their results differ", ways, p, q)
+				}
+			}
+		}
+	}
+	if PolicyClass(LRU, 3).Has(Nehalem) || PolicyClass(Random, 2).Has(LRU) || AllPolicies.Len() != 4 {
+		t.Fatal("the controls' classes changed")
+	}
+	for _, c := range []struct {
+		ways int
+		p, q PolicyKind
+	}{{3, LRU, Nehalem}, {2, Random, LRU}} {
+		if slices.Equal(run(c.ways, c.p), run(c.ways, c.q)) {
+			t.Errorf("%d ways: %v and %v give the same results, so the stream does not test the class", c.ways, c.p, c.q)
+		}
+	}
+}

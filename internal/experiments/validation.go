@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"sync"
 
@@ -10,32 +11,38 @@ import (
 	"cachepirate/internal/machine"
 	"cachepirate/internal/report"
 	"cachepirate/internal/simulate"
+	"cachepirate/internal/trace"
 )
 
 // referenceCurves captures a trace from the benchmark and sweeps it
 // through reference simulators with the given L3 policies, calibrated
 // so the full-size point matches the pirate curve's baseline
-// (§III-B1's offset correction).
+// (§III-B1's offset correction). Each sweep after the first replays
+// only the sizes whose uncalibrated point under the earlier policies
+// does not hold for its own (simulate.SweepPolicies).
 func referenceCurves(opts Options, bench string, baselineFR float64,
 	policies ...cache.PolicyKind) (map[cache.PolicyKind]*analysis.Curve, error) {
 	tr := simulate.CaptureTrace(factory(bench), opts.Seed, 0, opts.TraceRecords)
+	open := func() (trace.BlockSource, error) { return trace.NewReplayer(tr, false), nil }
 	out := make(map[cache.PolicyKind]*analysis.Curve, len(policies))
+	var prior *simulate.PolicyPoints
 	for _, pol := range policies {
 		mcfg := machine.WithL3Policy(machine.NehalemConfigNoPrefetch(), pol)
 		// Constant associativity (footnote 3): shrinking the reference
 		// by removing ways gives 1-2-way caches at the small sizes,
 		// whose conflict misses have no analogue in the way-stolen
 		// 16-way cache the Target actually sees.
-		curve, err := simulate.Sweep(simulate.Config{
+		curve, points, err := simulate.SweepPolicies(context.Background(), simulate.Config{
 			Machine:    mcfg,
 			Sizes:      opts.Sizes,
 			Mode:       simulate.BySets,
 			WarmPasses: 2,
 			Workers:    opts.Workers,
-		}, tr)
+		}, open, prior)
 		if err != nil {
 			return nil, err
 		}
+		prior = points
 		simulate.Calibrate(curve, baselineFR)
 		curve.Name = bench + "/" + pol.String()
 		out[pol] = curve

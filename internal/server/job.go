@@ -229,8 +229,8 @@ type ComputeFunc func(ctx context.Context, spec JobSpec) (*analysis.Curve, error
 // computeDirect is the production ComputeFunc: resolve the job's
 // block source (stored trace, or capture-and-store for workload
 // specs) and run the requested engine under the job context. A fused
-// curve reuses the policy-free points of the same trace under another
-// policy (sweepFused).
+// curve reuses the points of the same trace under another policy that
+// hold for its own (sweepFused).
 func (s *Server) computeDirect(ctx context.Context, spec JobSpec) (*analysis.Curve, error) {
 	hash := spec.TraceHash
 	if spec.Workload != "" {

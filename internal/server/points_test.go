@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"testing"
 
@@ -148,4 +149,63 @@ func TestPolicyVariantsReuseBytesIdentical(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestPolicyOrdersReuseBytesIdentical: in every order of Nehalem, LRU
+// and Random over one 25k-record omnetpp upload, each response is
+// byte-equal to a cold server's for its key; the second and third
+// requests sweep from the stored points, with no footprint probe, so
+// they clone nothing; and whichever of Nehalem and LRU comes later
+// replays one size fewer than the other reuse miss, since the 2-way
+// point the earlier of the two stored (or kept over Random's) holds
+// for both.
+func TestPolicyOrdersReuseBytesIdentical(t *testing.T) {
+	raw, _ := testTraceBytes(t, "omnetpp", 1, 25_000)
+	policies := []string{"nehalem", "lru", "random"}
+	want := map[string][]byte{}
+	for _, p := range policies {
+		s, hash := policyServer(t, raw)
+		body, err := fetchCurve(t, s, hash, "&engine=fused&policy="+p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = body
+	}
+	for _, order := range [][3]string{
+		{"nehalem", "lru", "random"}, {"nehalem", "random", "lru"},
+		{"lru", "nehalem", "random"}, {"lru", "random", "nehalem"},
+		{"random", "nehalem", "lru"}, {"random", "lru", "nehalem"},
+	} {
+		s, hash := policyServer(t, raw)
+		replayed := map[string]int64{}
+		for i, p := range order {
+			before := sweepStats(t, s)
+			got, err := fetchCurve(t, s, hash, "&engine=fused&policy="+p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			after := sweepStats(t, s)
+			if !bytes.Equal(got, want[p]) {
+				t.Errorf("%v: the %s response differs from a cold server's", order, p)
+			}
+			if i == 0 {
+				continue
+			}
+			replayed[p] = after.ReplicasReplayed - before.ReplicasReplayed
+			if dc := after.ReplicasCloned - before.ReplicasCloned; dc != 0 {
+				t.Errorf("%v: the %s reuse sweep cloned %d sizes, want none (no probe)", order, p, dc)
+			}
+		}
+		later := "lru"
+		if slices.Index(order[:], "nehalem") > slices.Index(order[:], "lru") {
+			later = "nehalem"
+		}
+		other := order[1]
+		if other == later {
+			other = order[2]
+		}
+		if replayed[later] != replayed[other]-1 {
+			t.Errorf("%v: the %s reuse miss replayed %d sizes and the %s one %d, want one fewer", order, later, replayed[later], other, replayed[other])
+		}
+	}
 }

@@ -26,8 +26,9 @@ type Config struct {
 	Store *Store
 	// CacheBytes is the result-cache budget (default 64 MiB;
 	// negative disables caching). A sixteenth of it more holds the
-	// policy-free points of fused sweeps, which a request for the same
-	// trace under another policy reuses instead of replaying.
+	// points of fused sweeps with the policies each holds for, which a
+	// request for the same trace under another policy reuses instead of
+	// replaying.
 	CacheBytes int64
 	// Workers is the job-queue worker count (default GOMAXPROCS).
 	Workers int
@@ -55,7 +56,7 @@ type Config struct {
 type Server struct {
 	store        *Store
 	cache        *lruCache[[]byte]
-	points       *lruCache[policyFree]
+	points       *lruCache[*simulate.PolicyPoints]
 	flights      *flightGroup
 	queue        *runner.Queue
 	compute      ComputeFunc
@@ -286,8 +287,10 @@ type SweepStats struct {
 	// because the trace cannot overflow them.
 	simulate.ReplicaStats
 	// ReplicasReused counts, over this server's fused curves, the sizes
-	// that took a policy-free point of an earlier sweep of the same
-	// trace, mode and warm-up under another policy: no replay at all.
+	// that took a point of an earlier sweep of the same trace, mode and
+	// warm-up under another policy, one that holds for their own (never
+	// evicted, 1 way, or 2 ways among LRU, pseudo-LRU and Nehalem): no
+	// replay at all.
 	ReplicasReused int64 `json:"replicas_reused"`
 }
 

@@ -25,7 +25,10 @@
 // opened source; Config.Workers is how many groups replay at once. The
 // largest size goes first, alone, as a footprint probe: a size the
 // trace provably cannot overflow takes the probe's point instead of a
-// replay (sweepFusedGrouped).
+// replay (sweepFusedGrouped). A sweep that finishes a curve from a
+// prior sweep of the same trace under another L3 policy replays only
+// the sizes whose prior point does not hold for its own, with no probe
+// (SweepPolicies).
 //
 // Bit-identity with the per-size path is load-bearing and rests on
 // three facts. First, a single-core machine's scheduler is trivial:
@@ -49,6 +52,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -327,13 +331,14 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 }
 
 // sweepFusedStream is the EngineFused body: the sizes replay in
-// replica groups (sweepFusedGrouped), cfg.Workers of them at once.
-// Replicas never interact and every group sees the same record order,
-// so neither the group budget nor the width can change any point
-// (conformance.CheckParallelSweepEquivalence). The mask says which
-// points of the curve are policy-free, in the curve's order.
-func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {
-	points, free, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(shrunkMachines(cfg)), fusedGroupLines)
+// replica groups (sweepFusedGrouped), cfg.Workers of them at once,
+// after a footprint probe when probe is set. Replicas never interact
+// and every group sees the same record order, so neither the group
+// budget, the width nor the probe can change any point
+// (conformance.CheckParallelSweepEquivalence). The second result is,
+// per point of the curve, the L3 policies it holds for.
+func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), probe bool) (*analysis.Curve, []cache.PolicySet, error) {
+	points, holds, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(shrunkMachines(cfg)), fusedGroupLines, probe)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -343,30 +348,130 @@ func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockS
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(points[a].CacheBytes, points[b].CacheBytes) })
 	curve := &analysis.Curve{Name: "reference", Points: make([]analysis.Point, len(points))}
-	mask := make([]bool, len(points))
+	sorted := make([]cache.PolicySet, len(points))
 	for i, k := range order {
-		curve.Points[i], mask[i] = points[k], free[k]
+		curve.Points[i], sorted[i] = points[k], holds[k]
 	}
-	return curve, mask, nil
+	return curve, sorted, nil
 }
 
-// SweepPolicyFree is SweepStreamContext for EngineFused, which also
-// reports, per point of the curve, whether it is policy-free: whether
-// its L3 replica never chose between victims, because it never evicted
-// (every size the footprint probe proves, and the probe itself when it
-// fits) or because it has one way, where every policy's victim is the
-// only way there is. Such a point is the same, bit for bit, under every
-// L3 replacement policy (DESIGN.md §7), so a caller that sweeps one
-// trace under several policies need sweep only the other sizes, through
-// Config.Sizes, for the second policy on.
-func SweepPolicyFree(ctx context.Context, cfg Config, open func() (trace.BlockSource, error)) (*analysis.Curve, []bool, error) {
+// PolicyPoints is what a fused sweep of a trace showed about the L3
+// replacement policy: its curve, the policies each point holds for,
+// and everything else the sweep depended on. SweepPolicies returns one
+// and takes it back as the prior of a sweep of the same trace under
+// another policy. Callers read it and never modify it.
+type PolicyPoints struct {
+	// Curve is the sweep's curve, in size order, uncalibrated. A point
+	// may come from a sweep under another policy of Holds.
+	Curve analysis.Curve
+	// Holds is, per point of Curve, the set of L3 policies under which
+	// that point is the size's point, bit for bit.
+	Holds []cache.PolicySet
+
+	basis policyBasis
+}
+
+// policyBasis is what a fused curve depends on but the trace and the
+// L3 policy: the defaulted sweep's machine, with its L3 policy blanked
+// and its prefetcher constructor kept as a code address (a func has no
+// ==), its sizes in curve order, mode, warm passes and MLP.
+type policyBasis struct {
+	machine  machine.Config
+	prefetch uintptr
+	sizes    []int64
+	mode     SweepMode
+	warm     int
+	mlp      float64
+}
+
+// newPolicyBasis returns the basis of a defaulted cfg.
+func newPolicyBasis(cfg Config) policyBasis {
+	b := policyBasis{
+		machine: cfg.Machine,
+		sizes:   slices.Clone(cfg.Sizes),
+		mode:    cfg.Mode,
+		warm:    cfg.WarmPasses,
+		mlp:     cfg.MLP,
+	}
+	if pf := b.machine.NewPrefetcher; pf != nil {
+		b.prefetch = reflect.ValueOf(pf).Pointer()
+	}
+	b.machine.NewPrefetcher = nil
+	b.machine.L3.Policy = 0
+	slices.Sort(b.sizes)
+	return b
+}
+
+// SweepPolicies is SweepStreamContext for EngineFused that also
+// returns, per point, the L3 policies the point holds for: every
+// policy when the replica never chose a victim (it was cloned, or never
+// evicted), else the class of policies that choose its victims alike
+// (cache.PolicyClass: every policy at 1 way, LRU, pseudo-LRU and
+// Nehalem at 2). Such a point is the size's point under each policy of
+// the set (DESIGN.md §7, "Policy classes").
+//
+// With prior nil the sweep is SweepStreamContext's. With a prior of the
+// same trace, swept by a cfg that differed at most in its L3 policy
+// and Workers, it replays only the sizes whose prior point does not
+// hold for cfg's policy, in budget groups with no footprint probe:
+// every such size evicted under the prior's policy, and its first
+// eviction comes at the same record under every policy, as no victim
+// was read before it, so a probe could prove none of them. The curve
+// takes the replayed points and the prior's others; the PolicyPoints
+// returned keeps, per size, whichever of the two points holds for more
+// policies (the prior's on a tie). The prior is not modified. A prior
+// from a sweep that differed in anything else is an error.
+func SweepPolicies(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), prior *PolicyPoints) (*analysis.Curve, *PolicyPoints, error) {
 	if cfg.Engine != EngineFused {
-		return nil, nil, fmt.Errorf("simulate: policy-free points need engine fused, not %v", cfg.Engine)
+		return nil, nil, fmt.Errorf("simulate: policy points need engine fused, not %v", cfg.Engine)
 	}
 	if err := cfg.Validate(); err != nil {
 		return nil, nil, err
 	}
-	return sweepFusedStream(ctx, cfg.withDefaults(), open)
+	cfg = cfg.withDefaults()
+	basis := newPolicyBasis(cfg)
+	if prior == nil {
+		curve, holds, err := sweepFusedStream(ctx, cfg, open, true)
+		if err != nil {
+			return nil, nil, err
+		}
+		return curve, &PolicyPoints{Curve: cloneCurve(curve), Holds: holds, basis: basis}, nil
+	}
+	if !reflect.DeepEqual(prior.basis, basis) || len(prior.Holds) != len(basis.sizes) || len(prior.Curve.Points) != len(basis.sizes) {
+		return nil, nil, errors.New("simulate: the prior's sweep differs from this one in more than the L3 policy")
+	}
+	pol := cfg.Machine.L3.Policy
+	curve := cloneCurve(&prior.Curve)
+	next := &PolicyPoints{Curve: cloneCurve(&prior.Curve), Holds: slices.Clone(prior.Holds), basis: basis}
+	var replay []int
+	for i, h := range prior.Holds {
+		if !h.Has(pol) {
+			replay = append(replay, i)
+		}
+	}
+	if len(replay) == 0 {
+		return &curve, next, nil
+	}
+	cfg.Sizes = make([]int64, len(replay))
+	for j, i := range replay {
+		cfg.Sizes[j] = basis.sizes[i]
+	}
+	part, holds, err := sweepFusedStream(ctx, cfg, open, false)
+	if err != nil {
+		return nil, nil, err
+	}
+	for j, i := range replay {
+		curve.Points[i] = part.Points[j]
+		if holds[j].Len() > next.Holds[i].Len() {
+			next.Curve.Points[i], next.Holds[i] = part.Points[j], holds[j]
+		}
+	}
+	return &curve, next, nil
+}
+
+// cloneCurve returns a copy of c that shares no points with it.
+func cloneCurve(c *analysis.Curve) analysis.Curve {
+	return analysis.Curve{Name: c.Name, Points: slices.Clone(c.Points)}
 }
 
 // Sweep-wide counts of what the footprint probe saved, for a serving
@@ -396,25 +501,29 @@ func SweepReplicaStats() ReplicaStats {
 }
 
 // replicaGroups splits the replicas of a sweep, by index into l3, into
-// the groups that replay together. Group 0 is the footprint probe, the
-// largest size on its own. The others follow in sweep order, in
-// consecutive groups whose summed L3 line count fits budget and whose
-// replica count fits ceil(others/workers), so a sweep small enough for
-// one group still splits across workers. A replica larger than the
-// budget gets a group of its own.
-func replicaGroups(l3 []cache.Config, budget, workers int) [][]int {
-	probe := 0
-	for k, c := range l3 {
-		if c.Size > l3[probe].Size {
-			probe = k
+// the groups that replay together. With probe set, group 0 is the
+// footprint probe, the largest size on its own. The others follow in
+// sweep order, in consecutive groups whose summed L3 line count fits
+// budget and whose replica count fits ceil(others/workers), so a sweep
+// small enough for one group still splits across workers. A replica
+// larger than the budget gets a group of its own.
+func replicaGroups(l3 []cache.Config, budget, workers int, probe bool) [][]int {
+	var groups [][]int
+	first, others := -1, len(l3)
+	if probe {
+		first, others = 0, others-1
+		for k, c := range l3 {
+			if c.Size > l3[first].Size {
+				first = k
+			}
 		}
+		groups = [][]int{{first}}
 	}
-	groups := [][]int{{probe}}
-	maxReps := (len(l3) - 1 + workers - 1) / workers
+	maxReps := (others + workers - 1) / workers
 	var group []int
 	lines := 0
 	for k, c := range l3 {
-		if k == probe {
+		if k == first {
 			continue
 		}
 		n := int(c.Size / c.LineSize)
@@ -458,15 +567,16 @@ func pick(l3 []cache.Config, reps []int) []cache.Config {
 // one P's private slot is out of reach of a sweep running on another
 // P, which then builds its own.
 //
-// The first group is the largest size alone, replayed as a footprint
-// probe. If its L3 finishes every pass without one eviction, it holds
-// every line the trace and its prefetcher ever filled, and any other
-// size whose geometry seats those lines at most Ways to a set
-// (cache.FootprintFits) never evicts either: no eviction means no
-// back-invalidation, so its private levels, its L3 demand stream and
-// its prefetcher evolve as the probe's did; the same lines are resident
-// at every step, so every lookup hits or misses alike; and no victim is
-// ever drawn, so replacement state — all that differs — is never read.
+// With probe set, the first group is the largest size alone, replayed
+// as a footprint probe. If its L3 finishes every pass without one
+// eviction, it holds every line the trace and its prefetcher ever
+// filled, and any other size whose geometry seats those lines at most
+// Ways to a set (cache.FootprintFits) never evicts either: no eviction
+// means no back-invalidation, so its private levels, its L3 demand
+// stream and its prefetcher evolve as the probe's did; the same lines
+// are resident at every step, so every lookup hits or misses alike; and
+// no victim is ever drawn, so replacement state — all that differs — is
+// never read.
 // The same outcome stream through the same timing recurrence is the
 // same point, for any policy, geometry or warm-up, and such a size is
 // given the probe's point under its own CacheBytes instead of a replay.
@@ -475,13 +585,13 @@ func pick(l3 []cache.Config, reps []int) []cache.Config {
 // them all), and a group with none left opens no source. When the probe
 // does evict, nothing is proven and every size replays.
 //
-// The second result is, per replica, whether its point is policy-free
-// (SweepPolicyFree): it was cloned, its replay never evicted, or its L3
-// has one way. The third is how many replicas were replayed; the rest
-// were cloned.
-func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int) ([]analysis.Point, []bool, int, error) {
+// The second result is, per replica, the L3 policies its point holds
+// for (SweepPolicies): all of them if it was cloned or its replay never
+// evicted, else its policy's class at its way count. The third is how
+// many replicas were replayed; the rest were cloned.
+func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), l3 []cache.Config, budget int, probe bool) ([]analysis.Point, []cache.PolicySet, int, error) {
 	pool := runner.Pool{Workers: cfg.Workers}
-	groups := replicaGroups(l3, budget, pool.EffectiveWorkers(len(l3)))
+	groups := replicaGroups(l3, budget, pool.EffectiveWorkers(len(l3)), probe)
 	workers := pool.EffectiveWorkers(len(groups))
 	// Free list of backings: a group takes one for its replay and hands
 	// it back, so at most workers are ever held and the receive below
@@ -510,10 +620,10 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		}
 	}()
 	points := make([]analysis.Point, len(l3))
-	free := make([]bool, len(l3))
-	probe := groups[0][0]
-	// Per replica, whether its point is the probe's: stored by group 0
-	// once, after points[probe], and only if the probe never evicted.
+	holds := make([]cache.PolicySet, len(l3))
+	first := groups[0][0]
+	// Per replica, whether its point is the probe's: stored by the probe
+	// once, after points[first], and only if it never evicted.
 	var proven atomic.Pointer[[]bool]
 	var replayed atomic.Int64
 	err := runner.Run(ctx, pool, len(groups), func(ctx context.Context, g int) error {
@@ -522,9 +632,9 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 			reps = nil
 			for _, k := range groups[g] {
 				if (*fits)[k] {
-					points[k] = points[probe]
+					points[k] = points[first]
 					points[k].CacheBytes = cfg.Sizes[k]
-					free[k] = true
+					holds[k] = cache.AllPolicies
 					continue
 				}
 				reps = append(reps, k)
@@ -545,9 +655,12 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		replayed.Add(int64(len(reps)))
 		for i, k := range reps {
 			points[k] = e.point(i, cfg.Sizes[k])
-			free[k] = l3[k].Ways == 1 || e.fh.L3(i).Stats(0).Evictions == 0
+			holds[k] = cache.AllPolicies
+			if e.fh.L3(i).Stats(0).Evictions != 0 {
+				holds[k] = cache.PolicyClass(l3[k].Policy, l3[k].Ways)
+			}
 		}
-		if c := e.fh.L3(0); g == 0 && c.Stats(0).Evictions == 0 {
+		if c := e.fh.L3(0); probe && g == 0 && c.Stats(0).Evictions == 0 {
 			fits := c.FootprintFits(l3)
 			proven.Store(&fits)
 		}
@@ -565,5 +678,5 @@ func sweepFusedGrouped(ctx context.Context, cfg Config, open func() (trace.Block
 		return nil, nil, n, err
 	}
 	replicasCloned.Add(int64(len(l3) - n))
-	return points, free, n, nil
+	return points, holds, n, nil
 }

@@ -128,9 +128,9 @@ func groupLens(groups [][]int) []int {
 }
 
 // TestReplicaGroups pins the grouping rule: the largest size first and
-// alone (the footprint probe), then consecutive replicas, summed L3
-// lines within the budget and at most ceil(others/workers) replicas, an
-// oversized replica alone.
+// alone when there is a footprint probe, then consecutive replicas,
+// summed L3 lines within the budget and at most ceil(others/workers)
+// replicas, an oversized replica alone.
 func TestReplicaGroups(t *testing.T) {
 	cfg := Config{Machine: smallMachine()}.withDefaults() // 16 sizes of 64..1024 lines
 	l3 := sweepL3(t, cfg)
@@ -147,7 +147,7 @@ func TestReplicaGroups(t *testing.T) {
 		{1 << 30, 3, []int{1, 5, 5, 5}},
 		{1 << 30, 16, []int{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
 	} {
-		if got := groupLens(replicaGroups(l3, tc.budget, tc.workers)); !reflect.DeepEqual(got, tc.want) {
+		if got := groupLens(replicaGroups(l3, tc.budget, tc.workers, true)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("replicaGroups(budget %d, workers %d) has group sizes %v, want %v", tc.budget, tc.workers, got, tc.want)
 		}
 	}
@@ -160,7 +160,7 @@ func TestReplicaGroups(t *testing.T) {
 		{2, []int{1, 7, 3, 2, 2, 1}},
 		{4, []int{1, 4, 4, 3, 2, 2}},
 	} {
-		if got := groupLens(replicaGroups(nehalem, fusedGroupLines, tc.workers)); !reflect.DeepEqual(got, tc.want) {
+		if got := groupLens(replicaGroups(nehalem, fusedGroupLines, tc.workers, true)); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("default Nehalem sweep at %d workers has group sizes %v, want %v", tc.workers, got, tc.want)
 		}
 	}
@@ -168,11 +168,26 @@ func TestReplicaGroups(t *testing.T) {
 	// equals, and the others keep their sweep order around it.
 	cfg.Sizes = []int64{8 << 10, 64 << 10, 4 << 10, 64 << 10, 16 << 10}
 	want := [][]int{{1}, {0, 2}, {3, 4}}
-	if got := replicaGroups(sweepL3(t, cfg), 1<<30, 2); !reflect.DeepEqual(got, want) {
+	if got := replicaGroups(sweepL3(t, cfg), 1<<30, 2, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("unsorted sizes %v group as %v, want %v", cfg.Sizes, got, want)
 	}
-	if got := replicaGroups(l3[:1], 2048, 1); !reflect.DeepEqual(got, [][]int{{0}}) {
+	if got := replicaGroups(l3[:1], 2048, 1, true); !reflect.DeepEqual(got, [][]int{{0}}) {
 		t.Errorf("a one-size sweep groups as %v, want the probe alone", got)
+	}
+	// Without a probe every replica, the largest too, takes the budget
+	// and width rule: a reuse sweep's 2- to 4-way sizes are one group.
+	for _, tc := range []struct {
+		l3      []cache.Config
+		workers int
+		want    []int
+	}{
+		{nehalem, 1, []int{7, 3, 2, 2, 2}},
+		{nehalem[1:4], 1, []int{3}},
+		{nehalem[1:4], 2, []int{2, 1}},
+	} {
+		if got := groupLens(replicaGroups(tc.l3, fusedGroupLines, tc.workers, false)); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%d Nehalem sizes with no probe at %d workers have group sizes %v, want %v", len(tc.l3), tc.workers, got, tc.want)
+		}
 	}
 }
 
@@ -215,13 +230,13 @@ func TestFusedGroupBoundaries(t *testing.T) {
 		cfg = cfg.withDefaults()
 		l3 := sweepL3(t, cfg)
 		for _, tc := range []struct{ budget, groups int }{{1, 16}, {2048, 6}, {1 << 30, 2}} {
-			if got := len(replicaGroups(l3, tc.budget, 1)); got != tc.groups {
+			if got := len(replicaGroups(l3, tc.budget, 1, true)); got != tc.groups {
 				t.Fatalf("mode %d budget %d: %d groups, want %d", mode, tc.budget, got, tc.groups)
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg.Workers = workers
 				for _, src := range sources {
-					pts, _, _, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget)
+					pts, _, _, err := sweepFusedGrouped(context.Background(), cfg, src.open, l3, tc.budget, true)
 					if err != nil {
 						t.Fatalf("mode %d budget %d j=%d %s: %v", mode, tc.budget, workers, src.name, err)
 					}

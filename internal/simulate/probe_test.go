@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"cachepirate/internal/analysis"
+	"cachepirate/internal/cache"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/trace"
 	"cachepirate/internal/workload"
@@ -67,20 +68,20 @@ func TestFootprintProbeReplaysOnlyWhatCanOverflow(t *testing.T) {
 			}
 			cfg = cfg.withDefaults()
 			l3 := sweepL3(t, cfg)
-			var serialFree []bool
+			var serialHolds []cache.PolicySet
 			for _, workers := range []int{1, 2, 3, 8} {
 				cfg.Workers = workers
 				before := SweepReplicaStats()
-				pts, free, replayed, err := sweepFusedGrouped(context.Background(), cfg, open, l3, fusedGroupLines)
+				pts, holds, replayed, err := sweepFusedGrouped(context.Background(), cfg, open, l3, fusedGroupLines, true)
 				if err != nil {
 					t.Fatalf("mode %d, %s, j=%d: %v", mode, tc.name, workers, err)
 				}
-				// Which replicas evict is the trace's doing, so the mask
-				// is the same whether a size was cloned or replayed.
-				if serialFree == nil {
-					serialFree = free
-				} else if !slices.Equal(free, serialFree) {
-					t.Errorf("mode %d, %s, j=%d: policy-free mask %v, serial sweep's %v", mode, tc.name, workers, free, serialFree)
+				// Which replicas evict is the trace's doing, so the policy
+				// sets are the same whether a size was cloned or replayed.
+				if serialHolds == nil {
+					serialHolds = holds
+				} else if !slices.Equal(holds, serialHolds) {
+					t.Errorf("mode %d, %s, j=%d: policy sets %v, serial sweep's %v", mode, tc.name, workers, holds, serialHolds)
 				}
 				if err := samePoints(want.Points, pts); err != nil {
 					t.Errorf("mode %d, %s, j=%d: %v", mode, tc.name, workers, err)
@@ -112,7 +113,7 @@ func TestFootprintProbeProvenGroupOpensNoSource(t *testing.T) {
 			return countedSource{BlockSource: trace.NewReplayer(tr, false), closed: &closed, blocks: &blocks}, nil
 		}
 		cfg := Config{Machine: smallMachine(), Workers: 1}.withDefaults()
-		_, _, replayed, err := sweepFusedGrouped(context.Background(), cfg, open, sweepL3(t, cfg), 1)
+		_, _, replayed, err := sweepFusedGrouped(context.Background(), cfg, open, sweepL3(t, cfg), 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func TestFootprintProbeHarnessTrace(t *testing.T) {
 	tr := CaptureTrace(workload.MustByName("omnetpp").New, 1, 0, 400_000)
 	open := func() (trace.BlockSource, error) { return trace.NewReplayer(tr, false), nil }
 	cfg := Config{Machine: machine.NehalemConfigNoPrefetch(), Workers: 1}.withDefaults()
-	pts, _, replayed, err := sweepFusedGrouped(context.Background(), cfg, open, sweepL3(t, cfg), fusedGroupLines)
+	pts, _, replayed, err := sweepFusedGrouped(context.Background(), cfg, open, sweepL3(t, cfg), fusedGroupLines, true)
 	if err != nil {
 		t.Fatal(err)
 	}

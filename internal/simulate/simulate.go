@@ -241,7 +241,7 @@ func SweepStreamContext(ctx context.Context, cfg Config, open func() (trace.Bloc
 	cfg = cfg.withDefaults()
 	switch cfg.Engine {
 	case EngineFused:
-		curve, _, err := sweepFusedStream(ctx, cfg, open)
+		curve, _, err := sweepFusedStream(ctx, cfg, open, true)
 		return curve, err
 	case EnginePerSize:
 		return sweepPerSizeStream(ctx, cfg, open)
