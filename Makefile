@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel check-inline check-fma bench bench-quick bench-kernel bench-sweep bench-trace bench-analytic vet fmt experiments cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel check-inline check-fma bench bench-quick vet fmt experiments cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -30,14 +30,6 @@ bench:
 # The same with -short.
 bench-quick:
 	$(GO) test -short -bench=. -benchmem ./...
-
-# Hot-path kernel benchmarks: the single-pass cache access kernel and
-# its set kernels (pseudo-LRU touch/victim, tag match), the flattened
-# hierarchy walk (HierarchyAccess, ...Resident, ...Scan: its longest
-# path), the machine step loop alone and under the Pirate co-run's step
-# mix (MachineCoRun), the serial sweep, and the stack-distance analyzer.
-bench-kernel:
-	$(GO) test -run XXX -bench 'Sweep|Machine|Analyze|CacheAccess|Hierarchy|PLRUTouchVictim|FindWay' -benchmem ./...
 
 # Inlining guard: every hierarchy walk open-codes its policy dispatch on
 # the promise that these leaves inline into it (DESIGN.md §7, "Set
@@ -82,26 +74,6 @@ check-fma:
 		[ -z "$$fused" ] || { echo "check-fma: fused multiply-add on $$a:"; echo "$$fused"; exit 1; }; \
 	done; echo "check-fma: no fused multiply-add on $(FMA_ARCHES)"
 
-# Fused vs per-size sweep, per L3 policy by ways and once by sets, on
-# the acceptance workload (60k records x 16 sizes). Numbers are recorded
-# in BENCH_fusedsweep.json; the fused engine must stay >= 2x by ways
-# (by sets it reads ~1.9x: most set indices are a modulo, not a mask).
-# The fits / overflows lines are the footprint probe on the Nehalem
-# machine: what a sweep costs when every size clones the largest, and
-# when none does (the probe then costs one extra group decode).
-bench-sweep:
-	$(GO) test -run XXX -bench 'BenchmarkSweepFused|BenchmarkSweepPerSize' \
-		-benchtime 4x -count 2 -benchmem ./internal/simulate/
-
-# Analytic fast path vs exact Mattson on the acceptance workload at
-# both trace scales. Numbers are recorded in BENCH_analytic.json; the
-# sampled analytic curve must stay >= 10x over exact Mattson at the
-# SHARDS paper-standard rate (R=0.001, 600k records). Compare ratios
-# within one invocation only — the boxes are noisy.
-bench-analytic:
-	$(GO) test -run XXX -bench 'BenchmarkMattsonExact|BenchmarkAnalyticCurve|BenchmarkAnalyticStream' \
-		-benchtime 30x -count 5 -benchmem ./internal/simulate/
-
 # Multi-core replay conformance under the race detector: the
 # decode-ahead reader's lifecycle and parity suites, the sweep-width
 # equivalence matrix, and the streamed sweeps; then the concurrent
@@ -109,14 +81,6 @@ bench-analytic:
 test-parallel:
 	$(GO) test -race ./internal/trace/ ./internal/conformance/ ./internal/simulate/
 	$(GO) test -race -count 10 -run 'ConcurrentSweeps' ./internal/simulate/
-
-# Streaming trace pipeline: v2 frame decode (workload and sparse
-# corpus), whole-trace decode and the encoder. Numbers are recorded
-# in BENCH_trace.json; the v2 streaming decode must hold >= 100M
-# records/sec on the workload-shaped corpus.
-bench-trace:
-	$(GO) test -run XXX -bench 'DecodeV2|EncodeV2' \
-		-benchtime 2s -count 3 -benchmem ./internal/trace/
 
 # Print every paper table/figure plus extensions and ablations.
 experiments:

@@ -188,7 +188,6 @@ func Profile(cfg Config, newGen func(seed uint64) workload.Generator) (*Curve, e
 		m.Suspend(bc)
 		streamers = append(streamers, s)
 	}
-	pmu := counters.NewPMU(m)
 	maxGBs := cfg.Machine.DRAM.BytesPerCycle * cfg.Machine.CPU.FreqHz / 1e9
 	curve := &Curve{Name: "bandit", MaxGBs: maxGBs}
 
@@ -196,16 +195,16 @@ func Profile(cfg Config, newGen func(seed uint64) workload.Generator) (*Curve, e
 		if err := m.RunInstructions(cfg.TargetCore, cfg.WarmupInstrs); err != nil {
 			return Point{}, err
 		}
-		pmu.MarkAll()
-		if err := m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs); err != nil {
+		iv, err := counters.Interval(m, func() error { return m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs) })
+		if err != nil {
 			return Point{}, err
 		}
-		ts := pmu.ReadInterval(cfg.TargetCore)
+		ts := iv[cfg.TargetCore]
 		var bgbs float64
 		var occ int64
 		for _, bc := range cfg.BanditCores {
 			if active {
-				bgbs += pmu.ReadInterval(bc).BandwidthGBs(cfg.Machine.CPU.FreqHz)
+				bgbs += iv[bc].BandwidthGBs(cfg.Machine.CPU.FreqHz)
 			}
 			occ += m.Hierarchy().L3().ResidentBytes(cache.Owner(bc))
 		}

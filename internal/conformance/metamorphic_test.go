@@ -233,15 +233,14 @@ func soloMissRatio(t *testing.T, cfg machine.Config, ways int) float64 {
 		t.Fatal(err)
 	}
 	m.MustAttach(0, targetGen(1))
-	pmu := counters.NewPMU(m)
 	if err := m.RunInstructions(0, pirateWarmupInstrs); err != nil {
 		t.Fatal(err)
 	}
-	pmu.Mark(0)
-	if err := m.RunInstructions(0, pirateMeasureInstrs); err != nil {
+	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, pirateMeasureInstrs) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pmu.ReadInterval(0).MissRatio()
+	return iv[0].MissRatio()
 }
 
 // coRunMissRatio runs the same target against a Pirate stealing
@@ -269,15 +268,14 @@ func coRunMissRatio(t *testing.T, cfg machine.Config, stealWays int) float64 {
 	}
 	m.Resume(0)
 	p.Resume()
-	pmu := counters.NewPMU(m)
 	if err := m.RunInstructions(0, pirateWarmupInstrs); err != nil {
 		t.Fatal(err)
 	}
-	pmu.Mark(0)
-	if err := m.RunInstructions(0, pirateMeasureInstrs); err != nil {
+	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, pirateMeasureInstrs) })
+	if err != nil {
 		t.Fatal(err)
 	}
-	return pmu.ReadInterval(0).MissRatio()
+	return iv[0].MissRatio()
 }
 
 // TestPirateMatchesShrunkCache is the method's central metamorphic

@@ -13,8 +13,8 @@ import (
 )
 
 // This file is the one measurement loop under every entry point of the
-// package: a co-run rig (a fresh machine with the Target, the Pirate
-// and a PMU on it), the Fig. 5 schedule over a rig, and the §III-C
+// package: a co-run rig (a fresh machine with the Target and the Pirate
+// on it), the Fig. 5 schedule over a rig, and the §III-C
 // thread-count scan over fresh rigs. The warm-up policy, the interval
 // measurement and the scan each live here once; the exported functions
 // are short sequences of these operations.
@@ -83,14 +83,14 @@ func rankTarget(cfg Config, cores []int, attach func(*machine.Machine) error) (C
 }
 
 // rig is one co-run: a fresh machine with the Target attached, the
-// Pirate suspended on its cores, and the counters both are read
-// through.
+// Pirate suspended on its cores, and the counters of its last measured
+// interval.
 type rig struct {
 	cfg    Config
 	tgt    target
 	m      *machine.Machine
 	pirate *Pirate
-	pmu    *counters.PMU
+	last   []counters.Sample
 }
 
 func newRig(cfg Config, tgt target) (*rig, error) {
@@ -105,7 +105,7 @@ func newRig(cfg Config, tgt target) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &rig{cfg: cfg, tgt: tgt, m: m, pirate: pirate, pmu: counters.NewPMU(m)}, nil
+	return &rig{cfg: cfg, tgt: tgt, m: m, pirate: pirate}, nil
 }
 
 // run advances the machine until the Target's pacing core has retired
@@ -131,6 +131,12 @@ func (r *rig) steal(wss int64, threads int) error {
 	return err
 }
 
+// interval runs the Target's pacing core for n more instructions and
+// returns every core's events over them.
+func (r *rig) interval(n uint64) ([]counters.Sample, error) {
+	return counters.Interval(r.m, func() error { return r.run(n) })
+}
+
 // measure runs one interval and reads it off the counters: the Target's
 // metrics summed over its cores (aggregate CPI is total cycles over
 // total instructions, bandwidth and event ratios sum over ranks) and
@@ -139,12 +145,13 @@ func (r *rig) steal(wss int64, threads int) error {
 // whether the interval is trusted.
 func (r *rig) measure(cycle int, size int64) (TimelineSample, error) {
 	start := r.m.ReadCounters(r.tgt.cores[0]).Instructions
-	r.pmu.MarkAll()
-	if err := r.run(r.cfg.IntervalInstrs); err != nil {
+	iv, err := r.interval(r.cfg.IntervalInstrs)
+	if err != nil {
 		return TimelineSample{}, err
 	}
-	ts := r.interval(r.tgt.cores)
-	pfr := r.interval(r.pirate.cores).FetchRatio()
+	r.last = iv
+	ts := sum(iv, r.tgt.cores)
+	pfr := sum(iv, r.pirate.cores).FetchRatio()
 	return TimelineSample{
 		Cycle:            cycle,
 		CacheBytes:       size,
@@ -158,13 +165,13 @@ func (r *rig) measure(cycle int, size int64) (TimelineSample, error) {
 	}, nil
 }
 
-// interval sums the given cores' events since the last mark.
-func (r *rig) interval(cores []int) counters.Sample {
-	var sum counters.Sample
+// sum adds up the given cores' events of one interval.
+func sum(iv []counters.Sample, cores []int) counters.Sample {
+	var s counters.Sample
 	for _, c := range cores {
-		sum = sum.Add(r.pmu.ReadInterval(c))
+		s = s.Add(iv[c])
 	}
-	return sum
+	return s
 }
 
 // warmStable is the one-core Target's warm-up rule: run it in
@@ -181,11 +188,11 @@ func (r *rig) warmStable() error {
 	prevOcc := int64(-1)
 	l3 := r.m.Hierarchy().L3()
 	for i := 0; i < 12; i++ {
-		r.pmu.Mark(core)
-		if err := r.run(r.cfg.TargetWarmupInstrs); err != nil {
+		iv, err := r.interval(r.cfg.TargetWarmupInstrs)
+		if err != nil {
 			return err
 		}
-		fr := r.pmu.ReadInterval(core).FetchRatio()
+		fr := iv[core].FetchRatio()
 		occ := l3.ResidentBytes(cache.Owner(core))
 		if prevFR >= 0 {
 			d := fr - prevFR
@@ -214,14 +221,7 @@ func (r *rig) warmStable() error {
 // them (ROADMAP item 2).
 func (r *rig) warmFloor() error {
 	floor := r.m.ReadCounters(r.tgt.cores[0]).Instructions + r.cfg.TargetWarmupInstrs*3
-	for _, tc := range r.tgt.cores {
-		if cur := r.m.ReadCounters(tc).Instructions; cur < floor {
-			if err := r.m.RunInstructions(tc, floor-cur); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return r.m.WarmTo(floor, r.tgt.cores...)
 }
 
 // resize is one step of the schedule: the Pirate moves to wss bytes and
@@ -295,7 +295,9 @@ func schedule(cfg Config, tgt target) (*Timeline, *MultiReport, error) {
 		}
 	}
 	for _, tc := range tgt.cores {
-		rep.RankCPIs = append(rep.RankCPIs, r.pmu.ReadInterval(tc).CPI())
+		if r.last != nil { // nil when no size was measured
+			rep.RankCPIs = append(rep.RankCPIs, r.last[tc].CPI())
+		}
 	}
 	rep.TargetInstructions = r.m.ReadCounters(tgt.cores[0]).Instructions
 	rep.WallCycles = r.m.Now()

@@ -4,7 +4,9 @@
 // which the measurement harness observes the Target and the Pirate.
 // The harness never inspects simulator internals — it reads per-core
 // event counts and derives CPI, fetch ratio, miss ratio and bandwidth,
-// exactly as the real tool does.
+// exactly as the real tool does. Every measured interval, in the
+// Pirate rig and in every solo or co-run baseline, is one Interval
+// call: read every core, run, read every core again.
 package counters
 
 // Sample is one core's cumulative event counts at a point in time.
@@ -103,30 +105,21 @@ type Source interface {
 	Cores() int
 }
 
-// PMU wraps a Source with per-core baselines so callers can measure
-// intervals: Mark records the current counts, ReadInterval returns the
-// events since the last Mark.
-type PMU struct {
-	src  Source
-	base []Sample
-}
-
-// NewPMU builds a PMU over src with zeroed baselines.
-func NewPMU(src Source) *PMU {
-	return &PMU{src: src, base: make([]Sample, src.Cores())}
-}
-
-// Mark sets core's baseline to the current counts.
-func (p *PMU) Mark(core int) { p.base[core] = p.src.ReadCounters(core) }
-
-// MarkAll baselines every core.
-func (p *PMU) MarkAll() {
-	for c := 0; c < p.src.Cores(); c++ {
-		p.Mark(c)
+// Interval runs run and returns every core's events over it: sample c
+// is core c's counts after run minus its counts before. It is the one
+// way an interval is measured — a core that was suspended, or never
+// attached, reads what it did in between, which is usually nothing. On
+// run's error it returns that error and no samples.
+func Interval(src Source, run func() error) ([]Sample, error) {
+	s := make([]Sample, src.Cores())
+	for c := range s {
+		s[c] = src.ReadCounters(c)
 	}
-}
-
-// ReadInterval returns core's events since its last Mark.
-func (p *PMU) ReadInterval(core int) Sample {
-	return p.src.ReadCounters(core).Sub(p.base[core])
+	if err := run(); err != nil {
+		return nil, err
+	}
+	for c := range s {
+		s[c] = src.ReadCounters(c).Sub(s[c])
+	}
+	return s, nil
 }

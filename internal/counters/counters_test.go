@@ -54,41 +54,3 @@ func TestBandwidthGBs(t *testing.T) {
 		t.Errorf("BandwidthGBs = %g, want ~10.4", got)
 	}
 }
-
-// fakeSource is an in-test counter source.
-type fakeSource struct {
-	samples []Sample
-}
-
-func (f *fakeSource) ReadCounters(core int) Sample { return f.samples[core] }
-func (f *fakeSource) Cores() int                   { return len(f.samples) }
-
-func TestPMUInterval(t *testing.T) {
-	src := &fakeSource{samples: make([]Sample, 2)}
-	pmu := NewPMU(src)
-
-	src.samples[0] = Sample{Instructions: 100, Cycles: 200}
-	pmu.Mark(0)
-	src.samples[0] = Sample{Instructions: 150, Cycles: 320}
-	got := pmu.ReadInterval(0)
-	if got.Instructions != 50 || got.Cycles != 120 {
-		t.Errorf("interval = %+v, want 50 instrs / 120 cycles", got)
-	}
-	// Core 1 was never marked: interval is cumulative.
-	src.samples[1] = Sample{Instructions: 7}
-	if got := pmu.ReadInterval(1); got.Instructions != 7 {
-		t.Errorf("unmarked interval = %+v", got)
-	}
-}
-
-func TestPMUMarkAll(t *testing.T) {
-	src := &fakeSource{samples: []Sample{{Instructions: 5}, {Instructions: 9}}}
-	pmu := NewPMU(src)
-	pmu.MarkAll()
-	if got := pmu.ReadInterval(0); got.Instructions != 0 {
-		t.Errorf("interval after MarkAll = %+v", got)
-	}
-	if got := pmu.ReadInterval(1); got.Instructions != 0 {
-		t.Errorf("interval after MarkAll = %+v", got)
-	}
-}

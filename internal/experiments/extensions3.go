@@ -195,19 +195,12 @@ func measurePair(mcfg machine.Config, pair [2]string, opts Options) ([2]float64,
 			return [2]float64{}, err
 		}
 	}
-	warm := 10 * opts.IntervalInstrs
-	for i := range pair {
-		cur := m.ReadCounters(i).Instructions
-		if cur < warm {
-			if err := m.RunInstructions(i, warm-cur); err != nil {
-				return [2]float64{}, err
-			}
-		}
-	}
-	pmu := counters.NewPMU(m)
-	pmu.MarkAll()
-	if err := m.RunInstructions(0, 2*opts.IntervalInstrs); err != nil {
+	if err := m.WarmTo(10*opts.IntervalInstrs, 0, 1); err != nil {
 		return [2]float64{}, err
 	}
-	return [2]float64{pmu.ReadInterval(0).CPI(), pmu.ReadInterval(1).CPI()}, nil
+	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, 2*opts.IntervalInstrs) })
+	if err != nil {
+		return [2]float64{}, err
+	}
+	return [2]float64{iv[0].CPI(), iv[1].CPI()}, nil
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"cachepirate/internal/core"
+	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/report"
 	"cachepirate/internal/stress"
@@ -86,8 +87,6 @@ func RelatedWorkXu(opts Options) (*Result, error) {
 func trueSmallCacheCPI(opts Options, newGen core.GenFactory, size int64) (float64, error) {
 	mcfg := machine.WithL3Size(machine.NehalemConfig(), size)
 	mcfg.Cores = 1
-	cfg := opts.profileConfig(mcfg)
-	cfg.PirateCores = nil
 	m, err := machine.New(mcfg)
 	if err != nil {
 		return 0, err
@@ -98,9 +97,9 @@ func trueSmallCacheCPI(opts Options, newGen core.GenFactory, size int64) (float6
 	if err := m.RunInstructions(0, opts.IntervalInstrs); err != nil { // warm
 		return 0, err
 	}
-	before := m.ReadCounters(0)
-	if err := m.RunInstructions(0, opts.IntervalInstrs*2); err != nil {
+	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, opts.IntervalInstrs*2) })
+	if err != nil {
 		return 0, err
 	}
-	return m.ReadCounters(0).Sub(before).CPI(), nil
+	return iv[0].CPI(), nil
 }

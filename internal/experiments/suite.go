@@ -41,12 +41,11 @@ func SuiteCharacterisation(opts Options) (*Result, error) {
 			if err := m.RunInstructions(0, opts.IntervalInstrs*4); err != nil {
 				return err
 			}
-			pmu := counters.NewPMU(m)
-			pmu.MarkAll()
-			if err := m.RunInstructions(0, opts.IntervalInstrs); err != nil {
+			iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, opts.IntervalInstrs) })
+			if err != nil {
 				return err
 			}
-			s := pmu.ReadInterval(0)
+			s := iv[0]
 			t.Add(report.MB(mcfg.L3.Size), report.F(s.CPI(), 3),
 				report.Pct(s.FetchRatio(), 2), report.Pct(s.MissRatio(), 2),
 				report.GBs(s.BandwidthGBs(mcfg.CPU.FreqHz)))

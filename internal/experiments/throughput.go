@@ -22,36 +22,27 @@ func measureThroughput(mcfg machine.Config, newGen core.GenFactory, seed uint64,
 	if err != nil {
 		return 0, nil, err
 	}
-	for i := 0; i < n; i++ {
+	cores := make([]int, n)
+	for i := range cores {
+		cores[i] = i
 		if err := m.Attach(i, newGen(seed+uint64(i)*101)); err != nil {
 			return 0, nil, err
 		}
 	}
-	// Warm every instance to the same absolute instruction count (under
-	// min-clock scheduling co-runners advance together, so this loop
-	// converges in one pass). Incremental warming would give later
-	// instances extra runtime and make scaling look super-linear.
-	for i := 0; i < n; i++ {
-		cur := m.ReadCounters(i).Instructions
-		if cur < warmInstrs {
-			if err := m.RunInstructions(i, warmInstrs-cur); err != nil {
-				return 0, nil, err
-			}
-		}
+	// Incremental warming would give later instances extra runtime and
+	// make scaling look super-linear.
+	if err := m.WarmTo(warmInstrs, cores...); err != nil {
+		return 0, nil, err
 	}
-	pmu := counters.NewPMU(m)
-	pmu.MarkAll()
-	if err := m.RunInstructions(0, measureInstrs); err != nil {
+	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, measureInstrs) })
+	if err != nil {
 		return 0, nil, err
 	}
 	var agg float64
-	var samples []counters.Sample
-	for i := 0; i < n; i++ {
-		s := pmu.ReadInterval(i)
-		samples = append(samples, s)
+	for _, s := range iv[:n] {
 		agg += s.IPC()
 	}
-	return agg, samples, nil
+	return agg, iv[:n], nil
 }
 
 // throughputSeries measures aggregate throughput for 1..maxN instances

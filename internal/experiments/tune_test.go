@@ -25,12 +25,11 @@ func TestTune(t *testing.T) {
 			if err := m.RunInstructions(0, 2_000_000); err != nil { // warm
 				t.Fatal(err)
 			}
-			pmu := counters.NewPMU(m)
-			pmu.MarkAll()
-			if err := m.RunInstructions(0, 500_000); err != nil {
+			iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, 500_000) })
+			if err != nil {
 				t.Fatal(err)
 			}
-			s := pmu.ReadInterval(0)
+			s := iv[0]
 			fmt.Printf("%-12s %4.1fMB  cpi=%6.3f fetch=%6.2f%% miss=%6.2f%% bw=%5.2fGB/s\n",
 				b, float64(ways)*0.5, s.CPI(), s.FetchRatio()*100, s.MissRatio()*100,
 				s.BandwidthGBs(mcfg.CPU.FreqHz))

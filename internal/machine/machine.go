@@ -377,6 +377,23 @@ func (m *Machine) RunInstructions(core int, n uint64) error {
 	return m.RunInstructionsCtx(context.Background(), core, n)
 }
 
+// WarmTo runs each listed core, in order, until it has retired at least
+// floor instructions in all; a core already there does not run. Warming
+// co-runners to one absolute count, rather than each by the same
+// increment, keeps a later core from getting extra runtime: under
+// min-clock scheduling they advance together, so the cores after the
+// first usually have little or nothing left to run.
+func (m *Machine) WarmTo(floor uint64, cores ...int) error {
+	for _, c := range cores {
+		if cur := m.cores[c].instrs; cur < floor {
+			if err := m.RunInstructions(c, floor-cur); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // cancelCheckSteps is how many machine steps RunInstructionsCtx
 // executes between context checks. Each step retires up to StepChunk
 // instructions, so the check granularity is coarse enough to keep the

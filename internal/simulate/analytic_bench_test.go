@@ -7,10 +7,10 @@ import (
 	"cachepirate/internal/trace"
 )
 
-// benchAnalyticLengths are the trace scales BENCH_analytic.json
-// reports: the 60k-record bench-sweep acceptance trace, where the
-// analytic estimator's fixed per-curve cost (profiler construction,
-// grid build, curve evaluation) is still visible, and a 10x longer
+// benchAnalyticLengths are the two trace scales: the 60k-record
+// BenchmarkSweepFused trace, where the analytic estimator's fixed
+// per-curve cost (profiler construction, grid build, curve evaluation)
+// is still visible, and a 10x longer
 // capture of the same workload, where both passes are stream-bound and
 // the per-record ratio (one hash+compare vs one per-set stack walk)
 // dominates.
@@ -20,7 +20,7 @@ func benchAnalyticTrace(n int) *trace.Trace {
 	return CaptureTrace(randFactory(64<<10), 1, 0, n)
 }
 
-// BenchmarkMattsonExact is the baseline for BENCH_analytic.json: the
+// BenchmarkMattsonExact is BenchmarkAnalyticCurve's baseline: the
 // exact per-set Mattson pass over the 16-size default grid — one
 // per-set LRU stack walk per access.
 func BenchmarkMattsonExact(b *testing.B) {
@@ -42,8 +42,8 @@ func BenchmarkMattsonExact(b *testing.B) {
 // workload and size grid, across the sampling modes: exact
 // degeneration (rate 1.0, the correctness anchor — slower than
 // Mattson, whose bounded per-set stacks beat a full splay tree), the
-// product-default fixed-rate SHARDS (the >= 10x acceptance bar of
-// BENCH_analytic.json), and the fixed-size O(1)-memory mode.
+// product-default fixed-rate SHARDS (~10x faster than Mattson at
+// 600k records), and the fixed-size O(1)-memory mode.
 func BenchmarkAnalyticCurve(b *testing.B) {
 	modes := []struct {
 		name string

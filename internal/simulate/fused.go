@@ -146,8 +146,8 @@ func (e *fusedEngine) replay(ctx context.Context, open func() (trace.BlockSource
 
 // run replays warm+1 passes of src through every replica, capturing
 // the per-replica counter baselines between the last warm pass and
-// the measured one — exactly where the per-size path calls
-// PMU.MarkAll. Block boundaries cannot affect results (replicas never
+// the measured one — exactly where the per-size path's
+// counters.Interval reads its first sample. Block boundaries cannot affect results (replicas never
 // interact and each sees the same record order regardless of
 // chunking), so a streamed source is bit-identical to an in-memory
 // replayer.

@@ -16,8 +16,8 @@ import (
 	"cachepirate/internal/workload"
 )
 
-// benchSweepConfig is the BenchmarkSweepSerial workload (60k records,
-// 16 default sizes) with the engine pinned.
+// benchSweepConfig is the sweep benchmarks' workload (60k records, 16
+// default sizes) with the engine pinned.
 func benchSweepConfig(policy cache.PolicyKind, engine Engine) Config {
 	mcfg := smallMachine()
 	mcfg.L3.Policy = policy
@@ -35,9 +35,9 @@ func benchSweepSizes(policy cache.PolicyKind) []int64 {
 
 var benchPolicies = []cache.PolicyKind{cache.Nehalem, cache.LRU, cache.PseudoLRU, cache.Random}
 
-// benchSweepEngine runs the BenchmarkSweepSerial workload on one
-// engine: per L3 policy by ways, and once by sets. Then the footprint
-// probe's two outcomes, on the default 16-size sweep of the Nehalem
+// benchSweepEngine runs the sweep benchmarks' workload on one engine:
+// per L3 policy by ways, and once by sets. Then the footprint probe's
+// two outcomes, on the default 16-size sweep of the Nehalem
 // machine over 200k random accesses: "fits" (256 KB, one line to every
 // other set: the fused engine replays the largest size and clones 15
 // points) and "overflows" (32 MB, 24 lines to a set: the probe evicts,
@@ -69,8 +69,8 @@ func benchSweepEngine(b *testing.B, engine Engine) {
 	}
 }
 
-// BenchmarkSweepFused measures the fused engine on the
-// BenchmarkSweepSerial workload.
+// BenchmarkSweepFused measures the fused engine on that workload; its
+// nehalem line at Workers 1 is the serial sweep.
 func BenchmarkSweepFused(b *testing.B) { benchSweepEngine(b, EngineFused) }
 
 // BenchmarkSweepPerSize measures the historical one-machine-per-size

@@ -10,7 +10,7 @@ import (
 )
 
 // BenchmarkSweepFusedWorkers is the multi-core replay scaling table:
-// the streamed fused sweep on the BenchmarkSweepSerial workload (60k
+// the streamed fused sweep on the BenchmarkSweepFused workload (60k
 // records, 16 sizes) with j replica groups replaying at once, each
 // decoding its own source. The curve is bit-identical at every width
 // (internal/conformance), so the only thing that may move is

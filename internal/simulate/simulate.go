@@ -362,12 +362,11 @@ func sweepPoint(ctx context.Context, cfg Config, open func() (trace.BlockSource,
 			return analysis.Point{}, err
 		}
 	}
-	pmu := counters.NewPMU(m)
-	pmu.MarkAll()
-	if err := m.RunInstructionsCtx(ctx, 0, passInstrs); err != nil {
+	iv, err := counters.Interval(m, func() error { return m.RunInstructionsCtx(ctx, 0, passInstrs) })
+	if err != nil {
 		return analysis.Point{}, err
 	}
-	return curvePoint(mcfg.L3.Size, pmu.ReadInterval(0), mcfg.CPU.FreqHz), nil
+	return curvePoint(mcfg.L3.Size, iv[0], mcfg.CPU.FreqHz), nil
 }
 
 // curvePoint is the one assembly of a sweep's curve point: the

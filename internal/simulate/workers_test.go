@@ -6,11 +6,9 @@ import (
 	"errors"
 	"io"
 	"reflect"
-	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/counters"
@@ -173,12 +171,11 @@ func TestSweepSerialGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		pmu := counters.NewPMU(m)
-		pmu.MarkAll()
-		if err := m.RunInstructions(0, passInstrs); err != nil {
+		iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, passInstrs) })
+		if err != nil {
 			t.Fatal(err)
 		}
-		s := pmu.ReadInterval(0)
+		s := iv[0]
 		want.Points = append(want.Points, analysis.Point{
 			CacheBytes:   size,
 			CPI:          s.CPI(),
@@ -193,45 +190,5 @@ func TestSweepSerialGolden(t *testing.T) {
 
 	if !reflect.DeepEqual(want, got) {
 		t.Errorf("Sweep(Workers:1) diverges from the historical serial loop:\n%+v\nvs\n%+v", want.Points, got.Points)
-	}
-}
-
-func BenchmarkSweepSerial(b *testing.B) {
-	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
-	cfg := Config{Machine: smallMachine(), Workers: 1} // 16 default sizes
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(cfg, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkSweepParallel measures the pooled sweep and reports the
-// wall-clock speedup over a serial run of the same work as a custom
-// metric. On a multi-core host speedup-vs-serial approaches the worker
-// count; on a single-CPU host it sits near 1.
-func BenchmarkSweepParallel(b *testing.B) {
-	tr := CaptureTrace(randFactory(64<<10), 1, 0, 60000)
-	serialCfg := Config{Machine: smallMachine(), Workers: 1}
-	parCfg := Config{Machine: smallMachine(), Workers: 0}
-
-	t0 := time.Now()
-	if _, err := Sweep(serialCfg, tr); err != nil {
-		b.Fatal(err)
-	}
-	serial := time.Since(t0)
-
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Sweep(parCfg, tr); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if b.N > 0 && b.Elapsed() > 0 {
-		par := b.Elapsed() / time.Duration(b.N)
-		b.ReportMetric(serial.Seconds()/par.Seconds(), "speedup-vs-serial")
-		b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "workers")
 	}
 }

@@ -62,12 +62,10 @@ func XuCoRun(mcfg machine.Config, newGen func(seed uint64) workload.Generator, s
 	if err := mb.RunInstructions(0, targetInstrs/4); err != nil { // warm-up
 		return XuResult{}, err
 	}
-	pmub := counters.NewPMU(mb)
-	pmub.MarkAll()
-	if err := mb.RunInstructions(0, targetInstrs); err != nil {
+	base, err := counters.Interval(mb, func() error { return mb.RunInstructions(0, targetInstrs) })
+	if err != nil {
 		return XuResult{}, err
 	}
-	baseline := pmub.ReadInterval(0).CPI()
 
 	// Co-run: stressor contends freely at maximum rate (no pacing, no
 	// feedback — that is the point of the comparison).
@@ -87,31 +85,28 @@ func XuCoRun(mcfg machine.Config, newGen func(seed uint64) workload.Generator, s
 	if err := m.RunInstructions(0, targetInstrs/4); err != nil {
 		return XuResult{}, err
 	}
-	pmu := counters.NewPMU(m)
-	pmu.MarkAll()
-
 	var occSum int64
 	var samples int64
-	remaining := targetInstrs
-	for remaining > 0 {
-		chunk := sampleEvery
-		if chunk > remaining {
-			chunk = remaining
+	iv, err := counters.Interval(m, func() error {
+		for remaining := targetInstrs; remaining > 0; {
+			chunk := min(sampleEvery, remaining)
+			if err := m.RunInstructions(0, chunk); err != nil {
+				return err
+			}
+			occSum += m.Hierarchy().L3().ResidentBytes(cache.Owner(1))
+			samples++
+			remaining -= chunk
 		}
-		if err := m.RunInstructions(0, chunk); err != nil {
-			return XuResult{}, err
-		}
-		occSum += m.Hierarchy().L3().ResidentBytes(cache.Owner(1))
-		samples++
-		remaining -= chunk
+		return nil
+	})
+	if err != nil {
+		return XuResult{}, err
 	}
-	ts := pmu.ReadInterval(0)
-	ss := pmu.ReadInterval(1)
 	return XuResult{
-		TargetCPI:            ts.CPI(),
-		BaselineCPI:          baseline,
+		TargetCPI:            iv[0].CPI(),
+		BaselineCPI:          base[0].CPI(),
 		AvgStolenBytes:       occSum / samples,
-		StressorBandwidthGBs: ss.BandwidthGBs(mcfg.CPU.FreqHz),
+		StressorBandwidthGBs: iv[1].BandwidthGBs(mcfg.CPU.FreqHz),
 	}, nil
 }
 
@@ -154,12 +149,11 @@ func BaseVectorSensitivity(mcfg machine.Config, newGen func(seed uint64) workloa
 		if err := m.RunInstructions(0, targetInstrs/4); err != nil {
 			return 0, err
 		}
-		pmu := counters.NewPMU(m)
-		pmu.MarkAll()
-		if err := m.RunInstructions(0, targetInstrs); err != nil {
+		iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, targetInstrs) })
+		if err != nil {
 			return 0, err
 		}
-		return pmu.ReadInterval(0).CPI(), nil
+		return iv[0].CPI(), nil
 	}
 	alone, err := run(false)
 	if err != nil {

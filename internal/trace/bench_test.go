@@ -31,8 +31,8 @@ func workloadTrace(n int) *Trace {
 	return tr
 }
 
-// reportRecords converts the benchmark's per-op time into the
-// records/sec figure BENCH_trace.json records.
+// reportRecords converts the benchmark's per-op time into records/sec,
+// the inverse of BENCHMARK.json's trace.decode_ns_per_record.
 func reportRecords(b *testing.B, records int) {
 	b.ReportMetric(float64(records)*float64(b.N)/b.Elapsed().Seconds(), "records/s")
 }
