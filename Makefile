@@ -74,12 +74,17 @@ check-fma:
 		[ -z "$$fused" ] || { echo "check-fma: fused multiply-add on $$a:"; echo "$$fused"; exit 1; }; \
 	done; echo "check-fma: no fused multiply-add on $(FMA_ARCHES)"
 
-# Multi-core replay conformance under the race detector: the
-# decode-ahead reader's lifecycle and parity suites, the sweep-width
-# equivalence matrix, and the streamed sweeps; then the concurrent
-# sweeps that share the pooled line-state backings, ten times over.
+# The concurrency surface under the race detector, without -short: the
+# decode-ahead reader (its tests pin GOMAXPROCS themselves), the
+# conformance matrices (streamed sweeps at every width among them), the
+# sweep engines, the analytic profilers and the worker pool; the curve
+# server at GOMAXPROCS 1 and 4, so its goroutines share a multi-P
+# scheduler whatever the host's core count; then the concurrent sweeps
+# that share the pooled line-state backings, ten times over.
 test-parallel:
-	$(GO) test -race ./internal/trace/ ./internal/conformance/ ./internal/simulate/
+	$(GO) test -race ./internal/trace/ ./internal/conformance/ ./internal/simulate/ ./internal/stackdist/ ./internal/analytic/ ./internal/runner/
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/server/
+	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server/
 	$(GO) test -race -count 10 -run 'ConcurrentSweeps' ./internal/simulate/
 
 # Print every paper table/figure plus extensions and ablations.

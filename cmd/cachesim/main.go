@@ -37,12 +37,12 @@
 // -load replays a trace file out of core: blocks are decoded as the
 // engine consumes them, in O(block) memory, so the trace can be far
 // larger than RAM. The curve is bit-identical to replaying the same
-// records from memory (pinned by internal/conformance and the CI CSV
-// diff). Each consumer opens the file once and decodes up to three
-// frames ahead on its own goroutine (trace.Reader), so -j N runs N
-// decode goroutines beside N replays. Only -stack reads a -load file
-// into memory. -save writes a capture; to re-frame a file, use
-// `tracer compact`.
+// records from memory (pinned by internal/conformance and
+// TestLoadMatchesCapture). Each consumer opens the file once and
+// decodes up to three frames ahead on its own goroutine (trace.Reader),
+// so -j N runs N decode goroutines beside N replays. Only -stack reads
+// a -load file into memory. -save writes a capture; to re-frame a
+// file, use `tracer compact`.
 package main
 
 import (

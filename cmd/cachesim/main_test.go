@@ -131,6 +131,7 @@ func TestEmptySampleFails(t *testing.T) {
 
 // TestLoadSaveRejected pins that -save works on captures only: with
 // -load it exits 2, names the re-encode command and writes nothing.
+// -stream is gone (-load always streams) and exits 2 as undefined.
 func TestLoadSaveRejected(t *testing.T) {
 	dir := t.TempDir()
 	src := filepath.Join(dir, "src.cptr2")
@@ -140,6 +141,32 @@ func TestLoadSaveRejected(t *testing.T) {
 	wantUsageExit(t, err, errOut, "tracer compact")
 	if _, err := os.Stat(dst); !os.IsNotExist(err) {
 		t.Errorf("-load -save left an output file (stat: %v)", err)
+	}
+	_, errOut, err = run(t, "-load", src, "-stream", "-csv")
+	wantUsageExit(t, err, errOut, "flag provided but not defined: -stream")
+}
+
+// TestEquivalentFlags pins pairs of invocations that must print the
+// same CSV: the fused engine and its per-size oracle, by ways and by
+// sets, and -sample-size alone, which starts at rate 1.0 instead of
+// -sample-rate's default of 0.01, against the same size at rate 1.
+func TestEquivalentFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		a, b []string
+	}{
+		{"fused=persize", []string{"-engine", "fused"}, []string{"-engine", "persize"}},
+		{"fused=persize by sets", []string{"-engine", "fused", "-mode", "sets"}, []string{"-engine", "persize", "-mode", "sets"}},
+		{"sample-size at rate 1", []string{"-engine", "analytic", "-sample-size", "500"}, []string{"-engine", "analytic", "-sample-size", "500", "-sample-rate", "1"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			common := []string{"-records", "20000", "-j", "2", "-csv"}
+			a := cachesim(t, append(append(common, tc.a...), "microrand")...)
+			b := cachesim(t, append(append(common, tc.b...), "microrand")...)
+			if a == "" || a != b {
+				t.Errorf("%s prints\n%s\n%s prints\n%s", strings.Join(tc.a, " "), a, strings.Join(tc.b, " "), b)
+			}
+		})
 	}
 }
 

@@ -36,20 +36,22 @@ func command(t *testing.T, args ...string) *exec.Cmd {
 	return cmd
 }
 
-// TestRejectsBadOptions pins that an out-of-range flag exits 2 with one
-// line naming it, before any experiment runs: -trace -5 used to exit 1
-// on a recovered makeslice panic inside the runner, and -cycles -1 on
-// core.Profile's verdict after the runner had started.
+// TestRejectsBadOptions pins that an out-of-range flag or an unknown
+// benchmark exits 2 with one line naming it, before any experiment
+// runs: -trace -5 used to exit 1 on a recovered makeslice panic inside
+// the runner, and -cycles -1 on core.Profile's verdict after the runner
+// had started.
 func TestRejectsBadOptions(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
-		flag string
+		want string // the start of the one line on stderr
 	}{
-		{[]string{"-trace", "-5", "fig6"}, "-trace"},
-		{[]string{"-quick", "-cycles", "-1", "fig1"}, "-cycles"},
-		{[]string{"-cycles", "-1", "-trace", "-5"}, "-trace"},
-		{[]string{"-quick", "-j", "1", "-benchmarks", "microseq", "-interval", "9223372036854775808", "tab3"}, "-interval"},
-		{[]string{"-interval", "18446744073709551615", "fig1"}, "-interval"},
+		{[]string{"-trace", "-5", "fig6"}, "experiments: -trace: "},
+		{[]string{"-quick", "-cycles", "-1", "fig1"}, "experiments: -cycles: "},
+		{[]string{"-cycles", "-1", "-trace", "-5"}, "experiments: -trace: "},
+		{[]string{"-quick", "-j", "1", "-benchmarks", "microseq", "-interval", "9223372036854775808", "tab3"}, "experiments: -interval: "},
+		{[]string{"-interval", "18446744073709551615", "fig1"}, "experiments: -interval: "},
+		{[]string{"-quick", "-benchmarks", "nope", "fig8"}, `experiments: unknown benchmark "nope"`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			cmd := command(t, tc.args...)
@@ -61,8 +63,8 @@ func TestRejectsBadOptions(t *testing.T) {
 				t.Fatalf("got %v, want exit 2\n%s", err, stderr.String())
 			}
 			lines := strings.Split(strings.TrimSuffix(stderr.String(), "\n"), "\n")
-			if len(lines) != 1 || !strings.HasPrefix(lines[0], "experiments: "+tc.flag+": ") {
-				t.Errorf("stderr is not one line naming %s:\n%s", tc.flag, stderr.String())
+			if len(lines) != 1 || !strings.HasPrefix(lines[0], tc.want) {
+				t.Errorf("stderr is not one line starting %q:\n%s", tc.want, stderr.String())
 			}
 			if stdout.Len() != 0 {
 				t.Errorf("stdout is not empty:\n%s", stdout.String())

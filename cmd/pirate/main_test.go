@@ -92,3 +92,33 @@ func TestRejectsBadConfig(t *testing.T) {
 		})
 	}
 }
+
+// TestMachineReadableStdout pins that -json and -csv print the curve
+// alone on stdout, for programs to read: stdout ends with the closing
+// brace or the last curve row, and the thread count and the -overhead
+// line go to stderr (they used to follow the curve on stdout).
+func TestMachineReadableStdout(t *testing.T) {
+	for _, tc := range []struct{ flag, last string }{
+		{"-json", "}"},
+		{"-csv", "8.0MB,"},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			cmd := command(t, tc.flag, "-overhead", "-interval", "20000", "-cycles", "1", "-threads", "1", "microseq")
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
+			if err != nil {
+				t.Fatalf("%v\n%s", err, stderr.String())
+			}
+			lines := strings.Split(strings.TrimSuffix(string(out), "\n"), "\n")
+			if last := lines[len(lines)-1]; !strings.HasPrefix(last, tc.last) {
+				t.Errorf("stdout ends with %q, want a line starting %q", last, tc.last)
+			}
+			for _, want := range []string{"pirate threads: 1\n", "overhead: "} {
+				if !strings.Contains(stderr.String(), want) {
+					t.Errorf("stderr lacks %q:\n%s", want, stderr.String())
+				}
+			}
+		})
+	}
+}

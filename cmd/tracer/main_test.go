@@ -179,8 +179,9 @@ func TestCompactInPlace(t *testing.T) {
 }
 
 // TestInfoCheck pins info's report: -check verifies a file through the
-// decode-ahead Reader, and a file in the retired v1 format is refused
-// with an error exit, not a panic.
+// decode-ahead Reader, -footprint profiles a file record wrote, and a
+// file in the retired v1 format is refused with an error exit, not a
+// panic.
 func TestInfoCheck(t *testing.T) {
 	dir := t.TempDir()
 	tr := cliTestTrace(1500)
@@ -193,6 +194,20 @@ func TestInfoCheck(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("info -check output lacks %q:\n%s", want, out)
+		}
+	}
+
+	rec := filepath.Join(dir, "rec.cptr2")
+	tracer(t, "record", "-records", "5000", "-o", rec, "microrand")
+	out = tracer(t, "info", "-check", "-footprint", rec)
+	for _, want := range []string{
+		"check:         OK — 5000 records",
+		"footprint:     ",
+		"5000 sampled)",
+		"working set:   P99 ",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("info -check -footprint of a recorded file lacks %q:\n%s", want, out)
 		}
 	}
 

@@ -66,9 +66,9 @@ func TestCheckAnalyticEquivalence(t *testing.T) {
 
 // TestAnalyticGoldenCurves pins the rate-1.0 analytic curve CSVs
 // against checked-in goldens: the exact-mode analytic output is fully
-// deterministic, so any drift is a real behaviour change. The CI CSV
-// diff re-runs this comparison on every push. Regenerate after an
-// intentional change with:
+// deterministic, so any drift is a real behaviour change; a failure
+// prints the want and got CSVs. Regenerate after an intentional change
+// with:
 //
 //	go test ./internal/conformance -run AnalyticGolden -update
 //

@@ -8,35 +8,51 @@ import (
 	"cachepirate/internal/trace"
 )
 
-// CheckStreamEquivalence encodes tr into the framed v2 format with the
-// given frame size, sweeps it through the out-of-core streaming path
-// (trace.Reader, block budget = one frame), and verifies
-// the curve is bit-identical to the in-memory sweep of the same
-// records. A small frameRecords against a large trace makes the
-// streamed replay cross many block boundaries — the acceptance shape
-// is a trace ≥ 10× the block budget — so any state the decoder failed
-// to carry across frames (delta chain restarts, checksum chaining,
-// rewind between passes) breaks the comparison. Like the engine
-// matrix, the comparison is exact: streaming is a memory-footprint
-// choice, never a results choice.
-func CheckStreamEquivalence(cfg simulate.Config, tr *trace.Trace, frameRecords int) error {
-	want, err := simulate.Sweep(cfg, tr)
+// CheckStreamEquivalence is the streamed-sweep identity gate. The
+// serial in-memory sweep of tr is the oracle; the same config is then
+// swept width groups at a time (a) over in-memory blocks, unless width
+// is 1 and that sweep is the oracle, and (b) over streaming Readers of
+// tr encoded in the framed v2 format with frameRecords-record frames,
+// each group's decoding ahead on its own goroutine. Every curve must be
+// Float64bits-identical. A small frameRecords against a large trace
+// makes the streamed replay cross many frame boundaries, so any state
+// the decoder failed to carry across frames (delta chain restarts,
+// checksum chaining, rewind between passes) breaks the comparison.
+// Width and streaming are wall-clock and memory choices, never results
+// choices.
+func CheckStreamEquivalence(cfg simulate.Config, tr *trace.Trace, frameRecords, width int) error {
+	serial := cfg
+	serial.Workers = 1
+	want, err := simulate.Sweep(serial, tr)
 	if err != nil {
-		return fmt.Errorf("conformance: in-memory sweep: %w", err)
+		return fmt.Errorf("conformance: serial sweep: %w", err)
 	}
+
+	wide := cfg
+	wide.Workers = width
+	if width != 1 {
+		got, err := simulate.Sweep(wide, tr)
+		if err != nil {
+			return fmt.Errorf("conformance: wide sweep (j=%d): %w", width, err)
+		}
+		if err := CurvesIdentical(want, got); err != nil {
+			return fmt.Errorf("conformance: wide sweep (j=%d) diverges from serial: %w", width, err)
+		}
+	}
+
 	var buf bytes.Buffer
 	if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
 		return fmt.Errorf("conformance: encoding v2 stream: %w", err)
 	}
 	data := buf.Bytes()
-	got, err := simulate.SweepStream(cfg, func() (trace.BlockSource, error) {
+	got, err := simulate.SweepStream(wide, func() (trace.BlockSource, error) {
 		return trace.NewReader(bytes.NewReader(data), trace.ReaderOptions{})
 	})
 	if err != nil {
-		return fmt.Errorf("conformance: streamed sweep: %w", err)
+		return fmt.Errorf("conformance: streamed sweep (j=%d): %w", width, err)
 	}
 	if err := CurvesIdentical(want, got); err != nil {
-		return fmt.Errorf("conformance: streamed sweep diverges from in-memory (frame %d records): %w", frameRecords, err)
+		return fmt.Errorf("conformance: streamed sweep (j=%d, frame %d records) diverges from serial in-memory: %w", width, frameRecords, err)
 	}
 	return nil
 }

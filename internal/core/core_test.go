@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"cachepirate/internal/cache"
@@ -374,6 +375,48 @@ func TestProfileFixedCurveSorted(t *testing.T) {
 		if curve.Points[i].CacheBytes <= curve.Points[i-1].CacheBytes {
 			t.Error("fixed curve not sorted")
 		}
+	}
+}
+
+// TestEmptySizeGridRejected pins that an L3 under the default grid's
+// 512 KB step, with no Sizes given, is an error naming the L3 size and
+// the step at every entry point that measures the grid, before any
+// machine is built: Profile used to return an empty curve and a nil
+// error. The entry points that measure no grid keep working.
+func TestEmptySizeGridRejected(t *testing.T) {
+	cfg := testConfig(4)
+	cfg.Sizes = nil
+	cfg.Threads = 1
+	factory := mustNotBuild(t)
+	ranks := func(uint64) ([]workload.Generator, error) {
+		t.Error("ranks built for a config that must be rejected")
+		return nil, nil
+	}
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Profile", func() error { _, _, err := Profile(cfg, factory); return err }},
+		{"Timeline", func() error { _, _, err := ProfileTimeline(cfg, factory); return err }},
+		{"Multi", func() error { _, _, err := ProfileMulti(cfg, []int{0, 1}, factory); return err }},
+		{"Parallel", func() error { _, _, err := ProfileParallel(cfg, []int{0, 1}, ranks); return err }},
+		{"Overhead", func() error { _, _, _, err := MeasureOverhead(cfg, factory); return err }},
+		{"FixedCurve", func() error { _, err := ProfileFixedCurve(cfg, factory, 1); return err }},
+	} {
+		err := tc.run()
+		if err == nil || !strings.Contains(err.Error(), "L3 of 65536 bytes") || !strings.Contains(err.Error(), "512 KB step") {
+			t.Errorf("%s: err = %v, want one naming the 65536-byte L3 and the 512 KB step", tc.name, err)
+		}
+	}
+
+	if _, _, err := DetermineThreads(cfg, randTarget(32<<10)); err != nil {
+		t.Errorf("DetermineThreads: %v", err)
+	}
+	if _, err := MaxStealable(cfg, randTarget(32<<10), 1); err != nil {
+		t.Errorf("MaxStealable: %v", err)
+	}
+	if _, err := ProfileFixed(cfg, randTarget(32<<10), 32<<10, 1); err != nil {
+		t.Errorf("ProfileFixed: %v", err)
 	}
 }
 

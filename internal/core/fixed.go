@@ -53,6 +53,9 @@ func ProfileFixed(cfg Config, newGen GenFactory, size int64, threads int) (analy
 // identical at any worker count.
 func ProfileFixedCurve(cfg Config, newGen GenFactory, threads int) (*analysis.Curve, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.checkGrid(); err != nil {
+		return nil, err
+	}
 	points, err := runner.Map(context.Background(), runner.Pool{Workers: cfg.Workers}, len(cfg.Sizes),
 		func(_ context.Context, i int) (analysis.Point, error) {
 			return ProfileFixed(cfg, newGen, cfg.Sizes[i], threads)

@@ -82,6 +82,10 @@ type Config struct {
 	Workers int
 }
 
+// sizeStep is the step of the default size grid: every multiple of it
+// up to the full L3.
+const sizeStep = 512 << 10
+
 // withDefaults returns cfg with zero fields filled in.
 func (c Config) withDefaults() Config {
 	if c.Machine.Cores == 0 {
@@ -95,8 +99,7 @@ func (c Config) withDefaults() Config {
 		}
 	}
 	if len(c.Sizes) == 0 {
-		const step = 512 << 10
-		for s := int64(step); s <= c.Machine.L3.Size; s += step {
+		for s := int64(sizeStep); s <= c.Machine.L3.Size; s += sizeStep {
 			c.Sizes = append(c.Sizes, s)
 		}
 	}
@@ -191,6 +194,17 @@ func (c Config) validate() error {
 		if n.instrs > MaxInstrs {
 			return fmt.Errorf("core: %s of %d instructions above the bound of %d (2^40)", n.what, n.instrs, uint64(MaxInstrs))
 		}
+	}
+	return nil
+}
+
+// checkGrid is the rule of the entry points that measure the size grid
+// (the schedule and ProfileFixedCurve) on a config whose defaults are
+// filled in: an L3 under one sizeStep leaves the default grid empty,
+// which would measure nothing and return an empty curve.
+func (c Config) checkGrid() error {
+	if len(c.Sizes) == 0 {
+		return fmt.Errorf("core: no size to measure: the L3 of %d bytes is under the %d KB step of the default size grid (set Sizes)", c.Machine.L3.Size, sizeStep>>10)
 	}
 	return nil
 }

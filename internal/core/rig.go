@@ -256,6 +256,9 @@ func (r *rig) resize(wss int64, threads int) error {
 // reaches only the thread-count scan run when no count is fixed. The
 // report's RankCPIs are the last interval's.
 func schedule(cfg Config, tgt target) (*Timeline, *MultiReport, error) {
+	if err := cfg.checkGrid(); err != nil {
+		return nil, nil, err
+	}
 	rep := &MultiReport{Report: Report{ThreadsUsed: cfg.Threads}}
 	if rep.ThreadsUsed == 0 {
 		t, cpis, err := scanThreads(cfg, tgt)
@@ -295,9 +298,7 @@ func schedule(cfg Config, tgt target) (*Timeline, *MultiReport, error) {
 		}
 	}
 	for _, tc := range tgt.cores {
-		if r.last != nil { // nil when no size was measured
-			rep.RankCPIs = append(rep.RankCPIs, r.last[tc].CPI())
-		}
+		rep.RankCPIs = append(rep.RankCPIs, r.last[tc].CPI())
 	}
 	rep.TargetInstructions = r.m.ReadCounters(tgt.cores[0]).Instructions
 	rep.WallCycles = r.m.Now()

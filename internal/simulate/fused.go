@@ -127,7 +127,7 @@ func newFusedEngine(cfg Config, l3 []cache.Config, backing *cache.FusedBacking) 
 	}
 	return &fusedEngine{
 		fh:    fh,
-		costs: machine.NewCosts(cfg.Machine.CPU, cfg.MLP),
+		costs: machine.NewCosts(cfg.Machine.CPU, traceMLP),
 		warm:  cfg.WarmPasses,
 		clk:   clk,
 		base:  make([]counters.Sample, len(l3)),
@@ -335,7 +335,7 @@ func l3Configs(mcfgs []machine.Config) []cache.Config {
 // after a footprint probe when probe is set. Replicas never interact
 // and every group sees the same record order, so neither the group
 // budget, the width nor the probe can change any point
-// (conformance.CheckParallelSweepEquivalence). The second result is,
+// (conformance.CheckStreamEquivalence). The second result is,
 // per point of the curve, the L3 policies it holds for.
 func sweepFusedStream(ctx context.Context, cfg Config, open func() (trace.BlockSource, error), probe bool) (*analysis.Curve, []cache.PolicySet, error) {
 	points, holds, _, err := sweepFusedGrouped(ctx, cfg, open, l3Configs(shrunkMachines(cfg)), fusedGroupLines, probe)
@@ -374,14 +374,13 @@ type PolicyPoints struct {
 // policyBasis is what a fused curve depends on but the trace and the
 // L3 policy: the defaulted sweep's machine, with its L3 policy blanked
 // and its prefetcher constructor kept as a code address (a func has no
-// ==), its sizes in curve order, mode, warm passes and MLP.
+// ==), its sizes in curve order, mode and warm passes.
 type policyBasis struct {
 	machine  machine.Config
 	prefetch uintptr
 	sizes    []int64
 	mode     SweepMode
 	warm     int
-	mlp      float64
 }
 
 // newPolicyBasis returns the basis of a defaulted cfg.
@@ -391,7 +390,6 @@ func newPolicyBasis(cfg Config) policyBasis {
 		sizes:   slices.Clone(cfg.Sizes),
 		mode:    cfg.Mode,
 		warm:    cfg.WarmPasses,
-		mlp:     cfg.MLP,
 	}
 	if pf := b.machine.NewPrefetcher; pf != nil {
 		b.prefetch = reflect.ValueOf(pf).Pointer()

@@ -108,7 +108,6 @@ func TestPolicyPointsPriorMismatch(t *testing.T) {
 		{"cold", func(c *Config) { c.WarmPasses = -1 }, false},
 		{"two warm passes", func(c *Config) { c.WarmPasses = 2 }, false},
 		{"other sizes", func(c *Config) { c.Sizes = []int64{4 << 10, 8 << 10} }, false},
-		{"another MLP", func(c *Config) { c.MLP = 3 }, false},
 		{"a prefetcher", func(c *Config) { c.Machine.NewPrefetcher = machine.NehalemConfig().NewPrefetcher }, false},
 		{"another L2", func(c *Config) { c.Machine.L2.Policy = cache.Nehalem }, false},
 		{"engine persize", func(c *Config) { c.Engine = EnginePerSize }, false},

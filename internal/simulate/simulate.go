@@ -136,9 +136,6 @@ type Config struct {
 	// SampleSize, when > 0, runs EngineAnalytic in SHARDS fixed-size
 	// mode: at most this many lines tracked, rate adapting downward.
 	SampleSize int
-	// MLP is the timing hint for the replayed trace (traces carry
-	// none; it does not affect fetch ratios, only CPI).
-	MLP float64
 	// WarmPasses is how many full trace replays warm the cache before
 	// the measured replay. The zero value means the default, 1; a
 	// negative value measures the first replay cold, with no warm-up.
@@ -155,13 +152,14 @@ type Config struct {
 	Workers int
 }
 
+// traceMLP is the memory-level parallelism every replay gives the
+// trace (traces carry none; it does not affect fetch ratios, only CPI).
+const traceMLP = 2
+
 func (c Config) withDefaults() Config {
 	c.Machine = c.replayMachine()
 	if len(c.Sizes) == 0 {
 		c.Sizes = waySizes(nil, c.Machine.L3)
-	}
-	if c.MLP == 0 {
-		c.MLP = 2
 	}
 	if c.WarmPasses < 0 {
 		c.WarmPasses = 0
@@ -354,7 +352,7 @@ func sweepPoint(ctx context.Context, cfg Config, open func() (trace.BlockSource,
 		return analysis.Point{}, err
 	}
 	defer closeSource(src, &err)
-	if err := m.AttachBlocks(0, "trace", src, cfg.MLP); err != nil {
+	if err := m.AttachBlocks(0, "trace", src, traceMLP); err != nil {
 		return analysis.Point{}, err
 	}
 	for w := 0; w < cfg.WarmPasses; w++ {

@@ -163,7 +163,7 @@ func TestSweepSerialGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Attach(0, workload.NewFromBlocks("trace", trace.NewReplayer(tr, false), def.MLP, 0)); err != nil {
+		if err := m.Attach(0, workload.NewFromBlocks("trace", trace.NewReplayer(tr, false), traceMLP, 0)); err != nil {
 			t.Fatal(err)
 		}
 		for w := 0; w < def.WarmPasses; w++ {

@@ -159,11 +159,13 @@ func FuzzRead(f *testing.F) {
 
 		// Cross-check oracle: stream the same bytes through the
 		// out-of-core Reader frame by frame, once decoding ahead on
-		// its goroutine and once inline under GOMAXPROCS(1). Both must
+		// its goroutine under GOMAXPROCS(2) and once inline under
+		// GOMAXPROCS(1), whatever the host's core count. Both must
 		// surface the same records, fail with the same error, and stop
 		// at the same frame.
+		prev := runtime.GOMAXPROCS(2)
 		streamed, sframes, serr := streamAll(t, data)
-		prev := runtime.GOMAXPROCS(1)
+		runtime.GOMAXPROCS(1)
 		inline, iframes, ierr := streamAll(t, data)
 		runtime.GOMAXPROCS(prev)
 		if (serr == nil) != (ierr == nil) || serr != nil && serr.Error() != ierr.Error() {

@@ -32,139 +32,147 @@ func drain(t *testing.T, src BlockSource) []Record {
 }
 
 func TestReaderMatchesRead(t *testing.T) {
-	tr := testTrace(10000)
-	for _, frameRecords := range []int{512, DefaultFrameRecords} {
-		var buf bytes.Buffer
-		if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
-			t.Fatal(err)
-		}
-		data := buf.Bytes()
-		t.Run(fmt.Sprintf("frames=%d", frameRecords), func(t *testing.T) {
-			r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
-			if err != nil {
+	atProcs(t, func(t *testing.T) {
+		tr := testTrace(10000)
+		for _, frameRecords := range []int{512, DefaultFrameRecords} {
+			var buf bytes.Buffer
+			if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
 				t.Fatal(err)
 			}
-			defer func() {
-				if err := r.Close(); err != nil {
-					t.Error(err)
+			data := buf.Bytes()
+			t.Run(fmt.Sprintf("frames=%d", frameRecords), func(t *testing.T) {
+				r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
+				if err != nil {
+					t.Fatal(err)
 				}
-			}()
-			recordsEqual(t, tr.Records, drain(t, r))
-			// End of pass is sticky until Rewind.
-			if blk, err := r.NextBlock(); err != nil || blk != nil {
-				t.Fatalf("NextBlock after EOF = %v, %v", blk, err)
-			}
-			// A second pass must replay identically.
-			if err := r.Rewind(); err != nil {
-				t.Fatal(err)
-			}
-			recordsEqual(t, tr.Records, drain(t, r))
-		})
-	}
+				defer func() {
+					if err := r.Close(); err != nil {
+						t.Error(err)
+					}
+				}()
+				recordsEqual(t, tr.Records, drain(t, r))
+				// End of pass is sticky until Rewind.
+				if blk, err := r.NextBlock(); err != nil || blk != nil {
+					t.Fatalf("NextBlock after EOF = %v, %v", blk, err)
+				}
+				// A second pass must replay identically.
+				if err := r.Rewind(); err != nil {
+					t.Fatal(err)
+				}
+				recordsEqual(t, tr.Records, drain(t, r))
+			})
+		}
+	})
 }
 
 func TestReaderHeaderTotals(t *testing.T) {
-	tr := testTrace(777)
-	var v2 bytes.Buffer
-	if err := tr.WriteV2(&v2); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(v2.Bytes()), ReaderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumRecords() != 777 || r.NumInstructions() != int64(tr.Instructions()) {
-		t.Errorf("totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+	atProcs(t, func(t *testing.T) {
+		tr := testTrace(777)
+		var v2 bytes.Buffer
+		if err := tr.WriteV2(&v2); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewReader(bytes.NewReader(v2.Bytes()), ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumRecords() != 777 || r.NumInstructions() != int64(tr.Instructions()) {
+			t.Errorf("totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// Unknown totals read as -1, and the stream still replays in full.
-	r, err = NewReader(bytes.NewReader(unpatchedStream(t, tr, 0)), ReaderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumRecords() != -1 || r.NumInstructions() != -1 {
-		t.Errorf("unpatched totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
-	}
-	recordsEqual(t, tr.Records, drain(t, r))
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+		// Unknown totals read as -1, and the stream still replays in full.
+		r, err = NewReader(bytes.NewReader(unpatchedStream(t, tr, 0)), ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumRecords() != -1 || r.NumInstructions() != -1 {
+			t.Errorf("unpatched totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
+		}
+		recordsEqual(t, tr.Records, drain(t, r))
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestReaderSurfacesCorruption(t *testing.T) {
-	tr := testTrace(2000)
-	var buf bytes.Buffer
-	if err := tr.WriteV2Frames(&buf, 128); err != nil {
-		t.Fatal(err)
-	}
-	data := append([]byte(nil), buf.Bytes()...)
-	data[len(data)/2] ^= 0xFF // corrupt a mid-stream frame
-	r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawErr := false
-	for {
-		blk, err := r.NextBlock()
+	atProcs(t, func(t *testing.T) {
+		tr := testTrace(2000)
+		var buf bytes.Buffer
+		if err := tr.WriteV2Frames(&buf, 128); err != nil {
+			t.Fatal(err)
+		}
+		data := append([]byte(nil), buf.Bytes()...)
+		data[len(data)/2] ^= 0xFF // corrupt a mid-stream frame
+		r, err := NewReader(bytes.NewReader(data), ReaderOptions{})
 		if err != nil {
-			sawErr = true
-			break
+			t.Fatal(err)
 		}
-		if len(blk) == 0 {
-			break
+		sawErr := false
+		for {
+			blk, err := r.NextBlock()
+			if err != nil {
+				sawErr = true
+				break
+			}
+			if len(blk) == 0 {
+				break
+			}
 		}
-	}
-	if !sawErr {
-		t.Error("corrupt stream replayed without error")
-	}
-	// The error is sticky.
-	if _, err := r.NextBlock(); err == nil {
-		t.Error("error not sticky")
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+		if !sawErr {
+			t.Error("corrupt stream replayed without error")
+		}
+		// The error is sticky.
+		if _, err := r.NextBlock(); err == nil {
+			t.Error("error not sticky")
+		}
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestOpenFile(t *testing.T) {
-	tr := testTrace(3000)
-	path := filepath.Join(t.TempDir(), "t.cptr2")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Streaming capture through the incremental writer: *os.File is an
-	// io.WriterAt, so Close patches the header totals in place.
-	w, err := NewWriter(f, WriterOptions{FrameRecords: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range tr.Records {
-		if err := w.Append(rec); err != nil {
+	atProcs(t, func(t *testing.T) {
+		tr := testTrace(3000)
+		path := filepath.Join(t.TempDir(), "t.cptr2")
+		f, err := os.Create(path)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
+		// Streaming capture through the incremental writer: *os.File is an
+		// io.WriterAt, so Close patches the header totals in place.
+		w, err := NewWriter(f, WriterOptions{FrameRecords: 256})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range tr.Records {
+			if err := w.Append(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	r, err := OpenFile(path, ReaderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.NumRecords() != 3000 || r.NumInstructions() != int64(tr.Instructions()) {
-		t.Errorf("patched header totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
-	}
-	recordsEqual(t, tr.Records, drain(t, r))
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
+		r, err := OpenFile(path, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.NumRecords() != 3000 || r.NumInstructions() != int64(tr.Instructions()) {
+			t.Errorf("patched header totals = %d records, %d instrs", r.NumRecords(), r.NumInstructions())
+		}
+		recordsEqual(t, tr.Records, drain(t, r))
+		if err := r.Close(); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // payloadOffsets returns where each frame's payload starts in a
@@ -180,6 +188,18 @@ func payloadOffsets(data []byte) []int {
 		plen, m := binary.Uvarint(data[off+n:])
 		payloads = append(payloads, off+n+m+8)
 		off += n + m + 8 + int(plen)
+	}
+}
+
+// atProcs runs f as one subtest at GOMAXPROCS 1, where a Reader
+// decodes inline, and one at GOMAXPROCS 4, where it decodes ahead, so
+// a test takes both decode paths whatever the host's core count.
+func atProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
 	}
 }
 
@@ -285,42 +305,44 @@ func TestReaderLifecycle(t *testing.T) {
 // buffer has grown to the stream's frame size, NextBlock must not
 // allocate.
 func TestReaderSteadyStateAllocFree(t *testing.T) {
-	tr := testTrace(8 * 1024)
-	for _, frameRecords := range []int{256, 4096} {
-		var buf bytes.Buffer
-		if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
-			t.Fatal(err)
-		}
-		name := fmt.Sprintf("frames=%d", frameRecords)
-		r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Warm: one full pass grows payload and record buffers.
-		if got := drain(t, r); len(got) != tr.Len() {
-			t.Fatalf("%s: warm pass decoded %d records", name, len(got))
-		}
-		if err := r.Rewind(); err != nil {
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(8, func() {
-			blk, err := r.NextBlock()
+	atProcs(t, func(t *testing.T) {
+		tr := testTrace(8 * 1024)
+		for _, frameRecords := range []int{256, 4096} {
+			var buf bytes.Buffer
+			if err := tr.WriteV2Frames(&buf, frameRecords); err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("frames=%d", frameRecords)
+			r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(blk) == 0 {
-				if err := r.Rewind(); err != nil {
+			// Warm: one full pass grows payload and record buffers.
+			if got := drain(t, r); len(got) != tr.Len() {
+				t.Fatalf("%s: warm pass decoded %d records", name, len(got))
+			}
+			if err := r.Rewind(); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(8, func() {
+				blk, err := r.NextBlock()
+				if err != nil {
 					t.Fatal(err)
 				}
+				if len(blk) == 0 {
+					if err := r.Rewind(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s: steady-state NextBlock allocates %v times; want 0", name, allocs)
 			}
-		})
-		if allocs != 0 {
-			t.Errorf("%s: steady-state NextBlock allocates %v times; want 0", name, allocs)
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := r.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 }
 
 // TestReaderRewindAllocs pins what a further pass costs: Rewind seeks
@@ -328,40 +350,42 @@ func TestReaderSteadyStateAllocFree(t *testing.T) {
 // multi-pass replay (warm pass + measured pass per replica group)
 // allocates per Reader, not per pass.
 func TestReaderRewindAllocs(t *testing.T) {
-	tr := testTrace(2 * 1024)
-	var buf bytes.Buffer
-	if err := tr.WriteV2Frames(&buf, 256); err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if err := r.Close(); err != nil {
-			t.Error(err)
-		}
-	}()
-	if got := drain(t, r); len(got) != tr.Len() {
-		t.Fatalf("warm pass decoded %d records", len(got))
-	}
-	allocs := testing.AllocsPerRun(8, func() {
-		if err := r.Rewind(); err != nil {
+	atProcs(t, func(t *testing.T) {
+		tr := testTrace(2 * 1024)
+		var buf bytes.Buffer
+		if err := tr.WriteV2Frames(&buf, 256); err != nil {
 			t.Fatal(err)
 		}
-		for {
-			blk, err := r.NextBlock()
-			if err != nil {
+		r, err := NewReader(bytes.NewReader(buf.Bytes()), ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			if err := r.Close(); err != nil {
+				t.Error(err)
+			}
+		}()
+		if got := drain(t, r); len(got) != tr.Len() {
+			t.Fatalf("warm pass decoded %d records", len(got))
+		}
+		allocs := testing.AllocsPerRun(8, func() {
+			if err := r.Rewind(); err != nil {
 				t.Fatal(err)
 			}
-			if len(blk) == 0 {
-				break
+			for {
+				blk, err := r.NextBlock()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(blk) == 0 {
+					break
+				}
 			}
+		})
+		if allocs > 3 {
+			t.Errorf("Rewind + full pass allocates %v times; want <= 3 (the header scratch, nothing per block)", allocs)
 		}
 	})
-	if allocs > 3 {
-		t.Errorf("Rewind + full pass allocates %v times; want <= 3 (the header scratch, nothing per block)", allocs)
-	}
 }
 
 // writeFile writes tr to a fresh v2 file of frameRecords-record frames
@@ -390,44 +414,41 @@ func TestReaderUseAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	a, b := testTrace(3000), testTrace(5000)
 	pa, pb := writeFile(t, dir, a, 256), writeFile(t, dir, b, 512)
-	for _, procs := range []int{1, 4} {
-		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			old, err := OpenFile(pa, ReaderOptions{})
-			if err != nil {
-				t.Fatal(err)
+	atProcs(t, func(t *testing.T) {
+		old, err := OpenFile(pa, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := old.NextBlock(); err != nil { // mid-pass
+			t.Fatal(err)
+		}
+		if err := old.Close(); err != nil {
+			t.Fatal(err)
+		}
+		next, err := OpenFile(pb, ReaderOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer next.Close()
+		first, err := next.NextBlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep := append([]Record(nil), first...)
+		for i := 0; i < 2; i++ {
+			if blk, err := old.NextBlock(); err == nil || blk != nil {
+				t.Fatalf("NextBlock after Close = %d records, %v; want an error", len(blk), err)
 			}
-			if _, err := old.NextBlock(); err != nil { // mid-pass
-				t.Fatal(err)
+			if err := old.Rewind(); err == nil {
+				t.Fatal("Rewind after Close succeeded")
 			}
-			if err := old.Close(); err != nil {
-				t.Fatal(err)
-			}
-			next, err := OpenFile(pb, ReaderOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer next.Close()
-			first, err := next.NextBlock()
-			if err != nil {
-				t.Fatal(err)
-			}
-			keep := append([]Record(nil), first...)
-			for i := 0; i < 2; i++ {
-				if blk, err := old.NextBlock(); err == nil || blk != nil {
-					t.Fatalf("NextBlock after Close = %d records, %v; want an error", len(blk), err)
-				}
-				if err := old.Rewind(); err == nil {
-					t.Fatal("Rewind after Close succeeded")
-				}
-			}
-			if err := old.Close(); err != nil {
-				t.Fatalf("second Close: %v", err)
-			}
-			recordsEqual(t, keep, first)
-			recordsEqual(t, b.Records, append(keep, drain(t, next)...))
-		})
-	}
+		}
+		if err := old.Close(); err != nil {
+			t.Fatalf("second Close: %v", err)
+		}
+		recordsEqual(t, keep, first)
+		recordsEqual(t, b.Records, append(keep, drain(t, next)...))
+	})
 }
 
 // TestReadersShareSpareConcurrently opens, reads and closes Readers
@@ -436,43 +457,45 @@ func TestReaderUseAfterClose(t *testing.T) {
 // goroutine's GC, are dropped): every pass must read its own file's
 // records. Run it under -race.
 func TestReadersShareSpareConcurrently(t *testing.T) {
-	dir := t.TempDir()
-	trs := []*Trace{testTrace(3000), testTrace(5000)}
-	paths := []string{writeFile(t, dir, trs[0], 256), writeFile(t, dir, trs[1], 1024)}
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				k := (g + i) % 2
-				r, err := OpenFile(paths[k], ReaderOptions{})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				got, err := drainAll(r)
-				if cerr := r.Close(); err == nil {
-					err = cerr
-				}
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if len(got) != len(trs[k].Records) {
-					t.Errorf("goroutine %d pass %d: %d records, want %d", g, i, len(got), len(trs[k].Records))
-					return
-				}
-				for j := range got {
-					if got[j] != trs[k].Records[j] {
-						t.Errorf("goroutine %d pass %d: record %d = %+v, want %+v", g, i, j, got[j], trs[k].Records[j])
+	atProcs(t, func(t *testing.T) {
+		dir := t.TempDir()
+		trs := []*Trace{testTrace(3000), testTrace(5000)}
+		paths := []string{writeFile(t, dir, trs[0], 256), writeFile(t, dir, trs[1], 1024)}
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < 20; i++ {
+					k := (g + i) % 2
+					r, err := OpenFile(paths[k], ReaderOptions{})
+					if err != nil {
+						t.Error(err)
 						return
 					}
+					got, err := drainAll(r)
+					if cerr := r.Close(); err == nil {
+						err = cerr
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if len(got) != len(trs[k].Records) {
+						t.Errorf("goroutine %d pass %d: %d records, want %d", g, i, len(got), len(trs[k].Records))
+						return
+					}
+					for j := range got {
+						if got[j] != trs[k].Records[j] {
+							t.Errorf("goroutine %d pass %d: record %d = %+v, want %+v", g, i, j, got[j], trs[k].Records[j])
+							return
+						}
+					}
 				}
-			}
-		}(g)
-	}
-	wg.Wait()
+			}(g)
+		}
+		wg.Wait()
+	})
 }
 
 // TestReaderOpenAllocs is the allocation gate on readerSpare: once a
