@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-parallel check-inline check-fma bench bench-quick vet fmt experiments cover fuzz staticcheck lint clean
+.PHONY: build test test-short test-parallel test-race-short check-inline check-fma bench bench-quick vet fmt experiments cover fuzz staticcheck lint clean
 
 build:
 	$(GO) build ./...
@@ -81,11 +81,20 @@ check-fma:
 # server at GOMAXPROCS 1 and 4, so its goroutines share a multi-P
 # scheduler whatever the host's core count; then the concurrent sweeps
 # that share the pooled line-state backings, ten times over.
+RACE_SERVER = ./internal/server/
+RACE_PKGS = ./internal/trace/ ./internal/conformance/ ./internal/simulate/ \
+	./internal/stackdist/ ./internal/analytic/ ./internal/runner/ $(RACE_SERVER)
 test-parallel:
-	$(GO) test -race ./internal/trace/ ./internal/conformance/ ./internal/simulate/ ./internal/stackdist/ ./internal/analytic/ ./internal/runner/
-	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/server/
-	GOMAXPROCS=4 $(GO) test -race -count=1 ./internal/server/
+	$(GO) test -race $(filter-out $(RACE_SERVER),$(RACE_PKGS))
+	GOMAXPROCS=1 $(GO) test -race -count=1 $(RACE_SERVER)
+	GOMAXPROCS=4 $(GO) test -race -count=1 $(RACE_SERVER)
 	$(GO) test -race -count 10 -run 'ConcurrentSweeps' ./internal/simulate/
+
+# Every other package under the race detector, with -short. RACE_PKGS
+# are left out: test-parallel runs them whole, and their -short runs
+# only skip tests or replay a prefix of the same streams.
+test-race-short:
+	$(GO) test -race -short $$($(GO) list ./... | grep -vxF "$$($(GO) list $(RACE_PKGS))")
 
 # Print every paper table/figure plus extensions and ablations.
 experiments:
@@ -117,9 +126,9 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@latest ./...
 
 # Full static-analysis gate: vet, staticcheck, and the repo's custom
-# analyzer suite (detrand, hotalloc, counterpair, errcheckdomain plus
-# the CFG/dataflow analyzers lockguard, ctxpoll, leakcheck — see
-# DESIGN.md §9 and §12). Any finding fails the build.
+# analyzer suite (detrand, hotalloc, counterpair, errcheckdomain,
+# lockguard, leakcheck — see DESIGN.md §9). Any finding fails the build,
+# as does a //lint:ignore that names none of them.
 lint: vet staticcheck
 	$(GO) run ./cmd/lint ./...
 

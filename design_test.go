@@ -100,3 +100,33 @@ func TestDesignCitations(t *testing.T) {
 		t.Fatal("found no DESIGN.md citations to check")
 	}
 }
+
+// Doc caps. A CHANGES.md entry is one line that says what changed and
+// cites the benchmark's verdict rather than narrating runs pair by
+// pair, and 3 KB holds that. DESIGN.md's cap is its size once the lint
+// sections were folded into one: the file may not grow back, so a new
+// note replaces an old one.
+const (
+	changesEntryCap = 3072
+	designCap       = 57805
+)
+
+// TestDocCaps holds every CHANGES.md entry and DESIGN.md to their caps.
+func TestDocCaps(t *testing.T) {
+	changes, err := os.ReadFile("CHANGES.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, entry := range strings.Split(string(changes), "\n") {
+		if len(entry) > changesEntryCap {
+			t.Errorf("CHANGES.md:%d: the entry is %d bytes, over the %d-byte cap", i+1, len(entry), changesEntryCap)
+		}
+	}
+	design, err := os.Stat("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := design.Size(); n > designCap {
+		t.Errorf("DESIGN.md is %d bytes, over the %d-byte cap; replace an old note instead of adding one", n, designCap)
+	}
+}

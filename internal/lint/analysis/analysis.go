@@ -12,7 +12,8 @@
 //	//lint:ignore <analyzer> <justification>
 //
 // The justification is mandatory; a bare //lint:ignore suppresses
-// nothing (see DESIGN.md §9).
+// nothing, and one naming no analyzer of the suite is itself a finding
+// (UnknownSuppressions; see DESIGN.md §9).
 package analysis
 
 import (
@@ -64,10 +65,10 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Prog is the whole-program index over every loaded target; the
-	// cross-package analyzers (ctxpoll, leakcheck) and the shared call
-	// graph are built on it. Run always populates it — a single-target
-	// run just gets a single-target program.
+	// Prog is the whole-program index over every loaded target: the
+	// same-package call graph, leakcheck's goroutine bodies and the
+	// no-return set are read from it. RunProgram always populates it —
+	// a single-target run just gets a single-target program.
 	Prog *Program
 
 	diags      []Diagnostic
@@ -82,9 +83,8 @@ type suppressKey struct {
 var ignoreRE = regexp.MustCompile(`^//lint:ignore\s+(\S+)\s+\S`)
 
 // RunProgram executes one analyzer over one target of a loaded
-// program. Suppression comments are honored program-wide, because a
-// cross-package analyzer may report at positions outside the current
-// target's files.
+// program. Suppression comments are honored program-wide, because an
+// analyzer may report at positions outside the current target's files.
 func RunProgram(prog *Program, t *Target, a *Analyzer) ([]Diagnostic, error) {
 	pass := &Pass{
 		Analyzer:   a,
@@ -96,21 +96,11 @@ func RunProgram(prog *Program, t *Target, a *Analyzer) ([]Diagnostic, error) {
 		Prog:       prog,
 		suppressed: map[suppressKey]bool{},
 	}
-	for ti := range prog.Targets {
-		pt := &prog.Targets[ti]
-		for _, f := range pt.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					m := ignoreRE.FindStringSubmatch(c.Text)
-					if m == nil || (m[1] != a.Name && m[1] != "*") {
-						continue
-					}
-					p := pt.Fset.Position(c.Pos())
-					pass.suppressed[suppressKey{p.Filename, p.Line}] = true
-				}
-			}
+	prog.suppressions(func(name string, p token.Position) {
+		if name == a.Name {
+			pass.suppressed[suppressKey{p.Filename, p.Line}] = true
 		}
-	}
+	})
 	if err := a.Run(pass); err != nil {
 		return nil, fmt.Errorf("%s: %w", a.Name, err)
 	}
@@ -125,6 +115,45 @@ func RunProgram(prog *Program, t *Target, a *Analyzer) ([]Diagnostic, error) {
 		return a.Column < b.Column
 	})
 	return pass.diags, nil
+}
+
+// suppressions calls fn with the analyzer name and position of every
+// justified //lint:ignore comment in the program.
+func (p *Program) suppressions(fn func(name string, pos token.Position)) {
+	for ti := range p.Targets {
+		t := &p.Targets[ti]
+		for _, f := range t.Files {
+			for _, cg := range f.Comments {
+				for _, c := range cg.List {
+					if m := ignoreRE.FindStringSubmatch(c.Text); m != nil {
+						fn(m[1], t.Fset.Position(c.Pos()))
+					}
+				}
+			}
+		}
+	}
+}
+
+// UnknownSuppressions reports every //lint:ignore comment whose
+// analyzer is not in suite. Such a comment suppresses nothing, so a
+// stale one — its analyzer renamed or deleted — would otherwise go
+// unnoticed.
+func UnknownSuppressions(prog *Program, suite []*Analyzer) []Diagnostic {
+	known := map[string]bool{}
+	for _, a := range suite {
+		known[a.Name] = true
+	}
+	var diags []Diagnostic
+	prog.suppressions(func(name string, pos token.Position) {
+		if !known[name] {
+			diags = append(diags, Diagnostic{
+				Pos:      pos,
+				Analyzer: "lint",
+				Message:  fmt.Sprintf("//lint:ignore names %q, which is no analyzer of the suite", name),
+			})
+		}
+	})
+	return diags
 }
 
 // Reportf records a diagnostic at pos unless an ignore comment for
@@ -171,22 +200,4 @@ func Unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
-}
-
-// FuncFor resolves the *types.Func a call or reference expression
-// names, or nil: an identifier (package function), a selector (method
-// or qualified function), but not an interface method (those have no
-// body in this package) — callers filter by Pkg anyway.
-func (p *Pass) FuncFor(e ast.Expr) *types.Func {
-	switch e := e.(type) {
-	case *ast.Ident:
-		fn, _ := p.TypesInfo.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := p.TypesInfo.Uses[e.Sel].(*types.Func)
-		return fn
-	case *ast.ParenExpr:
-		return p.FuncFor(e.X)
-	}
-	return nil
 }

@@ -1,7 +1,8 @@
-// Program is the whole-program layer over the per-package Targets: a
-// cross-package call graph plus a fact store, the upgrade that lets
-// analyzers like ctxpoll trace a request path from an HTTP handler in
-// internal/server through internal/runner into the replay engines.
+// Program is the whole-program layer over the per-package Targets: one
+// index of every declared function with its static callees, which the
+// same-package call graph (callgraph.go) filters, leakcheck resolves
+// goroutine bodies through, and the no-return set behind every CFG is
+// computed over.
 //
 // Functions are keyed by their types.Func FullName ("pkg.F",
 // "(*pkg.T).M"), which is stable between a package's own type-checked
@@ -24,13 +25,6 @@ type ProgFunc struct {
 	Target  *Target
 	InTest  bool     // declared in a _test.go file
 	Callees []string // FullNames of statically referenced functions
-
-	// fieldCalls are calls through func-typed struct fields
-	// (s.compute(...)), recorded as field keys and resolved against
-	// fieldAssigns when the call graph is walked: a call through a
-	// field conservatively reaches every function the program ever
-	// assigns to that field.
-	fieldCalls []string
 }
 
 // Program indexes every declared function across the loaded targets.
@@ -38,22 +32,12 @@ type Program struct {
 	Targets []Target
 	Funcs   map[string]*ProgFunc
 
-	// fieldAssigns: func-typed field key ("pkg.Struct.field") → the
-	// functions assigned to it anywhere in the program (method values,
-	// composite-literal fields, plain assignments).
-	fieldAssigns map[string][]string
-
-	facts map[string]map[string]bool
+	noReturn map[string]bool // built on the first NoReturn query
 }
 
 // NewProgram builds the cross-package index over targets.
 func NewProgram(targets []Target) *Program {
-	p := &Program{
-		Targets:      targets,
-		Funcs:        map[string]*ProgFunc{},
-		fieldAssigns: map[string][]string{},
-		facts:        map[string]map[string]bool{},
-	}
+	p := &Program{Targets: targets, Funcs: map[string]*ProgFunc{}}
 	for i := range p.Targets {
 		p.indexTarget(&p.Targets[i])
 	}
@@ -73,19 +57,15 @@ func (p *Program) indexTarget(t *Target) {
 				continue
 			}
 			pf := &ProgFunc{Name: fn.FullName(), Fn: fn, Decl: fd, Target: t, InTest: inTest}
-			p.collectEdges(t, fd, pf)
+			collectEdges(t, fd, pf)
 			p.Funcs[pf.Name] = pf
 		}
-		// Field assignments can occur outside function bodies too
-		// (package-level composite literals), so scan whole files.
-		p.collectFieldAssigns(t, f)
 	}
 }
 
 // collectEdges records fd's static references: direct calls, method
-// values, functions used as values, and calls through func-typed
-// struct fields.
-func (p *Program) collectEdges(t *Target, fd *ast.FuncDecl, pf *ProgFunc) {
+// values and functions used as values.
+func collectEdges(t *Target, fd *ast.FuncDecl, pf *ProgFunc) {
 	seen := map[string]bool{}
 	add := func(fn *types.Func) {
 		if fn == nil {
@@ -100,17 +80,10 @@ func (p *Program) collectEdges(t *Target, fd *ast.FuncDecl, pf *ProgFunc) {
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if fn := funcFor(t.TypesInfo, n.Fun); fn != nil {
-				add(fn)
-			} else if key, ok := fieldKey(t.TypesInfo, n.Fun); ok {
-				if !seen["field:"+key] {
-					seen["field:"+key] = true
-					pf.fieldCalls = append(pf.fieldCalls, key)
-				}
-			}
+			add(FuncFor(t.TypesInfo, n.Fun))
 		case *ast.SelectorExpr:
 			if sel, ok := t.TypesInfo.Selections[n]; ok && sel.Kind() == types.MethodVal {
-				add(funcFor(t.TypesInfo, n))
+				add(FuncFor(t.TypesInfo, n))
 			}
 		case *ast.Ident:
 			if fn, ok := t.TypesInfo.Uses[n].(*types.Func); ok {
@@ -121,161 +94,20 @@ func (p *Program) collectEdges(t *Target, fd *ast.FuncDecl, pf *ProgFunc) {
 	})
 }
 
-// collectFieldAssigns records functions assigned into func-typed
-// struct fields: s.f = m, and T{f: m} composite literals.
-func (p *Program) collectFieldAssigns(t *Target, f *ast.File) {
-	record := func(key string, rhs ast.Expr) {
-		if fn := funcFor(t.TypesInfo, rhs); fn != nil {
-			p.fieldAssigns[key] = append(p.fieldAssigns[key], fn.FullName())
-		}
-	}
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.AssignStmt:
-			for i, lhs := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
-				}
-				if key, ok := fieldKey(t.TypesInfo, lhs); ok {
-					record(key, n.Rhs[i])
-				}
-			}
-		case *ast.CompositeLit:
-			st := t.TypesInfo.TypeOf(n)
-			if st == nil {
-				return true
-			}
-			named := namedOf(st)
-			if named == nil {
-				return true
-			}
-			if _, isStruct := named.Underlying().(*types.Struct); !isStruct {
-				return true
-			}
-			for _, el := range n.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				id, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				v, ok := t.TypesInfo.Uses[id].(*types.Var)
-				if !ok || !v.IsField() {
-					continue
-				}
-				if _, isSig := v.Type().Underlying().(*types.Signature); !isSig {
-					continue
-				}
-				record(typeKey(named)+"."+v.Name(), kv.Value)
-			}
-		}
-		return true
-	})
-}
-
-// fieldKey resolves e as a selector of a func-typed struct field and
-// returns its program-wide key "pkg.Struct.field".
-func fieldKey(info *types.Info, e ast.Expr) (string, bool) {
-	sel, ok := Unparen(e).(*ast.SelectorExpr)
-	if !ok {
-		return "", false
-	}
-	v, ok := info.Uses[sel.Sel].(*types.Var)
-	if !ok || !v.IsField() {
-		return "", false
-	}
-	if _, isSig := v.Type().Underlying().(*types.Signature); !isSig {
-		return "", false
-	}
-	selection, ok := info.Selections[sel]
-	if !ok {
-		return "", false
-	}
-	named := namedOf(selection.Recv())
-	if named == nil {
-		return "", false
-	}
-	return typeKey(named) + "." + v.Name(), true
-}
-
-// namedOf strips pointers and returns the named type behind t, or nil.
-func namedOf(t types.Type) *types.Named {
-	for {
-		switch u := t.(type) {
-		case *types.Pointer:
-			t = u.Elem()
-		case *types.Named:
-			return u
-		default:
-			return nil
-		}
-	}
-}
-
-// typeKey renders a named type as "pkg/path.Name".
-func typeKey(n *types.Named) string {
-	obj := n.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
-}
-
-// funcFor resolves the *types.Func an expression names (identifier,
-// selector, parenthesized either), or nil. Standalone twin of
-// Pass.FuncFor for program indexing.
-func funcFor(info *types.Info, e ast.Expr) *types.Func {
-	switch e := e.(type) {
+// FuncFor resolves the *types.Func an expression names (identifier,
+// selector, parenthesized either), or nil for builtins, conversions
+// and calls through func values. An interface method resolves too;
+// it has no declaration in the program.
+func FuncFor(info *types.Info, e ast.Expr) *types.Func {
+	switch e := Unparen(e).(type) {
 	case *ast.Ident:
 		fn, _ := info.Uses[e].(*types.Func)
 		return fn
 	case *ast.SelectorExpr:
 		fn, _ := info.Uses[e.Sel].(*types.Func)
 		return fn
-	case *ast.ParenExpr:
-		return funcFor(info, e.X)
 	}
 	return nil
-}
-
-// ReachFrom returns the ProgFuncs reachable from roots (included) over
-// call, method-value, func-value and func-field edges.
-func (p *Program) ReachFrom(roots []string) map[string]bool {
-	reached := map[string]bool{}
-	work := append([]string(nil), roots...)
-	for len(work) > 0 {
-		name := work[len(work)-1]
-		work = work[:len(work)-1]
-		pf, ok := p.Funcs[name]
-		if !ok || reached[name] {
-			continue
-		}
-		reached[name] = true
-		work = append(work, pf.Callees...)
-		for _, key := range pf.fieldCalls {
-			work = append(work, p.fieldAssigns[key]...)
-		}
-	}
-	return reached
-}
-
-// Fact returns the named program-wide fact set, computing and
-// memoizing it on first use. Facts are sets of ProgFunc names;
-// analyzers use them to export derived properties (request-reachable,
-// no-return) across packages — the whole-program analogue of
-// go/analysis facts.
-func (p *Program) Fact(name string, compute func(*Program) map[string]bool) map[string]bool {
-	if f, ok := p.facts[name]; ok {
-		return f
-	}
-	f := compute(p)
-	if f == nil {
-		f = map[string]bool{}
-	}
-	p.facts[name] = f
-	return f
 }
 
 // stdNoReturn lists standard-library calls that never return.
@@ -292,17 +124,20 @@ var stdNoReturn = map[string]bool{
 
 // NoReturn reports whether the call never returns: a standard-library
 // terminator, or a program function that itself ends in one (cmd-tree
-// fatal/usage helpers). The derived set is a fixpoint over the
-// program, memoized as the "noreturn" fact.
+// fatal/usage helpers). The program's set is a fixpoint, built on the
+// first query.
 func (p *Program) NoReturn(info *types.Info, call *ast.CallExpr) bool {
-	fn := funcFor(info, call.Fun)
+	fn := FuncFor(info, call.Fun)
 	if fn == nil {
 		return false
 	}
 	if fn.Pkg() != nil && stdNoReturn[fn.Pkg().Path()+"."+fn.Name()] {
 		return true
 	}
-	return p.Fact("noreturn", computeNoReturn)[fn.FullName()]
+	if p.noReturn == nil {
+		p.noReturn = computeNoReturn(p)
+	}
+	return p.noReturn[fn.FullName()]
 }
 
 // computeNoReturn finds program functions whose body always ends the
@@ -328,7 +163,7 @@ func computeNoReturn(p *Program) map[string]bool {
 				return true // the builtin, not a shadowing declaration
 			}
 		}
-		fn := funcFor(pf.Target.TypesInfo, call.Fun)
+		fn := FuncFor(pf.Target.TypesInfo, call.Fun)
 		if fn == nil {
 			return false
 		}

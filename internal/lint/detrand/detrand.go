@@ -9,7 +9,7 @@
 // The check is deliberately syntactic (no CFG or call graph): a banned
 // construct is a finding wherever it appears, reachable or not. The
 // flow-sensitive end of the suite — goroutine join edges, lock
-// domination — lives in leakcheck and lockguard (DESIGN.md §12).
+// domination — lives in leakcheck and lockguard (DESIGN.md §9).
 package detrand
 
 import (
@@ -88,7 +88,7 @@ func run(pass *analysis.Pass) error {
 				if inTest {
 					return true
 				}
-				if fn := pass.FuncFor(n.Fun); fn != nil && fn.Pkg() != nil &&
+				if fn := analysis.FuncFor(pass.TypesInfo, n.Fun); fn != nil && fn.Pkg() != nil &&
 					fn.Pkg().Path() == "time" && bannedTimeFuncs[fn.Name()] {
 					pass.Reportf(n.Pos(), "time.%s in a simulation package: wall-clock reads are nondeterministic; use the machine's event clock", fn.Name())
 				}

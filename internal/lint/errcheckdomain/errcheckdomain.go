@@ -91,7 +91,7 @@ func run(pass *analysis.Pass) error {
 // domainError reports whether call invokes a domain function whose
 // last result is an error.
 func domainError(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
-	fn := pass.FuncFor(call.Fun)
+	fn := analysis.FuncFor(pass.TypesInfo, call.Fun)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
@@ -139,7 +139,7 @@ func serverWriteError(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	if !pass.PathMatches(ServerDomains) {
 		return "", false
 	}
-	fn := pass.FuncFor(call.Fun)
+	fn := analysis.FuncFor(pass.TypesInfo, call.Fun)
 	if fn == nil || fn.Pkg() == nil {
 		return "", false
 	}
@@ -212,7 +212,7 @@ func checkFloatEquality(pass *analysis.Pass, fn *ast.FuncDecl) {
 				if !ok {
 					return true
 				}
-				if f := pass.FuncFor(call.Fun); f != nil && f.Pkg() != nil &&
+				if f := analysis.FuncFor(pass.TypesInfo, call.Fun); f != nil && f.Pkg() != nil &&
 					f.Pkg().Path() == "math" && (f.Name() == "IsNaN" || f.Name() == "IsInf") {
 					for _, arg := range call.Args {
 						if obj := operandObj(pass, arg); obj != nil {

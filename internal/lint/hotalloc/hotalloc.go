@@ -183,7 +183,7 @@ func checkCall(pass *analysis.Pass, name string, call *ast.CallExpr, reported ma
 		}
 	}
 
-	if fn := pass.FuncFor(call.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
+	if fn := analysis.FuncFor(pass.TypesInfo, call.Fun); fn != nil && fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 		pass.Reportf(call.Pos(), "hot path %s: fmt.%s allocates (formatting state and boxed arguments)", name, fn.Name())
 		reported[call] = true
 		return

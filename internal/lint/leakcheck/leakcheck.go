@@ -87,7 +87,7 @@ func spawnedBody(pass *analysis.Pass, call *ast.CallExpr) *ast.BlockStmt {
 	if lit, ok := analysis.Unparen(call.Fun).(*ast.FuncLit); ok {
 		return lit.Body
 	}
-	fn := funcFor(pass.TypesInfo, call.Fun)
+	fn := analysis.FuncFor(pass.TypesInfo, call.Fun)
 	if fn == nil {
 		return nil
 	}
@@ -405,17 +405,4 @@ func isCloser(t types.Type) bool {
 		return false
 	}
 	return types.Implements(types.NewPointer(t), closerIface)
-}
-
-// funcFor resolves a called *types.Func, or nil.
-func funcFor(info *types.Info, e ast.Expr) *types.Func {
-	switch e := analysis.Unparen(e).(type) {
-	case *ast.Ident:
-		fn, _ := info.Uses[e].(*types.Func)
-		return fn
-	case *ast.SelectorExpr:
-		fn, _ := info.Uses[e.Sel].(*types.Func)
-		return fn
-	}
-	return nil
 }

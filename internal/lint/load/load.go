@@ -79,11 +79,11 @@ func Packages(dir string, patterns ...string) ([]analysis.Target, error) {
 }
 
 // Program loads patterns like Packages and builds the cross-package
-// index over them — the whole-program view (call graph, exported
-// facts) the dataflow analyzers consume. Loading every package through
-// one call is what lets facts computed in one package (a handler in
-// internal/server is a request root) reach the analyses of another
-// (the replay loop in internal/simulate it calls into).
+// index over them. Loading every package through one call is what lets
+// an analysis of one package see another's declarations: a fatal
+// helper in one package ends the CFG blocks that call it from
+// another, and leakcheck resolves a goroutine's body wherever it is
+// declared.
 func Program(dir string, patterns ...string) (*analysis.Program, error) {
 	targets, err := Packages(dir, patterns...)
 	if err != nil {

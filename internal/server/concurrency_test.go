@@ -2,16 +2,19 @@ package server
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"cachepirate/internal/analysis"
+	"cachepirate/internal/cache"
 )
 
 // TestConcurrentSameKeySingleReplay: N goroutines requesting the same
@@ -212,4 +215,67 @@ func TestClientDisconnectCancelsReplay(t *testing.T) {
 		t.Fatal("replay kept running after the only client disconnected")
 	}
 	<-done
+}
+
+// TestComputeDirectHonoursCancel: the production compute, handed a
+// context that has already ended, returns context.Canceled on every
+// path a request can take — each engine over a stored trace, a
+// workload capture, and a fused policy variant whose stored points
+// leave sizes to replay — and a cancelled capture stores nothing. With
+// TestClientDisconnectCancelsReplay (a dead client cancels the job
+// context) and simulate's cancel tests (the engines stop on it), this
+// pins the chain from the handler to the replay loop: a path that
+// swaps in a context of its own fails here.
+func TestComputeDirectHonoursCancel(t *testing.T) {
+	raw, _ := testTraceBytes(t, "omnetpp", 1, 25_000)
+	s, hash := policyServer(t, raw)
+	spec := func(query string) JobSpec {
+		t.Helper()
+		q, err := url.ParseQuery(query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, apiErr := parseJobSpec(q, s.store)
+		if apiErr != nil {
+			t.Fatalf("%s: %v", query, apiErr)
+		}
+		return j
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	wantCanceled := func(query string) {
+		t.Helper()
+		if _, err := s.computeDirect(cancelled, spec(query)); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: computeDirect with a cancelled ctx = %v, want context.Canceled", query, err)
+		}
+	}
+
+	for _, engine := range []string{"fused", "persize", "mattson&policy=lru", "analytic"} {
+		wantCanceled("trace=" + hash + "&engine=" + engine)
+	}
+
+	stored := s.store.Len()
+	wantCanceled("workload=microrand&records=2000&engine=fused")
+	if n := s.store.Len(); n != stored {
+		t.Errorf("a cancelled workload capture stored %d object(s)", n-stored)
+	}
+
+	prime := spec("trace=" + hash + "&engine=fused&policy=nehalem")
+	if _, err := s.computeDirect(context.Background(), prime); err != nil {
+		t.Fatal(err)
+	}
+	prior, ok := s.points.Get(prime.pointsKey(hash))
+	if !ok {
+		t.Fatal("the live fused sweep stored no points")
+	}
+	replay := 0
+	for _, h := range prior.Holds {
+		if !h.Has(cache.LRU) {
+			replay++
+		}
+	}
+	if replay == 0 {
+		t.Fatal("the stored points hold for LRU at every size, so the variant replays nothing; use a trace that evicts")
+	}
+	wantCanceled("trace=" + hash + "&engine=fused&policy=lru")
 }

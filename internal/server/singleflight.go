@@ -51,7 +51,10 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		v, e := g.wait(ctx, f)
 		return v, e, true
 	}
-	//lint:ignore ctxpoll the flight detaches from the first caller's ctx on purpose: late joiners must outlive it, and wait() handles per-caller cancellation while the flight is cancelled only when its last waiter leaves
+	// The flight detaches from the first caller's ctx on purpose: late
+	// joiners must outlive it, and wait() handles per-caller
+	// cancellation while the flight is cancelled only when its last
+	// waiter leaves.
 	fctx, cancel := context.WithCancel(context.Background())
 	f := &flight{waiters: 1, cancel: cancel, done: make(chan struct{})}
 	g.m[key] = f
