@@ -31,7 +31,7 @@ func ProfileFixed(cfg Config, newGen GenFactory, size int64, threads int) (analy
 	if err := r.steal(cfg.Machine.L3.Size-size, threads); err != nil {
 		return analysis.Point{}, err
 	}
-	if err := tgt.warm(r); err != nil {
+	if err := r.warm(tgt.warm); err != nil {
 		return analysis.Point{}, err
 	}
 	tl := &Timeline{}

@@ -34,8 +34,11 @@ type Config struct {
 	// Cycles is how many measurement cycles to run; results are
 	// averaged across cycles.
 	Cycles int
-	// TargetWarmupInstrs is how long the Target runs alone after its
-	// available cache grows.
+	// TargetWarmupInstrs, W, sizes every warm-up of the Target: the
+	// machine.Stable chunk it runs alone in after its available cache
+	// grows, the Fixed(W) thread-test settle, the Fixed(W/2) co-run
+	// after each steal, MaxStealable's Fixed(W) and Fixed(W/2), and a
+	// many-rank Target's Fixed(3W) floor.
 	TargetWarmupInstrs uint64
 	// PirateWarmPasses is how many sweeps warm newly stolen space.
 	PirateWarmPasses int

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"cachepirate/internal/analysis"
-	"cachepirate/internal/cache"
 	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/runner"
@@ -15,9 +14,10 @@ import (
 // This file is the one measurement loop under every entry point of the
 // package: a co-run rig (a fresh machine with the Target and the Pirate
 // on it), the Fig. 5 schedule over a rig, and the §III-C
-// thread-count scan over fresh rigs. The warm-up policy, the interval
-// measurement and the scan each live here once; the exported functions
-// are short sequences of these operations.
+// thread-count scan over fresh rigs. The interval measurement and the
+// scan each live here once, and every warm-up is a machine.Warm rule
+// stated as data; the exported functions are short sequences of these
+// operations.
 
 // target describes the measured program to the rig. A one-core Target
 // and a many-rank one run the same code; what differs between them is
@@ -30,10 +30,10 @@ type target struct {
 	attach func(*machine.Machine) error
 	// warm lets the Target refill cache it has just been given (or, at
 	// the start of a run, all of it), the Pirate halted or idle.
-	warm func(*rig) error
+	warm machine.Warm
 	// settle lets the Target meet a freshly warmed Pirate before a
 	// thread-test interval.
-	settle func(*rig) error
+	settle machine.Warm
 }
 
 // soloTarget resolves cfg for the paper's Target, one process on
@@ -46,8 +46,8 @@ func soloTarget(cfg Config, newGen GenFactory) (Config, target, error) {
 	return cfg, target{
 		cores:  []int{cfg.TargetCore},
 		attach: func(m *machine.Machine) error { return m.Attach(cfg.TargetCore, newGen(cfg.Seed)) },
-		warm:   (*rig).warmStable,
-		settle: func(r *rig) error { return r.run(r.cfg.TargetWarmupInstrs) },
+		warm:   machine.Stable(cfg.TargetWarmupInstrs),
+		settle: machine.Fixed(cfg.TargetWarmupInstrs),
 	}, nil
 }
 
@@ -79,7 +79,12 @@ func rankTarget(cfg Config, cores []int, attach func(*machine.Machine) error) (C
 			return cfg, target{}, fmt.Errorf("core: core %d is both target rank and pirate", tc)
 		}
 	}
-	return cfg, target{cores: cores, attach: attach, warm: (*rig).warmFloor, settle: (*rig).warmFloor}, nil
+	// Every rank warms to one floor, three warm-up lengths past the
+	// pacing rank. Stable would move every many-rank number, so the two
+	// rules stay side by side until a change that may re-pin them
+	// (ROADMAP item 29).
+	floor := machine.Fixed(cfg.TargetWarmupInstrs * 3)
+	return cfg, target{cores: cores, attach: attach, warm: floor, settle: floor}, nil
 }
 
 // rig is one co-run: a fresh machine with the Target attached, the
@@ -108,12 +113,6 @@ func newRig(cfg Config, tgt target) (*rig, error) {
 	return &rig{cfg: cfg, tgt: tgt, m: m, pirate: pirate}, nil
 }
 
-// run advances the machine until the Target's pacing core has retired
-// n more instructions; everything else runnable makes progress too.
-func (r *rig) run(n uint64) error {
-	return r.m.RunInstructions(r.tgt.cores[0], n)
-}
-
 // steal sets the Pirate to wss bytes over threads threads and sweeps
 // them into the shared cache with the Target halted — the warm-up step
 // of Fig. 5, and the package's only one.
@@ -131,21 +130,16 @@ func (r *rig) steal(wss int64, threads int) error {
 	return err
 }
 
-// interval runs the Target's pacing core for n more instructions and
-// returns every core's events over them.
-func (r *rig) interval(n uint64) ([]counters.Sample, error) {
-	return counters.Interval(r.m, func() error { return r.run(n) })
-}
-
-// measure runs one interval and reads it off the counters: the Target's
-// metrics summed over its cores (aggregate CPI is total cycles over
-// total instructions, bandwidth and event ratios sum over ranks) and
-// the Pirate's fetch ratio summed over its threads (total fetches over
-// total accesses; a Pirate stealing nothing has ratio 0), which decides
-// whether the interval is trusted.
+// measure runs one interval (IntervalInstrs of the Target's pacing
+// core, everything else runnable keeping up) and reads it off the
+// counters: the Target's metrics summed over its cores (aggregate CPI
+// is total cycles over total instructions, bandwidth and event ratios
+// sum over ranks) and the Pirate's fetch ratio summed over its threads
+// (total fetches over total accesses; a Pirate stealing nothing has
+// ratio 0), which decides whether the interval is trusted.
 func (r *rig) measure(cycle int, size int64) (TimelineSample, error) {
 	start := r.m.ReadCounters(r.tgt.cores[0]).Instructions
-	iv, err := r.interval(r.cfg.IntervalInstrs)
+	iv, err := counters.Interval(r.m, func() error { return r.m.RunInstructions(r.tgt.cores[0], r.cfg.IntervalInstrs) })
 	if err != nil {
 		return TimelineSample{}, err
 	}
@@ -174,54 +168,9 @@ func sum(iv []counters.Sample, cores []int) counters.Sample {
 	return s
 }
 
-// warmStable is the one-core Target's warm-up rule: run it in
-// TargetWarmupInstrs chunks until both its fetch ratio and its L3
-// occupancy stabilise (consecutive chunks within 10% and 2%
-// respectively), bounded at 12 chunks. Fetch-ratio stability alone
-// cannot distinguish steady-state capacity misses from a steady *cold*
-// scan (a 6MB sweep fetches at a constant rate for its entire first
-// pass); occupancy growth does — as long as the Target's footprint is
-// still filling in, keep warming.
-func (r *rig) warmStable() error {
-	core := r.tgt.cores[0]
-	prevFR := -1.0
-	prevOcc := int64(-1)
-	l3 := r.m.Hierarchy().L3()
-	for i := 0; i < 12; i++ {
-		iv, err := r.interval(r.cfg.TargetWarmupInstrs)
-		if err != nil {
-			return err
-		}
-		fr := iv[core].FetchRatio()
-		occ := l3.ResidentBytes(cache.Owner(core))
-		if prevFR >= 0 {
-			d := fr - prevFR
-			if d < 0 {
-				d = -d
-			}
-			limit := 0.1 * fr
-			if 0.1*prevFR > limit {
-				limit = 0.1 * prevFR
-			}
-			frStable := d <= limit+0.001
-			occStable := occ <= prevOcc+prevOcc/50+4096
-			if frStable && occStable {
-				return nil
-			}
-		}
-		prevFR, prevOcc = fr, occ
-	}
-	return nil
-}
-
-// warmFloor is the many-rank Target's warm-up rule: every rank runs to
-// the same instruction floor, three warm-up lengths past the pacing
-// rank. Folding it into warmStable would move every many-rank number,
-// so the two rules stay side by side until a change that may re-pin
-// them (ROADMAP item 2).
-func (r *rig) warmFloor() error {
-	floor := r.m.ReadCounters(r.tgt.cores[0]).Instructions + r.cfg.TargetWarmupInstrs*3
-	return r.m.WarmTo(floor, r.tgt.cores...)
+// warm runs rule w on the Target's cores.
+func (r *rig) warm(w machine.Warm) error {
+	return r.m.Warm(w, r.tgt.cores...)
 }
 
 // resize is one step of the schedule: the Pirate moves to wss bytes and
@@ -230,19 +179,20 @@ func (r *rig) warmFloor() error {
 // the smaller size. Otherwise the Target's cache grew (or, at the first
 // size of the first cycle, nothing moved): it runs with the Pirate
 // halted until its warm-up rule is satisfied — or the first measurement
-// after a cycle wrap sees cold misses as capacity misses.
+// after a cycle wrap sees cold misses as capacity misses. The co-run
+// after a steal is paced by the first rank alone, as every interval is.
 func (r *rig) resize(wss int64, threads int) error {
 	if wss > r.pirate.WSS() {
 		if err := r.steal(wss, threads); err != nil {
 			return err
 		}
-		return r.run(r.cfg.TargetWarmupInstrs / 2)
+		return r.m.Warm(machine.Fixed(r.cfg.TargetWarmupInstrs/2), r.tgt.cores[0])
 	}
 	if err := r.pirate.SetWSS(wss, threads); err != nil {
 		return err
 	}
 	r.pirate.Suspend()
-	err := r.tgt.warm(r)
+	err := r.warm(r.tgt.warm)
 	r.pirate.Resume()
 	return err
 }
@@ -274,10 +224,10 @@ func schedule(cfg Config, tgt target) (*Timeline, *MultiReport, error) {
 	r.pirate.SetNaiveSplit(cfg.NaiveSplit)
 	// Fast-forward: the Target runs alone to the attach point, then warms
 	// with the full cache.
-	if err := r.run(cfg.AttachInstr); err != nil {
+	if err := r.m.RunInstructions(tgt.cores[0], cfg.AttachInstr); err != nil {
 		return nil, nil, err
 	}
-	if err := tgt.warm(r); err != nil {
+	if err := r.warm(tgt.warm); err != nil {
 		return nil, nil, err
 	}
 
@@ -328,7 +278,7 @@ func pirateCPI(cfg Config, tgt target, wss int64, threads int) (float64, error) 
 	if err := r.steal(wss, threads); err != nil {
 		return 0, err
 	}
-	if err := tgt.settle(r); err != nil {
+	if err := r.warm(tgt.settle); err != nil {
 		return 0, err
 	}
 	s, err := r.measure(0, cfg.Machine.L3.Size-wss)

@@ -1,5 +1,7 @@
 package core
 
+import "cachepirate/internal/machine"
+
 // StealResult reports how much cache the Pirate could hold against a
 // particular Target (§III-C / Table II).
 type StealResult struct {
@@ -32,7 +34,7 @@ func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, erro
 		return StealResult{}, err
 	}
 	// Warm the Target once with the full cache.
-	if err := r.run(cfg.TargetWarmupInstrs); err != nil {
+	if err := r.warm(machine.Fixed(cfg.TargetWarmupInstrs)); err != nil {
 		return StealResult{}, err
 	}
 
@@ -42,7 +44,7 @@ func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, erro
 			return StealResult{}, err
 		}
 		// Let contention settle, then measure the pirate.
-		if err := r.run(cfg.TargetWarmupInstrs / 2); err != nil {
+		if err := r.warm(machine.Fixed(cfg.TargetWarmupInstrs / 2)); err != nil {
 			return StealResult{}, err
 		}
 		s, err := r.measure(0, cfg.Machine.L3.Size-wss)

@@ -2,6 +2,10 @@ package experiments
 
 import (
 	"errors"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -98,8 +102,17 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestQuickExperimentsRun smoke-tests every experiment at quick scale:
-// they must complete without error and produce at least one table.
+var update = flag.Bool("update", false, "rewrite the quick-output goldens with current output")
+
+// TestQuickExperimentsRun runs every experiment at quick scale and
+// compares its rendered output byte for byte against
+// testdata/<id>.golden, so any moved simulated statistic in any
+// experiment shows as a line diff. Regenerate after an intentional
+// change with
+//
+//	go test ./internal/experiments -run TestQuickExperimentsRun -update
+//
+// and review the testdata/ diff like any other code change.
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are seconds-scale; skipped in -short mode")
@@ -117,8 +130,49 @@ func TestQuickExperimentsRun(t *testing.T) {
 			if res.ID != r.ID {
 				t.Errorf("result id %q != runner id %q", res.ID, r.ID)
 			}
+			path := filepath.Join("testdata", r.ID+".golden")
+			got := res.String()
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden (run with -update to create): %v", err)
+			}
+			if d := lineDiff(string(want), got); d != "" {
+				t.Errorf("output differs from %s (re-run with -update after reviewing):\n%s", path, d)
+			}
 		})
 	}
+}
+
+// lineDiff lists the lines at which want and got differ, "-" for
+// want's and "+" for got's, or returns "" when they are identical.
+func lineDiff(want, got string) string {
+	if want == got {
+		return ""
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := 0; i < max(len(w), len(g)); i++ {
+		wl, gl := "", ""
+		if i < len(w) {
+			wl = w[i]
+		}
+		if i < len(g) {
+			gl = g[i]
+		}
+		if wl != gl {
+			fmt.Fprintf(&b, "line %d:\n- %s\n+ %s\n", i+1, wl, gl)
+		}
+	}
+	return b.String()
 }
 
 // TestExperimentWorkersDeterminism runs full experiments serially and

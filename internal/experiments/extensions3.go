@@ -3,7 +3,6 @@ package experiments
 import (
 	"cachepirate/internal/analysis"
 	"cachepirate/internal/core"
-	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/report"
 	"cachepirate/internal/simulate"
@@ -186,19 +185,8 @@ func predictPair(a, b *analysis.Curve, l3 int64, maxBW float64) ([2]float64, err
 // measurePair co-runs the two applications and returns their CPIs over
 // a common measurement window.
 func measurePair(mcfg machine.Config, pair [2]string, opts Options) ([2]float64, error) {
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return [2]float64{}, err
-	}
-	for i, bench := range pair {
-		if err := m.Attach(i, factory(bench)(opts.Seed+uint64(i)*17)); err != nil {
-			return [2]float64{}, err
-		}
-	}
-	if err := m.WarmTo(10*opts.IntervalInstrs, 0, 1); err != nil {
-		return [2]float64{}, err
-	}
-	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, 2*opts.IntervalInstrs) })
+	iv, err := coRun(mcfg, machine.Fixed(10*opts.IntervalInstrs), 2*opts.IntervalInstrs,
+		factory(pair[0])(opts.Seed), factory(pair[1])(opts.Seed+17))
 	if err != nil {
 		return [2]float64{}, err
 	}

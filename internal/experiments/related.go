@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"cachepirate/internal/core"
-	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/report"
 	"cachepirate/internal/stress"
@@ -87,17 +86,7 @@ func RelatedWorkXu(opts Options) (*Result, error) {
 func trueSmallCacheCPI(opts Options, newGen core.GenFactory, size int64) (float64, error) {
 	mcfg := machine.WithL3Size(machine.NehalemConfig(), size)
 	mcfg.Cores = 1
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return 0, err
-	}
-	if err := m.Attach(0, newGen(opts.Seed)); err != nil {
-		return 0, err
-	}
-	if err := m.RunInstructions(0, opts.IntervalInstrs); err != nil { // warm
-		return 0, err
-	}
-	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, opts.IntervalInstrs*2) })
+	iv, err := coRun(mcfg, machine.Fixed(opts.IntervalInstrs), opts.IntervalInstrs*2, newGen(opts.Seed))
 	if err != nil {
 		return 0, err
 	}

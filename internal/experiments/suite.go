@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
 	"cachepirate/internal/report"
 	"cachepirate/internal/simulate"
@@ -31,17 +30,7 @@ func SuiteCharacterisation(opts Options) (*Result, error) {
 		for _, ways := range []int{1, 2, 4, 8, 16} {
 			mcfg := machine.WithL3Ways(machine.NehalemConfig(), ways)
 			mcfg.Cores = 1
-			m, err := machine.New(mcfg)
-			if err != nil {
-				return err
-			}
-			if err := m.Attach(0, spec.New(opts.Seed)); err != nil {
-				return err
-			}
-			if err := m.RunInstructions(0, opts.IntervalInstrs*4); err != nil {
-				return err
-			}
-			iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, opts.IntervalInstrs) })
+			iv, err := coRun(mcfg, machine.Fixed(opts.IntervalInstrs*4), opts.IntervalInstrs, spec.New(opts.Seed))
 			if err != nil {
 				return err
 			}

@@ -6,35 +6,46 @@ import (
 	"cachepirate/internal/core"
 	"cachepirate/internal/counters"
 	"cachepirate/internal/machine"
+	"cachepirate/internal/workload"
 )
+
+// coRun attaches gens[i] to core i of a fresh machine, warms them by
+// w and returns every core's events over core 0's next n instructions.
+func coRun(mcfg machine.Config, w machine.Warm, n uint64, gens ...workload.Generator) ([]counters.Sample, error) {
+	m, err := machine.New(mcfg)
+	if err != nil {
+		return nil, err
+	}
+	cores := make([]int, len(gens))
+	for i, g := range gens {
+		cores[i] = i
+		if err := m.Attach(i, g); err != nil {
+			return nil, err
+		}
+	}
+	if err := m.Warm(w, cores...); err != nil {
+		return nil, err
+	}
+	return counters.Interval(m, func() error { return m.RunInstructions(0, n) })
+}
 
 // measureThroughput co-runs n identical instances of the workload (one
 // per core, disjoint address spaces) and returns their aggregate
 // throughput: the sum of per-instance IPCs over a common measurement
-// window. Divide by the n=1 value to normalise as the paper's
+// window after every instance has warmed to one floor (an increment
+// each would give later instances extra runtime and make scaling look
+// super-linear). Divide by the n=1 value to normalise as the paper's
 // Fig. 1(a)/2(a) do.
 func measureThroughput(mcfg machine.Config, newGen core.GenFactory, seed uint64,
 	n int, warmInstrs, measureInstrs uint64) (float64, []counters.Sample, error) {
 	if n < 1 || n > mcfg.Cores {
 		return 0, nil, fmt.Errorf("experiments: %d instances on %d cores", n, mcfg.Cores)
 	}
-	m, err := machine.New(mcfg)
-	if err != nil {
-		return 0, nil, err
+	gens := make([]workload.Generator, n)
+	for i := range gens {
+		gens[i] = newGen(seed + uint64(i)*101)
 	}
-	cores := make([]int, n)
-	for i := range cores {
-		cores[i] = i
-		if err := m.Attach(i, newGen(seed+uint64(i)*101)); err != nil {
-			return 0, nil, err
-		}
-	}
-	// Incremental warming would give later instances extra runtime and
-	// make scaling look super-linear.
-	if err := m.WarmTo(warmInstrs, cores...); err != nil {
-		return 0, nil, err
-	}
-	iv, err := counters.Interval(m, func() error { return m.RunInstructions(0, measureInstrs) })
+	iv, err := coRun(mcfg, machine.Fixed(warmInstrs), measureInstrs, gens...)
 	if err != nil {
 		return 0, nil, err
 	}

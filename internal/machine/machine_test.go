@@ -384,41 +384,3 @@ func TestNoPrefetchFetchesEqualMisses(t *testing.T) {
 		t.Errorf("prefetches = %d with prefetching disabled", s.L3Prefetches)
 	}
 }
-
-// TestWarmTo: WarmTo runs only the listed cores below the floor, in
-// order, and leaves each at or above it; a core already there does not
-// run at all, and a core that cannot run is an error.
-func TestWarmTo(t *testing.T) {
-	m := MustNew(smallConfig(3))
-	m.MustAttach(0, seqGen(1024))
-	m.MustAttach(1, seqGen(2048))
-	m.Suspend(1)
-	if err := m.RunInstructions(0, 40_000); err != nil {
-		t.Fatal(err)
-	}
-	m.Resume(1)
-
-	before, now := m.ReadCounters(0), m.Now()
-	if err := m.WarmTo(20_000, 0); err != nil {
-		t.Fatal(err)
-	}
-	if after := m.ReadCounters(0); after != before || m.Now() != now {
-		t.Errorf("a core above the floor ran: %+v -> %+v", before, after)
-	}
-
-	if err := m.WarmTo(20_000, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	for c := 0; c < 2; c++ {
-		if got := m.ReadCounters(c).Instructions; got < 20_000 {
-			t.Errorf("core %d at %d instructions, below the floor", c, got)
-		}
-	}
-	if m.Now() == now {
-		t.Error("the core below the floor did not run")
-	}
-
-	if err := m.WarmTo(1, 2); err == nil {
-		t.Error("warming a core with no context was accepted")
-	}
-}
