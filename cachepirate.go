@@ -51,7 +51,7 @@ type (
 	// pirate threads.
 	Config = core.Config
 	// Report carries run metadata (threads chosen, instructions, wall
-	// cycles).
+	// cycles, per-rank CPIs).
 	Report = core.Report
 	// GenFactory builds a fresh Target workload from a seed.
 	GenFactory = core.GenFactory
@@ -73,8 +73,6 @@ type (
 	OverheadReport = core.OverheadReport
 	// ScalingPrediction is the §I-A throughput model's output.
 	ScalingPrediction = analysis.ScalingPrediction
-	// MultiReport is the ProfileMulti run report with per-rank CPIs.
-	MultiReport = core.MultiReport
 	// BanditConfig parameterises a Bandwidth Bandit run (the §VI
 	// extension: performance vs available off-chip bandwidth).
 	BanditConfig = bandit.Config
@@ -129,7 +127,7 @@ func PredictScaling(curve *Curve, n int, l3Bytes int64, maxBWGBs float64) (Scali
 // ProfileMulti profiles a multithreaded Target: one rank per listed
 // core, metrics aggregated across ranks, and the thread-safety test
 // applied to the ranks' aggregate CPI (the extension §III-C sketches).
-func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*Curve, *MultiReport, error) {
+func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*Curve, *Report, error) {
 	return core.ProfileMulti(cfg, targetCores, newGen)
 }
 
@@ -138,7 +136,7 @@ func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*Curve, *Mu
 // shared address space, with write-invalidate coherence between the
 // ranks' private caches.
 func ProfileParallel(cfg Config, targetCores []int,
-	newRanks func(seed uint64) ([]Generator, error)) (*Curve, *MultiReport, error) {
+	newRanks func(seed uint64) ([]Generator, error)) (*Curve, *Report, error) {
 	return core.ProfileParallel(cfg, targetCores, newRanks)
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -199,29 +200,21 @@ func TestPirateReducesTargetCache(t *testing.T) {
 }
 
 func TestConfigDefaultsAndValidation(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg, tgt, err := resolve(Config{}, nil, nil)
+	if err != nil {
+		t.Fatalf("defaults invalid: %v", err)
+	}
 	if cfg.Machine.Cores != 4 {
 		t.Errorf("default machine cores = %d", cfg.Machine.Cores)
 	}
-	if len(cfg.PirateCores) != 3 {
-		t.Errorf("default pirate cores = %v", cfg.PirateCores)
+	if !reflect.DeepEqual(tgt.cores, []int{0}) || !reflect.DeepEqual(tgt.pirate, []int{1, 2, 3}) {
+		t.Errorf("target cores %v, pirate cores %v; want [0] and [1 2 3]", tgt.cores, tgt.pirate)
 	}
 	if len(cfg.Sizes) != 16 {
 		t.Errorf("default sizes = %d, want 16 (0.5MB steps to 8MB)", len(cfg.Sizes))
 	}
-	if cfg.FetchThreshold != 0.03 || cfg.SlowdownThreshold != 0.01 {
-		t.Errorf("default thresholds: %g %g", cfg.FetchThreshold, cfg.SlowdownThreshold)
-	}
-	if err := cfg.validate(); err != nil {
-		t.Errorf("defaults invalid: %v", err)
-	}
 
 	bad := cfg
-	bad.TargetCore = 1 // collides with pirate core 1
-	if err := bad.validate(); err == nil {
-		t.Error("target/pirate collision accepted")
-	}
-	bad = cfg
 	bad.Sizes = []int64{cfg.Machine.L3.Size * 2}
 	if err := bad.validate(); err == nil {
 		t.Error("oversized target cache accepted")
@@ -236,10 +229,10 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 		ok   bool
 	}{
 		{"threads = pirate cores", func(c *Config) { c.Threads = 3 }, true},
+		{"threads = cores", func(c *Config) { c.Threads = 4 }, false},
 		{"threads > pirate cores", func(c *Config) { c.Threads = 9 }, false},
-		{"threads > listed pirate cores", func(c *Config) { c.PirateCores = []int{2}; c.Threads = 2 }, false},
 		{"negative threads", func(c *Config) { c.Threads = -1 }, false},
-		{"negative max threads", func(c *Config) { c.MaxThreads = -1 }, false},
+		{"one-core machine", func(c *Config) { c.Machine = testMachine(1) }, false},
 		{"negative cycles", func(c *Config) { c.Cycles = -1 }, false},
 		// A count past MaxInstrs could wrap a core's instruction counter
 		// once an experiment multiplies it.

@@ -14,7 +14,7 @@ import (
 // (one Target execution per size, §II-C1) used as the reference when
 // validating dynamic adjustment (Table III).
 func ProfileFixed(cfg Config, newGen GenFactory, size int64, threads int) (analysis.Point, error) {
-	cfg, tgt, err := soloTarget(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return analysis.Point{}, err
 	}
@@ -42,7 +42,7 @@ func ProfileFixed(cfg Config, newGen GenFactory, size int64, threads int) (analy
 		}
 		tl.Samples = append(tl.Samples, s)
 	}
-	return tl.Curve(cfg.FetchThreshold).Points[0], nil
+	return tl.Curve().Points[0], nil
 }
 
 // ProfileFixedCurve runs ProfileFixed for every configured size; this
@@ -88,19 +88,22 @@ func (o OverheadReport) Overhead() float64 {
 // MeasureOverhead runs Profile and then re-runs the same number of
 // Target instructions alone on a fresh machine, returning both costs.
 func MeasureOverhead(cfg Config, newGen GenFactory) (*analysis.Curve, *Report, OverheadReport, error) {
-	curve, rep, err := Profile(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return nil, nil, OverheadReport{}, err
 	}
-	cfg = cfg.withDefaults()
+	curve, rep, err := scheduleCurve(cfg, tgt, "pirate")
+	if err != nil {
+		return nil, nil, OverheadReport{}, err
+	}
 	m, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, nil, OverheadReport{}, err
 	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
+	if err := tgt.attach(m); err != nil {
 		return nil, nil, OverheadReport{}, err
 	}
-	if err := m.RunInstructions(cfg.TargetCore, rep.TargetInstructions); err != nil {
+	if err := m.RunInstructions(tgt.cores[0], rep.TargetInstructions); err != nil {
 		return nil, nil, OverheadReport{}, err
 	}
 	o := OverheadReport{

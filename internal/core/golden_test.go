@@ -18,7 +18,7 @@ import (
 	"cachepirate/internal/workload"
 )
 
-var updateProfileGolden = flag.Bool("update-profile-golden", false,
+var update = flag.Bool("update", false,
 	"rewrite testdata/profile_golden.json from this run instead of checking it")
 
 const profileGoldenPath = "testdata/profile_golden.json"
@@ -75,15 +75,18 @@ func boolWord(b bool) uint64 {
 	return 0
 }
 
-// reportWords is every field of a Report, the thread-test CPI list
-// with its length so a truncated scan cannot alias a longer one.
+// reportWords is every field of a Report but RankCPIs, the
+// thread-test CPI list with its length so a truncated scan cannot alias
+// a longer one.
 func reportWords(rep *Report) []uint64 {
 	words := append([]uint64{uint64(rep.ThreadsUsed)}, floatWords(rep.ThreadTestCPIs)...)
 	return append(words, rep.TargetInstructions, math.Float64bits(rep.WallCycles))
 }
 
-func multiReportWords(rep *MultiReport) []uint64 {
-	return append(reportWords(&rep.Report), floatWords(rep.RankCPIs)...)
+// rankReportWords is every field of a Report: a many-rank Target's
+// digests cover its RankCPIs too.
+func rankReportWords(rep *Report) []uint64 {
+	return append(reportWords(rep), floatWords(rep.RankCPIs)...)
 }
 
 // rigGoldenCases are the entry points TestProfileGolden's Nehalem
@@ -120,7 +123,7 @@ var rigGoldenCases = []struct {
 		if err != nil {
 			return "", err
 		}
-		return curveDigest(curve, multiReportWords(rep)...), nil
+		return curveDigest(curve, rankReportWords(rep)...), nil
 	}},
 	{"small/parallel", func() (string, error) {
 		cfg := smallGoldenConfig()
@@ -129,7 +132,7 @@ var rigGoldenCases = []struct {
 		if err != nil {
 			return "", err
 		}
-		return curveDigest(curve, multiReportWords(rep)...), nil
+		return curveDigest(curve, rankReportWords(rep)...), nil
 	}},
 	{"small/steal", func() (string, error) {
 		var words []uint64
@@ -154,11 +157,16 @@ var rigGoldenCases = []struct {
 	}},
 	{"small/threads0/workers1", func() (string, error) { return threadsZeroDigest(1) }},
 	{"small/threads0/workers2", func() (string, error) { return threadsZeroDigest(2) }},
+	// The thread-count test on ranks 0 and 1, the Pirate on cores 2
+	// and 3.
 	{"small/determine-threads-multi", func() (string, error) {
-		cfg := testConfig(4).withDefaults()
-		cfg.PirateCores = []int{2, 3}
+		cfg := testConfig(4)
 		cfg.StealStep = 8 << 10
-		threads, cpis, err := DetermineThreadsMulti(cfg, []int{0, 1}, randTarget(32<<10))
+		cfg, tgt, err := resolve(cfg, []int{0, 1}, eachCore(randTarget(32<<10)))
+		if err != nil {
+			return "", err
+		}
+		threads, cpis, err := scanThreads(cfg, tgt)
 		return wordDigest(append([]uint64{uint64(threads)}, floatWords(cpis)...)...), err
 	}},
 }
@@ -213,11 +221,11 @@ func threadsZeroDigest(workers int) (string, error) {
 // reduced interval and four sizes; the Pirate still warms megabytes, so
 // -short keeps only the prefetch-off half.
 func TestProfileGolden(t *testing.T) {
-	if !digestArches[runtime.GOARCH] && !*updateProfileGolden {
+	if !digestArches[runtime.GOARCH] && !*update {
 		t.Skipf("digests are pinned on amd64 and 386, not %s", runtime.GOARCH)
 	}
 	var want profileGolden
-	if !*updateProfileGolden {
+	if !*update {
 		data, err := os.ReadFile(profileGoldenPath)
 		if err != nil {
 			t.Fatal(err)
@@ -279,7 +287,7 @@ func TestProfileGolden(t *testing.T) {
 		}
 		pin(c.key, digest)
 	}
-	if *updateProfileGolden {
+	if *update {
 		data, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -296,7 +304,7 @@ func TestProfileGolden(t *testing.T) {
 	for _, key := range keys {
 		g := got.Digests[key]
 		if w, ok := want.Digests[key]; !ok {
-			t.Errorf("%s: no pinned digest (run with -update-profile-golden at a commit known good)", key)
+			t.Errorf("%s: no pinned digest (run with -update at a commit known good)", key)
 		} else if g != w {
 			t.Errorf("%s: digest %s, pinned %s (simulated statistics changed)", key, g, w)
 		}

@@ -19,26 +19,14 @@ import (
 // *aggregate* CPI so a bandwidth-hungry rank on any core vetoes the
 // extra pirate thread.
 
-// MultiReport extends Report with per-rank detail.
-type MultiReport struct {
-	Report
-	// RankCPIs are each rank's CPI over the run's last interval (the
-	// smallest size of the last cycle), for balance diagnostics.
-	RankCPIs []float64
-}
-
 // ProfileMulti captures a metric curve for a Target running one
 // private-address-space rank on each of targetCores ("share-nothing"
 // data parallelism, e.g. MPI ranks). newGen builds rank i's workload
-// from (seed + rank). The returned curve reports aggregate metrics:
+// from (seed + 137i). The returned curve reports aggregate metrics:
 // aggregate CPI is total cycles over total instructions, bandwidth and
-// event ratios sum over ranks.
-func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*analysis.Curve, *MultiReport, error) {
-	cfg, tgt, err := rankTarget(cfg, targetCores, attachRanks(targetCores, newGen, cfg.Seed))
-	if err != nil {
-		return nil, nil, err
-	}
-	return scheduleCurve(cfg, tgt, "pirate-multi")
+// event ratios sum over ranks; the report adds each rank's CPI.
+func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*analysis.Curve, *Report, error) {
+	return profileRanks(cfg, targetCores, eachCore(newGen))
 }
 
 // ProfileParallel captures a metric curve for a shared-memory
@@ -49,52 +37,33 @@ func ProfileMulti(cfg Config, targetCores []int, newGen GenFactory) (*analysis.C
 // Like a GenFactory, newRanks must be safe for concurrent calls: the
 // thread-count test builds its machines from pool workers.
 func ProfileParallel(cfg Config, targetCores []int,
-	newRanks func(seed uint64) ([]workload.Generator, error)) (*analysis.Curve, *MultiReport, error) {
-	seed := cfg.Seed // as given, not defaulted: see attachRanks
-	cfg, tgt, err := rankTarget(cfg, targetCores, func(m *machine.Machine) error {
+	newRanks func(seed uint64) ([]workload.Generator, error)) (*analysis.Curve, *Report, error) {
+	return profileRanks(cfg, targetCores, func(m *machine.Machine, cores []int, seed uint64) error {
 		gens, err := newRanks(seed)
 		if err != nil {
 			return err
 		}
-		if len(gens) != len(targetCores) {
-			return fmt.Errorf("core: %d rank generators for %d cores", len(gens), len(targetCores))
+		if len(gens) != len(cores) {
+			return fmt.Errorf("core: %d rank generators for %d cores", len(gens), len(cores))
 		}
-		for i, tc := range targetCores {
-			if err := m.AttachShared(tc, 1, gens[i]); err != nil {
+		for i, c := range cores {
+			if err := m.AttachShared(c, 1, gens[i]); err != nil {
 				return err
 			}
 		}
 		return nil
 	})
+}
+
+// profileRanks runs the schedule on a Target of one rank per listed
+// core.
+func profileRanks(cfg Config, cores []int, attach attacher) (*analysis.Curve, *Report, error) {
+	if len(cores) == 0 {
+		return nil, nil, fmt.Errorf("core: no target cores")
+	}
+	cfg, tgt, err := resolve(cfg, cores, attach)
 	if err != nil {
 		return nil, nil, err
 	}
 	return scheduleCurve(cfg, tgt, "pirate-multi")
-}
-
-// DetermineThreadsMulti is the §III-C safety test with a
-// multithreaded Target: the *aggregate* CPI across ranks decides
-// whether an extra pirate thread distorts the measurement.
-func DetermineThreadsMulti(cfg Config, targetCores []int, newGen GenFactory) (int, []float64, error) {
-	cfg, tgt, err := rankTarget(cfg, targetCores, attachRanks(targetCores, newGen, cfg.Seed))
-	if err != nil {
-		return 0, nil, err
-	}
-	return scanThreads(cfg, tgt)
-}
-
-// attachRanks attaches one workload instance per rank core, seeded per
-// rank so ranks are decorrelated. The seed is the caller's as given: a
-// zero Seed reaches the ranks as zero, where a one-core Target gets the
-// default 1 — defaulting it here would move every many-rank number
-// measured with the zero Config.
-func attachRanks(cores []int, newGen GenFactory, seed uint64) func(*machine.Machine) error {
-	return func(m *machine.Machine) error {
-		for i, tc := range cores {
-			if err := m.Attach(tc, newGen(seed+uint64(i)*137)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 }

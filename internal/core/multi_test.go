@@ -40,17 +40,25 @@ func TestProfileMultiBasic(t *testing.T) {
 	}
 }
 
-func TestProfileMultiDefaultsPirateCores(t *testing.T) {
+// TestProfileMultiPirateTakesOtherCores: ranks 0 and 2 leave the
+// Pirate cores 1 and 3.
+func TestProfileMultiPirateTakesOtherCores(t *testing.T) {
+	_, tgt, err := resolve(testConfig(4), []int{0, 2}, eachCore(mustNotBuild(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tgt.pirate, []int{1, 3}) {
+		t.Errorf("pirate cores = %v, want [1 3]", tgt.pirate)
+	}
 	cfg := testConfig(4)
-	cfg.PirateCores = nil // must default to the non-rank cores
-	cfg.Threads = 1
+	cfg.Threads = 2
 	cfg.Sizes = cfg.Sizes[:2]
 	cfg.Cycles = 1
 	_, rep, err := ProfileMulti(cfg, []int{0, 2}, randTarget(32<<10))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.ThreadsUsed != 1 {
+	if rep.ThreadsUsed != 2 {
 		t.Errorf("threads = %d", rep.ThreadsUsed)
 	}
 }
@@ -61,52 +69,34 @@ func TestProfileMultiValidation(t *testing.T) {
 		t.Error("no target cores accepted")
 	}
 	// All cores are ranks: nothing left for the pirate.
-	cfg = testConfig(2)
-	cfg.PirateCores = nil
-	if _, _, err := ProfileMulti(cfg, []int{0, 1}, randTarget(1024)); err == nil {
-		t.Error("rank/pirate overlap accepted")
+	if _, _, err := ProfileMulti(cfg, []int{0, 1}, mustNotBuild(t)); err == nil ||
+		!strings.Contains(err.Error(), "no cores left for the pirate") {
+		t.Errorf("all cores ranks: err = %v", err)
 	}
-	// Explicit overlap.
-	cfg = testConfig(3)
-	cfg.PirateCores = []int{1}
-	if _, _, err := ProfileMulti(cfg, []int{0, 1}, randTarget(1024)); err == nil {
-		t.Error("core used as both rank and pirate accepted")
+	if _, _, err := ProfileMulti(cfg, []int{0, 2}, mustNotBuild(t)); err == nil {
+		t.Error("rank on a core the machine lacks accepted")
+	}
+	if _, _, err := ProfileMulti(testConfig(4), []int{1, 1}, mustNotBuild(t)); err == nil {
+		t.Error("a core listed as two ranks accepted")
 	}
 }
 
-func TestDetermineThreadsMulti(t *testing.T) {
-	cfg := testConfig(4)
-	cfg.PirateCores = []int{2, 3}
-	threads, cpis, err := DetermineThreadsMulti(cfg, []int{0, 1}, randTarget(32<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if threads < 1 || threads > 2 {
-		t.Errorf("threads = %d", threads)
-	}
-	if len(cpis) == 0 || cpis[0] <= 0 {
-		t.Errorf("cpis = %v", cpis)
-	}
-
-	// Nothing but the machine given: the pirate defaults to the two
-	// non-rank cores and the test measures both thread counts, as
-	// ProfileMulti's own test does. It used to default nothing, measure
-	// nothing and answer (1, [], nil).
-	threads, cpis, err = DetermineThreadsMulti(Config{Machine: testMachine(4)}, []int{0, 1}, randTarget(32<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if threads < 1 || threads > 2 || len(cpis) == 0 || cpis[0] <= 0 {
-		t.Errorf("undefaulted config: threads = %d, cpis = %v", threads, cpis)
-	}
-
-	// A rank's core listed as a pirate core is refused up front, not
-	// after NewPirate has re-attached and suspended it.
-	cfg = testConfig(4)
-	cfg.PirateCores = []int{1, 2}
-	_, _, err = DetermineThreadsMulti(cfg, []int{0, 1}, mustNotBuild(t))
-	if err == nil || !strings.Contains(err.Error(), "core 1 is both target rank and pirate") {
-		t.Errorf("overlapping cores: err = %v", err)
+// TestScanThreadsManyRanks: the thread-count test on ranks 0 and 1
+// measures the Pirate's two cores, also from a config that gives
+// nothing but the machine (its ranks are seeded 0 and 137).
+func TestScanThreadsManyRanks(t *testing.T) {
+	for _, cfg := range []Config{testConfig(4), {Machine: testMachine(4)}} {
+		cfg, tgt, err := resolve(cfg, []int{0, 1}, eachCore(randTarget(32<<10)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		threads, cpis, err := scanThreads(cfg, tgt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if threads < 1 || threads > 2 || len(cpis) == 0 || cpis[0] <= 0 {
+			t.Errorf("seed %d: threads = %d, cpis = %v", cfg.Seed, threads, cpis)
+		}
 	}
 }
 
@@ -120,7 +110,7 @@ func TestProfileMultiHonoursScheduleKnobs(t *testing.T) {
 	// 54KB, 34KB and 14KB to steal: the way-granular split rounds each to
 	// whole 4KB quanta, the naive one hands out the bytes as asked.
 	cfg.Sizes = []int64{10 << 10, 30 << 10, 50 << 10}
-	run := func(cfg Config) (*analysis.Curve, *MultiReport) {
+	run := func(cfg Config) (*analysis.Curve, *Report) {
 		curve, rep, err := ProfileMulti(cfg, []int{0, 1}, randTarget(48<<10))
 		if err != nil {
 			t.Fatal(err)
@@ -175,9 +165,11 @@ func TestProfileMultiBandwidthHungryRanksVeto(t *testing.T) {
 		return workload.NewSequential(workload.SequentialConfig{
 			Name: "s", Span: 48 << 10, NInstr: 1, MLP: 6})
 	}
-	cfg := testConfig(4)
-	cfg.PirateCores = []int{2, 3}
-	threads, _, err := DetermineThreadsMulti(cfg, []int{0, 1}, stream)
+	cfg, tgt, err := resolve(testConfig(4), []int{0, 1}, eachCore(stream))
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads, _, err := scanThreads(cfg, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}

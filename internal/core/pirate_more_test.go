@@ -130,9 +130,8 @@ func TestTargetSlowdownValidatesConfig(t *testing.T) {
 
 func TestMeasureOverheadPropagatesProfileErrors(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.TargetCore = 1 // collides with default pirate core
-	cfg.PirateCores = []int{1}
-	if _, _, _, err := MeasureOverhead(cfg, randTarget(1024)); err == nil {
+	cfg.Sizes = []int64{1 << 30} // invalid: larger than L3
+	if _, _, _, err := MeasureOverhead(cfg, mustNotBuild(t)); err == nil {
 		t.Error("invalid config accepted by MeasureOverhead")
 	}
 }

@@ -16,15 +16,15 @@ import (
 // fan-out entry points invoke it from pool workers (Config.Workers).
 type GenFactory func(seed uint64) workload.Generator
 
-// Config parameterises a profiling run.
+// Config parameterises a profiling run: only the knobs a caller sets.
+// Where everything runs is not among them, as in the paper: a one-core
+// Target runs on core 0 and a many-rank one on the cores its caller
+// lists, and the Pirate gets every other core, in ascending order, with
+// a thread cap of their count. The trust rule and the thread test's
+// budget are the constants FetchThreshold and SlowdownThreshold.
 type Config struct {
 	// Machine is the system model; defaults to machine.NehalemConfig().
 	Machine machine.Config
-	// TargetCore is where the Target is pinned (default 0).
-	TargetCore int
-	// PirateCores are the cores available to pirate threads (default:
-	// every core except TargetCore).
-	PirateCores []int
 	// Sizes are the Target-available cache sizes to measure, in bytes.
 	// Default: 0.5MB steps from 0.5MB up to the full L3.
 	Sizes []int64
@@ -42,17 +42,8 @@ type Config struct {
 	TargetWarmupInstrs uint64
 	// PirateWarmPasses is how many sweeps warm newly stolen space.
 	PirateWarmPasses int
-	// FetchThreshold is the Pirate fetch ratio above which a
-	// measurement is untrusted (paper: 3%).
-	FetchThreshold float64
-	// SlowdownThreshold is the Target CPI increase allowed when adding
-	// a pirate thread (paper: 1%).
-	SlowdownThreshold float64
-	// MaxThreads caps the pirate thread count (default:
-	// len(PirateCores)).
-	MaxThreads int
 	// Threads fixes the pirate thread count, skipping auto-detection,
-	// when > 0.
+	// when > 0; at most the Pirate's core count.
 	Threads int
 	// AttachInstr runs the Target alone for this many instructions
 	// before pirating starts — the paper's "attach to a running Target
@@ -74,16 +65,24 @@ type Config struct {
 	// Seed seeds the Target workload.
 	Seed uint64
 	// Workers bounds how many independent machine runs execute
-	// concurrently in the fan-outs (ProfileFixedCurve's per-size runs,
-	// the thread-count test's per-count runs, for one-core and many-rank
-	// Targets alike). Each run builds a fresh machine and generators
-	// from the factory, so results are bit-identical at any width; <= 0
-	// means one worker per CPU, 1 reproduces the historical serial order
-	// exactly. The per-size loop inside a dynamic profile is inherently
-	// serial — it is a single Target execution, the paper's whole point
-	// — and is not affected.
+	// concurrently in the fan-outs: ProfileFixedCurve's per-size runs
+	// and the thread-count test's per-count runs, one per count up to
+	// the Pirate's core count, for one-core and many-rank Targets
+	// alike. Each run builds a fresh machine and generators from the
+	// factory, so results are bit-identical at any width; <= 0 means one
+	// worker per CPU, 1 runs them serially. The per-size loop inside a
+	// dynamic profile is inherently serial — it is a single Target
+	// execution, the paper's whole point — and is not affected.
 	Workers int
 }
+
+// FetchThreshold is the Pirate fetch ratio above which a measurement
+// is untrusted: §II-A's 3%.
+const FetchThreshold = 0.03
+
+// SlowdownThreshold is the Target CPI increase the thread-count test
+// allows an added pirate thread: §III-C's 1%.
+const SlowdownThreshold = 0.01
 
 // sizeStep is the step of the default size grid: every multiple of it
 // up to the full L3.
@@ -93,13 +92,6 @@ const sizeStep = 512 << 10
 func (c Config) withDefaults() Config {
 	if c.Machine.Cores == 0 {
 		c.Machine = machine.NehalemConfig()
-	}
-	if len(c.PirateCores) == 0 {
-		for i := 0; i < c.Machine.Cores; i++ {
-			if i != c.TargetCore {
-				c.PirateCores = append(c.PirateCores, i)
-			}
-		}
 	}
 	if len(c.Sizes) == 0 {
 		for s := int64(sizeStep); s <= c.Machine.L3.Size; s += sizeStep {
@@ -118,15 +110,6 @@ func (c Config) withDefaults() Config {
 	if c.PirateWarmPasses == 0 {
 		c.PirateWarmPasses = 2
 	}
-	if c.FetchThreshold == 0 {
-		c.FetchThreshold = 0.03
-	}
-	if c.SlowdownThreshold == 0 {
-		c.SlowdownThreshold = 0.01
-	}
-	if c.MaxThreads == 0 || c.MaxThreads > len(c.PirateCores) {
-		c.MaxThreads = len(c.PirateCores)
-	}
 	if c.StealStep == 0 {
 		c.StealStep = c.Machine.L3.Size / 16
 	}
@@ -143,46 +126,28 @@ func (c Config) withDefaults() Config {
 // core's 64-bit instruction counter.
 const MaxInstrs = 1 << 40
 
-// Validate reports whether a profile of cfg can run, with its zero
-// fields filled in: the rule every entry point for a one-core Target
-// applies before it builds a machine, for a front door to apply to its
-// flags before any work.
-func (c Config) Validate() error { return c.withDefaults().validate() }
+// Validate reports whether a profile of cfg can run: the rule every
+// entry point for a one-core Target applies before it builds a machine
+// (resolve), for a front door to apply to its flags before any work.
+func (c Config) Validate() error {
+	_, _, err := resolve(c, nil, nil)
+	return err
+}
 
-// validate is Validate on a config whose defaults are filled in.
+// validate is the part of the rule that does not depend on where the
+// Target runs, on a config whose defaults are filled in; resolve checks
+// the cores.
 func (c Config) validate() error {
 	if err := c.Machine.Validate(); err != nil {
 		return err
-	}
-	if c.TargetCore < 0 || c.TargetCore >= c.Machine.Cores {
-		return fmt.Errorf("core: target core %d out of range", c.TargetCore)
-	}
-	for _, pc := range c.PirateCores {
-		if pc == c.TargetCore {
-			return fmt.Errorf("core: pirate core %d collides with the target (threads must be pinned to other cores)", pc)
-		}
-		if pc < 0 || pc >= c.Machine.Cores {
-			return fmt.Errorf("core: pirate core %d out of range", pc)
-		}
 	}
 	for _, s := range c.Sizes {
 		if s <= 0 || s > c.Machine.L3.Size {
 			return fmt.Errorf("core: size %d outside (0, L3=%d]", s, c.Machine.L3.Size)
 		}
 	}
-	if len(c.PirateCores) == 0 {
-		return fmt.Errorf("core: no cores left for the pirate")
-	}
-	// Checked here, before any machine step: a thread count the Pirate
-	// cannot field would otherwise surface only when SetWSS refuses it,
-	// after the whole initial Target warm-up, and a negative cycle count
+	// Checked here, before any machine step: a negative cycle count
 	// skips every measurement and averages nothing into NaN points.
-	if c.Threads < 0 || c.Threads > len(c.PirateCores) {
-		return fmt.Errorf("core: %d pirate threads outside [0, %d pirate cores] (0 = detect)", c.Threads, len(c.PirateCores))
-	}
-	if c.MaxThreads < 0 {
-		return fmt.Errorf("core: negative pirate thread cap %d", c.MaxThreads)
-	}
 	if c.Cycles < 0 {
 		return fmt.Errorf("core: negative measurement cycle count %d", c.Cycles)
 	}
@@ -225,6 +190,10 @@ type Report struct {
 	TargetInstructions uint64
 	// WallCycles is the machine time the run took.
 	WallCycles float64
+	// RankCPIs are each Target core's CPI over the run's last interval
+	// (the smallest size of the last cycle), for balance diagnostics:
+	// one per rank of a many-rank Target, one for a one-core Target.
+	RankCPIs []float64
 }
 
 // Profile captures a full metric curve from a single Target execution
@@ -240,15 +209,11 @@ type Report struct {
 // count is fixed. Use ProfileFixedCurve when you want the per-size
 // runs themselves fanned across cores.
 func Profile(cfg Config, newGen GenFactory) (*analysis.Curve, *Report, error) {
-	cfg, tgt, err := soloTarget(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return nil, nil, err
 	}
-	curve, rep, err := scheduleCurve(cfg, tgt, "pirate")
-	if err != nil {
-		return nil, nil, err
-	}
-	return curve, &rep.Report, nil
+	return scheduleCurve(cfg, tgt, "pirate")
 }
 
 // DetermineThreads implements the §III-C safe-thread-count test: the
@@ -258,7 +223,7 @@ func Profile(cfg Config, newGen GenFactory) (*analysis.Curve, *Report, error) {
 // the reported CPI list (truncated where the scan stopped) are the same
 // at any Config.Workers.
 func DetermineThreads(cfg Config, newGen GenFactory) (int, []float64, error) {
-	cfg, tgt, err := soloTarget(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return 0, nil, err
 	}

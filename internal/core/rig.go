@@ -19,14 +19,18 @@ import (
 // stated as data; the exported functions are short sequences of these
 // operations.
 
-// target describes the measured program to the rig. A one-core Target
-// and a many-rank one run the same code; what differs between them is
-// this data.
+// target describes the measured program, and the Pirate beside it, to
+// the rig. A one-core Target and a many-rank one run the same code;
+// what differs between them is this data, which resolve fills in.
 type target struct {
 	// cores are the Target's cores. The first paces every run: intervals
 	// and warm-ups are counted in its instructions, the others keep up.
 	cores []int
-	// attach binds the Target's generators to cores on a fresh machine.
+	// pirate are the Pirate's cores: every core the Target does not use,
+	// in ascending order. Their count caps the pirate threads.
+	pirate []int
+	// attach binds the Target's generators to its cores on a fresh
+	// machine.
 	attach func(*machine.Machine) error
 	// warm lets the Target refill cache it has just been given (or, at
 	// the start of a run, all of it), the Pirate halted or idle.
@@ -36,55 +40,68 @@ type target struct {
 	settle machine.Warm
 }
 
-// soloTarget resolves cfg for the paper's Target, one process on
-// cfg.TargetCore: defaults, validation, descriptor.
-func soloTarget(cfg Config, newGen GenFactory) (Config, target, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return cfg, target{}, err
-	}
-	return cfg, target{
-		cores:  []int{cfg.TargetCore},
-		attach: func(m *machine.Machine) error { return m.Attach(cfg.TargetCore, newGen(cfg.Seed)) },
-		warm:   machine.Stable(cfg.TargetWarmupInstrs),
-		settle: machine.Fixed(cfg.TargetWarmupInstrs),
-	}, nil
-}
+// attacher binds a Target's generators, built from seed, to its cores
+// on a fresh machine.
+type attacher func(m *machine.Machine, cores []int, seed uint64) error
 
-// rankTarget resolves cfg for a Target of one rank per listed core.
-// The pirate defaults to every core that is not a rank, and a core
-// listed as both is refused here, before any machine is built
-// (NewPirate would re-attach the rank's core and suspend it).
-func rankTarget(cfg Config, cores []int, attach func(*machine.Machine) error) (Config, target, error) {
-	if len(cores) == 0 {
-		return cfg, target{}, fmt.Errorf("core: no target cores")
-	}
-	cfg.TargetCore = cores[0]
-	if len(cfg.PirateCores) == 0 {
-		if cfg.Machine.Cores == 0 {
-			cfg.Machine = machine.NehalemConfig()
-		}
-		for i := 0; i < cfg.Machine.Cores; i++ {
-			if !slices.Contains(cores, i) {
-				cfg.PirateCores = append(cfg.PirateCores, i)
+// eachCore attaches one workload instance per core, seeded per core so
+// that ranks are decorrelated; a one-core Target gets newGen(seed).
+func eachCore(newGen GenFactory) attacher {
+	return func(m *machine.Machine, cores []int, seed uint64) error {
+		for i, c := range cores {
+			if err := m.Attach(c, newGen(seed+uint64(i)*137)); err != nil {
+				return err
 			}
 		}
+		return nil
 	}
+}
+
+// resolve fills in cfg's defaults, checks it and describes its Target,
+// before any machine is built. With no ranks the Target is the
+// paper's: one process on core 0, attached from the defaulted seed,
+// warmed by Stable(W) and settled by Fixed(W). With ranks it is one
+// rank per listed core, attached from the seed as given — a zero Seed
+// reaches the ranks as zero, and defaulting it would move every
+// many-rank number measured with the zero Config — and warmed and
+// settled to one floor, Fixed(3W): Stable would move every many-rank
+// number too, so the two rules stay side by side until a change that
+// may re-pin them (ROADMAP item 29). Either way the Pirate gets every
+// other core.
+func resolve(cfg Config, ranks []int, attach attacher) (Config, target, error) {
+	seed := cfg.Seed
 	cfg = cfg.withDefaults()
 	if err := cfg.validate(); err != nil {
 		return cfg, target{}, err
 	}
-	for _, tc := range cores {
-		if slices.Contains(cfg.PirateCores, tc) {
-			return cfg, target{}, fmt.Errorf("core: core %d is both target rank and pirate", tc)
+	w := cfg.TargetWarmupInstrs
+	tgt := target{cores: ranks, warm: machine.Fixed(3 * w), settle: machine.Fixed(3 * w)}
+	if ranks == nil {
+		seed = cfg.Seed
+		tgt = target{cores: []int{0}, warm: machine.Stable(w), settle: machine.Fixed(w)}
+	}
+	for i, c := range tgt.cores {
+		if c < 0 || c >= cfg.Machine.Cores || slices.Contains(tgt.cores[:i], c) {
+			return cfg, target{}, fmt.Errorf("core: target core %d out of range or listed twice", c)
 		}
 	}
-	// Every rank warms to one floor, three warm-up lengths past the
-	// pacing rank. Stable would move every many-rank number, so the two
-	// rules stay side by side until a change that may re-pin them
-	// (ROADMAP item 29).
-	floor := machine.Fixed(cfg.TargetWarmupInstrs * 3)
-	return cfg, target{cores: cores, attach: attach, warm: floor, settle: floor}, nil
+	for c := range cfg.Machine.Cores {
+		if !slices.Contains(tgt.cores, c) {
+			tgt.pirate = append(tgt.pirate, c)
+		}
+	}
+	if len(tgt.pirate) == 0 {
+		return cfg, target{}, fmt.Errorf("core: no cores left for the pirate")
+	}
+	// A thread count the Pirate cannot field would otherwise surface
+	// only when SetWSS refuses it, after the whole initial Target
+	// warm-up.
+	if cfg.Threads < 0 || cfg.Threads > len(tgt.pirate) {
+		return cfg, target{}, fmt.Errorf("core: %d pirate threads outside [0, %d pirate cores] (0 = detect)", cfg.Threads, len(tgt.pirate))
+	}
+	cores := tgt.cores
+	tgt.attach = func(m *machine.Machine) error { return attach(m, cores, seed) }
+	return cfg, tgt, nil
 }
 
 // rig is one co-run: a fresh machine with the Target attached, the
@@ -106,7 +123,7 @@ func newRig(cfg Config, tgt target) (*rig, error) {
 	if err := tgt.attach(m); err != nil {
 		return nil, err
 	}
-	pirate, err := NewPirate(m, cfg.PirateCores)
+	pirate, err := NewPirate(m, tgt.pirate)
 	if err != nil {
 		return nil, err
 	}
@@ -155,7 +172,7 @@ func (r *rig) measure(cycle int, size int64) (TimelineSample, error) {
 		FetchRatio:       ts.FetchRatio(),
 		MissRatio:        ts.MissRatio(),
 		PirateFetchRatio: pfr,
-		Trusted:          pfr <= r.cfg.FetchThreshold,
+		Trusted:          pfr <= FetchThreshold,
 	}, nil
 }
 
@@ -205,11 +222,11 @@ func (r *rig) resize(wss int64, threads int) error {
 // execution is the methodology — so it is serial; Config.Workers
 // reaches only the thread-count scan run when no count is fixed. The
 // report's RankCPIs are the last interval's.
-func schedule(cfg Config, tgt target) (*Timeline, *MultiReport, error) {
+func schedule(cfg Config, tgt target) (*Timeline, *Report, error) {
 	if err := cfg.checkGrid(); err != nil {
 		return nil, nil, err
 	}
-	rep := &MultiReport{Report: Report{ThreadsUsed: cfg.Threads}}
+	rep := &Report{ThreadsUsed: cfg.Threads}
 	if rep.ThreadsUsed == 0 {
 		t, cpis, err := scanThreads(cfg, tgt)
 		if err != nil {
@@ -257,12 +274,12 @@ func schedule(cfg Config, tgt target) (*Timeline, *MultiReport, error) {
 
 // scheduleCurve runs the schedule and averages its intervals per size
 // into a curve of the given name.
-func scheduleCurve(cfg Config, tgt target, name string) (*analysis.Curve, *MultiReport, error) {
+func scheduleCurve(cfg Config, tgt target, name string) (*analysis.Curve, *Report, error) {
 	tl, rep, err := schedule(cfg, tgt)
 	if err != nil {
 		return nil, nil, err
 	}
-	curve := tl.Curve(cfg.FetchThreshold)
+	curve := tl.Curve()
 	curve.Name = name
 	return curve, rep, nil
 }
@@ -301,8 +318,9 @@ func scanThreads(cfg Config, tgt target) (int, []float64, error) {
 	cpiWith := func(threads int) (float64, error) {
 		return pirateCPI(cfg, tgt, cfg.StealStep, threads)
 	}
-	if pool := (runner.Pool{Workers: cfg.Workers}); pool.EffectiveWorkers(cfg.MaxThreads) > 1 {
-		ahead, err := runner.Map(context.Background(), pool, cfg.MaxThreads,
+	maxThreads := len(tgt.pirate)
+	if pool := (runner.Pool{Workers: cfg.Workers}); pool.EffectiveWorkers(maxThreads) > 1 {
+		ahead, err := runner.Map(context.Background(), pool, maxThreads,
 			func(_ context.Context, i int) (float64, error) { return cpiWith(i + 1) })
 		if err != nil {
 			return 0, nil, err
@@ -311,7 +329,7 @@ func scanThreads(cfg Config, tgt target) (int, []float64, error) {
 	}
 	var cpis []float64
 	best := 1
-	for t := 1; t <= cfg.MaxThreads; t++ {
+	for t := 1; t <= maxThreads; t++ {
 		cpi, err := cpiWith(t)
 		if err != nil {
 			return 0, nil, err
@@ -320,7 +338,7 @@ func scanThreads(cfg Config, tgt target) (int, []float64, error) {
 		if t == 1 {
 			continue
 		}
-		if (cpi-cpis[0])/cpis[0] <= cfg.SlowdownThreshold {
+		if (cpi-cpis[0])/cpis[0] <= SlowdownThreshold {
 			best = t
 		} else {
 			break

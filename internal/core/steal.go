@@ -17,11 +17,11 @@ type StealResult struct {
 
 // MaxStealable sweeps the Pirate's working set upward in 0.5MB steps
 // (threads fixed) and returns the largest amount it can steal from the
-// given Target with its fetch ratio under cfg.FetchThreshold. This is
+// given Target with its fetch ratio under FetchThreshold. This is
 // the Table II measurement: when the Pirate's fetch ratio is zero its
 // whole working set is resident; at 3% it holds 97-100% of it.
 func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, error) {
-	cfg, tgt, err := soloTarget(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return StealResult{}, err
 	}
@@ -54,13 +54,13 @@ func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, erro
 		fr := s.PirateFetchRatio
 		res.ProbedWSS = append(res.ProbedWSS, wss)
 		res.FetchRatios = append(res.FetchRatios, fr)
-		if fr <= cfg.FetchThreshold {
+		if fr <= FetchThreshold {
 			res.MaxWSS = wss
 		}
 		// Keep probing: a temporary dip should not end the sweep, but
 		// two consecutive failures past the best point means the
 		// pirate has hit its ceiling.
-		if fr > cfg.FetchThreshold && wss-res.MaxWSS >= 2*step {
+		if fr > FetchThreshold && wss-res.MaxWSS >= 2*step {
 			break
 		}
 	}
@@ -71,7 +71,7 @@ func MaxStealable(cfg Config, newGen GenFactory, threads int) (StealResult, erro
 // wss bytes using t1 and then t2 threads, returning
 // (cpi2-cpi1)/cpi1 — the Table II rightmost column.
 func TargetSlowdown(cfg Config, newGen GenFactory, wss int64, t1, t2 int) (float64, error) {
-	cfg, tgt, err := soloTarget(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return 0, err
 	}

@@ -38,8 +38,9 @@ type Timeline struct {
 }
 
 // Curve collapses the timeline into an averaged curve (what Profile
-// returns), so callers can have both views from one run.
-func (tl *Timeline) Curve(fetchThreshold float64) *analysis.Curve {
+// returns), so callers can have both views from one run. A point is
+// trusted when its mean Pirate fetch ratio is at most FetchThreshold.
+func (tl *Timeline) Curve() *analysis.Curve {
 	type acc struct {
 		cpi, bw, fetch, miss, pfr float64
 		n                         int
@@ -74,7 +75,7 @@ func (tl *Timeline) Curve(fetchThreshold float64) *analysis.Curve {
 			FetchRatio:       a.fetch / n,
 			MissRatio:        a.miss / n,
 			PirateFetchRatio: pfr,
-			Trusted:          pfr <= fetchThreshold,
+			Trusted:          pfr <= FetchThreshold,
 			Samples:          a.n,
 		})
 	}
@@ -132,13 +133,9 @@ func (tl *Timeline) PhaseSpread() []SpreadPoint {
 // schedule on the same rig, with every measurement kept with its
 // position in the Target's execution instead of averaged.
 func ProfileTimeline(cfg Config, newGen GenFactory) (*Timeline, *Report, error) {
-	cfg, tgt, err := soloTarget(cfg, newGen)
+	cfg, tgt, err := resolve(cfg, nil, eachCore(newGen))
 	if err != nil {
 		return nil, nil, err
 	}
-	tl, rep, err := schedule(cfg, tgt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return tl, &rep.Report, nil
+	return schedule(cfg, tgt)
 }

@@ -58,7 +58,7 @@ func TestTimelineCurveMatchesProfile(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fromTL := tl.Curve(cfg.withDefaults().FetchThreshold)
+		fromTL := tl.Curve()
 		direct, rep, err := Profile(cfg, randTarget(48<<10))
 		if err != nil {
 			t.Fatal(err)
@@ -130,9 +130,34 @@ func TestAttachInstrFastForwards(t *testing.T) {
 	}
 }
 
-func TestTimelineCurveEmptyThresholds(t *testing.T) {
+// TestTimelineCurveTrust pins §II-A's boundary through Curve: a size
+// whose mean Pirate fetch ratio is exactly 3% is trusted, one above it
+// is not.
+func TestTimelineCurveTrust(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		pfrs    []float64
+		trusted bool
+	}{
+		{"no pirate misses", []float64{0}, true},
+		{"exactly 3%", []float64{0.03}, true},
+		{"a mean of exactly 3%", []float64{0.03, 0.03}, true},
+		{"3.1%", []float64{0.031}, false},
+		{"a mean of 3.1%", []float64{0.03, 0.032}, false},
+	} {
+		tl := &Timeline{}
+		for _, pfr := range tc.pfrs {
+			tl.Samples = append(tl.Samples, TimelineSample{CacheBytes: 1 << 20, PirateFetchRatio: pfr})
+		}
+		if p := tl.Curve().Points[0]; p.Trusted != tc.trusted {
+			t.Errorf("%s: mean Pirate fetch ratio %g trusted = %v, want %v", tc.name, p.PirateFetchRatio, p.Trusted, tc.trusted)
+		}
+	}
+}
+
+func TestTimelineCurveEmpty(t *testing.T) {
 	tl := &Timeline{}
-	if c := tl.Curve(0.03); len(c.Points) != 0 {
+	if c := tl.Curve(); len(c.Points) != 0 {
 		t.Error("empty timeline produced points")
 	}
 	if s := tl.PhaseSpread(); len(s) != 0 {

@@ -137,10 +137,6 @@ func Abl3ThreadCount(opts Options) (*Result, error) {
 		t.Add(report.F(float64(i+1), 0), report.F(cpi, 3), report.Pct(sd, 1))
 	}
 	res.Add(t)
-	threshold := cfg.SlowdownThreshold
-	if threshold == 0 {
-		threshold = 0.01 // the harness default (§III-C's 1%)
-	}
-	res.Notef("auto-detected safe thread count: %d (threshold %s)", auto, report.Pct(threshold, 0))
+	res.Notef("auto-detected safe thread count: %d (threshold %s)", auto, report.Pct(core.SlowdownThreshold, 0))
 	return res, nil
 }

@@ -31,6 +31,8 @@ func Ext3Portability(opts Options) (*Result, error) {
 	}
 	benches := opts.benchList("microrand", "omnetpp")
 	rows, err := forEachBench(opts, benches, func(bench string) ([]ext3Row, error) {
+		// The reference trace depends only on the benchmark and the seed.
+		tr := simulate.CaptureTrace(factory(bench), opts.Seed, 0, opts.TraceRecords)
 		var out []ext3Row
 		for _, mc := range machines {
 			// Size grid scaled to this machine's L3.
@@ -45,7 +47,6 @@ func Ext3Portability(opts Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			tr := simulate.CaptureTrace(factory(bench), opts.Seed, 0, opts.TraceRecords)
 			ref, err := simulate.Sweep(simulate.Config{
 				Machine: mc.cfg, Sizes: sizes, Mode: simulate.BySets, WarmPasses: 2,
 				Workers: opts.Workers,

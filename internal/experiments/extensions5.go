@@ -33,12 +33,11 @@ func Ext5PhaseResolved(opts Options) (*Result, error) {
 	}
 	for i, bench := range benches {
 		tl := timelines[i]
-		cfg := opts.profileConfig(machine.NehalemConfig())
 		spread := tl.PhaseSpread() // sorted by cache size
 
 		t := report.NewTable("per-size CPI spread — "+bench,
 			"cache", "avg CPI", "spread (max-min)/mean")
-		curve := tl.Curve(cfg.FetchThreshold)
+		curve := tl.Curve()
 		for _, sp := range spread {
 			cpi, err := curve.CPIAt(sp.CacheBytes)
 			if err != nil {

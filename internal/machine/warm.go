@@ -20,7 +20,13 @@ type Warm struct {
 // already there does not run. On one core it is RunInstructions(core,
 // n). One floor, rather than one increment each, keeps later co-runners
 // from getting extra runtime: under min-clock scheduling they advance
-// with the first, so they usually have little or nothing left to run.
+// with the first, so when they run as fast as it they have little or
+// nothing left to run. A slower later core is the opposite case: while
+// it climbs to the floor the first core keeps running too, far past it.
+// In TestWarm, bringing a cold 6MB scan on core 1 up by 40k
+// instructions ran the 1KB loop on core 0 about 1.18M (Fixed(0) over
+// cores 0 and 1), so such a pair enters its interval at very different
+// instruction counts (ext4's pairs; ROADMAP item 29, step 2).
 func Fixed(n uint64) Warm { return Warm{n: n} }
 
 // Stable runs the first listed core in chunk-long intervals until,
