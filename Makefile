@@ -103,9 +103,10 @@ experiments:
 cover:
 	$(GO) test -cover ./...
 
-# Fuzz every target for FUZZTIME each (seeded from the checked-in
-# corpora under testdata/fuzz/). Failing inputs land in testdata/fuzz/
-# and replay deterministically with `go run ./cmd/conformance replay`.
+# Fuzz every target for FUZZTIME each, starting from the target's own
+# f.Add seeds plus any crashers saved under testdata/fuzz/. Failing
+# inputs land in testdata/fuzz/<target>/ and replay deterministically
+# with `go test -run 'FuzzX/<file>'`.
 # FuzzHierarchy's and FuzzFusedHierarchy's executions are differential
 # replays (two hierarchy implementations, two back-invalidation modes;
 # a replica family against one hierarchy per replica), so their input

@@ -101,13 +101,15 @@ type Curve struct {
 	Points []Point
 }
 
+// targetCore is the core the Target runs on; a bandit thread runs on
+// every other core.
+const targetCore = 0
+
 // Config parameterises a Bandit profiling run.
 type Config struct {
-	// Machine defaults to machine.NehalemConfig().
+	// Machine defaults to machine.NehalemConfig(). It needs at least
+	// two cores: the Target on core 0 and a bandit thread on each other.
 	Machine machine.Config
-	// TargetCore defaults to 0; BanditCores default to all others.
-	TargetCore  int
-	BanditCores []int
 	// Paces are the pacing levels to sweep, highest pressure first.
 	// Default: {0, 8, 32, 64, 128, 256, 512}.
 	Paces []uint32
@@ -123,13 +125,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.Machine.Cores == 0 {
 		c.Machine = machine.NehalemConfig()
-	}
-	if len(c.BanditCores) == 0 {
-		for i := 0; i < c.Machine.Cores; i++ {
-			if i != c.TargetCore {
-				c.BanditCores = append(c.BanditCores, i)
-			}
-		}
 	}
 	if len(c.Paces) == 0 {
 		// Spread from full pressure (0) to a light touch: with three
@@ -153,13 +148,8 @@ func (c Config) validate() error {
 	if err := c.Machine.Validate(); err != nil {
 		return err
 	}
-	if c.TargetCore < 0 || c.TargetCore >= c.Machine.Cores {
-		return fmt.Errorf("bandit: target core %d out of range", c.TargetCore)
-	}
-	for _, bc := range c.BanditCores {
-		if bc == c.TargetCore || bc < 0 || bc >= c.Machine.Cores {
-			return fmt.Errorf("bandit: bad bandit core %d", bc)
-		}
+	if c.Machine.Cores < 2 {
+		return fmt.Errorf("bandit: %d-core machine leaves no core for a bandit thread", c.Machine.Cores)
 	}
 	return nil
 }
@@ -176,11 +166,11 @@ func Profile(cfg Config, newGen func(seed uint64) workload.Generator) (*Curve, e
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Attach(cfg.TargetCore, newGen(cfg.Seed)); err != nil {
+	if err := m.Attach(targetCore, newGen(cfg.Seed)); err != nil {
 		return nil, err
 	}
 	var streamers []*Streamer
-	for _, bc := range cfg.BanditCores {
+	for bc := targetCore + 1; bc < cfg.Machine.Cores; bc++ {
 		s := NewStreamer(0, 0) // per-core machine offsets isolate them
 		if err := m.Attach(bc, s); err != nil {
 			return nil, err
@@ -192,17 +182,17 @@ func Profile(cfg Config, newGen func(seed uint64) workload.Generator) (*Curve, e
 	curve := &Curve{Name: "bandit", MaxGBs: maxGBs}
 
 	measure := func(pace uint32, active bool) (Point, error) {
-		if err := m.RunInstructions(cfg.TargetCore, cfg.WarmupInstrs); err != nil {
+		if err := m.RunInstructions(targetCore, cfg.WarmupInstrs); err != nil {
 			return Point{}, err
 		}
-		iv, err := counters.Interval(m, func() error { return m.RunInstructions(cfg.TargetCore, cfg.IntervalInstrs) })
+		iv, err := counters.Interval(m, func() error { return m.RunInstructions(targetCore, cfg.IntervalInstrs) })
 		if err != nil {
 			return Point{}, err
 		}
-		ts := iv[cfg.TargetCore]
+		ts := iv[targetCore]
 		var bgbs float64
 		var occ int64
-		for _, bc := range cfg.BanditCores {
+		for bc := targetCore + 1; bc < cfg.Machine.Cores; bc++ {
 			if active {
 				bgbs += iv[bc].BandwidthGBs(cfg.Machine.CPU.FreqHz)
 			}
@@ -234,7 +224,7 @@ func Profile(cfg Config, newGen func(seed uint64) workload.Generator) (*Curve, e
 	// monotonically along the run.
 	paces := append([]uint32(nil), cfg.Paces...)
 	sort.Slice(paces, func(i, j int) bool { return paces[i] > paces[j] })
-	for _, bc := range cfg.BanditCores {
+	for bc := targetCore + 1; bc < cfg.Machine.Cores; bc++ {
 		m.Resume(bc)
 	}
 	for _, pace := range paces {

@@ -1,6 +1,7 @@
 package bandit
 
 import (
+	"strings"
 	"testing"
 
 	"cachepirate/internal/cache"
@@ -59,17 +60,15 @@ func TestStreamerWrapsAndDefaultSpan(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	cfg := Config{Machine: testMachine(2), TargetCore: 5}
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err == nil {
-		t.Error("bad target core accepted")
-	}
-	cfg = Config{Machine: testMachine(2), BanditCores: []int{0}}.withDefaults()
-	if err := cfg.validate(); err == nil {
-		t.Error("bandit on target core accepted")
+	cfg := Config{Machine: testMachine(1)}.withDefaults()
+	if err := cfg.validate(); err == nil || !strings.Contains(err.Error(), "no core for a bandit thread") {
+		t.Errorf("one-core machine: %v, want no core for a bandit thread", err)
 	}
 	def := Config{}.withDefaults()
-	if def.Machine.Cores != 4 || len(def.BanditCores) != 3 || len(def.Paces) == 0 {
+	if err := def.validate(); err != nil {
+		t.Errorf("defaults rejected: %v", err)
+	}
+	if def.Machine.Cores != 4 || len(def.Paces) == 0 {
 		t.Errorf("defaults wrong: %+v", def)
 	}
 }

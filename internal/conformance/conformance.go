@@ -25,12 +25,13 @@
 // stack-distance-predicted miss ratios agree with simulated
 // single-core LRU runs (the paper's reference [6] model).
 //
-// The same streams drive native Go fuzzing (fuzz_test.go): FuzzKernel
-// and FuzzHierarchy decode arbitrary bytes into bounded configs and op
-// streams, with seed corpora under testdata/fuzz/. A failing input is
-// reproducible outside the fuzzer with `conformance replay <file>`
-// (cmd/conformance), which re-runs the stream deterministically,
-// minimizes it with Minimize, and prints the divergence report.
+// The same streams drive native Go fuzzing (fuzz_test.go): FuzzKernel,
+// FuzzHierarchy and FuzzFusedHierarchy decode arbitrary bytes into
+// bounded configs and op streams, and each seeds itself with f.Add from
+// the generators (GenOps, GenHOps, GenFOps) and encoders. A failing
+// input the fuzzer saves under testdata/fuzz/ replays deterministically
+// with `go test -run 'FuzzKernel/<file>'`; FuzzKernel minimizes a
+// diverging stream with Minimize before it prints the report.
 //
 // The adversarial stream patterns (single-set hammering, ping-pong
 // eviction duels) follow the shared-cache DoS literature (Bechtel &

@@ -178,7 +178,7 @@ func TestInjectedDivergenceCaught(t *testing.T) {
 
 // TestMinimizeShrinksInjectedFailure minimizes an injected failure and
 // requires the result to be both much smaller and still failing — the
-// property behind `conformance replay`'s minimized reports.
+// property behind FuzzKernel's minimized reports.
 func TestMinimizeShrinksInjectedFailure(t *testing.T) {
 	cfg := KernelConfigs(cache.LRU)[0]
 	ops := GenOps(stats.NewRNG(9), cfg, PatternHammer, 3_000)
@@ -205,7 +205,7 @@ func TestMinimizeShrinksInjectedFailure(t *testing.T) {
 
 // TestKernelCodecRoundTrip: decoding arbitrary bytes, re-encoding the
 // stream and decoding again must be a fixed point — the property that
-// makes corpus files and replay files interchangeable.
+// makes FuzzKernel's seeds and saved inputs interchangeable.
 func TestKernelCodecRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(123)
 	for trial := 0; trial < 50; trial++ {

@@ -96,7 +96,7 @@ func DecodeFused(data []byte) (FusedFamily, []FOp) {
 }
 
 // EncodeFused is the inverse of DecodeFused for in-range streams; used
-// to write fuzz seed corpora.
+// to build FuzzFusedHierarchy's seeds.
 func EncodeFused(shape, family byte, ops []FOp) []byte {
 	out := make([]byte, 0, 2+len(ops)*fusedOpBytes)
 	out = append(out, shape, family)

@@ -70,15 +70,6 @@ var hierarchyShapes = []cache.HierarchyConfig{
 	},
 }
 
-// HierarchyShape returns the i-th bounded hierarchy shape, with
-// ok=false past the end — the campaign space of `conformance check`.
-func HierarchyShape(i int) (cache.HierarchyConfig, bool) {
-	if i < 0 || i >= len(hierarchyShapes) {
-		return cache.HierarchyConfig{}, false
-	}
-	return hierarchyShapes[i], true
-}
-
 // hierarchyOpBytes is the encoded size of one hierarchy op.
 const hierarchyOpBytes = 3
 
@@ -108,7 +99,7 @@ func DecodeHierarchy(data []byte) (cache.HierarchyConfig, []HOp) {
 }
 
 // EncodeHierarchy is the inverse of DecodeHierarchy for in-range
-// streams; used to write fuzz seed corpora.
+// streams; used to build FuzzHierarchy's seeds.
 func EncodeHierarchy(shape int, ops []HOp) []byte {
 	out := make([]byte, 0, 1+len(ops)*hierarchyOpBytes)
 	out = append(out, byte(shape%len(hierarchyShapes)))

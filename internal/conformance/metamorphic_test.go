@@ -193,7 +193,7 @@ func TestStackDistSetAssociativeAgreement(t *testing.T) {
 		}
 		s := c.Stats(0)
 		sim := float64(s.Misses) / float64(s.Accesses)
-		pred := h.SetAssociativeMissRatio(int64(shape.sets), int64(shape.ways))
+		pred := h.MissRatio(int64(shape.sets * shape.ways))
 		if d := math.Abs(sim - pred); d > tol {
 			t.Errorf("%dx%d: simulated miss ratio %.4f vs stack-distance prediction %.4f (|d|=%.4f > %.2f)",
 				shape.sets, shape.ways, sim, pred, d, tol)

@@ -65,7 +65,7 @@ const kernelOwners = 3
 // indexing path), a single-set fully-associative shape, and a 32-way
 // shape. Between them the power-of-two ones give pseudo-LRU each of its
 // kernels: the victim table (4, 8 ways) and the tree descent (16, 32).
-// New shapes go at the end: a corpus file names its shape by index.
+// New shapes go at the end: a saved fuzz input names its shape by index.
 var kernelGeometries = []cache.Config{
 	{Name: "k-16x4", Size: 4 << 10, Ways: 4, LineSize: 64},
 	{Name: "k-4x8", Size: 2 << 10, Ways: 8, LineSize: 64},
@@ -77,7 +77,7 @@ var kernelGeometries = []cache.Config{
 // KernelConfigs returns the bounded geometries a policy can run
 // (pseudo-LRU requires power-of-two ways), each completed with the
 // policy and the standard owner count — the campaign space of the
-// property tests and the `conformance check` CLI.
+// property tests.
 func KernelConfigs(pol cache.PolicyKind) []cache.Config {
 	var out []cache.Config
 	for _, g := range kernelGeometries {
@@ -132,7 +132,7 @@ func DecodeKernel(data []byte) (cache.Config, []Op) {
 }
 
 // EncodeKernel is the inverse of DecodeKernel for streams within its
-// value ranges — used to write fuzz seed corpora and replay files.
+// value ranges — used to build FuzzKernel's seeds.
 func EncodeKernel(cfg cache.Config, ops []Op) []byte {
 	geom := 0
 	for i, g := range kernelGeometries {

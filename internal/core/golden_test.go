@@ -7,10 +7,12 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 
 	"cachepirate/internal/analysis"
@@ -219,7 +221,8 @@ func threadsZeroDigest(workers int) (string, error) {
 // walk, the step loop, the scheduler or the timing model that moves one
 // simulated statistic fails here. The schedule is the default one at a
 // reduced interval and four sizes; the Pirate still warms megabytes, so
-// -short keeps only the prefetch-off half.
+// -short keeps only the prefetch-off half. A pinned key the run does not
+// produce fails too, so a dropped row cannot pass unnoticed.
 func TestProfileGolden(t *testing.T) {
 	if !digestArches[runtime.GOARCH] && !*update {
 		t.Skipf("digests are pinned on amd64 and 386, not %s", runtime.GOARCH)
@@ -308,5 +311,13 @@ func TestProfileGolden(t *testing.T) {
 		} else if g != w {
 			t.Errorf("%s: digest %s, pinned %s (simulated statistics changed)", key, g, w)
 		}
+	}
+	unproduced := maps.Clone(want.Digests)
+	maps.DeleteFunc(unproduced, func(key, _ string) bool {
+		_, ok := got.Digests[key]
+		return ok || testing.Short() && strings.Contains(key, "/prefetch-true/")
+	})
+	if len(unproduced) > 0 {
+		t.Errorf("pinned but not produced by this run: %v", unproduced)
 	}
 }

@@ -107,7 +107,8 @@ var update = flag.Bool("update", false, "rewrite the quick-output goldens with c
 // TestQuickExperimentsRun runs every experiment at quick scale and
 // compares its rendered output byte for byte against
 // testdata/<id>.golden, so any moved simulated statistic in any
-// experiment shows as a line diff. Regenerate after an intentional
+// experiment shows as a line diff, and fails on a golden no runner
+// writes. Regenerate after an intentional
 // change with
 //
 //	go test ./internal/experiments -run TestQuickExperimentsRun -update
@@ -116,6 +117,15 @@ var update = flag.Bool("update", false, "rewrite the quick-output goldens with c
 func TestQuickExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiments are seconds-scale; skipped in -short mode")
+	}
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range goldens {
+		if _, ok := ByID(strings.TrimSuffix(filepath.Base(path), ".golden")); !ok {
+			t.Errorf("%s: no runner writes this golden", path)
+		}
 	}
 	for _, r := range All() {
 		r := r

@@ -24,14 +24,23 @@ import (
 //   - at rate 1.0 the profile degenerates to the exact Mattson
 //     histogram bit for bit.
 //
-// The seed corpus (testdata/fuzz/FuzzSampledProfile) is the trace
-// decoder's FuzzRead corpus, written into both by
-// internal/conformance/gen_corpus.go, so the profiler sees the same
-// adversarial framings the decoder is hardened against. The sampling
-// configuration is derived from a byte sum of the input, so the fuzzer
-// explores rate, fixed-size, and exact modes as it mutates.
+// The seed is the valid three-record v2 stream FuzzRead also starts
+// from; malformed framings are FuzzRead's to seed, since they only
+// reach the Skip below. The sampling configuration is derived from a
+// byte sum of the input, so the fuzzer explores rate, fixed-size, and
+// exact modes as it mutates.
 func FuzzSampledProfile(f *testing.F) {
 	f.Add([]byte{})
+	var valid bytes.Buffer
+	seed := &trace.Trace{Records: []trace.Record{
+		{NInstr: 3, Addr: 0x1240, Write: true},
+		{Addr: 64},
+		{NInstr: 1, Addr: 0x40_0000},
+	}}
+	if err := seed.WriteV2Frames(&valid, 2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := trace.Read(bytes.NewReader(data))
 		if err != nil {

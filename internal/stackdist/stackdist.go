@@ -141,18 +141,6 @@ func (h *Histogram) Percentile(p float64) (int64, error) {
 	return int64(len(h.Counts) - 1), nil
 }
 
-// SetAssociativeMissRatio approximates the miss ratio of a W-way,
-// S-set LRU cache from the fully-associative histogram using the
-// standard binomial "independent sets" correction: an access with
-// fully-associative distance d maps to an expected per-set distance of
-// d/S, and hits iff that is < W. We evaluate it as a hard threshold at
-// S*W lines scaled by an occupancy factor; for the large caches the
-// experiments use this converges to the fully-associative result, and
-// tests quantify the deviation against the real simulator.
-func (h *Histogram) SetAssociativeMissRatio(sets, ways int64) float64 {
-	return h.MissRatio(sets * ways)
-}
-
 // fenwick is a binary indexed tree of ints.
 type fenwick struct {
 	tree []int

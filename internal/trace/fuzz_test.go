@@ -4,10 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -21,8 +18,7 @@ func fuzzSeedTrace() *Trace {
 	}}
 }
 
-// fuzzSeed is one FuzzRead seed, named as gen_corpus.go writes it
-// under testdata/fuzz/FuzzRead.
+// fuzzSeed is one named FuzzRead seed.
 type fuzzSeed struct {
 	name string
 	data []byte
@@ -40,7 +36,6 @@ const v1Seed = "CPTR1\n\x03\a\x92\x01\x00\x00\x8f\x01\x00\x02\xfe\xff\a\x00"
 // bare magic, a v1 stream, and two payloads that are malformed behind
 // a valid checksum (an overlong varint, an offset byte of 64), which a
 // byte-flipping fuzzer cannot reach because the checksum fails first.
-// gen_corpus.go writes the same bytes into the checked-in corpus.
 func fuzzSeeds(fatal func(error)) []fuzzSeed {
 	var buf bytes.Buffer
 	if err := fuzzSeedTrace().WriteV2Frames(&buf, 2); err != nil {
@@ -92,19 +87,35 @@ func badFrameStream(payload []byte) []byte {
 	return append(b, 0)
 }
 
-// TestCorpusHoldsSeeds pins the checked-in FuzzRead corpus to
-// fuzzSeeds; regenerate it with `go run internal/conformance/gen_corpus.go`
-// after changing either.
-func TestCorpusHoldsSeeds(t *testing.T) {
+// TestSeedVerdicts runs each FuzzRead seed as a named subtest: the
+// valid stream must decode to fuzzSeedTrace under Read and the
+// streaming Reader, and every malformed variant must be refused by
+// both. FuzzRead itself only checks that the decoders agree, so a
+// decoder that began to accept a malformed seed would pass it.
+func TestSeedVerdicts(t *testing.T) {
+	want := fuzzSeedTrace().Records
 	for _, seed := range fuzzSeeds(func(err error) { t.Fatal(err) }) {
-		got, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzRead", seed.name))
-		if err != nil {
-			t.Error(err)
-			continue
-		}
-		if want := "go test fuzz v1\n[]byte(" + strconv.Quote(string(seed.data)) + ")\n"; string(got) != want {
-			t.Errorf("corpus file %s differs from fuzzSeeds", seed.name)
-		}
+		t.Run(seed.name, func(t *testing.T) {
+			tr, err := Read(bytes.NewReader(seed.data))
+			streamed, _, serr := streamAll(t, seed.data)
+			if seed.name != "seed-v2-valid" {
+				if err == nil || serr == nil {
+					t.Fatalf("malformed seed accepted: Read err = %v, Reader err = %v", err, serr)
+				}
+				return
+			}
+			if err != nil || serr != nil {
+				t.Fatalf("valid seed refused: Read err = %v, Reader err = %v", err, serr)
+			}
+			if tr.Len() != len(want) || len(streamed) != len(want) {
+				t.Fatalf("decoded %d (Read) and %d (Reader) records, want %d", tr.Len(), len(streamed), len(want))
+			}
+			for i := range want {
+				if tr.Records[i] != want[i] || streamed[i] != want[i] {
+					t.Errorf("record %d: Read %+v, Reader %+v, want %+v", i, tr.Records[i], streamed[i], want[i])
+				}
+			}
+		})
 	}
 }
 
@@ -148,7 +159,8 @@ func TestPayloadErrorsBehindValidChecksum(t *testing.T) {
 // that the decode paths agree: the streaming Reader, decoding ahead
 // and inline, must accept exactly the streams the in-memory Read
 // accepts, with identical records. Run with `go test -fuzz FuzzRead ./internal/trace` for a
-// live campaign; the seed corpus runs as a normal test.
+// live campaign; the f.Add seeds and any saved input under
+// testdata/fuzz/FuzzRead run as a normal test.
 func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	for _, seed := range fuzzSeeds(func(err error) { f.Fatal(err) }) {

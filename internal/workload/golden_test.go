@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -57,7 +58,8 @@ func streamDigest(g Generator, n int) string {
 // TestSuiteStreamsGolden pins the op stream of every suite workload at
 // seeds 1 and 7, and of each seed-1 generator reset to 7 after 1000
 // ops, so a generator rewrite that moves a single address fails here
-// rather than as a drifted curve. Regenerate only at a commit known good:
+// rather than as a drifted curve; so does a pinned stream the suite no
+// longer produces. Regenerate only at a commit known good:
 //
 //	go test ./internal/workload -run SuiteStreamsGolden -update
 func TestSuiteStreamsGolden(t *testing.T) {
@@ -115,5 +117,13 @@ func TestSuiteStreamsGolden(t *testing.T) {
 		} else if g != w {
 			t.Errorf("%s: digest %s, pinned %s (op stream changed)", key, g, w)
 		}
+	}
+	unproduced := maps.Clone(want.Digests)
+	maps.DeleteFunc(unproduced, func(key, _ string) bool {
+		_, ok := got.Digests[key]
+		return ok
+	})
+	if len(unproduced) > 0 {
+		t.Errorf("pinned but not produced by this run: %v", unproduced)
 	}
 }
